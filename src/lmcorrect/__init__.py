@@ -11,11 +11,7 @@ by one to three orders of magnitude on narrow curved valleys.
 
 from .corrections import (
     CorrectionSeries,
-    StencilCache,
     StencilEvaluationError,
-    correct_order2,
-    correct_order3,
-    correct_order4,
     correction_series,
 )
 from .faadibruno import (
@@ -28,9 +24,6 @@ from .faadibruno import (
 from .linalg import (
     SingularMatrixError,
     SvdFactors,
-    damped_pseudo_inverse_apply,
-    newton_inverse_apply,
-    svd,
 )
 from .optimizer import (
     IterationRecord,
@@ -55,11 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrectionSeries",
-    "StencilCache",
     "StencilEvaluationError",
-    "correct_order2",
-    "correct_order3",
-    "correct_order4",
     "correction_series",
     "CorrectionTerm",
     "DerivativeTerm",
@@ -68,9 +57,6 @@ __all__ = [
     "derivative_terms",
     "SingularMatrixError",
     "SvdFactors",
-    "damped_pseudo_inverse_apply",
-    "newton_inverse_apply",
-    "svd",
     "IterationRecord",
     "LambdaSchedule",
     "OptimizerConfig",

@@ -10,13 +10,13 @@ of offsets around the base point:
 * order 3: four evaluations in two phases (c2 first, then the mixed term),
 * order 4: eight evaluations in three phases.
 
-The directional-derivative estimates combine values of the nonlinear defect
-``f_nl(x + a) = f(x + a) - (f + J a)`` with fixed weights; each weight set
-solves a small Taylor system exactly and is re-derived in exact rational
-arithmetic at import time.
-
-Offsets are cached under their exact rational multipliers of (c1, c2, c3) so
-coincident stencil points are never evaluated twice.
+Each order's stencil is a constant table, :data:`PHASES`.  A phase lists the
+points it adds, as multipliers of (c1, c2, c3), and one weight row over the
+nonlinear defects ``f_nl(x + a) = f(x + a) - (f + J a)`` at every point so
+far, so that ``c_n = Jinv(w . f_nl)``.  Coincident points are listed once
+per order, so no point is evaluated twice.  The pure c1-direction weights
+behind the rows solve a small Taylor system exactly and are re-derived in
+exact rational arithmetic at import time.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ import numpy as np
 
 __all__ = [
     "StencilEvaluationError",
-    "StencilCache",
     "CorrectionSeries",
-    "correct_order2",
-    "correct_order3",
-    "correct_order4",
     "correction_series",
     "pure_direction_estimates",
+    "PHASES",
     "ORDER3_OFFSETS",
     "ORDER3_WEIGHTS",
     "ORDER4_OFFSETS",
@@ -49,8 +46,34 @@ __all__ = [
 # extrapolated into garbage (near-singular J); the series is truncated there.
 WILD_CORRECTION_FACTOR = 1e3
 
+# Per order, one ``(points, weights)`` entry per correction c2, c3, ...:
+# ``points`` are the stencil points the phase adds, as multipliers of
+# (c1, c2, c3), in evaluation order; ``weights`` spans the defects at every
+# point of this and earlier phases.  Each row folds the pure c1-direction
+# weights (ORDER3_WEIGHTS, ORDER4_WEIGHTS) and the mixed differences of the
+# order-n identity into one combination equal to -1/n! times its ``rest``
+# terms (faadibruno.correction_identity_terms) on every derivative monomial
+# up to the table's order.
+PHASES = {
+    2: (
+        (((1, 0, 0),), (-1,)),
+    ),
+    3: (
+        (((0.5, 0, 0), (1, 0, 0)), (-8, 1)),
+        (((0, 1, 0), (1, 1, 0)), (8, -1, 1, -1)),
+    ),
+    4: (
+        (((0.5, 0, 0), (1, 0, 0), (1.5, 0, 0)), (-12, 3, -4 / 9)),
+        (((0, 1, 0), (0.5, 1, 0), (1, 1, 0)), (24, -9, 4 / 3, 3, -4, 1)),
+        (((0, 0, 1), (1, 0, 1)), (-12, 7, -8 / 9, -3, 4, -2, 1, -1)),
+    ),
+}
+
 # New residual evaluations consumed per correction series, by order.
-STENCIL_EVALUATIONS = {1: 0, 2: 1, 3: 4, 4: 8}
+STENCIL_EVALUATIONS = {1: 0} | {
+    order: sum(len(points) for points, _ in phases)
+    for order, phases in PHASES.items()
+}
 
 
 class StencilEvaluationError(RuntimeError):
@@ -58,73 +81,21 @@ class StencilEvaluationError(RuntimeError):
 
     Attributes
     ----------
-    offset_key : tuple of Fraction
-        Rational multipliers of (c1, c2, c3) identifying the stencil point.
+    offset_key : tuple of float
+        Multipliers of (c1, c2, c3) identifying the stencil point.
     point : ndarray
         The input-space point at which evaluation failed.
+    evaluations : int
+        Evaluator calls the series made, the failing one included.
     """
 
-    def __init__(self, offset_key, point, cause):
+    def __init__(self, offset_key, point, cause, evaluations):
         self.offset_key = offset_key
         self.point = point
+        self.evaluations = evaluations
         super().__init__(
             f"residual evaluation failed at stencil offset {offset_key}: {cause}"
         )
-
-
-def _key(q1=0, q2=0, q3=0):
-    return (Fraction(q1), Fraction(q2), Fraction(q3))
-
-
-class StencilCache:
-    """Residual evaluations keyed by exact rational stencil offsets.
-
-    A key ``(q1, q2, q3)`` denotes the point ``x + q1 c1 + q2 c2 + q3 c3``.
-    Rational keys (never floating-point positions) guarantee that coincident
-    points across phases are reused; ``new_evaluations`` counts actual calls
-    to the evaluator.
-    """
-
-    def __init__(self, x, f0, evaluator):
-        self.x = np.asarray(x, dtype=float)
-        self.f0 = np.asarray(f0, dtype=float)
-        self.evaluator = evaluator
-        self.directions: dict[int, np.ndarray] = {}
-        self._values = {_key(): self.f0}
-        self.new_evaluations = 0
-
-    def set_direction(self, index: int, direction) -> None:
-        """Bind direction ``index`` (1..3); rebinding to a different vector
-        drops every cached entry that depends on it."""
-        direction = np.asarray(direction, dtype=float)
-        old = self.directions.get(index)
-        if old is not None and not np.array_equal(old, direction):
-            self._values = {
-                key: value for key, value in self._values.items()
-                if key[index - 1] == 0
-            }
-        self.directions[index] = direction
-
-    def offset_vector(self, key) -> np.ndarray:
-        offset = np.zeros_like(self.x)
-        for q, index in zip(key, (1, 2, 3)):
-            if q != 0:
-                offset = offset + float(q) * self.directions[index]
-        return offset
-
-    def value(self, key) -> np.ndarray:
-        """Residual at the offset ``key``, evaluating at most once per key."""
-        cached = self._values.get(key)
-        if cached is not None:
-            return cached
-        point = self.x + self.offset_vector(key)
-        try:
-            result = np.asarray(self.evaluator(point), dtype=float)
-        except Exception as exc:
-            raise StencilEvaluationError(key, point, exc) from exc
-        self.new_evaluations += 1
-        self._values[key] = result
-        return result
 
 
 @dataclass(frozen=True)
@@ -220,139 +191,28 @@ ORDER4_WEIGHTS = (
 assert _derive_weights(ORDER3_OFFSETS) == ORDER3_WEIGHTS
 assert _derive_weights(ORDER4_OFFSETS) == ORDER4_WEIGHTS
 
-_HALF = Fraction(1, 2)
-_THREE_HALVES = Fraction(3, 2)
 
-
-class _Stencil:
-    """State for one correction computation: cache plus defect helpers."""
-
-    def __init__(self, x, f0, J, inverse_apply, evaluator, c1, cache=None):
-        self.J = np.asarray(J, dtype=float)
-        self.inverse_apply = inverse_apply
-        self.cache = cache if cache is not None else StencilCache(x, f0, evaluator)
-        self.cache.set_direction(1, c1)
-        self.c1 = np.asarray(c1, dtype=float)
-
-    def f(self, q1=0, q2=0, q3=0):
-        return self.cache.value(_key(q1, q2, q3))
-
-    def f_nl(self, q1=0, q2=0, q3=0):
-        """Nonlinear defect f(x+a) - (f + J a) at a rational stencil offset."""
-        key = _key(q1, q2, q3)
-        offset = self.cache.offset_vector(key)
-        return self.cache.value(key) - (self.cache.f0 + self.J @ offset)
-
-    # -- phase pieces ------------------------------------------------------
-
-    def order2_c2(self):
-        return -self.inverse_apply(self.f_nl(1))
-
-    def order3_phase1(self):
-        """(f^(2)[c1,c1], f^(3)[c1,c1,c1]) to third-order accuracy, and c2."""
-        fnl = (self.f_nl(_HALF), self.f_nl(1))
-        (w2, w3) = ORDER3_WEIGHTS
-        f2_c1c1 = float(w2[0]) * fnl[0] + float(w2[1]) * fnl[1]
-        f3_c1c1c1 = float(w3[0]) * fnl[0] + float(w3[1]) * fnl[1]
-        c2 = -0.5 * self.inverse_apply(f2_c1c1)
-        return f2_c1c1, f3_c1c1c1, c2
-
-    def order3_phase2(self, f3_c1c1c1):
-        """c3 from the 4-point mixed difference for f^(2)[c1,c2]."""
-        f2_c1c2 = self.f(1, 1) - self.f(1) - self.f(0, 1) + self.cache.f0
-        return -self.inverse_apply(f3_c1c1c1 + 6.0 * f2_c1c2) / 6.0
-
-    def order4_phase1(self):
-        """Pure c1-direction derivatives to fourth-order accuracy, and c2."""
-        fnl = (self.f_nl(_HALF), self.f_nl(1), self.f_nl(_THREE_HALVES))
-        (w2, w3, w4) = ORDER4_WEIGHTS
-        f2_c1c1 = sum(float(w) * v for w, v in zip(w2, fnl))
-        f3_c1c1c1 = sum(float(w) * v for w, v in zip(w3, fnl))
-        f4_c1x4 = sum(float(w) * v for w, v in zip(w4, fnl))
-        c2 = -0.5 * self.inverse_apply(f2_c1c1)
-        return f2_c1c1, f3_c1c1c1, f4_c1x4, c2
-
-    def order4_phase2(self, f3_c1c1c1):
-        """Mixed c2 terms on the 3 x 2 grid; only x + c1/2 + c2 is new."""
-        f0v = self.cache.f0
-        f_c2, f_hc2, f_1c2 = self.f(0, 1), self.f(_HALF, 1), self.f(1, 1)
-        f_h, f_1 = self.f(_HALF), self.f(1)
-        f3_c1c1c2 = (4.0 * f_c2 - 8.0 * f_hc2 + 4.0 * f_1c2) \
-            - (4.0 * f0v - 8.0 * f_h + 4.0 * f_1)
-        f2_c1c2 = (-3.0 * f_c2 + 4.0 * f_hc2 - f_1c2) \
-            - (-3.0 * f0v + 4.0 * f_h - f_1)
-        f2_c2c2 = 2.0 * self.f_nl(0, 1)
-        c3 = -self.inverse_apply(f3_c1c1c1 + 6.0 * f2_c1c2) / 6.0
-        return f3_c1c1c2, f2_c2c2, c3
-
-    def order4_phase3(self, f4_c1x4, f3_c1c1c2, f2_c2c2):
-        """c4 after extending the stencil in the c3 direction."""
-        f2_c1c3 = self.f(1, 0, 1) - self.f(0, 0, 1) - (self.f(1) - self.cache.f0)
-        return -self.inverse_apply(
-            f4_c1x4 + 12.0 * f3_c1c1c2 + 24.0 * f2_c1c3 + 12.0 * f2_c2c2
-        ) / 24.0
-
-
-def pure_direction_estimates(x, f0, J, evaluator, c1, scheme_order: int,
-                             cache: StencilCache | None = None):
+def pure_direction_estimates(x, f0, J, evaluator, c1, scheme_order: int):
     """Stencil estimates of ``f^(k)[c1 x k]`` along the step direction.
 
     ``scheme_order`` 3 returns ``(f2, f3)`` from the two-offset stencil;
     4 returns ``(f2, f3, f4)`` from the three-offset stencil.  The estimates
     reproduce polynomials up to the scheme order exactly.
     """
-    st = _Stencil(x, f0, J, lambda v: v, evaluator, c1, cache)
     if scheme_order == 3:
         offsets, weights = ORDER3_OFFSETS, ORDER3_WEIGHTS
     elif scheme_order == 4:
         offsets, weights = ORDER4_OFFSETS, ORDER4_WEIGHTS
     else:
         raise ValueError(f"scheme_order must be 3 or 4, got {scheme_order}")
-    fnl = [st.f_nl(a) for a in offsets]
+    x, f0, J, c1 = (np.asarray(a, dtype=float) for a in (x, f0, J, c1))
+    fnl = []
+    for a in offsets:
+        offset = float(a) * c1
+        fnl.append(np.asarray(evaluator(x + offset), dtype=float) - (f0 + J @ offset))
     return tuple(
         sum(float(w) * v for w, v in zip(tup, fnl)) for tup in weights
     )
-
-
-def correct_order2(x, f0, J, inverse_apply, evaluator, c1, cache=None):
-    """Second-order correction from a single extra evaluation at ``x + c1``.
-
-    ``c2 = -Jinv f_nl(x + c1)``: the deviation of the residual at the
-    uncorrected step end from its linear prediction, pulled back through the
-    step's inverse-applier.  Exact on quadratic residual maps.
-    """
-    st = _Stencil(x, f0, J, inverse_apply, evaluator, c1, cache)
-    return st.order2_c2()
-
-
-def correct_order3(x, f0, J, inverse_apply, evaluator, c1, cache=None):
-    """Corrections ``(c2, c3)`` from four extra evaluations in two phases.
-
-    Phase 1 evaluates ``x + c1/2`` and ``x + c1`` and extracts the second-
-    and third-derivative terms along c1 to third-order accuracy; phase 2
-    adds ``x + c2`` and ``x + c1 + c2`` for the mixed term f^(2)[c1, c2].
-    """
-    st = _Stencil(x, f0, J, inverse_apply, evaluator, c1, cache)
-    _, f3_c1c1c1, c2 = st.order3_phase1()
-    st.cache.set_direction(2, c2)
-    c3 = st.order3_phase2(f3_c1c1c1)
-    return c2, c3
-
-
-def correct_order4(x, f0, J, inverse_apply, evaluator, c1, cache=None):
-    """Corrections ``(c2, c3, c4)`` from eight extra evaluations in three phases.
-
-    Phase 1 extends the c1-direction stencil to ``x + 3 c1/2`` so the pure
-    derivatives up to f^(4) reach fourth-order accuracy; phase 2 forms the
-    mixed c2 terms; phase 3 extends in the c3 direction for f^(2)[c1, c3].
-    """
-    st = _Stencil(x, f0, J, inverse_apply, evaluator, c1, cache)
-    _, f3_c1c1c1, f4_c1x4, c2 = st.order4_phase1()
-    st.cache.set_direction(2, c2)
-    f3_c1c1c2, f2_c2c2, c3 = st.order4_phase2(f3_c1c1c1)
-    st.cache.set_direction(3, c3)
-    c4 = st.order4_phase3(f4_c1x4, f3_c1c1c2, f2_c2c2)
-    return c2, c3, c4
 
 
 def _is_wild(c, c1_norm: float) -> bool:
@@ -360,8 +220,8 @@ def _is_wild(c, c1_norm: float) -> bool:
     return not np.isfinite(norm) or norm > WILD_CORRECTION_FACTOR * c1_norm
 
 
-def correction_series(x, f0, J, inverse_apply, evaluator, c1, order: int,
-                      cache: StencilCache | None = None) -> CorrectionSeries:
+def correction_series(x, f0, J, inverse_apply, evaluator, c1,
+                      order: int) -> CorrectionSeries:
     """Compute the correction series for one candidate step.
 
     Parameters
@@ -372,71 +232,42 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1, order: int,
         ``v -> Jinv v`` used for every inverse occurrence in this series
         (the same applier that produced the step direction).
     evaluator : callable
-        Residual evaluator; called only at stencil offsets.
+        Residual evaluator; called once at each stencil point of
+        ``PHASES[order]``.
     c1 : array
         First-order step.
     order : int
         Correction order in {1, 2, 3, 4}.
-    cache : StencilCache, optional
-        Shared evaluation cache; re-running with the same cache performs
-        zero new evaluations.
 
     A correction whose norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is
     non-finite) truncates the series at the previous order, skips the
-    remaining phases and sets the ``truncated`` flag.
+    remaining phases and sets the ``truncated`` flag.  A failing evaluator
+    call raises StencilEvaluationError.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"correction order must be in {{1, 2, 3, 4}}, got {order}")
     c1 = np.asarray(c1, dtype=float)
-    if cache is None:
-        cache = StencilCache(x, f0, evaluator)
-    start = cache.new_evaluations
-    kept = [c1]
-
-    def series(truncated):
-        return CorrectionSeries(
-            order=order,
-            corrections=tuple(kept),
-            evaluation_count=cache.new_evaluations - start,
-            truncated=truncated,
-        )
-
     if order == 1:
-        return series(False)
+        return CorrectionSeries(1, (c1,), 0)
+    x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
+    kept = [c1]
     c1_norm = float(np.linalg.norm(c1))
-    st = _Stencil(x, f0, J, inverse_apply, evaluator, c1, cache)
-
-    if order == 2:
-        c2 = st.order2_c2()
-        if _is_wild(c2, c1_norm):
-            return series(True)
-        kept.append(c2)
-        return series(False)
-
-    if order == 3:
-        _, f3_c1c1c1, c2 = st.order3_phase1()
-        if _is_wild(c2, c1_norm):
-            return series(True)
-        kept.append(c2)
-        st.cache.set_direction(2, c2)
-        c3 = st.order3_phase2(f3_c1c1c1)
-        if _is_wild(c3, c1_norm):
-            return series(True)
-        kept.append(c3)
-        return series(False)
-
-    _, f3_c1c1c1, f4_c1x4, c2 = st.order4_phase1()
-    if _is_wild(c2, c1_norm):
-        return series(True)
-    kept.append(c2)
-    st.cache.set_direction(2, c2)
-    f3_c1c1c2, f2_c2c2, c3 = st.order4_phase2(f3_c1c1c1)
-    if _is_wild(c3, c1_norm):
-        return series(True)
-    kept.append(c3)
-    st.cache.set_direction(3, c3)
-    c4 = st.order4_phase3(f4_c1x4, f3_c1c1c2, f2_c2c2)
-    if _is_wild(c4, c1_norm):
-        return series(True)
-    kept.append(c4)
-    return series(False)
+    defects = np.empty((STENCIL_EVALUATIONS[order], f0.shape[0]))
+    evaluations = 0
+    for points, weights in PHASES[order]:
+        for multipliers in points:
+            offset = sum(q * c for q, c in zip(multipliers, kept) if q)
+            point = x + offset
+            evaluations += 1
+            try:
+                value = np.asarray(evaluator(point), dtype=float)
+            except Exception as exc:
+                raise StencilEvaluationError(
+                    multipliers, point, exc, evaluations
+                ) from exc
+            defects[evaluations - 1] = value - (f0 + J @ offset)
+        c = inverse_apply(np.dot(weights, defects[:evaluations]))
+        if _is_wild(c, c1_norm):
+            return CorrectionSeries(order, tuple(kept), evaluations, True)
+        kept.append(c)
+    return CorrectionSeries(order, tuple(kept), evaluations)

@@ -6,8 +6,8 @@ Every step direction in this package is some flavour of ``J^{-1} v``:
 * Gauss-Newton minimum-norm pseudo-inverse ``(J^T J)^{-1} J^T``,
 * damped pseudo-inverse ``(J^T J + lam I)^{-1} J^T``.
 
-All three are computed through one thin SVD of ``J`` so that a sweep over
-damping values can reuse the factorization.  Everything is float64.
+All three are methods of :class:`SvdFactors`, one thin SVD of ``J``, so that
+a sweep over damping values reuses the factorization.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ __all__ = [
     "SingularMatrixError",
     "as_vector",
     "as_matrix",
-    "svd",
     "SvdFactors",
-    "damped_pseudo_inverse_apply",
-    "newton_inverse_apply",
-    "newton_applier",
-    "damped_applier",
-    "pseudo_inverse_applier",
 ]
 
 # Reciprocal singular values below RANK_RCOND * sigma_max are zeroed when
@@ -128,63 +122,4 @@ class SvdFactors:
             raise SingularMatrixError(
                 f"matrix is singular to working precision (sigma={s})"
             )
-        return self.Vt.T @ ((self.U.T @ v) / s)
-
-
-def svd(J):
-    """Thin SVD ``(U, s, Vt)`` with non-increasing singular values ``s``.
-
-    Satisfies ``U @ diag(s) @ Vt == J`` to machine precision; ``U`` and
-    ``Vt.T`` have orthonormal columns.
-    """
-    f = SvdFactors(J)
-    return f.U, f.s, f.Vt
-
-
-def damped_pseudo_inverse_apply(J, lam: float, v, factors: SvdFactors | None = None):
-    """Apply the damped pseudo-inverse ``(J^T J + lam I)^{-1} J^T`` to ``v``.
-
-    Parameters
-    ----------
-    J : (m, p) array_like
-        Jacobian matrix.
-    lam : float
-        Damping parameter, ``lam >= 0``.  ``0`` gives the Gauss-Newton
-        pseudo-inverse; large values shrink the result towards a scaled
-        gradient direction ``J^T v / lam``.
-    v : (m,) array_like
-        Right-hand side (typically a residual vector).
-    factors : SvdFactors, optional
-        Precomputed factorization of ``J`` to reuse across a damping sweep.
-    """
-    if factors is None:
-        factors = SvdFactors(J)
-    return factors.damped_apply(lam, v)
-
-
-def newton_inverse_apply(J, v, factors: SvdFactors | None = None):
-    """Solve ``J x = v`` for square nonsingular ``J``.
-
-    Raises SingularMatrixError when ``J`` is singular to working precision.
-    """
-    if factors is None:
-        factors = SvdFactors(J)
-    return factors.newton_apply(as_vector(v))
-
-
-def newton_applier(J):
-    """Callable ``v -> J^{-1} v`` bound to one factorization of ``J``."""
-    factors = SvdFactors(J)
-    return factors.newton_apply
-
-
-def damped_applier(J, lam: float, factors: SvdFactors | None = None):
-    """Callable ``v -> (J^T J + lam I)^{-1} J^T v`` at fixed damping."""
-    if factors is None:
-        factors = SvdFactors(J)
-    return lambda v: factors.damped_apply(lam, v)
-
-
-def pseudo_inverse_applier(J, factors: SvdFactors | None = None):
-    """Callable applying the Gauss-Newton (minimum-norm) pseudo-inverse."""
-    return damped_applier(J, 0.0, factors)
+        return self.Vt.T @ ((self.U.T @ as_vector(v)) / s)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .corrections import (
     CorrectionSeries,
-    StencilCache,
     StencilEvaluationError,
     correction_series,
 )
@@ -181,22 +180,20 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
                 applier = factors.newton_apply
             else:
                 applier = lambda v, lam=lam: factors.damped_apply(lam, v)
-            cache = StencilCache(x, f0, problem.evaluator)
             try:
                 series = correction_series(
-                    x, f0, J, applier, problem.evaluator, c1, config.order,
-                    cache=cache,
+                    x, f0, J, applier, problem.evaluator, c1, config.order
                 )
-            except StencilEvaluationError:
-                evals += cache.new_evaluations
+            except StencilEvaluationError as exc:
+                evals += exc.evaluations
                 continue
             evals += series.evaluation_count
         endpoint = x + series.step
+        evals += 1
         try:
             f_end = np.asarray(problem.evaluator(endpoint), dtype=float)
         except Exception:
             continue
-        evals += 1
         norm_end = float(np.linalg.norm(f_end))
         if not np.isfinite(norm_end):
             continue

@@ -23,7 +23,7 @@ from lmcorrect.corrections import (
     taylor_weight_matrix,
 )
 from lmcorrect.faadibruno import derivative_terms
-from lmcorrect.linalg import newton_applier
+from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import OptimizerConfig, run
 from lmcorrect.problems import polynomial_problem, valley_problem
 
@@ -166,7 +166,7 @@ def test_criterion_4_taylor_order_slopes():
     x = START
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
-    inv = newton_applier(J)
+    inv = SvdFactors(J).newton_apply
     newton_step = -inv(f0)
     floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * np.linalg.norm(f0)
     eps_grid = 10.0 ** np.arange(-3.0, -0.9, 0.5)
@@ -268,7 +268,7 @@ def test_criterion_8_evaluation_count_audit():
         x = START
         f0 = problem.evaluator(x)
         J = problem.jacobian(x)
-        inv = newton_applier(J)
+        inv = SvdFactors(J).newton_apply
         c1 = -0.3 * inv(f0)
         counter["evals"] = 0
         series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,18 +11,16 @@ from lmcorrect.corrections import (
     ORDER3_WEIGHTS,
     ORDER4_OFFSETS,
     ORDER4_WEIGHTS,
+    PHASES,
     STENCIL_EVALUATIONS,
-    StencilCache,
     StencilEvaluationError,
-    correct_order2,
-    correct_order3,
-    correct_order4,
     correction_series,
     pure_direction_estimates,
     solve_exact,
     taylor_weight_matrix,
 )
-from lmcorrect.linalg import newton_applier, pseudo_inverse_applier
+from lmcorrect.faadibruno import correction_identity_terms
+from lmcorrect.linalg import SvdFactors
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 
@@ -29,7 +29,8 @@ def make_context(problem, x, scale=0.5):
     x = np.asarray(x, dtype=float)
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
-    inv = pseudo_inverse_applier(J)
+    factors = SvdFactors(J)
+    inv = lambda v: factors.damped_apply(0.0, v)
     c1 = -scale * inv(f0)
     return x, f0, J, inv, c1
 
@@ -68,10 +69,10 @@ def test_order2_hand_example():
     f, Jf = hand_problem()
     x = np.array([0.0, 1.0])
     f0, J = f(x), Jf(x)
-    inv = newton_applier(J)
+    inv = SvdFactors(J).newton_apply
     c1 = -inv(f0)
     assert np.allclose(c1, [1.0, -1.0])
-    c2 = correct_order2(x, f0, J, inv, f, c1)
+    _, c2 = correction_series(x, f0, J, inv, f, c1, 2).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-14)
     end = x + c1 + c2
     assert np.allclose(end, [0.0, 0.0], atol=1e-14)
@@ -84,9 +85,9 @@ def test_order3_hand_example_c3_vanishes():
     f, Jf = hand_problem()
     x = np.array([0.0, 1.0])
     f0, J = f(x), Jf(x)
-    inv = newton_applier(J)
+    inv = SvdFactors(J).newton_apply
     c1 = -inv(f0)
-    c2, c3 = correct_order3(x, f0, J, inv, f, c1)
+    _, c2, c3 = correction_series(x, f0, J, inv, f, c1, 3).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-12)
     assert np.linalg.norm(c3) <= 1e-12
 
@@ -98,7 +99,7 @@ def test_order3_hand_example_c3_vanishes():
 def test_order2_stencil_exact_on_quadratics(seed):
     poly = polynomial_problem(2, 2, seed=seed)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
-    c2 = correct_order2(x, f0, J, inv, poly.evaluator, c1)
+    _, c2 = correction_series(x, f0, J, inv, poly.evaluator, c1, 2).corrections
     analytic = -0.5 * inv(poly.derivative_contraction(x, 2, c1, c1))
     assert relative_difference(c2, analytic) <= 1e-12
 
@@ -174,36 +175,6 @@ def test_new_evaluation_counts(order):
     assert counter["evals"] == STENCIL_EVALUATIONS[order]
 
 
-def test_cache_reuse_means_zero_new_evaluations():
-    problem, counter = counting_problem(valley_problem(10.0))
-    x, f0, J, inv, c1 = make_context(problem, [1.0, 2.0], scale=0.3)
-    cache = StencilCache(x, f0, problem.evaluator)
-    first = correction_series(x, f0, J, inv, problem.evaluator, c1, 4, cache=cache)
-    assert first.evaluation_count == 8
-    counter["evals"] = 0
-    second = correction_series(x, f0, J, inv, problem.evaluator, c1, 4, cache=cache)
-    assert second.evaluation_count == 0
-    assert counter["evals"] == 0
-    for a, b in zip(first.corrections, second.corrections):
-        assert np.array_equal(a, b)
-
-
-def test_cache_shared_across_orders_reuses_safely():
-    # Order 4 reuses the order-3 points along c1 but recomputes c2 with its
-    # own weights; the cache must drop entries tied to the superseded c2
-    # rather than serve stale values.
-    problem, counter = counting_problem(valley_problem(10.0))
-    x, f0, J, inv, c1 = make_context(problem, [1.0, 2.0], scale=0.3)
-    cache = StencilCache(x, f0, problem.evaluator)
-    correction_series(x, f0, J, inv, problem.evaluator, c1, 3, cache=cache)
-    assert cache.new_evaluations == 4
-    shared = correction_series(x, f0, J, inv, problem.evaluator, c1, 4, cache=cache)
-    assert cache.new_evaluations == 4 + 6  # two pure-direction points reused
-    fresh = correction_series(x, f0, J, inv, problem.evaluator, c1, 4)
-    for a, b in zip(shared.corrections, fresh.corrections):
-        assert np.array_equal(a, b)
-
-
 # -- stencil weight algebra ----------------------------------------------------
 
 
@@ -234,6 +205,51 @@ def test_solve_exact_small_system():
     assert solution == [Fraction(1), Fraction(3)]
 
 
+def exact_weight(w):
+    """The rational a float table weight stands for (small denominators)."""
+    exact = Fraction(w).limit_denominator(100)
+    assert float(exact) == w
+    return exact
+
+
+def defect_monomials(multipliers, max_grade):
+    """Taylor terms of f_nl at ``x + q1 c1 + q2 c2 + q3 c3``.
+
+    Maps ``(k, sorted direction indices)`` for f^(k)[c_i ...] to its exact
+    coefficient, keeping monomials whose grade (index sum) is <= max_grade.
+    """
+    used = [(i, Fraction(q)) for i, q in enumerate(multipliers, start=1) if q]
+    terms = {}
+    for k in range(2, max_grade + 1):
+        for picks in itertools.product(used, repeat=k):
+            indices = tuple(sorted(i for i, _ in picks))
+            if sum(indices) <= max_grade:
+                coeff = math.prod(q for _, q in picks) / math.factorial(k)
+                terms[(k, indices)] = terms.get((k, indices), 0) + coeff
+    return terms
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_phase_rows_match_correction_identities(order):
+    # Each weight row must equal -1/n! times the rest terms of the order-n
+    # identity on every monomial up to the scheme order, exactly.
+    points = []
+    for n, (added, weights) in enumerate(PHASES[order], start=2):
+        assert all(not any(q[n - 1:]) for q in added)  # only known directions
+        points += added
+        assert len(weights) == len(points)
+        got = {}
+        for w, q in zip(weights, points):
+            for key, coeff in defect_monomials(q, order).items():
+                got[key] = got.get(key, 0) + exact_weight(w) * coeff
+        lead, rest = correction_identity_terms(n)
+        want = {(t.f_order, t.c_orders): -t.coefficient / lead.coefficient
+                for t in rest}
+        assert {key: v for key, v in got.items() if v} == want
+    assert len(points) == len(set(points)) == STENCIL_EVALUATIONS[order]
+    assert STENCIL_EVALUATIONS[order] == {2: 1, 3: 4, 4: 8}[order]
+
+
 # -- pathway defect scaling ----------------------------------------------------
 
 
@@ -241,7 +257,7 @@ def pathway_defect(problem, x, order, eps):
     x = np.asarray(x, dtype=float)
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
-    inv = newton_applier(J)
+    inv = SvdFactors(J).newton_apply
     c1 = -eps * inv(f0)
     series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)
     end = x + series.step
@@ -278,12 +294,13 @@ def test_stencil_error_carries_offset():
     x = np.zeros(2)
     f0 = np.ones(2)
     J = np.eye(2)
-    inv = newton_applier(J)
+    inv = SvdFactors(J).newton_apply
     with pytest.raises(StencilEvaluationError) as info:
-        correct_order2(x, f0, J, inv, evaluator, np.array([0.1, 0.1]))
+        correction_series(x, f0, J, inv, evaluator, np.array([0.1, 0.1]), 2)
     err = info.value
     assert err.offset_key == (Fraction(1), Fraction(0), Fraction(0))
     assert np.allclose(err.point, [0.1, 0.1])
+    assert err.evaluations == 1
 
 
 def test_invalid_order_rejected():
@@ -292,12 +309,3 @@ def test_invalid_order_rejected():
     with pytest.raises(ValueError):
         correction_series(x, f0, J, inv, poly.evaluator, c1, 5)
 
-
-def test_wrapper_functions_match_series_path():
-    poly = polynomial_problem(4, 2, seed=31)
-    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.3, 0.1], scale=0.2)
-    c2, c3, c4 = correct_order4(x, f0, J, inv, poly.evaluator, c1)
-    series = correction_series(x, f0, J, inv, poly.evaluator, c1, 4)
-    assert np.allclose(series.corrections[1], c2, rtol=0, atol=0)
-    assert np.allclose(series.corrections[2], c3, rtol=0, atol=0)
-    assert np.allclose(series.corrections[3], c4, rtol=0, atol=0)

@@ -1,25 +1,18 @@
 import numpy as np
 import pytest
 
-from lmcorrect.linalg import (
-    SingularMatrixError,
-    SvdFactors,
-    damped_applier,
-    damped_pseudo_inverse_apply,
-    newton_inverse_apply,
-    svd,
-)
+from lmcorrect.linalg import SingularMatrixError, SvdFactors
 from lmcorrect.problems import valley_jacobian
 
 
-def reconstruct(U, s, Vt):
-    return (U * s) @ Vt
+def reconstruct(f):
+    return (f.U * f.s) @ f.Vt
 
 
 def test_svd_identity():
-    U, s, Vt = svd(np.eye(2))
-    assert np.allclose(s, [1.0, 1.0])
-    assert np.allclose(reconstruct(U, s, Vt), np.eye(2))
+    f = SvdFactors(np.eye(2))
+    assert np.allclose(f.s, [1.0, 1.0])
+    assert np.allclose(reconstruct(f), np.eye(2))
 
 
 def test_svd_shear_matrix():
@@ -27,39 +20,39 @@ def test_svd_shear_matrix():
     # eigenvalues of J^T J; for [[1,2],[0,1]] the characteristic polynomial
     # is s^2 - 6 s + 1, so sigma = sqrt(3 +- 2 sqrt(2)) = sqrt(2) +- 1.
     J = np.array([[1.0, 2.0], [0.0, 1.0]])
-    U, s, Vt = svd(J)
-    assert np.allclose(s, [np.sqrt(2.0) + 1.0, np.sqrt(2.0) - 1.0], rtol=1e-12)
-    assert np.linalg.norm(reconstruct(U, s, Vt) - J) <= 1e-12 * (1 + np.linalg.norm(J))
+    f = SvdFactors(J)
+    assert np.allclose(f.s, [np.sqrt(2.0) + 1.0, np.sqrt(2.0) - 1.0], rtol=1e-12)
+    assert np.linalg.norm(reconstruct(f) - J) <= 1e-12 * (1 + np.linalg.norm(J))
 
 
 def test_svd_orders_singular_values():
     rng = np.random.default_rng(3)
     for _ in range(20):
         J = rng.normal(size=(4, 3))
-        _, s, _ = svd(J)
+        s = SvdFactors(J).s
         assert np.all(np.diff(s) <= 0)
         assert np.all(s >= 0)
 
 
 def test_svd_ill_conditioned_valley_jacobian():
     J = valley_jacobian(1e6, np.pi, np.e)
-    U, s, Vt = svd(J)
-    assert s[0] / s[-1] > 1e5
-    err = np.linalg.norm(reconstruct(U, s, Vt) - J) / np.linalg.norm(J)
+    f = SvdFactors(J)
+    assert f.s[0] / f.s[-1] > 1e5
+    err = np.linalg.norm(reconstruct(f) - J) / np.linalg.norm(J)
     assert err <= 1e-12
 
 
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
-        svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        SvdFactors(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        SvdFactors(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_damped_identity_cases():
     v = np.array([1.0, 1.0])
-    assert np.allclose(damped_pseudo_inverse_apply(np.eye(2), 0.0, v), v)
-    out = damped_pseudo_inverse_apply(np.eye(2), 1.0, np.array([2.0, 0.0]))
+    assert np.allclose(SvdFactors(np.eye(2)).damped_apply(0.0, v), v)
+    out = SvdFactors(np.eye(2)).damped_apply(1.0, np.array([2.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0])
 
 
@@ -69,13 +62,13 @@ def test_damped_matches_direct_solve():
     v = rng.normal(size=5)
     lam = 0.37
     expected = np.linalg.solve(J.T @ J + lam * np.eye(3), J.T @ v)
-    got = damped_pseudo_inverse_apply(J, lam, v)
+    got = SvdFactors(J).damped_apply(lam, v)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_damped_rejects_negative_damping():
     with pytest.raises(ValueError):
-        damped_pseudo_inverse_apply(np.eye(2), -1.0, np.ones(2))
+        SvdFactors(np.eye(2)).damped_apply(-1.0, np.ones(2))
 
 
 def test_damped_norm_decreases_with_damping():
@@ -94,7 +87,7 @@ def test_damped_large_damping_tends_to_gradient():
     J = rng.normal(size=(4, 3))
     v = rng.normal(size=4)
     lam = 1e12 * np.linalg.norm(J, 2) ** 2
-    scaled = lam * damped_pseudo_inverse_apply(J, lam, v)
+    scaled = lam * SvdFactors(J).damped_apply(lam, v)
     grad = J.T @ v
     cosine = scaled @ grad / (np.linalg.norm(scaled) * np.linalg.norm(grad))
     assert cosine > 1.0 - 1e-6
@@ -105,8 +98,8 @@ def test_damped_zero_equals_newton_on_square():
     for _ in range(10):
         J = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         v = rng.normal(size=3)
-        gn = damped_pseudo_inverse_apply(J, 0.0, v)
-        nw = newton_inverse_apply(J, v)
+        gn = SvdFactors(J).damped_apply(0.0, v)
+        nw = SvdFactors(J).newton_apply(v)
         assert np.linalg.norm(gn - nw) <= 1e-8 * np.linalg.norm(nw)
 
 
@@ -114,28 +107,34 @@ def test_damped_zero_rank_deficient_minimum_norm():
     J = np.array([[1.0, 0.0], [0.0, 0.0]])
     v = np.array([2.0, 5.0])
     with pytest.warns(RuntimeWarning):
-        out = damped_pseudo_inverse_apply(J, 0.0, v)
+        out = SvdFactors(J).damped_apply(0.0, v)
     assert np.allclose(out, np.linalg.pinv(J) @ v)
 
 
 def test_newton_cases():
     assert np.allclose(
-        newton_inverse_apply(np.eye(3), np.array([1.0, 2.0, 3.0])), [1, 2, 3]
+        SvdFactors(np.eye(3)).newton_apply(np.array([1.0, 2.0, 3.0])), [1, 2, 3]
     )
     J = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = newton_inverse_apply(J, np.array([1.0, 1.0]))
+    out = SvdFactors(J).newton_apply(np.array([1.0, 1.0]))
     assert np.allclose(out, [-1.0, 1.0])
     assert np.allclose(J @ out, [1.0, 1.0], rtol=1e-10)
 
 
 def test_newton_singular_raises():
     with pytest.raises(SingularMatrixError):
-        newton_inverse_apply(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+        SvdFactors(np.array([[1.0, 1.0], [1.0, 1.0]])).newton_apply(np.ones(2))
 
 
 def test_newton_rejects_rectangular():
     with pytest.raises(ValueError):
-        newton_inverse_apply(np.ones((3, 2)), np.ones(3))
+        SvdFactors(np.ones((3, 2))).newton_apply(np.ones(3))
+
+
+def test_newton_rejects_nonfinite_vector():
+    factors = SvdFactors(np.eye(2))
+    with pytest.raises(ValueError):
+        factors.newton_apply(np.array([1.0, np.nan]))
 
 
 def test_batch_matches_scalar_applications():
@@ -152,8 +151,12 @@ def test_batch_matches_scalar_applications():
 
 
 def test_applier_closure_matches_function():
+    # The optimizer binds one factorization per Jacobian into a closure per
+    # damping value; reusing it must match a fresh factorization.
     rng = np.random.default_rng(23)
     J = rng.normal(size=(4, 2))
     v = rng.normal(size=4)
-    apply = damped_applier(J, 0.5)
-    assert np.allclose(apply(v), damped_pseudo_inverse_apply(J, 0.5, v))
+    factors = SvdFactors(J)
+    apply = lambda w: factors.damped_apply(0.5, w)
+    factors.damped_apply(2.0, v)
+    assert np.array_equal(apply(v), SvdFactors(J).damped_apply(0.5, v))

@@ -82,6 +82,28 @@ def test_evaluation_accounting_per_iteration():
         assert result.f_evaluations == 1 + 21 * expected * result.iterations
 
 
+@pytest.mark.parametrize("order,fails", [
+    pytest.param(1, lambda x: x[0] < 2.0, id="order1"),
+    pytest.param(3, lambda x: np.max(np.abs(x)) > 3.0, id="order3"),
+    pytest.param(4, lambda x: x[0] < 1.0, id="order4"),
+])
+def test_failed_evaluator_calls_are_counted(order, fails):
+    # Endpoint and stencil calls that raise still cost an evaluation.
+    valley = valley_problem(10.0)
+    calls = {"n": 0}
+
+    def evaluator(x):
+        calls["n"] += 1
+        if fails(x):
+            raise FloatingPointError("outside the model's domain")
+        return valley.evaluator(x)
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="partial")
+    _, _, record = step(START, problem, LambdaSchedule(),
+                        OptimizerConfig(order=order), f0=valley.evaluator(START))
+    assert record.f_evaluations == calls["n"]
+
+
 def test_lambda_carries_between_iterations():
     schedule = LambdaSchedule()
     problem = valley_problem(100.0)
