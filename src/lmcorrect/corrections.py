@@ -21,10 +21,13 @@ exact rational arithmetic at import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .linalg import as_residual
 
 __all__ = [
     "StencilEvaluationError",
@@ -215,9 +218,33 @@ def pure_direction_estimates(x, f0, J, evaluator, c1, scheme_order: int):
     )
 
 
+def _compile_phases(phases):
+    """Per phase: the point keys, their multipliers and the weight row.
+
+    The k-th phase (from 1) may only combine c1 .. ck, the directions known
+    by then, so its multiplier array keeps the first k columns.
+    """
+    compiled = []
+    for known, (points, weights) in enumerate(phases, start=1):
+        mult = np.array(points, dtype=float)
+        if mult[:, known:].any():
+            raise ValueError(f"phase {known} uses a direction not yet known")
+        compiled.append((points, np.ascontiguousarray(mult[:, :known]),
+                         np.array(weights, dtype=float)))
+    return tuple(compiled)
+
+
+_COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
+
+
+def _norm(v) -> float:
+    # np.linalg.norm's own formula for a real vector, without its dispatch.
+    return math.sqrt(v.dot(v))
+
+
 def _is_wild(c, c1_norm: float) -> bool:
-    norm = float(np.linalg.norm(c))
-    return not np.isfinite(norm) or norm > WILD_CORRECTION_FACTOR * c1_norm
+    norm = _norm(c)
+    return not math.isfinite(norm) or norm > WILD_CORRECTION_FACTOR * c1_norm
 
 
 def correction_series(x, f0, J, inverse_apply, evaluator, c1,
@@ -239,10 +266,13 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     order : int
         Correction order in {1, 2, 3, 4}.
 
-    A correction whose norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is
-    non-finite) truncates the series at the previous order, skips the
-    remaining phases and sets the ``truncated`` flag.  A failing evaluator
-    call raises StencilEvaluationError.
+    Each phase forms its offsets, their linear model ``f0 + J a`` and its
+    weighted defect as one array product each; only the evaluator is called
+    point by point.  A non-finite weighted defect, or a correction whose norm
+    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates
+    the series at the previous order, skips the remaining phases and sets
+    the ``truncated`` flag.  A failing evaluator call raises
+    StencilEvaluationError; a residual of the wrong shape raises ValueError.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"correction order must be in {{1, 2, 3, 4}}, got {order}")
@@ -250,24 +280,29 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     if order == 1:
         return CorrectionSeries(1, (c1,), 0)
     x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
-    kept = [c1]
-    c1_norm = float(np.linalg.norm(c1))
-    defects = np.empty((STENCIL_EVALUATIONS[order], f0.shape[0]))
+    m = f0.shape[0]
+    directions = np.empty((order, c1.shape[0]))
+    directions[0] = c1
+    c1_norm = _norm(c1)
+    defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
-    for points, weights in PHASES[order]:
-        for multipliers in points:
-            offset = sum(q * c for q, c in zip(multipliers, kept) if q)
-            point = x + offset
+    for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
+        offsets = mult @ directions[:known]
+        points = x + offsets
+        first = evaluations
+        for key, point in zip(keys, points):
             evaluations += 1
             try:
-                value = np.asarray(evaluator(point), dtype=float)
+                value = evaluator(point)
             except Exception as exc:
-                raise StencilEvaluationError(
-                    multipliers, point, exc, evaluations
-                ) from exc
-            defects[evaluations - 1] = value - (f0 + J @ offset)
-        c = inverse_apply(np.dot(weights, defects[:evaluations]))
-        if _is_wild(c, c1_norm):
-            return CorrectionSeries(order, tuple(kept), evaluations, True)
-        kept.append(c)
-    return CorrectionSeries(order, tuple(kept), evaluations)
+                raise StencilEvaluationError(key, point, exc, evaluations) from exc
+            defects[evaluations - 1] = as_residual(value, m)
+        defects[first:evaluations] -= offsets @ J.T + f0
+        # A non-finite defect never reaches the inverse, which rejects it.
+        weighted = weights @ defects[:evaluations]
+        c = inverse_apply(weighted) if np.isfinite(weighted).all() else None
+        if c is None or _is_wild(c, c1_norm):
+            return CorrectionSeries(order, tuple(directions[:known]),
+                                    evaluations, True)
+        directions[known] = c
+    return CorrectionSeries(order, tuple(directions), evaluations)

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "as_vector",
+    "as_residual",
     "as_matrix",
     "SvdFactors",
 ]
@@ -37,8 +38,22 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
+    return arr
+
+
+def as_residual(value, m: int) -> np.ndarray:
+    """Coerce an evaluator's output to float64 of shape ``(m,)``.
+
+    Entries may be non-finite (callers decide what such a point is worth);
+    any other shape raises ValueError rather than broadcasting into a row.
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (m,):
+        raise ValueError(
+            f"evaluator returned a residual of shape {arr.shape}, expected ({m},)"
+        )
     return arr
 
 
@@ -47,7 +62,7 @@ def as_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 

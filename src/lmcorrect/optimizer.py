@@ -8,9 +8,23 @@ one residual evaluation at its corrected endpoint; the endpoint with the
 smallest residual norm wins.  If nothing improves, the iteration does not
 move and the damping centre is escalated.
 
-All candidate work is independent and could run concurrently; the reduction
-is a deterministic argmin with ties broken towards the smallest grid index,
-so a parallel implementation must reproduce the sequential result exactly.
+The sweep is batched over the grid.  One product with the factorization
+gives every first-order direction, one mask selects the finite ones, one sum
+gives every endpoint, the endpoint residuals fill one ``(21, m)`` array, and
+the winner is the argmin of its row norms with non-finite rows masked to
+``inf``.  ``argmin`` returns the first minimum, so ties go to the smallest
+grid index, as in a sequential sweep.  Three things stay per point or per
+candidate:
+
+* the evaluator is called once per point, because ``Problem.evaluator`` maps
+  one point to one residual and each call is one counted evaluation, failed
+  calls included;
+* ``correction_series`` runs once per live candidate, because each phase's
+  stencil points depend on that candidate's own corrections and a truncated
+  series stops early, so a candidate is charged only for the points it
+  evaluated;
+* corrections apply their inverse through ``SvdFactors.damped_apply`` at the
+  candidate's damping value, the same inverse that produced its direction.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from .corrections import (
     StencilEvaluationError,
     correction_series,
 )
-from .linalg import SvdFactors
+from .linalg import SvdFactors, as_residual
 from .problems import Problem
 
 __all__ = [
@@ -52,9 +66,15 @@ LAMBDA_FLOOR = 1e-300
 
 INVERSE_VARIANTS = ("newton", "gauss_newton", "levenberg_marquardt")
 
+_GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
+_GRID_FACTORS.flags.writeable = False
+
 
 class StepFailureError(RuntimeError):
-    """Every candidate step produced a non-finite endpoint."""
+    """Every candidate step produced a non-finite endpoint.
+
+    Chained from the sweep's first failed evaluator call, if there was one.
+    """
 
 
 @dataclass
@@ -69,9 +89,7 @@ class LambdaSchedule:
     lambda_old: float = 1.0
 
     def grid(self) -> np.ndarray:
-        return np.array(
-            [self.lambda_old * GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES]
-        )
+        return self.lambda_old * _GRID_FACTORS
 
 
 @dataclass(frozen=True)
@@ -168,43 +186,54 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     else:
         c1s = -factors.damped_apply(0.0, f0)[None, :]
 
-    best = None  # (norm, index, endpoint, f_end, series)
-    for idx, lam in enumerate(lambdas):
-        c1 = c1s[idx]
-        if not np.all(np.isfinite(c1)):
-            continue
-        if config.order == 1:
-            series = CorrectionSeries(1, (c1,), 0)
-        else:
+    m = f0.shape[0]
+    live = np.isfinite(c1s).all(axis=1)
+    failure = None  # first evaluator failure of the sweep, kept as the cause
+    if config.order == 1:
+        steps = c1s
+    else:
+        steps = np.zeros_like(c1s)
+        series_at = {}
+        for idx in np.flatnonzero(live).tolist():
             if config.inverse_variant == "newton":
                 applier = factors.newton_apply
             else:
-                applier = lambda v, lam=lam: factors.damped_apply(lam, v)
+                applier = lambda v, lam=lambdas[idx]: factors.damped_apply(lam, v)
             try:
                 series = correction_series(
-                    x, f0, J, applier, problem.evaluator, c1, config.order
+                    x, f0, J, applier, problem.evaluator, c1s[idx], config.order
                 )
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
+                failure = exc if failure is None else failure
+                live[idx] = False
                 continue
             evals += series.evaluation_count
-        endpoint = x + series.step
+            series_at[idx] = series
+            steps[idx] = series.step
+
+    endpoints = x + steps
+    residuals = np.full((len(lambdas), m), np.nan)
+    for idx in np.flatnonzero(live).tolist():
         evals += 1
         try:
-            f_end = np.asarray(problem.evaluator(endpoint), dtype=float)
-        except Exception:
+            value = problem.evaluator(endpoints[idx])
+        except Exception as exc:
+            failure = exc if failure is None else failure
             continue
-        norm_end = float(np.linalg.norm(f_end))
-        if not np.isfinite(norm_end):
-            continue
-        if best is None or norm_end < best[0]:
-            best = (norm_end, idx, endpoint, f_end, series)
+        residuals[idx] = as_residual(value, m)
+    norms = np.sqrt(np.vecdot(residuals, residuals))
+    norms[~np.isfinite(norms)] = np.inf
+    idx = int(np.argmin(norms))
+    if norms[idx] == np.inf:
+        raise StepFailureError(f"no finite candidate endpoint at x={x}") from failure
 
-    if best is None:
-        raise StepFailureError(f"no finite candidate endpoint at x={x}")
-
-    norm_end, idx, endpoint, f_end, series = best
+    norm_end = float(norms[idx])
     if norm_end < norm0:
+        if config.order == 1:
+            series = CorrectionSeries(1, (c1s[idx],), 0)
+        else:
+            series = series_at[idx]
         if config.inverse_variant == "levenberg_marquardt":
             schedule.lambda_old = max(float(lambdas[idx]), LAMBDA_FLOOR)
         record = IterationRecord(
@@ -217,7 +246,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             accepted=True,
             truncated=series.truncated,
         )
-        return endpoint, f_end, record
+        return endpoints[idx].copy(), residuals[idx].copy(), record
 
     # No candidate beat the current point: stay put, escalate the damping.
     if config.inverse_variant == "levenberg_marquardt":

@@ -23,6 +23,11 @@ from lmcorrect.faadibruno import correction_identity_terms
 from lmcorrect.linalg import SvdFactors
 from lmcorrect.problems import polynomial_problem, valley_problem
 
+# The weighted defect of an inf residual is inf - inf: numpy warns, the
+# series truncates.
+NONFINITE_DEFECT = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
+
 
 def make_context(problem, x, scale=0.5):
     """Base-point data and a Gauss-Newton step scaled into the trust region."""
@@ -284,6 +289,23 @@ def test_wild_correction_truncates_series():
     series = correction_series(x, f0, J, blow_up, poly.evaluator, c1, 3)
     assert series.truncated
     assert len(series.corrections) == 1
+    assert np.array_equal(series.step, c1)
+
+
+@NONFINITE_DEFECT
+@pytest.mark.parametrize("order,evaluated", [(2, 1), (3, 2), (4, 3)])
+def test_nonfinite_defect_truncates_series(order, evaluated):
+    # The residual is inf beyond |x| = 0.5: x + c1 and 1.5 c1 lie outside,
+    # x + c1 / 2 inside, so the first phase ends in a non-finite defect.
+    def evaluator(p):
+        return np.array([np.inf, 0.0]) if np.linalg.norm(p) > 0.5 else p + 1.0
+
+    x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
+    c1 = np.array([-0.4, -0.4])
+    series = correction_series(x, f0, J, SvdFactors(J).newton_apply, evaluator,
+                               c1, order)
+    assert series.truncated
+    assert series.evaluation_count == evaluated
     assert np.array_equal(series.step, c1)
 
 

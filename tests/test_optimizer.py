@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import counting_problem
+from lmcorrect.corrections import StencilEvaluationError
 from lmcorrect.optimizer import (
     GRID_BASE,
     LambdaSchedule,
@@ -13,6 +14,11 @@ from lmcorrect.optimizer import (
 from lmcorrect.problems import Problem, default_affine_problem, valley_problem
 
 START = np.array([np.pi, np.e])
+
+# The weighted defect of an inf residual is inf - inf: numpy warns, the
+# series truncates.
+NONFINITE_DEFECT = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered:RuntimeWarning")
 
 
 def test_lambda_grid_shape():
@@ -26,6 +32,11 @@ def test_lambda_grid_shape():
     for n in range(1, 11):
         assert grid[10 + n] * grid[10 - n] == pytest.approx(9.0, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
+    # Exactly the per-entry formula, for any centre.
+    for lam in (3.0, 1e-300, 7.3e12):
+        assert LambdaSchedule(lambda_old=lam).grid().tolist() == [
+            lam * GRID_BASE ** ((n / 10.0) ** 3) for n in range(-10, 11)
+        ]
 
 
 def test_affine_problem_one_undamped_step():
@@ -102,6 +113,108 @@ def test_failed_evaluator_calls_are_counted(order, fails):
     _, _, record = step(START, problem, LambdaSchedule(),
                         OptimizerConfig(order=order), f0=valley.evaluator(START))
     assert record.f_evaluations == calls["n"]
+
+
+def test_step_failure_is_chained_to_the_first_failed_call():
+    def evaluator(x):
+        raise FloatingPointError("outside the model's domain")
+
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="broken")
+    for order in (1, 2, 3, 4):
+        with pytest.raises(StepFailureError) as info:
+            step(np.zeros(2), problem, LambdaSchedule(),
+                 OptimizerConfig(order=order), f0=np.array([1.0, 1.0]))
+        cause = info.value.__cause__
+        if order > 1:
+            # Every stencil fails first; its error keeps the evaluator's.
+            assert isinstance(cause, StencilEvaluationError)
+            cause = cause.__cause__
+        assert isinstance(cause, FloatingPointError)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_wrong_shaped_residual_is_rejected(order):
+    # A length-1 residual would broadcast silently into a candidate's row.
+    problem = Problem(2, 2, lambda x: np.array([0.5]), lambda x: np.eye(2),
+                      name="short")
+    with pytest.raises(ValueError, match=r"shape \(1,\), expected \(2,\)"):
+        step(np.zeros(2), problem, LambdaSchedule(),
+             OptimizerConfig(order=order), f0=np.array([1.0, 1.0]))
+
+
+@NONFINITE_DEFECT
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_nonfinite_residuals_truncate_instead_of_raising(order):
+    # The evaluator returns inf below y = 0 instead of raising; stencil
+    # points there truncate their series like an overlong correction would.
+    valley = valley_problem(100.0)
+
+    def evaluator(x):
+        return np.array([np.inf, 0.0]) if x[1] < 0.0 else valley.evaluator(x)
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="half-plane")
+    result = run(START, problem, OptimizerConfig(order=order))
+    assert result.converged
+
+
+@NONFINITE_DEFECT
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_nonfinite_everywhere_fails_the_step_like_order_one(order):
+    valley = valley_problem(100.0)
+
+    def evaluator(x):
+        if np.linalg.norm(x - START) > 0.5:
+            return np.array([np.inf, 0.0])
+        return valley.evaluator(x)
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="ball")
+    with pytest.raises(StepFailureError):
+        step(START, problem, LambdaSchedule(), OptimizerConfig(order=order),
+             f0=valley.evaluator(START))
+
+
+def _winning_index(evaluator, order):
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="flat")
+    schedule = LambdaSchedule()
+    grid = schedule.grid()
+    _, _, record = step(np.zeros(2), problem, schedule,
+                        OptimizerConfig(order=order), f0=np.array([1.0, 1.0]))
+    assert record.accepted
+    return list(grid).index(record.chosen_lambda)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_ties_go_to_the_lowest_grid_index(order):
+    # Every endpoint has the same residual, so all 21 candidates tie.
+    assert _winning_index(lambda x: np.array([0.5, 0.0]), order) == 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_ties_skip_nonfinite_candidates(order):
+    # The first-order endpoints -f0 / (1 + lam) of candidates 0-6 lie at
+    # |x| >= 0.9, where the residual is nan; candidate 7 is the first finite.
+    def evaluator(x):
+        if np.linalg.norm(x) >= 0.9:
+            return np.full(2, np.nan)
+        return np.array([0.5, 0.0])
+
+    assert _winning_index(evaluator, order) == 7
+
+
+@pytest.mark.parametrize("K,order,iterations,f_evaluations", [
+    (100.0, 1, 47, 988),
+    (100.0, 2, 14, 589),
+    (100.0, 3, 10, 1051),
+    (100.0, 4, 8, 1513),
+    (1e4, 4, 18, 3403),
+    (1e6, 4, 41, 7750),
+])
+def test_pinned_valley_counts(K, order, iterations, f_evaluations):
+    # Exact counts, not a band: a change to the sweep's arithmetic must not
+    # flip a single argmin on these runs.
+    result = run(START, valley_problem(K), OptimizerConfig(order=order))
+    assert result.converged
+    assert (result.iterations, result.f_evaluations) == (iterations, f_evaluations)
 
 
 def test_lambda_carries_between_iterations():
