@@ -65,7 +65,6 @@ class ExperimentSpec:
     order: int = 1
     tol: float = 1e-9
     max_iterations: int = 20000
-    out: str | None = None
 
     def build_problem(self) -> Problem:
         if self.problem == "valley":
@@ -331,7 +330,7 @@ def _emit(args, csv_text: str, text_report: str | None) -> None:
 
 def _cmd_run(args) -> int:
     spec = ExperimentSpec(problem=args.problem, K=args.K[0], order=args.order[0],
-                          tol=args.tol, max_iterations=args.max_iters, out=args.out)
+                          tol=args.tol, max_iterations=args.max_iters)
     outcome = run_experiment(spec)
     buf = io.StringIO()
     write_trace_csv(buf, outcome.result, spec.order)

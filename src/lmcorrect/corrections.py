@@ -15,8 +15,8 @@ points it adds, as multipliers of (c1, c2, c3), and one weight row over the
 nonlinear defects ``f_nl(x + a) = f(x + a) - (f + J a)`` at every point so
 far, so that ``c_n = Jinv(w . f_nl)``.  Coincident points are listed once
 per order, so no point is evaluated twice.  The pure c1-direction weights
-behind the rows solve a small Taylor system exactly and are re-derived in
-exact rational arithmetic at import time.
+folded into the rows invert a small Taylor system exactly
+(:func:`taylor_weight_matrix`).
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ __all__ = [
     "StencilEvaluationError",
     "CorrectionSeries",
     "correction_series",
-    "pure_direction_estimates",
     "PHASES",
     "ORDER3_OFFSETS",
     "ORDER3_WEIGHTS",
     "ORDER4_OFFSETS",
     "ORDER4_WEIGHTS",
     "taylor_weight_matrix",
-    "solve_exact",
     "STENCIL_EVALUATIONS",
     "WILD_CORRECTION_FACTOR",
 ]
@@ -146,37 +144,10 @@ def taylor_weight_matrix(offsets, n_derivatives: int):
     return rows
 
 
-def solve_exact(matrix, rhs):
-    """Exact Gaussian elimination over Fractions (tiny systems only)."""
-    n = len(matrix)
-    aug = [list(row) + [val] for row, val in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def _derive_weights(offsets):
-    """Weight tuples extracting each pure derivative from f_nl at ``offsets``."""
-    matrix = taylor_weight_matrix(offsets, len(offsets))
-    transposed = [[matrix[r][c] for r in range(len(offsets))]
-                  for c in range(len(offsets))]
-    weights = []
-    for target in range(len(offsets)):
-        rhs = [Fraction(int(i == target)) for i in range(len(offsets))]
-        weights.append(tuple(solve_exact(transposed, rhs)))
-    return tuple(weights)
-
-
 # Hard-coded defect weights for the pure c1-direction derivatives:
 # order 3 samples f_nl at offsets (1/2, 1), order 4 at (1/2, 1, 3/2).  Each
-# tuple maps those f_nl values to one derivative f^(k)[c1 x k].
+# tuple maps those f_nl values to one derivative f^(k)[c1 x k]: the weights
+# times ``taylor_weight_matrix(offsets, ...)`` give the identity, exactly.
 ORDER3_OFFSETS = (Fraction(1, 2), Fraction(1))
 ORDER3_WEIGHTS = (
     (Fraction(16), Fraction(-2)),      # f^(2)[c1,c1]
@@ -188,34 +159,6 @@ ORDER4_WEIGHTS = (
     (Fraction(-120), Fraction(48), Fraction(-8)),      # f^(3)[c1,c1,c1]
     (Fraction(192), Fraction(-96), Fraction(64, 3)),   # f^(4)[c1 x 4]
 )
-
-# Re-derive both weight sets exactly at import; a mismatch means the
-# hard-coded stencil algebra has been corrupted.
-assert _derive_weights(ORDER3_OFFSETS) == ORDER3_WEIGHTS
-assert _derive_weights(ORDER4_OFFSETS) == ORDER4_WEIGHTS
-
-
-def pure_direction_estimates(x, f0, J, evaluator, c1, scheme_order: int):
-    """Stencil estimates of ``f^(k)[c1 x k]`` along the step direction.
-
-    ``scheme_order`` 3 returns ``(f2, f3)`` from the two-offset stencil;
-    4 returns ``(f2, f3, f4)`` from the three-offset stencil.  The estimates
-    reproduce polynomials up to the scheme order exactly.
-    """
-    if scheme_order == 3:
-        offsets, weights = ORDER3_OFFSETS, ORDER3_WEIGHTS
-    elif scheme_order == 4:
-        offsets, weights = ORDER4_OFFSETS, ORDER4_WEIGHTS
-    else:
-        raise ValueError(f"scheme_order must be 3 or 4, got {scheme_order}")
-    x, f0, J, c1 = (np.asarray(a, dtype=float) for a in (x, f0, J, c1))
-    fnl = []
-    for a in offsets:
-        offset = float(a) * c1
-        fnl.append(np.asarray(evaluator(x + offset), dtype=float) - (f0 + J @ offset))
-    return tuple(
-        sum(float(w) * v for w, v in zip(tup, fnl)) for tup in weights
-    )
 
 
 def _compile_phases(phases):
@@ -268,10 +211,10 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
 
     Each phase forms its offsets, their linear model ``f0 + J a`` and its
     weighted defect as one array product each; only the evaluator is called
-    point by point.  A non-finite weighted defect, or a correction whose norm
-    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates
-    the series at the previous order, skips the remaining phases and sets
-    the ``truncated`` flag.  A failing evaluator call raises
+    point by point.  A non-finite stencil residual, or a correction whose
+    norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
+    truncates the series at the previous order, skips the remaining phases
+    and sets the ``truncated`` flag.  A failing evaluator call raises
     StencilEvaluationError; a residual of the wrong shape raises ValueError.
     """
     if order not in (1, 2, 3, 4):
@@ -298,9 +241,10 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_residual(value, m)
         defects[first:evaluations] -= offsets @ J.T + f0
-        # A non-finite defect never reaches the inverse, which rejects it.
-        weighted = weights @ defects[:evaluations]
-        c = inverse_apply(weighted) if np.isfinite(weighted).all() else None
+        # Only finite defects reach the weighted sum (inf - inf warns) and
+        # the inverse (which rejects them).
+        c = (inverse_apply(weights @ defects[:evaluations])
+             if np.isfinite(defects[first:evaluations]).all() else None)
         if c is None or _is_wild(c, c1_norm):
             return CorrectionSeries(order, tuple(directions[:known]),
                                     evaluations, True)

@@ -64,7 +64,7 @@ MAX_CONSECUTIVE_REJECTS = 5
 # grid positive: repeated down-shifts must not underflow lambda_old to 0.
 LAMBDA_FLOOR = 1e-300
 
-INVERSE_VARIANTS = ("newton", "gauss_newton", "levenberg_marquardt")
+INVERSE_VARIANTS = ("gauss_newton", "levenberg_marquardt")
 
 _GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
 _GRID_FACTORS.flags.writeable = False
@@ -98,6 +98,10 @@ class OptimizerConfig:
 
     order 1 is the plain damped step; orders 2-4 add corrections.  The run
     stops when the residual norm reaches ``convergence_tol``.
+
+    ``inverse_variant`` is ``"levenberg_marquardt"`` (the damping sweep) or
+    ``"gauss_newton"`` (one undamped candidate), which on a square nonsingular
+    J is Newton's step; ``SvdFactors.newton_apply`` remains the exact solve.
     """
 
     order: int = 1
@@ -153,27 +157,28 @@ class RunResult:
 def _candidate_lambdas(config: OptimizerConfig, schedule: LambdaSchedule):
     if config.inverse_variant == "levenberg_marquardt":
         return schedule.grid()
-    # Newton / Gauss-Newton degenerate to the single undamped candidate.
+    # Gauss-Newton is the single undamped candidate.
     return np.array([0.0])
 
 
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
-         f0=None):
-    """One candidate-sweep iteration from ``x``.
+         f0):
+    """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
 
     Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule's
     grid centre has been escalated) when no candidate improved the residual
-    norm.  Raises StepFailureError when every candidate is unusable.
+    norm.  Raises StepFailureError when every candidate is unusable and
+    ValueError when ``f0`` or the Jacobian has the wrong shape.
     """
     x = np.asarray(x, dtype=float)
-    evals = 0
-    if f0 is None:
-        f0 = problem.evaluator(x)
-        evals += 1
-    f0 = np.asarray(f0, dtype=float)
+    m, p = problem.output_dim, problem.input_dim
+    f0 = as_residual(f0, m)
     norm0 = float(np.linalg.norm(f0))
+    evals = 0
 
-    J = problem.jacobian(x)
+    J = np.asarray(problem.jacobian(x), dtype=float)
+    if J.shape != (m, p):
+        raise ValueError(f"jacobian returned shape {J.shape}, expected ({m}, {p})")
     factors = SvdFactors(J)
     lambdas = _candidate_lambdas(config, schedule)
 
@@ -181,12 +186,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     if config.inverse_variant == "levenberg_marquardt":
         with np.errstate(divide="ignore", invalid="ignore"):
             c1s = -factors.damped_apply_batch(lambdas, f0)
-    elif config.inverse_variant == "newton":
-        c1s = -factors.newton_apply(f0)[None, :]
     else:
         c1s = -factors.damped_apply(0.0, f0)[None, :]
 
-    m = f0.shape[0]
     live = np.isfinite(c1s).all(axis=1)
     failure = None  # first evaluator failure of the sweep, kept as the cause
     if config.order == 1:
@@ -195,10 +197,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         steps = np.zeros_like(c1s)
         series_at = {}
         for idx in np.flatnonzero(live).tolist():
-            if config.inverse_variant == "newton":
-                applier = factors.newton_apply
-            else:
-                applier = lambda v, lam=lambdas[idx]: factors.damped_apply(lam, v)
+            applier = lambda v, lam=lambdas[idx]: factors.damped_apply(lam, v)
             try:
                 series = correction_series(
                     x, f0, J, applier, problem.evaluator, c1s[idx], config.order
@@ -268,11 +267,14 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
 
     The trajectory records every iteration, rejected ones included.  A stall
     (MAX_CONSECUTIVE_REJECTS successive rejections) aborts unconverged.
+    A start point or start residual of the wrong shape raises ValueError.
     """
-    x = np.asarray(x0, dtype=float)
+    x, n = np.asarray(x0, dtype=float), problem.input_dim
+    if x.shape != (n,):
+        raise ValueError(f"starting point has shape {x.shape}, expected ({n},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
-    f = np.asarray(problem.evaluator(x), dtype=float)
+    f = as_residual(problem.evaluator(x), problem.output_dim)
     total_evals = 1
     schedule = LambdaSchedule()
     trajectory: list[IterationRecord] = []
