@@ -17,7 +17,6 @@ from .corrections import (
 from .faadibruno import (
     CorrectionTerm,
     DerivativeTerm,
-    bell_number,
     correction_identity_terms,
     derivative_terms,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "correction_series",
     "CorrectionTerm",
     "DerivativeTerm",
-    "bell_number",
     "correction_identity_terms",
     "derivative_terms",
     "SingularMatrixError",

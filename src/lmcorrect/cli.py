@@ -3,8 +3,8 @@
 Subcommands
 -----------
 run    one experiment -> per-iteration CSV trace plus a summary line
-table  iteration counts over a K grid x correction orders (CSV + aligned text)
-fit    power-law exponents of iterations vs K per order
+table  valley iteration counts over a K grid x correction orders (CSV + text)
+fit    power-law exponents of valley iterations vs K per order
 terms  print the derivative expansion / correction formula at a given order
 
 CSV output uses a header row, '.' decimals and no locale anywhere, so files
@@ -87,7 +87,6 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    spec: ExperimentSpec
     result: RunResult
     wall_time: float
 
@@ -105,11 +104,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     problem = spec.build_problem()
     start = time.perf_counter()
     result = run(np.array(START_POINT[: problem.input_dim]), problem, spec.config())
-    return ExperimentResult(spec, result, time.perf_counter() - start)
+    return ExperimentResult(result, time.perf_counter() - start)
 
 
-def trace_rows(result: RunResult, order: int):
-    """CSV rows for a run; correction columns above the order stay empty."""
+def write_trace_csv(stream, result: RunResult, order: int) -> None:
+    """Per-iteration CSV rows; correction columns above the order stay empty."""
+    writer = csv.DictWriter(stream, fieldnames=TRACE_COLUMNS, lineterminator="\n")
+    writer.writeheader()
     cumulative = 1  # starting-point evaluation
     for rec in result.trajectory:
         cumulative += rec.f_evaluations
@@ -122,17 +123,7 @@ def trace_rows(result: RunResult, order: int):
             "f_evals_cumulative": cumulative,
         }
         for i, col in enumerate(("c2_norm", "c3_norm", "c4_norm"), start=1):
-            if order > i and i < len(norms):
-                row[col] = repr(norms[i])
-            else:
-                row[col] = ""
-        yield row
-
-
-def write_trace_csv(stream, result: RunResult, order: int) -> None:
-    writer = csv.DictWriter(stream, fieldnames=TRACE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in trace_rows(result, order):
+            row[col] = repr(norms[i]) if order > i and i < len(norms) else ""
         writer.writerow(row)
 
 
@@ -157,10 +148,6 @@ class TableCell:
     iterations: int
     converged: bool
 
-    @property
-    def censored(self) -> bool:
-        return not self.converged
-
     def display(self) -> str:
         return str(self.iterations) if self.converged else f">{self.iterations}"
 
@@ -177,43 +164,24 @@ class ConvergenceTable:
     orders: tuple[int, ...]
     cells: tuple[TableCell, ...]
 
-    def cell(self, K: float, order: int) -> TableCell | None:
-        for c in self.cells:
-            if c.K == K and c.order == order:
-                return c
-        return None
-
-    def column(self, order: int) -> list[TableCell]:
-        """Cells for one order, K-ascending, absent combinations skipped."""
-        cells = [self.cell(K, order) for K in sorted(self.K_values)]
-        return [c for c in cells if c is not None]
-
-    def _display(self, K: float, order: int) -> str:
-        c = self.cell(K, order)
-        return c.display() if c is not None else ""
+    def _rows(self) -> list[list[str]]:
+        """Body rows: K, then each order's cell, empty where there is none."""
+        shown = {(c.K, c.order): c.display() for c in self.cells}
+        return [[f"{K:g}"] + [shown.get((K, o), "") for o in self.orders]
+                for K in self.K_values]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["K"] + [f"order_{o}" for o in self.orders])
-        for K in self.K_values:
-            writer.writerow([f"{K:g}"] + [self._display(K, o) for o in self.orders])
+        writer.writerows(self._rows())
         return buf.getvalue()
 
     def to_text(self) -> str:
-        headers = ["K"] + [f"order {o}" for o in self.orders]
-        rows = [
-            [f"{K:g}"] + [self._display(K, o) for o in self.orders]
-            for K in self.K_values
-        ]
-        widths = [
-            max(len(headers[i]), *(len(r[i]) for r in rows))
-            for i in range(len(headers))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-        for r in rows:
-            lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
+        rows = [["K"] + [f"order {o}" for o in self.orders]] + self._rows()
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "".join("  ".join(v.rjust(w) for v, w in zip(r, widths)) + "\n"
+                       for r in rows)
 
 
 def run_table(K_values, orders, tol: float = 1e-9,
@@ -262,33 +230,24 @@ def fit_power_laws(table: ConvergenceTable) -> list[PowerLawFit]:
     """Power-law exponent per order from the last three uncensored points."""
     fits = []
     for order in table.orders:
-        usable = [
-            c for c in table.column(order)
-            if not c.censored and c.K <= FIT_MAX_K
-        ]
-        usable = usable[-FIT_POINTS:]
-        if len(usable) < FIT_POINTS:
-            fits.append(PowerLawFit(order, tuple(c.K for c in usable),
-                                    tuple(c.iterations for c in usable),
-                                    float("nan"), False))
-            continue
-        logk = np.log10([c.K for c in usable])
-        logn = np.log10([c.iterations for c in usable])
-        slope = float(np.polyfit(logk, logn, 1)[0])
-        fits.append(PowerLawFit(order, tuple(c.K for c in usable),
-                                tuple(c.iterations for c in usable), slope, True))
+        usable = sorted(
+            (c for c in table.cells
+             if c.order == order and c.converged and c.K <= FIT_MAX_K),
+            key=lambda c: c.K,
+        )[-FIT_POINTS:]
+        K_values = tuple(c.K for c in usable)
+        iterations = tuple(c.iterations for c in usable)
+        available = len(usable) == FIT_POINTS
+        exponent = (float(np.polyfit(np.log10(K_values), np.log10(iterations), 1)[0])
+                    if available else float("nan"))
+        fits.append(PowerLawFit(order, K_values, iterations, exponent, available))
     return fits
 
 
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--problem", choices=["valley", "affine"], default="valley")
-    parser.add_argument("--K", type=float, nargs="+", default=[1e6],
-                        help="anisotropy factor(s) for the valley problem")
-    parser.add_argument("--order", type=int, nargs="+", default=[1],
-                        choices=[1, 2, 3, 4], help="correction order(s)")
+def _add_solver_options(parser):
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="convergence tolerance on the residual norm")
     parser.add_argument("--max-iters", type=int, default=20000)
@@ -302,34 +261,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convergence benchmarks for higher-order corrected damped steps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("run", "run one experiment and write its per-iteration trace"),
-        ("table", "iteration counts over a K grid and correction orders"),
-        ("fit", "fit power-law exponents of iterations vs K"),
+    single = sub.add_parser(
+        "run", help="run one experiment and write its per-iteration trace")
+    single.add_argument("--problem", choices=["valley", "affine"], default="valley")
+    single.add_argument("--K", type=float, default=1e6,
+                        help="anisotropy factor of the valley problem")
+    single.add_argument("--order", type=int, default=1, choices=[1, 2, 3, 4],
+                        help="correction order")
+    _add_solver_options(single)
+    single.set_defaults(handler=_cmd_run)
+    for name, desc, handler in [
+        ("table", "valley iteration counts over K values and correction orders",
+         _cmd_table),
+        ("fit", "fit power-law exponents of valley iterations vs K", _cmd_fit),
     ]:
-        _add_common(sub.add_parser(name, help=desc))
+        grid = sub.add_parser(name, help=desc)
+        grid.add_argument("--K", type=float, nargs="+", default=[1e6],
+                          help="anisotropy factors of the valley problem")
+        grid.add_argument("--order", type=int, nargs="+", default=[1],
+                          choices=[1, 2, 3, 4], help="correction orders")
+        _add_solver_options(grid)
+        grid.set_defaults(handler=handler)
     terms = sub.add_parser("terms", help="print the derivative term expansion")
     terms.add_argument("--order", type=int, required=True,
                        help=f"expansion order, 1..{faadibruno.MAX_ORDER}")
     terms.add_argument("--corrections", action="store_true",
                        help="also print the solved correction formula")
+    terms.set_defaults(handler=_cmd_terms)
     return parser
 
 
-def _emit(args, csv_text: str, text_report: str | None) -> None:
+def _emit(args, csv_text: str, text_report: str) -> None:
     """CSV to --out (atomic) or stdout; human-readable report to the other."""
     if args.out:
         atomic_write(args.out, csv_text)
-        if text_report:
-            sys.stdout.write(text_report)
+        sys.stdout.write(text_report)
     else:
         sys.stdout.write(csv_text)
-        if text_report:
-            sys.stderr.write(text_report)
+        sys.stderr.write(text_report)
 
 
 def _cmd_run(args) -> int:
-    spec = ExperimentSpec(problem=args.problem, K=args.K[0], order=args.order[0],
+    spec = ExperimentSpec(problem=args.problem, K=args.K, order=args.order,
                           tol=args.tol, max_iterations=args.max_iters)
     outcome = run_experiment(spec)
     buf = io.StringIO()
@@ -372,16 +345,9 @@ def _cmd_terms(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "table": _cmd_table,
-        "fit": _cmd_fit,
-        "terms": _cmd_terms,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, StepFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -70,6 +70,11 @@ PHASES = {
     ),
 }
 
+# Defects up to this size keep every ``weights @ defects`` finite: float64's
+# maximum over the largest absolute weight-row sum in PHASES (about 4.2e306).
+_DEFECT_LIMIT = float(np.finfo(float).max) / max(
+    sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases)
+
 # New residual evaluations consumed per correction series, by order.
 STENCIL_EVALUATIONS = {1: 0} | {
     order: sum(len(points) for points, _ in phases)
@@ -108,7 +113,6 @@ class CorrectionSeries:
     requested order (see WILD_CORRECTION_FACTOR).
     """
 
-    order: int
     corrections: tuple[np.ndarray, ...]
     evaluation_count: int
     truncated: bool = False
@@ -211,8 +215,9 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
 
     Each phase forms its offsets, their linear model ``f0 + J a`` and its
     weighted defect as one array product each; only the evaluator is called
-    point by point.  A non-finite stencil residual, or a correction whose
-    norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
+    point by point.  A stencil defect that is non-finite or too large for
+    the weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm
+    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
     truncates the series at the previous order, skips the remaining phases
     and sets the ``truncated`` flag.  A failing evaluator call raises
     StencilEvaluationError; a residual of the wrong shape raises ValueError.
@@ -221,7 +226,7 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
         raise ValueError(f"correction order must be in {{1, 2, 3, 4}}, got {order}")
     c1 = np.asarray(c1, dtype=float)
     if order == 1:
-        return CorrectionSeries(1, (c1,), 0)
+        return CorrectionSeries((c1,), 0)
     x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
@@ -241,12 +246,12 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_residual(value, m)
         defects[first:evaluations] -= offsets @ J.T + f0
-        # Only finite defects reach the weighted sum (inf - inf warns) and
-        # the inverse (which rejects them).
+        # Only defects within _DEFECT_LIMIT (never nan or inf) reach the
+        # weighted sum, so it stays finite for the inverse, which rejects
+        # non-finite input.
         c = (inverse_apply(weights @ defects[:evaluations])
-             if np.isfinite(defects[first:evaluations]).all() else None)
+             if np.abs(defects[first:evaluations]).max() <= _DEFECT_LIMIT else None)
         if c is None or _is_wild(c, c1_norm):
-            return CorrectionSeries(order, tuple(directions[:known]),
-                                    evaluations, True)
+            return CorrectionSeries(tuple(directions[:known]), evaluations, True)
         directions[known] = c
-    return CorrectionSeries(order, tuple(directions), evaluations)
+    return CorrectionSeries(tuple(directions), evaluations)

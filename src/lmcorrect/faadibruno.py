@@ -27,7 +27,6 @@ __all__ = [
     "CorrectionTerm",
     "derivative_terms",
     "correction_identity_terms",
-    "bell_number",
     "format_derivative_identity",
     "format_correction_formula",
 ]
@@ -53,10 +52,6 @@ class DerivativeTerm:
             raise ValueError("x-derivative orders must be >= 1")
         if tuple(sorted(self.x_orders)) != self.x_orders:
             raise ValueError("x_orders must be non-decreasing")
-
-    @property
-    def total_order(self) -> int:
-        return sum(self.x_orders)
 
 
 @dataclass(frozen=True)
@@ -144,19 +139,6 @@ def correction_identity_terms(n: int) -> tuple[CorrectionTerm, list[CorrectionTe
             rest.append(cterm)
     assert lead is not None and lead.coefficient == factorial(n)
     return lead, rest
-
-
-def bell_number(n: int) -> int:
-    """Bell number B(n) via the Bell triangle (B(0) = 1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]
 
 
 def _format_factors(symbol: str, orders) -> str:

@@ -30,6 +30,7 @@ candidate:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +169,16 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule's
     grid centre has been escalated) when no candidate improved the residual
     norm.  Raises StepFailureError when every candidate is unusable and
-    ValueError when ``f0`` or the Jacobian has the wrong shape.
+    ValueError when ``f0`` is not finite or ``f0`` or the Jacobian has the
+    wrong shape.
     """
     x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
     f0 = as_residual(f0, m)
     norm0 = float(np.linalg.norm(f0))
+    # Only a non-finite norm can come from a non-finite f0.
+    if not math.isfinite(norm0) and not np.isfinite(f0).all():
+        raise ValueError("f0 must be finite")
     evals = 0
 
     J = np.asarray(problem.jacobian(x), dtype=float)
@@ -230,7 +235,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     norm_end = float(norms[idx])
     if norm_end < norm0:
         if config.order == 1:
-            series = CorrectionSeries(1, (c1s[idx],), 0)
+            series = CorrectionSeries((c1s[idx],), 0)
         else:
             series = series_at[idx]
         if config.inverse_variant == "levenberg_marquardt":
@@ -267,7 +272,8 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
 
     The trajectory records every iteration, rejected ones included.  A stall
     (MAX_CONSECUTIVE_REJECTS successive rejections) aborts unconverged.
-    A start point or start residual of the wrong shape raises ValueError.
+    A start point or start residual that is not finite or has the wrong
+    shape raises ValueError.
     """
     x, n = np.asarray(x0, dtype=float), problem.input_dim
     if x.shape != (n,):
@@ -275,6 +281,8 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
     f = as_residual(problem.evaluator(x), problem.output_dim)
+    if not np.isfinite(f).all():
+        raise ValueError("starting residual must be finite")
     total_evals = 1
     schedule = LambdaSchedule()
     trajectory: list[IterationRecord] = []

@@ -1,6 +1,9 @@
 import csv
 import io
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from lmcorrect.cli import (
     ExperimentSpec,
     TableCell,
     atomic_write,
+    build_parser,
     fit_power_laws,
     main,
     run_experiment,
@@ -110,12 +114,27 @@ def test_cli_table_rejects_bad_K(capsys):
 
 
 def test_cli_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["run", "--problem", "rosenbrock"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["bogus-command"])
-    assert info.value.code == 2
+    # run takes one K and one order; table and fit always run the valley.
+    for argv in (["run", "--problem", "rosenbrock"],
+                 ["bogus-command"],
+                 ["run", "--K", "1", "10"],
+                 ["run", "--order", "1", "4"],
+                 ["table", "--problem", "affine", "--K", "1"],
+                 ["fit", "--problem", "valley", "--K", "1", "10", "100"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line.strip() for block in blocks for line in block.splitlines()
+                if line.strip().startswith("lmcorrect-bench ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_cli_terms_output(capsys):
@@ -145,6 +164,16 @@ def synthetic_table(columns):
             if K not in K_values:
                 K_values.append(K)
     return ConvergenceTable(tuple(K_values), tuple(orders), tuple(cells))
+
+
+def test_sparse_table_reports_leave_absent_cells_empty():
+    table = synthetic_table({1: [(1.0, 8, True)], 4: [(1e6, 20000, False)]})
+    assert table.to_csv() == "K,order_1,order_4\n1,8,\n1e+06,,>20000\n"
+    assert table.to_text() == (
+        "    K  order 1  order 4\n"
+        "    1        8         \n"
+        "1e+06            >20000\n"
+    )
 
 
 def test_fit_power_laws_frozen_slopes():

@@ -251,18 +251,20 @@ def test_wild_correction_truncates_series():
 
 @pytest.mark.parametrize("order,evaluated", [(2, 1), (3, 2), (4, 3)])
 def test_nonfinite_defect_truncates_series(order, evaluated):
-    # The residual is inf beyond |x| = 0.5: x + c1 and 1.5 c1 lie outside,
-    # x + c1 / 2 inside, so the first phase ends in a non-finite defect.
-    def evaluator(p):
-        return np.array([np.inf, 0.0]) if np.linalg.norm(p) > 0.5 else p + 1.0
+    # The residual is inf, or finite but large enough that the weighted sum
+    # of defects would overflow, beyond |x| = 0.5: x + c1 and 1.5 c1 lie
+    # outside, x + c1 / 2 inside, so the first phase ends in such a defect.
+    for value in (np.inf, 1e308):
+        def evaluator(p):
+            return np.array([value, 0.0]) if np.linalg.norm(p) > 0.5 else p + 1.0
 
-    x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
-    c1 = np.array([-0.4, -0.4])
-    series = correction_series(x, f0, J, SvdFactors(J).newton_apply, evaluator,
-                               c1, order)
-    assert series.truncated
-    assert series.evaluation_count == evaluated
-    assert np.array_equal(series.step, c1)
+        x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
+        c1 = np.array([-0.4, -0.4])
+        series = correction_series(x, f0, J, SvdFactors(J).newton_apply,
+                                   evaluator, c1, order)
+        assert series.truncated
+        assert series.evaluation_count == evaluated
+        assert np.array_equal(series.step, c1)
 
 
 def test_stencil_error_carries_offset():

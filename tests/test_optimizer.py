@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from helpers import counting_problem
 from lmcorrect.corrections import StencilEvaluationError
 from lmcorrect.optimizer import (
     GRID_BASE,
+    INVERSE_VARIANTS,
     LambdaSchedule,
     OptimizerConfig,
     StepFailureError,
@@ -164,17 +167,21 @@ def test_nonfinite_residuals_truncate_instead_of_raising(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_nonfinite_everywhere_fails_the_step_like_order_one(order):
+    # 1e308 is finite, but the endpoint norms overflow (numpy warns) and a
+    # weighted sum of such stencil defects would too.
     valley = valley_problem(100.0)
+    for value in (np.inf, 1e308):
+        def evaluator(x):
+            if np.linalg.norm(x - START) > 0.5:
+                return np.array([value, 0.0])
+            return valley.evaluator(x)
 
-    def evaluator(x):
-        if np.linalg.norm(x - START) > 0.5:
-            return np.array([np.inf, 0.0])
-        return valley.evaluator(x)
-
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="ball")
-    with pytest.raises(StepFailureError):
-        step(START, problem, LambdaSchedule(), OptimizerConfig(order=order),
-             f0=valley.evaluator(START))
+        problem = Problem(2, 2, evaluator, valley.jacobian, name="ball")
+        overflow = (pytest.warns(RuntimeWarning, match="overflow encountered in vecdot")
+                    if np.isfinite(value) else contextlib.nullcontext())
+        with overflow, pytest.raises(StepFailureError):
+            step(START, problem, LambdaSchedule(), OptimizerConfig(order=order),
+                 f0=valley.evaluator(START))
 
 
 def _winning_index(evaluator, order):
@@ -285,6 +292,18 @@ def test_nonfinite_start_rejected():
 def test_wrong_shaped_start_rejected(x0, shape):
     with pytest.raises(ValueError, match=shape + r", expected \(2,\)"):
         run(x0, valley_problem(1.0), OptimizerConfig())
+
+
+@pytest.mark.parametrize("variant", INVERSE_VARIANTS)
+def test_nonfinite_start_residual_rejected(variant):
+    problem = Problem(2, 2, lambda x: np.array([np.nan, 0.0]), lambda x: np.eye(2),
+                      name="nan")
+    config = OptimizerConfig(inverse_variant=variant)
+    with pytest.raises(ValueError, match="starting residual must be finite"):
+        run(np.zeros(2), problem, config)
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        step(np.zeros(2), problem, LambdaSchedule(), config,
+             f0=np.array([np.inf, 0.0]))
 
 
 def test_wrong_shaped_start_residual_rejected():
