@@ -125,7 +125,8 @@ class CorrectionSeries:
         return total
 
     def norms(self) -> list[float]:
-        return [float(np.linalg.norm(c)) for c in self.corrections]
+        # np.linalg.norm's own formula for a real vector, without its dispatch.
+        return [math.sqrt(c.dot(c)) for c in self.corrections]
 
 
 def taylor_weight_matrix(offsets, n_derivatives: int):
@@ -184,16 +185,6 @@ def _compile_phases(phases):
 _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 
 
-def _norm(v) -> float:
-    # np.linalg.norm's own formula for a real vector, without its dispatch.
-    return math.sqrt(v.dot(v))
-
-
-def _is_wild(c, c1_norm: float) -> bool:
-    norm = _norm(c)
-    return not math.isfinite(norm) or norm > WILD_CORRECTION_FACTOR * c1_norm
-
-
 def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                       order: int) -> CorrectionSeries:
     """Compute the correction series for one candidate step.
@@ -227,11 +218,14 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     c1 = np.asarray(c1, dtype=float)
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(f0, dtype=float)
+    Jt = np.asarray(J, dtype=float).T
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
     directions[0] = c1
-    c1_norm = _norm(c1)
+    # np.linalg.norm's own formula for a real vector, without its dispatch.
+    wild_bound = WILD_CORRECTION_FACTOR * math.sqrt(c1.dot(c1))
     defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
     for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
@@ -245,13 +239,13 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_residual(value, m)
-        defects[first:evaluations] -= offsets @ J.T + f0
+        defects[first:evaluations] -= offsets @ Jt + f0
         # Only defects within _DEFECT_LIMIT (never nan or inf) reach the
         # weighted sum, so it stays finite for the inverse, which rejects
-        # non-finite input.
+        # non-finite input.  A nan correction norm fails the bound test.
         c = (inverse_apply(weights @ defects[:evaluations])
              if np.abs(defects[first:evaluations]).max() <= _DEFECT_LIMIT else None)
-        if c is None or _is_wild(c, c1_norm):
+        if c is None or not math.sqrt(c.dot(c)) <= wild_bound:
             return CorrectionSeries(tuple(directions[:known]), evaluations, True)
         directions[known] = c
     return CorrectionSeries(tuple(directions), evaluations)

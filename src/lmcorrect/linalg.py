@@ -71,14 +71,16 @@ class SvdFactors:
     """Thin SVD of a Jacobian, shared by all inverse variants.
 
     Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing.  One instance is
-    computed per Jacobian and reused for every damping value applied to it.
+    computed per Jacobian and reused for every damping value applied to it,
+    so the transposes ``Ut``, ``V`` and the squares ``s2`` are taken once here.
     """
 
-    __slots__ = ("U", "s", "Vt", "shape")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2", "shape")
 
     def __init__(self, J):
         J = as_matrix(J)
         self.U, self.s, self.Vt = np.linalg.svd(J, full_matrices=False)
+        self.Ut, self.V, self.s2 = self.U.T, self.Vt.T, self.s * self.s
         self.shape = J.shape
 
     @property
@@ -97,21 +99,20 @@ class SvdFactors:
             raise ValueError(f"damping must be non-negative, got {lam}")
         v = as_vector(v)
         s = self.s
-        if lam == 0.0:
-            cutoff = RANK_RCOND * (s[0] if s.size else 0.0)
-            keep = s > cutoff
-            if not np.all(keep):
-                warnings.warn(
-                    "rank-deficient Jacobian at zero damping; "
-                    "returning the minimum-norm solution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            factors = np.zeros_like(s)
-            factors[keep] = 1.0 / s[keep]
-        else:
-            factors = s / (s * s + lam)
-        return self.Vt.T @ (factors * (self.U.T @ v))
+        if lam != 0.0:
+            return self.V @ (s / (self.s2 + lam) * (self.Ut @ v))
+        cutoff = RANK_RCOND * (s[0] if s.size else 0.0)
+        keep = s > cutoff
+        if not np.all(keep):
+            warnings.warn(
+                "rank-deficient Jacobian at zero damping; "
+                "returning the minimum-norm solution",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        factors = np.zeros_like(s)
+        factors[keep] = 1.0 / s[keep]
+        return self.V @ (factors * (self.Ut @ v))
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
@@ -123,8 +124,8 @@ class SvdFactors:
         lams = np.asarray(lams, dtype=float)
         if np.any(lams <= 0.0):
             raise ValueError("batch application requires strictly positive damping")
-        utv = self.U.T @ np.asarray(v, dtype=float)
-        coeff = (self.s / (self.s * self.s + lams[:, None])) * utv
+        utv = self.Ut @ np.asarray(v, dtype=float)
+        coeff = (self.s / (self.s2 + lams[:, None])) * utv
         return coeff @ self.Vt
 
     def newton_apply(self, v) -> np.ndarray:
@@ -137,4 +138,4 @@ class SvdFactors:
             raise SingularMatrixError(
                 f"matrix is singular to working precision (sigma={s})"
             )
-        return self.Vt.T @ ((self.U.T @ as_vector(v)) / s)
+        return self.V @ ((self.Ut @ as_vector(v)) / s)

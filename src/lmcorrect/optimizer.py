@@ -19,12 +19,17 @@ candidate:
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
   calls included;
-* ``correction_series`` runs once per live candidate, because each phase's
-  stencil points depend on that candidate's own corrections and a truncated
-  series stops early, so a candidate is charged only for the points it
-  evaluated;
+* ``correction_series`` runs once per live candidate.  Its phases could run
+  for all candidates at once, with truncation as a row mask (ROADMAP item
+  1), but perfbench's evaluation audit reads each candidate's charged count
+  and truncation flag from the span of that candidate's own call, so the
+  batched form waits for a benchmark that traces a sweep-level call;
 * corrections apply their inverse through ``SvdFactors.damped_apply`` at the
-  candidate's damping value, the same inverse that produced its direction.
+  candidate's damping value, the same inverse that produced its direction,
+  one call per correction: perfbench times that method as its own layer.
+
+Residual norms are taken without an overflow warning: a finite residual
+whose squared norm overflows gets a rescaled, finite norm.
 """
 
 from __future__ import annotations
@@ -162,6 +167,36 @@ def _candidate_lambdas(config: OptimizerConfig, schedule: LambdaSchedule):
     return np.array([0.0])
 
 
+@np.errstate(over="ignore")
+def _row_norms(F):
+    """Euclidean norm of each row of ``F``, without an overflow warning.
+
+    Overflow can only make a norm +inf.  A row of finite entries whose norm
+    came out inf is rescaled by its largest magnitude, so its norm stays
+    finite unless it exceeds float64's range; a row holding nan or inf keeps
+    a non-finite norm.
+    """
+    norms = np.sqrt(np.vecdot(F, F))
+    # At 21 rows a list scan costs less than a numpy reduction.
+    if math.inf in norms.tolist():
+        overflowed = np.isinf(norms) & np.isfinite(F).all(axis=1)
+        rows = F[overflowed]
+        scale = np.abs(rows).max(axis=1)
+        rows = rows / scale[:, None]
+        norms[overflowed] = scale * np.sqrt(np.vecdot(rows, rows))
+    return norms
+
+
+@np.errstate(over="ignore")
+def _norm(f) -> float:
+    """Norm of one residual, by ``np.linalg.norm``'s own arithmetic.
+
+    Only a norm that overflowed is recomputed by :func:`_row_norms`.
+    """
+    norm = math.sqrt(f.dot(f))
+    return norm if norm != math.inf else float(_row_norms(f[None, :])[0])
+
+
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
          f0):
     """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
@@ -175,7 +210,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
     f0 = as_residual(f0, m)
-    norm0 = float(np.linalg.norm(f0))
+    norm0 = _norm(f0)
     # Only a non-finite norm can come from a non-finite f0.
     if not math.isfinite(norm0) and not np.isfinite(f0).all():
         raise ValueError("f0 must be finite")
@@ -201,8 +236,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     else:
         steps = np.zeros_like(c1s)
         series_at = {}
+        lams = lambdas.tolist()
         for idx in np.flatnonzero(live).tolist():
-            applier = lambda v, lam=lambdas[idx]: factors.damped_apply(lam, v)
+            applier = lambda v, lam=lams[idx]: factors.damped_apply(lam, v)
             try:
                 series = correction_series(
                     x, f0, J, applier, problem.evaluator, c1s[idx], config.order
@@ -217,7 +253,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             steps[idx] = series.step
 
     endpoints = x + steps
-    residuals = np.full((len(lambdas), m), np.nan)
+    residuals = np.empty((len(lambdas), m))
+    residuals.fill(np.nan)
     for idx in np.flatnonzero(live).tolist():
         evals += 1
         try:
@@ -226,7 +263,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             failure = exc if failure is None else failure
             continue
         residuals[idx] = as_residual(value, m)
-    norms = np.sqrt(np.vecdot(residuals, residuals))
+    norms = _row_norms(residuals)
     norms[~np.isfinite(norms)] = np.inf
     idx = int(np.argmin(norms))
     if norms[idx] == np.inf:
@@ -244,7 +281,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             iteration=0,
             chosen_lambda=float(lambdas[idx]),
             residual_norm=norm_end,
-            step_norm=float(np.linalg.norm(series.step)),
+            step_norm=math.sqrt(steps[idx].dot(steps[idx])),
             corrections_norms=tuple(series.norms()),
             f_evaluations=evals,
             accepted=True,
@@ -286,7 +323,7 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     total_evals = 1
     schedule = LambdaSchedule()
     trajectory: list[IterationRecord] = []
-    converged = float(np.linalg.norm(f)) <= config.convergence_tol
+    converged = _norm(f) <= config.convergence_tol
     rejects = 0
 
     while not converged and len(trajectory) < config.max_iterations:
@@ -305,6 +342,6 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
         converged=converged,
         iterations=len(trajectory),
         x=x,
-        residual_norm=float(np.linalg.norm(f)),
+        residual_norm=_norm(f),
         f_evaluations=total_evals,
     )

@@ -12,6 +12,7 @@ order 4 backs the stencil oracle tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -119,16 +120,31 @@ class PolynomialProblem:
     D: np.ndarray | None
     name: str = ""
 
+    @functools.cached_property
+    def _horner_tensors(self) -> tuple[np.ndarray, ...]:
+        """D, C, B, A from the highest one present, each as ``(-1, input_dim)``.
+
+        A tensor missing below the highest one is zero, which Horner's rule
+        adds exactly.
+        """
+        p = self.input_dim
+        tensors = []
+        for T in (self.D, self.C, self.B, self.A):
+            if T is not None:
+                tensors.append(T.reshape(-1, p))
+            elif tensors:
+                tensors.append(np.zeros((tensors[-1].shape[0] // p, p)))
+        return tuple(tensors)
+
     def evaluator(self, x) -> np.ndarray:
+        # Horner's rule, f = b + (A + (B + (C + D x) x) x) x: one matrix-vector
+        # product per coefficient tensor, contracting its last axis with x.
         x = np.asarray(x, dtype=float)
-        f = self.b + self.A @ x
-        if self.B is not None:
-            f = f + np.einsum("ijk,j,k->i", self.B, x, x)
-        if self.C is not None:
-            f = f + np.einsum("ijkl,j,k,l->i", self.C, x, x, x)
-        if self.D is not None:
-            f = f + np.einsum("ijklm,j,k,l,m->i", self.D, x, x, x, x)
-        return f
+        highest, *lower = self._horner_tensors
+        T = highest.dot(x)
+        for K in lower:
+            T = (K + T.reshape(K.shape)).dot(x)
+        return self.b + T
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -65,6 +65,23 @@ def analytic_correction_series(poly, x, inverse_apply, c1, order):
     return cs
 
 
+def einsum_polynomial_evaluator(poly, x):
+    """``b + A x + B[x,x] + C[x,x,x] + D[x,x,x,x]`` as one einsum per tensor.
+
+    The reference for ``PolynomialProblem.evaluator``, which evaluates the
+    same polynomial by Horner's rule and so rounds differently.
+    """
+    x = np.asarray(x, dtype=float)
+    f = poly.b + poly.A @ x
+    if poly.B is not None:
+        f = f + np.einsum("ijk,j,k->i", poly.B, x, x)
+    if poly.C is not None:
+        f = f + np.einsum("ijkl,j,k,l->i", poly.C, x, x, x)
+    if poly.D is not None:
+        f = f + np.einsum("ijklm,j,k,l,m->i", poly.D, x, x, x, x)
+    return f
+
+
 def directional_derivative_fd(evaluator, x, u, order, h=1e-2):
     """Central-difference estimate of ``f^(order)[u, ..., u]`` at ``x``.
 

@@ -40,6 +40,23 @@ REFERENCE_ITERATIONS = {
 }
 REFERENCE_EXPONENTS = {1: 0.660, 2: 0.392, 3: 0.265, 4: 0.203}
 
+# Exact (iterations, f_evaluations) of the 34 valley cells the fixtures run,
+# orders 1-4 by K (None where no fixture runs the cell).  A speed-up keeps
+# them; a change that moves them says so.
+PINNED_VALLEY_COUNTS = {
+    1: ((8, 169), (5, 211), (5, 526), (4, 757)),
+    10: ((14, 295), (7, 295), (6, 631), (6, 1135)),
+    100: ((47, 988), (14, 589), (10, 1051), (8, 1513)),
+    1000: ((194, 4075), (30, 1261), (17, 1786), (12, 2269)),
+    10000: ((876, 18397), (67, 2815), (27, 2836), (18, 3403)),
+    1e5: ((4024, 84505), (159, 6679), (47, 4936), (26, 4915)),
+    1e6: ((18647, 391588), (390, 16381), (83, 8716), (41, 7750)),
+    1e7: (None, (968, 40657), (163, 17116), (68, 12853)),
+    1e8: (None, (2423, 101767), (310, 32551), (108, 20413)),
+}
+# Criterion 6's exact totals over its 200 polynomial solves.
+PINNED_POLYNOMIAL_TOTALS = {"iterations": 631, "f_evaluations": 75568}
+
 # Defect values below this multiple of eps * |f| are rounding noise and are
 # excluded from slope fits (at least three points always remain).
 NOISE_FLOOR_FACTOR = 1e3
@@ -59,10 +76,11 @@ class TimedRuns:
     iterations: dict        # (K, order) -> iterations
     converged: dict         # (K, order) -> bool
     wall: dict              # (K, order) -> seconds
+    f_evaluations: dict     # (K, order) -> residual evaluations
 
 
 def _run_cells(cells, max_iterations=20000):
-    iterations, converged, wall = {}, {}, {}
+    iterations, converged, wall, f_evaluations = {}, {}, {}, {}
     for K, order in cells:
         t0 = time.perf_counter()
         result = run(START, valley_problem(K),
@@ -70,7 +88,8 @@ def _run_cells(cells, max_iterations=20000):
         wall[(K, order)] = time.perf_counter() - t0
         iterations[(K, order)] = result.iterations
         converged[(K, order)] = result.converged
-    return TimedRuns(iterations, converged, wall)
+        f_evaluations[(K, order)] = result.f_evaluations
+    return TimedRuns(iterations, converged, wall, f_evaluations)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +147,22 @@ def test_criterion_2_deep_valley(deep_runs):
         f"order1={n1} (>10000), {elapsed:.1f}s"
     )
     assert report(2, ok, detail)
+
+
+def test_valley_cells_keep_their_exact_counts(shallow_runs, deep_runs):
+    counts = {
+        cell: (runs.iterations[cell], runs.f_evaluations[cell])
+        for runs in (shallow_runs, deep_runs)
+        for cell in runs.iterations
+    }
+    pinned = {
+        (K, order): pair
+        for K, row in PINNED_VALLEY_COUNTS.items()
+        for order, pair in enumerate(row, start=1)
+        if pair is not None
+    }
+    assert len(counts) == len(pinned) == 34
+    assert counts == pinned
 
 
 def test_criterion_3_power_law_exponents(shallow_runs, deep_runs):
@@ -216,6 +251,7 @@ def test_criterion_6_polynomial_residuals_driven_to_zero():
     t0 = time.perf_counter()
     failures = []
     runs = 0
+    totals = dict.fromkeys(PINNED_POLYNOMIAL_TOTALS, 0)
     for order in (1, 2, 3, 4):
         for degree in range(1, order + 1):
             for i in range(20):
@@ -230,14 +266,19 @@ def test_criterion_6_polynomial_residuals_driven_to_zero():
                 )
                 result = run(x0, problem, config)
                 runs += 1
+                totals["iterations"] += result.iterations
+                totals["f_evaluations"] += result.f_evaluations
                 if not (result.converged
                         and result.residual_norm <= 1e-10 * start_norm):
                     failures.append((order, degree, i))
     elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 5.0
+    ok = not failures and totals == PINNED_POLYNOMIAL_TOTALS and elapsed < 5.0
     detail = (
-        f"{runs} seeded polynomial runs reached 1e-10 relative residual, "
-        f"{elapsed:.1f}s" + (f"; failures: {failures}" if failures else "")
+        f"{runs} seeded polynomial runs reached 1e-10 relative residual in "
+        f"{totals['iterations']} iterations and {totals['f_evaluations']} "
+        f"evaluations (want {PINNED_POLYNOMIAL_TOTALS['iterations']} and "
+        f"{PINNED_POLYNOMIAL_TOTALS['f_evaluations']}), {elapsed:.1f}s"
+        + (f"; failures: {failures}" if failures else "")
     )
     assert report(6, ok, detail)
 

@@ -71,6 +71,35 @@ def test_damped_rejects_negative_damping():
         SvdFactors(np.eye(2)).damped_apply(-1.0, np.ones(2))
 
 
+@pytest.mark.parametrize("v", [
+    np.array([1.0, np.nan]),
+    np.array([np.inf, 0.0]),
+    np.ones((2, 1)),
+    np.ones((1, 2)),
+    np.array([]),
+    np.ones(3),
+])
+def test_damped_rejects_nonfinite_or_misshaped_vector(v):
+    with pytest.raises(ValueError):
+        SvdFactors(np.eye(2)).damped_apply(0.5, v)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 3)])
+def test_damped_is_bitwise_the_svd_formula(shape):
+    # The stored transposes and squares are the arrays the formula would
+    # compute on each call, so the result matches it exactly, for numpy and
+    # Python-float damping alike.
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(50):
+        J = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[1])
+        v = rng.normal(size=shape[0])
+        f = SvdFactors(J)
+        for lam in 10.0 ** rng.uniform(-8, 8, size=4):
+            expected = f.Vt.T @ (f.s / (f.s * f.s + lam) * (f.U.T @ v))
+            assert np.array_equal(f.damped_apply(lam, v), expected)
+            assert np.array_equal(f.damped_apply(float(lam), v), expected)
+
+
 def test_damped_norm_decreases_with_damping():
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -167,9 +165,12 @@ def test_nonfinite_residuals_truncate_instead_of_raising(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_nonfinite_everywhere_fails_the_step_like_order_one(order):
-    # 1e308 is finite, but the endpoint norms overflow (numpy warns) and a
-    # weighted sum of such stencil defects would too.
+    # Every candidate endpoint lies outside the ball.  An inf residual there
+    # fails the step.  The finite 1e308 has a finite norm although its
+    # square overflows, so the iteration is rejected, without a warning,
+    # and the damping escalates.  Stencil defects that large truncate.
     valley = valley_problem(100.0)
+    f0 = valley.evaluator(START)
     for value in (np.inf, 1e308):
         def evaluator(x):
             if np.linalg.norm(x - START) > 0.5:
@@ -177,11 +178,31 @@ def test_nonfinite_everywhere_fails_the_step_like_order_one(order):
             return valley.evaluator(x)
 
         problem = Problem(2, 2, evaluator, valley.jacobian, name="ball")
-        overflow = (pytest.warns(RuntimeWarning, match="overflow encountered in vecdot")
-                    if np.isfinite(value) else contextlib.nullcontext())
-        with overflow, pytest.raises(StepFailureError):
-            step(START, problem, LambdaSchedule(), OptimizerConfig(order=order),
-                 f0=valley.evaluator(START))
+        schedule = LambdaSchedule()
+        config = OptimizerConfig(order=order)
+        if not np.isfinite(value):
+            with pytest.raises(StepFailureError):
+                step(START, problem, schedule, config, f0=f0)
+            continue
+        x_new, f_new, record = step(START, problem, schedule, config, f0=f0)
+        assert not record.accepted
+        assert x_new is START and f_new is f0
+        assert schedule.lambda_old == GRID_BASE
+        assert record.residual_norm == np.linalg.norm(f0)
+
+
+def test_huge_finite_start_residual_keeps_a_finite_norm():
+    # |f| = sqrt(2) * 1e200 everywhere: its square overflows, yet the start
+    # and endpoint norms stay finite, so the step is rejected (no endpoint
+    # is smaller), not failed, and no warning is raised.
+    f0 = np.array([1e200, 1e200])
+    problem = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2),
+                      name="plateau")
+    x0, schedule = np.zeros(2), LambdaSchedule()
+    x_new, _, record = step(x0, problem, schedule, OptimizerConfig(), f0=f0)
+    assert not record.accepted and x_new is x0
+    assert schedule.lambda_old == GRID_BASE
+    assert record.residual_norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 def _winning_index(evaluator, order):

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import directional_derivative_fd, relative_difference
+from helpers import (
+    directional_derivative_fd,
+    einsum_polynomial_evaluator,
+    relative_difference,
+)
 from lmcorrect.problems import (
     affine_problem,
     default_affine_problem,
@@ -82,6 +88,33 @@ def test_polynomial_problem_has_root_at_origin():
     for degree in (1, 2, 3, 4):
         poly = polynomial_problem(degree, 3, seed=degree)
         assert np.allclose(poly.evaluator(np.zeros(3)), 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_polynomial_horner_evaluator_matches_einsum_reference(degree, dim):
+    # Coefficients and points lie in [-1, 1] and b = 0, so |f_i| <= p + p^2
+    # + p^3 + p^4 = 120 at p = 3, and the two evaluation orders differ by
+    # rounding only: a few ulps of that bound.
+    atol = 1e-13
+    poly = polynomial_problem(degree, dim, seed=10 * degree + dim)
+    rng = np.random.default_rng(degree * dim)
+    for x in rng.uniform(-1.0, 1.0, size=(200, dim)):
+        horner = poly.evaluator(x)
+        assert horner.shape == (dim,)
+        np.testing.assert_allclose(
+            horner, einsum_polynomial_evaluator(poly, x), rtol=0, atol=atol)
+
+
+def test_polynomial_horner_evaluator_treats_missing_tensors_as_zero():
+    poly = polynomial_problem(4, 3, seed=8)
+    rng = np.random.default_rng(8)
+    for missing in ({"B": None}, {"C": None}, {"B": None, "C": None}):
+        sparse = dataclasses.replace(poly, **missing)
+        for x in rng.uniform(-1.0, 1.0, size=(20, 3)):
+            np.testing.assert_allclose(
+                sparse.evaluator(x), einsum_polynomial_evaluator(sparse, x),
+                rtol=0, atol=1e-13)
 
 
 def test_polynomial_degree_controls_tensors():
