@@ -20,10 +20,7 @@ from .faadibruno import (
     correction_identity_terms,
     derivative_terms,
 )
-from .linalg import (
-    SingularMatrixError,
-    SvdFactors,
-)
+from .linalg import SvdFactors
 from .optimizer import (
     IterationRecord,
     LambdaSchedule,
@@ -53,7 +50,6 @@ __all__ = [
     "DerivativeTerm",
     "correction_identity_terms",
     "derivative_terms",
-    "SingularMatrixError",
     "SvdFactors",
     "IterationRecord",
     "LambdaSchedule",

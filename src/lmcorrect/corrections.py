@@ -14,31 +14,24 @@ Each order's stencil is a constant table, :data:`PHASES`.  A phase lists the
 points it adds, as multipliers of (c1, c2, c3), and one weight row over the
 nonlinear defects ``f_nl(x + a) = f(x + a) - (f + J a)`` at every point so
 far, so that ``c_n = Jinv(w . f_nl)``.  Coincident points are listed once
-per order, so no point is evaluated twice.  The pure c1-direction weights
-folded into the rows invert a small Taylor system exactly
-(:func:`taylor_weight_matrix`).
+per order, so no point is evaluated twice.  The tests check every row
+exactly, in rationals, against the order-n identity it implements.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_residual
+from .linalg import _norm, as_residual
 
 __all__ = [
     "StencilEvaluationError",
     "CorrectionSeries",
     "correction_series",
     "PHASES",
-    "ORDER3_OFFSETS",
-    "ORDER3_WEIGHTS",
-    "ORDER4_OFFSETS",
-    "ORDER4_WEIGHTS",
-    "taylor_weight_matrix",
     "STENCIL_EVALUATIONS",
     "WILD_CORRECTION_FACTOR",
 ]
@@ -49,12 +42,13 @@ WILD_CORRECTION_FACTOR = 1e3
 
 # Per order, one ``(points, weights)`` entry per correction c2, c3, ...:
 # ``points`` are the stencil points the phase adds, as multipliers of
-# (c1, c2, c3), in evaluation order; ``weights`` spans the defects at every
-# point of this and earlier phases.  Each row folds the pure c1-direction
-# weights (ORDER3_WEIGHTS, ORDER4_WEIGHTS) and the mixed differences of the
-# order-n identity into one combination equal to -1/n! times its ``rest``
-# terms (faadibruno.correction_identity_terms) on every derivative monomial
-# up to the table's order.
+# (c1, c2, c3), in evaluation order, and the k-th phase (from 1) uses only
+# c1 .. ck, the directions known by then; ``weights`` spans the defects at
+# every point of this and earlier phases.  Each row folds the pure
+# c1-direction differences and the mixed differences of the order-n identity
+# into one combination equal to -1/n! times its ``rest`` terms
+# (faadibruno.correction_identity_terms) on every derivative monomial up to
+# the table's order.
 PHASES = {
     2: (
         (((1, 0, 0),), (-1,)),
@@ -125,58 +119,18 @@ class CorrectionSeries:
         return total
 
     def norms(self) -> list[float]:
-        # np.linalg.norm's own formula for a real vector, without its dispatch.
-        return [math.sqrt(c.dot(c)) for c in self.corrections]
-
-
-def taylor_weight_matrix(offsets, n_derivatives: int):
-    """Rows ``[a^2/2!, a^3/3!, ...]`` of the nonlinear-defect Taylor system.
-
-    Row ``i`` holds the exact coefficients with which the pure derivative
-    values ``f^(k+2)[c1 ...]`` enter ``f_nl(x + a_i c1)``, Fraction-exact.
-    """
-    rows = []
-    for a in offsets:
-        a = Fraction(a)
-        fact = 2
-        row = []
-        power = a * a
-        for k in range(n_derivatives):
-            row.append(power / fact)
-            power *= a
-            fact *= k + 3
-        rows.append(row)
-    return rows
-
-
-# Hard-coded defect weights for the pure c1-direction derivatives:
-# order 3 samples f_nl at offsets (1/2, 1), order 4 at (1/2, 1, 3/2).  Each
-# tuple maps those f_nl values to one derivative f^(k)[c1 x k]: the weights
-# times ``taylor_weight_matrix(offsets, ...)`` give the identity, exactly.
-ORDER3_OFFSETS = (Fraction(1, 2), Fraction(1))
-ORDER3_WEIGHTS = (
-    (Fraction(16), Fraction(-2)),      # f^(2)[c1,c1]
-    (Fraction(-48), Fraction(12)),     # f^(3)[c1,c1,c1]
-)
-ORDER4_OFFSETS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-ORDER4_WEIGHTS = (
-    (Fraction(24), Fraction(-6), Fraction(8, 9)),      # f^(2)[c1,c1]
-    (Fraction(-120), Fraction(48), Fraction(-8)),      # f^(3)[c1,c1,c1]
-    (Fraction(192), Fraction(-96), Fraction(64, 3)),   # f^(4)[c1 x 4]
-)
+        return [_norm(c) for c in self.corrections]
 
 
 def _compile_phases(phases):
     """Per phase: the point keys, their multipliers and the weight row.
 
-    The k-th phase (from 1) may only combine c1 .. ck, the directions known
-    by then, so its multiplier array keeps the first k columns.
+    The k-th phase (from 1) combines only c1 .. ck, so its multiplier array
+    keeps the first k columns.
     """
     compiled = []
     for known, (points, weights) in enumerate(phases, start=1):
         mult = np.array(points, dtype=float)
-        if mult[:, known:].any():
-            raise ValueError(f"phase {known} uses a direction not yet known")
         compiled.append((points, np.ascontiguousarray(mult[:, :known]),
                          np.array(weights, dtype=float)))
     return tuple(compiled)
@@ -224,8 +178,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
     directions[0] = c1
-    # np.linalg.norm's own formula for a real vector, without its dispatch.
-    wild_bound = WILD_CORRECTION_FACTOR * math.sqrt(c1.dot(c1))
+    # math.hypot cannot overflow, so no norm here warns, however large.
+    wild_bound = WILD_CORRECTION_FACTOR * math.hypot(*c1.tolist())
     defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
     for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
@@ -245,7 +199,7 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
         # non-finite input.  A nan correction norm fails the bound test.
         c = (inverse_apply(weights @ defects[:evaluations])
              if np.abs(defects[first:evaluations]).max() <= _DEFECT_LIMIT else None)
-        if c is None or not math.sqrt(c.dot(c)) <= wild_bound:
+        if c is None or not math.hypot(*c.tolist()) <= wild_bound:
             return CorrectionSeries(tuple(directions[:known]), evaluations, True)
         directions[known] = c
     return CorrectionSeries(tuple(directions), evaluations)

@@ -1,23 +1,20 @@
-"""Dense vector/matrix helpers and the inverse variants used for step directions.
+"""Dense vector/matrix helpers and the inverse used for step directions.
 
-Every step direction in this package is some flavour of ``J^{-1} v``:
-
-* plain Newton solve for square nonsingular ``J``,
-* Gauss-Newton minimum-norm pseudo-inverse ``(J^T J)^{-1} J^T``,
-* damped pseudo-inverse ``(J^T J + lam I)^{-1} J^T``.
-
-All three are methods of :class:`SvdFactors`, one thin SVD of ``J``, so that
+Every step direction in this package is the damped pseudo-inverse
+``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0`` case is the Gauss-Newton
+minimum-norm pseudo-inverse, which on a square nonsingular ``J`` is Newton's
+step ``J^{-1} v``.  :class:`SvdFactors` holds one thin SVD of ``J``, so that
 a sweep over damping values reuses the factorization.  Everything is float64.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 __all__ = [
-    "SingularMatrixError",
     "as_vector",
     "as_residual",
     "as_matrix",
@@ -28,9 +25,9 @@ __all__ = [
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
 RANK_RCOND = 1e-14
 
-
-class SingularMatrixError(ValueError):
-    """Square solve requested on a (numerically) singular matrix."""
+# Below this Euclidean norm a vector's ``v.dot(v)`` cannot overflow: its
+# square, 1e308, leaves float64 room for the rounding of the sum.
+_SQUARE_SAFE = 1e154
 
 
 def as_vector(v) -> np.ndarray:
@@ -67,26 +64,54 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore")
+def _row_norms(F):
+    """Euclidean norm of each row of ``F``, without an overflow warning.
+
+    Overflow can only make a norm +inf.  A row of finite entries whose norm
+    came out inf is rescaled by its largest magnitude, so its norm stays
+    finite unless it exceeds float64's range; a row holding nan or inf keeps
+    a non-finite norm.
+    """
+    norms = np.sqrt(np.vecdot(F, F))
+    # At 21 rows a list scan costs less than a numpy reduction.
+    if math.inf in norms.tolist():
+        overflowed = np.isinf(norms) & np.isfinite(F).all(axis=1)
+        rows = F[overflowed]
+        scale = np.abs(rows).max(axis=1)
+        rows = rows / scale[:, None]
+        norms[overflowed] = scale * np.sqrt(np.vecdot(rows, rows))
+    return norms
+
+
+def _norm(v) -> float:
+    """Norm of one vector, by ``np.linalg.norm``'s own arithmetic.
+
+    ``math.hypot`` cannot overflow, so it tells without a warning whether
+    ``v.dot(v)`` may.  Only then is the square taken with overflow ignored,
+    and a norm that overflowed is recomputed by :func:`_row_norms`.
+    """
+    if math.hypot(*v.tolist()) < _SQUARE_SAFE:
+        return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(v.dot(v))
+    return norm if norm != math.inf else float(_row_norms(v[None, :])[0])
+
+
 class SvdFactors:
-    """Thin SVD of a Jacobian, shared by all inverse variants.
+    """Thin SVD of a Jacobian, shared by every damping value applied to it.
 
     Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing.  One instance is
     computed per Jacobian and reused for every damping value applied to it,
     so the transposes ``Ut``, ``V`` and the squares ``s2`` are taken once here.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2", "shape")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2")
 
     def __init__(self, J):
         J = as_matrix(J)
         self.U, self.s, self.Vt = np.linalg.svd(J, full_matrices=False)
         self.Ut, self.V, self.s2 = self.U.T, self.Vt.T, self.s * self.s
-        self.shape = J.shape
-
-    @property
-    def condition_number(self) -> float:
-        smin = self.s[-1]
-        return float(self.s[0] / smin) if smin > 0.0 else np.inf
 
     def damped_apply(self, lam: float, v) -> np.ndarray:
         """Return ``(J^T J + lam I)^{-1} J^T v`` via ``s / (s^2 + lam)``.
@@ -127,15 +152,3 @@ class SvdFactors:
         utv = self.Ut @ np.asarray(v, dtype=float)
         coeff = (self.s / (self.s2 + lams[:, None])) * utv
         return coeff @ self.Vt
-
-    def newton_apply(self, v) -> np.ndarray:
-        """Return ``J^{-1} v`` for square nonsingular ``J``."""
-        m, p = self.shape
-        if m != p:
-            raise ValueError(f"Newton solve needs a square matrix, got {m}x{p}")
-        s = self.s
-        if s[-1] <= RANK_RCOND * s[0] or s[0] == 0.0:
-            raise SingularMatrixError(
-                f"matrix is singular to working precision (sigma={s})"
-            )
-        return self.V @ ((self.Ut @ as_vector(v)) / s)

@@ -28,8 +28,8 @@ candidate:
   candidate's damping value, the same inverse that produced its direction,
   one call per correction: perfbench times that method as its own layer.
 
-Residual norms are taken without an overflow warning: a finite residual
-whose squared norm overflows gets a rescaled, finite norm.
+Residual and step norms are taken without an overflow warning: a finite
+vector whose squared norm overflows gets a rescaled, finite norm.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .corrections import (
     StencilEvaluationError,
     correction_series,
 )
-from .linalg import SvdFactors, as_residual
+from .linalg import SvdFactors, _norm, _row_norms, as_residual
 from .problems import Problem
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 GRID_INDICES = tuple(range(-10, 11))
 GRID_BASE = 10000.0
 
-# Consecutive non-improving iterations tolerated before a run aborts.
+# Consecutive non-improving iterations tolerated before a damped run aborts.
 MAX_CONSECUTIVE_REJECTS = 5
 
 # Damping this small is indistinguishable from zero in float64 but keeps the
@@ -106,8 +106,8 @@ class OptimizerConfig:
     stops when the residual norm reaches ``convergence_tol``.
 
     ``inverse_variant`` is ``"levenberg_marquardt"`` (the damping sweep) or
-    ``"gauss_newton"`` (one undamped candidate), which on a square nonsingular
-    J is Newton's step; ``SvdFactors.newton_apply`` remains the exact solve.
+    ``"gauss_newton"`` (one undamped candidate, ``SvdFactors.damped_apply``
+    at zero damping), which on a square nonsingular J is Newton's step.
     """
 
     order: int = 1
@@ -165,36 +165,6 @@ def _candidate_lambdas(config: OptimizerConfig, schedule: LambdaSchedule):
         return schedule.grid()
     # Gauss-Newton is the single undamped candidate.
     return np.array([0.0])
-
-
-@np.errstate(over="ignore")
-def _row_norms(F):
-    """Euclidean norm of each row of ``F``, without an overflow warning.
-
-    Overflow can only make a norm +inf.  A row of finite entries whose norm
-    came out inf is rescaled by its largest magnitude, so its norm stays
-    finite unless it exceeds float64's range; a row holding nan or inf keeps
-    a non-finite norm.
-    """
-    norms = np.sqrt(np.vecdot(F, F))
-    # At 21 rows a list scan costs less than a numpy reduction.
-    if math.inf in norms.tolist():
-        overflowed = np.isinf(norms) & np.isfinite(F).all(axis=1)
-        rows = F[overflowed]
-        scale = np.abs(rows).max(axis=1)
-        rows = rows / scale[:, None]
-        norms[overflowed] = scale * np.sqrt(np.vecdot(rows, rows))
-    return norms
-
-
-@np.errstate(over="ignore")
-def _norm(f) -> float:
-    """Norm of one residual, by ``np.linalg.norm``'s own arithmetic.
-
-    Only a norm that overflowed is recomputed by :func:`_row_norms`.
-    """
-    norm = math.sqrt(f.dot(f))
-    return norm if norm != math.inf else float(_row_norms(f[None, :])[0])
 
 
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
@@ -281,7 +251,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             iteration=0,
             chosen_lambda=float(lambdas[idx]),
             residual_norm=norm_end,
-            step_norm=math.sqrt(steps[idx].dot(steps[idx])),
+            step_norm=_norm(steps[idx]),
             corrections_norms=tuple(series.norms()),
             f_evaluations=evals,
             accepted=True,
@@ -308,7 +278,9 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     """Iterate :func:`step` until convergence, the iteration cap, or a stall.
 
     The trajectory records every iteration, rejected ones included.  A stall
-    (MAX_CONSECUTIVE_REJECTS successive rejections) aborts unconverged.
+    (MAX_CONSECUTIVE_REJECTS successive rejections) aborts unconverged; under
+    ``gauss_newton`` one rejection is a stall, since an undamped sweep has no
+    damping to escalate and would repeat exactly.
     A start point or start residual that is not finite or has the wrong
     shape raises ValueError.
     """
@@ -325,6 +297,8 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     trajectory: list[IterationRecord] = []
     converged = _norm(f) <= config.convergence_tol
     rejects = 0
+    max_rejects = (MAX_CONSECUTIVE_REJECTS
+                   if config.inverse_variant == "levenberg_marquardt" else 1)
 
     while not converged and len(trajectory) < config.max_iterations:
         x, f, record = step(x, problem, schedule, config, f0=f)
@@ -334,7 +308,7 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
         rejects = 0 if record.accepted else rejects + 1
         if record.residual_norm <= config.convergence_tol:
             converged = True
-        elif rejects >= MAX_CONSECUTIVE_REJECTS:
+        elif rejects >= max_rejects:
             break
 
     return RunResult(

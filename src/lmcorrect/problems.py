@@ -7,7 +7,8 @@ small ``|f|`` narrower while its curvature stays fixed, which is exactly the
 regime where first-order damped steps crawl.
 
 A seeded polynomial family with analytically known derivative tensors up to
-order 4 backs the stencil oracle tests.
+order 4 backs the stencil tests; the oracles that contract those tensors, and
+the finite-difference Jacobian, live with the tests (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_vector
-
 __all__ = [
     "Problem",
     "valley_eval",
@@ -30,7 +29,6 @@ __all__ = [
     "default_affine_problem",
     "PolynomialProblem",
     "polynomial_problem",
-    "finite_difference_jacobian",
 ]
 
 
@@ -157,38 +155,6 @@ class PolynomialProblem:
             J = J + 4.0 * np.einsum("ijklm,k,l,m->ij", self.D, x, x, x)
         return J
 
-    def derivative_contraction(self, x, order: int, *vectors) -> np.ndarray:
-        """Exact ``f^(order)[v_1, ..., v_order]`` at ``x``."""
-        if order != len(vectors):
-            raise ValueError("need exactly `order` direction vectors")
-        x = np.asarray(x, dtype=float)
-        vs = [np.asarray(v, dtype=float) for v in vectors]
-        out = np.zeros(self.output_dim)
-        if order == 1:
-            return self.jacobian(x) @ vs[0]
-        if order == 2:
-            u, v = vs
-            if self.B is not None:
-                out += 2.0 * np.einsum("ijk,j,k->i", self.B, u, v)
-            if self.C is not None:
-                out += 6.0 * np.einsum("ijkl,j,k,l->i", self.C, x, u, v)
-            if self.D is not None:
-                out += 12.0 * np.einsum("ijklm,j,k,l,m->i", self.D, x, x, u, v)
-            return out
-        if order == 3:
-            u, v, w = vs
-            if self.C is not None:
-                out += 6.0 * np.einsum("ijkl,j,k,l->i", self.C, u, v, w)
-            if self.D is not None:
-                out += 24.0 * np.einsum("ijklm,j,k,l,m->i", self.D, x, u, v, w)
-            return out
-        if order == 4:
-            u, v, w, z = vs
-            if self.D is not None:
-                out += 24.0 * np.einsum("ijklm,j,k,l,m->i", self.D, u, v, w, z)
-            return out
-        raise ValueError(f"derivative order must be in [1, 4], got {order}")
-
     def as_problem(self) -> Problem:
         return Problem(self.input_dim, self.output_dim, self.evaluator,
                        self.jacobian, name=self.name)
@@ -223,16 +189,3 @@ def polynomial_problem(degree: int, dim: int, seed: int) -> PolynomialProblem:
         D=D,
         name=f"poly(d={degree},p={dim},seed={seed})",
     )
-
-
-def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, the test-time oracle for analytic ones."""
-    x = as_vector(x)
-    J = np.zeros((problem.output_dim, problem.input_dim))
-    for j in range(problem.input_dim):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (problem.evaluator(xp) - problem.evaluator(xm)) / (2.0 * h)
-    return J

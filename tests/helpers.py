@@ -1,8 +1,13 @@
 """Shared test oracles, independent of the implementation paths they check."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from lmcorrect.faadibruno import correction_identity_terms
+from lmcorrect.linalg import SvdFactors, as_vector
 from lmcorrect.problems import Problem
 
 
@@ -32,6 +37,15 @@ def partition_shape_counts(n):
     return counts
 
 
+def gauss_newton_inverse(J):
+    """Zero-damping inverse ``v -> (J^T J)^{-1} J^T v`` from one SVD of ``J``.
+
+    On a square nonsingular ``J`` this is Newton's step ``J^{-1} v``.
+    """
+    factors = SvdFactors(J)
+    return lambda v: factors.damped_apply(0.0, v)
+
+
 def counting_problem(problem: Problem):
     """Wrap a problem so every residual evaluation increments a counter."""
     counter = {"evals": 0}
@@ -58,11 +72,106 @@ def analytic_correction_series(poly, x, inverse_apply, c1, order):
         total = np.zeros(poly.output_dim)
         for term in rest:
             vectors = [cs[k - 1] for k in term.c_orders]
-            total = total + float(term.coefficient) * poly.derivative_contraction(
-                x, term.f_order, *vectors
+            total = total + float(term.coefficient) * derivative_contraction(
+                poly, x, term.f_order, *vectors
             )
         cs.append(-inverse_apply(total) / float(lead.coefficient))
     return cs
+
+
+def derivative_contraction(poly, x, order: int, *vectors) -> np.ndarray:
+    """Exact ``f^(order)[v_1, ..., v_order]`` of a PolynomialProblem at ``x``."""
+    if order != len(vectors):
+        raise ValueError("need exactly `order` direction vectors")
+    x = np.asarray(x, dtype=float)
+    vs = [np.asarray(v, dtype=float) for v in vectors]
+    out = np.zeros(poly.output_dim)
+    if order == 1:
+        return poly.jacobian(x) @ vs[0]
+    if order == 2:
+        u, v = vs
+        if poly.B is not None:
+            out += 2.0 * np.einsum("ijk,j,k->i", poly.B, u, v)
+        if poly.C is not None:
+            out += 6.0 * np.einsum("ijkl,j,k,l->i", poly.C, x, u, v)
+        if poly.D is not None:
+            out += 12.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, x, x, u, v)
+        return out
+    if order == 3:
+        u, v, w = vs
+        if poly.C is not None:
+            out += 6.0 * np.einsum("ijkl,j,k,l->i", poly.C, u, v, w)
+        if poly.D is not None:
+            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, x, u, v, w)
+        return out
+    if order == 4:
+        u, v, w, z = vs
+        if poly.D is not None:
+            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, u, v, w, z)
+        return out
+    raise ValueError(f"derivative order must be in [1, 4], got {order}")
+
+
+def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian, the test-time oracle for analytic ones."""
+    x = as_vector(x)
+    J = np.zeros((problem.output_dim, problem.input_dim))
+    for j in range(problem.input_dim):
+        h = rel_step * (1.0 + abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        J[:, j] = (problem.evaluator(xp) - problem.evaluator(xm)) / (2.0 * h)
+    return J
+
+
+def exact_weight(w):
+    """The rational a float table weight stands for (small denominators)."""
+    exact = Fraction(w).limit_denominator(100)
+    assert float(exact) == w
+    return exact
+
+
+def defect_monomials(multipliers, max_grade):
+    """Taylor terms of f_nl at ``x + q1 c1 + q2 c2 + q3 c3``.
+
+    Maps ``(k, sorted direction indices)`` for f^(k)[c_i ...] to its exact
+    coefficient, keeping monomials whose grade (index sum) is <= max_grade.
+    """
+    used = [(i, Fraction(q)) for i, q in enumerate(multipliers, start=1) if q]
+    terms = {}
+    for k in range(2, max_grade + 1):
+        for picks in itertools.product(used, repeat=k):
+            indices = tuple(sorted(i for i, _ in picks))
+            if sum(indices) <= max_grade:
+                coeff = math.prod(q for _, q in picks) / math.factorial(k)
+                terms[(k, indices)] = terms.get((k, indices), 0) + coeff
+    return terms
+
+
+def phase_row_mismatches(phases, order):
+    """Rows of one order's PHASES table that differ from their identity.
+
+    Row n (from 2) must equal -1/n! times the ``rest`` terms of the order-n
+    identity on every monomial up to ``order``, exactly in rationals, and
+    its phase may only use the directions known by then.  Returns the
+    correction indices n of the rows that fail.
+    """
+    points, bad = [], []
+    for n, (added, weights) in enumerate(phases, start=2):
+        points += added
+        got = {}
+        for w, q in zip(weights, points):
+            for key, coeff in defect_monomials(q, order).items():
+                got[key] = got.get(key, 0) + exact_weight(w) * coeff
+        lead, rest = correction_identity_terms(n)
+        want = {(t.f_order, t.c_orders): -t.coefficient / lead.coefficient
+                for t in rest}
+        known = all(not any(q[n - 1:]) for q in added)
+        if not (known and len(weights) == len(points)
+                and {key: v for key, v in got.items() if v} == want):
+            bad.append(n)
+    return bad
 
 
 def einsum_polynomial_evaluator(poly, x):

@@ -7,23 +7,20 @@ module-scoped fixtures; every tolerance is pinned here, not computed.
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import counting_problem, partition_shape_counts
-from lmcorrect.cli import ConvergenceTable, TableCell, fit_power_laws
-from lmcorrect.corrections import (
-    ORDER3_OFFSETS,
-    ORDER3_WEIGHTS,
-    ORDER4_OFFSETS,
-    ORDER4_WEIGHTS,
-    STENCIL_EVALUATIONS,
-    correction_series,
-    taylor_weight_matrix,
+from helpers import (
+    counting_problem,
+    gauss_newton_inverse,
+    partition_shape_counts,
+    phase_row_mismatches,
 )
+from lmcorrect.cli import ConvergenceTable, TableCell, fit_power_laws
+from lmcorrect.corrections import PHASES, STENCIL_EVALUATIONS, correction_series
 from lmcorrect.faadibruno import derivative_terms
-from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import OptimizerConfig, run
 from lmcorrect.problems import polynomial_problem, valley_problem
 
@@ -57,9 +54,45 @@ PINNED_VALLEY_COUNTS = {
 # Criterion 6's exact totals over its 200 polynomial solves.
 PINNED_POLYNOMIAL_TOTALS = {"iterations": 631, "f_evaluations": 75568}
 
+# Pure c1-direction defect weights that the PHASES rows of orders 3 and 4
+# fold in: order 3 samples f_nl at offsets (1/2, 1), order 4 at (1/2, 1, 3/2).
+# Each tuple maps those f_nl values to one derivative f^(k)[c1 x k]: the
+# weights times ``taylor_weight_matrix(offsets, ...)`` give the identity.
+ORDER3_OFFSETS = (Fraction(1, 2), Fraction(1))
+ORDER3_WEIGHTS = (
+    (Fraction(16), Fraction(-2)),      # f^(2)[c1,c1]
+    (Fraction(-48), Fraction(12)),     # f^(3)[c1,c1,c1]
+)
+ORDER4_OFFSETS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+ORDER4_WEIGHTS = (
+    (Fraction(24), Fraction(-6), Fraction(8, 9)),      # f^(2)[c1,c1]
+    (Fraction(-120), Fraction(48), Fraction(-8)),      # f^(3)[c1,c1,c1]
+    (Fraction(192), Fraction(-96), Fraction(64, 3)),   # f^(4)[c1 x 4]
+)
+
 # Defect values below this multiple of eps * |f| are rounding noise and are
 # excluded from slope fits (at least three points always remain).
 NOISE_FLOOR_FACTOR = 1e3
+
+
+def taylor_weight_matrix(offsets, n_derivatives: int):
+    """Rows ``[a^2/2!, a^3/3!, ...]`` of the nonlinear-defect Taylor system.
+
+    Row ``i`` holds the exact coefficients with which the pure derivative
+    values ``f^(k+2)[c1 ...]`` enter ``f_nl(x + a_i c1)``, Fraction-exact.
+    """
+    rows = []
+    for a in offsets:
+        a = Fraction(a)
+        fact = 2
+        row = []
+        power = a * a
+        for k in range(n_derivatives):
+            row.append(power / fact)
+            power *= a
+            fact *= k + 3
+        rows.append(row)
+    return rows
 
 
 def report(number, ok, detail):
@@ -201,7 +234,7 @@ def test_criterion_4_taylor_order_slopes():
     x = START
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
-    inv = SvdFactors(J).newton_apply
+    inv = gauss_newton_inverse(J)
     newton_step = -inv(f0)
     floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * np.linalg.norm(f0)
     eps_grid = 10.0 ** np.arange(-3.0, -0.9, 0.5)
@@ -295,9 +328,16 @@ def test_criterion_7_stencil_weight_identities():
         products = [sum(w * matrix4[i][col] for i, w in enumerate(weights))
                     for col in range(3)]
         ok = ok and products == [int(col == target) for col in range(3)]
+    # The solver reads only the folded PHASES rows: each must equal its
+    # order-n identity exactly, in rationals.
+    bad_rows = {order: phase_row_mismatches(PHASES[order], order)
+                for order in (2, 3, 4)}
+    ok = ok and sorted(PHASES) == [2, 3, 4] and not any(bad_rows.values())
     assert report(
         7, ok, "exact-rational Taylor products confirm the two-point pair and "
-               "all three three-point weight triples"
+               "all three three-point weight triples; every PHASES row of "
+               "orders 2-4 equals its correction identity"
+               + (f"; mismatched rows: {bad_rows}" if any(bad_rows.values()) else "")
     )
 
 
@@ -309,7 +349,7 @@ def test_criterion_8_evaluation_count_audit():
         x = START
         f0 = problem.evaluator(x)
         J = problem.jacobian(x)
-        inv = SvdFactors(J).newton_apply
+        inv = gauss_newton_inverse(J)
         c1 = -0.3 * inv(f0)
         counter["evals"] = 0
         series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)

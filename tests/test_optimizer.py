@@ -205,6 +205,43 @@ def test_huge_finite_start_residual_keeps_a_finite_norm():
     assert record.residual_norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_huge_steps_keep_finite_norms(order):
+    # f(x) = x + 1e200 (1, 1): the first step is about 1.4e200 long, so its
+    # square overflows.  Step and correction norms stay finite, with no
+    # overflow warning, and the run still converges.
+    shift = np.array([1e200, 1e200])
+    problem = Problem(2, 2, lambda x: x + shift, lambda x: np.eye(2),
+                      name="shifted")
+    result = run(np.zeros(2), problem, OptimizerConfig(order=order))
+    assert result.converged
+    first = result.trajectory[0]
+    # The grid's smallest damping, 1e-4, wins: c1 = -f0 / (1 + 1e-4).
+    assert first.step_norm == pytest.approx(np.sqrt(2.0) * 1e200 / 1.0001,
+                                            rel=1e-12)
+    assert first.corrections_norms[0] == pytest.approx(first.step_norm,
+                                                       rel=1e-12)
+    assert len(first.corrections_norms) == order
+    assert all(np.isfinite(r.corrections_norms).all() and np.isfinite(r.step_norm)
+               for r in result.trajectory)
+
+
+@pytest.mark.parametrize("order,iterations,f_evaluations", [
+    (1, 5, 6),
+    (4, 2, 19),
+])
+def test_gauss_newton_stops_at_its_first_rejection(order, iterations,
+                                                   f_evaluations):
+    # The undamped variant stalls on the K = 1e6 valley.  With no damping to
+    # escalate, a rejected sweep would repeat exactly, so the run ends there.
+    config = OptimizerConfig(order=order, inverse_variant="gauss_newton")
+    result = run(START, valley_problem(1e6), config)
+    assert not result.converged
+    assert (result.iterations, result.f_evaluations) == (iterations, f_evaluations)
+    assert [r.accepted for r in result.trajectory] == (
+        [True] * (iterations - 1) + [False])
+
+
 def _winning_index(evaluator, order):
     problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="flat")
     schedule = LambdaSchedule()

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    derivative_contraction,
     directional_derivative_fd,
     einsum_polynomial_evaluator,
+    finite_difference_jacobian,
     relative_difference,
 )
 from lmcorrect.problems import (
     affine_problem,
     default_affine_problem,
-    finite_difference_jacobian,
     polynomial_problem,
     valley_eval,
     valley_jacobian,
@@ -153,7 +154,7 @@ def test_polynomial_contractions_match_finite_differences(order):
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.5, 0.5, size=3)
     u = rng.uniform(-1.0, 1.0, size=3)
-    analytic = poly.derivative_contraction(x, order, *([u] * order))
+    analytic = derivative_contraction(poly, x, order, *([u] * order))
     fd = directional_derivative_fd(poly.evaluator, x, u, order, h=1e-2)
     assert relative_difference(analytic, fd) <= 1e-4
 
@@ -163,11 +164,11 @@ def test_polynomial_contraction_is_symmetric_in_arguments():
     rng = np.random.default_rng(4)
     x, u, v, w = (rng.uniform(-1, 1, size=2) for _ in range(4))
     assert np.allclose(
-        poly.derivative_contraction(x, 3, u, v, w),
-        poly.derivative_contraction(x, 3, w, u, v),
+        derivative_contraction(poly, x, 3, u, v, w),
+        derivative_contraction(poly, x, 3, w, u, v),
     )
     with pytest.raises(ValueError):
-        poly.derivative_contraction(x, 3, u, v)
+        derivative_contraction(poly, x, 3, u, v)
 
 
 def test_polynomial_mixed_contraction_via_polarization():
@@ -175,10 +176,10 @@ def test_polynomial_mixed_contraction_via_polarization():
     poly = polynomial_problem(3, 2, seed=9)
     rng = np.random.default_rng(9)
     x, u, v = (rng.uniform(-1, 1, size=2) for _ in range(3))
-    direct = poly.derivative_contraction(x, 2, u, v)
+    direct = derivative_contraction(poly, x, 2, u, v)
     polarized = 0.5 * (
-        poly.derivative_contraction(x, 2, u + v, u + v)
-        - poly.derivative_contraction(x, 2, u, u)
-        - poly.derivative_contraction(x, 2, v, v)
+        derivative_contraction(poly, x, 2, u + v, u + v)
+        - derivative_contraction(poly, x, 2, u, u)
+        - derivative_contraction(poly, x, 2, v, v)
     )
     assert np.allclose(direct, polarized)
