@@ -112,11 +112,11 @@ def write_trace_csv(stream, result: RunResult, order: int) -> None:
     writer = csv.DictWriter(stream, fieldnames=TRACE_COLUMNS, lineterminator="\n")
     writer.writeheader()
     cumulative = 1  # starting-point evaluation
-    for rec in result.trajectory:
+    for number, rec in enumerate(result.trajectory, start=1):
         cumulative += rec.f_evaluations
         norms = rec.corrections_norms
         row = {
-            "iteration": rec.iteration,
+            "iteration": number,
             "lambda": repr(rec.chosen_lambda),
             "residual_norm": repr(rec.residual_norm),
             "step_norm": repr(rec.step_norm),

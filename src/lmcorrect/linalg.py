@@ -25,6 +25,9 @@ __all__ = [
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
 RANK_RCOND = 1e-14
 
+# ``damped_apply``'s bound on its intermediates: half of float64's maximum.
+_APPLY_SAFE = float(np.finfo(float).max) / 2
+
 # Below this Euclidean norm a vector's ``v.dot(v)`` cannot overflow: its
 # square, 1e308, leaves float64 room for the rounding of the sum.
 _SQUARE_SAFE = 1e154
@@ -113,42 +116,58 @@ class SvdFactors:
         self.U, self.s, self.Vt = np.linalg.svd(J, full_matrices=False)
         self.Ut, self.V, self.s2 = self.U.T, self.Vt.T, self.s * self.s
 
-    def damped_apply(self, lam: float, v) -> np.ndarray:
-        """Return ``(J^T J + lam I)^{-1} J^T v`` via ``s / (s^2 + lam)``.
-
-        At ``lam == 0`` this is the Gauss-Newton pseudo-inverse; singular
-        values below ``RANK_RCOND * s_max`` are then dropped (minimum-norm
-        solution) and a RuntimeWarning flags the rank deficiency.
-        """
-        if lam < 0.0:
-            raise ValueError(f"damping must be non-negative, got {lam}")
-        v = as_vector(v)
+    def _pinv_factors(self) -> np.ndarray:
+        """``1 / s``, or 0 with a RuntimeWarning below ``RANK_RCOND * s_max``."""
         s = self.s
-        if lam != 0.0:
-            return self.V @ (s / (self.s2 + lam) * (self.Ut @ v))
-        cutoff = RANK_RCOND * (s[0] if s.size else 0.0)
-        keep = s > cutoff
+        keep = s > RANK_RCOND * (s[0] if s.size else 0.0)
         if not np.all(keep):
             warnings.warn(
                 "rank-deficient Jacobian at zero damping; "
                 "returning the minimum-norm solution",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         factors = np.zeros_like(s)
         factors[keep] = 1.0 / s[keep]
-        return self.V @ (factors * (self.Ut @ v))
+        return factors
+
+    def damped_apply(self, lam: float, v) -> np.ndarray:
+        """Return ``(J^T J + lam I)^{-1} J^T v`` via ``s / (s^2 + lam)``.
+
+        At ``lam == 0`` this is the Gauss-Newton pseudo-inverse; singular
+        values below ``RANK_RCOND * s_max`` are then dropped (minimum-norm
+        solution) and a RuntimeWarning flags the rank deficiency.  A result
+        beyond float64's range has inf entries, without an overflow warning.
+        """
+        if lam < 0.0:
+            raise ValueError(f"damping must be non-negative, got {lam}")
+        v = np.asarray(v, dtype=float)
+        if lam != 0.0:
+            scale = self.s / (self.s2 + lam)
+            gain = 0.5 / math.sqrt(lam)  # the maximum of s / (s^2 + lam)
+        else:
+            scale = self._pinv_factors()
+            gain = float(scale.max())
+        # No partial sum or product here exceeds (gain + 1) |v|: under the
+        # bound nothing can overflow (math.hypot also checks finiteness).
+        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
+            return self.V @ (scale * (self.Ut @ v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.V @ (scale * (self.Ut @ as_vector(v)))
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
 
-        All ``lams`` must be positive (zero damping needs the rank handling
-        of :meth:`damped_apply`).  Row ``i`` matches ``damped_apply(lams[i],
-        v)`` to rounding.
+        Row ``i`` matches ``damped_apply(lams[i], v)`` to rounding, zero
+        dampings included; a row that overflows is non-finite, unwarned.
         """
         lams = np.asarray(lams, dtype=float)
-        if np.any(lams <= 0.0):
-            raise ValueError("batch application requires strictly positive damping")
+        low = lams.min()
+        if not low >= 0.0:
+            raise ValueError(f"damping must be non-negative, got {low}")
         utv = self.Ut @ np.asarray(v, dtype=float)
-        coeff = (self.s / (self.s2 + lams[:, None])) * utv
-        return coeff @ self.Vt
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = self.s / (self.s2 + lams[:, None])
+            if low == 0.0:
+                scale[lams == 0.0] = self._pinv_factors()
+            return (scale * utv) @ self.Vt

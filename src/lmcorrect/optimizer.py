@@ -1,20 +1,20 @@
 """Iteration driver: damped-step candidate sweep with higher-order corrections.
 
-Each iteration evaluates the Jacobian once, factorizes it once, and builds 21
-candidate steps from a geometric-in-log damping grid centred on the previous
-step's damping value.  Every candidate gets the configured order of
-finite-difference corrections (using its own damped inverse throughout) and
-one residual evaluation at its corrected endpoint; the endpoint with the
-smallest residual norm wins.  If nothing improves, the iteration does not
-move and the damping centre is escalated.
+Each iteration evaluates the Jacobian once, factorizes it once, and builds one
+candidate step per value of a damping grid: 21 values, geometric in log and
+centred on the last winning damping, or Gauss-Newton's one-point grid ``[0]``.
+Every candidate gets the configured order of finite-difference corrections
+(using its own damped inverse throughout) and one residual evaluation at its
+corrected endpoint; the endpoint with the smallest residual norm wins.  If
+nothing improves, the iteration does not move and the next grid is centred
+on the largest damping tried.
 
 The sweep is batched over the grid.  One product with the factorization
 gives every first-order direction, one mask selects the finite ones, one sum
-gives every endpoint, the endpoint residuals fill one ``(21, m)`` array, and
-the winner is the argmin of its row norms with non-finite rows masked to
-``inf``.  ``argmin`` returns the first minimum, so ties go to the smallest
-grid index, as in a sequential sweep.  Three things stay per point or per
-candidate:
+gives every endpoint, the endpoint residuals fill one array, and the winner
+is the argmin of its row norms with non-finite rows masked to ``inf``.
+``argmin`` returns the first minimum, so ties go to the smallest grid index,
+as in a sequential sweep.  Three things stay per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -34,7 +34,6 @@ vector whose squared norm overflows gets a rescaled, finite norm.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -88,8 +87,8 @@ class LambdaSchedule:
     """Damping grid ``lam_n = lambda_old * 10000**((n/10)**3)``, n in [-10, 10].
 
     ``lambda_old`` carries between iterations: it is replaced by the winning
-    candidate's damping value on acceptance and multiplied by the grid's
-    maximum up-shift (10^4) when no candidate improves.
+    candidate's damping value on acceptance and by the grid's largest value,
+    ``lambda_old * 10^4``, when no candidate improves.
     """
 
     lambda_old: float = 1.0
@@ -105,9 +104,9 @@ class OptimizerConfig:
     order 1 is the plain damped step; orders 2-4 add corrections.  The run
     stops when the residual norm reaches ``convergence_tol``.
 
-    ``inverse_variant`` is ``"levenberg_marquardt"`` (the damping sweep) or
-    ``"gauss_newton"`` (one undamped candidate, ``SvdFactors.damped_apply``
-    at zero damping), which on a square nonsingular J is Newton's step.
+    ``inverse_variant`` is ``"levenberg_marquardt"`` (the 21-value damping
+    sweep) or ``"gauss_newton"`` (the sweep over the one-point grid ``[0]``),
+    whose undamped step on a square nonsingular J is Newton's step.
     """
 
     order: int = 1
@@ -131,16 +130,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration trace entry.
+    """Per-iteration trace entry; its position in the trajectory numbers it.
 
     ``residual_norm`` is the residual after the iteration (unchanged when
     ``accepted`` is False).  ``corrections_norms`` holds ``|c_i|`` for the
     winning candidate, starting at c1; it is empty on rejected iterations.
-    ``chosen_lambda`` is the winning damping value, or the escalated grid
-    centre when the iteration was rejected.
+    ``chosen_lambda`` is the winning damping value, or on a rejected
+    iteration the largest damping tried (0 under Gauss-Newton).
     """
 
-    iteration: int
     chosen_lambda: float
     residual_norm: float
     step_norm: float
@@ -160,22 +158,15 @@ class RunResult:
     f_evaluations: int
 
 
-def _candidate_lambdas(config: OptimizerConfig, schedule: LambdaSchedule):
-    if config.inverse_variant == "levenberg_marquardt":
-        return schedule.grid()
-    # Gauss-Newton is the single undamped candidate.
-    return np.array([0.0])
-
-
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
          f0):
     """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
 
-    Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule's
-    grid centre has been escalated) when no candidate improved the residual
-    norm.  Raises StepFailureError when every candidate is unusable and
-    ValueError when ``f0`` is not finite or ``f0`` or the Jacobian has the
-    wrong shape.
+    Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is
+    centred on the largest damping tried) when no candidate improved the
+    residual norm.  Raises StepFailureError when every candidate is unusable
+    and ValueError when ``f0`` is not finite or ``f0`` or the Jacobian has
+    the wrong shape.
     """
     x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
@@ -190,22 +181,19 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     if J.shape != (m, p):
         raise ValueError(f"jacobian returned shape {J.shape}, expected ({m}, {p})")
     factors = SvdFactors(J)
-    lambdas = _candidate_lambdas(config, schedule)
+    # The variant's only read in a step: Gauss-Newton sweeps the grid [0].
+    lambdas = (schedule.grid() if config.inverse_variant == "levenberg_marquardt"
+               else np.zeros(1))
 
     # First-order directions for the whole sweep from one factorization.
-    if config.inverse_variant == "levenberg_marquardt":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c1s = -factors.damped_apply_batch(lambdas, f0)
-    else:
-        c1s = -factors.damped_apply(0.0, f0)[None, :]
+    c1s = -factors.damped_apply_batch(lambdas, f0)
 
     live = np.isfinite(c1s).all(axis=1)
     failure = None  # first evaluator failure of the sweep, kept as the cause
-    if config.order == 1:
-        steps = c1s
-    else:
+    series_at = {}  # candidate index -> its correction series, orders 2-4
+    steps = c1s
+    if config.order > 1:
         steps = np.zeros_like(c1s)
-        series_at = {}
         lams = lambdas.tolist()
         for idx in np.flatnonzero(live).tolist():
             applier = lambda v, lam=lams[idx]: factors.damped_apply(lam, v)
@@ -241,14 +229,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
     norm_end = float(norms[idx])
     if norm_end < norm0:
-        if config.order == 1:
-            series = CorrectionSeries((c1s[idx],), 0)
-        else:
-            series = series_at[idx]
-        if config.inverse_variant == "levenberg_marquardt":
-            schedule.lambda_old = max(float(lambdas[idx]), LAMBDA_FLOOR)
+        series = series_at.get(idx) or CorrectionSeries((c1s[idx],), 0)
+        schedule.lambda_old = max(float(lambdas[idx]), LAMBDA_FLOOR)
         record = IterationRecord(
-            iteration=0,
             chosen_lambda=float(lambdas[idx]),
             residual_norm=norm_end,
             step_norm=_norm(steps[idx]),
@@ -259,11 +242,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         )
         return endpoints[idx].copy(), residuals[idx].copy(), record
 
-    # No candidate beat the current point: stay put, escalate the damping.
-    if config.inverse_variant == "levenberg_marquardt":
-        schedule.lambda_old *= GRID_BASE
+    # No candidate beat the current point: stay put, recentre on the top damping.
+    schedule.lambda_old = float(lambdas[-1])
     record = IterationRecord(
-        iteration=0,
         chosen_lambda=schedule.lambda_old,
         residual_norm=norm0,
         step_norm=0.0,
@@ -302,7 +283,6 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
 
     while not converged and len(trajectory) < config.max_iterations:
         x, f, record = step(x, problem, schedule, config, f0=f)
-        record = dataclasses.replace(record, iteration=len(trajectory) + 1)
         trajectory.append(record)
         total_evals += record.f_evaluations
         rejects = 0 if record.accepted else rejects + 1

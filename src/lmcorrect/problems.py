@@ -101,17 +101,16 @@ def _symmetrize(T: np.ndarray) -> np.ndarray:
 class PolynomialProblem:
     """Polynomial residual map with exact derivative tensors.
 
-    ``f(x) = b + A x + B[x,x] + C[x,x,x] + D[x,x,x,x]`` with symmetric
+    ``f(x) = A x + B[x,x] + C[x,x,x] + D[x,x,x,x]`` with symmetric
     coefficient tensors, so directional derivatives of any order up to 4 are
-    available in closed form for oracle tests.  ``b`` is chosen so that
-    ``f(0) = 0``: every instance has a root at the origin.
+    available in closed form for oracle tests.  There is no constant term:
+    every instance has a root at the origin.
     """
 
     degree: int
     input_dim: int
     output_dim: int
     seed: int
-    b: np.ndarray
     A: np.ndarray
     B: np.ndarray | None
     C: np.ndarray | None
@@ -135,14 +134,14 @@ class PolynomialProblem:
         return tuple(tensors)
 
     def evaluator(self, x) -> np.ndarray:
-        # Horner's rule, f = b + (A + (B + (C + D x) x) x) x: one matrix-vector
+        # Horner's rule, f = (A + (B + (C + D x) x) x) x: one matrix-vector
         # product per coefficient tensor, contracting its last axis with x.
         x = np.asarray(x, dtype=float)
         highest, *lower = self._horner_tensors
         T = highest.dot(x)
         for K in lower:
             T = (K + T.reshape(K.shape)).dot(x)
-        return self.b + T
+        return T
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -182,7 +181,6 @@ def polynomial_problem(degree: int, dim: int, seed: int) -> PolynomialProblem:
         input_dim=dim,
         output_dim=dim,
         seed=seed,
-        b=np.zeros(dim),
         A=A,
         B=B,
         C=C,

@@ -175,13 +175,13 @@ def phase_row_mismatches(phases, order):
 
 
 def einsum_polynomial_evaluator(poly, x):
-    """``b + A x + B[x,x] + C[x,x,x] + D[x,x,x,x]`` as one einsum per tensor.
+    """``A x + B[x,x] + C[x,x,x] + D[x,x,x,x]`` as one einsum per tensor.
 
     The reference for ``PolynomialProblem.evaluator``, which evaluates the
     same polynomial by Horner's rule and so rounds differently.
     """
     x = np.asarray(x, dtype=float)
-    f = poly.b + poly.A @ x
+    f = poly.A @ x
     if poly.B is not None:
         f = f + np.einsum("ijk,j,k->i", poly.B, x, x)
     if poly.C is not None:

@@ -21,6 +21,7 @@ from lmcorrect.corrections import (
     StencilEvaluationError,
     correction_series,
 )
+from lmcorrect.linalg import SvdFactors
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
@@ -243,6 +244,26 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
         assert series.truncated
         assert series.evaluation_count == evaluated
         assert np.array_equal(series.step, c1)
+
+
+def test_inverse_overflow_truncates_series():
+    # The defect at x + c1, (0, 1e303), is within the defect limit, but the
+    # inverse at damping 1e-30 scales it by about 1 / s_min = 1e10: the
+    # correction is inf and the series truncates, without an overflow
+    # warning (an error under the suite's error::RuntimeWarning filter).
+    J = np.diag([1.0, 1e-10])
+    factors = SvdFactors(J)
+
+    def evaluator(p):
+        return np.array([p[0], 1e-10 * p[1] + 1e303 * p[1] ** 2])
+
+    x, c1 = np.zeros(2), np.array([-1.0, -1.0])
+    series = correction_series(x, evaluator(x), J,
+                               lambda v: factors.damped_apply(1e-30, v),
+                               evaluator, c1, 2)
+    assert series.truncated
+    assert series.evaluation_count == 1
+    assert np.array_equal(series.step, c1)
 
 
 def test_stencil_error_carries_offset():

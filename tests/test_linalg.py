@@ -157,12 +157,39 @@ def test_batch_matches_scalar_applications():
     J = rng.normal(size=(6, 4))
     v = rng.normal(size=6)
     factors = SvdFactors(J)
-    lams = 10.0 ** np.arange(-6, 7, dtype=float)
+    lams = np.concatenate([[0.0], 10.0 ** np.arange(-6, 7, dtype=float), [0.0]])
     batch = factors.damped_apply_batch(lams, v)
     for row, lam in zip(batch, lams):
         assert np.allclose(row, factors.damped_apply(lam, v), rtol=1e-13, atol=0)
-    with pytest.raises(ValueError):
-        factors.damped_apply_batch([1.0, 0.0], v)
+    assert np.array_equal(factors.damped_apply_batch([0.0], v), batch[:1])
+    # Zero rows take damped_apply's rank cut, and its warning.
+    rank_one = SvdFactors(np.outer([1.0, 2.0, 0.0], [3.0, 1.0]))
+    w = np.array([1.0, -1.0, 2.0])
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        rows = rank_one.damped_apply_batch([0.0, 1.0, 0.0], w)
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        expected = rank_one.damped_apply(0.0, w)
+    for row in rows[::2]:
+        assert np.allclose(row, expected, rtol=1e-13, atol=0)
+    assert np.allclose(rows[1], rank_one.damped_apply(1.0, w), rtol=1e-13, atol=0)
+    for bad in ([1.0, -1e-3], [np.nan]):
+        with pytest.raises(ValueError):
+            factors.damped_apply_batch(bad, v)
+
+
+def test_overflowing_applications_are_inf_without_a_warning():
+    # |v| is finite, but the gain 1 / s_min = 1e10 (or about 5e9 at
+    # damping 1e-20) carries it past float64.  Under the suite's
+    # error::RuntimeWarning filter any numpy warning here would raise.
+    factors = SvdFactors(np.diag([1.0, 1e-10]))
+    v = np.array([0.0, 1e303])
+    for lam in (0.0, 1e-20):
+        assert np.isinf(factors.damped_apply(lam, v)[1])
+        assert np.isinf(factors.damped_apply_batch([lam, 1.0], v)[0, 1])
+    # Far below the overflow a huge vector keeps the damped formula's bits.
+    v = np.array([1e300, -1e300])
+    assert np.array_equal(factors.damped_apply(1e4, v),
+                          factors.V @ (factors.s / (factors.s2 + 1e4) * (factors.Ut @ v)))
 
 
 def test_applier_closure_matches_function():

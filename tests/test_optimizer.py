@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from helpers import counting_problem
+from lmcorrect.cli import write_trace_csv
 from lmcorrect.corrections import StencilEvaluationError
 from lmcorrect.optimizer import (
     GRID_BASE,
@@ -34,21 +38,15 @@ def test_lambda_grid_shape():
         ]
 
 
-def test_affine_problem_one_undamped_step():
+@pytest.mark.parametrize("order", [1, 2])
+def test_affine_problem_one_undamped_step(order):
     problem = default_affine_problem()
-    config = OptimizerConfig(order=1, inverse_variant="gauss_newton")
+    config = OptimizerConfig(order=order, inverse_variant="gauss_newton")
     result = run(np.array([5.0, -3.0]), problem, config)
     assert result.converged
     assert result.iterations == 1
     assert result.residual_norm <= 1e-12
-
-
-@pytest.mark.parametrize("variant", ["gauss_newton"])
-def test_affine_single_candidate_variants(variant):
-    problem = default_affine_problem()
-    config = OptimizerConfig(order=2, inverse_variant=variant)
-    result = run(np.array([2.0, 2.0]), problem, config)
-    assert result.converged and result.iterations == 1
+    assert result.trajectory[0].chosen_lambda == 0.0
 
 
 def test_gauss_newton_survives_a_singular_jacobian():
@@ -67,11 +65,24 @@ def test_run_counts_include_every_pass_and_records_match():
     result = run(START, valley_problem(100.0), OptimizerConfig(order=2))
     assert result.converged
     assert result.iterations == len(result.trajectory)
-    assert [r.iteration for r in result.trajectory] == list(
-        range(1, result.iterations + 1)
-    )
     assert result.trajectory[-1].residual_norm <= 1e-9
     assert result.residual_norm == result.trajectory[-1].residual_norm
+
+    # |f| = x^2 + 1 bottoms out at 1: this run rejects its second iteration
+    # and its last five.  The trace numbers rows by trajectory position.
+    problem = Problem(1, 1, lambda x: np.array([x[0] ** 2 + 1.0]),
+                      lambda x: np.array([[2.0 * x[0]]]), name="stuck")
+    result = run(np.ones(1), problem, OptimizerConfig(order=1))
+    assert [r.accepted for r in result.trajectory] == (
+        [True, False] + [True] * 3 + [False] * 5)
+    buf = io.StringIO()
+    write_trace_csv(buf, result, order=1)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [int(row["iteration"]) for row in rows] == list(
+        range(1, result.iterations + 1))
+    assert [float(row["lambda"]) for row in rows] == [
+        r.chosen_lambda for r in result.trajectory]
+    assert int(rows[-1]["f_evals_cumulative"]) == result.f_evaluations
 
 
 def test_accepted_residuals_strictly_decrease():
@@ -240,6 +251,9 @@ def test_gauss_newton_stops_at_its_first_rejection(order, iterations,
     assert (result.iterations, result.f_evaluations) == (iterations, f_evaluations)
     assert [r.accepted for r in result.trajectory] == (
         [True] * (iterations - 1) + [False])
+    # The rejected record reports the damping it tried, not a grid centre
+    # that no undamped sweep reads.
+    assert result.trajectory[-1].chosen_lambda == 0.0
 
 
 def _winning_index(evaluator, order):

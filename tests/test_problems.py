@@ -94,9 +94,9 @@ def test_polynomial_problem_has_root_at_origin():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_polynomial_horner_evaluator_matches_einsum_reference(degree, dim):
-    # Coefficients and points lie in [-1, 1] and b = 0, so |f_i| <= p + p^2
-    # + p^3 + p^4 = 120 at p = 3, and the two evaluation orders differ by
-    # rounding only: a few ulps of that bound.
+    # Coefficients and points lie in [-1, 1] and there is no constant term,
+    # so |f_i| <= p + p^2 + p^3 + p^4 = 120 at p = 3, and the two evaluation
+    # orders differ by rounding only: a few ulps of that bound.
     atol = 1e-13
     poly = polynomial_problem(degree, dim, seed=10 * degree + dim)
     rng = np.random.default_rng(degree * dim)
