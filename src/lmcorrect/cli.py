@@ -100,31 +100,38 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run one experiment and return its trace and summary."""
+    """Run one experiment and return its trace and summary.
+
+    A run that ended in a step failure raises that failure, so every command
+    reports it as ``error: ...`` with exit status 1.
+    """
     problem = spec.build_problem()
     start = time.perf_counter()
     result = run(np.array(START_POINT[: problem.input_dim]), problem, spec.config())
+    if result.failure is not None:
+        raise result.failure
     return ExperimentResult(result, time.perf_counter() - start)
 
 
 def write_trace_csv(stream, result: RunResult, order: int) -> None:
     """Per-iteration CSV rows; correction columns above the order stay empty."""
-    writer = csv.DictWriter(stream, fieldnames=TRACE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    # Rows are lists in TRACE_COLUMNS order: csv.writer skips DictWriter's
+    # per-row field lookups and writes the same bytes.
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
     cumulative = 1  # starting-point evaluation
     for number, rec in enumerate(result.trajectory, start=1):
         cumulative += rec.f_evaluations
         norms = rec.corrections_norms
-        row = {
-            "iteration": number,
-            "lambda": repr(rec.chosen_lambda),
-            "residual_norm": repr(rec.residual_norm),
-            "step_norm": repr(rec.step_norm),
-            "f_evals_cumulative": cumulative,
-        }
-        for i, col in enumerate(("c2_norm", "c3_norm", "c4_norm"), start=1):
-            row[col] = repr(norms[i]) if order > i and i < len(norms) else ""
-        writer.writerow(row)
+        writer.writerow([
+            number,
+            repr(rec.chosen_lambda),
+            repr(rec.residual_norm),
+            repr(rec.step_norm),
+            *(repr(norms[i]) if order > i and i < len(norms) else ""
+              for i in (1, 2, 3)),
+            cumulative,
+        ])
 
 
 def atomic_write(path: str, text: str) -> None:

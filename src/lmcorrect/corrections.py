@@ -69,6 +69,19 @@ PHASES = {
 _DEFECT_LIMIT = float(np.finfo(float).max) / max(
     sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases)
 
+
+def _within_defect_limit(values) -> bool:
+    """Whether every value lies in ``[-_DEFECT_LIMIT, _DEFECT_LIMIT]``.
+
+    A comparison chain per value: on a stencil phase's 2-6 defects it costs
+    a third of ``np.abs(block).max()``, and nan fails it in any position.
+    """
+    for d in values:
+        if not -_DEFECT_LIMIT <= d <= _DEFECT_LIMIT:
+            return False
+    return True
+
+
 # New residual evaluations consumed per correction series, by order.
 STENCIL_EVALUATIONS = {1: 0} | {
     order: sum(len(points) for points, _ in phases)
@@ -178,12 +191,16 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
     directions[0] = c1
+    found = [c1]  # the series so far: cheaper to tuple than directions' rows
     # math.hypot cannot overflow, so no norm here warns, however large.
     wild_bound = WILD_CORRECTION_FACTOR * math.hypot(*c1.tolist())
     defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
+    # The products below are ndarray.dot, not the @ operator: on operands of
+    # 2-3 elements the matmul gufunc's dispatch costs about twice the whole
+    # .dot call, and both give the same bits here.
     for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
-        offsets = mult @ directions[:known]
+        offsets = mult.dot(directions[:known])
         points = x + offsets
         first = evaluations
         for key, point in zip(keys, points):
@@ -193,13 +210,17 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_residual(value, m)
-        defects[first:evaluations] -= offsets @ Jt + f0
-        # Only defects within _DEFECT_LIMIT (never nan or inf) reach the
-        # weighted sum, so it stays finite for the inverse, which rejects
-        # non-finite input.  A nan correction norm fails the bound test.
-        c = (inverse_apply(weights @ defects[:evaluations])
-             if np.abs(defects[first:evaluations]).max() <= _DEFECT_LIMIT else None)
-        if c is None or not math.hypot(*c.tolist()) <= wild_bound:
-            return CorrectionSeries(tuple(directions[:known]), evaluations, True)
+        block = defects[first:evaluations]
+        block -= offsets.dot(Jt) + f0
+        # Only defects within _DEFECT_LIMIT (never nan or inf: nan fails
+        # every comparison) reach the weighted sum, so it stays finite for
+        # the inverse, which rejects non-finite input.  A nan correction
+        # norm fails the bound test.
+        if not _within_defect_limit(block.ravel().tolist()):
+            return CorrectionSeries(tuple(found), evaluations, True)
+        c = inverse_apply(weights.dot(defects[:evaluations]))
+        if not math.hypot(*c.tolist()) <= wild_bound:
+            return CorrectionSeries(tuple(found), evaluations, True)
         directions[known] = c
-    return CorrectionSeries(tuple(directions), evaluations)
+        found.append(c)
+    return CorrectionSeries(tuple(found), evaluations)

@@ -150,10 +150,12 @@ class SvdFactors:
             gain = float(scale.max())
         # No partial sum or product here exceeds (gain + 1) |v|: under the
         # bound nothing can overflow (math.hypot also checks finiteness).
+        # ndarray.dot, not @: on 2-3 element operands it costs half of the
+        # matmul gufunc's dispatch, with the same bits.
         if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
-            return self.V @ (scale * (self.Ut @ v))
+            return self.V.dot(scale * self.Ut.dot(v))
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.V @ (scale * (self.Ut @ as_vector(v)))
+            return self.V.dot(scale * self.Ut.dot(as_vector(v)))
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
@@ -165,9 +167,9 @@ class SvdFactors:
         low = lams.min()
         if not low >= 0.0:
             raise ValueError(f"damping must be non-negative, got {low}")
-        utv = self.Ut @ np.asarray(v, dtype=float)
+        utv = self.Ut.dot(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scale = self.s / (self.s2 + lams[:, None])
             if low == 0.0:
                 scale[lams == 0.0] = self._pinv_factors()
-            return (scale * utv) @ self.Vt
+            return (scale * utv).dot(self.Vt)

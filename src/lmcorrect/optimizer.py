@@ -76,10 +76,17 @@ _GRID_FACTORS.flags.writeable = False
 
 
 class StepFailureError(RuntimeError):
-    """Every candidate step produced a non-finite endpoint.
+    """The step could not produce a usable candidate.
 
-    Chained from the sweep's first failed evaluator call, if there was one.
+    Raised when every candidate endpoint is non-finite, chained from the
+    sweep's first failed evaluator call if there was one, and when the
+    Jacobian has a non-finite entry.  ``evaluations`` counts the evaluator
+    calls the step made, failed ones included.
     """
+
+    def __init__(self, message, evaluations: int = 0):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 @dataclass
@@ -150,12 +157,24 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Outcome of :func:`run`, which always returns one.
+
+    ``termination`` says why the run ended: ``"converged"``,
+    ``"max_iterations"``, ``"stalled"`` (too many successive rejections) or
+    ``"step_failure"``.  On a step failure ``failure`` holds the exception
+    (StepFailureError, or numpy's LinAlgError from the SVD); ``x``,
+    ``residual_norm`` and ``trajectory`` are those of the last completed
+    iteration, and ``f_evaluations`` also counts the failed step's calls.
+    """
+
     trajectory: tuple[IterationRecord, ...]
     converged: bool
     iterations: int
     x: np.ndarray
     residual_norm: float
     f_evaluations: int
+    termination: str
+    failure: Exception | None
 
 
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
@@ -165,8 +184,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is
     centred on the largest damping tried) when no candidate improved the
     residual norm.  Raises StepFailureError when every candidate is unusable
-    and ValueError when ``f0`` is not finite or ``f0`` or the Jacobian has
-    the wrong shape.
+    or the Jacobian is not finite, numpy's LinAlgError when its SVD does not
+    converge, and ValueError when ``f0`` is not finite or ``f0`` or the
+    Jacobian has the wrong shape.
     """
     x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
@@ -180,7 +200,13 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     J = np.asarray(problem.jacobian(x), dtype=float)
     if J.shape != (m, p):
         raise ValueError(f"jacobian returned shape {J.shape}, expected ({m}, {p})")
-    factors = SvdFactors(J)
+    try:
+        factors = SvdFactors(J)
+    except np.linalg.LinAlgError:  # a ValueError subclass; run reports it
+        raise
+    except ValueError as exc:
+        # The shape is right, so only a non-finite entry gets here.
+        raise StepFailureError(str(exc)) from exc
     # The variant's only read in a step: Gauss-Newton sweeps the grid [0].
     lambdas = (schedule.grid() if config.inverse_variant == "levenberg_marquardt"
                else np.zeros(1))
@@ -225,7 +251,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     norms[~np.isfinite(norms)] = np.inf
     idx = int(np.argmin(norms))
     if norms[idx] == np.inf:
-        raise StepFailureError(f"no finite candidate endpoint at x={x}") from failure
+        raise StepFailureError(f"no finite candidate endpoint at x={x}",
+                               evals) from failure
 
     norm_end = float(norms[idx])
     if norm_end < norm0:
@@ -256,14 +283,17 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
 
 def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
-    """Iterate :func:`step` until convergence, the iteration cap, or a stall.
+    """Iterate :func:`step` until convergence, the iteration cap, a stall or
+    a step failure; ``RunResult.termination`` says which.
 
-    The trajectory records every iteration, rejected ones included.  A stall
-    (MAX_CONSECUTIVE_REJECTS successive rejections) aborts unconverged; under
-    ``gauss_newton`` one rejection is a stall, since an undamped sweep has no
-    damping to escalate and would repeat exactly.
-    A start point or start residual that is not finite or has the wrong
-    shape raises ValueError.
+    The trajectory records every completed iteration, rejected ones
+    included.  A stall (MAX_CONSECUTIVE_REJECTS successive rejections) aborts
+    unconverged; under ``gauss_newton`` one rejection is a stall, since an
+    undamped sweep has no damping to escalate and would repeat exactly.  A
+    step that raises StepFailureError or LinAlgError ends the run, which
+    returns what it has so far.  A start point or start residual that is not
+    finite or has the wrong shape, and a residual or Jacobian of the wrong
+    shape, raise ValueError.
     """
     x, n = np.asarray(x0, dtype=float), problem.input_dim
     if x.shape != (n,):
@@ -281,14 +311,24 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     max_rejects = (MAX_CONSECUTIVE_REJECTS
                    if config.inverse_variant == "levenberg_marquardt" else 1)
 
+    termination = "converged" if converged else "max_iterations"
+    failure = None
+
     while not converged and len(trajectory) < config.max_iterations:
-        x, f, record = step(x, problem, schedule, config, f0=f)
+        try:
+            x, f, record = step(x, problem, schedule, config, f0=f)
+        except (StepFailureError, np.linalg.LinAlgError) as exc:
+            # The SVD fails before any evaluator call of its step.
+            total_evals += getattr(exc, "evaluations", 0)
+            termination, failure = "step_failure", exc
+            break
         trajectory.append(record)
         total_evals += record.f_evaluations
         rejects = 0 if record.accepted else rejects + 1
         if record.residual_norm <= config.convergence_tol:
-            converged = True
+            converged, termination = True, "converged"
         elif rejects >= max_rejects:
+            termination = "stalled"
             break
 
     return RunResult(
@@ -298,4 +338,6 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
         x=x,
         residual_norm=_norm(f),
         f_evaluations=total_evals,
+        termination=termination,
+        failure=failure,
     )

@@ -59,6 +59,14 @@ def counting_problem(problem: Problem):
     return wrapped, counter
 
 
+def nan_jacobian_below(problem: Problem, y_limit):
+    """The 2-D problem with a nan Jacobian wherever ``x[1] < y_limit``."""
+    def jacobian(x):
+        return np.full((2, 2), np.nan) if x[1] < y_limit else problem.jacobian(x)
+
+    return Problem(2, 2, problem.evaluator, jacobian, name=problem.name)
+
+
 def analytic_correction_series(poly, x, inverse_apply, c1, order):
     """Corrections from exact tensor contractions via the order-n identities.
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import nan_jacobian_below
+from lmcorrect import cli
 from lmcorrect.cli import (
     ConvergenceTable,
     ExperimentSpec,
@@ -20,6 +22,7 @@ from lmcorrect.cli import (
     run_table,
     write_trace_csv,
 )
+from lmcorrect.problems import valley_problem
 
 
 def read_csv(text):
@@ -124,6 +127,24 @@ def test_cli_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--K", "100", "--order", "2"],
+    ["run", "--K", "100", "--order", "2", "--out", "trace.csv"],
+    ["table", "--K", "100", "--order", "1", "2"],
+])
+def test_step_failure_exits_1_with_the_error_line(argv, monkeypatch, tmp_path,
+                                                  capsys):
+    # The Jacobian turns nan below y = 2, which the K = 100 valley crosses
+    # mid-run.  run() returns a step_failure result; the CLI reports it as
+    # one error line and exit status 1, and writes no CSV.
+    monkeypatch.setattr(cli, "valley_problem",
+                        lambda K: nan_jacobian_below(valley_problem(K), 2.0))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_commands_parse():

@@ -15,13 +15,14 @@ from helpers import (
     relative_difference,
 )
 from lmcorrect.corrections import (
+    _DEFECT_LIMIT,
     PHASES,
     CorrectionSeries,
     STENCIL_EVALUATIONS,
     StencilEvaluationError,
     correction_series,
 )
-from lmcorrect.linalg import SvdFactors
+from lmcorrect.linalg import SvdFactors, as_vector
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
@@ -244,6 +245,85 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
         assert series.truncated
         assert series.evaluation_count == evaluated
         assert np.array_equal(series.step, c1)
+
+
+def _series_of_residuals(residual, order,
+                         inverse_apply=lambda v: 1e-3 * as_vector(v)):
+    """A series whose defects are exactly the residuals: x, f0 and J are 0.
+
+    ``residual(n)`` gives the n-th evaluator call's value (from 1).  The
+    default inverse rejects non-finite input, as ``damped_apply`` does, so a
+    defect that slips past the guard raises instead of truncating.
+    """
+    calls = []
+
+    def evaluator(p):
+        calls.append(p)
+        return residual(len(calls))
+
+    series = correction_series(np.zeros(2), np.zeros(2), np.zeros((2, 2)),
+                               inverse_apply, evaluator, np.array([1.0, 1.0]),
+                               order)
+    assert series.evaluation_count == len(calls)
+    return series
+
+
+@pytest.mark.parametrize("order,phase", [
+    (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
+])
+def test_defect_guard_truncates_in_every_phase(order, phase):
+    # One point of the phase returns a bad value in one component: the
+    # series stops after the phase, charged exactly the calls made, and
+    # keeps the corrections of the phases before it.
+    sizes = [len(points) for points, _ in PHASES[order]]
+    first, end = sum(sizes[:phase - 1]), sum(sizes[:phase])
+
+    def good(n):
+        return np.array([0.1, -0.2]) * n
+
+    clean = _series_of_residuals(good, order)
+    assert not clean.truncated
+    assert clean.evaluation_count == STENCIL_EVALUATIONS[order]
+    for bad in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+        for component in (0, 1):
+            for target in range(first + 1, end + 1):
+                def residual(n):
+                    value = good(n)
+                    if n == target:
+                        value[component] = bad
+                    return value
+
+                series = _series_of_residuals(residual, order)
+                assert series.truncated
+                assert series.evaluation_count == end
+                assert len(series.corrections) == phase
+                for kept, expected in zip(series.corrections, clean.corrections):
+                    assert np.array_equal(kept, expected)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_defects_at_the_limit_do_not_truncate(order):
+    # Defects of exactly +-_DEFECT_LIMIT keep every weighted sum finite, so
+    # they reach the inverse; one ulp beyond the limit truncates.
+    seen = []
+
+    def inverse(v):
+        seen.append(v)
+        return 1e-308 * v
+
+    for value in ([_DEFECT_LIMIT, -_DEFECT_LIMIT], [-_DEFECT_LIMIT, _DEFECT_LIMIT]):
+        series = _series_of_residuals(lambda n: np.array(value), order, inverse)
+        assert not series.truncated
+        assert series.evaluation_count == STENCIL_EVALUATIONS[order]
+    assert len(seen) == 2 * (order - 1)
+    assert all(np.isfinite(v).all() for v in seen)
+    beyond = np.nextafter(_DEFECT_LIMIT, np.inf)
+    for component in (0, 1):
+        value = np.zeros(2)
+        value[component] = beyond
+        series = _series_of_residuals(lambda n: value, order)
+        assert series.truncated
+        assert series.evaluation_count == len(PHASES[order][0][0])
 
 
 def test_inverse_overflow_truncates_series():

@@ -100,6 +100,21 @@ def test_damped_is_bitwise_the_svd_formula(shape):
             assert np.array_equal(f.damped_apply(float(lam), v), expected)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 3)])
+def test_batch_is_bitwise_the_svd_formula(shape):
+    # Every row, a zero damping's included, is the formula's row exactly.
+    rng = np.random.default_rng(100 + sum(shape))
+    for _ in range(50):
+        J = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[1])
+        v = rng.normal(size=shape[0])
+        f = SvdFactors(J)
+        lams = np.concatenate([[0.0], 10.0 ** rng.uniform(-8, 8, size=20)])
+        scale = f.s / (f.s * f.s + lams[:, None])
+        scale[0] = 1.0 / f.s
+        expected = (scale * (f.U.T @ v)) @ f.Vt
+        assert np.array_equal(f.damped_apply_batch(lams, v), expected)
+
+
 def test_damped_norm_decreases_with_damping():
     rng = np.random.default_rng(7)
     for _ in range(10):

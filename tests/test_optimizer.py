@@ -1,12 +1,21 @@
 import csv
 import io
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import counting_problem
+from helpers import counting_problem, nan_jacobian_below
+from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
-from lmcorrect.corrections import StencilEvaluationError
+from lmcorrect.corrections import (
+    PHASES,
+    STENCIL_EVALUATIONS,
+    StencilEvaluationError,
+)
 from lmcorrect.optimizer import (
     GRID_BASE,
     INVERSE_VARIANTS,
@@ -325,6 +334,7 @@ def test_rejection_escalates_damping_and_stalls():
     lambdas = [r.chosen_lambda for r in result.trajectory]
     assert lambdas == [GRID_BASE ** (k + 1) for k in range(5)]
     assert np.array_equal(result.x, np.zeros(1))
+    assert (result.termination, result.failure) == ("stalled", None)
 
 
 def test_lambda_floor_prevents_underflow():
@@ -344,12 +354,14 @@ def test_max_iterations_censors_run():
     result = run(START, valley_problem(1e6), OptimizerConfig(order=1, max_iterations=40))
     assert not result.converged
     assert result.iterations == 40
+    assert (result.termination, result.failure) == ("max_iterations", None)
 
 
 def test_converged_start_needs_no_iterations():
     result = run(np.zeros(2), valley_problem(1e4), OptimizerConfig(order=4))
     assert result.converged and result.iterations == 0
     assert result.f_evaluations == 1
+    assert (result.termination, result.failure) == ("converged", None)
 
 
 def test_nonfinite_start_rejected():
@@ -440,3 +452,160 @@ def test_quadratic_endgame_is_short():
     result = run(START, valley_problem(1e4), OptimizerConfig(order=2))
     tail = [r for r in result.trajectory if r.residual_norm < 0.1]
     assert 0 < len(tail) <= 6
+
+
+def test_nonfinite_jacobian_fails_the_step():
+    # A non-finite Jacobian is a numerical outcome, not a contract violation:
+    # step raises StepFailureError before any evaluator call.  A wrong shape
+    # stays a ValueError (test_step_rejects_wrong_shaped_jacobian).
+    problem = nan_jacobian_below(valley_problem(100.0), 10.0)
+    with pytest.raises(StepFailureError,
+                       match="matrix entries must be finite") as info:
+        step(START, problem, LambdaSchedule(), OptimizerConfig(order=2),
+             f0=problem.evaluator(START))
+    assert info.value.evaluations == 0
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_nonfinite_jacobian_mid_run_returns_the_trajectory():
+    # The K = 100 valley from (pi, e) crosses y = 2 after three order-2
+    # iterations, and the Jacobian is nan beyond: the run returns what it has.
+    problem, counter = counting_problem(
+        nan_jacobian_below(valley_problem(100.0), 2.0))
+    result = run(START, problem, OptimizerConfig(order=2))
+    assert result.termination == "step_failure"
+    assert isinstance(result.failure, StepFailureError)
+    assert not result.converged
+    assert result.iterations == len(result.trajectory) == 3
+    assert all(r.accepted for r in result.trajectory)
+    assert result.f_evaluations == counter["evals"] == 1 + 3 * 21 * 2
+    assert result.x[1] < 2.0
+    assert result.residual_norm == result.trajectory[-1].residual_norm
+
+
+def test_failed_step_is_counted_and_returned():
+    # Every residual is nan after the first iteration's 43 calls: the second
+    # sweep fails, and the run returns after one iteration, still charging
+    # the failed sweep's 21 x 2 calls.
+    valley = valley_problem(100.0)
+    calls = {"n": 0}
+
+    def evaluator(x):
+        calls["n"] += 1
+        return valley.evaluator(x) if calls["n"] <= 43 else np.full(2, np.nan)
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="expiring")
+    result = run(START, problem, OptimizerConfig(order=2))
+    assert result.termination == "step_failure"
+    assert str(result.failure).startswith("no finite candidate endpoint")
+    assert result.failure.evaluations == 42
+    assert result.iterations == 1
+    assert result.f_evaluations == calls["n"] == 1 + 42 + 42
+
+
+def test_svd_failure_ends_the_run(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    problem, counter = counting_problem(valley_problem(100.0))
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    result = run(START, problem, OptimizerConfig(order=3))
+    assert result.termination == "step_failure"
+    assert isinstance(result.failure, np.linalg.LinAlgError)
+    assert result.iterations == 0
+    assert result.f_evaluations == counter["evals"] == 1
+    assert np.array_equal(result.x, START)
+
+
+FAULTS = ("raise", "nan", "inf")
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_counts_equal_calls_under_injected_failures(order, data):
+    # Evaluator calls fail at random: they raise, or return nan or inf in
+    # one component.  From a random call on, every call may fail, and a
+    # random Jacobian may be nan.  The run always returns, and every charge
+    # equals the calls made: per series, per step and per run.
+    stencil = STENCIL_EVALUATIONS[order]
+    last_call = 1 + 2 * 21 * (stencil + 1)
+    faults = data.draw(st.dictionaries(st.integers(2, last_call),
+                                       st.sampled_from(FAULTS), max_size=40))
+    cutoff = data.draw(st.none() | st.integers(2, last_call))
+    cutoff_fault = data.draw(st.sampled_from(FAULTS))
+    bad_jacobian = data.draw(st.none() | st.integers(1, 2))
+
+    valley = valley_problem(100.0)
+    calls = {"evaluator": 0, "jacobian": 0}
+
+    def evaluator(x):
+        calls["evaluator"] += 1
+        n = calls["evaluator"]
+        fault = faults.get(n) or (cutoff_fault if cutoff and n >= cutoff else None)
+        if fault == "raise":
+            raise FloatingPointError("injected")
+        value = valley.evaluator(x)
+        if fault is not None:
+            value[n % 2] = np.nan if fault == "nan" else np.inf
+        return value
+
+    def jacobian(x):
+        calls["jacobian"] += 1
+        if calls["jacobian"] == bad_jacobian:
+            return np.full((2, 2), np.nan)
+        return valley.jacobian(x)
+
+    # (calls made, calls charged, truncated or None if it raised) per series,
+    # and (calls made, calls charged, its series) per step.
+    series_log, step_log = [], []
+    correction_series = optimizer.correction_series
+
+    def logged_series(*args, **kwargs):
+        before = calls["evaluator"]
+        try:
+            series = correction_series(*args, **kwargs)
+        except StencilEvaluationError as exc:
+            series_log.append((calls["evaluator"] - before, exc.evaluations, None))
+            raise
+        series_log.append((calls["evaluator"] - before, series.evaluation_count,
+                           series.truncated))
+        return series
+
+    def logged_step(*args, **kwargs):
+        before, first = calls["evaluator"], len(series_log)
+        try:
+            result = step(*args, **kwargs)
+        except StepFailureError as exc:
+            step_log.append((calls["evaluator"] - before, exc.evaluations,
+                             series_log[first:]))
+            raise
+        step_log.append((calls["evaluator"] - before, result[2].f_evaluations,
+                         series_log[first:]))
+        return result
+
+    problem = Problem(2, 2, evaluator, jacobian, name="faulty")
+    with mock.patch.object(optimizer, "correction_series", logged_series), \
+            mock.patch.object(optimizer, "step", logged_step):
+        result = run(START, problem, OptimizerConfig(order=order, max_iterations=2))
+
+    assert result.f_evaluations == calls["evaluator"]
+    assert (result.failure is None) == (result.termination != "step_failure")
+    phase_ends = set(itertools.accumulate(
+        len(points) for points, _ in PHASES.get(order, ())))
+    for made, charged, series_of_step in step_log:
+        assert charged == made
+        # Each candidate is charged its stencil calls, plus its endpoint
+        # unless its stencil raised.  A nan Jacobian fails before any call.
+        if order == 1:
+            assert charged in (0, 21)
+        else:
+            assert charged == sum(c + (t is not None) for _, c, t in series_of_step)
+        for series_made, series_charged, truncated in series_of_step:
+            assert series_charged == series_made
+            if truncated is False:
+                assert series_charged == stencil
+            elif truncated:
+                # Truncation skips whole phases: the charge is the stencil
+                # less the points skipped, so it ends a phase.
+                assert series_charged in phase_ends
