@@ -15,7 +15,6 @@ from .corrections import (
     correction_series,
 )
 from .faadibruno import (
-    CorrectionTerm,
     DerivativeTerm,
     correction_identity_terms,
     derivative_terms,
@@ -46,7 +45,6 @@ __all__ = [
     "CorrectionSeries",
     "StencilEvaluationError",
     "correction_series",
-    "CorrectionTerm",
     "DerivativeTerm",
     "correction_identity_terms",
     "derivative_terms",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faadibruno
+from .corrections import STENCIL_EVALUATIONS
 from .optimizer import OptimizerConfig, RunResult, StepFailureError, run
 from .problems import Problem, default_affine_problem, valley_problem
 
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     single.add_argument("--problem", choices=["valley", "affine"], default="valley")
     single.add_argument("--K", type=float, default=1e6,
                         help="anisotropy factor of the valley problem")
-    single.add_argument("--order", type=int, default=1, choices=[1, 2, 3, 4],
+    single.add_argument("--order", type=int, default=1,
+                        choices=list(STENCIL_EVALUATIONS),
                         help="correction order")
     _add_solver_options(single)
     single.set_defaults(handler=_cmd_run)
@@ -286,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         grid.add_argument("--K", type=float, nargs="+", default=[1e6],
                           help="anisotropy factors of the valley problem")
         grid.add_argument("--order", type=int, nargs="+", default=[1],
-                          choices=[1, 2, 3, 4], help="correction orders")
+                          choices=list(STENCIL_EVALUATIONS),
+                          help="correction orders")
         _add_solver_options(grid)
         grid.set_defaults(handler=handler)
     terms = sub.add_parser("terms", help="print the derivative term expansion")

@@ -180,8 +180,9 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     and sets the ``truncated`` flag.  A failing evaluator call raises
     StencilEvaluationError; a residual of the wrong shape raises ValueError.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError(f"correction order must be in {{1, 2, 3, 4}}, got {order}")
+    if order not in STENCIL_EVALUATIONS:
+        orders = ", ".join(map(str, STENCIL_EVALUATIONS))
+        raise ValueError(f"correction order must be in {{{orders}}}, got {order}")
     c1 = np.asarray(c1, dtype=float)
     if order == 1:
         return CorrectionSeries((c1,), 0)

@@ -9,22 +9,21 @@ here by repeatedly applying ``d/dt`` as a term-rewriting rule and collecting
 like terms; an independent set-partition enumeration cross-checks the
 coefficients in the test suite.
 
-Substituting scaled step corrections ``c_k`` for the time derivatives turns
-the same expansion into the identity used to solve for the order-n correction
-of a finite optimization step; :func:`correction_identity_terms` produces it
-with exact rational coefficients.
+Substituting scaled step corrections ``x^(a) = a! c_a`` for the time
+derivatives turns the same expansion into the identity used to solve for the
+order-n correction of a finite optimization step;
+:func:`correction_identity_terms` produces it as the same term type.  Every
+coefficient, in either form, is an exact integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 __all__ = [
     "MAX_ORDER",
     "DerivativeTerm",
-    "CorrectionTerm",
     "derivative_terms",
     "correction_identity_terms",
     "format_derivative_identity",
@@ -37,45 +36,23 @@ MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class DerivativeTerm:
-    """One collected term ``coefficient * f^(f_order)[x^(a) for a in x_orders]``."""
+    """One collected term ``coefficient * f^(f_order)[x^(a) for a in x_orders]``.
+
+    In the finite-step identity the same term reads
+    ``coefficient * f^(f_order)[c_k for k in x_orders]``: there ``x_orders``
+    index the corrections c_k.
+    """
 
     coefficient: int
     f_order: int
     x_orders: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.coefficient < 1:
-            raise ValueError("coefficient must be a positive integer")
-        if self.f_order != len(self.x_orders):
-            raise ValueError("f_order must equal the number of x-derivative factors")
-        if any(a < 1 for a in self.x_orders):
-            raise ValueError("x-derivative orders must be >= 1")
-        if tuple(sorted(self.x_orders)) != self.x_orders:
-            raise ValueError("x_orders must be non-decreasing")
 
-
-@dataclass(frozen=True)
-class CorrectionTerm:
-    """One term ``coefficient * f^(f_order)[c_k for k in c_orders]`` of the
-    order-n finite-step identity."""
-
-    coefficient: Fraction
-    f_order: int
-    c_orders: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.coefficient <= 0:
-            raise ValueError("coefficient must be positive")
-        if self.f_order != len(self.c_orders):
-            raise ValueError("f_order must equal the number of correction factors")
-
-
-def _check_order(n: int, minimum: int) -> int:
+def _check_order(n: int, minimum: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"order must be an integer, got {n!r}")
     if not minimum <= n <= MAX_ORDER:
         raise ValueError(f"order must be in [{minimum}, {MAX_ORDER}], got {n}")
-    return n
 
 
 def _sort_key(item):
@@ -116,7 +93,7 @@ def derivative_terms(n: int) -> list[DerivativeTerm]:
     ]
 
 
-def correction_identity_terms(n: int) -> tuple[CorrectionTerm, list[CorrectionTerm]]:
+def correction_identity_terms(n: int) -> tuple[DerivativeTerm, list[DerivativeTerm]]:
     """Finite-step identity at order ``n``: ``lead + sum(rest) = 0``.
 
     Substituting ``a!-scaled`` corrections for the time derivatives multiplies
@@ -128,11 +105,9 @@ def correction_identity_terms(n: int) -> tuple[CorrectionTerm, list[CorrectionTe
     lead = None
     rest = []
     for term in derivative_terms(n):
-        coeff = Fraction(term.coefficient)
-        for a in term.x_orders:
-            coeff *= factorial(a)
-        cterm = CorrectionTerm(coefficient=coeff, f_order=term.f_order,
-                               c_orders=term.x_orders)
+        cterm = DerivativeTerm(
+            coefficient=term.coefficient * prod(map(factorial, term.x_orders)),
+            f_order=term.f_order, x_orders=term.x_orders)
         if term.f_order == 1 and term.x_orders == (n,):
             lead = cterm
         else:
@@ -141,25 +116,20 @@ def correction_identity_terms(n: int) -> tuple[CorrectionTerm, list[CorrectionTe
     return lead, rest
 
 
-def _format_factors(symbol: str, orders) -> str:
-    return " ".join(f"{symbol}^({a})" for a in orders)
+def _format_terms(terms, factor) -> str:
+    """``c f^(d)[...]`` summands, each factor order rendered by ``factor``."""
+    return " + ".join(
+        ("" if t.coefficient == 1 else f"{t.coefficient} ")
+        + f"f^({t.f_order})[{' '.join(map(factor, t.x_orders))}]"
+        for t in terms)
 
 
 def format_derivative_identity(n: int) -> str:
     """Human-readable expansion of ``d^n/dt^n f(x(t)) = 0``."""
-    parts = []
-    for term in derivative_terms(n):
-        coeff = "" if term.coefficient == 1 else f"{term.coefficient} "
-        parts.append(f"{coeff}f^({term.f_order})[{_format_factors('x', term.x_orders)}]")
-    return " + ".join(parts) + " = 0"
+    return _format_terms(derivative_terms(n), "x^({})".format) + " = 0"
 
 
 def format_correction_formula(n: int) -> str:
     """Human-readable solved form ``c_n = -1/n! Jinv(...)`` of the identity."""
     lead, rest = correction_identity_terms(n)
-    parts = []
-    for term in rest:
-        coeff = "" if term.coefficient == 1 else f"{term.coefficient} "
-        factors = " ".join(f"c_{a}" for a in term.c_orders)
-        parts.append(f"{coeff}f^({term.f_order})[{factors}]")
-    return f"c_{n} = -1/{lead.coefficient} Jinv( " + " + ".join(parts) + " )"
+    return f"c_{n} = -1/{lead.coefficient} Jinv( {_format_terms(rest, 'c_{}'.format)} )"

@@ -107,14 +107,34 @@ class SvdFactors:
     Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing.  One instance is
     computed per Jacobian and reused for every damping value applied to it,
     so the transposes ``Ut``, ``V`` and the squares ``s2`` are taken once here.
+
+    A singular value above about 1.3e154 squares to inf, where the damped
+    scale ``s / (s^2 + lam)`` would be 0 and drop its direction.  Such
+    squares lead ``s2``, and both apply methods give their rows the same
+    quotient without the square, ``1 / (s + lam / s)``.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2", "_overflowed", "_apply_limit")
 
     def __init__(self, J):
         J = as_matrix(J)
         self.U, self.s, self.Vt = np.linalg.svd(J, full_matrices=False)
-        self.Ut, self.V, self.s2 = self.U.T, self.Vt.T, self.s * self.s
+        self.Ut, self.V = self.U.T, self.Vt.T
+        # s is non-increasing, so below _SQUARE_SAFE its first entry shows
+        # that no square overflows, without an errstate block or a count.
+        if self.s[0] < _SQUARE_SAFE:
+            self.s2, self._overflowed = self.s * self.s, 0
+        else:
+            with np.errstate(over="ignore"):
+                self.s2 = self.s * self.s
+            self._overflowed = int(np.count_nonzero(self.s2 == math.inf))
+        self._apply_limit = 0.0 if self._overflowed else _APPLY_SAFE
+
+    def _rescale_overflowed(self, scale, lams) -> None:
+        """Set the overflowed rows of ``scale`` to ``1 / (s + lam / s)``;
+        ``lams`` is one damping, or a column of one per row of ``scale``."""
+        s = self.s[: self._overflowed]
+        scale[..., : self._overflowed] = 1.0 / (s + lams / s)
 
     def _pinv_factors(self) -> np.ndarray:
         """``1 / s``, or 0 with a RuntimeWarning below ``RANK_RCOND * s_max``."""
@@ -150,10 +170,13 @@ class SvdFactors:
             gain = float(scale.max())
         # No partial sum or product here exceeds (gain + 1) |v|: under the
         # bound nothing can overflow (math.hypot also checks finiteness).
+        # The limit is 0 if a square overflowed: the path below fixes its row.
         # ndarray.dot, not @: on 2-3 element operands it costs half of the
         # matmul gufunc's dispatch, with the same bits.
-        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
+        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < self._apply_limit:
             return self.V.dot(scale * self.Ut.dot(v))
+        if self._overflowed and lam != 0.0:
+            self._rescale_overflowed(scale, lam)
         with np.errstate(over="ignore", invalid="ignore"):
             return self.V.dot(scale * self.Ut.dot(as_vector(v)))
 
@@ -170,6 +193,8 @@ class SvdFactors:
         utv = self.Ut.dot(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             scale = self.s / (self.s2 + lams[:, None])
+            if self._overflowed:
+                self._rescale_overflowed(scale, lams[:, None])
             if low == 0.0:
                 scale[lams == 0.0] = self._pinv_factors()
             return (scale * utv).dot(self.Vt)

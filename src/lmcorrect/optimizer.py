@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import (
+    STENCIL_EVALUATIONS,
     CorrectionSeries,
     StencilEvaluationError,
     correction_series,
@@ -80,8 +81,9 @@ class StepFailureError(RuntimeError):
 
     Raised when every candidate endpoint is non-finite, chained from the
     sweep's first failed evaluator call if there was one, and when the
-    Jacobian has a non-finite entry.  ``evaluations`` counts the evaluator
-    calls the step made, failed ones included.
+    Jacobian has a non-finite entry or its SVD does not converge, chained
+    from that error.  ``evaluations`` counts the evaluator calls the step
+    made, failed ones included.
     """
 
     def __init__(self, message, evaluations: int = 0):
@@ -122,8 +124,9 @@ class OptimizerConfig:
     inverse_variant: str = "levenberg_marquardt"
 
     def __post_init__(self):
-        if self.order not in (1, 2, 3, 4):
-            raise ValueError(f"order must be in {{1, 2, 3, 4}}, got {self.order}")
+        if self.order not in STENCIL_EVALUATIONS:
+            orders = ", ".join(map(str, STENCIL_EVALUATIONS))
+            raise ValueError(f"order must be in {{{orders}}}, got {self.order}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:
@@ -161,10 +164,10 @@ class RunResult:
 
     ``termination`` says why the run ended: ``"converged"``,
     ``"max_iterations"``, ``"stalled"`` (too many successive rejections) or
-    ``"step_failure"``.  On a step failure ``failure`` holds the exception
-    (StepFailureError, or numpy's LinAlgError from the SVD); ``x``,
-    ``residual_norm`` and ``trajectory`` are those of the last completed
-    iteration, and ``f_evaluations`` also counts the failed step's calls.
+    ``"step_failure"``.  On a step failure ``failure`` holds the
+    StepFailureError; ``x``, ``residual_norm`` and ``trajectory`` are those
+    of the last completed iteration, and ``f_evaluations`` also counts the
+    failed step's calls.
     """
 
     trajectory: tuple[IterationRecord, ...]
@@ -174,7 +177,7 @@ class RunResult:
     residual_norm: float
     f_evaluations: int
     termination: str
-    failure: Exception | None
+    failure: StepFailureError | None
 
 
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
@@ -183,10 +186,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
     Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is
     centred on the largest damping tried) when no candidate improved the
-    residual norm.  Raises StepFailureError when every candidate is unusable
-    or the Jacobian is not finite, numpy's LinAlgError when its SVD does not
-    converge, and ValueError when ``f0`` is not finite or ``f0`` or the
-    Jacobian has the wrong shape.
+    residual norm.  Raises StepFailureError when every candidate is unusable,
+    the Jacobian is not finite or its SVD does not converge, and ValueError
+    when ``f0`` is not finite or ``f0`` or the Jacobian has the wrong shape.
     """
     x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
@@ -202,10 +204,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         raise ValueError(f"jacobian returned shape {J.shape}, expected ({m}, {p})")
     try:
         factors = SvdFactors(J)
-    except np.linalg.LinAlgError:  # a ValueError subclass; run reports it
-        raise
     except ValueError as exc:
-        # The shape is right, so only a non-finite entry gets here.
+        # The shape is right, so only a non-finite entry or an SVD that did
+        # not converge (LinAlgError is a ValueError) gets here.
         raise StepFailureError(str(exc)) from exc
     # The variant's only read in a step: Gauss-Newton sweeps the grid [0].
     lambdas = (schedule.grid() if config.inverse_variant == "levenberg_marquardt"
@@ -290,10 +291,10 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     included.  A stall (MAX_CONSECUTIVE_REJECTS successive rejections) aborts
     unconverged; under ``gauss_newton`` one rejection is a stall, since an
     undamped sweep has no damping to escalate and would repeat exactly.  A
-    step that raises StepFailureError or LinAlgError ends the run, which
-    returns what it has so far.  A start point or start residual that is not
-    finite or has the wrong shape, and a residual or Jacobian of the wrong
-    shape, raise ValueError.
+    step that raises StepFailureError ends the run, which returns what it
+    has so far.  A start point or start residual that is not finite or has
+    the wrong shape, and a residual or Jacobian of the wrong shape, raise
+    ValueError.
     """
     x, n = np.asarray(x0, dtype=float), problem.input_dim
     if x.shape != (n,):
@@ -306,34 +307,33 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     total_evals = 1
     schedule = LambdaSchedule()
     trajectory: list[IterationRecord] = []
-    converged = _norm(f) <= config.convergence_tol
     rejects = 0
     max_rejects = (MAX_CONSECUTIVE_REJECTS
                    if config.inverse_variant == "levenberg_marquardt" else 1)
 
-    termination = "converged" if converged else "max_iterations"
+    termination = ("converged" if _norm(f) <= config.convergence_tol
+                   else "max_iterations")
     failure = None
 
-    while not converged and len(trajectory) < config.max_iterations:
+    while termination != "converged" and len(trajectory) < config.max_iterations:
         try:
             x, f, record = step(x, problem, schedule, config, f0=f)
-        except (StepFailureError, np.linalg.LinAlgError) as exc:
-            # The SVD fails before any evaluator call of its step.
-            total_evals += getattr(exc, "evaluations", 0)
+        except StepFailureError as exc:
+            total_evals += exc.evaluations
             termination, failure = "step_failure", exc
             break
         trajectory.append(record)
         total_evals += record.f_evaluations
         rejects = 0 if record.accepted else rejects + 1
         if record.residual_norm <= config.convergence_tol:
-            converged, termination = True, "converged"
+            termination = "converged"
         elif rejects >= max_rejects:
             termination = "stalled"
             break
 
     return RunResult(
         trajectory=tuple(trajectory),
-        converged=converged,
+        converged=termination == "converged",
         iterations=len(trajectory),
         x=x,
         residual_norm=_norm(f),

@@ -79,7 +79,7 @@ def analytic_correction_series(poly, x, inverse_apply, c1, order):
         lead, rest = correction_identity_terms(n)
         total = np.zeros(poly.output_dim)
         for term in rest:
-            vectors = [cs[k - 1] for k in term.c_orders]
+            vectors = [cs[k - 1] for k in term.x_orders]
             total = total + float(term.coefficient) * derivative_contraction(
                 poly, x, term.f_order, *vectors
             )
@@ -173,7 +173,7 @@ def phase_row_mismatches(phases, order):
             for key, coeff in defect_monomials(q, order).items():
                 got[key] = got.get(key, 0) + exact_weight(w) * coeff
         lead, rest = correction_identity_terms(n)
-        want = {(t.f_order, t.c_orders): -t.coefficient / lead.coefficient
+        want = {(t.f_order, t.x_orders): Fraction(-t.coefficient, lead.coefficient)
                 for t in rest}
         known = all(not any(q[n - 1:]) for q in added)
         if not (known and len(weights) == len(points)

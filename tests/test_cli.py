@@ -147,6 +147,15 @@ def test_step_failure_exits_1_with_the_error_line(argv, monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_svd_failure_exits_1_with_the_error_line(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["run", "--K", "100", "--order", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: SVD did not converge\n")
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```\w*\n(.*?)^```", readme, flags=re.M | re.S)

@@ -1,10 +1,10 @@
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from helpers import partition_shape_counts
 from lmcorrect.faadibruno import (
+    MAX_ORDER,
     correction_identity_terms,
     derivative_terms,
     format_correction_formula,
@@ -69,12 +69,20 @@ def test_coefficient_sum_is_bell_number(n):
     assert sum(t.coefficient for t in derivative_terms(n)) == BELL[n]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
 def test_term_shape_invariants(n):
-    for term in derivative_terms(n):
+    # The terms are only ever built by the library, so their invariants are
+    # checked here rather than on construction: every order the generator
+    # accepts, both forms of the expansion.
+    terms = derivative_terms(n)
+    if n >= 2:
+        lead, rest = correction_identity_terms(n)
+        terms += [lead, *rest]
+    for term in terms:
         assert sum(term.x_orders) == n
         assert len(term.x_orders) == term.f_order
-        assert term.coefficient >= 1
+        assert type(term.coefficient) is int and term.coefficient >= 1
+        assert min(term.x_orders) >= 1
         assert term.x_orders == tuple(sorted(term.x_orders))
 
 
@@ -95,8 +103,8 @@ def test_order_bounds():
 
 def test_correction_identity_order2():
     lead, rest = correction_identity_terms(2)
-    assert lead.coefficient == 2 and lead.f_order == 1 and lead.c_orders == (2,)
-    assert [(t.coefficient, t.f_order, t.c_orders) for t in rest] == [
+    assert lead.coefficient == 2 and lead.f_order == 1 and lead.x_orders == (2,)
+    assert [(t.coefficient, t.f_order, t.x_orders) for t in rest] == [
         (1, 2, (1, 1))
     ]
 
@@ -104,7 +112,7 @@ def test_correction_identity_order2():
 def test_correction_identity_order3():
     lead, rest = correction_identity_terms(3)
     assert lead.coefficient == 6
-    assert [(t.coefficient, t.f_order, t.c_orders) for t in rest] == [
+    assert [(t.coefficient, t.f_order, t.x_orders) for t in rest] == [
         (1, 3, (1, 1, 1)),
         (6, 2, (1, 2)),
     ]
@@ -113,7 +121,7 @@ def test_correction_identity_order3():
 def test_correction_identity_order4():
     lead, rest = correction_identity_terms(4)
     assert lead.coefficient == 24
-    assert [(t.coefficient, t.f_order, t.c_orders) for t in rest] == [
+    assert [(t.coefficient, t.f_order, t.x_orders) for t in rest] == [
         (1, 4, (1, 1, 1, 1)),
         (12, 3, (1, 1, 2)),
         (24, 2, (1, 3)),
@@ -127,11 +135,9 @@ def test_correction_coefficients_scale_by_factorials(n):
     lead, rest = correction_identity_terms(n)
     assert lead.coefficient == factorial(n)
     for term in rest:
-        base = derivative[(term.f_order, term.c_orders)]
-        scale = Fraction(1)
-        for a in term.c_orders:
-            scale *= factorial(a)
-        assert term.coefficient == base * scale
+        base = derivative[(term.f_order, term.x_orders)]
+        assert type(term.coefficient) is int
+        assert term.coefficient == base * prod(map(factorial, term.x_orders))
 
 
 def test_formatting_smoke():

@@ -207,6 +207,30 @@ def test_overflowing_applications_are_inf_without_a_warning():
                           factors.V @ (factors.s / (factors.s2 + 1e4) * (factors.Ut @ v)))
 
 
+def test_overflowing_squares_keep_their_direction():
+    # s = 1e200 squares to inf, so s / (s^2 + lam) would be 0 and drop the
+    # first direction; that row is 1 / (s + lam / s) instead, with no
+    # warning under the suite's error::RuntimeWarning filter.  The other
+    # row keeps the damped formula's bits.
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    factors = SvdFactors(rotation @ np.diag([1e200, 2.0]))
+    assert factors.s2[0] == np.inf
+    v = rotation @ np.array([3e200, 4.0])
+    lams = np.array([1e-4, 1.0, 1e4, 1e300])
+    batch = factors.damped_apply_batch(lams, v)
+    for lam, row in zip(lams, batch):
+        scale = np.array([1.0 / (1e200 + lam / 1e200), 2.0 / (4.0 + lam)])
+        expected = factors.V.dot(scale * factors.Ut.dot(v))
+        got = factors.damped_apply(lam, v)
+        assert np.array_equal(got, expected)
+        assert np.allclose(row, got, rtol=1e-13, atol=0)
+        assert abs(got[0]) == pytest.approx(3.0, rel=1e-12)
+    # Zero damping needs no square: it is 1 / s, as before, and cuts s = 2
+    # as below RANK_RCOND * 1e200.
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        assert abs(factors.damped_apply(0.0, v)[0]) == pytest.approx(3.0, rel=1e-12)
+
+
 def test_applier_closure_matches_function():
     # The optimizer binds one factorization per Jacobian into a closure per
     # damping value; reusing it must match a fresh factorization.

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,19 @@ def test_huge_steps_keep_finite_norms(order):
     assert len(first.corrections_norms) == order
     assert all(np.isfinite(r.corrections_norms).all() and np.isfinite(r.step_norm)
                for r in result.trajectory)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_jacobian_whose_square_overflows_still_steps(order):
+    # At K = 1e307 the valley Jacobian's largest singular value, about
+    # 6.4e307, squares to inf.  Its direction must still be taken, with no
+    # overflow warning: the first step moves and the residual falls.
+    problem = valley_problem(1e307)
+    start_norm = math.hypot(*problem.evaluator(START))
+    result = run(START, problem, OptimizerConfig(order=order))
+    first = result.trajectory[0]
+    assert first.accepted and first.step_norm > 0.0
+    assert result.residual_norm < start_norm
 
 
 @pytest.mark.parametrize("order,iterations,f_evaluations", [
@@ -511,13 +525,20 @@ def test_svd_failure_ends_the_run(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     result = run(START, problem, OptimizerConfig(order=3))
     assert result.termination == "step_failure"
-    assert isinstance(result.failure, np.linalg.LinAlgError)
+    # One failure type for a step: the SVD's error is its cause.
+    assert isinstance(result.failure, StepFailureError)
+    assert isinstance(result.failure.__cause__, np.linalg.LinAlgError)
+    assert str(result.failure) == "SVD did not converge"
+    assert result.failure.evaluations == 0
     assert result.iterations == 0
     assert result.f_evaluations == counter["evals"] == 1
     assert np.array_equal(result.x, START)
 
 
 FAULTS = ("raise", "nan", "inf")
+# A Jacobian fault: one non-finite entry, or every entry scaled by 1e300,
+# so that the squares of its singular values overflow.
+JACOBIAN_FAULTS = ("nan", "inf", "-inf", "huge")
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -526,7 +547,8 @@ FAULTS = ("raise", "nan", "inf")
 def test_counts_equal_calls_under_injected_failures(order, data):
     # Evaluator calls fail at random: they raise, or return nan or inf in
     # one component.  From a random call on, every call may fail, and a
-    # random Jacobian may be nan.  The run always returns, and every charge
+    # random Jacobian may have a nan or +-inf entry, or singular values
+    # whose squares overflow.  The run always returns, and every charge
     # equals the calls made: per series, per step and per run.
     stencil = STENCIL_EVALUATIONS[order]
     last_call = 1 + 2 * 21 * (stencil + 1)
@@ -535,6 +557,7 @@ def test_counts_equal_calls_under_injected_failures(order, data):
     cutoff = data.draw(st.none() | st.integers(2, last_call))
     cutoff_fault = data.draw(st.sampled_from(FAULTS))
     bad_jacobian = data.draw(st.none() | st.integers(1, 2))
+    jacobian_fault = data.draw(st.sampled_from(JACOBIAN_FAULTS))
 
     valley = valley_problem(100.0)
     calls = {"evaluator": 0, "jacobian": 0}
@@ -552,9 +575,12 @@ def test_counts_equal_calls_under_injected_failures(order, data):
 
     def jacobian(x):
         calls["jacobian"] += 1
+        J = valley.jacobian(x)
         if calls["jacobian"] == bad_jacobian:
-            return np.full((2, 2), np.nan)
-        return valley.jacobian(x)
+            if jacobian_fault == "huge":
+                return J * 1e300
+            J[1, 0] = float(jacobian_fault)
+        return J
 
     # (calls made, calls charged, truncated or None if it raised) per series,
     # and (calls made, calls charged, its series) per step.
