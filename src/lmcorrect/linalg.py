@@ -4,7 +4,9 @@ Every step direction in this package is the damped pseudo-inverse
 ``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0`` case is the Gauss-Newton
 minimum-norm pseudo-inverse, which on a square nonsingular ``J`` is Newton's
 step ``J^{-1} v``.  :class:`SvdFactors` holds one thin SVD of ``J``, so that
-a sweep over damping values reuses the factorization.  Everything is float64.
+a sweep over damping values reuses the factorization; its smallest singular
+value, the valley direction's, stays accurate on ill-conditioned ``J``, and
+its damped scale squares nothing.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -14,19 +16,20 @@ import warnings
 
 import numpy as np
 
-__all__ = [
-    "as_vector",
-    "as_residual",
-    "as_matrix",
-    "SvdFactors",
-]
+__all__ = ["as_vector", "as_residual", "as_matrix", "SvdFactors"]
 
 # Reciprocal singular values below RANK_RCOND * sigma_max are zeroed when
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
 RANK_RCOND = 1e-14
 
-# ``damped_apply``'s bound on its intermediates: half of float64's maximum.
+# At or below ACCURATE_RCOND * sigma_max LAPACK's smallest singular value may
+# have no correct digit; SvdFactors then takes the graded factorization.
+ACCURATE_RCOND = 1e3 * float(np.finfo(float).eps)
+
+# ``damped_apply``'s bound on its intermediates: half of float64's maximum;
+# at or above _TINY, 1 / s stays below it.
 _APPLY_SAFE = float(np.finfo(float).max) / 2
+_TINY = 1.0 / _APPLY_SAFE
 
 # Below this Euclidean norm a vector's ``v.dot(v)`` cannot overflow: its
 # square, 1e308, leaves float64 room for the rounding of the sum.
@@ -104,55 +107,47 @@ def _norm(v) -> float:
 class SvdFactors:
     """Thin SVD of a Jacobian, shared by every damping value applied to it.
 
-    Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing.  One instance is
-    computed per Jacobian and reused for every damping value applied to it,
-    so the transposes ``Ut``, ``V`` and the squares ``s2`` are taken once here.
-
-    A singular value above about 1.3e154 squares to inf, where the damped
-    scale ``s / (s^2 + lam)`` would be 0 and drop its direction.  Such
-    squares lead ``s2``, and both apply methods give their rows the same
-    quotient without the square, ``1 / (s + lam / s)``.
+    Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing, and takes the
+    transposes ``Ut``, ``V`` and the reciprocals ``inv_s = 1 / s`` once.  The
+    damped scale ``s / (s^2 + lam)`` is ``1 / (s + lam * inv_s)``, which
+    squares nothing, so no singular value over- or underflows out of its
+    direction.  Once ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min``
+    may have no correct digit, and ``J`` is refactored by the graded-matrix
+    recipe of Demmel et al., "Computing the singular value decomposition
+    with high relative accuracy" (1999), which keeps it.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "s2", "_overflowed", "_apply_limit")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_max_damping")
 
     def __init__(self, J):
         J = as_matrix(J)
-        self.U, self.s, self.Vt = np.linalg.svd(J, full_matrices=False)
-        self.Ut, self.V = self.U.T, self.Vt.T
-        # s is non-increasing, so below _SQUARE_SAFE its first entry shows
-        # that no square overflows, without an errstate block or a count.
-        if self.s[0] < _SQUARE_SAFE:
-            self.s2, self._overflowed = self.s * self.s, 0
-        else:
-            with np.errstate(over="ignore"):
-                self.s2 = self.s * self.s
-            self._overflowed = int(np.count_nonzero(self.s2 == math.inf))
-        self._apply_limit = 0.0 if self._overflowed else _APPLY_SAFE
-
-    def _rescale_overflowed(self, scale, lams) -> None:
-        """Set the overflowed rows of ``scale`` to ``1 / (s + lam / s)``;
-        ``lams`` is one damping, or a column of one per row of ``scale``."""
-        s = self.s[: self._overflowed]
-        scale[..., : self._overflowed] = 1.0 / (s + lams / s)
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        if s[-1] <= ACCURATE_RCOND * s[0]:
+            # Sort the rows by their largest magnitude, take a Householder
+            # QR, then the SVD of R, and put U's rows back in J's order.
+            order = np.argsort(-np.abs(J).max(axis=1), kind="stable")
+            Q, R = np.linalg.qr(J[order])
+            U, s, Vt = np.linalg.svd(R, full_matrices=False)
+            U = Q.dot(U)[np.argsort(order)]
+        self.U, self.s, self.Vt, self.Ut, self.V = U, s, Vt, U.T, Vt.T
+        if s[-1] >= _TINY:
+            self.inv_s = 1.0 / s
+        else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
+            with np.errstate(divide="ignore", over="ignore"):
+                self.inv_s = 1.0 / s
+        # Below this damping no lam * inv_s overflows (damped_apply's fast path).
+        self._max_damping = _APPLY_SAFE / float(self.inv_s[-1])
 
     def _pinv_factors(self) -> np.ndarray:
         """``1 / s``, or 0 with a RuntimeWarning below ``RANK_RCOND * s_max``."""
-        s = self.s
-        keep = s > RANK_RCOND * (s[0] if s.size else 0.0)
+        keep = self.s > RANK_RCOND * self.s[0]
         if not np.all(keep):
-            warnings.warn(
-                "rank-deficient Jacobian at zero damping; "
-                "returning the minimum-norm solution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        factors = np.zeros_like(s)
-        factors[keep] = 1.0 / s[keep]
-        return factors
+            warnings.warn("rank-deficient Jacobian at zero damping; returning "
+                          "the minimum-norm solution", RuntimeWarning, stacklevel=3)
+        return np.where(keep, self.inv_s, 0.0)
 
     def damped_apply(self, lam: float, v) -> np.ndarray:
-        """Return ``(J^T J + lam I)^{-1} J^T v`` via ``s / (s^2 + lam)``.
+        """Return ``(J^T J + lam I)^{-1} J^T v`` via ``1 / (s + lam / s)``.
 
         At ``lam == 0`` this is the Gauss-Newton pseudo-inverse; singular
         values below ``RANK_RCOND * s_max`` are then dropped (minimum-norm
@@ -162,21 +157,20 @@ class SvdFactors:
         if lam < 0.0:
             raise ValueError(f"damping must be non-negative, got {lam}")
         v = np.asarray(v, dtype=float)
-        if lam != 0.0:
-            scale = self.s / (self.s2 + lam)
+        if 0.0 < lam < self._max_damping:
+            scale = np.reciprocal(self.s + lam * self.inv_s)
             gain = 0.5 / math.sqrt(lam)  # the maximum of s / (s^2 + lam)
-        else:
+        elif lam == 0.0:
             scale = self._pinv_factors()
             gain = float(scale.max())
+        else:  # lam * inv_s would overflow: the batch handles that unwarned
+            return self.damped_apply_batch(np.full(1, lam), as_vector(v))[0]
         # No partial sum or product here exceeds (gain + 1) |v|: under the
         # bound nothing can overflow (math.hypot also checks finiteness).
-        # The limit is 0 if a square overflowed: the path below fixes its row.
         # ndarray.dot, not @: on 2-3 element operands it costs half of the
         # matmul gufunc's dispatch, with the same bits.
-        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < self._apply_limit:
+        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
             return self.V.dot(scale * self.Ut.dot(v))
-        if self._overflowed and lam != 0.0:
-            self._rescale_overflowed(scale, lam)
         with np.errstate(over="ignore", invalid="ignore"):
             return self.V.dot(scale * self.Ut.dot(as_vector(v)))
 
@@ -192,9 +186,12 @@ class SvdFactors:
             raise ValueError(f"damping must be non-negative, got {low}")
         utv = self.Ut.dot(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scale = self.s / (self.s2 + lams[:, None])
-            if self._overflowed:
-                self._rescale_overflowed(scale, lams[:, None])
+            lam_s = lams[:, None] * self.inv_s
+            scale = np.reciprocal(self.s + lam_s)
+            # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the
+            # scale is s / lam.  inv_s is non-decreasing: test the last column.
+            if math.inf in lam_s[:, -1].tolist():
+                scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
             if low == 0.0:
                 scale[lams == 0.0] = self._pinv_factors()
             return (scale * utv).dot(self.Vt)

@@ -83,12 +83,14 @@ class StepFailureError(RuntimeError):
     sweep's first failed evaluator call if there was one, and when the
     Jacobian has a non-finite entry or its SVD does not converge, chained
     from that error.  ``evaluations`` counts the evaluator calls the step
-    made, failed ones included.
+    made, failed ones included.  ``causes`` maps the grid index of every
+    candidate whose evaluator call raised to that error, in sweep order.
     """
 
-    def __init__(self, message, evaluations: int = 0):
+    def __init__(self, message, evaluations: int = 0, causes=None):
         super().__init__(message)
         self.evaluations = evaluations
+        self.causes = causes or {}
 
 
 @dataclass
@@ -216,7 +218,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     c1s = -factors.damped_apply_batch(lambdas, f0)
 
     live = np.isfinite(c1s).all(axis=1)
-    failure = None  # first evaluator failure of the sweep, kept as the cause
+    causes = {}  # candidate index -> its failed evaluator call, in sweep order
     series_at = {}  # candidate index -> its correction series, orders 2-4
     steps = c1s
     if config.order > 1:
@@ -230,7 +232,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
                 )
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
-                failure = exc if failure is None else failure
+                causes[idx] = exc
                 live[idx] = False
                 continue
             evals += series.evaluation_count
@@ -245,15 +247,15 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         try:
             value = problem.evaluator(endpoints[idx])
         except Exception as exc:
-            failure = exc if failure is None else failure
+            causes[idx] = exc
             continue
         residuals[idx] = as_residual(value, m)
     norms = _row_norms(residuals)
     norms[~np.isfinite(norms)] = np.inf
     idx = int(np.argmin(norms))
     if norms[idx] == np.inf:
-        raise StepFailureError(f"no finite candidate endpoint at x={x}",
-                               evals) from failure
+        raise StepFailureError(f"no finite candidate endpoint at x={x}", evals,
+                               causes) from next(iter(causes.values()), None)
 
     norm_end = float(norms[idx])
     if norm_end < norm0:

@@ -168,6 +168,41 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
         assert relative_difference(got, want) <= 1e-10
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("degree", [3, 4])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 999),
+    dim=st.sampled_from([2, 3]),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda u: max(map(abs, u[:2])) >= 0.1),
+)
+def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
+                                                   direction):
+    # On cubics and quartics the stencils are no longer exact, but the last
+    # correction's error against the identity contractions is O(|c1|^(n+1)),
+    # one order above c_n itself, as in criterion 4.  So its ratio to
+    # |c1|^(n+1) stays bounded as |c1| halves from 0.1 to 0.00625: the last
+    # ratio is at most 1.5 times the largest before it, where an
+    # O(|c1|^n) error would double it at every halving.  Ratios may still
+    # rise toward their limit (the largest last step seen is 1.23 over 6000
+    # draws) or dip first where higher terms cancel at the larger |c1|.
+    poly = polynomial_problem(degree, dim, seed=seed)
+    x, f0, J, inv, _ = make_context(poly.as_problem(), [0.3, -0.2, 0.1][:dim])
+    u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
+    ratios = []
+    for h in 0.1 / 2.0 ** np.arange(5):
+        series = correction_series(x, f0, J, inv, poly.evaluator, h * u, order)
+        # A near-singular J makes some correction wild, beyond
+        # WILD_CORRECTION_FACTOR |c1|, and the series truncates by design;
+        # about 1-2% of draws.
+        assume(not series.truncated)
+        oracle = analytic_correction_series(poly, x, inv, h * u, order)
+        error = np.linalg.norm(series.corrections[-1] - oracle[-1])
+        ratios.append(error / h ** (order + 1))
+    assert ratios[-1] <= 1.5 * max(ratios[:-1])
+
+
 # -- evaluation accounting -----------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,20 +86,32 @@ def test_damped_rejects_nonfinite_or_misshaped_vector(v):
         SvdFactors(np.eye(2)).damped_apply(0.5, v)
 
 
+def squaring_scale(f, lams):
+    """The damped scale by its textbook formula, ``s / (s^2 + lam)``."""
+    return f.s / (f.s * f.s + lams)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 3)])
 def test_damped_is_bitwise_the_svd_formula(shape):
-    # The stored transposes and squares are the arrays the formula would
-    # compute on each call, so the result matches it exactly, for numpy and
-    # Python-float damping alike.
+    # The stored transposes and reciprocals are the arrays the formula
+    # 1 / (s + lam / s) would compute on each call, so the result matches it
+    # exactly, for numpy and Python-float damping alike, and matches the
+    # squaring formula s / (s^2 + lam) to rounding.
     rng = np.random.default_rng(sum(shape))
     for _ in range(50):
         J = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[1])
         v = rng.normal(size=shape[0])
         f = SvdFactors(J)
+        assert np.array_equal(f.inv_s, 1.0 / f.s)
         for lam in 10.0 ** rng.uniform(-8, 8, size=4):
-            expected = f.Vt.T @ (f.s / (f.s * f.s + lam) * (f.U.T @ v))
+            scale = np.reciprocal(f.s + lam * (1.0 / f.s))
+            expected = f.Vt.T @ (scale * (f.U.T @ v))
             assert np.array_equal(f.damped_apply(lam, v), expected)
             assert np.array_equal(f.damped_apply(float(lam), v), expected)
+            assert np.allclose(scale, squaring_scale(f, lam), rtol=1e-13, atol=0)
+            assert np.allclose(expected,
+                               f.Vt.T @ (squaring_scale(f, lam) * (f.U.T @ v)),
+                               rtol=1e-13, atol=1e-13 * np.linalg.norm(expected))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 3)])
@@ -109,8 +123,10 @@ def test_batch_is_bitwise_the_svd_formula(shape):
         v = rng.normal(size=shape[0])
         f = SvdFactors(J)
         lams = np.concatenate([[0.0], 10.0 ** rng.uniform(-8, 8, size=20)])
-        scale = f.s / (f.s * f.s + lams[:, None])
+        scale = np.reciprocal(f.s + lams[:, None] * (1.0 / f.s))
         scale[0] = 1.0 / f.s
+        assert np.allclose(scale[1:], squaring_scale(f, lams[1:, None]),
+                           rtol=1e-13, atol=0)
         expected = (scale * (f.U.T @ v)) @ f.Vt
         assert np.array_equal(f.damped_apply_batch(lams, v), expected)
 
@@ -203,23 +219,27 @@ def test_overflowing_applications_are_inf_without_a_warning():
         assert np.isinf(factors.damped_apply_batch([lam, 1.0], v)[0, 1])
     # Far below the overflow a huge vector keeps the damped formula's bits.
     v = np.array([1e300, -1e300])
-    assert np.array_equal(factors.damped_apply(1e4, v),
-                          factors.V @ (factors.s / (factors.s2 + 1e4) * (factors.Ut @ v)))
+    scale = np.reciprocal(factors.s + 1e4 * factors.inv_s)
+    got = factors.damped_apply(1e4, v)
+    assert np.array_equal(got, factors.V @ (scale * (factors.Ut @ v)))
+    assert np.allclose(got, factors.V @ (squaring_scale(factors, 1e4) * (factors.Ut @ v)),
+                       rtol=1e-13, atol=0)
 
 
 def test_overflowing_squares_keep_their_direction():
     # s = 1e200 squares to inf, so s / (s^2 + lam) would be 0 and drop the
-    # first direction; that row is 1 / (s + lam / s) instead, with no
-    # warning under the suite's error::RuntimeWarning filter.  The other
-    # row keeps the damped formula's bits.
+    # first direction; 1 / (s + lam / s) squares nothing and keeps it, with
+    # no warning under the suite's error::RuntimeWarning filter.
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
     factors = SvdFactors(rotation @ np.diag([1e200, 2.0]))
-    assert factors.s2[0] == np.inf
+    assert math.isinf(float(factors.s[0]) * float(factors.s[0]))
     v = rotation @ np.array([3e200, 4.0])
     lams = np.array([1e-4, 1.0, 1e4, 1e300])
     batch = factors.damped_apply_batch(lams, v)
     for lam, row in zip(lams, batch):
-        scale = np.array([1.0 / (1e200 + lam / 1e200), 2.0 / (4.0 + lam)])
+        scale = np.reciprocal(factors.s + lam * factors.inv_s)
+        assert np.allclose(scale, [1.0 / (1e200 + lam / 1e200), 2.0 / (4.0 + lam)],
+                           rtol=1e-13, atol=0)
         expected = factors.V.dot(scale * factors.Ut.dot(v))
         got = factors.damped_apply(lam, v)
         assert np.array_equal(got, expected)
@@ -229,6 +249,33 @@ def test_overflowing_squares_keep_their_direction():
     # as below RANK_RCOND * 1e200.
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         assert abs(factors.damped_apply(0.0, v)[0]) == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e10, 1e300])
+def test_damping_past_lam_over_s_keeps_the_squaring_values(lam):
+    # lam / s overflows at s = 1e-300, where s^2 is negligible beside lam:
+    # that direction's scale is s / lam (1e-310 is subnormal; 1e-600 rounds
+    # to 0), bit for bit what s / (s^2 + lam) gives, with no warning.
+    factors = SvdFactors(np.diag([1.0, 1e-300]))
+    v = np.ones(2)
+    expected = [1.0 / (1.0 + lam), 1e-300 / lam]
+    assert np.array_equal(factors.damped_apply(lam, v), expected)
+    assert np.array_equal(factors.damped_apply_batch([1.0, lam], v)[1], expected)
+    assert np.array_equal(squaring_scale(factors, lam), expected)
+
+
+@pytest.mark.parametrize("K", [1e16, 1e100, 1e307])
+def test_graded_valley_jacobian_keeps_its_small_singular_value(K):
+    # At (1.72, 2.97) the valley Jacobian [[1, 2y], [-2Kx, K]] has
+    # |det J| = K |1 + 4xy|, so s_min = (K / s_max) |1 + 4xy|, about 6,
+    # far below eps * s_max: the stock SVD returns 5.76 at K = 1e16 and 0
+    # beyond.  Divide first: K * 21.4 overflows at K = 1e307.
+    x, y = 1.72, 2.97
+    J = valley_jacobian(K, x, y)
+    f = SvdFactors(J)
+    assert f.s[-1] == pytest.approx((K / f.s[0]) * abs(1.0 + 4.0 * x * y), rel=1e-12)
+    assert np.abs(reconstruct(f) - J).max() <= 1e-14 * f.s[0]
+    assert np.allclose(f.U.T @ f.U, np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_applier_closure_matches_function():

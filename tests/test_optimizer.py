@@ -152,7 +152,10 @@ def test_step_failure_is_chained_to_the_first_failed_call():
         with pytest.raises(StepFailureError) as info:
             step(np.zeros(2), problem, LambdaSchedule(),
                  OptimizerConfig(order=order), f0=np.array([1.0, 1.0]))
+        # Every candidate failed, and each is named by its grid index.
+        assert list(info.value.causes) == list(range(21))
         cause = info.value.__cause__
+        assert cause is info.value.causes[0]
         if order > 1:
             # Every stencil fails first; its error keeps the evaluator's.
             assert isinstance(cause, StencilEvaluationError)
@@ -251,13 +254,30 @@ def test_huge_steps_keep_finite_norms(order):
 def test_jacobian_whose_square_overflows_still_steps(order):
     # At K = 1e307 the valley Jacobian's largest singular value, about
     # 6.4e307, squares to inf.  Its direction must still be taken, with no
-    # overflow warning: the first step moves and the residual falls.
+    # overflow warning: the first step moves and the residual falls.  The
+    # valley direction's singular value, about 6, lies far below eps * s_max,
+    # and keeping it keeps the run stepping: it no longer stalls within 10
+    # iterations, so the cap of 50 ends it (a full run takes about 5000).
     problem = valley_problem(1e307)
     start_norm = math.hypot(*problem.evaluator(START))
-    result = run(START, problem, OptimizerConfig(order=order))
+    result = run(START, problem, OptimizerConfig(order=order, max_iterations=50))
     first = result.trajectory[0]
     assert first.accepted and first.step_norm > 0.0
     assert result.residual_norm < start_norm
+    assert result.termination == "max_iterations"
+
+
+def test_valley_direction_is_kept_where_the_stock_svd_loses_it():
+    # The K = 1e16 order-4 run stalled here at |f| = 1.55: LAPACK returned
+    # the valley's singular value, about 1.9 (cond(J) is about 1e16), as 0,
+    # so no step followed the valley and every candidate was rejected.
+    problem = valley_problem(1e16)
+    x0 = np.array([0.8980502919813091, 0.8064943269277146])
+    start_norm = math.hypot(*problem.evaluator(x0))
+    result = run(x0, problem, OptimizerConfig(order=4, max_iterations=50))
+    assert result.termination == "max_iterations"
+    assert sum(r.accepted for r in result.trajectory) >= 45
+    assert result.residual_norm < 0.97 * start_norm
 
 
 @pytest.mark.parametrize("order,iterations,f_evaluations", [
@@ -305,6 +325,36 @@ def test_ties_skip_nonfinite_candidates(order):
         return np.array([0.5, 0.0])
 
     assert _winning_index(evaluator, order) == 7
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_exact_ties_at_random_grid_indices_go_to_the_lowest(order, data):
+    # Endpoint residuals tie exactly at random grid indices: the same two
+    # entries, negated or not, have bit-identical norms (swapped ones need
+    # not, since the norm may fuse a multiply-add).  Every other
+    # endpoint's residual is longer or non-finite.  The lowest tied index
+    # wins.  The map is affine at every stencil point, so no correction
+    # truncates, and the last 21 calls are the endpoints in grid order.
+    ties = data.draw(st.sets(st.integers(0, 20), min_size=2))
+    a, b = data.draw(st.floats(0.01, 0.7)), data.draw(st.floats(0.0, 0.7))
+    tied = st.sampled_from([(a, b), (-a, b), (a, -b), (-a, -b)])
+    longer = st.floats(1.001, 100.0).map(lambda k: (k * a, k * b))
+    nonfinite = st.sampled_from([(math.nan, 0.0), (0.0, -math.inf)])
+    rows = [data.draw(tied if idx in ties else longer | nonfinite)
+            for idx in range(21)]
+    stencil_calls = 21 * STENCIL_EVALUATIONS[order]
+    calls = itertools.count()
+
+    def evaluator(p):
+        n = next(calls)
+        if n < stencil_calls:
+            return np.array([1.0, 1.0]) + p
+        return np.array(rows[n - stencil_calls])
+
+    assert _winning_index(evaluator, order) == min(ties)
+    assert next(calls) == stencil_calls + 21
 
 
 @pytest.mark.parametrize("K,order,iterations,f_evaluations", [
@@ -549,7 +599,8 @@ def test_counts_equal_calls_under_injected_failures(order, data):
     # one component.  From a random call on, every call may fail, and a
     # random Jacobian may have a nan or +-inf entry, or singular values
     # whose squares overflow.  The run always returns, and every charge
-    # equals the calls made: per series, per step and per run.
+    # equals the calls made: per series, per step and per run.  A failed
+    # step names, by grid index, every candidate whose evaluator call raised.
     stencil = STENCIL_EVALUATIONS[order]
     last_call = 1 + 2 * 21 * (stencil + 1)
     faults = data.draw(st.dictionaries(st.integers(2, last_call),
@@ -561,11 +612,13 @@ def test_counts_equal_calls_under_injected_failures(order, data):
 
     valley = valley_problem(100.0)
     calls = {"evaluator": 0, "jacobian": 0}
+    raised = []  # per evaluator call: did it raise
 
     def evaluator(x):
         calls["evaluator"] += 1
         n = calls["evaluator"]
         fault = faults.get(n) or (cutoff_fault if cutoff and n >= cutoff else None)
+        raised.append(fault == "raise")
         if fault == "raise":
             raise FloatingPointError("injected")
         value = valley.evaluator(x)
@@ -583,8 +636,9 @@ def test_counts_equal_calls_under_injected_failures(order, data):
         return J
 
     # (calls made, calls charged, truncated or None if it raised) per series,
-    # and (calls made, calls charged, its series) per step.
-    series_log, step_log = [], []
+    # and (calls made, calls charged, its series) per step; the causes of
+    # each failed step against those expected from its calls.
+    series_log, step_log, causes_log = [], [], []
     correction_series = optimizer.correction_series
 
     def logged_series(*args, **kwargs):
@@ -605,10 +659,32 @@ def test_counts_equal_calls_under_injected_failures(order, data):
         except StepFailureError as exc:
             step_log.append((calls["evaluator"] - before, exc.evaluations,
                              series_log[first:]))
+            causes_log.append((exc, expected_causes(before, series_log[first:])))
             raise
         step_log.append((calls["evaluator"] - before, result[2].f_evaluations,
                          series_log[first:]))
         return result
+
+    def expected_causes(before, series_of_step):
+        # The valley's 21 first-order directions are finite, so every
+        # candidate runs its series in grid order; those that did not raise
+        # then evaluate their endpoints, again in grid order.
+        if before == calls["evaluator"]:
+            return {}
+        assert order == 1 or len(series_of_step) == 21
+        expected, survivors = {}, []
+        for idx, (made, _, truncated) in enumerate(series_of_step):
+            before += made
+            if truncated is None:
+                expected[idx] = StencilEvaluationError
+            else:
+                survivors.append(idx)
+        if order == 1:
+            survivors = list(range(21))
+        for idx, failed in zip(survivors, raised[before:], strict=True):
+            if failed:
+                expected[idx] = FloatingPointError
+        return expected
 
     problem = Problem(2, 2, evaluator, jacobian, name="faulty")
     with mock.patch.object(optimizer, "correction_series", logged_series), \
@@ -635,3 +711,8 @@ def test_counts_equal_calls_under_injected_failures(order, data):
                 # Truncation skips whole phases: the charge is the stencil
                 # less the points skipped, so it ends a phase.
                 assert series_charged in phase_ends
+    for exc, expected in causes_log:
+        assert list(exc.causes) == list(expected)
+        assert all(type(exc.causes[idx]) is kind for idx, kind in expected.items())
+        if exc.causes:
+            assert exc.__cause__ is next(iter(exc.causes.values()))
