@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -87,6 +88,18 @@ STENCIL_EVALUATIONS = {1: 0} | {
     order: sum(len(points) for points, _ in phases)
     for order, phases in PHASES.items()
 }
+
+
+def _check_order(order) -> None:
+    """Raise ValueError unless ``order`` is an integer key of STENCIL_EVALUATIONS.
+
+    ``2.0 in STENCIL_EVALUATIONS`` and ``True in STENCIL_EVALUATIONS`` hold, so
+    floats and bools are turned away by type first.
+    """
+    if (isinstance(order, bool) or not isinstance(order, Integral)
+            or order not in STENCIL_EVALUATIONS):
+        orders = ", ".join(map(str, STENCIL_EVALUATIONS))
+        raise ValueError(f"order must be an integer in {{{orders}}}, got {order!r}")
 
 
 class StencilEvaluationError(RuntimeError):
@@ -167,7 +180,7 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
         Residual evaluator; called once at each stencil point of
         ``PHASES[order]``.
     c1 : array
-        First-order step.
+        First-order step: finite, with the shape of ``x``.
     order : int
         Correction order in {1, 2, 3, 4}.
 
@@ -178,23 +191,28 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
     truncates the series at the previous order, skips the remaining phases
     and sets the ``truncated`` flag.  A failing evaluator call raises
-    StencilEvaluationError; a residual of the wrong shape raises ValueError.
+    StencilEvaluationError; a residual of the wrong shape, a bad order or a
+    non-finite or misshaped ``c1`` raises ValueError.
     """
-    if order not in STENCIL_EVALUATIONS:
-        orders = ", ".join(map(str, STENCIL_EVALUATIONS))
-        raise ValueError(f"correction order must be in {{{orders}}}, got {order}")
+    _check_order(order)
+    x = np.asarray(x, dtype=float)
     c1 = np.asarray(c1, dtype=float)
+    if c1.ndim != 1 or c1.shape != x.shape:
+        raise ValueError(f"c1 has shape {c1.shape}, expected {x.shape}")
+    # math.hypot cannot overflow, so no norm here warns, however large; it is
+    # non-finite for a non-finite c1, or for a finite one beyond float64.
+    c1_norm = math.hypot(*c1.tolist())
+    if not c1_norm < math.inf and not np.isfinite(c1).all():
+        raise ValueError("c1 must be finite")
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    x = np.asarray(x, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     Jt = np.asarray(J, dtype=float).T
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
     directions[0] = c1
     found = [c1]  # the series so far: cheaper to tuple than directions' rows
-    # math.hypot cannot overflow, so no norm here warns, however large.
-    wild_bound = WILD_CORRECTION_FACTOR * math.hypot(*c1.tolist())
+    wild_bound = WILD_CORRECTION_FACTOR * c1_norm
     defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
     # The products below are ndarray.dot, not the @ operator: on operands of

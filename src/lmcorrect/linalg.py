@@ -111,13 +111,14 @@ class SvdFactors:
     transposes ``Ut``, ``V`` and the reciprocals ``inv_s = 1 / s`` once.  The
     damped scale ``s / (s^2 + lam)`` is ``1 / (s + lam * inv_s)``, which
     squares nothing, so no singular value over- or underflows out of its
-    direction.  Once ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min``
-    may have no correct digit, and ``J`` is refactored by the graded-matrix
-    recipe of Demmel et al., "Computing the singular value decomposition
-    with high relative accuracy" (1999), which keeps it.
+    direction.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept
+    for its last sweep.  Once ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's
+    ``s_min`` may have no correct digit, and ``J`` is refactored by the
+    graded-matrix recipe of Demmel et al., "Computing the singular value
+    decomposition with high relative accuracy" (1999), which keeps it.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_max_damping")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_lams", "_rows")
 
     def __init__(self, J):
         J = as_matrix(J)
@@ -135,16 +136,30 @@ class SvdFactors:
         else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
-        # Below this damping no lam * inv_s overflows (damped_apply's fast path).
-        self._max_damping = _APPLY_SAFE / float(self.inv_s[-1])
+        self._lams, self._rows = [], None  # the last sweep's dampings and scales
 
-    def _pinv_factors(self) -> np.ndarray:
-        """``1 / s``, or 0 with a RuntimeWarning below ``RANK_RCOND * s_max``."""
-        keep = self.s > RANK_RCOND * self.s[0]
-        if not np.all(keep):
-            warnings.warn("rank-deficient Jacobian at zero damping; returning "
-                          "the minimum-norm solution", RuntimeWarning, stacklevel=3)
-        return np.where(keep, self.inv_s, 0.0)
+    def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
+        """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
+
+        Callers ignore divide, over and invalid in an errstate.  At zero damping
+        the row is ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
+        """
+        low = min(lam_list)  # on 21 values a list scan beats a numpy reduction
+        if not (low >= 0.0 and sum(lam_list) >= 0.0):  # a nan makes the sum nan
+            raise ValueError(f"damping must be non-negative, got {lams.min()}")
+        lam_s = lams[:, None] * self.inv_s
+        scale = np.reciprocal(self.s + lam_s)
+        # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the scale
+        # is s / lam.  inv_s is non-decreasing: test the last column.
+        if math.inf in lam_s[:, -1].tolist():
+            scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
+        if low == 0.0:
+            keep = self.s > RANK_RCOND * self.s[0]
+            if not keep.all():
+                warnings.warn("rank-deficient Jacobian at zero damping; returning the "
+                              "minimum-norm solution", RuntimeWarning, stacklevel=3)
+            scale[lams == 0.0] = np.where(keep, self.inv_s, 0.0)
+        return scale
 
     def damped_apply(self, lam: float, v) -> np.ndarray:
         """Return ``(J^T J + lam I)^{-1} J^T v`` via ``1 / (s + lam / s)``.
@@ -154,21 +169,16 @@ class SvdFactors:
         solution) and a RuntimeWarning flags the rank deficiency.  A result
         beyond float64's range has inf entries, without an overflow warning.
         """
-        if lam < 0.0:
-            raise ValueError(f"damping must be non-negative, got {lam}")
         v = np.asarray(v, dtype=float)
-        if 0.0 < lam < self._max_damping:
-            scale = np.reciprocal(self.s + lam * self.inv_s)
-            gain = 0.5 / math.sqrt(lam)  # the maximum of s / (s^2 + lam)
-        elif lam == 0.0:
-            scale = self._pinv_factors()
-            gain = float(scale.max())
-        else:  # lam * inv_s would overflow: the batch handles that unwarned
-            return self.damped_apply_batch(np.full(1, lam), as_vector(v))[0]
-        # No partial sum or product here exceeds (gain + 1) |v|: under the
-        # bound nothing can overflow (math.hypot also checks finiteness).
-        # ndarray.dot, not @: on 2-3 element operands it costs half of the
-        # matmul gufunc's dispatch, with the same bits.
+        if lam > 0.0 and lam in self._lams:  # a damping of the last sweep
+            scale = self._rows[self._lams.index(lam)]
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scale = self._scale_rows(np.array([lam], dtype=float), [lam])[0]
+        gain = max(scale.tolist())
+        # No partial sum or product exceeds (gain + 1) |v|, so under the bound
+        # nothing overflows (math.hypot also checks finiteness).  ndarray.dot,
+        # not @: half the matmul gufunc's dispatch cost on 2-3 elements, same bits.
         if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
             return self.V.dot(scale * self.Ut.dot(v))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -179,19 +189,15 @@ class SvdFactors:
 
         Row ``i`` matches ``damped_apply(lams[i], v)`` to rounding, zero
         dampings included; a row that overflows is non-finite, unwarned.
+        ``lams`` must be nonempty and 1-D, and ``v`` finite, or ValueError.
         """
         lams = np.asarray(lams, dtype=float)
-        low = lams.min()
-        if not low >= 0.0:
-            raise ValueError(f"damping must be non-negative, got {low}")
-        utv = self.Ut.dot(np.asarray(v, dtype=float))
+        if lams.ndim != 1 or lams.size == 0:
+            raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
+        v = np.asarray(v, dtype=float)
+        if not (v.ndim == 1 and math.hypot(*v.tolist()) < math.inf):
+            v = as_vector(v)  # raises unless v is finite with an overflowing norm
+        lam_list = lams.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam_s = lams[:, None] * self.inv_s
-            scale = np.reciprocal(self.s + lam_s)
-            # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the
-            # scale is s / lam.  inv_s is non-decreasing: test the last column.
-            if math.inf in lam_s[:, -1].tolist():
-                scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
-            if low == 0.0:
-                scale[lams == 0.0] = self._pinv_factors()
-            return (scale * utv).dot(self.Vt)
+            self._lams, self._rows = lam_list, self._scale_rows(lams, lam_list)
+            return (self._rows * self.Ut.dot(v)).dot(self.Vt)

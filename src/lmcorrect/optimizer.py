@@ -27,6 +27,8 @@ as in a sequential sweep.  Three things stay per point or per candidate:
 * corrections apply their inverse through ``SvdFactors.damped_apply`` at the
   candidate's damping value, the same inverse that produced its direction,
   one call per correction: perfbench times that method as its own layer.
+  Each call reads the scale row that ``damped_apply_batch`` kept for that
+  damping, so one sweep computes its 21 rows once.
 
 Residual and step norms are taken without an overflow warning: a finite
 vector whose squared norm overflows gets a rescaled, finite norm.
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import (
-    STENCIL_EVALUATIONS,
     CorrectionSeries,
     StencilEvaluationError,
+    _check_order,
     correction_series,
 )
 from .linalg import SvdFactors, _norm, _row_norms, as_residual
@@ -126,9 +128,7 @@ class OptimizerConfig:
     inverse_variant: str = "levenberg_marquardt"
 
     def __post_init__(self):
-        if self.order not in STENCIL_EVALUATIONS:
-            orders = ", ".join(map(str, STENCIL_EVALUATIONS))
-            raise ValueError(f"order must be in {{{orders}}}, got {self.order}")
+        _check_order(self.order)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:

@@ -386,7 +386,7 @@ def test_inverse_overflow_truncates_series():
     # The defect at x + c1, (0, 1e303), is within the defect limit, but the
     # inverse at damping 1e-30 scales it by about 1 / s_min = 1e10: the
     # correction is inf and the series truncates, without an overflow
-    # warning (an error under the suite's error::RuntimeWarning filter).
+    # warning (an error under the suite's error filter).
     J = np.diag([1.0, 1e-10])
     factors = SvdFactors(J)
 
@@ -421,6 +421,24 @@ def test_stencil_error_carries_offset():
 def test_invalid_order_rejected():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    # 2.0 and True compare equal to supported orders; only ints are orders.
+    for order in (5, 0, 2.0, True, "2", None):
+        with pytest.raises(ValueError):
+            correction_series(x, f0, J, inv, poly.evaluator, c1, order)
+    assert len(correction_series(x, f0, J, inv, poly.evaluator, c1,
+                                 np.int64(2)).corrections) == 2
+
+
+@pytest.mark.parametrize("c1", [[np.inf, 0.0], [np.nan, 0.0], [0.1, 0.0, 0.0],
+                                0.1, [[0.1, 0.0]]])
+def test_bad_first_step_rejected_before_any_evaluation(c1):
+    problem, counter = counting_problem(valley_problem(100.0))
+    x = np.array([np.pi, np.e])
+    f0 = problem.evaluator(x)
+    J = problem.jacobian(x)
+    counter["evals"] = 0
     with pytest.raises(ValueError):
-        correction_series(x, f0, J, inv, poly.evaluator, c1, 5)
+        correction_series(x, f0, J, gauss_newton_inverse(J), problem.evaluator,
+                          np.array(c1), 3)
+    assert counter["evals"] == 0
 

@@ -16,6 +16,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 
 HOT_FUNCTIONS = [
     ("corrections.py", "correction_series"),
+    ("linalg.py", "SvdFactors._scale_rows"),
     ("linalg.py", "SvdFactors.damped_apply"),
     ("linalg.py", "SvdFactors.damped_apply_batch"),
 ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lmcorrect.linalg import SvdFactors
+from lmcorrect.optimizer import LambdaSchedule
 from lmcorrect.problems import valley_jacobian
 
 
@@ -69,8 +70,9 @@ def test_damped_matches_direct_solve():
 
 
 def test_damped_rejects_negative_damping():
-    with pytest.raises(ValueError):
-        SvdFactors(np.eye(2)).damped_apply(-1.0, np.ones(2))
+    for lam in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            SvdFactors(np.eye(2)).damped_apply(lam, np.ones(2))
 
 
 @pytest.mark.parametrize("v", [
@@ -193,25 +195,34 @@ def test_batch_matches_scalar_applications():
     for row, lam in zip(batch, lams):
         assert np.allclose(row, factors.damped_apply(lam, v), rtol=1e-13, atol=0)
     assert np.array_equal(factors.damped_apply_batch([0.0], v), batch[:1])
-    # Zero rows take damped_apply's rank cut, and its warning.
+    # Zero rows take damped_apply's rank cut, and its warning, which points
+    # at the caller of either apply.
     rank_one = SvdFactors(np.outer([1.0, 2.0, 0.0], [3.0, 1.0]))
     w = np.array([1.0, -1.0, 2.0])
-    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+    with pytest.warns(RuntimeWarning, match="rank-deficient") as batch_warning:
         rows = rank_one.damped_apply_batch([0.0, 1.0, 0.0], w)
-    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+    with pytest.warns(RuntimeWarning, match="rank-deficient") as apply_warning:
         expected = rank_one.damped_apply(0.0, w)
+    assert [r.filename for r in [*batch_warning, *apply_warning]] == [__file__] * 2
     for row in rows[::2]:
         assert np.allclose(row, expected, rtol=1e-13, atol=0)
     assert np.allclose(rows[1], rank_one.damped_apply(1.0, w), rtol=1e-13, atol=0)
-    for bad in ([1.0, -1e-3], [np.nan]):
+    # Bad dampings, or a v damped_apply would reject, raise ValueError.
+    for bad_lams, bad_v in [([1.0, -1e-3], v), ([np.nan], v), ([1.0, np.nan], v),
+                            (1.0, v), ([], v), ([[1.0, 2.0]], v),
+                            (lams, np.r_[np.nan, v[1:]]), (lams, np.r_[np.inf, v[1:]]),
+                            (lams, v[:, None]), (lams, v[1:])]:
         with pytest.raises(ValueError):
-            factors.damped_apply_batch(bad, v)
+            factors.damped_apply_batch(bad_lams, bad_v)
+    # A finite v whose norm overflows is accepted; its rows overflow unwarned.
+    huge = factors.damped_apply_batch([1e-6, 1.0], np.full(6, 1e308))
+    assert huge.shape == (2, 4) and not np.isfinite(huge).all()
 
 
 def test_overflowing_applications_are_inf_without_a_warning():
     # |v| is finite, but the gain 1 / s_min = 1e10 (or about 5e9 at
     # damping 1e-20) carries it past float64.  Under the suite's
-    # error::RuntimeWarning filter any numpy warning here would raise.
+    # warnings-as-errors filter any numpy warning here would raise.
     factors = SvdFactors(np.diag([1.0, 1e-10]))
     v = np.array([0.0, 1e303])
     for lam in (0.0, 1e-20):
@@ -229,7 +240,7 @@ def test_overflowing_applications_are_inf_without_a_warning():
 def test_overflowing_squares_keep_their_direction():
     # s = 1e200 squares to inf, so s / (s^2 + lam) would be 0 and drop the
     # first direction; 1 / (s + lam / s) squares nothing and keeps it, with
-    # no warning under the suite's error::RuntimeWarning filter.
+    # no warning under the suite's error filter.
     rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
     factors = SvdFactors(rotation @ np.diag([1e200, 2.0]))
     assert math.isinf(float(factors.s[0]) * float(factors.s[0]))
@@ -288,3 +299,49 @@ def test_applier_closure_matches_function():
     apply = lambda w: factors.damped_apply(0.5, w)
     factors.damped_apply(2.0, v)
     assert np.array_equal(apply(v), SvdFactors(J).damped_apply(0.5, v))
+    # After a sweep, damped_apply reads the kept row of a grid damping (numpy
+    # or Python float) and computes any other, zero included: the bits are a
+    # fresh factorization's either way.
+    grid = LambdaSchedule(0.5).grid()
+    factors.damped_apply_batch(grid, rng.normal(size=4))
+    for lam in [*grid, *grid.tolist(), 0.0, 0.3]:
+        assert np.array_equal(factors.damped_apply(lam, v),
+                              SvdFactors(J).damped_apply(lam, v))
+    # lam * inv_s overflows at s = 1e-300: a kept s / lam row, the same bits.
+    tiny = SvdFactors(np.diag([1.0, 1e-300]))
+    tiny.damped_apply_batch([1.0, 1e10, 1e300], np.ones(2))
+    for lam in (1e10, 1e300):
+        assert np.array_equal(tiny.damped_apply(lam, np.ones(2)),
+                              SvdFactors(np.diag([1.0, 1e-300])).damped_apply(
+                                  lam, np.ones(2)))
+
+
+def test_each_sweep_row_is_computed_once(monkeypatch):
+    # damped_apply at a damping of the last sweep computes no scale row; a
+    # second sweep replaces the kept rows, and zero is computed every time.
+    computed = []
+    scale_rows = SvdFactors._scale_rows
+
+    def counting(self, lams, lam_list):
+        computed.extend(lam_list)
+        return scale_rows(self, lams, lam_list)
+
+    monkeypatch.setattr(SvdFactors, "_scale_rows", counting)
+    J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
+    v = np.array([1.0, -2.0, 0.5])
+    factors = SvdFactors(J)
+    first, second = [0.0, 1e-3, 1.0], [0.0, 1e3, 1e6]
+    factors.damped_apply_batch(first, v)
+    for lam in first[1:]:
+        factors.damped_apply(lam, v)
+    assert computed == first
+    factors.damped_apply_batch(second, v)
+    for lam in first[1:] + second:
+        factors.damped_apply(lam, v)
+    assert computed == first + second + first[1:] + [0.0]
+    # A rejected sweep keeps the last good one's dampings with their rows.
+    with pytest.raises(ValueError):
+        factors.damped_apply_batch([1e6, 1e3, -1.0], v)
+    for lam in (1e3, 1e6):
+        assert np.array_equal(factors.damped_apply(lam, v),
+                              SvdFactors(J).damped_apply(lam, v))

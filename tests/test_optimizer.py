@@ -485,8 +485,11 @@ def test_step_failure_when_everything_is_nonfinite():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(order=5)
+    # 2.0 and True compare equal to supported orders; only ints are orders.
+    for order in (5, 0, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            OptimizerConfig(order=order)
+    assert OptimizerConfig(order=np.int64(3)).order == 3
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
