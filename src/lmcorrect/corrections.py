@@ -191,8 +191,9 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
     truncates the series at the previous order, skips the remaining phases
     and sets the ``truncated`` flag.  A failing evaluator call raises
-    StencilEvaluationError; a residual of the wrong shape, a bad order or a
-    non-finite or misshaped ``c1`` raises ValueError.
+    StencilEvaluationError; a residual of the wrong shape, a bad order, a
+    non-finite or misshaped ``c1``, or an ``f0`` and ``J`` whose shapes are
+    not ``(m,)`` and ``(m, len(x))`` raise ValueError before any evaluation.
     """
     _check_order(order)
     x = np.asarray(x, dtype=float)
@@ -204,10 +205,15 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     c1_norm = math.hypot(*c1.tolist())
     if not c1_norm < math.inf and not np.isfinite(c1).all():
         raise ValueError("c1 must be finite")
+    f0 = np.asarray(f0, dtype=float)
+    J = np.asarray(J, dtype=float)
+    # Tuple comparisons only: this runs once per live candidate.
+    if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
+        raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
+                         f"expected (m,) and (m, {len(x)})")
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    f0 = np.asarray(f0, dtype=float)
-    Jt = np.asarray(J, dtype=float).T
+    Jt = J.T
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))
     directions[0] = c1

@@ -1,10 +1,10 @@
 """Iteration driver: damped-step candidate sweep with higher-order corrections.
 
 Each iteration evaluates the Jacobian once, factorizes it once, and builds one
-candidate step per value of a damping grid: 21 values, geometric in log and
-centred on the last winning damping, or Gauss-Newton's one-point grid ``[0]``.
-Every candidate gets the configured order of finite-difference corrections
-(using its own damped inverse throughout) and one residual evaluation at its
+candidate step per value of a damping grid centred on the last winning
+damping: 21 values, geometric in log, or the one damping ``[0]`` when the
+centre is 0, which is Gauss-Newton.  Every candidate gets the configured
+order of finite-difference corrections and one residual evaluation at its
 corrected endpoint; the endpoint with the smallest residual norm wins.  If
 nothing improves, the iteration does not move and the next grid is centred
 on the largest damping tried.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -68,11 +69,12 @@ GRID_BASE = 10000.0
 # Consecutive non-improving iterations tolerated before a damped run aborts.
 MAX_CONSECUTIVE_REJECTS = 5
 
-# Damping this small is indistinguishable from zero in float64 but keeps the
-# grid positive: repeated down-shifts must not underflow lambda_old to 0.
+# Damping this small is indistinguishable from zero in float64 but keeps a
+# positive grid positive: repeated down-shifts must not underflow to 0.
 LAMBDA_FLOOR = 1e-300
 
-INVERSE_VARIANTS = ("gauss_newton", "levenberg_marquardt")
+START_CENTRES = {"gauss_newton": 0.0, "levenberg_marquardt": 1.0}
+INVERSE_VARIANTS = tuple(START_CENTRES)
 
 _GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
 _GRID_FACTORS.flags.writeable = False
@@ -99,14 +101,16 @@ class StepFailureError(RuntimeError):
 class LambdaSchedule:
     """Damping grid ``lam_n = lambda_old * 10000**((n/10)**3)``, n in [-10, 10].
 
-    ``lambda_old`` carries between iterations: it is replaced by the winning
-    candidate's damping value on acceptance and by the grid's largest value,
-    ``lambda_old * 10^4``, when no candidate improves.
+    ``lambda_old`` carries between iterations: it becomes the winning damping
+    on acceptance and the grid's largest, ``lambda_old * 10^4``, when no
+    candidate improves.  At 0 the grid is ``[0]``, and stays so: Gauss-Newton.
     """
 
     lambda_old: float = 1.0
 
     def grid(self) -> np.ndarray:
+        if self.lambda_old == 0.0:
+            return np.zeros(1)
         return self.lambda_old * _GRID_FACTORS
 
 
@@ -115,11 +119,12 @@ class OptimizerConfig:
     """Iteration settings.
 
     order 1 is the plain damped step; orders 2-4 add corrections.  The run
-    stops when the residual norm reaches ``convergence_tol``.
+    stops when the residual norm reaches ``convergence_tol``, positive and
+    finite, or after ``max_iterations``, an integer >= 1.
 
-    ``inverse_variant`` is ``"levenberg_marquardt"`` (the 21-value damping
-    sweep) or ``"gauss_newton"`` (the sweep over the one-point grid ``[0]``),
-    whose undamped step on a square nonsingular J is Newton's step.
+    ``inverse_variant`` picks :func:`run`'s start centre in START_CENTRES:
+    1 for ``"levenberg_marquardt"``, 0 for ``"gauss_newton"``, whose
+    undamped step on a square nonsingular J is Newton's step.
     """
 
     order: int = 1
@@ -129,10 +134,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_order(self.order)
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        # bool is an Integral, and nan fails every comparison.
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer >= 1, "
+                             f"got {self.max_iterations!r}")
+        if not 0.0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be positive and finite, "
+                             f"got {self.convergence_tol!r}")
         if self.inverse_variant not in INVERSE_VARIANTS:
             raise ValueError(
                 f"inverse_variant must be one of {INVERSE_VARIANTS}, "
@@ -148,7 +158,7 @@ class IterationRecord:
     ``accepted`` is False).  ``corrections_norms`` holds ``|c_i|`` for the
     winning candidate, starting at c1; it is empty on rejected iterations.
     ``chosen_lambda`` is the winning damping value, or on a rejected
-    iteration the largest damping tried (0 under Gauss-Newton).
+    iteration the largest damping tried (0 for a sweep centred at 0).
     """
 
     chosen_lambda: float
@@ -182,18 +192,27 @@ class RunResult:
     failure: StepFailureError | None
 
 
+def _as_point(x, n: int) -> np.ndarray:
+    """``x`` as a float array; ValueError unless its shape is ``(n,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"starting point has shape {x.shape}, expected ({n},)")
+    return x
+
+
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
          f0):
     """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
 
-    Returns ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is
-    centred on the largest damping tried) when no candidate improved the
-    residual norm.  Raises StepFailureError when every candidate is unusable,
-    the Jacobian is not finite or its SVD does not converge, and ValueError
-    when ``f0`` is not finite or ``f0`` or the Jacobian has the wrong shape.
+    It sweeps ``schedule.grid()``, whatever the config's variant.  Returns
+    ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is centred
+    on the largest damping tried) when no candidate improved the residual
+    norm.  Raises StepFailureError when every candidate is unusable, the
+    Jacobian is not finite or its SVD does not converge, and ValueError when
+    ``f0`` is not finite or ``x``, ``f0`` or the Jacobian has the wrong shape.
     """
-    x = np.asarray(x, dtype=float)
     m, p = problem.output_dim, problem.input_dim
+    x = _as_point(x, p)
     f0 = as_residual(f0, m)
     norm0 = _norm(f0)
     # Only a non-finite norm can come from a non-finite f0.
@@ -210,9 +229,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         # The shape is right, so only a non-finite entry or an SVD that did
         # not converge (LinAlgError is a ValueError) gets here.
         raise StepFailureError(str(exc)) from exc
-    # The variant's only read in a step: Gauss-Newton sweeps the grid [0].
-    lambdas = (schedule.grid() if config.inverse_variant == "levenberg_marquardt"
-               else np.zeros(1))
+    lambdas = schedule.grid()
 
     # First-order directions for the whole sweep from one factorization.
     c1s = -factors.damped_apply_batch(lambdas, f0)
@@ -260,9 +277,10 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     norm_end = float(norms[idx])
     if norm_end < norm0:
         series = series_at.get(idx) or CorrectionSeries((c1s[idx],), 0)
-        schedule.lambda_old = max(float(lambdas[idx]), LAMBDA_FLOOR)
+        lam = float(lambdas[idx])
+        schedule.lambda_old = max(lam, LAMBDA_FLOOR) if lam else 0.0
         record = IterationRecord(
-            chosen_lambda=float(lambdas[idx]),
+            chosen_lambda=lam,
             residual_norm=norm_end,
             step_norm=_norm(steps[idx]),
             corrections_norms=tuple(series.norms()),
@@ -289,29 +307,24 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     """Iterate :func:`step` until convergence, the iteration cap, a stall or
     a step failure; ``RunResult.termination`` says which.
 
-    The trajectory records every completed iteration, rejected ones
-    included.  A stall (MAX_CONSECUTIVE_REJECTS successive rejections) aborts
-    unconverged; under ``gauss_newton`` one rejection is a stall, since an
-    undamped sweep has no damping to escalate and would repeat exactly.  A
-    step that raises StepFailureError ends the run, which returns what it
-    has so far.  A start point or start residual that is not finite or has
-    the wrong shape, and a residual or Jacobian of the wrong shape, raise
-    ValueError.
+    The schedule starts at the variant's entry in START_CENTRES.  The
+    trajectory records every iteration, rejected ones included.  A stall
+    ends the run unconverged: MAX_CONSECUTIVE_REJECTS successive
+    rejections, or one at damping 0, which cannot escalate.  A
+    StepFailureError ends the run, which returns what it has so far.  A
+    start point or start residual that is not finite or has the wrong shape,
+    and a residual or Jacobian of the wrong shape, raise ValueError.
     """
-    x, n = np.asarray(x0, dtype=float), problem.input_dim
-    if x.shape != (n,):
-        raise ValueError(f"starting point has shape {x.shape}, expected ({n},)")
+    x = _as_point(x0, problem.input_dim)
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
     f = as_residual(problem.evaluator(x), problem.output_dim)
     if not np.isfinite(f).all():
         raise ValueError("starting residual must be finite")
     total_evals = 1
-    schedule = LambdaSchedule()
+    schedule = LambdaSchedule(START_CENTRES[config.inverse_variant])
     trajectory: list[IterationRecord] = []
     rejects = 0
-    max_rejects = (MAX_CONSECUTIVE_REJECTS
-                   if config.inverse_variant == "levenberg_marquardt" else 1)
 
     termination = ("converged" if _norm(f) <= config.convergence_tol
                    else "max_iterations")
@@ -329,7 +342,7 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
         rejects = 0 if record.accepted else rejects + 1
         if record.residual_norm <= config.convergence_tol:
             termination = "converged"
-        elif rejects >= max_rejects:
+        elif rejects >= (MAX_CONSECUTIVE_REJECTS if record.chosen_lambda else 1):
             termination = "stalled"
             break
 

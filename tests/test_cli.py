@@ -116,6 +116,22 @@ def test_cli_table_rejects_bad_K(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--K", "1e6", "--order", "2", "--tol", "inf"],
+    ["run", "--tol", "nan"],
+    ["run", "--tol", "0"],
+    ["table", "--K", "1", "--order", "1", "--tol", "inf"],
+    ["fit", "--K", "1", "10", "100", "--max-iters", "0"],
+], ids=["run-tol-inf", "run-tol-nan", "run-tol-0", "table-tol-inf",
+        "fit-max-iters-0"])
+def test_cli_bad_solver_options_exit_1(argv, capsys):
+    # An infinite tolerance reported any start converged after 0 iterations.
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_usage_errors_exit_2(capsys):
     # run takes one K and one order; table and fit always run the valley.
     for argv in (["run", "--problem", "rosenbrock"],

@@ -442,3 +442,23 @@ def test_bad_first_step_rejected_before_any_evaluation(c1):
                           np.array(c1), 3)
     assert counter["evals"] == 0
 
+
+@pytest.mark.parametrize("bad,shapes", [
+    (lambda f0, J: (f0[0], J), r"\(\) and J has shape \(2, 2\)"),
+    (lambda f0, J: (np.append(f0, 1.0), J), r"\(3,\) and J has shape \(2, 2\)"),
+    (lambda f0, J: (f0, np.vstack([J, J[:1]])), r"\(2,\) and J has shape \(3, 2\)"),
+], ids=["scalar-f0", "long-f0", "tall-J"])
+def test_bad_f0_or_jacobian_rejected_before_any_evaluation(bad, shapes):
+    # The same guard as a bad c1: a misshaped f0 or J names both shapes
+    # before the evaluator is called, instead of blaming the evaluator.
+    problem, counter = counting_problem(valley_problem(100.0))
+    x = np.array([np.pi, np.e])
+    f0, J = bad(problem.evaluator(x), problem.jacobian(x))
+    c1 = np.array([0.1, 0.0])
+    counter["evals"] = 0
+    for order in (1, 3):
+        with pytest.raises(ValueError, match="f0 has shape " + shapes):
+            correction_series(x, f0, J, lambda v: v, problem.evaluator, c1,
+                              order)
+    assert counter["evals"] == 0
+

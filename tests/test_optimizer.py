@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from lmcorrect.corrections import (
 from lmcorrect.optimizer import (
     GRID_BASE,
     INVERSE_VARIANTS,
+    START_CENTRES,
     LambdaSchedule,
     OptimizerConfig,
     StepFailureError,
@@ -46,6 +48,37 @@ def test_lambda_grid_shape():
         assert LambdaSchedule(lambda_old=lam).grid().tolist() == [
             lam * GRID_BASE ** ((n / 10.0) ** 3) for n in range(-10, 11)
         ]
+
+
+def test_zero_centred_schedule_stays_at_zero():
+    # Every grid factor times 0 is 0: the grid is the one damping [0], and
+    # neither an accepted nor a rejected sweep moves the centre off 0.
+    schedule = LambdaSchedule(0.0)
+    assert schedule.grid().tolist() == [0.0]
+    problem = valley_problem(1.0)
+    _, _, record = step(START, problem, schedule, OptimizerConfig(),
+                        f0=problem.evaluator(START))
+    assert record.accepted and record.chosen_lambda == 0.0
+    assert schedule.lambda_old == 0.0
+    # A constant residual: the undamped endpoint is no better.
+    f0 = np.array([1.0, 1.0])
+    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2), name="flat")
+    _, _, record = step(np.zeros(2), flat, schedule, OptimizerConfig(), f0=f0)
+    assert not record.accepted and record.chosen_lambda == 0.0
+    assert schedule.lambda_old == 0.0
+    assert schedule.grid().tolist() == [0.0]
+
+
+def test_zero_centred_step_sweeps_one_candidate():
+    # The schedule, not the config's variant, picks the grid: one order-4
+    # candidate costs its 8 stencil calls and its endpoint, not 21 x 9.
+    problem, counter = counting_problem(valley_problem(1e6))
+    f0 = problem.evaluator(START)
+    counter["evals"] = 0
+    _, _, record = step(START, problem, LambdaSchedule(0.0),
+                        OptimizerConfig(order=4), f0=f0)
+    assert record.f_evaluations == counter["evals"] == 9
+    assert record.chosen_lambda == 0.0
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -450,8 +483,8 @@ def test_nonfinite_start_residual_rejected(variant):
     with pytest.raises(ValueError, match="starting residual must be finite"):
         run(np.zeros(2), problem, config)
     with pytest.raises(ValueError, match="f0 must be finite"):
-        step(np.zeros(2), problem, LambdaSchedule(), config,
-             f0=np.array([np.inf, 0.0]))
+        step(np.zeros(2), problem, LambdaSchedule(START_CENTRES[variant]),
+             config, f0=np.array([np.inf, 0.0]))
 
 
 def test_wrong_shaped_start_residual_rejected():
@@ -464,6 +497,20 @@ def test_step_rejects_wrong_shaped_f0():
     with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
         step(START, valley_problem(1.0), LambdaSchedule(), OptimizerConfig(),
              f0=np.ones(3))
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((1, 2)), np.float64(1.0)],
+                         ids=["long", "row", "scalar"])
+def test_step_rejects_wrong_shaped_x(x):
+    # Rejected like run's start point, before the Jacobian is called.
+    def jacobian(x):
+        raise AssertionError("the Jacobian was called")
+
+    problem = Problem(2, 2, lambda x: np.ones(2), jacobian, name="no-jacobian")
+    shape = re.escape(str(np.shape(x)))
+    with pytest.raises(ValueError, match=rf"starting point has shape {shape}, "
+                                         r"expected \(2,\)"):
+        step(x, problem, LambdaSchedule(), OptimizerConfig(), f0=np.ones(2))
 
 
 def test_step_rejects_wrong_shaped_jacobian():
@@ -490,10 +537,17 @@ def test_config_validation():
         with pytest.raises(ValueError):
             OptimizerConfig(order=order)
     assert OptimizerConfig(order=np.int64(3)).order == 3
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(convergence_tol=0.0)
+    # Only an integer >= 1 is an iteration cap: nan ran no iteration, 2.5
+    # ran three and True one.
+    for max_iterations in (0, -3, math.nan, 2.5, 3.0, True, "5", None):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            OptimizerConfig(max_iterations=max_iterations)
+    assert OptimizerConfig(max_iterations=np.int64(7)).max_iterations == 7
+    # inf would report a run converged at any residual.
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OptimizerConfig(convergence_tol=tol)
+    assert OptimizerConfig(convergence_tol=1e300).convergence_tol == 1e300
     with pytest.raises(ValueError):
         OptimizerConfig(inverse_variant="cholesky")
 
