@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import faadibruno
-from .corrections import STENCIL_EVALUATIONS
+from .corrections import STENCIL_EVALUATIONS, _check_order
 from .optimizer import OptimizerConfig, RunResult, StepFailureError, run
 from .problems import Problem, default_affine_problem, valley_problem
 
@@ -194,13 +194,21 @@ class ConvergenceTable:
 
 def run_table(K_values, orders, tol: float = 1e-9,
               max_iterations: int = 20000) -> ConvergenceTable:
-    """Iteration counts for every (K, order) combination."""
+    """Iteration counts for every (K, order) combination.
+
+    Every K must be positive and finite, and every order an integer in
+    STENCIL_EVALUATIONS; both lists are checked, nonempty, before any solve.
+    """
     K_values = tuple(float(k) for k in K_values)
-    orders = tuple(int(o) for o in orders)
+    orders = tuple(orders)
     if not K_values:
         raise ValueError("need at least one K value")
-    if any(k <= 0 for k in K_values):
-        raise ValueError("all K values must be positive")
+    if not orders:
+        raise ValueError("need at least one order")
+    if not all(0.0 < k < math.inf for k in K_values):
+        raise ValueError("all K values must be positive and finite")
+    for order in orders:
+        _check_order(order)
     cells = []
     for K in K_values:
         for order in orders:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from numbers import Integral
 
 __all__ = [
     "MAX_ORDER",
@@ -49,7 +50,8 @@ class DerivativeTerm:
 
 
 def _check_order(n: int, minimum: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+    """Raise ValueError unless ``n`` is an integer, not a bool, in range."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
         raise ValueError(f"order must be an integer, got {n!r}")
     if not minimum <= n <= MAX_ORDER:
         raise ValueError(f"order must be in [{minimum}, {MAX_ORDER}], got {n}")

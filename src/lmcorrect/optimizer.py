@@ -9,12 +9,11 @@ corrected endpoint; the endpoint with the smallest residual norm wins.  If
 nothing improves, the iteration does not move and the next grid is centred
 on the largest damping tried.
 
-The sweep is batched over the grid.  One product with the factorization
-gives every first-order direction, one mask selects the finite ones, one sum
-gives every endpoint, the endpoint residuals fill one array, and the winner
-is the argmin of its row norms with non-finite rows masked to ``inf``.
-``argmin`` returns the first minimum, so ties go to the smallest grid index,
-as in a sequential sweep.  Three things stay per point or per candidate:
+The sweep is batched over the grid.  One product with the factorization gives
+every first-order direction, one mask selects the finite ones, one sum gives
+every endpoint, the endpoint residuals fill one array, and the winner is the
+first minimum of its row norms, nan counting as ``inf``, so ties go to the
+smallest grid index.  Three things stay per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -30,8 +29,8 @@ as in a sequential sweep.  Three things stay per point or per candidate:
   Each call reads the scale row that ``damped_apply_batch`` kept for that
   damping, so one sweep computes its 21 rows once.
 
-Residual and step norms are taken without an overflow warning: a finite
-vector whose squared norm overflows gets a rescaled, finite norm.
+Every residual and step norm is ``math.hypot`` over the vector's entries,
+within 1 ulp: no tiny norm reads 0, and no representable one overflows.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .corrections import (
     _check_order,
     correction_series,
 )
-from .linalg import SvdFactors, _norm, _row_norms, as_residual
+from .linalg import SvdFactors, _norm, as_residual
 from .problems import Problem
 
 __all__ = [
@@ -267,14 +266,14 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             causes[idx] = exc
             continue
         residuals[idx] = as_residual(value, m)
-    norms = _row_norms(residuals)
-    norms[~np.isfinite(norms)] = np.inf
-    idx = int(np.argmin(norms))
-    if norms[idx] == np.inf:
+    norms = [math.inf if math.isnan(norm) else norm
+             for norm in map(math.hypot, *residuals.T.tolist())]
+    norm_end = min(norms)
+    if norm_end == math.inf:
         raise StepFailureError(f"no finite candidate endpoint at x={x}", evals,
                                causes) from next(iter(causes.values()), None)
 
-    norm_end = float(norms[idx])
+    idx = norms.index(norm_end)  # the first minimum: the smallest grid index
     if norm_end < norm0:
         series = series_at.get(idx) or CorrectionSeries((c1s[idx],), 0)
         lam = float(lambdas[idx])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,8 +61,8 @@ def valley_jacobian(K: float, x: float, y: float) -> np.ndarray:
 
 def valley_problem(K: float) -> Problem:
     """Two-dimensional curved-valley benchmark with anisotropy factor ``K``."""
-    if not K > 0:
-        raise ValueError(f"anisotropy factor must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"anisotropy factor must be positive and finite, got {K}")
 
     def evaluator(p):
         return valley_eval(K, p[0], p[1])
@@ -73,9 +74,15 @@ def valley_problem(K: float) -> Problem:
 
 
 def affine_problem(A, b, name: str = "affine") -> Problem:
-    """Affine residual ``f(x) = A x - b`` (one exact Newton step to solve)."""
+    """Affine residual ``f(x) = A x - b`` (one exact Newton step to solve).
+
+    ValueError unless ``A`` is 2-D and ``b`` is 1-D with one entry per row.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1]:
+        raise ValueError(f"need a 2-D A and b of shape (A.shape[0],), got A of "
+                         f"shape {A.shape} and b of shape {b.shape}")
     m, p = A.shape
     return Problem(p, m, lambda x: A @ x - b, lambda x: A.copy(), name=name)
 

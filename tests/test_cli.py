@@ -116,20 +116,25 @@ def test_cli_table_rejects_bad_K(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--K", "1e6", "--order", "2", "--tol", "inf"],
-    ["run", "--tol", "nan"],
-    ["run", "--tol", "0"],
-    ["table", "--K", "1", "--order", "1", "--tol", "inf"],
-    ["fit", "--K", "1", "10", "100", "--max-iters", "0"],
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--K", "1e6", "--order", "2", "--tol", "inf"], "convergence_tol"),
+    (["run", "--tol", "nan"], "convergence_tol"),
+    (["run", "--tol", "0"], "convergence_tol"),
+    (["table", "--K", "1", "--order", "1", "--tol", "inf"], "convergence_tol"),
+    (["fit", "--K", "1", "10", "100", "--max-iters", "0"], "max_iterations"),
+    (["run", "--K", "inf"], "anisotropy factor must be positive and finite"),
+    (["table", "--K", "1", "inf", "--order", "1"],
+     "K values must be positive and finite"),
 ], ids=["run-tol-inf", "run-tol-nan", "run-tol-0", "table-tol-inf",
-        "fit-max-iters-0"])
-def test_cli_bad_solver_options_exit_1(argv, capsys):
-    # An infinite tolerance reported any start converged after 0 iterations.
+        "fit-max-iters-0", "run-K-inf", "table-K-inf"])
+def test_cli_bad_solver_options_exit_1(argv, message, capsys):
+    # An infinite tolerance reported any start converged after 0 iterations;
+    # an infinite K was blamed on the starting residual.
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_usage_errors_exit_2(capsys):
@@ -255,11 +260,21 @@ def test_fit_uses_last_three_uncensored_below_cap():
     assert fit.exponent == pytest.approx(np.log10(4.0) / 2, abs=1e-12)
 
 
-def test_run_table_validates_input():
-    with pytest.raises(ValueError):
-        run_table([], [1])
-    with pytest.raises(ValueError):
-        run_table([1.0, -2.0], [1])
+def test_run_table_validates_input(monkeypatch):
+    # Every K and order is checked before the first solve: int() ran 2.5 as
+    # order 2 and True as order 1, and an infinite K failed after K = 1.
+    def no_solve(spec):
+        raise AssertionError(f"solved {spec} before validating")
+
+    monkeypatch.setattr(cli, "run_experiment", no_solve)
+    for K_values, orders in [([], [1]), ([1.0, -2.0], [1]), ([1.0, np.inf], [1]),
+                             ([1.0, np.nan], [1]), ([1e4], []), ([1e4], [2.5]),
+                             ([1e4], [True]), ([1e4], [2.0]), ([1e4], [1, 5])]:
+        with pytest.raises(ValueError):
+            run_table(K_values, orders)
+    monkeypatch.undo()
+    table = run_table([1.0], [np.int64(2)])
+    assert table.orders == (2,) and table.cells[0].converged
 
 
 def test_atomic_write(tmp_path):

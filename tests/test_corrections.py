@@ -257,19 +257,24 @@ def test_defect_slope_low_orders(order, expected):
 # -- correction norms ------------------------------------------------------------
 
 
-def test_norms_are_numpy_norms_and_never_overflow():
-    # Where the squared norm is finite, the recorded norm has
-    # np.linalg.norm's bits, including just below the overflow threshold;
-    # beyond it the norm stays finite, without an overflow warning.
+def test_norms_are_within_one_ulp_at_any_magnitude():
+    # Each recorded norm is a float neighbour of the exact one: the exact sum
+    # of squares lies strictly between the squares of the norm's two float
+    # neighbours.  Squaring first read 0 for the tiny vectors and overflowed
+    # for the huge ones.
     rng = np.random.default_rng(29)
-    vectors = [rng.normal(size=dim) * 10.0 ** rng.uniform(-200, 153)
+    vectors = [rng.normal(size=dim) * 10.0 ** rng.uniform(-300, 300)
                for dim in (1, 2, 3, 5) for _ in range(50)]
-    vectors += [np.array([9e153, 9e153]), np.array([1.3e154]), np.zeros(3)]
-    series = CorrectionSeries(tuple(vectors), 0)
-    assert series.norms() == [np.linalg.norm(v) for v in vectors]
-    huge = [np.array([1e200, 1e200]), np.array([1e308, -1e308, 1e308])]
-    for v, norm in zip(huge, CorrectionSeries(tuple(huge), 0).norms()):
-        assert norm == pytest.approx(math.hypot(*v), rel=1e-15)
+    vectors += [np.array([3e-170, 4e-170]), np.array([1e308, -1e308, 1e308]),
+                np.zeros(3)]
+    norms = CorrectionSeries(tuple(vectors), 0).norms()
+    for v, norm in zip(vectors, norms):
+        square = sum(Fraction(entry) ** 2 for entry in v.tolist())
+        below = math.nextafter(norm, -math.inf)
+        above = math.nextafter(norm, math.inf)
+        assert below < 0.0 or Fraction(below) ** 2 < square, v
+        assert square < Fraction(above) ** 2, v
+    assert norms[-3] == 5e-170 and norms[-1] == 0.0
 
 
 # -- failure handling ----------------------------------------------------------

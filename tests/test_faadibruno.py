@@ -1,5 +1,6 @@
 from math import factorial, prod
 
+import numpy as np
 import pytest
 
 from helpers import partition_shape_counts
@@ -94,11 +95,17 @@ def test_canonical_ordering_is_deterministic():
 
 
 def test_order_bounds():
-    for bad in (0, -1, 13, 2.5, "3"):
+    for bad in (0, -1, 13, 2.5, 3.0, "3", True, np.int64(13)):
         with pytest.raises(ValueError):
             derivative_terms(bad)
-    with pytest.raises(ValueError):
-        correction_identity_terms(1)
+    for bad in (1, np.int64(1), True, 2.0):
+        with pytest.raises(ValueError):
+            correction_identity_terms(bad)
+    # Any integer other than a bool is an order, as in correction_series.
+    for n in (2, 3, 4):
+        assert derivative_terms(np.int64(n)) == derivative_terms(n)
+        assert correction_identity_terms(np.int64(n)) == correction_identity_terms(n)
+        assert format_correction_formula(np.int64(n)) == format_correction_formula(n)
 
 
 def test_correction_identity_order2():

@@ -28,7 +28,12 @@ from lmcorrect.optimizer import (
     run,
     step,
 )
-from lmcorrect.problems import Problem, default_affine_problem, valley_problem
+from lmcorrect.problems import (
+    Problem,
+    affine_problem,
+    default_affine_problem,
+    valley_problem,
+)
 
 START = np.array([np.pi, np.e])
 
@@ -90,6 +95,19 @@ def test_affine_problem_one_undamped_step(order):
     assert result.iterations == 1
     assert result.residual_norm <= 1e-12
     assert result.trajectory[0].chosen_lambda == 0.0
+
+
+def test_tiny_residual_is_not_taken_for_zero():
+    # |f(0)| = 2.24e-170: its squared norm underflowed to 0, so the run
+    # reported convergence at iteration 0 under a tolerance of 1e-200.
+    A = 1e-170 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    problem = affine_problem(A, 1e-170 * np.array([1.0, 2.0]))
+    tol = 1e-200
+    config = OptimizerConfig(convergence_tol=tol, inverse_variant="gauss_newton")
+    result = run(np.zeros(2), problem, config)
+    assert result.iterations >= 1
+    assert result.residual_norm == math.hypot(*problem.evaluator(result.x))
+    assert result.converged == (result.residual_norm <= tol)
 
 
 def test_gauss_newton_survives_a_singular_jacobian():

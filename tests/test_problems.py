@@ -37,10 +37,9 @@ def test_valley_jacobian_cases():
 
 
 def test_valley_rejects_bad_K():
-    with pytest.raises(ValueError):
-        valley_problem(0.0)
-    with pytest.raises(ValueError):
-        valley_problem(-3.0)
+    for K in (0.0, -3.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            valley_problem(K)
 
 
 @pytest.mark.parametrize("K", [1.0, 1e3, 1e6])
@@ -75,6 +74,19 @@ def test_affine_problem_shapes():
     rect = affine_problem(A, np.zeros(2))
     assert (rect.input_dim, rect.output_dim) == (3, 2)
     assert np.allclose(rect.jacobian(np.zeros(3)), A)
+
+
+@pytest.mark.parametrize("A_shape,b_shape", [
+    ((2, 3), (3,)), ((3,), (3,)), ((2, 2), (2, 1)), ((2, 2), ()),
+    ((1, 2, 2), (2,)),
+], ids=["wide-A-long-b", "1d-A", "column-b", "scalar-b", "3d-A"])
+def test_affine_problem_rejects_mismatched_shapes(A_shape, b_shape):
+    # A 2x3 A with a 3-long b failed only at the first evaluator call, with
+    # numpy's broadcast error; a 1-D A failed to unpack its shape.
+    with pytest.raises(ValueError) as info:
+        affine_problem(np.ones(A_shape), np.ones(b_shape))
+    assert f"A of shape {A_shape}" in str(info.value)
+    assert f"b of shape {b_shape}" in str(info.value)
 
 
 def test_polynomial_problem_is_deterministic():
