@@ -197,7 +197,8 @@ def run_table(K_values, orders, tol: float = 1e-9,
     """Iteration counts for every (K, order) combination.
 
     Every K must be positive and finite, and every order an integer in
-    STENCIL_EVALUATIONS; both lists are checked, nonempty, before any solve.
+    STENCIL_EVALUATIONS; both lists are checked, nonempty and without
+    repeats, before any solve.
     """
     K_values = tuple(float(k) for k in K_values)
     orders = tuple(orders)
@@ -209,6 +210,8 @@ def run_table(K_values, orders, tol: float = 1e-9,
         raise ValueError("all K values must be positive and finite")
     for order in orders:
         _check_order(order)
+    if len(set(K_values)) < len(K_values) or len(set(orders)) < len(orders):
+        raise ValueError("K values and orders must not repeat")
     cells = []
     for K in K_values:
         for order in orders:
@@ -223,8 +226,8 @@ def run_table(K_values, orders, tol: float = 1e-9,
 class PowerLawFit:
     """Least-squares log-log slope of iterations vs K for one order.
 
-    Uses the last FIT_POINTS uncensored table entries with K <= FIT_MAX_K;
-    ``available`` is False when fewer points exist.
+    Uses the last FIT_POINTS uncensored table entries with K <= FIT_MAX_K
+    and at least one iteration; ``available`` is False when fewer exist.
     """
 
     order: int
@@ -248,7 +251,8 @@ def fit_power_laws(table: ConvergenceTable) -> list[PowerLawFit]:
     for order in table.orders:
         usable = sorted(
             (c for c in table.cells
-             if c.order == order and c.converged and c.K <= FIT_MAX_K),
+             if c.order == order and c.converged and c.K <= FIT_MAX_K
+             and c.iterations > 0),
             key=lambda c: c.K,
         )[-FIT_POINTS:]
         K_values = tuple(c.K for c in usable)
@@ -364,9 +368,15 @@ def _cmd_terms(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        # A bad --out fails before the solves, not after them.
+        if out and os.path.isdir(out):
+            raise ValueError(f"--out {out!r} is a directory")
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ValueError(f"--out {out!r}: no such directory")
         return args.handler(args)
-    except (ValueError, StepFailureError) as exc:
+    except (ValueError, StepFailureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,16 +9,17 @@ corrected endpoint; the endpoint with the smallest residual norm wins.  If
 nothing improves, the iteration does not move and the next grid is centred
 on the largest damping tried.
 
-The sweep is batched over the grid.  One product with the factorization gives
-every first-order direction, one mask selects the finite ones, one sum gives
-every endpoint, the endpoint residuals fill one array, and the winner is the
-first minimum of its row norms, nan counting as ``inf``, so ties go to the
-smallest grid index.  Three things stay per point or per candidate:
+One product with the factorization gives every first-order direction, one
+sum every order-1 endpoint.  One loop then walks the candidates with a finite
+direction in grid order: each runs its series, evaluates its endpoint and
+leads if its residual norm is strictly below the best so far, so ties go to
+the smallest grid index and a nan norm never leads.  Three things stay per
+point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
   calls included;
-* ``correction_series`` runs once per live candidate.  Its phases could run
+* ``correction_series`` runs once per candidate.  Its phases could run
   for all candidates at once, with truncation as a row mask (ROADMAP item
   1), but perfbench's evaluation audit reads each candidate's charged count
   and truncation flag from the span of that candidate's own call, so the
@@ -83,11 +84,11 @@ class StepFailureError(RuntimeError):
     """The step could not produce a usable candidate.
 
     Raised when every candidate endpoint is non-finite, chained from the
-    sweep's first failed evaluator call if there was one, and when the
+    lowest grid index's failed evaluator call if there was one, and when the
     Jacobian has a non-finite entry or its SVD does not converge, chained
     from that error.  ``evaluations`` counts the evaluator calls the step
     made, failed ones included.  ``causes`` maps the grid index of every
-    candidate whose evaluator call raised to that error, in sweep order.
+    candidate whose evaluator call raised to that error, in grid order.
     """
 
     def __init__(self, message, evaluations: int = 0, causes=None):
@@ -229,77 +230,61 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         # not converge (LinAlgError is a ValueError) gets here.
         raise StepFailureError(str(exc)) from exc
     lambdas = schedule.grid()
+    lams = lambdas.tolist()
 
-    # First-order directions for the whole sweep from one factorization.
+    # First-order directions for the whole sweep from one factorization, and
+    # order 1's endpoints in one add.
     c1s = -factors.damped_apply_batch(lambdas, f0)
-
-    live = np.isfinite(c1s).all(axis=1)
-    causes = {}  # candidate index -> its failed evaluator call, in sweep order
-    series_at = {}  # candidate index -> its correction series, orders 2-4
-    steps = c1s
-    if config.order > 1:
-        steps = np.zeros_like(c1s)
-        lams = lambdas.tolist()
-        for idx in np.flatnonzero(live).tolist():
+    endpoints = x + c1s
+    causes = {}  # candidate index -> its failed evaluator call, in grid order
+    best_norm, best = math.inf, None
+    for idx in np.flatnonzero(np.isfinite(c1s).all(axis=1)).tolist():
+        series, end = None, endpoints[idx]
+        if config.order > 1:
             applier = lambda v, lam=lams[idx]: factors.damped_apply(lam, v)
             try:
-                series = correction_series(
-                    x, f0, J, applier, problem.evaluator, c1s[idx], config.order
-                )
+                series = correction_series(x, f0, J, applier, problem.evaluator,
+                                           c1s[idx], config.order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc
-                live[idx] = False
                 continue
             evals += series.evaluation_count
-            series_at[idx] = series
-            steps[idx] = series.step
-
-    endpoints = x + steps
-    residuals = np.empty((len(lambdas), m))
-    residuals.fill(np.nan)
-    for idx in np.flatnonzero(live).tolist():
+            end = x + series.step
         evals += 1
         try:
-            value = problem.evaluator(endpoints[idx])
+            value = problem.evaluator(end)
         except Exception as exc:
             causes[idx] = exc
             continue
-        residuals[idx] = as_residual(value, m)
-    norms = [math.inf if math.isnan(norm) else norm
-             for norm in map(math.hypot, *residuals.T.tolist())]
-    norm_end = min(norms)
-    if norm_end == math.inf:
+        f_end = as_residual(value, m)
+        norm = _norm(f_end)
+        # Strict: the first minimum, the smallest grid index, keeps the lead,
+        # and a nan norm never takes it.  The copy outlives a reused buffer.
+        if norm < best_norm:
+            best_norm, best = norm, (idx, series, end, f_end.copy())
+    if best is None:
         raise StepFailureError(f"no finite candidate endpoint at x={x}", evals,
                                causes) from next(iter(causes.values()), None)
 
-    idx = norms.index(norm_end)  # the first minimum: the smallest grid index
-    if norm_end < norm0:
-        series = series_at.get(idx) or CorrectionSeries((c1s[idx],), 0)
-        lam = float(lambdas[idx])
-        schedule.lambda_old = max(lam, LAMBDA_FLOOR) if lam else 0.0
-        record = IterationRecord(
-            chosen_lambda=lam,
-            residual_norm=norm_end,
-            step_norm=_norm(steps[idx]),
-            corrections_norms=tuple(series.norms()),
-            f_evaluations=evals,
-            accepted=True,
-            truncated=series.truncated,
-        )
-        return endpoints[idx].copy(), residuals[idx].copy(), record
-
-    # No candidate beat the current point: stay put, recentre on the top damping.
-    schedule.lambda_old = float(lambdas[-1])
-    record = IterationRecord(
-        chosen_lambda=schedule.lambda_old,
-        residual_norm=norm0,
-        step_norm=0.0,
-        corrections_norms=(),
+    accepted = best_norm < norm0
+    if accepted:
+        idx, series, end, f0 = best
+        series = series or CorrectionSeries((c1s[idx],), 0)
+        x = end.copy()
+    else:  # nothing beat the current point: stay put, recentre on the top damping
+        idx, best_norm = -1, norm0
+    lam = lams[idx]
+    schedule.lambda_old = max(lam, LAMBDA_FLOOR) if lam else 0.0
+    return x, f0, IterationRecord(
+        chosen_lambda=lam,
+        residual_norm=best_norm,
+        step_norm=_norm(series.step) if accepted else 0.0,
+        corrections_norms=tuple(series.norms()) if accepted else (),
         f_evaluations=evals,
-        accepted=False,
+        accepted=accepted,
+        truncated=accepted and series.truncated,
     )
-    return x, f0, record
 
 
 def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:

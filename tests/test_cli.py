@@ -125,16 +125,50 @@ def test_cli_table_rejects_bad_K(capsys):
     (["run", "--K", "inf"], "anisotropy factor must be positive and finite"),
     (["table", "--K", "1", "inf", "--order", "1"],
      "K values must be positive and finite"),
+    (["table", "--K", "10", "10", "--order", "2"], "must not repeat"),
+    (["table", "--K", "10", "--order", "2", "2"], "must not repeat"),
+    (["fit", "--K", "1e3", "1000", "1e3", "--order", "2"], "must not repeat"),
 ], ids=["run-tol-inf", "run-tol-nan", "run-tol-0", "table-tol-inf",
-        "fit-max-iters-0", "run-K-inf", "table-K-inf"])
+        "fit-max-iters-0", "run-K-inf", "table-K-inf", "table-K-repeated",
+        "table-order-repeated", "fit-K-repeated"])
 def test_cli_bad_solver_options_exit_1(argv, message, capsys):
     # An infinite tolerance reported any start converged after 0 iterations;
-    # an infinite K was blamed on the starting residual.
+    # an infinite K was blamed on the starting residual.  A repeated K or
+    # order was solved twice, and fitted as distinct points.
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."],
+                         ids=["no-such-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["run", "table", "fit"])
+def test_cli_bad_out_exits_1_before_any_solve(command, out, monkeypatch,
+                                              tmp_path, capsys):
+    # A bad --out died with a traceback after all the solving.
+    def no_solve(spec):
+        raise AssertionError(f"solved {spec} before checking --out")
+
+    monkeypatch.setattr(cli, "run_experiment", no_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--K", "1", "--out", out]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failed_write_exits_1(monkeypatch, tmp_path, capsys):
+    def full_disk(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "atomic_write", full_disk)
+    out = str(tmp_path / "t.csv")
+    assert main(["table", "--K", "1", "--order", "1", "--out", out]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
 
 
 def test_cli_usage_errors_exit_2(capsys):
@@ -251,6 +285,20 @@ def test_fit_power_laws_flat_column_and_censoring():
     assert not fits[3].available  # only two uncensored points
 
 
+def test_fit_power_laws_skips_cells_converged_at_the_start():
+    # A start within tolerance converges after 0 iterations, whose log is
+    # -inf: such cells are no data points.
+    table = synthetic_table({
+        1: [(1.0, 0, True), (10.0, 0, True), (100.0, 0, True)],
+        2: [(1.0, 0, True), (10.0, 4, True), (100.0, 8, True), (1e3, 16, True)],
+    })
+    fits = {f.order: f for f in fit_power_laws(table)}
+    assert not fits[1].available and fits[1].K_values == ()
+    assert fits[1].display() == "order 1: fit unavailable (<3 uncensored points)"
+    assert fits[2].K_values == (10.0, 100.0, 1e3)
+    assert fits[2].exponent == pytest.approx(np.log10(2.0), abs=1e-12)
+
+
 def test_fit_uses_last_three_uncensored_below_cap():
     pts = [(1e4, 100, True), (1e5, 200, True), (1e6, 400, True),
            (1e7, 800, True), (1e9, 9, True)]  # K=1e9 above the fit cap
@@ -262,14 +310,17 @@ def test_fit_uses_last_three_uncensored_below_cap():
 
 def test_run_table_validates_input(monkeypatch):
     # Every K and order is checked before the first solve: int() ran 2.5 as
-    # order 2 and True as order 1, and an infinite K failed after K = 1.
+    # order 2 and True as order 1, an infinite K failed after K = 1, and a
+    # repeated K or order was solved twice.
     def no_solve(spec):
         raise AssertionError(f"solved {spec} before validating")
 
     monkeypatch.setattr(cli, "run_experiment", no_solve)
     for K_values, orders in [([], [1]), ([1.0, -2.0], [1]), ([1.0, np.inf], [1]),
                              ([1.0, np.nan], [1]), ([1e4], []), ([1e4], [2.5]),
-                             ([1e4], [True]), ([1e4], [2.0]), ([1e4], [1, 5])]:
+                             ([1e4], [True]), ([1e4], [2.0]), ([1e4], [1, 5]),
+                             ([10.0, 10.0], [2]), ([1e3, 1000], [2]),
+                             ([1e4], [2, 2]), ([1e4], [2, np.int64(2)])]:
         with pytest.raises(ValueError):
             run_table(K_values, orders)
     monkeypatch.undo()

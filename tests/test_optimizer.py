@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import itertools
@@ -214,6 +215,56 @@ def test_step_failure_is_chained_to_the_first_failed_call():
         assert isinstance(cause, FloatingPointError)
 
 
+def test_step_failure_causes_are_in_sweep_order():
+    # Order 2 on f(p) = (1, 1) + p, so J = I, no correction moves a step,
+    # and each candidate's one stencil point and its endpoint are both
+    # -(1, 1) / (1 + lam): a point's first call is its stencil, its second
+    # its endpoint.  Candidate 5's stencil raises, candidate 2's endpoint
+    # raises and every other endpoint is nan, so the step fails, naming
+    # the two causes in grid order, whichever call came first.
+    grid = LambdaSchedule().grid()
+    seen = collections.Counter()
+
+    def evaluator(p):
+        idx = int(np.argmin(np.abs(p[0] + 1.0 / (1.0 + grid))))
+        seen[idx] += 1
+        if (idx, seen[idx]) in ((5, 1), (2, 2)):
+            raise FloatingPointError(f"candidate {idx}")
+        return np.array([1.0, 1.0]) + p if seen[idx] == 1 else np.full(2, np.nan)
+
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="flat")
+    with pytest.raises(StepFailureError) as info:
+        step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(order=2),
+             f0=np.array([1.0, 1.0]))
+    causes = info.value.causes
+    assert list(causes) == [2, 5]
+    assert info.value.__cause__ is causes[2]
+    assert type(causes[2]) is FloatingPointError
+    assert type(causes[5]) is StencilEvaluationError
+    assert info.value.evaluations == sum(seen.values()) == 2 * 21 - 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_accepted_residual_survives_a_reused_output_buffer(order):
+    # The evaluator writes every residual into one array and returns it, so
+    # each later candidate overwrites the one before.
+    valley = valley_problem(100.0)
+    buffer = np.empty(2)
+
+    def evaluator(x):
+        buffer[:] = valley.evaluator(x)
+        return buffer
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="one-buffer")
+    x_new, f_new, record = step(START, problem, LambdaSchedule(),
+                                OptimizerConfig(order=order),
+                                f0=valley.evaluator(START))
+    assert record.accepted
+    assert f_new is not buffer
+    assert np.array_equal(f_new, valley.evaluator(x_new))
+    assert record.residual_norm == math.hypot(*f_new)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_wrong_shaped_residual_is_rejected(order):
     # A length-1 residual would broadcast silently into a candidate's row.
@@ -387,7 +438,8 @@ def test_exact_ties_at_random_grid_indices_go_to_the_lowest(order, data):
     # not, since the norm may fuse a multiply-add).  Every other
     # endpoint's residual is longer or non-finite.  The lowest tied index
     # wins.  The map is affine at every stencil point, so no correction
-    # truncates, and the last 21 calls are the endpoints in grid order.
+    # truncates: each candidate in grid order makes its S stencil calls and
+    # then its endpoint call, so call n is an endpoint when n % (S+1) == S.
     ties = data.draw(st.sets(st.integers(0, 20), min_size=2))
     a, b = data.draw(st.floats(0.01, 0.7)), data.draw(st.floats(0.0, 0.7))
     tied = st.sampled_from([(a, b), (-a, b), (a, -b), (-a, -b)])
@@ -395,17 +447,17 @@ def test_exact_ties_at_random_grid_indices_go_to_the_lowest(order, data):
     nonfinite = st.sampled_from([(math.nan, 0.0), (0.0, -math.inf)])
     rows = [data.draw(tied if idx in ties else longer | nonfinite)
             for idx in range(21)]
-    stencil_calls = 21 * STENCIL_EVALUATIONS[order]
+    per_candidate = STENCIL_EVALUATIONS[order] + 1
     calls = itertools.count()
 
     def evaluator(p):
-        n = next(calls)
-        if n < stencil_calls:
+        idx, call = divmod(next(calls), per_candidate)
+        if call < per_candidate - 1:
             return np.array([1.0, 1.0]) + p
-        return np.array(rows[n - stencil_calls])
+        return np.array(rows[idx])
 
     assert _winning_index(evaluator, order) == min(ties)
-    assert next(calls) == stencil_calls + 21
+    assert next(calls) == 21 * per_candidate
 
 
 @pytest.mark.parametrize("K,order,iterations,f_evaluations", [
@@ -742,23 +794,23 @@ def test_counts_equal_calls_under_injected_failures(order, data):
 
     def expected_causes(before, series_of_step):
         # The valley's 21 first-order directions are finite, so every
-        # candidate runs its series in grid order; those that did not raise
-        # then evaluate their endpoints, again in grid order.
+        # candidate, in grid order, runs its series and then, unless the
+        # series raised, evaluates its endpoint.
         if before == calls["evaluator"]:
             return {}
         assert order == 1 or len(series_of_step) == 21
-        expected, survivors = {}, []
-        for idx, (made, _, truncated) in enumerate(series_of_step):
-            before += made
-            if truncated is None:
-                expected[idx] = StencilEvaluationError
-            else:
-                survivors.append(idx)
-        if order == 1:
-            survivors = list(range(21))
-        for idx, failed in zip(survivors, raised[before:], strict=True):
-            if failed:
+        expected = {}
+        for idx in range(21):
+            if order > 1:
+                made, _, truncated = series_of_step[idx]
+                before += made
+                if truncated is None:
+                    expected[idx] = StencilEvaluationError
+                    continue
+            if raised[before]:
                 expected[idx] = FloatingPointError
+            before += 1
+        assert before == calls["evaluator"]
         return expected
 
     problem = Problem(2, 2, evaluator, jacobian, name="faulty")
