@@ -21,8 +21,8 @@ exactly, in rationals, against the order-n identity it implements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,11 @@ def _check_order(order) -> None:
     """Raise ValueError unless ``order`` is an integer key of STENCIL_EVALUATIONS.
 
     ``2.0 in STENCIL_EVALUATIONS`` and ``True in STENCIL_EVALUATIONS`` hold, so
-    floats and bools are turned away by type first.
+    floats and bools are turned away by type first.  A plain ``int`` key, the
+    common case, returns before the slow ``Integral`` check.
     """
+    if type(order) is int and order in STENCIL_EVALUATIONS:
+        return
     if (isinstance(order, bool) or not isinstance(order, Integral)
             or order not in STENCIL_EVALUATIONS):
         orders = ", ".join(map(str, STENCIL_EVALUATIONS))
@@ -124,13 +127,13 @@ class StencilEvaluationError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class CorrectionSeries:
+class CorrectionSeries(NamedTuple):
     """Corrections ``[c1, c2, ...]`` for one candidate step.
 
     The corrected step is the sum of the corrections.  ``truncated`` is set
     when a wild intermediate correction stopped the series short of the
-    requested order (see WILD_CORRECTION_FACTOR).
+    requested order (see WILD_CORRECTION_FACTOR).  Immutable, and a named
+    tuple because one is built per candidate: half a frozen dataclass's cost.
     """
 
     corrections: tuple[np.ndarray, ...]
@@ -139,8 +142,12 @@ class CorrectionSeries:
 
     @property
     def step(self) -> np.ndarray:
-        total = self.corrections[0].copy()
-        for c in self.corrections[1:]:
+        """A new array ``c1 + c2 + ...``, summed left to right."""
+        cs = self.corrections
+        if len(cs) == 1:
+            return cs[0].copy()
+        total = cs[0] + cs[1]
+        for c in cs[2:]:
             total += c
         return total
 
@@ -221,12 +228,17 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     wild_bound = WILD_CORRECTION_FACTOR * c1_norm
     defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
+    # x and f0 enter the phases as rows, so a one-point phase (order 2's only
+    # one) adds operands of one shape and skips numpy's broadcasting
+    # iterator, which costs about as much as the add.  Each element sees the
+    # same IEEE operations, in the same order, as with the vectors.
+    x_row, f0_row = x[None], f0[None]
     # The products below are ndarray.dot, not the @ operator: on operands of
     # 2-3 elements the matmul gufunc's dispatch costs about twice the whole
     # .dot call, and both give the same bits here.
     for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
         offsets = mult.dot(directions[:known])
-        points = x + offsets
+        points = x_row + offsets
         first = evaluations
         for key, point in zip(keys, points):
             evaluations += 1
@@ -236,7 +248,9 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_residual(value, m)
         block = defects[first:evaluations]
-        block -= offsets.dot(Jt) + f0
+        model = offsets.dot(Jt)
+        model += f0_row
+        block -= model
         # Only defects within _DEFECT_LIMIT (never nan or inf: nan fails
         # every comparison) reach the weighted sum, so it stays finite for
         # the inverse, which rejects non-finite input.  A nan correction

@@ -82,13 +82,16 @@ class SvdFactors:
     damped scale ``s / (s^2 + lam)`` is ``1 / (s + lam * inv_s)``, which
     squares nothing, so no singular value over- or underflows out of its
     direction.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept
-    for its last sweep.  Once ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's
-    ``s_min`` may have no correct digit, and ``J`` is refactored by the
-    graded-matrix recipe of Demmel et al., "Computing the singular value
-    decomposition with high relative accuracy" (1999), which keeps it.
+    for its last sweep.  It finds a row with one lookup in a dict from
+    damping to row, which the first read after a sweep builds, so a sweep
+    that no correction reads (order 1) builds none.  Once ``s_min <=
+    ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct digit,
+    and ``J`` is refactored by the graded-matrix recipe of Demmel et al.,
+    "Computing the singular value decomposition with high relative
+    accuracy" (1999), which keeps it.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_lams", "_rows")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_lams", "_rows", "_kept")
 
     def __init__(self, J):
         J = as_matrix(J)
@@ -106,7 +109,9 @@ class SvdFactors:
         else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
-        self._lams, self._rows = [], None  # the last sweep's dampings and scales
+        # The last sweep's dampings and scale rows, and once read, its dict
+        # from damping to row (None until then).
+        self._lams, self._rows, self._kept = [], None, {}
 
     def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
         """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
@@ -140,9 +145,14 @@ class SvdFactors:
         beyond float64's range has inf entries, without an overflow warning.
         """
         v = np.asarray(v, dtype=float)
-        if lam > 0.0 and lam in self._lams:  # a damping of the last sweep
-            scale = self._rows[self._lams.index(lam)]
-        else:
+        if self._kept is None:  # the first read since the last sweep
+            self._kept = {lam: row for lam, row in zip(self._lams, self._rows)
+                          if lam > 0.0}  # zero warns on every call: never kept
+        try:
+            scale = self._kept.get(lam)
+        except TypeError:  # an unhashable damping, such as a 0-d array
+            scale = None
+        if scale is None:  # not a positive damping of the last sweep
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scale = self._scale_rows(np.array([lam], dtype=float), [lam])[0]
         gain = max(scale.tolist())
@@ -169,5 +179,6 @@ class SvdFactors:
             v = as_vector(v)  # raises unless v is finite with an overflowing norm
         lam_list = lams.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            self._lams, self._rows = lam_list, self._scale_rows(lams, lam_list)
+            rows = self._scale_rows(lams, lam_list)
+            self._lams, self._rows, self._kept = lam_list, rows, None
             return (self._rows * self.Ut.dot(v)).dot(self.Vt)

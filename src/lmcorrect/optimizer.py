@@ -26,9 +26,10 @@ point or per candidate:
   batched form waits for a benchmark that traces a sweep-level call;
 * corrections apply their inverse through ``SvdFactors.damped_apply`` at the
   candidate's damping value, the same inverse that produced its direction,
-  one call per correction: perfbench times that method as its own layer.
-  Each call reads the scale row that ``damped_apply_batch`` kept for that
-  damping, so one sweep computes its 21 rows once.
+  one call per correction through a ``functools.partial`` of the bound
+  method: perfbench times that method as its own layer.  Each call finds
+  the scale row that ``damped_apply_batch`` kept for that damping with one
+  dict lookup, so one sweep computes its 21 rows once.
 
 Every residual and step norm is ``math.hypot`` over the vector's entries,
 within 1 ulp: no tiny norm reads 0, and no representable one overflows.
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -238,13 +240,13 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     endpoints = x + c1s
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
+    evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
     for idx in np.flatnonzero(np.isfinite(c1s).all(axis=1)).tolist():
         series, end = None, endpoints[idx]
-        if config.order > 1:
-            applier = lambda v, lam=lams[idx]: factors.damped_apply(lam, v)
+        if order > 1:
             try:
-                series = correction_series(x, f0, J, applier, problem.evaluator,
-                                           c1s[idx], config.order)
+                series = correction_series(x, f0, J, partial(apply, lams[idx]),
+                                           evaluator, c1s[idx], order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc
@@ -253,7 +255,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             end = x + series.step
         evals += 1
         try:
-            value = problem.evaluator(end)
+            value = evaluator(end)
         except Exception as exc:
             causes[idx] = exc
             continue

@@ -59,16 +59,39 @@ def valley_jacobian(K: float, x: float, y: float) -> np.ndarray:
     return np.array([[1.0, 2.0 * y], [-2.0 * K * x, K]])
 
 
+def _valley_point(p) -> list:
+    """The coordinates of ``p`` as floats; ValueError unless it is a 2-vector."""
+    arr = np.asarray(p, dtype=float)
+    if arr.shape != (2,):
+        raise ValueError(f"valley point must have shape (2,), got shape {arr.shape}")
+    return arr.tolist()
+
+
 def valley_problem(K: float) -> Problem:
-    """Two-dimensional curved-valley benchmark with anisotropy factor ``K``."""
+    """Two-dimensional curved-valley benchmark with anisotropy factor ``K``.
+
+    Both closures take a point of shape ``(2,)``, or a sequence of two
+    numbers, and raise ValueError naming any other shape.  They compute with
+    Python floats, whose arithmetic costs less than float64 scalars' and
+    gives the same IEEE results.
+    """
     if not 0.0 < K < math.inf:
         raise ValueError(f"anisotropy factor must be positive and finite, got {K}")
 
     def evaluator(p):
-        return valley_eval(K, p[0], p[1])
+        # The fast path for the one call per point: an array of another
+        # length, or a non-array, fails the unpack, and one with two rows
+        # unpacks into lists; all go to the checks.
+        try:
+            x, y = p.tolist()
+            if type(y) is list:
+                raise TypeError
+        except (AttributeError, TypeError, ValueError):
+            x, y = _valley_point(p)
+        return valley_eval(K, x, y)
 
     def jacobian(p):
-        return valley_jacobian(K, p[0], p[1])
+        return valley_jacobian(K, *_valley_point(p))
 
     return Problem(2, 2, evaluator, jacobian, name=f"valley(K={K:g})")
 

@@ -6,6 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from lmcorrect.corrections import (
+    _DEFECT_LIMIT,
+    PHASES,
+    WILD_CORRECTION_FACTOR,
+    StencilEvaluationError,
+)
 from lmcorrect.faadibruno import correction_identity_terms
 from lmcorrect.linalg import SvdFactors, as_vector
 from lmcorrect.problems import Problem
@@ -118,6 +124,45 @@ def derivative_contraction(poly, x, order: int, *vectors) -> np.ndarray:
             out += 24.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, u, v, w, z)
         return out
     raise ValueError(f"derivative order must be in [1, 4], got {order}")
+
+
+def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
+    """``correction_series``'s stencil arithmetic on broadcast vectors.
+
+    The bitwise reference for the stencil phases: each phase forms its
+    points as ``x + offsets`` and its linear model as ``offsets.dot(J.T) +
+    f0``, adding the vectors ``x`` and ``f0`` to every row of the phase's
+    block.  Inputs are taken as valid.  Returns ``(corrections,
+    evaluations, stop)``, where ``stop`` is ``None`` for a full series, else
+    ``"defect"`` or ``"wild"`` for the guard that truncated it; a failing
+    evaluator call raises StencilEvaluationError.
+    """
+    x, f0, J, c1 = (np.asarray(a, dtype=float) for a in (x, f0, J, c1))
+    directions = np.empty((order, c1.shape[0]))
+    directions[0] = c1
+    corrections, rows = [c1], []
+    wild_bound = WILD_CORRECTION_FACTOR * math.hypot(*c1.tolist())
+    for known, (keys, weights) in enumerate(PHASES[order], start=1):
+        mult = np.ascontiguousarray(np.array(keys, dtype=float)[:, :known])
+        offsets = mult.dot(directions[:known])
+        points = x + offsets
+        block = []
+        for key, point in zip(keys, points):
+            try:
+                block.append(np.asarray(evaluator(point), dtype=float))
+            except Exception as exc:
+                raise StencilEvaluationError(key, point, exc,
+                                             len(rows) + len(block) + 1) from exc
+        block = np.array(block) - (offsets.dot(J.T) + f0)
+        rows.extend(block)
+        if not (np.abs(block) <= _DEFECT_LIMIT).all():
+            return tuple(corrections), len(rows), "defect"
+        c = inverse_apply(np.array(weights, dtype=float).dot(np.array(rows)))
+        if not math.hypot(*c.tolist()) <= wild_bound:
+            return tuple(corrections), len(rows), "wild"
+        directions[known] = c
+        corrections.append(c)
+    return tuple(corrections), len(rows), None
 
 
 def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     analytic_correction_series,
+    broadcast_correction_series,
     counting_problem,
     derivative_contraction,
     gauss_newton_inverse,
@@ -427,11 +429,107 @@ def test_invalid_order_rejected():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     # 2.0 and True compare equal to supported orders; only ints are orders.
-    for order in (5, 0, 2.0, True, "2", None):
+    # A plain int skips the type checks, which the others still take.
+    for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError):
             correction_series(x, f0, J, inv, poly.evaluator, c1, order)
-    assert len(correction_series(x, f0, J, inv, poly.evaluator, c1,
-                                 np.int64(2)).corrections) == 2
+    for order in (np.int64(2), np.int64(3)):
+        assert len(correction_series(x, f0, J, inv, poly.evaluator, c1,
+                                     order).corrections) == order
+
+
+def test_series_fields_cannot_be_assigned():
+    series = CorrectionSeries((np.ones(2), np.ones(2)), 1)
+    for field, value in (("corrections", ()), ("evaluation_count", 0),
+                         ("truncated", True)):
+        with pytest.raises(AttributeError):
+            setattr(series, field, value)
+    assert series.step.tolist() == [2.0, 2.0] and not series.truncated
+
+
+def _random_cubic(rng, m, p):
+    """A cubic map R^p -> R^m and its Jacobian, from random tensors."""
+    A = rng.normal(size=(m, p))
+    B = rng.normal(size=(m, p, p))
+    C = rng.normal(size=(m, p, p, p))
+
+    def evaluator(x):
+        return (A.dot(x) + np.einsum("ijk,j,k->i", B, x, x)
+                + np.einsum("ijkl,j,k,l->i", C, x, x, x))
+
+    return evaluator
+
+
+def _failing_at(n, evaluator):
+    """``evaluator``, except that its n-th call (from 1) raises."""
+    calls = []
+
+    def failing(q):
+        calls.append(q)
+        if len(calls) == n:
+            raise FloatingPointError("boom")
+        return evaluator(q)
+
+    return failing
+
+
+def _outcome(series_fn, *args):
+    """A series run as comparable bytes and counts, and how it ended.
+
+    The end is "full", "defect", "wild" or "raised"; a CorrectionSeries says
+    "truncated" for either guard.
+    """
+    try:
+        result = series_fn(*args)
+    except StencilEvaluationError as err:
+        return (err.offset_key, err.evaluations, err.point.tobytes()), "raised"
+    if isinstance(result, CorrectionSeries):
+        result = (result.corrections, result.evaluation_count,
+                  "truncated" if result.truncated else None)
+    corrections, evaluations, stop = result
+    return ([c.tobytes() for c in corrections], evaluations,
+            stop is not None), stop or "full"
+
+
+def test_stencil_arithmetic_matches_broadcast_reference():
+    # Random Jacobians with condition numbers up to 1e12 and dampings from
+    # 1e-14 to 1e2: every correction has the bytes of the broadcast
+    # reference, with its evaluation count and truncation flag.  Residuals
+    # of about 1e306 truncate on the defect limit or on a wild correction,
+    # and an evaluator that raises fails at the same point in both.
+    rng = np.random.default_rng(2024)
+    ends = []
+    for trial in range(240):
+        order = 2 + trial % 3
+        p = int(rng.integers(2, 4))
+        m = p + int(rng.integers(0, 2))
+        U = np.linalg.qr(rng.normal(size=(m, p)))[0]
+        V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        s = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 12), p)
+        J = (U * s).dot(V.T)
+        cubic = _random_cubic(rng, m, p)
+        kind = trial % 4
+        if kind == 2:  # huge residuals, some beyond _DEFECT_LIMIT
+            make = lambda: lambda q: 1e306 * np.exp(3.0 * np.tanh(cubic(q)))
+        elif kind == 3:
+            fail_at = int(rng.integers(1, STENCIL_EVALUATIONS[order] + 1))
+            make = lambda: _failing_at(fail_at, cubic)
+        else:
+            make = lambda: cubic
+        x = rng.normal(size=p)
+        f0 = cubic(x)
+        factors = SvdFactors(J)
+        lam = 10.0 ** rng.uniform(-14, 2)
+        factors.damped_apply_batch([lam, 2.0 * lam], f0)
+        apply = functools.partial(factors.damped_apply, lam)
+        c1 = -10.0 ** rng.uniform(-3, 0) * apply(f0)
+        got, _ = _outcome(correction_series, x, f0, J, apply, make(), c1, order)
+        want, end = _outcome(broadcast_correction_series, x, f0, J, apply,
+                             make(), c1, order)
+        assert got == want
+        ends.append(end)
+    for end, least in (("defect", 10), ("wild", 10), ("raised", 20), ("full", 40)):
+        assert ends.count(end) >= least, (end, ends.count(end))
 
 
 @pytest.mark.parametrize("c1", [[np.inf, 0.0], [np.nan, 0.0], [0.1, 0.0, 0.0],

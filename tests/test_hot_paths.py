@@ -15,10 +15,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 
 HOT_FUNCTIONS = [
+    ("corrections.py", "CorrectionSeries.step"),
     ("corrections.py", "correction_series"),
     ("linalg.py", "SvdFactors._scale_rows"),
     ("linalg.py", "SvdFactors.damped_apply"),
     ("linalg.py", "SvdFactors.damped_apply_batch"),
+    ("optimizer.py", "step"),
+    ("problems.py", "valley_problem"),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -302,11 +303,16 @@ def test_applier_closure_matches_function():
     # After a sweep, damped_apply reads the kept row of a grid damping (numpy
     # or Python float) and computes any other, zero included: the bits are a
     # fresh factorization's either way.
-    grid = LambdaSchedule(0.5).grid()
-    factors.damped_apply_batch(grid, rng.normal(size=4))
-    for lam in [*grid, *grid.tolist(), 0.0, 0.3]:
-        assert np.array_equal(factors.damped_apply(lam, v),
-                              SvdFactors(J).damped_apply(lam, v))
+    for centre in (0.5, 2.0):  # the second sweep's rows replace the first's
+        grid = LambdaSchedule(centre).grid()
+        factors.damped_apply_batch(grid, rng.normal(size=4))
+        for lam in [*grid, *grid.tolist(), np.float64(grid[3]), np.array(grid[3]),
+                    0.0, 0.3]:
+            fresh = SvdFactors(J).damped_apply(lam, v)
+            assert factors.damped_apply(lam, v).tobytes() == fresh.tobytes()
+            # The optimizer's applier: a partial of the bound method.
+            applier = functools.partial(factors.damped_apply, lam)
+            assert applier(v).tobytes() == fresh.tobytes()
     # lam * inv_s overflows at s = 1e-300: a kept s / lam row, the same bits.
     tiny = SvdFactors(np.diag([1.0, 1e-300]))
     tiny.damped_apply_batch([1.0, 1e10, 1e300], np.ones(2))

@@ -42,6 +42,24 @@ def test_valley_rejects_bad_K():
             valley_problem(K)
 
 
+def test_valley_closures_reject_wrong_length_points():
+    # Both closures name the shape of a point that is not a 2-vector, rather
+    # than read its first two entries or index past its end.
+    problem = valley_problem(1e6)
+    for closure in (problem.evaluator, problem.jacobian):
+        for point, shape in ((np.ones(1), r"\(1,\)"), (np.arange(3.0), r"\(3,\)"),
+                             (np.ones((2, 1)), r"\(2, 1\)"), (np.float64(1.0), r"\(\)")):
+            with pytest.raises(ValueError, match="got shape " + shape):
+                closure(point)
+        # A list is a point; the values are the array's, to the bit.
+        assert closure([np.pi, np.e]).tobytes() == \
+            closure(np.array([np.pi, np.e])).tobytes()
+    assert problem.evaluator(np.array([np.pi, np.e])).tobytes() == \
+        valley_eval(1e6, np.float64(np.pi), np.float64(np.e)).tobytes()
+    assert problem.jacobian(np.array([np.pi, np.e])).tobytes() == \
+        valley_jacobian(1e6, np.float64(np.pi), np.float64(np.e)).tobytes()
+
+
 @pytest.mark.parametrize("K", [1.0, 1e3, 1e6])
 def test_valley_jacobian_matches_finite_differences(K):
     problem = valley_problem(K)
