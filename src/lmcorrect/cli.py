@@ -28,6 +28,7 @@ import numpy as np
 
 from . import faadibruno
 from .corrections import STENCIL_EVALUATIONS, _check_order
+from .linalg import as_positive
 from .optimizer import OptimizerConfig, RunResult, StepFailureError, run
 from .problems import Problem, default_affine_problem, valley_problem
 
@@ -206,8 +207,8 @@ def run_table(K_values, orders, tol: float = 1e-9,
         raise ValueError("need at least one K value")
     if not orders:
         raise ValueError("need at least one order")
-    if not all(0.0 < k < math.inf for k in K_values):
-        raise ValueError("all K values must be positive and finite")
+    for K in K_values:
+        as_positive(K, "K values")
     for order in orders:
         _check_order(order)
     if len(set(K_values)) < len(K_values) or len(set(orders)) < len(orders):

@@ -21,12 +21,11 @@ exactly, in rationals, against the order-n identity it implements.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _norm, as_residual
+from .linalg import _norm, as_int, as_shape
 
 __all__ = [
     "StencilEvaluationError",
@@ -93,16 +92,12 @@ STENCIL_EVALUATIONS = {1: 0} | {
 def _check_order(order) -> None:
     """Raise ValueError unless ``order`` is an integer key of STENCIL_EVALUATIONS.
 
-    ``2.0 in STENCIL_EVALUATIONS`` and ``True in STENCIL_EVALUATIONS`` hold, so
-    floats and bools are turned away by type first.  A plain ``int`` key, the
-    common case, returns before the slow ``Integral`` check.
+    A plain ``int`` key, the common case, passes on a type test and a lookup.
+    Anything else goes to ``as_int`` over the keys' range, which turns away
+    ``2.0`` and ``True``, although both are keys too.
     """
-    if type(order) is int and order in STENCIL_EVALUATIONS:
-        return
-    if (isinstance(order, bool) or not isinstance(order, Integral)
-            or order not in STENCIL_EVALUATIONS):
-        orders = ", ".join(map(str, STENCIL_EVALUATIONS))
-        raise ValueError(f"order must be an integer in {{{orders}}}, got {order!r}")
+    if type(order) is not int or order not in STENCIL_EVALUATIONS:
+        as_int(order, "order", min(STENCIL_EVALUATIONS), max(STENCIL_EVALUATIONS))
 
 
 class StencilEvaluationError(RuntimeError):
@@ -246,7 +241,7 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                 value = evaluator(point)
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
-            defects[evaluations - 1] = as_residual(value, m)
+            defects[evaluations - 1] = as_shape(value, (m,), "residual")
         block = defects[first:evaluations]
         model = offsets.dot(Jt)
         model += f0_row

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
-from numbers import Integral
+
+from .linalg import as_int
 
 __all__ = [
     "MAX_ORDER",
@@ -47,14 +48,6 @@ class DerivativeTerm:
     coefficient: int
     f_order: int
     x_orders: tuple[int, ...]
-
-
-def _check_order(n: int, minimum: int) -> None:
-    """Raise ValueError unless ``n`` is an integer, not a bool, in range."""
-    if isinstance(n, bool) or not isinstance(n, Integral):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    if not minimum <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in [{minimum}, {MAX_ORDER}], got {n}")
 
 
 def _sort_key(item):
@@ -85,7 +78,7 @@ def derivative_terms(n: int) -> list[DerivativeTerm]:
     Terms are sorted by descending ``f_order`` then lexicographic
     ``x_orders``; the coefficient sum equals the n-th Bell number.
     """
-    _check_order(n, 1)
+    as_int(n, "order", 1, MAX_ORDER)
     terms = {(1, (1,)): 1}
     for _ in range(n - 1):
         terms = _differentiate(terms)
@@ -103,7 +96,7 @@ def correction_identity_terms(n: int) -> tuple[DerivativeTerm, list[DerivativeTe
     x-derivative orders.  ``lead`` is the unique ``n! * f^(1)[c_n]`` term;
     solving for ``c_n`` divides ``rest`` by ``-n!`` and applies ``J^{-1}``.
     """
-    _check_order(n, 2)
+    as_int(n, "order", 2, MAX_ORDER)
     lead = None
     rest = []
     for term in derivative_terms(n):

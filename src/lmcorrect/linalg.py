@@ -1,4 +1,4 @@
-"""Dense vector/matrix helpers, the vector norm, and the step inverse.
+"""Argument rules, dense vector/matrix helpers, the vector norm, the inverse.
 
 Every vector norm in this package is ``math.hypot`` over the entries.  It lies
 within 1 ulp of the exact norm, never underflows, and is inf only beyond
@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from numbers import Integral
 
 import numpy as np
 
-__all__ = ["as_vector", "as_residual", "as_matrix", "SvdFactors"]
+__all__ = ["as_vector", "as_shape", "as_int", "as_positive", "as_matrix",
+           "SvdFactors"]
 
 # Reciprocal singular values below RANK_RCOND * sigma_max are zeroed when
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
@@ -45,18 +47,34 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def as_residual(value, m: int) -> np.ndarray:
-    """Coerce an evaluator's output to float64 of shape ``(m,)``.
+def as_shape(a, shape: tuple, what: str) -> np.ndarray:
+    """``a`` as float64 of exactly ``shape``, else ValueError naming ``what``.
 
-    Entries may be non-finite (callers decide what such a point is worth);
-    any other shape raises ValueError rather than broadcasting into a row.
+    Entries may be non-finite: callers decide what such a value is worth.
     """
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (m,):
-        raise ValueError(
-            f"evaluator returned a residual of shape {arr.shape}, expected ({m},)"
-        )
+    arr = np.asarray(a, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def as_int(value, what: str, low: int, high: float = math.inf):
+    """``value`` if it is an integer in ``[low, high]``, else ValueError.
+
+    Neither a bool nor a float such as ``2.0`` is an integer here.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def as_positive(value, what: str):
+    """``value`` if it is positive and finite (not nan or a bool), else ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return value
 
 
 def as_matrix(a) -> np.ndarray:

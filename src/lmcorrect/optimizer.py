@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .corrections import (
     _check_order,
     correction_series,
 )
-from .linalg import SvdFactors, _norm, as_residual
+from .linalg import SvdFactors, _norm, as_int, as_positive, as_shape
 from .problems import Problem
 
 __all__ = [
@@ -87,9 +86,9 @@ class StepFailureError(RuntimeError):
 
     Raised when every candidate endpoint is non-finite, chained from the
     lowest grid index's failed evaluator call if there was one, and when the
-    Jacobian has a non-finite entry or its SVD does not converge, chained
-    from that error.  ``evaluations`` counts the evaluator calls the step
-    made, failed ones included.  ``causes`` maps the grid index of every
+    Jacobian raises, has a non-finite entry or its SVD does not converge,
+    chained from that error.  ``evaluations`` counts the evaluator calls the
+    step made, failed ones included.  ``causes`` maps the grid index of every
     candidate whose evaluator call raised to that error, in grid order.
     """
 
@@ -136,15 +135,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_order(self.order)
-        # bool is an Integral, and nan fails every comparison.
-        if (isinstance(self.max_iterations, bool)
-                or not isinstance(self.max_iterations, Integral)
-                or self.max_iterations < 1):
-            raise ValueError("max_iterations must be an integer >= 1, "
-                             f"got {self.max_iterations!r}")
-        if not 0.0 < self.convergence_tol < math.inf:
-            raise ValueError("convergence_tol must be positive and finite, "
-                             f"got {self.convergence_tol!r}")
+        as_int(self.max_iterations, "max_iterations", 1)
+        as_positive(self.convergence_tol, "convergence_tol")
         if self.inverse_variant not in INVERSE_VARIANTS:
             raise ValueError(
                 f"inverse_variant must be one of {INVERSE_VARIANTS}, "
@@ -194,14 +186,6 @@ class RunResult:
     failure: StepFailureError | None
 
 
-def _as_point(x, n: int) -> np.ndarray:
-    """``x`` as a float array; ValueError unless its shape is ``(n,)``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"starting point has shape {x.shape}, expected ({n},)")
-    return x
-
-
 def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
          f0):
     """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
@@ -210,21 +194,24 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is centred
     on the largest damping tried) when no candidate improved the residual
     norm.  Raises StepFailureError when every candidate is unusable, the
-    Jacobian is not finite or its SVD does not converge, and ValueError when
-    ``f0`` is not finite or ``x``, ``f0`` or the Jacobian has the wrong shape.
+    Jacobian raises or is not finite, or its SVD does not converge, and
+    ValueError when ``f0`` is not finite or ``x``, ``f0`` or the Jacobian
+    has the wrong shape.
     """
     m, p = problem.output_dim, problem.input_dim
-    x = _as_point(x, p)
-    f0 = as_residual(f0, m)
+    x = as_shape(x, (p,), "x")
+    f0 = as_shape(f0, (m,), "f0")
     norm0 = _norm(f0)
     # Only a non-finite norm can come from a non-finite f0.
     if not math.isfinite(norm0) and not np.isfinite(f0).all():
         raise ValueError("f0 must be finite")
     evals = 0
 
-    J = np.asarray(problem.jacobian(x), dtype=float)
-    if J.shape != (m, p):
-        raise ValueError(f"jacobian returned shape {J.shape}, expected ({m}, {p})")
+    try:
+        J = problem.jacobian(x)
+    except Exception as exc:
+        raise StepFailureError(f"jacobian failed: {exc!r}") from exc
+    J = as_shape(J, (m, p), "jacobian")
     try:
         factors = SvdFactors(J)
     except ValueError as exc:
@@ -259,7 +246,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         except Exception as exc:
             causes[idx] = exc
             continue
-        f_end = as_residual(value, m)
+        f_end = as_shape(value, (m,), "residual")
         norm = _norm(f_end)
         # Strict: the first minimum, the smallest grid index, keeps the lead,
         # and a nan norm never takes it.  The copy outlives a reused buffer.
@@ -301,10 +288,11 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     start point or start residual that is not finite or has the wrong shape,
     and a residual or Jacobian of the wrong shape, raise ValueError.
     """
-    x = _as_point(x0, problem.input_dim)
+    # A copy: the result's x must not be the caller's array.
+    x = as_shape(x0, (problem.input_dim,), "starting point").copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
-    f = as_residual(problem.evaluator(x), problem.output_dim)
+    f = as_shape(problem.evaluator(x), (problem.output_dim,), "starting residual")
     if not np.isfinite(f).all():
         raise ValueError("starting residual must be finite")
     total_evals = 1

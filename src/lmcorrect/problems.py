@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .linalg import as_int, as_positive, as_shape
 
 __all__ = [
     "Problem",
@@ -59,24 +60,15 @@ def valley_jacobian(K: float, x: float, y: float) -> np.ndarray:
     return np.array([[1.0, 2.0 * y], [-2.0 * K * x, K]])
 
 
-def _valley_point(p) -> list:
-    """The coordinates of ``p`` as floats; ValueError unless it is a 2-vector."""
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"valley point must have shape (2,), got shape {arr.shape}")
-    return arr.tolist()
-
-
 def valley_problem(K: float) -> Problem:
     """Two-dimensional curved-valley benchmark with anisotropy factor ``K``.
 
-    Both closures take a point of shape ``(2,)``, or a sequence of two
-    numbers, and raise ValueError naming any other shape.  They compute with
-    Python floats, whose arithmetic costs less than float64 scalars' and
-    gives the same IEEE results.
+    ``K`` must be positive and finite.  Both closures take a point of shape
+    ``(2,)``, or a sequence of two numbers, and raise ValueError naming any
+    other shape.  They compute with Python floats, whose arithmetic costs
+    less than float64 scalars' and gives the same IEEE results.
     """
-    if not 0.0 < K < math.inf:
-        raise ValueError(f"anisotropy factor must be positive and finite, got {K}")
+    as_positive(K, "anisotropy factor")
 
     def evaluator(p):
         # The fast path for the one call per point: an array of another
@@ -87,11 +79,11 @@ def valley_problem(K: float) -> Problem:
             if type(y) is list:
                 raise TypeError
         except (AttributeError, TypeError, ValueError):
-            x, y = _valley_point(p)
+            x, y = as_shape(p, (2,), "valley point").tolist()
         return valley_eval(K, x, y)
 
     def jacobian(p):
-        return valley_jacobian(K, *_valley_point(p))
+        return valley_jacobian(K, *as_shape(p, (2,), "valley point").tolist())
 
     return Problem(2, 2, evaluator, jacobian, name=f"valley(K={K:g})")
 
@@ -194,9 +186,10 @@ def polynomial_problem(degree: int, dim: int, seed: int) -> PolynomialProblem:
 
     Coefficients are drawn uniformly from [-1, 1] with the given seed and the
     higher-order tensors are symmetrized; results are deterministic.
+    ``degree`` must be an integer in [1, 4] and ``dim`` one of at least 1.
     """
-    if not 1 <= degree <= 4:
-        raise ValueError(f"degree must be in [1, 4], got {degree}")
+    as_int(degree, "degree", 1, 4)
+    as_int(dim, "dim", 1)
     rng = np.random.default_rng(seed)
 
     def draw(*shape):

@@ -73,6 +73,20 @@ def nan_jacobian_below(problem: Problem, y_limit):
     return Problem(2, 2, problem.evaluator, jacobian, name=problem.name)
 
 
+def jacobian_raising_from(problem: Problem, call: int, error: Exception):
+    """The problem whose Jacobian raises ``error`` from its ``call``-th call on."""
+    calls = {"n": 0}
+
+    def jacobian(x):
+        calls["n"] += 1
+        if calls["n"] >= call:
+            raise error
+        return problem.jacobian(x)
+
+    return Problem(problem.input_dim, problem.output_dim, problem.evaluator,
+                   jacobian, name=problem.name)
+
+
 def analytic_correction_series(poly, x, inverse_apply, c1, order):
     """Corrections from exact tensor contractions via the order-n identities.
 

@@ -3,12 +3,14 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import nan_jacobian_below
+from helpers import jacobian_raising_from, nan_jacobian_below
 from lmcorrect import cli
 from lmcorrect.cli import (
     ConvergenceTable,
@@ -202,6 +204,24 @@ def test_step_failure_exits_1_with_the_error_line(argv, monkeypatch, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--K", "1e6", "--order", "2"],
+    ["run", "--K", "1e6", "--order", "2", "--out", "trace.csv"],
+    ["table", "--K", "1e6", "--order", "1", "2"],
+])
+def test_raising_jacobian_exits_1_with_the_error_line(argv, monkeypatch,
+                                                      tmp_path, capsys):
+    # From its sixth call the Jacobian raises: run() returns a step_failure
+    # result, which the CLI reports as one error line, writing no CSV.
+    monkeypatch.setattr(cli, "valley_problem", lambda K: jacobian_raising_from(
+        valley_problem(K), 6, ZeroDivisionError("division by zero")))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: jacobian failed: ZeroDivisionError('division by zero')\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svd_failure_exits_1_with_the_error_line(monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -336,6 +356,29 @@ def test_atomic_write(tmp_path):
     assert target.read_text() == "new"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("make_target,text,error", [
+    (lambda tmp: tmp / "a-directory", "a,b\n", IsADirectoryError),
+    (lambda tmp: tmp / "out.csv", 123, TypeError),
+], ids=["rename-fails", "write-fails"])
+def test_failed_atomic_write_leaves_no_temporary_file(make_target, text, error,
+                                                      tmp_path):
+    (tmp_path / "a-directory").mkdir()
+    with pytest.raises(error):
+        atomic_write(str(make_target(tmp_path)), text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert list((tmp_path / "a-directory").iterdir()) == []
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "lmcorrect", "terms", "--order", "2", "--corrections"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "c_2 = -1/2" in done.stdout
 
 
 def test_cli_fit_subcommand_smoke(capsys):

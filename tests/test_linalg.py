@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lmcorrect.linalg import SvdFactors
+from lmcorrect.linalg import SvdFactors, as_int, as_positive, as_shape
 from lmcorrect.optimizer import LambdaSchedule
 from lmcorrect.problems import valley_jacobian
 
@@ -351,3 +351,43 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
     for lam in (1e3, 1e6):
         assert np.array_equal(factors.damped_apply(lam, v),
                               SvdFactors(J).damped_apply(lam, v))
+
+
+def test_as_shape_names_the_argument_and_both_shapes():
+    assert as_shape([1, 2], (2,), "x").dtype == np.float64
+    # Non-finite entries pass, and a float64 array of the shape is not copied.
+    values = np.array([np.nan, np.inf])
+    assert as_shape(values, (2,), "f0") is values
+    for value, got in ((np.ones(3), r"\(3,\)"), (np.ones((1, 2)), r"\(1, 2\)"),
+                       (1.0, r"\(\)")):
+        with pytest.raises(ValueError,
+                           match=rf"^point has shape {got}, expected \(2,\)$"):
+            as_shape(value, (2,), "point")
+
+
+def test_as_int_takes_only_integers_in_range():
+    for value in (1, 4, np.int64(3)):
+        assert as_int(value, "n", 1, 4) is value
+    assert as_int(10**30, "n", 1) == 10**30
+    # 2.0 and True compare equal to integers in range; neither is an integer.
+    for value in (0, 5, -1, True, np.bool_(True), 2.0, 2.5, math.nan, "2", None):
+        with pytest.raises(ValueError,
+                           match=r"^n must be an integer in \[1, 4\], got "):
+            as_int(value, "n", 1, 4)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 0$"):
+        as_int(0, "n", 1)
+
+
+def test_as_positive_takes_only_positive_finite_numbers():
+    for value in (5e-324, 1.0, 1e300, 3, np.float64(2.0)):
+        assert as_positive(value, "t") is value
+    for value in (0.0, -1.0, math.inf, -math.inf, math.nan, True, False,
+                  np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
+            as_positive(value, "t")
+
+
+def test_factors_reject_a_jacobian_that_is_not_2d():
+    for J, shape in ((np.ones(3), r"\(3,\)"), (np.ones((1, 2, 2)), r"\(1, 2, 2\)")):
+        with pytest.raises(ValueError, match=rf"2-D matrix, got shape {shape}"):
+            SvdFactors(J)

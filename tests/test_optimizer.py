@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_problem, nan_jacobian_below
+from helpers import counting_problem, jacobian_raising_from, nan_jacobian_below
 from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
 from lmcorrect.corrections import (
@@ -569,6 +569,12 @@ def test_step_rejects_wrong_shaped_f0():
              f0=np.ones(3))
 
 
+def test_step_names_a_wrong_shaped_f0():
+    with pytest.raises(ValueError, match=r"^f0 has shape \(3,\), expected \(2,\)$"):
+        step(START, valley_problem(1.0), LambdaSchedule(), OptimizerConfig(),
+             f0=np.ones(3))
+
+
 @pytest.mark.parametrize("x", [np.ones(3), np.ones((1, 2)), np.float64(1.0)],
                          ids=["long", "row", "scalar"])
 def test_step_rejects_wrong_shaped_x(x):
@@ -578,7 +584,7 @@ def test_step_rejects_wrong_shaped_x(x):
 
     problem = Problem(2, 2, lambda x: np.ones(2), jacobian, name="no-jacobian")
     shape = re.escape(str(np.shape(x)))
-    with pytest.raises(ValueError, match=rf"starting point has shape {shape}, "
+    with pytest.raises(ValueError, match=rf"x has shape {shape}, "
                                          r"expected \(2,\)"):
         step(x, problem, LambdaSchedule(), OptimizerConfig(), f0=np.ones(2))
 
@@ -620,6 +626,13 @@ def test_config_validation():
     assert OptimizerConfig(convergence_tol=1e300).convergence_tol == 1e300
     with pytest.raises(ValueError):
         OptimizerConfig(inverse_variant="cholesky")
+
+
+def test_config_rejects_a_bool_tolerance():
+    # True compares as 1 and was taken for a tolerance of 1.
+    for tol in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="convergence_tol must be positive"):
+            OptimizerConfig(convergence_tol=tol)
 
 
 def test_reference_iteration_counts_shallow_valley():
@@ -672,6 +685,54 @@ def test_nonfinite_jacobian_mid_run_returns_the_trajectory():
     assert result.f_evaluations == counter["evals"] == 1 + 3 * 21 * 2
     assert result.x[1] < 2.0
     assert result.residual_norm == result.trajectory[-1].residual_norm
+
+
+def test_raising_jacobian_fails_the_step():
+    error = ZeroDivisionError("division by zero")
+    problem, counter = counting_problem(
+        jacobian_raising_from(valley_problem(100.0), 1, error))
+    with pytest.raises(StepFailureError, match="jacobian failed") as info:
+        step(START, problem, LambdaSchedule(), OptimizerConfig(order=2),
+             f0=valley_problem(100.0).evaluator(START))
+    assert info.value.__cause__ is error
+    assert info.value.evaluations == counter["evals"] == 0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_raising_jacobian_mid_run_returns_the_trajectory(order):
+    # From its sixth call the Jacobian raises: the run keeps the five
+    # iterations before it, and counts every evaluator call.
+    error = ZeroDivisionError("division by zero")
+    problem, counter = counting_problem(
+        jacobian_raising_from(valley_problem(1e6), 6, error))
+    result = run(START, problem, OptimizerConfig(order=order))
+    assert result.termination == "step_failure"
+    assert result.iterations == len(result.trajectory) == 5
+    assert isinstance(result.failure, StepFailureError)
+    assert result.failure.__cause__ is error
+    assert result.failure.evaluations == 0
+    assert result.f_evaluations == counter["evals"] == 1 + sum(
+        r.f_evaluations for r in result.trajectory)
+    assert result.residual_norm == result.trajectory[-1].residual_norm
+
+
+@pytest.mark.parametrize("problem,variant,termination", [
+    (valley_problem(1e6), "levenberg_marquardt", "converged"),
+    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.eye(2), name="flat"),
+     "gauss_newton", "stalled"),
+    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.full((2, 2), np.nan),
+             name="nan-jacobian"), "levenberg_marquardt", "step_failure"),
+], ids=["converged-at-start", "stalled", "step-failure"])
+def test_result_x_is_not_the_callers_start_array(problem, variant, termination):
+    # No iteration is accepted, so the result's x is the start point's
+    # value, in an array of its own.
+    x0 = np.zeros(2)
+    result = run(x0, problem, OptimizerConfig(inverse_variant=variant))
+    assert result.termination == termination
+    assert not any(r.accepted for r in result.trajectory)
+    assert not np.shares_memory(result.x, x0)
+    x0[0] = 1.0
+    assert result.x.tolist() == [0.0, 0.0]
 
 
 def test_failed_step_is_counted_and_returned():

@@ -42,6 +42,31 @@ def test_valley_rejects_bad_K():
             valley_problem(K)
 
 
+def test_valley_rejects_a_bool_K():
+    # True compares as 1 and was taken for K = 1.
+    for K in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="anisotropy factor must be positive"):
+            valley_problem(K)
+
+
+@pytest.mark.parametrize("degree,dim", [
+    (2.5, 2), (True, 2), (2.0, 2), (0, 2), (5, 2), (2, 0), (2, -1), (2, 2.0),
+    (2, True),
+])
+def test_polynomial_problem_rejects_bad_degree_or_dim(degree, dim):
+    # Degree 2.5 built a degree-2 map named d=2.5, degree True a degree-1 map
+    # and dim 0 an empty map.
+    with pytest.raises(ValueError, match="must be an integer"):
+        polynomial_problem(degree, dim, 0)
+
+
+def test_polynomial_problem_takes_numpy_integers():
+    poly = polynomial_problem(np.int64(3), np.int64(2), 5)
+    plain = polynomial_problem(3, 2, 5)
+    assert poly.name == plain.name and poly.input_dim == 2
+    assert poly.D is None and poly.C.tobytes() == plain.C.tobytes()
+
+
 def test_valley_closures_reject_wrong_length_points():
     # Both closures name the shape of a point that is not a 2-vector, rather
     # than read its first two entries or index past its end.
@@ -49,7 +74,7 @@ def test_valley_closures_reject_wrong_length_points():
     for closure in (problem.evaluator, problem.jacobian):
         for point, shape in ((np.ones(1), r"\(1,\)"), (np.arange(3.0), r"\(3,\)"),
                              (np.ones((2, 1)), r"\(2, 1\)"), (np.float64(1.0), r"\(\)")):
-            with pytest.raises(ValueError, match="got shape " + shape):
+            with pytest.raises(ValueError, match="valley point has shape " + shape):
                 closure(point)
         # A list is a point; the values are the array's, to the bit.
         assert closure([np.pi, np.e]).tobytes() == \
