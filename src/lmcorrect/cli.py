@@ -201,14 +201,13 @@ def run_table(K_values, orders, tol: float = 1e-9,
     STENCIL_EVALUATIONS; both lists are checked, nonempty and without
     repeats, before any solve.
     """
-    K_values = tuple(float(k) for k in K_values)
-    orders = tuple(orders)
+    K_values, orders = tuple(K_values), tuple(orders)
     if not K_values:
         raise ValueError("need at least one K value")
     if not orders:
         raise ValueError("need at least one order")
-    for K in K_values:
-        as_positive(K, "K values")
+    # Each K as given, so neither True nor "1e2" is read as a number.
+    K_values = tuple(float(as_positive(K, "K values")) for K in K_values)
     for order in orders:
         _check_order(order)
     if len(set(K_values)) < len(K_values) or len(set(orders)) < len(orders):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _norm, as_int, as_shape
+from .linalg import _norm, as_finite, as_int, as_shape
 
 __all__ = [
     "StencilEvaluationError",
@@ -174,7 +174,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     Parameters
     ----------
     x, f0, J :
-        Base point, residual and Jacobian at the base point.
+        Base point, residual and Jacobian at the base point; ``f0`` is read
+        after evaluator calls, so it must not be an array the evaluator reuses.
     inverse_apply : callable
         ``v -> Jinv v`` used for every inverse occurrence in this series
         (the same applier that produced the step direction).
@@ -205,8 +206,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
     # math.hypot cannot overflow, so no norm here warns, however large; it is
     # non-finite for a non-finite c1, or for a finite one beyond float64.
     c1_norm = math.hypot(*c1.tolist())
-    if not c1_norm < math.inf and not np.isfinite(c1).all():
-        raise ValueError("c1 must be finite")
+    if not c1_norm < math.inf:
+        as_finite(c1, x.shape, "c1")  # passes a finite c1 whose norm overflows
     f0 = np.asarray(f0, dtype=float)
     J = np.asarray(J, dtype=float)
     # Tuple comparisons only: this runs once per live candidate.

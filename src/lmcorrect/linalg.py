@@ -1,4 +1,4 @@
-"""Argument rules, dense vector/matrix helpers, the vector norm, the inverse.
+"""Argument rules, the vector norm and the damped inverse.
 
 Every vector norm in this package is ``math.hypot`` over the entries.  It lies
 within 1 ulp of the exact norm, never underflows, and is inf only beyond
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
-__all__ = ["as_vector", "as_shape", "as_int", "as_positive", "as_matrix",
-           "SvdFactors"]
+__all__ = ["as_shape", "as_finite", "as_int", "as_positive", "SvdFactors"]
 
 # Reciprocal singular values below RANK_RCOND * sigma_max are zeroed when
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
@@ -37,16 +36,6 @@ _APPLY_SAFE = float(np.finfo(float).max) / 2
 _TINY = 1.0 / _APPLY_SAFE
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, raising ValueError otherwise."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"expected a nonempty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
 def as_shape(a, shape: tuple, what: str) -> np.ndarray:
     """``a`` as float64 of exactly ``shape``, else ValueError naming ``what``.
 
@@ -55,6 +44,14 @@ def as_shape(a, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def as_finite(a, shape: tuple, what: str) -> np.ndarray:
+    """``as_shape(a, shape, what)``, else ValueError unless every entry is finite."""
+    arr = as_shape(a, shape, what)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
     return arr
 
 
@@ -71,20 +68,11 @@ def as_int(value, what: str, low: int, high: float = math.inf):
 
 
 def as_positive(value, what: str):
-    """``value`` if it is positive and finite (not nan or a bool), else ValueError."""
-    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < math.inf:
+    """``value`` if it is a real number (not a bool) in (0, inf), else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0.0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
     return value
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, raising ValueError otherwise."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return arr
 
 
 def _norm(v) -> float:
@@ -109,10 +97,14 @@ class SvdFactors:
     accuracy" (1999), which keeps it.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_lams", "_rows", "_kept")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_v_shape", "_lams", "_rows",
+                 "_kept")
 
     def __init__(self, J):
-        J = as_matrix(J)
+        J = np.asarray(J, dtype=float)
+        if J.ndim != 2 or J.size == 0:
+            raise ValueError(f"expected a nonempty 2-D matrix, got shape {J.shape}")
+        as_finite(J, J.shape, "jacobian")
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         if s[-1] <= ACCURATE_RCOND * s[0]:
             # Sort the rows by their largest magnitude, take a Householder
@@ -122,6 +114,7 @@ class SvdFactors:
             U, s, Vt = np.linalg.svd(R, full_matrices=False)
             U = Q.dot(U)[np.argsort(order)]
         self.U, self.s, self.Vt, self.Ut, self.V = U, s, Vt, U.T, Vt.T
+        self._v_shape = J.shape[:1]  # every applied v has shape (m,)
         if s[-1] >= _TINY:
             self.inv_s = 1.0 / s
         else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
@@ -161,6 +154,7 @@ class SvdFactors:
         values below ``RANK_RCOND * s_max`` are then dropped (minimum-norm
         solution) and a RuntimeWarning flags the rank deficiency.  A result
         beyond float64's range has inf entries, without an overflow warning.
+        A ``v`` that is not finite or not of shape ``(m,)`` raises ValueError.
         """
         v = np.asarray(v, dtype=float)
         if self._kept is None:  # the first read since the last sweep
@@ -177,24 +171,27 @@ class SvdFactors:
         # No partial sum or product exceeds (gain + 1) |v|, so under the bound
         # nothing overflows (math.hypot also checks finiteness).  ndarray.dot,
         # not @: half the matmul gufunc's dispatch cost on 2-3 elements, same bits.
-        if v.ndim == 1 and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE:
+        if (v.shape == self._v_shape
+                and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE):
             return self.V.dot(scale * self.Ut.dot(v))
+        as_finite(v, self._v_shape, "v")  # passes only a finite v too large for the bound
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.V.dot(scale * self.Ut.dot(as_vector(v)))
+            return self.V.dot(scale * self.Ut.dot(v))
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
 
         Row ``i`` matches ``damped_apply(lams[i], v)`` to rounding, zero
         dampings included; a row that overflows is non-finite, unwarned.
-        ``lams`` must be nonempty and 1-D, and ``v`` finite, or ValueError.
+        A ``lams`` that is empty or not 1-D, and a ``v`` that ``damped_apply``
+        would reject, raise ValueError.
         """
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1 or lams.size == 0:
             raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
         v = np.asarray(v, dtype=float)
-        if not (v.ndim == 1 and math.hypot(*v.tolist()) < math.inf):
-            v = as_vector(v)  # raises unless v is finite with an overflowing norm
+        if not (v.shape == self._v_shape and math.hypot(*v.tolist()) < math.inf):
+            as_finite(v, self._v_shape, "v")  # passes a finite v whose norm overflows
         lam_list = lams.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rows = self._scale_rows(lams, lam_list)

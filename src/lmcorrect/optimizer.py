@@ -49,7 +49,7 @@ from .corrections import (
     _check_order,
     correction_series,
 )
-from .linalg import SvdFactors, _norm, as_int, as_positive, as_shape
+from .linalg import SvdFactors, _norm, as_finite, as_int, as_positive, as_shape
 from .problems import Problem
 
 __all__ = [
@@ -196,15 +196,15 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     norm.  Raises StepFailureError when every candidate is unusable, the
     Jacobian raises or is not finite, or its SVD does not converge, and
     ValueError when ``f0`` is not finite or ``x``, ``f0`` or the Jacobian
-    has the wrong shape.
+    has the wrong shape.  ``f0`` is read after evaluator calls, so it must
+    not be an array the evaluator reuses; :func:`run` passes its own copy.
     """
     m, p = problem.output_dim, problem.input_dim
     x = as_shape(x, (p,), "x")
     f0 = as_shape(f0, (m,), "f0")
     norm0 = _norm(f0)
-    # Only a non-finite norm can come from a non-finite f0.
-    if not math.isfinite(norm0) and not np.isfinite(f0).all():
-        raise ValueError("f0 must be finite")
+    if not math.isfinite(norm0):  # a non-finite f0, or a finite one beyond float64
+        as_finite(f0, (m,), "f0")
     evals = 0
 
     try:
@@ -222,15 +222,17 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     lams = lambdas.tolist()
 
     # First-order directions for the whole sweep from one factorization, and
-    # order 1's endpoints in one add.
+    # at order 1 their endpoints in one add.
     c1s = -factors.damped_apply_batch(lambdas, f0)
-    endpoints = x + c1s
+    evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
+    endpoints = x + c1s if order == 1 else None
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
-    evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
     for idx in np.flatnonzero(np.isfinite(c1s).all(axis=1)).tolist():
-        series, end = None, endpoints[idx]
-        if order > 1:
+        series = None
+        if order == 1:
+            end = endpoints[idx]
+        else:
             try:
                 series = correction_series(x, f0, J, partial(apply, lams[idx]),
                                            evaluator, c1s[idx], order)
@@ -286,15 +288,14 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     rejections, or one at damping 0, which cannot escalate.  A
     StepFailureError ends the run, which returns what it has so far.  A
     start point or start residual that is not finite or has the wrong shape,
-    and a residual or Jacobian of the wrong shape, raise ValueError.
+    and a residual or Jacobian of the wrong shape, raise ValueError.  The
+    evaluator may return the same array on every call.
     """
-    # A copy: the result's x must not be the caller's array.
-    x = as_shape(x0, (problem.input_dim,), "starting point").copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("starting point must be finite")
-    f = as_shape(problem.evaluator(x), (problem.output_dim,), "starting residual")
-    if not np.isfinite(f).all():
-        raise ValueError("starting residual must be finite")
+    # Copies: the result's x must not be the caller's array, and f must
+    # outlive an evaluator that reuses its output array.
+    x = as_finite(x0, (problem.input_dim,), "starting point").copy()
+    f = as_finite(problem.evaluator(x), (problem.output_dim,),
+                  "starting residual").copy()
     total_evals = 1
     schedule = LambdaSchedule(START_CENTRES[config.inverse_variant])
     trajectory: list[IterationRecord] = []

@@ -13,7 +13,7 @@ from lmcorrect.corrections import (
     StencilEvaluationError,
 )
 from lmcorrect.faadibruno import correction_identity_terms
-from lmcorrect.linalg import SvdFactors, as_vector
+from lmcorrect.linalg import SvdFactors, as_finite
 from lmcorrect.problems import Problem
 
 
@@ -181,7 +181,7 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
 
 def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian, the test-time oracle for analytic ones."""
-    x = as_vector(x)
+    x = as_finite(x, (problem.input_dim,), "x")
     J = np.zeros((problem.output_dim, problem.input_dim))
     for j in range(problem.input_dim):
         h = rel_step * (1.0 + abs(x[j]))

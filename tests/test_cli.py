@@ -200,7 +200,7 @@ def test_step_failure_exits_1_with_the_error_line(argv, monkeypatch, tmp_path,
                         lambda K: nan_jacobian_below(valley_problem(K), 2.0))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
+    assert capsys.readouterr() == ("", "error: jacobian must be finite\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -331,7 +331,8 @@ def test_fit_uses_last_three_uncensored_below_cap():
 def test_run_table_validates_input(monkeypatch):
     # Every K and order is checked before the first solve: int() ran 2.5 as
     # order 2 and True as order 1, an infinite K failed after K = 1, and a
-    # repeated K or order was solved twice.
+    # repeated K or order was solved twice.  Each K is checked as given:
+    # float() read True as K = 1 and "1e2" as K = 100.
     def no_solve(spec):
         raise AssertionError(f"solved {spec} before validating")
 
@@ -340,7 +341,8 @@ def test_run_table_validates_input(monkeypatch):
                              ([1.0, np.nan], [1]), ([1e4], []), ([1e4], [2.5]),
                              ([1e4], [True]), ([1e4], [2.0]), ([1e4], [1, 5]),
                              ([10.0, 10.0], [2]), ([1e3, 1000], [2]),
-                             ([1e4], [2, 2]), ([1e4], [2, np.int64(2)])]:
+                             ([1e4], [2, 2]), ([1e4], [2, np.int64(2)]),
+                             ([True], [1]), (["1e2"], [1]), ([None], [1])]:
         with pytest.raises(ValueError):
             run_table(K_values, orders)
     monkeypatch.undo()

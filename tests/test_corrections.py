@@ -25,7 +25,7 @@ from lmcorrect.corrections import (
     StencilEvaluationError,
     correction_series,
 )
-from lmcorrect.linalg import SvdFactors, as_vector
+from lmcorrect.linalg import SvdFactors, as_finite
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
@@ -311,7 +311,7 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
 
 
 def _series_of_residuals(residual, order,
-                         inverse_apply=lambda v: 1e-3 * as_vector(v)):
+                         inverse_apply=lambda v: 1e-3 * as_finite(v, (2,), "v")):
     """A series whose defects are exactly the residuals: x, f0 and J are 0.
 
     ``residual(n)`` gives the n-th evaluator call's value (from 1).  The

@@ -1,12 +1,13 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lmcorrect.linalg import SvdFactors, as_int, as_positive, as_shape
-from lmcorrect.optimizer import LambdaSchedule
-from lmcorrect.problems import valley_jacobian
+from lmcorrect.linalg import SvdFactors, as_finite, as_int, as_positive, as_shape
+from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig
+from lmcorrect.problems import valley_jacobian, valley_problem
 
 
 def reconstruct(f):
@@ -47,10 +48,9 @@ def test_svd_ill_conditioned_valley_jacobian():
 
 
 def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        SvdFactors(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        SvdFactors(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    for J in ([[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="^jacobian must be finite$"):
+            SvdFactors(np.array(J))
 
 
 def test_damped_identity_cases():
@@ -85,8 +85,14 @@ def test_damped_rejects_negative_damping():
     np.ones(3),
 ])
 def test_damped_rejects_nonfinite_or_misshaped_vector(v):
-    with pytest.raises(ValueError):
-        SvdFactors(np.eye(2)).damped_apply(0.5, v)
+    # The message names v: a misshaped v used to fail inside numpy's product.
+    message = "^v must be finite$" if v.shape == (2,) else (
+        rf"^v has shape {re.escape(str(v.shape))}, expected \(2,\)$")
+    factors = SvdFactors(np.eye(2))
+    with pytest.raises(ValueError, match=message):
+        factors.damped_apply(0.5, v)
+    with pytest.raises(ValueError, match=message):
+        factors.damped_apply_batch([0.5, 1.0], v)
 
 
 def squaring_scale(f, lams):
@@ -378,13 +384,32 @@ def test_as_int_takes_only_integers_in_range():
         as_int(0, "n", 1)
 
 
+def test_as_finite_checks_the_shape_then_every_entry():
+    values = np.array([1.0, -2.0])
+    assert as_finite(values, (2,), "f0") is values
+    assert as_finite([[1, 2]], (1, 2), "J").dtype == np.float64
+    # A finite vector whose norm overflows is finite.
+    assert as_finite([1e308, 1e308], (2,), "v").shape == (2,)
+    for value in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match=r"^f0 must be finite$"):
+            as_finite(value, (2,), "f0")
+    # The shape is checked first, so a misshaped non-finite value names its shape.
+    with pytest.raises(ValueError, match=r"^f0 has shape \(3,\), expected \(2,\)$"):
+        as_finite([np.nan, 0.0, 0.0], (2,), "f0")
+
+
 def test_as_positive_takes_only_positive_finite_numbers():
     for value in (5e-324, 1.0, 1e300, 3, np.float64(2.0)):
         assert as_positive(value, "t") is value
+    # A non-number gets the rule's ValueError, not the comparison's TypeError.
     for value in (0.0, -1.0, math.inf, -math.inf, math.nan, True, False,
-                  np.bool_(True)):
+                  np.bool_(True), None, "1e6", 1j, 1 + 0j, [1.0]):
         with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
             as_positive(value, "t")
+    with pytest.raises(ValueError, match=r"^convergence_tol must be positive"):
+        OptimizerConfig(convergence_tol=None)
+    with pytest.raises(ValueError, match=r"^anisotropy factor must be positive"):
+        valley_problem("1e6")
 
 
 def test_factors_reject_a_jacobian_that_is_not_2d():

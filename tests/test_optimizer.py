@@ -263,6 +263,16 @@ def test_accepted_residual_survives_a_reused_output_buffer(order):
     assert f_new is not buffer
     assert np.array_equal(f_new, valley.evaluator(x_new))
     assert record.residual_norm == math.hypot(*f_new)
+    # A whole run: the start residual and every f0 a step reads, rejected
+    # steps included, are the run's own arrays, so the run is the plain
+    # evaluator's, record for record.  At orders 2-4 the stencil's linear
+    # model f0 + J a used to read an f0 that later calls had overwritten.
+    config = OptimizerConfig(order=order)
+    reused, plain = run(START, problem, config), run(START, valley, config)
+    assert reused.trajectory == plain.trajectory
+    assert (reused.iterations, reused.f_evaluations, reused.termination) == (
+        plain.iterations, plain.f_evaluations, plain.termination)
+    assert reused.x.tobytes() == plain.x.tobytes()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -664,7 +674,7 @@ def test_nonfinite_jacobian_fails_the_step():
     # stays a ValueError (test_step_rejects_wrong_shaped_jacobian).
     problem = nan_jacobian_below(valley_problem(100.0), 10.0)
     with pytest.raises(StepFailureError,
-                       match="matrix entries must be finite") as info:
+                       match="jacobian must be finite") as info:
         step(START, problem, LambdaSchedule(), OptimizerConfig(order=2),
              f0=problem.evaluator(START))
     assert info.value.evaluations == 0
