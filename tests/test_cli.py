@@ -242,6 +242,61 @@ def test_readme_commands_parse():
         parser.parse_args(shlex.split(command)[1:])
 
 
+# The README's examples, as the CLI prints them without --out: the CSV on
+# stdout, the report on stderr.  Only bytes that no float's last bits decide
+# are pinned; the fit CSV's repr exponents, masked as "{}", must round to
+# the report's three decimals.
+README_TABLE_CSV = """\
+K,order_1,order_2,order_3,order_4
+1,8,5,5,4
+10,14,7,6,6
+100,47,14,10,8
+1000,194,30,17,12
+10000,876,67,27,18
+"""
+README_TABLE_TEXT = """\
+    K  order 1  order 2  order 3  order 4
+    1        8        5        5        4
+   10       14        7        6        6
+  100       47       14       10        8
+ 1000      194       30       17       12
+10000      876       67       27       18
+"""
+README_FIT_CSV = """\
+order,exponent,K_points,iteration_points
+2,{},10000 100000 1e+06,67 159 390
+3,{},10000 100000 1e+06,27 47 83
+4,{},10000 100000 1e+06,18 26 41
+"""
+README_FIT_REPORT = """\
+order 2: exponent 0.382 (from K=10000:67, K=100000:159, K=1e+06:390)
+order 3: exponent 0.244 (from K=10000:27, K=100000:47, K=1e+06:83)
+order 4: exponent 0.179 (from K=10000:18, K=100000:26, K=1e+06:41)
+"""
+README_TERMS_TEXT = """\
+f^(4)[x^(1) x^(1) x^(1) x^(1)] + 6 f^(3)[x^(1) x^(1) x^(2)] + \
+4 f^(2)[x^(1) x^(3)] + 3 f^(2)[x^(2) x^(2)] + f^(1)[x^(4)] = 0
+c_4 = -1/24 Jinv( f^(4)[c_1 c_1 c_1 c_1] + 12 f^(3)[c_1 c_1 c_2] + \
+24 f^(2)[c_1 c_3] + 12 f^(2)[c_2 c_2] )
+"""
+
+
+def test_cli_prints_the_readme_examples_byte_for_byte(capsys):
+    assert main(["table", "--K", "1", "10", "100", "1000", "1e4",
+                 "--order", "1", "2", "3", "4"]) == 0
+    assert capsys.readouterr() == (README_TABLE_CSV, README_TABLE_TEXT)
+
+    assert main(["fit", "--K", "1e4", "1e5", "1e6", "--order", "2", "3", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == README_FIT_REPORT
+    exponents = re.findall(r"^\d,([^,]*),", out, flags=re.M)
+    assert re.sub(r"^(\d),[^,]*,", r"\1,{},", out, flags=re.M) == README_FIT_CSV
+    assert [f"{float(e):.3f}" for e in exponents] == ["0.382", "0.244", "0.179"]
+
+    assert main(["terms", "--order", "4", "--corrections"]) == 0
+    assert capsys.readouterr() == (README_TERMS_TEXT, "")
+
+
 def test_cli_terms_output(capsys):
     assert main(["terms", "--order", "4"]) == 0
     out = capsys.readouterr().out
