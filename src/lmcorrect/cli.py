@@ -20,8 +20,8 @@ import io
 import math
 import os
 import sys
-import tempfile
 import time
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,38 +115,45 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(result, time.perf_counter() - start)
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text, in lists: csv.writer skips DictWriter's per-row lookups."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def write_trace_csv(stream, result: RunResult, order: int) -> None:
     """Per-iteration CSV rows; correction columns above the order stay empty."""
-    # Rows are lists in TRACE_COLUMNS order: csv.writer skips DictWriter's
-    # per-row field lookups and writes the same bytes.
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    cumulative = 1  # starting-point evaluation
-    for number, rec in enumerate(result.trajectory, start=1):
-        cumulative += rec.f_evaluations
-        norms = rec.corrections_norms
-        writer.writerow([
-            number,
-            repr(rec.chosen_lambda),
-            repr(rec.residual_norm),
-            repr(rec.step_norm),
-            *(repr(norms[i]) if order > i and i < len(norms) else ""
-              for i in (1, 2, 3)),
-            cumulative,
-        ])
+    def rows():  # one at a time: a long trace is never held as lists
+        yield TRACE_COLUMNS
+        cumulative = 1  # starting-point evaluation
+        for number, rec in enumerate(result.trajectory, start=1):
+            cumulative += rec.f_evaluations
+            norms = rec.corrections_norms
+            yield [
+                number,
+                repr(rec.chosen_lambda),
+                repr(rec.residual_norm),
+                repr(rec.step_norm),
+                *(repr(norms[i]) if order > i and i < len(norms) else ""
+                  for i in (1, 2, 3)),
+                cumulative,
+            ]
+    stream.write(_csv_text(rows()))
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write-then-rename so readers never observe a partial file; the file
+    is created under the umask (mkstemp's 0600 would survive the rename)."""
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{uuid.uuid4().hex}")
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -156,9 +163,6 @@ class TableCell:
     order: int
     iterations: int
     converged: bool
-
-    def display(self) -> str:
-        return str(self.iterations) if self.converged else f">{self.iterations}"
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,13 @@ class ConvergenceTable:
 
     def _rows(self) -> list[list[str]]:
         """Body rows: K, then each order's cell, empty where there is none."""
-        shown = {(c.K, c.order): c.display() for c in self.cells}
+        shown = {(c.K, c.order): str(c.iterations) if c.converged
+                 else f">{c.iterations}" for c in self.cells}
         return [[f"{K:g}"] + [shown.get((K, o), "") for o in self.orders]
                 for K in self.K_values]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["K"] + [f"order_{o}" for o in self.orders])
-        writer.writerows(self._rows())
-        return buf.getvalue()
+        return _csv_text([["K"] + [f"order_{o}" for o in self.orders]] + self._rows())
 
     def to_text(self) -> str:
         rows = [["K"] + [f"order {o}" for o in self.orders]] + self._rows()
@@ -344,18 +345,11 @@ def _cmd_fit(args) -> int:
     table = run_table(args.K, args.order, tol=args.tol,
                       max_iterations=args.max_iters)
     fits = fit_power_laws(table)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["order", "exponent", "K_points", "iteration_points"])
-    for fit in fits:
-        writer.writerow([
-            fit.order,
-            "" if not fit.available else repr(fit.exponent),
-            " ".join(f"{k:g}" for k in fit.K_values),
-            " ".join(str(n) for n in fit.iterations),
-        ])
-    report = "".join(fit.display() + "\n" for fit in fits)
-    _emit(args, buf.getvalue(), report)
+    rows = [["order", "exponent", "K_points", "iteration_points"]] + [
+        [fit.order, repr(fit.exponent) if fit.available else "",
+         " ".join(f"{k:g}" for k in fit.K_values),
+         " ".join(str(n) for n in fit.iterations)] for fit in fits]
+    _emit(args, _csv_text(rows), "".join(fit.display() + "\n" for fit in fits))
     return 0
 
 
@@ -379,7 +373,3 @@ def main(argv=None) -> int:
     except (ValueError, StepFailureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -82,6 +82,14 @@ def _within_defect_limit(values) -> bool:
     return True
 
 
+# A series runs its stencil only from |c1| <= _STEP_LIMIT.  Every later
+# correction passes the wild bound first, so no stencil offset and no summed
+# step is longer than (1 + 3 WILD_CORRECTION_FACTOR) |c1| (order 4's step):
+# all stay within float64's range, and so does the wild bound.
+_STEP_LIMIT = float(np.finfo(float).max) / (
+    1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
+
+
 # New residual evaluations consumed per correction series, by order.
 STENCIL_EVALUATIONS = {1: 0} | {
     order: sum(len(points) for points, _ in phases)
@@ -189,8 +197,10 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
 
     Each phase forms its offsets, their linear model ``f0 + J a`` and its
     weighted defect as one array product each; only the evaluator is called
-    point by point.  A stencil defect that is non-finite or too large for
-    the weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm
+    point by point.  A ``c1`` longer than ``_STEP_LIMIT``, whose stencil
+    offsets could leave float64's range, truncates the series before any
+    evaluation.  A stencil defect that is non-finite or too large for the
+    weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm
     exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
     truncates the series at the previous order, skips the remaining phases
     and sets the ``truncated`` flag.  A failing evaluator call raises
@@ -216,6 +226,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                          f"expected (m,) and (m, {len(x)})")
     if order == 1:
         return CorrectionSeries((c1,), 0)
+    if not c1_norm <= _STEP_LIMIT:
+        return CorrectionSeries((c1,), 0, True)
     Jt = J.T
     m = f0.shape[0]
     directions = np.empty((order, c1.shape[0]))

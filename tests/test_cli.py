@@ -415,6 +415,24 @@ def test_atomic_write(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_atomic_write_follows_the_umask(umask, tmp_path):
+    # mkstemp's temporary file is 0600, and the rename kept that mode, for a
+    # new file and for a replaced 0644 one alike.
+    target = tmp_path / "out.csv"
+    target.write_text("old")
+    target.chmod(0o644)
+    saved = os.umask(umask)
+    try:
+        atomic_write(str(target), "a,b\n")
+        fresh = tmp_path / "fresh.csv"
+        atomic_write(str(fresh), "a,b\n")
+    finally:
+        os.umask(saved)
+    for path in (target, fresh):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("make_target,text,error", [
     (lambda tmp: tmp / "a-directory", "a,b\n", IsADirectoryError),
     (lambda tmp: tmp / "out.csv", 123, TypeError),

@@ -16,6 +16,7 @@ from helpers import (
     phase_row_mismatches,
     relative_difference,
 )
+from lmcorrect import corrections
 from lmcorrect.corrections import (
     _DEFECT_LIMIT,
     PHASES,
@@ -407,6 +408,40 @@ def test_inverse_overflow_truncates_series():
     assert series.truncated
     assert series.evaluation_count == 1
     assert np.array_equal(series.step, c1)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
+    # At order 4 the point 1.5 c1 of c1 = (1.5e308, 0) overflowed: numpy
+    # warned (an error under the suite's filter) and the series truncated
+    # after 3 evaluations, one at an infinite point.  A c1 longer than
+    # _STEP_LIMIT now truncates at once; one at the limit runs every phase.
+    J, limit = np.eye(2), corrections._STEP_LIMIT
+    for c1, evaluated in (([1.5e308, 0.0], 0),
+                          ([np.nextafter(limit, np.inf), 0.0], 0),
+                          ([limit, 0.0], STENCIL_EVALUATIONS[order])):
+        points = []
+        series = correction_series(np.zeros(2), np.zeros(2), J,
+                                   gauss_newton_inverse(J),
+                                   lambda p: points.append(p) or p,
+                                   np.array(c1), order)
+        assert series.truncated == (evaluated == 0)
+        assert series.evaluation_count == len(points) == evaluated
+        assert all(np.isfinite(p).all() for p in points)
+        assert np.array_equal(series.step, c1)
+
+
+def test_step_limit_bounds_every_offset_and_step():
+    # Later corrections pass the wild bound, so each stencil row and each
+    # summed step reaches at most this multiple of |c1|.
+    wild = Fraction(WILD_CORRECTION_FACTOR)
+    reach = max(
+        max(1 + (order - 1) * wild,
+            *(abs(Fraction(m[0])) + wild * sum(abs(Fraction(k)) for k in m[1:])
+              for points, _ in phases for m in points))
+        for order, phases in PHASES.items())
+    limit = Fraction(corrections._STEP_LIMIT)
+    assert reach * limit <= Fraction(np.finfo(float).max)
 
 
 def test_stencil_error_carries_offset():

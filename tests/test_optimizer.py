@@ -111,6 +111,23 @@ def test_tiny_residual_is_not_taken_for_zero():
     assert result.converged == (result.residual_norm <= tol)
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_first_step_near_float64s_maximum_skips_the_stencil(order):
+    # The first c1 is about (1.7e308, 0).  At order 4 the stencil point
+    # 1.5 c1 overflowed: numpy warned (an error under the suite's filter)
+    # and the evaluator ran at an infinite point.  Such a step's series now
+    # truncates before its stencil, so its endpoint is x + c1.
+    problem = affine_problem(np.eye(2), np.array([1.7e308, 0.0]))
+    points = []
+    watched = Problem(2, 2, lambda x: points.append(x) or problem.evaluator(x),
+                      problem.jacobian)
+    result = run(np.zeros(2), watched, OptimizerConfig(order=order,
+                                                       convergence_tol=1.0))
+    assert result.converged and result.iterations == 3
+    assert result.trajectory[0].truncated
+    assert all(np.isfinite(x).all() for x in points)
+
+
 def test_gauss_newton_survives_a_singular_jacobian():
     # J has two equal rows everywhere, so no exact inverse exists; the
     # minimum-norm step still drives the residual to zero.
