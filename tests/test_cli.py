@@ -280,6 +280,18 @@ c_4 = -1/24 Jinv( f^(4)[c_1 c_1 c_1 c_1] + 12 f^(3)[c_1 c_1 c_2] + \
 24 f^(2)[c_1 c_3] + 12 f^(2)[c_2 c_2] )
 """
 
+FLOAT = r"\d+\.\d+(?:e[-+]\d+)?"
+AFFINE_RUNS = {
+    1: ("iteration,lambda,residual_norm,step_norm,c2_norm,c3_norm,c4_norm,"
+        "f_evals_cumulative\n1,0.0,{},{},,,,2\n",
+        "converged=true iterations=1 residual_norm={} f_evaluations=2 "
+        "wall_time_s={}\n"),
+    4: ("iteration,lambda,residual_norm,step_norm,c2_norm,c3_norm,c4_norm,"
+        "f_evals_cumulative\n1,0.0,{},{},{},{},{},10\n",
+        "converged=true iterations=1 residual_norm={} f_evaluations=10 "
+        "wall_time_s={}\n"),
+}
+
 
 def test_cli_prints_the_readme_examples_byte_for_byte(capsys):
     assert main(["table", "--K", "1", "10", "100", "1000", "1e4",
@@ -295,6 +307,14 @@ def test_cli_prints_the_readme_examples_byte_for_byte(capsys):
 
     assert main(["terms", "--order", "4", "--corrections"]) == 0
     assert capsys.readouterr() == (README_TERMS_TEXT, "")
+
+    # The one CLI path that runs undamped: one Gauss-Newton step at damping
+    # 0.0.  Every other float, a norm or the wall time, is masked.
+    for order, (trace, summary) in AFFINE_RUNS.items():
+        assert main(["run", "--problem", "affine", "--order", str(order)]) == 0
+        out, err = capsys.readouterr()
+        assert re.sub(r"(?<=,)(?!0\.0,)" + FLOAT, "{}", out) == trace
+        assert re.sub(r"(?<==)" + FLOAT, "{}", err) == summary
 
 
 def test_cli_terms_output(capsys):
