@@ -78,12 +78,11 @@ class ExperimentSpec:
     def config(self) -> OptimizerConfig:
         # The affine demo runs undamped: its whole point is one exact step,
         # which the positive damping grid can only approach asymptotically.
-        variant = "gauss_newton" if self.problem == "affine" else "levenberg_marquardt"
         return OptimizerConfig(
             order=self.order,
             max_iterations=self.max_iterations,
             convergence_tol=self.tol,
-            inverse_variant=variant,
+            start_damping=0.0 if self.problem == "affine" else 1.0,
         )
 
 

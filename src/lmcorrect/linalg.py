@@ -67,11 +67,13 @@ def as_int(value, what: str, low: int, high: float = math.inf):
     return value
 
 
-def as_positive(value, what: str):
-    """``value`` if it is a real number (not a bool) in (0, inf), else ValueError."""
+def as_positive(value, what: str, zero: bool = False):
+    """``value`` if it is a real number (not a bool) in (0, inf), or in
+    [0, inf) with ``zero``, else ValueError."""
     if (isinstance(value, bool) or not isinstance(value, Real)
-            or not 0.0 < value < math.inf):
-        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+            or not (0.0 < value < math.inf or zero and value == 0)):
+        sign = "non-negative" if zero else "positive"
+        raise ValueError(f"{what} must be {sign} and finite, got {value!r}")
     return value
 
 

@@ -74,9 +74,6 @@ MAX_CONSECUTIVE_REJECTS = 5
 # positive grid positive: repeated down-shifts must not underflow to 0.
 LAMBDA_FLOOR = 1e-300
 
-START_CENTRES = {"gauss_newton": 0.0, "levenberg_marquardt": 1.0}
-INVERSE_VARIANTS = tuple(START_CENTRES)
-
 _GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
 _GRID_FACTORS.flags.writeable = False
 
@@ -123,25 +120,21 @@ class OptimizerConfig:
     stops when the residual norm reaches ``convergence_tol``, positive and
     finite, or after ``max_iterations``, an integer >= 1.
 
-    ``inverse_variant`` picks :func:`run`'s start centre in START_CENTRES:
-    1 for ``"levenberg_marquardt"``, 0 for ``"gauss_newton"``, whose
-    undamped step on a square nonsingular J is Newton's step.
+    ``start_damping``, non-negative and finite, centres :func:`run`'s first
+    damping grid.  The default 1 is Levenberg-Marquardt's; 0 is Gauss-Newton,
+    whose undamped step on a square nonsingular J is Newton's step.
     """
 
     order: int = 1
     max_iterations: int = 20000
     convergence_tol: float = 1e-9
-    inverse_variant: str = "levenberg_marquardt"
+    start_damping: float = 1.0
 
     def __post_init__(self):
         _check_order(self.order)
         as_int(self.max_iterations, "max_iterations", 1)
         as_positive(self.convergence_tol, "convergence_tol")
-        if self.inverse_variant not in INVERSE_VARIANTS:
-            raise ValueError(
-                f"inverse_variant must be one of {INVERSE_VARIANTS}, "
-                f"got {self.inverse_variant!r}"
-            )
+        as_positive(self.start_damping, "start_damping", zero=True)
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
          f0):
     """One candidate-sweep iteration from ``x`` with residual ``f0 = f(x)``.
 
-    It sweeps ``schedule.grid()``, whatever the config's variant.  Returns
+    It sweeps ``schedule.grid()``, not the config's start damping.  Returns
     ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is centred
     on the largest damping tried) when no candidate improved the residual
     norm.  Raises StepFailureError when every candidate is unusable, the
@@ -282,7 +275,7 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     """Iterate :func:`step` until convergence, the iteration cap, a stall or
     a step failure; ``RunResult.termination`` says which.
 
-    The schedule starts at the variant's entry in START_CENTRES.  The
+    The schedule starts at the config's ``start_damping``.  The
     trajectory records every iteration, rejected ones included.  A stall
     ends the run unconverged: MAX_CONSECUTIVE_REJECTS successive
     rejections, or one at damping 0, which cannot escalate.  A
@@ -297,7 +290,7 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     f = as_finite(problem.evaluator(x), (problem.output_dim,),
                   "starting residual").copy()
     total_evals = 1
-    schedule = LambdaSchedule(START_CENTRES[config.inverse_variant])
+    schedule = LambdaSchedule(config.start_damping)
     trajectory: list[IterationRecord] = []
     rejects = 0
 

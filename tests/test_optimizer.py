@@ -21,8 +21,6 @@ from lmcorrect.corrections import (
 )
 from lmcorrect.optimizer import (
     GRID_BASE,
-    INVERSE_VARIANTS,
-    START_CENTRES,
     LambdaSchedule,
     OptimizerConfig,
     StepFailureError,
@@ -76,7 +74,7 @@ def test_zero_centred_schedule_stays_at_zero():
 
 
 def test_zero_centred_step_sweeps_one_candidate():
-    # The schedule, not the config's variant, picks the grid: one order-4
+    # The schedule, not the config's start damping, picks the grid: one order-4
     # candidate costs its 8 stencil calls and its endpoint, not 21 x 9.
     problem, counter = counting_problem(valley_problem(1e6))
     f0 = problem.evaluator(START)
@@ -90,7 +88,7 @@ def test_zero_centred_step_sweeps_one_candidate():
 @pytest.mark.parametrize("order", [1, 2])
 def test_affine_problem_one_undamped_step(order):
     problem = default_affine_problem()
-    config = OptimizerConfig(order=order, inverse_variant="gauss_newton")
+    config = OptimizerConfig(order=order, start_damping=0.0)
     result = run(np.array([5.0, -3.0]), problem, config)
     assert result.converged
     assert result.iterations == 1
@@ -104,7 +102,7 @@ def test_tiny_residual_is_not_taken_for_zero():
     A = 1e-170 * np.array([[2.0, 1.0], [1.0, 3.0]])
     problem = affine_problem(A, 1e-170 * np.array([1.0, 2.0]))
     tol = 1e-200
-    config = OptimizerConfig(convergence_tol=tol, inverse_variant="gauss_newton")
+    config = OptimizerConfig(convergence_tol=tol, start_damping=0.0)
     result = run(np.zeros(2), problem, config)
     assert result.iterations >= 1
     assert result.residual_norm == math.hypot(*problem.evaluator(result.x))
@@ -134,7 +132,7 @@ def test_gauss_newton_survives_a_singular_jacobian():
     problem = Problem(2, 2,
                       lambda x: np.full(2, x[0] ** 2 + x[1] - 1.0),
                       lambda x: np.array([[2.0 * x[0], 1.0]] * 2), name="twin")
-    config = OptimizerConfig(order=2, inverse_variant="gauss_newton")
+    config = OptimizerConfig(order=2, start_damping=0.0)
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         result = run(np.array([2.0, 0.0]), problem, config)
     assert result.converged and result.iterations == 3
@@ -415,9 +413,9 @@ def test_valley_direction_is_kept_where_the_stock_svd_loses_it():
 ])
 def test_gauss_newton_stops_at_its_first_rejection(order, iterations,
                                                    f_evaluations):
-    # The undamped variant stalls on the K = 1e6 valley.  With no damping to
+    # Gauss-Newton, start damping 0, stalls on the K = 1e6 valley.  With no damping to
     # escalate, a rejected sweep would repeat exactly, so the run ends there.
-    config = OptimizerConfig(order=order, inverse_variant="gauss_newton")
+    config = OptimizerConfig(order=order, start_damping=0.0)
     result = run(START, valley_problem(1e6), config)
     assert not result.converged
     assert (result.iterations, result.f_evaluations) == (iterations, f_evaluations)
@@ -572,15 +570,18 @@ def test_wrong_shaped_start_rejected(x0, shape):
         run(x0, valley_problem(1.0), OptimizerConfig())
 
 
-@pytest.mark.parametrize("variant", INVERSE_VARIANTS)
-def test_nonfinite_start_residual_rejected(variant):
+@pytest.mark.parametrize("start_damping", [
+    pytest.param(0.0, id="gauss_newton"),
+    pytest.param(1.0, id="levenberg_marquardt"),
+])
+def test_nonfinite_start_residual_rejected(start_damping):
     problem = Problem(2, 2, lambda x: np.array([np.nan, 0.0]), lambda x: np.eye(2),
                       name="nan")
-    config = OptimizerConfig(inverse_variant=variant)
+    config = OptimizerConfig(start_damping=start_damping)
     with pytest.raises(ValueError, match="starting residual must be finite"):
         run(np.zeros(2), problem, config)
     with pytest.raises(ValueError, match="f0 must be finite"):
-        step(np.zeros(2), problem, LambdaSchedule(START_CENTRES[variant]),
+        step(np.zeros(2), problem, LambdaSchedule(start_damping),
              config, f0=np.array([np.inf, 0.0]))
 
 
@@ -651,8 +652,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="positive and finite"):
             OptimizerConfig(convergence_tol=tol)
     assert OptimizerConfig(convergence_tol=1e300).convergence_tol == 1e300
-    with pytest.raises(ValueError):
-        OptimizerConfig(inverse_variant="cholesky")
+    # A damping is a number: a name such as "cholesky" is no start damping.
+    with pytest.raises(ValueError, match="start_damping"):
+        OptimizerConfig(start_damping="cholesky")
 
 
 def test_config_rejects_a_bool_tolerance():
@@ -660,6 +662,27 @@ def test_config_rejects_a_bool_tolerance():
     for tol in (True, np.bool_(True)):
         with pytest.raises(ValueError, match="convergence_tol must be positive"):
             OptimizerConfig(convergence_tol=tol)
+
+
+@pytest.mark.parametrize("start_damping", [
+    -1, math.nan, math.inf, True, False, np.bool_(True), "1", None])
+def test_config_rejects_a_start_damping_that_is_no_finite_number(start_damping):
+    # A bool compares as 0 or 1 and is turned away, as convergence_tol does.
+    with pytest.raises(ValueError, match="start_damping must be non-negative"):
+        OptimizerConfig(start_damping=start_damping)
+
+
+@pytest.mark.parametrize("start_damping", [0, 0.0, np.float64(2.0), 1e300])
+def test_config_takes_any_finite_non_negative_start_damping(start_damping):
+    assert OptimizerConfig(start_damping=start_damping).start_damping is start_damping
+
+
+def test_run_centres_its_first_sweep_on_the_start_damping():
+    # The grid spans the centre times [1e-4, 1e4], so the first winner lies
+    # there too.
+    result = run(START, valley_problem(1e4),
+                 OptimizerConfig(max_iterations=1, start_damping=1e-3))
+    assert 1e-3 * 1e-4 <= result.trajectory[0].chosen_lambda <= 1e-3 * 1e4
 
 
 def test_reference_iteration_counts_shallow_valley():
@@ -743,18 +766,19 @@ def test_raising_jacobian_mid_run_returns_the_trajectory(order):
     assert result.residual_norm == result.trajectory[-1].residual_norm
 
 
-@pytest.mark.parametrize("problem,variant,termination", [
-    (valley_problem(1e6), "levenberg_marquardt", "converged"),
+@pytest.mark.parametrize("problem,start_damping,termination", [
+    (valley_problem(1e6), 1.0, "converged"),
     (Problem(2, 2, lambda x: np.ones(2), lambda x: np.eye(2), name="flat"),
-     "gauss_newton", "stalled"),
+     0.0, "stalled"),
     (Problem(2, 2, lambda x: np.ones(2), lambda x: np.full((2, 2), np.nan),
-             name="nan-jacobian"), "levenberg_marquardt", "step_failure"),
+             name="nan-jacobian"), 1.0, "step_failure"),
 ], ids=["converged-at-start", "stalled", "step-failure"])
-def test_result_x_is_not_the_callers_start_array(problem, variant, termination):
+def test_result_x_is_not_the_callers_start_array(problem, start_damping,
+                                                 termination):
     # No iteration is accepted, so the result's x is the start point's
     # value, in an array of its own.
     x0 = np.zeros(2)
-    result = run(x0, problem, OptimizerConfig(inverse_variant=variant))
+    result = run(x0, problem, OptimizerConfig(start_damping=start_damping))
     assert result.termination == termination
     assert not any(r.accepted for r in result.trajectory)
     assert not np.shares_memory(result.x, x0)
