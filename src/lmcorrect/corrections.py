@@ -82,12 +82,17 @@ def _within_defect_limit(values) -> bool:
     return True
 
 
-# A series runs its stencil only from |c1| <= _STEP_LIMIT.  Every later
-# correction passes the wild bound first, so no stencil offset and no summed
-# step is longer than (1 + 3 WILD_CORRECTION_FACTOR) |c1| (order 4's step):
-# all stay within float64's range, and so does the wild bound.
-_STEP_LIMIT = float(np.finfo(float).max) / (
-    1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
+# A series runs its stencil only from |c1| <= _STEP_LIMIT * (1 - max|x_i| /
+# float64's maximum).  Every later correction passes the wild bound first,
+# so no stencil offset and no summed step is longer than
+# (1 + 3 WILD_CORRECTION_FACTOR) |c1| (order 4's step): all stay within
+# float64's range, and so does the wild bound, and so does x plus any of
+# them.  Below _STEP_LIMIT / 2**60 every offset is under half an ulp of
+# float64's maximum, so adding it to a finite x cannot overflow and x needs
+# no look.
+_FLOAT_MAX = float(np.finfo(float).max)
+_STEP_LIMIT = _FLOAT_MAX / (1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
+_ANY_X_STEP_LIMIT = _STEP_LIMIT / 2.0**60
 
 
 # New residual evaluations consumed per correction series, by order.
@@ -197,8 +202,9 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
 
     Each phase forms its offsets, their linear model ``f0 + J a`` and its
     weighted defect as one array product each; only the evaluator is called
-    point by point.  A ``c1`` longer than ``_STEP_LIMIT``, whose stencil
-    offsets could leave float64's range, truncates the series before any
+    point by point.  A ``c1`` longer than ``_STEP_LIMIT`` times
+    ``1 - max|x_i| / float64's maximum``, whose stencil offsets or points
+    could leave float64's range, truncates the series before any
     evaluation.  A stencil defect that is non-finite or too large for the
     weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm
     exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
@@ -226,7 +232,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
                          f"expected (m,) and (m, {len(x)})")
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    if not c1_norm <= _STEP_LIMIT:
+    if not c1_norm <= _ANY_X_STEP_LIMIT and not c1_norm <= _STEP_LIMIT * (
+            1 - max(map(abs, x.tolist())) / _FLOAT_MAX):
         return CorrectionSeries((c1,), 0, True)
     Jt = J.T
     m = f0.shape[0]

@@ -431,6 +431,25 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
         assert np.array_equal(series.step, c1)
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
+    # x takes half of float64's range, so c1 gets half of _STEP_LIMIT: a
+    # longer c1 truncates at once, and one at half the limit runs every phase
+    # at finite points.
+    J, limit = np.eye(2), corrections._STEP_LIMIT / 2
+    x = np.array([np.finfo(float).max / 2, 0.0])
+    for c1, evaluated in (([np.nextafter(limit, np.inf), 0.0], 0),
+                          ([limit, 0.0], STENCIL_EVALUATIONS[order])):
+        points = []
+        series = correction_series(x, x, J, gauss_newton_inverse(J),
+                                   lambda p: points.append(p) or p,
+                                   np.array(c1), order)
+        assert series.truncated == (evaluated == 0)
+        assert series.evaluation_count == len(points) == evaluated
+        assert all(np.isfinite(p).all() for p in points)
+        assert np.isfinite(x + series.step).all()
+
+
 def test_step_limit_bounds_every_offset_and_step():
     # Later corrections pass the wild bound, so each stencil row and each
     # summed step reaches at most this multiple of |c1|.

@@ -109,20 +109,28 @@ def test_tiny_residual_is_not_taken_for_zero():
     assert result.converged == (result.residual_norm <= tol)
 
 
-@pytest.mark.parametrize("order", [2, 3, 4])
-def test_a_first_step_near_float64s_maximum_skips_the_stencil(order):
-    # The first c1 is about (1.7e308, 0).  At order 4 the stencil point
-    # 1.5 c1 overflowed: numpy warned (an error under the suite's filter)
-    # and the evaluator ran at an infinite point.  Such a step's series now
+@pytest.mark.parametrize("order,x0,b,iterations", [
+    *(pytest.param(order, 0.0, 1.7e308, 3, id=str(order)) for order in (2, 3, 4)),
+    *(pytest.param(order, 1.79765e308, np.finfo(float).max - 1e303, iterations,
+                   id=f"x-near-max-{order}")
+      for order, iterations in ((1, 2), (2, 2), (3, 3), (4, 2))),
+])
+def test_a_first_step_near_float64s_maximum_skips_the_stencil(order, x0, b,
+                                                              iterations):
+    # From x = 0 the first c1 is about (1.7e308, 0).  At order 4 the stencil
+    # point 1.5 c1 overflowed: numpy warned (an error under the suite's
+    # filter) and the evaluator ran at an infinite point.  From x near
+    # float64's maximum, a c1 of about 3.3e303 left too little headroom:
+    # x + 1.5 c1 overflowed the same way.  Such a step's series now
     # truncates before its stencil, so its endpoint is x + c1.
-    problem = affine_problem(np.eye(2), np.array([1.7e308, 0.0]))
+    problem = affine_problem(np.eye(2), np.array([b, 0.0]))
     points = []
     watched = Problem(2, 2, lambda x: points.append(x) or problem.evaluator(x),
                       problem.jacobian)
-    result = run(np.zeros(2), watched, OptimizerConfig(order=order,
-                                                       convergence_tol=1.0))
-    assert result.converged and result.iterations == 3
-    assert result.trajectory[0].truncated
+    result = run(np.array([x0, 0.0]), watched,
+                 OptimizerConfig(order=order, convergence_tol=1.0))
+    assert result.converged and result.iterations == iterations
+    assert result.trajectory[0].truncated == (order > 1)
     assert all(np.isfinite(x).all() for x in points)
 
 
