@@ -64,9 +64,11 @@ PHASES = {
     ),
 }
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # Defects up to this size keep every ``weights @ defects`` finite: float64's
 # maximum over the largest absolute weight-row sum in PHASES (about 4.2e306).
-_DEFECT_LIMIT = float(np.finfo(float).max) / max(
+_DEFECT_LIMIT = _FLOAT_MAX / max(
     sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases)
 
 
@@ -82,15 +84,12 @@ def _within_defect_limit(values) -> bool:
     return True
 
 
-# A series runs its stencil only from |c1| <= _STEP_LIMIT * (1 - max|x_i| /
+# A series runs its stencil only from |c1| <= _STEP_LIMIT (1 - max|x_i| /
 # float64's maximum).  Every later correction passes the wild bound first,
-# so no stencil offset and no summed step is longer than
-# (1 + 3 WILD_CORRECTION_FACTOR) |c1| (order 4's step): all stay within
-# float64's range, and so does the wild bound, and so does x plus any of
-# them.  Below _STEP_LIMIT / 2**60 every offset is under half an ulp of
-# float64's maximum, so adding it to a finite x cannot overflow and x needs
-# no look.
-_FLOAT_MAX = float(np.finfo(float).max)
+# so no stencil offset and no summed step is longer than (1 + 3
+# WILD_CORRECTION_FACTOR) |c1| (order 4's step): each, x plus each, and the
+# wild bound stay within float64's range.  Below _ANY_X_STEP_LIMIT every
+# offset is under half an ulp of that maximum, so x needs no look.
 _STEP_LIMIT = _FLOAT_MAX / (1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
 _ANY_X_STEP_LIMIT = _STEP_LIMIT / 2.0**60
 
