@@ -68,7 +68,7 @@ def as_int(value, what: str, low: int, high: float = math.inf):
 
 
 def as_positive(value, what: str, zero: bool = False):
-    """``value`` if a real number (not a bool) in (0, inf), [0, inf) with ``zero``."""
+    """``value`` if a real (not a bool) in (0, inf), or [0, inf) with ``zero``."""
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not (0.0 < value < math.inf or zero and value == 0)):
         sign = "non-negative" if zero else "positive"

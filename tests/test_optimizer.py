@@ -74,8 +74,9 @@ def test_zero_centred_schedule_stays_at_zero():
 
 
 def test_zero_centred_step_sweeps_one_candidate():
-    # The schedule, not the config's start damping, picks the grid: one order-4
-    # candidate costs its 8 stencil calls and its endpoint, not 21 x 9.
+    # The schedule, not the config's start damping, picks the grid: one
+    # order-4 candidate costs its 8 stencil calls and its endpoint, not
+    # 21 x 9.
     problem, counter = counting_problem(valley_problem(1e6))
     f0 = problem.evaluator(START)
     counter["evals"] = 0
@@ -421,8 +422,9 @@ def test_valley_direction_is_kept_where_the_stock_svd_loses_it():
 ])
 def test_gauss_newton_stops_at_its_first_rejection(order, iterations,
                                                    f_evaluations):
-    # Gauss-Newton, start damping 0, stalls on the K = 1e6 valley.  With no damping to
-    # escalate, a rejected sweep would repeat exactly, so the run ends there.
+    # Gauss-Newton, start damping 0, stalls on the K = 1e6 valley.  With no
+    # damping to escalate, a rejected sweep would repeat exactly, so the run
+    # ends there.
     config = OptimizerConfig(order=order, start_damping=0.0)
     result = run(START, valley_problem(1e6), config)
     assert not result.converged
