@@ -14,6 +14,7 @@ Everything is float64.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from numbers import Integral, Real
@@ -34,6 +35,10 @@ ACCURATE_RCOND = 1e3 * float(np.finfo(float).eps)
 # at or above _TINY, 1 / s stays below it.
 _APPLY_SAFE = float(np.finfo(float).max) / 2
 _TINY = 1.0 / _APPLY_SAFE
+
+# Entered in place of an errstate where a screen rules out every floating-point
+# exception: entering an errstate costs more than the 2-3 element arithmetic.
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def as_shape(a, shape: tuple, what: str) -> np.ndarray:
@@ -96,31 +101,48 @@ class SvdFactors:
     and ``J`` is refactored by the graded-matrix recipe of Demmel et al.,
     "Computing the singular value decomposition with high relative
     accuracy" (1999), which keeps it.
+
+    Two screens keep the once-per-sweep work at the cost of its arithmetic.
+    ``J`` is screened by its largest magnitude, one reduction that is
+    below inf exactly when every entry is finite: a maximum neither
+    overflows nor raises a floating-point exception, and a nan propagates
+    through it.  Only a ``J`` that fails the screen goes to ``as_finite``,
+    the one check that raises.  ``damped_apply_batch`` enters an errstate
+    only when a screen on Python floats cannot rule out a divide, overflow or
+    invalid operation (see there).  The tests on ``s`` compare Python floats.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_v_shape", "_lams", "_rows",
-                 "_kept")
+    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_v_shape", "_edges", "_lams",
+                 "_rows", "_kept")
 
     def __init__(self, J):
         J = np.asarray(J, dtype=float)
         if J.ndim != 2 or J.size == 0:
             raise ValueError(f"expected a nonempty 2-D matrix, got shape {J.shape}")
-        as_finite(J, J.shape, "jacobian")
+        magnitudes = np.abs(J)
+        # np.maximum.reduce skips ndarray.max's Python wrapper.
+        if not np.maximum.reduce(magnitudes, axis=None) < math.inf:
+            as_finite(J, J.shape, "jacobian")
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        if s[-1] <= ACCURATE_RCOND * s[0]:
+        s_list = s.tolist()
+        if s_list[-1] <= ACCURATE_RCOND * s_list[0]:
             # Sort the rows by their largest magnitude, take a Householder
             # QR, then the SVD of R, and put U's rows back in J's order.
-            order = np.argsort(-np.abs(J).max(axis=1), kind="stable")
+            order = np.argsort(-magnitudes.max(axis=1), kind="stable")
             Q, R = np.linalg.qr(J[order])
             U, s, Vt = np.linalg.svd(R, full_matrices=False)
             U = Q.dot(U)[np.argsort(order)]
+            s_list = s.tolist()
         self.U, self.s, self.Vt, self.Ut, self.V = U, s, Vt, U.T, Vt.T
         self._v_shape = J.shape[:1]  # every applied v has shape (m,)
-        if s[-1] >= _TINY:
+        if s_list[-1] >= _TINY:
             self.inv_s = 1.0 / s
         else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
+        # s_max and the largest reciprocal, 1 / s_min, as Python floats: the
+        # two sizes damped_apply_batch's screen reads.
+        self._edges = (s_list[0], float(self.inv_s[-1]))
         # The last sweep's dampings and scale rows, and once read, its dict
         # from damping to row (None until then).
         self._lams, self._rows, self._kept = [], None, {}
@@ -128,7 +150,8 @@ class SvdFactors:
     def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
         """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
 
-        Callers ignore divide, over and invalid in an errstate.  At zero damping
+        Callers ignore divide, over and invalid in an errstate, unless
+        ``damped_apply_batch``'s screen rules all three out.  At zero damping
         the row is ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
         """
         low = min(lam_list)  # on 21 values a list scan beats a numpy reduction
@@ -186,15 +209,31 @@ class SvdFactors:
         dampings included; a row that overflows is non-finite, unwarned.
         A ``lams`` that is empty or not 1-D, and a ``v`` that ``damped_apply``
         would reject, raise ValueError.
+
+        The rows are computed in an errstate that ignores divide, over and
+        invalid only when a screen on Python floats cannot rule these out.
+        It passes when every damping is positive, ``max(lams) / s_min`` and
+        ``s_max`` are below ``_APPLY_SAFE``, and so is ``|v| (1 / s_min +
+        1)``.  Then no ``lam / s`` nor ``s + lam / s`` overflows, as neither
+        term reaches half of float64's maximum; each scale ``1 / (s + lam /
+        s)`` lies in ``(0, 1 / s_min]``, so none divides by zero; and no entry
+        or partial sum of the two products exceeds ``(1 / s_min + 1) |v|``.
+        A nan damping can pass, since ``min`` and ``max`` skip it, but
+        ``_scale_rows`` rejects it before any arithmetic.
         """
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1 or lams.size == 0:
             raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
         v = np.asarray(v, dtype=float)
-        if not (v.shape == self._v_shape and math.hypot(*v.tolist()) < math.inf):
+        v_norm = math.hypot(*v.tolist()) if v.shape == self._v_shape else math.nan
+        if not v_norm < math.inf:
             as_finite(v, self._v_shape, "v")  # passes a finite v whose norm overflows
         lam_list = lams.tolist()
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s_max, gain = self._edges
+        safe = (min(lam_list) > 0.0 and max(lam_list) * gain < _APPLY_SAFE
+                and s_max < _APPLY_SAFE and v_norm * (gain + 1.0) < _APPLY_SAFE)
+        with _NO_ERRSTATE if safe else np.errstate(divide="ignore", over="ignore",
+                                                   invalid="ignore"):
             rows = self._scale_rows(lams, lam_list)
             self._lams, self._rows, self._kept = lam_list, rows, None
-            return (self._rows * self.Ut.dot(v)).dot(self.Vt)
+            return (rows * self.Ut.dot(v)).dot(self.Vt)

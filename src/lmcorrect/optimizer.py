@@ -9,12 +9,19 @@ corrected endpoint; the endpoint with the smallest residual norm wins.  If
 nothing improves, the iteration does not move and the next grid is centred
 on the largest damping tried.
 
-One product with the factorization gives every first-order direction, one
-sum every order-1 endpoint.  One loop then walks the candidates with a finite
-direction in grid order: each runs its series, evaluates its endpoint and
-leads if its residual norm is strictly below the best so far, so ties go to
-the smallest grid index and a nan norm never leads.  Three things stay per
-point or per candidate:
+One product with the factorization gives every first-order direction c1,
+and one reduction, the largest ``|c1|`` entry, picks the live candidates.
+When it is at most ``_ANY_X_STEP_LIMIT``, every c1 is finite and each entry
+lies below half an ulp of float64's maximum, so no ``x + c1`` overflows and
+every candidate is live.  Otherwise, rarely, a row mask keeps those whose
+``x + c1`` is finite: a candidate whose ``x + c1`` overflows is skipped
+without an evaluator call, since at orders 2-4 its series would truncate
+before the stencil and leave ``x + c1`` as its endpoint.  One sum gives every
+order-1 endpoint, and one loop walks the live candidates in grid order, at
+order 1 along the endpoint rows: each runs its series, evaluates its endpoint
+and leads if its residual norm is strictly below the best so far, so ties go
+to the smallest grid index and a nan norm never leads.  Three things stay
+per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -37,6 +44,7 @@ within 1 ulp: no tiny norm reads 0, and no representable one overflows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -44,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .corrections import (
-    CorrectionSeries,
+    _ANY_X_STEP_LIMIT,
     StencilEvaluationError,
     _check_order,
     correction_series,
@@ -214,18 +222,26 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     lambdas = schedule.grid()
     lams = lambdas.tolist()
 
-    # First-order directions for the whole sweep from one factorization, and
-    # at order 1 their endpoints in one add.
+    # First-order directions for the whole sweep from one factorization.
     c1s = -factors.damped_apply_batch(lambdas, f0)
     evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
-    endpoints = x + c1s if order == 1 else None
+    # The live candidates, from one reduction unless an x + c1 could overflow
+    # (see the module docstring).
+    if np.maximum.reduce(np.abs(c1s), axis=None) <= _ANY_X_STEP_LIMIT:  # nan fails
+        live = range(len(lams))
+        endpoints = x + c1s if order == 1 else None
+    else:
+        with np.errstate(over="ignore"):
+            endpoints = x + c1s
+        live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
+        endpoints = endpoints[live] if order == 1 else None
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
-    for idx in np.flatnonzero(np.isfinite(c1s).all(axis=1)).tolist():
+    # Order 1 walks the live endpoint rows; orders 2-4 build each endpoint.
+    for idx, end in zip(live, itertools.repeat(None) if endpoints is None
+                        else endpoints):
         series = None
-        if order == 1:
-            end = endpoints[idx]
-        else:
+        if end is None:
             try:
                 series = correction_series(x, f0, J, partial(apply, lams[idx]),
                                            evaluator, c1s[idx], order)
@@ -254,20 +270,28 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     accepted = best_norm < norm0
     if accepted:
         idx, series, end, f0 = best
-        series = series or CorrectionSeries((c1s[idx],), 0)
+        truncated = series is not None and series.truncated
+        # A one-term series (order 1, or one truncated at c1) is its c1, whose
+        # norm is then the step's norm too.
+        if series is None or len(series.corrections) == 1:
+            norms = (_norm(c1s[idx]),)
+            step_norm = norms[0]
+        else:
+            norms = tuple(series.norms())
+            step_norm = _norm(series.step)
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre on the top damping
-        idx, best_norm = -1, norm0
+        idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
     lam = lams[idx]
     schedule.lambda_old = max(lam, LAMBDA_FLOOR) if lam else 0.0
     return x, f0, IterationRecord(
         chosen_lambda=lam,
         residual_norm=best_norm,
-        step_norm=_norm(series.step) if accepted else 0.0,
-        corrections_norms=tuple(series.norms()) if accepted else (),
+        step_norm=step_norm,
+        corrections_norms=norms,
         f_evaluations=evals,
         accepted=accepted,
-        truncated=accepted and series.truncated,
+        truncated=truncated,
     )
 
 

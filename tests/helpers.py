@@ -65,6 +65,22 @@ def counting_problem(problem: Problem):
     return wrapped, counter
 
 
+def count_errstates(monkeypatch) -> list:
+    """Record the settings of every ``np.errstate`` the library enters.
+
+    numpy's own functions hold their own reference to errstate, so only
+    calls spelled ``np.errstate`` are recorded, each as its keyword dict.
+    """
+    entered, errstate = [], np.errstate
+
+    def counting(**settings):
+        entered.append(settings)
+        return errstate(**settings)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    return entered
+
+
 def nan_jacobian_below(problem: Problem, y_limit):
     """The 2-D problem with a nan Jacobian wherever ``x[1] < y_limit``."""
     def jacobian(x):

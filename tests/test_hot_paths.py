@@ -1,22 +1,29 @@
-"""The per-candidate products stay ``ndarray.dot`` calls.
+"""The hot paths keep their cheap forms.
 
 On the 2-3 element operands of a stencil phase or a damped inverse, the
 ``@`` operator's matmul gufunc costs about twice a ``.dot`` call, with the
-same bits.  The suite times nothing, so this test keeps the operator from
-creeping back into those functions unnoticed.
+same bits, and entering an ``np.errstate`` costs more than the arithmetic it
+guards.  The suite times nothing, so these tests keep the operator and the
+errstate from creeping back into those paths unnoticed.
 """
 
 import ast
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from helpers import count_errstates
+from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig, step
+from lmcorrect.problems import valley_problem
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 
 HOT_FUNCTIONS = [
     ("corrections.py", "CorrectionSeries.step"),
     ("corrections.py", "correction_series"),
+    ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),
     ("linalg.py", "SvdFactors.damped_apply"),
     ("linalg.py", "SvdFactors.damped_apply_batch"),
@@ -48,3 +55,18 @@ def matmul_lines(path, first, last):
 def test_hot_path_products_use_dot(filename, qualname):
     path = PACKAGE / filename
     assert matmul_lines(path, *line_span(path, qualname)) == []
+
+
+def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
+    # The screens in SvdFactors, damped_apply_batch and step pass on every
+    # sweep of the K = 1e5 valley from (pi, e), so none enters an errstate;
+    # a zero damping fails the batch's screen, so Gauss-Newton's sweep does.
+    problem = valley_problem(1e5)
+    x = np.array([np.pi, np.e])
+    f0 = problem.evaluator(x)
+    entered = count_errstates(monkeypatch)
+    for centre, errstates in ((1.0, 0), (0.0, 1)):
+        del entered[:]
+        _, _, record = step(x, problem, LambdaSchedule(centre),
+                            OptimizerConfig(order=1), f0=f0)
+        assert record.accepted and len(entered) == errstates

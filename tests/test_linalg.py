@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from lmcorrect.linalg import SvdFactors, as_finite, as_int, as_positive, as_shape
+from helpers import count_errstates
+from lmcorrect.linalg import (
+    _APPLY_SAFE,
+    SvdFactors,
+    as_finite,
+    as_int,
+    as_positive,
+    as_shape,
+)
 from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig
 from lmcorrect.problems import valley_jacobian, valley_problem
 
@@ -48,7 +56,14 @@ def test_svd_ill_conditioned_valley_jacobian():
 
 
 def test_svd_rejects_nonfinite():
-    for J in ([[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+    # One reduction, the largest magnitude, screens J: float64's maximum of
+    # either sign passes it and factors (the second J takes the graded path),
+    # and a nan or an infinity of either sign still raises.
+    big = np.finfo(float).max
+    for J in ([[big, 0.0], [0.0, -big]], [[-big, 0.0], [0.0, 1.0]]):
+        assert SvdFactors(np.array(J)).s.tolist() == [big, abs(J[1][1])]
+    for J in ([[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+              [[1.0, 0.0], [0.0, -np.inf]], [[big, np.nan], [-np.inf, -big]]):
         with pytest.raises(ValueError, match="^jacobian must be finite$"):
             SvdFactors(np.array(J))
 
@@ -123,9 +138,52 @@ def test_damped_is_bitwise_the_svd_formula(shape):
                                rtol=1e-13, atol=1e-13 * np.linalg.norm(expected))
 
 
+def formula_rows(f, lams, v):
+    """Rows ``1 / (s + lam / s)`` applied to ``v``, as the batch computes them.
+
+    A zero damping's scale is ``1 / s`` (these J have full rank), and where
+    ``lam / s`` overflows it is ``s / lam``.
+    """
+    lams = np.asarray(lams, dtype=float)[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam_s = lams * (1.0 / f.s)
+        scale = np.where(lam_s == np.inf, f.s / lams, np.reciprocal(f.s + lam_s))
+        scale = np.where(lams == 0.0, 1.0 / f.s, scale)
+        return (scale * (f.U.T @ v)) @ f.Vt
+
+
+def screen_sweeps(f, v):
+    """``(bound, lams, v)`` on each side of damped_apply_batch's screen bounds.
+
+    The screen passes only when every damping is positive, ``max(lams) /
+    s_min`` is below ``_APPLY_SAFE``, and ``|v| (1 / s_min + 1)`` is too.
+    (Its bound on ``s_max`` needs a J of its own.)
+    """
+    gain = float(f.inv_s[-1])
+    lams = 10.0 ** np.linspace(-8, 8, 20)
+    sweeps = [("zero", np.r_[damping, lams], v) for damping in (0.0, 5e-324)]
+    top = _APPLY_SAFE / gain
+    v_top = _APPLY_SAFE / (gain + 1.0) / math.hypot(*v)
+    for ratio in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
+        sweeps.append(("lam / s_min", np.r_[lams, top * ratio], v))
+        sweeps.append(("|v| / s_min", lams, v * (v_top * ratio)))
+    return sweeps
+
+
+def check_screen_sweeps(f, sweeps, entered, sides):
+    """Each sweep's rows are the formula's bits; note the side it screened to."""
+    for bound, lams, v in sweeps:
+        expected = formula_rows(f, lams, v)
+        before = len(entered)
+        assert np.array_equal(f.damped_apply_batch(lams, v), expected)
+        sides.setdefault(bound, set()).add(len(entered) > before)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (5, 3)])
-def test_batch_is_bitwise_the_svd_formula(shape):
-    # Every row, a zero damping's included, is the formula's row exactly.
+def test_batch_is_bitwise_the_svd_formula(shape, monkeypatch):
+    # Every row, a zero damping's included, is the formula's row exactly,
+    # whichever side of each bound of the errstate screen the sweep lies on.
+    entered, sides = count_errstates(monkeypatch), {}
     rng = np.random.default_rng(100 + sum(shape))
     for _ in range(50):
         J = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[1])
@@ -138,6 +196,8 @@ def test_batch_is_bitwise_the_svd_formula(shape):
                            rtol=1e-13, atol=0)
         expected = (scale * (f.U.T @ v)) @ f.Vt
         assert np.array_equal(f.damped_apply_batch(lams, v), expected)
+        check_screen_sweeps(f, screen_sweeps(f, v), entered, sides)
+    assert sides == dict.fromkeys(["zero", "lam / s_min", "|v| / s_min"], {False, True})
 
 
 def test_damped_norm_decreases_with_damping():
@@ -226,11 +286,21 @@ def test_batch_matches_scalar_applications():
     assert huge.shape == (2, 4) and not np.isfinite(huge).all()
 
 
-def test_overflowing_applications_are_inf_without_a_warning():
+def test_overflowing_applications_are_inf_without_a_warning(monkeypatch):
     # |v| is finite, but the gain 1 / s_min = 1e10 (or about 5e9 at
     # damping 1e-20) carries it past float64.  Under the suite's
     # warnings-as-errors filter any numpy warning here would raise.
+    entered, sides = count_errstates(monkeypatch), {}
     factors = SvdFactors(np.diag([1.0, 1e-10]))
+    check_screen_sweeps(factors, screen_sweeps(factors, np.array([3.0, 4.0])),
+                        entered, sides)
+    # s_max on each side of the screen's bound: s + lam / s stays finite.
+    for ratio in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
+        wide = SvdFactors(np.diag([_APPLY_SAFE * ratio, 1e-10]))
+        check_screen_sweeps(wide, [("s_max", [1e-4, 1.0, 1e4], np.array([3.0, 4.0]))],
+                            entered, sides)
+    assert sides == dict.fromkeys(["zero", "lam / s_min", "|v| / s_min", "s_max"],
+                                  {False, True})
     v = np.array([0.0, 1e303])
     for lam in (0.0, 1e-20):
         assert np.isinf(factors.damped_apply(lam, v)[1])

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_problem, jacobian_raising_from, nan_jacobian_below
+from helpers import (
+    count_errstates,
+    counting_problem,
+    jacobian_raising_from,
+    nan_jacobian_below,
+)
 from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
 from lmcorrect.corrections import (
@@ -133,6 +139,55 @@ def test_a_first_step_near_float64s_maximum_skips_the_stencil(order, x0, b,
     assert result.converged and result.iterations == iterations
     assert result.trajectory[0].truncated == (order > 1)
     assert all(np.isfinite(x).all() for x in points)
+
+
+@pytest.mark.parametrize("order,f_evaluations", [(1, (9, 4, 5)), (2, (10, 4, 5))])
+def test_an_endpoint_beyond_float64s_maximum_is_not_evaluated(order, f_evaluations):
+    # From x = (1.5e308, 0) on f = diag(0.5, 1) x - b, the small dampings'
+    # x + c1 overflow.  Those candidates are skipped without an evaluator
+    # call, where 45 calls used to go to infinite points (64 evaluations in
+    # all), with an overflow warning.
+    b = np.array([1.5e308, 0.0])
+    watched, calls = counting_problem(affine_problem(np.diag([0.5, 1.0]), b))
+    points = []
+    evaluator = watched.evaluator
+    problem = Problem(2, 2, lambda x: points.append(x.copy()) or evaluator(x),
+                      watched.jacobian)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(b.copy(), problem, OptimizerConfig(order=order, max_iterations=3))
+    assert caught == []
+    assert all(np.isfinite(x).all() for x in points)
+    assert result.termination == "max_iterations"
+    assert all(record.accepted for record in result.trajectory)
+    assert tuple(r.f_evaluations for r in result.trajectory) == f_evaluations
+    assert result.f_evaluations == calls["evals"] == 1 + sum(f_evaluations)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("centre", [0.0, 1e-300])
+def test_the_live_set_is_the_same_through_either_mask(order, centre, monkeypatch):
+    # f = x - b on J = I from x = 0: every c1 is b exactly (at damping 0, or
+    # below eps), and its largest entry lies one ulp above the limit under
+    # which step takes every candidate as live.  Raising the limit by one
+    # ulp moves the same step onto that fast path: the same record, point
+    # and residual, and one errstate fewer, the exact mask's.
+    limit = optimizer._ANY_X_STEP_LIMIT
+    b = np.array([np.nextafter(limit, np.inf), -1.0])
+    problem = affine_problem(np.eye(2), b)
+    config = OptimizerConfig(order=order)
+    entered = count_errstates(monkeypatch)
+    outcomes = []
+    for step_limit in (limit, np.nextafter(limit, np.inf)):
+        monkeypatch.setattr(optimizer, "_ANY_X_STEP_LIMIT", step_limit)
+        schedule, before = LambdaSchedule(centre), len(entered)
+        x, f, record = step(np.zeros(2), problem, schedule, config, f0=-b)
+        outcomes.append((x.tobytes(), f.tobytes(), record, schedule.lambda_old,
+                         len(entered) - before))
+    exact, fast = outcomes
+    assert exact[:4] == fast[:4]
+    assert exact[2].accepted and exact[2].residual_norm == 0.0
+    assert exact[4] == fast[4] + 1
 
 
 def test_gauss_newton_survives_a_singular_jacobian():
