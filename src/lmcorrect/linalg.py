@@ -147,21 +147,23 @@ class SvdFactors:
         # from damping to row (None until then).
         self._lams, self._rows, self._kept = [], None, {}
 
-    def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
+    def _scale_rows(self, lams: np.ndarray, lam_list: list, low, high) -> np.ndarray:
         """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
 
-        Callers ignore divide, over and invalid in an errstate, unless
-        ``damped_apply_batch``'s screen rules all three out.  At zero damping
-        the row is ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
+        ``low`` and ``high`` are ``min(lam_list)`` and ``max(lam_list)``, which
+        skip a nan; the sum catches it.  Callers ignore divide, over and
+        invalid in an errstate, unless ``damped_apply_batch``'s screen rules
+        all three out.  At zero damping the row is ``1 / s``, cut to 0 below
+        ``RANK_RCOND * s_max`` with a warning.
         """
-        low = min(lam_list)  # on 21 values a list scan beats a numpy reduction
         if not (low >= 0.0 and sum(lam_list) >= 0.0):  # a nan makes the sum nan
             raise ValueError(f"damping must be non-negative, got {lams.min()}")
         lam_s = lams[:, None] * self.inv_s
         scale = np.reciprocal(self.s + lam_s)
         # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the scale
-        # is s / lam.  inv_s is non-decreasing: test the last column.
-        if math.inf in lam_s[:, -1].tolist():
+        # is s / lam.  inv_s is non-decreasing and rounding is monotone, so
+        # the largest product is high * inv_s[-1], the same IEEE product.
+        if high * self._edges[1] == math.inf:
             scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
         if low == 0.0:
             keep = self.s > RANK_RCOND * self.s[0]
@@ -190,7 +192,8 @@ class SvdFactors:
             scale = None
         if scale is None:  # not a positive damping of the last sweep
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                scale = self._scale_rows(np.array([lam], dtype=float), [lam])[0]
+                scale = self._scale_rows(np.array([lam], dtype=float), [lam], lam,
+                                         lam)[0]
         gain = max(scale.tolist())
         # No partial sum or product exceeds (gain + 1) |v|, so under the bound
         # nothing overflows (math.hypot also checks finiteness).  ndarray.dot,
@@ -229,11 +232,12 @@ class SvdFactors:
         if not v_norm < math.inf:
             as_finite(v, self._v_shape, "v")  # passes a finite v whose norm overflows
         lam_list = lams.tolist()
+        low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
         s_max, gain = self._edges
-        safe = (min(lam_list) > 0.0 and max(lam_list) * gain < _APPLY_SAFE
-                and s_max < _APPLY_SAFE and v_norm * (gain + 1.0) < _APPLY_SAFE)
+        safe = (low > 0.0 and high * gain < _APPLY_SAFE and s_max < _APPLY_SAFE
+                and v_norm * (gain + 1.0) < _APPLY_SAFE)
         with _NO_ERRSTATE if safe else np.errstate(divide="ignore", over="ignore",
                                                    invalid="ignore"):
-            rows = self._scale_rows(lams, lam_list)
+            rows = self._scale_rows(lams, lam_list, low, high)
             self._lams, self._rows, self._kept = lam_list, rows, None
             return (rows * self.Ut.dot(v)).dot(self.Vt)

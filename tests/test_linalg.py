@@ -404,9 +404,9 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
     computed = []
     scale_rows = SvdFactors._scale_rows
 
-    def counting(self, lams, lam_list):
+    def counting(self, lams, lam_list, *bounds):
         computed.extend(lam_list)
-        return scale_rows(self, lams, lam_list)
+        return scale_rows(self, lams, lam_list, *bounds)
 
     monkeypatch.setattr(SvdFactors, "_scale_rows", counting)
     J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
