@@ -13,6 +13,7 @@ from .corrections import (
     CorrectionSeries,
     StencilEvaluationError,
     correction_series,
+    stencil_base,
 )
 from .faadibruno import (
     DerivativeTerm,
@@ -45,6 +46,7 @@ __all__ = [
     "CorrectionSeries",
     "StencilEvaluationError",
     "correction_series",
+    "stencil_base",
     "DerivativeTerm",
     "correction_identity_terms",
     "derivative_terms",

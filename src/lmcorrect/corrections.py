@@ -15,7 +15,9 @@ points it adds, as multipliers of (c1, c2, c3), and one weight row over the
 nonlinear defects ``f_nl(x + a) = f(x + a) - (f + J a)`` at every point so
 far, so that ``c_n = Jinv(w . f_nl)``.  Coincident points are listed once
 per order, so no point is evaluated twice.  The tests check every row
-exactly, in rationals, against the order-n identity it implements.
+exactly, in rationals, against the order-n identity it implements.  A step's
+series share one :class:`StencilBase`: the base point, residual and Jacobian,
+checked once, and the scratch that each series overwrites.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .linalg import _norm, as_finite, as_int, as_shape
 __all__ = [
     "StencilEvaluationError",
     "CorrectionSeries",
+    "StencilBase",
+    "stencil_base",
     "correction_series",
     "PHASES",
     "STENCIL_EVALUATIONS",
@@ -163,97 +167,108 @@ class CorrectionSeries(NamedTuple):
 
 
 def _compile_phases(phases):
-    """Per phase: the point keys, their multipliers and the weight row.
+    """Per phase: point keys, multipliers, weights, known count, defect rows.
 
     The k-th phase (from 1) combines only c1 .. ck, so its multiplier array
     keeps the first k columns.
     """
-    compiled = []
+    compiled, first = [], 0
     for known, (points, weights) in enumerate(phases, start=1):
         mult = np.array(points, dtype=float)
         compiled.append((points, np.ascontiguousarray(mult[:, :known]),
-                         np.array(weights, dtype=float)))
+                         np.array(weights, dtype=float), known, first,
+                         first + len(points)))
+        first += len(points)
     return tuple(compiled)
 
 
 _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 
 
-def correction_series(x, f0, J, inverse_apply, evaluator, c1,
+class StencilBase(NamedTuple):
+    """What one step's series share, from :func:`stencil_base`.  ``x_limit``,
+    ``_STEP_LIMIT * (1 - max|x_i| / float64's maximum)``, bounds ``|c1|``.
+    Every series on the base overwrites ``directions`` and ``defects``, via
+    the views ``phases`` keeps per order, so a thread builds its own base."""
+
+    x: np.ndarray
+    x_row: np.ndarray
+    f0_row: np.ndarray
+    Jt: np.ndarray
+    m: int
+    evaluator: object
+    x_limit: float
+    directions: np.ndarray
+    defects: np.ndarray
+    phases: dict
+
+
+def stencil_base(x, f0, J, evaluator) -> StencilBase:
+    """The base of a step's series; ValueError unless ``x`` is 1-D, and ``f0``
+    and ``J`` have shapes ``(m,)`` and ``(m, len(x))``.  ``f0`` is read after
+    evaluator calls, so it must not be an array the evaluator reuses."""
+    x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
+    if x.ndim != 1:
+        raise ValueError(f"x has shape {x.shape}, expected (p,)")
+    if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
+        raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
+                         f"expected (m,) and (m, {len(x)})")
+    x_limit = _STEP_LIMIT * (1 - max(map(abs, x.tolist()), default=0.0) / _FLOAT_MAX)
+    return StencilBase(x, x[None], f0[None], J.T, len(f0), evaluator, x_limit,
+                       np.empty((max(PHASES) - 1, len(x))),
+                       np.empty((STENCIL_EVALUATIONS[max(PHASES)], len(f0))), {})
+
+
+def correction_series(base: StencilBase, inverse_apply, c1, *,
                       order: int) -> CorrectionSeries:
-    """Compute the correction series for one candidate step.
+    """Compute the correction series of the first-order step ``c1`` from ``base``.
 
-    Parameters
-    ----------
-    x, f0, J :
-        Base point, residual and Jacobian at the base point; ``f0`` is read
-        after evaluator calls, so it must not be an array the evaluator reuses.
-    inverse_apply : callable
-        ``v -> Jinv v`` used for every inverse occurrence in this series
-        (the same applier that produced the step direction).
-    evaluator : callable
-        Residual evaluator; called once at each stencil point of
-        ``PHASES[order]``.
-    c1 : array
-        First-order step: finite, with the shape of ``x``.
-    order : int
-        Correction order in {1, 2, 3, 4}.
-
-    Each phase forms its offsets, their linear model ``f0 + J a`` and its
-    weighted defect as one array product each; only the evaluator is called
-    point by point.  A ``c1`` longer than ``_STEP_LIMIT`` times
-    ``1 - max|x_i| / float64's maximum``, whose stencil offsets or points
-    could leave float64's range, truncates the series before any
-    evaluation.  A stencil defect that is non-finite or too large for the
-    weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm
-    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite),
-    truncates the series at the previous order, skips the remaining phases
-    and sets the ``truncated`` flag.  A failing evaluator call raises
-    StencilEvaluationError; a residual of the wrong shape, a bad order, a
-    non-finite or misshaped ``c1``, or an ``f0`` and ``J`` whose shapes are
-    not ``(m,)`` and ``(m, len(x))`` raise ValueError before any evaluation.
+    ``c1`` is finite, with the shape of ``base.x``; ``inverse_apply``, ``v ->
+    Jinv v``, serves every inverse occurrence in the series (the applier that
+    produced ``c1``), and ``order``, a keyword, is in {1, 2, 3, 4}.  Each phase
+    forms its offsets, their linear model ``f0 + J a`` and its weighted defect
+    as one array product each; only ``base.evaluator`` is called point by
+    point.  A ``c1`` longer than ``base.x_limit`` truncates the series before
+    any evaluation.  A stencil defect that is non-finite or too large for the
+    weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm exceeds
+    ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates the series
+    at the previous order, skips the remaining phases and sets the
+    ``truncated`` flag.  A failing evaluator call raises
+    StencilEvaluationError; a residual of the wrong shape, a bad order, or a
+    non-finite or misshaped ``c1`` raise ValueError before any evaluation.
+    No returned array shares memory with ``base``.
     """
     _check_order(order)
-    x = np.asarray(x, dtype=float)
     c1 = np.asarray(c1, dtype=float)
-    if c1.ndim != 1 or c1.shape != x.shape:
-        raise ValueError(f"c1 has shape {c1.shape}, expected {x.shape}")
+    if c1.shape != base.x.shape:
+        raise ValueError(f"c1 has shape {c1.shape}, expected {base.x.shape}")
     # math.hypot cannot overflow, so no norm here warns, however large; it is
     # non-finite for a non-finite c1, or for a finite one beyond float64.
     c1_norm = math.hypot(*c1.tolist())
     if not c1_norm < math.inf:
-        as_finite(c1, x.shape, "c1")  # passes a finite c1 whose norm overflows
-    f0 = np.asarray(f0, dtype=float)
-    J = np.asarray(J, dtype=float)
-    # Tuple comparisons only: this runs once per live candidate.
-    if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
-        raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
-                         f"expected (m,) and (m, {len(x)})")
+        as_finite(c1, c1.shape, "c1")  # passes a finite c1 whose norm overflows
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    if not c1_norm <= _ANY_X_STEP_LIMIT and not c1_norm <= _STEP_LIMIT * (
-            1 - max(map(abs, x.tolist())) / _FLOAT_MAX):
+    if not c1_norm <= _ANY_X_STEP_LIMIT and not c1_norm <= base.x_limit:
         return CorrectionSeries((c1,), 0, True)
-    Jt = J.T
-    m = f0.shape[0]
-    directions = np.empty((order, c1.shape[0]))
-    directions[0] = c1
+    _, x_row, f0_row, Jt, m, evaluator, _, directions, defects, phases = base
+    views = phases.get(order)
+    if views is None:  # the base's first series of this order
+        views = phases[order] = tuple(
+            (keys, mult, weights, directions[:known], defects[first:end],
+             defects[:end]) for keys, mult, weights, known, first, end
+            in _COMPILED[order])
     found = [c1]  # the series so far: cheaper to tuple than directions' rows
     wild_bound = WILD_CORRECTION_FACTOR * c1_norm
-    defects = np.empty((STENCIL_EVALUATIONS[order], m))
     evaluations = 0
-    # x and f0 enter the phases as rows, so a one-point phase (order 2's only
-    # one) adds operands of one shape and skips numpy's broadcasting
-    # iterator, which costs about as much as the add.  Each element sees the
-    # same IEEE operations, in the same order, as with the vectors.
-    x_row, f0_row = x[None], f0[None]
-    # The products below are ndarray.dot, not the @ operator: on operands of
-    # 2-3 elements the matmul gufunc's dispatch costs about twice the whole
-    # .dot call, and both give the same bits here.
-    for known, (keys, mult, weights) in enumerate(_COMPILED[order], start=1):
-        offsets = mult.dot(directions[:known])
+    # x and f0 enter as rows, so a one-point phase (order 2's only one) adds
+    # operands of one shape and skips numpy's broadcasting iterator; each
+    # element sees the same IEEE operations as with the vectors.  ndarray.dot,
+    # not @: on 2-3 elements the matmul gufunc costs twice a .dot, same bits.
+    for row, (keys, mult, weights, known, block, so_far) in enumerate(views):
+        directions[row] = found[-1]  # the last phase's correction needs no row
+        offsets = mult.dot(known)
         points = x_row + offsets
-        first = evaluations
         for key, point in zip(keys, points):
             evaluations += 1
             try:
@@ -261,7 +276,6 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_shape(value, (m,), "residual")
-        block = defects[first:evaluations]
         model = offsets.dot(Jt)
         model += f0_row
         block -= model
@@ -271,9 +285,8 @@ def correction_series(x, f0, J, inverse_apply, evaluator, c1,
         # norm fails the bound test.
         if not _within_defect_limit(block.ravel().tolist()):
             return CorrectionSeries(tuple(found), evaluations, True)
-        c = inverse_apply(weights.dot(defects[:evaluations]))
+        c = inverse_apply(weights.dot(so_far))
         if not math.hypot(*c.tolist()) <= wild_bound:
             return CorrectionSeries(tuple(found), evaluations, True)
-        directions[known] = c
         found.append(c)
     return CorrectionSeries(tuple(found), evaluations)

@@ -94,13 +94,14 @@ class SvdFactors:
     damped scale ``s / (s^2 + lam)`` is ``1 / (s + lam * inv_s)``, which
     squares nothing, so no singular value over- or underflows out of its
     direction.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept
-    for its last sweep.  It finds a row with one lookup in a dict from
-    damping to row, which the first read after a sweep builds, so a sweep
-    that no correction reads (order 1) builds none.  Once ``s_min <=
+    for its last sweep, and their largest entries, from a dict that the first
+    read after a sweep builds (none at order 1); a zero damping that cuts a
+    singular value, and so warns, is left out.  Once ``s_min <=
     ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct digit,
     and ``J`` is refactored by the graded-matrix recipe of Demmel et al.,
     "Computing the singular value decomposition with high relative
-    accuracy" (1999), which keeps it.
+    accuracy" (1999), which keeps it.  A ``J`` whose Householder vectors
+    could overflow is factored times a power of two, and ``s`` scaled back.
 
     Two screens keep the once-per-sweep work at the cost of its arithmetic.
     ``J`` is screened by its largest magnitude, one reduction that is
@@ -121,8 +122,14 @@ class SvdFactors:
             raise ValueError(f"expected a nonempty 2-D matrix, got shape {J.shape}")
         magnitudes = np.abs(J)
         # np.maximum.reduce skips ndarray.max's Python wrapper.
-        if not np.maximum.reduce(magnitudes, axis=None) < math.inf:
+        top = float(np.maximum.reduce(magnitudes, axis=None))
+        if not top < math.inf:
             as_finite(J, J.shape, "jacobian")
+        shift = 1 + ((len(J) - 1).bit_length() + 1) // 2  # 2**shift >= 2 m**0.5
+        if top * 2.0**shift > 2 * _APPLY_SAFE:  # a Householder vector could overflow
+            J = J * 2.0**-shift
+        else:
+            shift = 0
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         s_list = s.tolist()
         if s_list[-1] <= ACCURATE_RCOND * s_list[0]:
@@ -133,6 +140,9 @@ class SvdFactors:
             U, s, Vt = np.linalg.svd(R, full_matrices=False)
             U = Q.dot(U)[np.argsort(order)]
             s_list = s.tolist()
+        if shift:  # exact, but a singular value beyond float64 turns inf, unwarned
+            s_list = [value * 2.0**shift for value in s_list]
+            s = np.array(s_list)
         self.U, self.s, self.Vt, self.Ut, self.V = U, s, Vt, U.T, Vt.T
         self._v_shape = J.shape[:1]  # every applied v has shape (m,)
         if s_list[-1] >= _TINY:
@@ -184,17 +194,17 @@ class SvdFactors:
         """
         v = np.asarray(v, dtype=float)
         if self._kept is None:  # the first read since the last sweep
-            self._kept = {lam: row for lam, row in zip(self._lams, self._rows)
-                          if lam > 0.0}  # zero warns on every call: never kept
+            full_rank = self.s[-1] > RANK_RCOND * self.s[0]
+            self._kept = {lam: kept for lam, kept in zip(
+                self._lams, zip(self._rows, self._rows.max(axis=1).tolist()))
+                if lam > 0.0 or full_rank}
         try:
-            scale = self._kept.get(lam)
-        except TypeError:  # an unhashable damping, such as a 0-d array
-            scale = None
-        if scale is None:  # not a positive damping of the last sweep
+            scale, gain = self._kept[lam]
+        except (KeyError, TypeError):  # not kept, or unhashable (a 0-d array)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scale = self._scale_rows(np.array([lam], dtype=float), [lam], lam,
                                          lam)[0]
-        gain = max(scale.tolist())
+            gain = max(scale.tolist())
         # No partial sum or product exceeds (gain + 1) |v|, so under the bound
         # nothing overflows (math.hypot also checks finiteness).  ndarray.dot,
         # not @: half the matmul gufunc's dispatch cost on 2-3 elements, same bits.

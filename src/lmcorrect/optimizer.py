@@ -26,11 +26,12 @@ per point or per candidate:
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
   calls included;
-* ``correction_series`` runs once per candidate.  Its phases could run
-  for all candidates at once, with truncation as a row mask (ROADMAP item
-  1), but perfbench's evaluation audit reads each candidate's charged count
-  and truncation flag from the span of that candidate's own call, so the
-  batched form waits for a benchmark that traces a sweep-level call;
+* ``correction_series`` runs once per candidate, on the step's one
+  ``stencil_base``, which checks ``x``, ``f0`` and ``J`` once.  The phases
+  could run for all candidates at once (ROADMAP item 1), but perfbench's
+  evaluation audit reads each candidate's charged count and truncation
+  flag from the span of that candidate's own call, so the batched form
+  waits for a benchmark that traces a sweep-level call;
 * corrections apply their inverse through ``SvdFactors.damped_apply`` at the
   candidate's damping value, the same inverse that produced its direction,
   one call per correction through a ``functools.partial`` of the bound
@@ -56,6 +57,7 @@ from .corrections import (
     StencilEvaluationError,
     _check_order,
     correction_series,
+    stencil_base,
 )
 from .linalg import SvdFactors, _norm, as_finite, as_int, as_positive, as_shape
 from .problems import Problem
@@ -235,6 +237,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             endpoints = x + c1s
         live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
         endpoints = endpoints[live] if order == 1 else None
+    base = stencil_base(x, f0, J, evaluator) if order > 1 else None
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
     # Order 1 walks the live endpoint rows; orders 2-4 build each endpoint.
@@ -243,8 +246,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         series = None
         if end is None:
             try:
-                series = correction_series(x, f0, J, partial(apply, lams[idx]),
-                                           evaluator, c1s[idx], order)
+                series = correction_series(base, partial(apply, lams[idx]),
+                                           c1s[idx], order=order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc

@@ -19,7 +19,12 @@ from helpers import (
     phase_row_mismatches,
 )
 from lmcorrect.cli import ConvergenceTable, TableCell, fit_power_laws
-from lmcorrect.corrections import PHASES, STENCIL_EVALUATIONS, correction_series
+from lmcorrect.corrections import (
+    PHASES,
+    STENCIL_EVALUATIONS,
+    correction_series,
+    stencil_base,
+)
 from lmcorrect.faadibruno import derivative_terms
 from lmcorrect.optimizer import OptimizerConfig, run
 from lmcorrect.problems import polynomial_problem, valley_problem
@@ -243,7 +248,8 @@ def test_criterion_4_taylor_order_slopes():
         defects = []
         for eps in eps_grid:
             series = correction_series(
-                x, f0, J, inv, problem.evaluator, eps * newton_step, order
+                stencil_base(x, f0, J, problem.evaluator), inv, eps * newton_step,
+                order=order,
             )
             end = x + series.step
             defects.append(
@@ -352,7 +358,8 @@ def test_criterion_8_evaluation_count_audit():
         inv = gauss_newton_inverse(J)
         c1 = -0.3 * inv(f0)
         counter["evals"] = 0
-        series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)
+        series = correction_series(stencil_base(x, f0, J, problem.evaluator), inv,
+                                   c1, order=order)
         expected = STENCIL_EVALUATIONS[order]
         ok = ok and series.evaluation_count == expected == counter["evals"]
         details.append(f"order{order}: {series.evaluation_count}")

@@ -25,6 +25,7 @@ from lmcorrect.corrections import (
     WILD_CORRECTION_FACTOR,
     StencilEvaluationError,
     correction_series,
+    stencil_base,
 )
 from lmcorrect.linalg import SvdFactors, as_finite
 from lmcorrect.problems import polynomial_problem, valley_problem
@@ -46,7 +47,8 @@ def make_context(problem, x, scale=0.5):
 def test_affine_corrections_vanish(order):
     poly = polynomial_problem(1, 3, seed=0)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.4, -0.2, 0.9])
-    series = correction_series(x, f0, J, inv, poly.evaluator, c1, order)
+    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                               c1, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for c in series.corrections[1:]:
@@ -76,7 +78,7 @@ def test_order2_hand_example():
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
     assert np.allclose(c1, [1.0, -1.0])
-    _, c2 = correction_series(x, f0, J, inv, f, c1, 2).corrections
+    _, c2 = correction_series(stencil_base(x, f0, J, f), inv, c1, order=2).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-14)
     end = x + c1 + c2
     assert np.allclose(end, [0.0, 0.0], atol=1e-14)
@@ -91,7 +93,8 @@ def test_order3_hand_example_c3_vanishes():
     f0, J = f(x), Jf(x)
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
-    _, c2, c3 = correction_series(x, f0, J, inv, f, c1, 3).corrections
+    _, c2, c3 = correction_series(stencil_base(x, f0, J, f), inv,
+                                  c1, order=3).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-12)
     assert np.linalg.norm(c3) <= 1e-12
 
@@ -103,7 +106,8 @@ def test_order3_hand_example_c3_vanishes():
 def test_order2_stencil_exact_on_quadratics(seed):
     poly = polynomial_problem(2, 2, seed=seed)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
-    _, c2 = correction_series(x, f0, J, inv, poly.evaluator, c1, 2).corrections
+    _, c2 = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                              c1, order=2).corrections
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(c2, analytic) <= 1e-12
 
@@ -131,7 +135,8 @@ def test_c2_stencil_exact_at_higher_orders(order, degree, seed, dim, direction):
     s_min = np.linalg.svd(J, compute_uv=False)[-1]
     assume(np.linalg.norm(f0) <= 6.0 * s_min * np.linalg.norm(c2_unit))
     c1 = 1e-2 * u
-    series = correction_series(x, f0, J, inv, poly.evaluator, c1, order)
+    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                               c1, order=order)
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(series.corrections[1], analytic) <= 1e-9
 
@@ -164,7 +169,8 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
     # a level set by |f0| and the inverse, not by |c_n|, so a correction
     # below 1e-4 |c1| is compared mostly with noise; about 0.03% of draws.
     assume(max(sizes) <= WILD_CORRECTION_FACTOR / 2 and min(sizes) >= 1e-4)
-    series = correction_series(x, f0, J, inv, poly.evaluator, c1, order)
+    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                               c1, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for got, want in zip(series.corrections, oracle):
@@ -195,7 +201,8 @@ def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
     u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
     ratios = []
     for h in 0.1 / 2.0 ** np.arange(5):
-        series = correction_series(x, f0, J, inv, poly.evaluator, h * u, order)
+        series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                                   h * u, order=order)
         # A near-singular J makes some correction wild, beyond
         # WILD_CORRECTION_FACTOR |c1|, and the series truncates by design;
         # about 1-2% of draws.
@@ -214,7 +221,8 @@ def test_new_evaluation_counts(order):
     problem, counter = counting_problem(valley_problem(1.0))
     x, f0, J, inv, c1 = make_context(problem, [np.pi, np.e], scale=0.3)
     counter["evals"] = 0
-    series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)
+    series = correction_series(stencil_base(x, f0, J, problem.evaluator), inv,
+                               c1, order=order)
     assert series.evaluation_count == STENCIL_EVALUATIONS[order]
     assert counter["evals"] == STENCIL_EVALUATIONS[order]
 
@@ -242,7 +250,8 @@ def pathway_defect(problem, x, order, eps):
     J = problem.jacobian(x)
     inv = gauss_newton_inverse(J)
     c1 = -eps * inv(f0)
-    series = correction_series(x, f0, J, inv, problem.evaluator, c1, order)
+    series = correction_series(stencil_base(x, f0, J, problem.evaluator), inv,
+                               c1, order=order)
     end = x + series.step
     return float(np.linalg.norm(problem.evaluator(end) - (1.0 - eps) * f0))
 
@@ -287,7 +296,8 @@ def test_wild_correction_truncates_series():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, J, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     blow_up = lambda v: 1e9 * v  # stands in for a damped inverse near-singular J
-    series = correction_series(x, f0, J, blow_up, poly.evaluator, c1, 3)
+    series = correction_series(stencil_base(x, f0, J, poly.evaluator), blow_up,
+                               c1, order=3)
     assert series.truncated
     assert len(series.corrections) == 1
     assert np.array_equal(series.step, c1)
@@ -304,8 +314,8 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
 
         x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
         c1 = np.array([-0.4, -0.4])
-        series = correction_series(x, f0, J, gauss_newton_inverse(J),
-                                   evaluator, c1, order)
+        series = correction_series(stencil_base(x, f0, J, evaluator),
+                                   gauss_newton_inverse(J), c1, order=order)
         assert series.truncated
         assert series.evaluation_count == evaluated
         assert np.array_equal(series.step, c1)
@@ -325,9 +335,9 @@ def _series_of_residuals(residual, order,
         calls.append(p)
         return residual(len(calls))
 
-    series = correction_series(np.zeros(2), np.zeros(2), np.zeros((2, 2)),
-                               inverse_apply, evaluator, np.array([1.0, 1.0]),
-                               order)
+    base = stencil_base(np.zeros(2), np.zeros(2), np.zeros((2, 2)), evaluator)
+    series = correction_series(base, inverse_apply, np.array([1.0, 1.0]),
+                               order=order)
     assert series.evaluation_count == len(calls)
     return series
 
@@ -402,9 +412,9 @@ def test_inverse_overflow_truncates_series():
         return np.array([p[0], 1e-10 * p[1] + 1e303 * p[1] ** 2])
 
     x, c1 = np.zeros(2), np.array([-1.0, -1.0])
-    series = correction_series(x, evaluator(x), J,
-                               lambda v: factors.damped_apply(1e-30, v),
-                               evaluator, c1, 2)
+    series = correction_series(stencil_base(x, evaluator(x), J, evaluator),
+                               lambda v: factors.damped_apply(1e-30, v), c1,
+                               order=2)
     assert series.truncated
     assert series.evaluation_count == 1
     assert np.array_equal(series.step, c1)
@@ -421,10 +431,10 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
                           ([np.nextafter(limit, np.inf), 0.0], 0),
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
-        series = correction_series(np.zeros(2), np.zeros(2), J,
-                                   gauss_newton_inverse(J),
-                                   lambda p: points.append(p) or p,
-                                   np.array(c1), order)
+        base = stencil_base(np.zeros(2), np.zeros(2), J,
+                            lambda p: points.append(p) or p)
+        series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
+                                   order=order)
         assert series.truncated == (evaluated == 0)
         assert series.evaluation_count == len(points) == evaluated
         assert all(np.isfinite(p).all() for p in points)
@@ -441,9 +451,9 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
     for c1, evaluated in (([np.nextafter(limit, np.inf), 0.0], 0),
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
-        series = correction_series(x, x, J, gauss_newton_inverse(J),
-                                   lambda p: points.append(p) or p,
-                                   np.array(c1), order)
+        base = stencil_base(x, x, J, lambda p: points.append(p) or p)
+        series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
+                                   order=order)
         assert series.truncated == (evaluated == 0)
         assert series.evaluation_count == len(points) == evaluated
         assert all(np.isfinite(p).all() for p in points)
@@ -471,12 +481,16 @@ def test_stencil_error_carries_offset():
     f0 = np.ones(2)
     J = np.eye(2)
     inv = gauss_newton_inverse(J)
+    base = stencil_base(x, f0, J, evaluator)
     with pytest.raises(StencilEvaluationError) as info:
-        correction_series(x, f0, J, inv, evaluator, np.array([0.1, 0.1]), 2)
+        correction_series(base, inv, np.array([0.1, 0.1]), order=2)
     err = info.value
     assert err.offset_key == (Fraction(1), Fraction(0), Fraction(0))
     assert np.allclose(err.point, [0.1, 0.1])
     assert err.evaluations == 1
+    # The point outlives the base's scratch, which the next series overwrites.
+    assert not any(np.shares_memory(err.point, buffer)
+                   for buffer in (base.directions, base.defects))
 
 
 def test_invalid_order_rejected():
@@ -486,10 +500,11 @@ def test_invalid_order_rejected():
     # A plain int skips the type checks, which the others still take.
     for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError):
-            correction_series(x, f0, J, inv, poly.evaluator, c1, order)
+            correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                              c1, order=order)
     for order in (np.int64(2), np.int64(3)):
-        assert len(correction_series(x, f0, J, inv, poly.evaluator, c1,
-                                     order).corrections) == order
+        assert len(correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+                                     c1, order=order).corrections) == order
 
 
 def test_series_fields_cannot_be_assigned():
@@ -527,14 +542,14 @@ def _failing_at(n, evaluator):
     return failing
 
 
-def _outcome(series_fn, *args):
+def _outcome(series_fn, *args, **kwargs):
     """A series run as comparable bytes and counts, and how it ended.
 
     The end is "full", "defect", "wild" or "raised"; a CorrectionSeries says
     "truncated" for either guard.
     """
     try:
-        result = series_fn(*args)
+        result = series_fn(*args, **kwargs)
     except StencilEvaluationError as err:
         return (err.offset_key, err.evaluations, err.point.tobytes()), "raised"
     if isinstance(result, CorrectionSeries):
@@ -577,7 +592,8 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         factors.damped_apply_batch([lam, 2.0 * lam], f0)
         apply = functools.partial(factors.damped_apply, lam)
         c1 = -10.0 ** rng.uniform(-3, 0) * apply(f0)
-        got, _ = _outcome(correction_series, x, f0, J, apply, make(), c1, order)
+        got, _ = _outcome(correction_series, stencil_base(x, f0, J, make()), apply,
+                          c1, order=order)
         want, end = _outcome(broadcast_correction_series, x, f0, J, apply,
                              make(), c1, order)
         assert got == want
@@ -595,8 +611,8 @@ def test_bad_first_step_rejected_before_any_evaluation(c1):
     J = problem.jacobian(x)
     counter["evals"] = 0
     with pytest.raises(ValueError):
-        correction_series(x, f0, J, gauss_newton_inverse(J), problem.evaluator,
-                          np.array(c1), 3)
+        correction_series(stencil_base(x, f0, J, problem.evaluator),
+                          gauss_newton_inverse(J), np.array(c1), order=3)
     assert counter["evals"] == 0
 
 
@@ -615,7 +631,57 @@ def test_bad_f0_or_jacobian_rejected_before_any_evaluation(bad, shapes):
     counter["evals"] = 0
     for order in (1, 3):
         with pytest.raises(ValueError, match="f0 has shape " + shapes):
-            correction_series(x, f0, J, lambda v: v, problem.evaluator, c1,
-                              order)
+            correction_series(stencil_base(x, f0, J, problem.evaluator),
+                              lambda v: v, c1, order=order)
     assert counter["evals"] == 0
 
+
+
+def _series_bytes(series):
+    return ([c.tobytes() for c in series.corrections], series.evaluation_count,
+            series.truncated)
+
+
+def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
+    # A step runs every candidate's series on one base, whose scratch each
+    # series overwrites: no series may read what an earlier one left there,
+    # nor return a view of it.  On the K = 1e6 valley the steps stretched
+    # 100-fold truncate at orders 3 and 4; orders alternate on the one base.
+    problem = valley_problem(1e6)
+    x = np.array([np.pi, np.e])
+    f0, J = problem.evaluator(x), problem.jacobian(x)
+    factors = SvdFactors(J)
+    lams = np.geomspace(1e-8, 1e8, 9)
+    c1s = -factors.damped_apply_batch(lams, f0)
+    steps = [(lam, stretch * c1) for stretch in (1.0, 100.0)
+             for lam, c1 in zip(lams.tolist(), c1s)]
+    shared = stencil_base(x, f0, J, problem.evaluator)
+    scratch = (shared.directions, shared.defects)
+    truncated = 0
+    for order in (2, 4, 3, 2, 4, 3):
+        for lam, c1 in steps:
+            apply = functools.partial(factors.damped_apply, lam)
+            got = correction_series(shared, apply, c1, order=order)
+            fresh = stencil_base(x, f0, J, problem.evaluator)
+            assert _series_bytes(got) == _series_bytes(
+                correction_series(fresh, apply, c1, order=order))
+            assert not any(np.shares_memory(c, buffer)
+                           for c in got.corrections for buffer in scratch)
+            truncated += got.truncated
+    assert sorted(shared.phases) == [2, 3, 4]
+    assert 0 < truncated < 6 * len(steps)
+
+
+def test_order_is_keyword_only():
+    poly = polynomial_problem(2, 2, seed=4)
+    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    base = stencil_base(x, f0, J, poly.evaluator)
+    with pytest.raises(TypeError):
+        correction_series(base, inv, c1, 2)
+    assert len(correction_series(base, inv, c1, order=2).corrections) == 2
+
+
+@pytest.mark.parametrize("x", [np.float64(0.5), np.zeros((1, 2))], ids=["0-d", "2-d"])
+def test_a_base_point_that_is_not_a_vector_is_rejected(x):
+    with pytest.raises(ValueError, match=r"x has shape"):
+        stencil_base(x, np.zeros(2), np.eye(2), lambda p: p)

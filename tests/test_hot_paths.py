@@ -23,6 +23,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 HOT_FUNCTIONS = [
     ("corrections.py", "CorrectionSeries.step"),
     ("corrections.py", "correction_series"),
+    ("corrections.py", "stencil_base"),
     ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),
     ("linalg.py", "SvdFactors.damped_apply"),
@@ -61,12 +62,15 @@ def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
     # The screens in SvdFactors, damped_apply_batch and step pass on every
     # sweep of the K = 1e5 valley from (pi, e), so none enters an errstate;
     # a zero damping fails the batch's screen, so Gauss-Newton's sweep does.
+    # Its corrections then read the zero row that the sweep kept, as every
+    # correction reads its damping's row, and enter none.
     problem = valley_problem(1e5)
     x = np.array([np.pi, np.e])
     f0 = problem.evaluator(x)
     entered = count_errstates(monkeypatch)
-    for centre, errstates in ((1.0, 0), (0.0, 1)):
-        del entered[:]
-        _, _, record = step(x, problem, LambdaSchedule(centre),
-                            OptimizerConfig(order=1), f0=f0)
-        assert record.accepted and len(entered) == errstates
+    for order in (1, 2, 3, 4):
+        for centre, errstates in ((1.0, 0), (0.0, 1)):
+            del entered[:]
+            _, _, record = step(x, problem, LambdaSchedule(centre),
+                                OptimizerConfig(order=order), f0=f0)
+            assert record.accepted and len(entered) == errstates

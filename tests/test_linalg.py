@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -399,8 +400,10 @@ def test_applier_closure_matches_function():
 
 
 def test_each_sweep_row_is_computed_once(monkeypatch):
-    # damped_apply at a damping of the last sweep computes no scale row; a
-    # second sweep replaces the kept rows, and zero is computed every time.
+    # damped_apply at a damping of the last sweep computes no scale row, and
+    # a second sweep replaces the kept rows.  Zero is kept too when no
+    # singular value is cut, bitwise the row it would recompute.  On a
+    # rank-deficient J it cuts one, so it is recomputed, and warns, per call.
     computed = []
     scale_rows = SvdFactors._scale_rows
 
@@ -414,13 +417,24 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
     factors = SvdFactors(J)
     first, second = [0.0, 1e-3, 1.0], [0.0, 1e3, 1e6]
     factors.damped_apply_batch(first, v)
-    for lam in first[1:]:
+    for lam in first:
         factors.damped_apply(lam, v)
     assert computed == first
     factors.damped_apply_batch(second, v)
     for lam in first[1:] + second:
         factors.damped_apply(lam, v)
-    assert computed == first + second + first[1:] + [0.0]
+    assert computed == first + second + first[1:]
+    assert np.array_equal(factors.damped_apply(0.0, v),
+                          SvdFactors(J).damped_apply(0.0, v))
+    del computed[:]
+    deficient = SvdFactors(np.outer([2.0, 0.5, 1.0], [1.0, -1.0]))
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        deficient.damped_apply_batch([0.0, 1.0], v)
+    for _ in range(2):
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            deficient.damped_apply(0.0, v)
+    deficient.damped_apply(1.0, v)
+    assert computed == [0.0, 1.0, 0.0, 0.0]
     # A rejected sweep keeps the last good one's dampings with their rows.
     with pytest.raises(ValueError):
         factors.damped_apply_batch([1e6, 1e3, -1.0], v)
@@ -486,3 +500,20 @@ def test_factors_reject_a_jacobian_that_is_not_2d():
     for J, shape in ((np.ones(3), r"\(3,\)"), (np.ones((1, 2, 2)), r"\(1, 2, 2\)")):
         with pytest.raises(ValueError, match=rf"2-D matrix, got shape {shape}"):
             SvdFactors(J)
+
+
+def test_a_jacobian_holding_float64s_maximum_factors_finitely():
+    # The graded path's Householder QR overflowed on this J: numpy warned
+    # "invalid value encountered in dot" (an error under the suite's filter)
+    # and s, U and Vt came back nan.  Such a J is now factored times a power
+    # of two, and its singular values scaled back.
+    big = np.finfo(float).max
+    J = np.array([[big, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = SvdFactors(J)
+    for part in (factors.s, factors.U, factors.Vt):
+        assert np.isfinite(part).all()
+    assert factors.s[0] == pytest.approx(big, rel=4 * np.finfo(float).eps)
+    rebuilt = (factors.U * factors.s).dot(factors.Vt)
+    assert np.abs(rebuilt - J).max() <= 4 * np.finfo(float).eps * big

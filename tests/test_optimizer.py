@@ -20,6 +20,7 @@ from helpers import (
 )
 from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
+from lmcorrect.linalg import SvdFactors
 from lmcorrect.corrections import (
     PHASES,
     STENCIL_EVALUATIONS,
@@ -187,6 +188,41 @@ def test_the_live_set_is_the_same_through_either_mask(order, centre, monkeypatch
     assert exact[:4] == fast[:4]
     assert exact[2].accepted and exact[2].residual_norm == 0.0
     assert exact[4] == fast[4] + 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypatch):
+    # Orders 2-4 check x, f0 and J once per step, in one base that every
+    # live candidate's series shares, in grid order; order 1 runs no series
+    # and builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
+    # small dampings' x + c1 overflow, so only some candidates are live.
+    b = np.array([1.5e308, 0.0])
+    problem = affine_problem(np.diag([0.5, 1.0]), b)
+    x, f0 = b.copy(), problem.evaluator(b)
+    stencil_base, correction_series = optimizer.stencil_base, optimizer.correction_series
+    bases, calls = [], []
+
+    def counting_base(*args):
+        bases.append(stencil_base(*args))
+        return bases[-1]
+
+    def counting_series(base, inverse_apply, c1, **kwargs):
+        calls.append((base, c1))
+        return correction_series(base, inverse_apply, c1, **kwargs)
+
+    monkeypatch.setattr(optimizer, "stencil_base", counting_base)
+    monkeypatch.setattr(optimizer, "correction_series", counting_series)
+    schedule = LambdaSchedule(1.0)
+    c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(schedule.grid(), f0)
+    with np.errstate(over="ignore"):
+        live = np.isfinite(x + c1s).all(axis=1)
+    assert 0 < live.sum() < len(c1s)
+    step(x, problem, schedule, OptimizerConfig(order=order), f0=f0)
+    if order == 1:
+        assert bases == [] and calls == []
+    else:
+        assert len(bases) == 1 and all(base is bases[0] for base, _ in calls)
+        assert np.array_equal([c1 for _, c1 in calls], c1s[live])
 
 
 def test_gauss_newton_survives_a_singular_jacobian():
