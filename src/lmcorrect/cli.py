@@ -199,7 +199,7 @@ def run_table(K_values, orders, tol: float = 1e-9,
 
     Every K must be positive and finite, and every order an integer in
     STENCIL_EVALUATIONS; both lists are checked, nonempty and without
-    repeats, before any solve.
+    repeats (K as printed, ``f"{K:g}"``), before any solve.
     """
     K_values, orders = tuple(K_values), tuple(orders)
     if not K_values:
@@ -210,8 +210,9 @@ def run_table(K_values, orders, tol: float = 1e-9,
     K_values = tuple(float(as_positive(K, "K values")) for K in K_values)
     for order in orders:
         _check_order(order)
-    if len(set(K_values)) < len(K_values) or len(set(orders)) < len(orders):
-        raise ValueError("K values and orders must not repeat")
+    labels = {f"{K:g}" for K in K_values}  # two Ks that print alike share a row label
+    if len(labels) < len(K_values) or len(set(orders)) < len(orders):
+        raise ValueError("K values (as printed) and orders must not repeat")
     cells = []
     for K in K_values:
         for order in orders:

@@ -22,12 +22,11 @@ checked once, and the scratch that each series overwrites.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _norm, as_finite, as_int, as_shape
+from .linalg import _FLOAT_MAX, _norm, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -68,8 +67,6 @@ PHASES = {
     ),
 }
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
 # Defects up to this size keep every ``weights @ defects`` finite: float64's
 # maximum over the largest absolute weight-row sum in PHASES (about 4.2e306).
 _DEFECT_LIMIT = _FLOAT_MAX / max(
@@ -93,7 +90,7 @@ def _within_defect_limit(values) -> bool:
 # so no stencil offset and no summed step is longer than (1 + 3
 # WILD_CORRECTION_FACTOR) |c1| (order 4's step): each, x plus each, and the
 # wild bound stay within float64's range.  Below _ANY_X_STEP_LIMIT every
-# offset is under half an ulp of that maximum, so x needs no look.
+# offset is under half an ulp of that maximum: no x_limit lies below it.
 _STEP_LIMIT = _FLOAT_MAX / (1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
 _ANY_X_STEP_LIMIT = _STEP_LIMIT / 2.0**60
 
@@ -187,9 +184,9 @@ _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 
 class StencilBase(NamedTuple):
     """What one step's series share, from :func:`stencil_base`.  ``x_limit``,
-    ``_STEP_LIMIT * (1 - max|x_i| / float64's maximum)``, bounds ``|c1|``.
-    Every series on the base overwrites ``directions`` and ``defects``, via
-    the views ``phases`` keeps per order, so a thread builds its own base."""
+    ``max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (1 - max|x_i| / _FLOAT_MAX))``,
+    bounds ``|c1|``.  Every series on the base overwrites ``directions`` and
+    ``defects``, via ``phases``' per-order views, so a thread builds its own."""
 
     x: np.ndarray
     x_row: np.ndarray
@@ -213,7 +210,8 @@ def stencil_base(x, f0, J, evaluator) -> StencilBase:
     if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
         raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
                          f"expected (m,) and (m, {len(x)})")
-    x_limit = _STEP_LIMIT * (1 - max(map(abs, x.tolist()), default=0.0) / _FLOAT_MAX)
+    x_limit = max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (
+        1 - max(map(abs, x.tolist()), default=0.0) / _FLOAT_MAX))
     return StencilBase(x, x[None], f0[None], J.T, len(f0), evaluator, x_limit,
                        np.empty((max(PHASES) - 1, len(x))),
                        np.empty((STENCIL_EVALUATIONS[max(PHASES)], len(f0))), {})
@@ -239,17 +237,10 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     No returned array shares memory with ``base``.
     """
     _check_order(order)
-    c1 = np.asarray(c1, dtype=float)
-    if c1.shape != base.x.shape:
-        raise ValueError(f"c1 has shape {c1.shape}, expected {base.x.shape}")
-    # math.hypot cannot overflow, so no norm here warns, however large; it is
-    # non-finite for a non-finite c1, or for a finite one beyond float64.
-    c1_norm = math.hypot(*c1.tolist())
-    if not c1_norm < math.inf:
-        as_finite(c1, c1.shape, "c1")  # passes a finite c1 whose norm overflows
+    c1, c1_norm = finite_norm(c1, base.x.shape, "c1")
     if order == 1:
         return CorrectionSeries((c1,), 0)
-    if not c1_norm <= _ANY_X_STEP_LIMIT and not c1_norm <= base.x_limit:
+    if not c1_norm <= base.x_limit:
         return CorrectionSeries((c1,), 0, True)
     _, x_row, f0_row, Jt, m, evaluator, _, directions, defects, phases = base
     views = phases.get(order)
@@ -286,7 +277,7 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
         if not _within_defect_limit(block.ravel().tolist()):
             return CorrectionSeries(tuple(found), evaluations, True)
         c = inverse_apply(weights.dot(so_far))
-        if not math.hypot(*c.tolist()) <= wild_bound:
+        if not _norm(c) <= wild_bound:
             return CorrectionSeries(tuple(found), evaluations, True)
         found.append(c)
     return CorrectionSeries(tuple(found), evaluations)

@@ -1,15 +1,15 @@
 """Argument rules, the vector norm and the damped inverse.
 
-Every vector norm in this package is ``math.hypot`` over the entries.  It lies
-within 1 ulp of the exact norm, never underflows, and is inf only beyond
-float64's range or at an inf entry, else nan at a nan.  Every step direction
-is the damped pseudo-inverse ``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0``
-case is the Gauss-Newton minimum-norm pseudo-inverse, which on a square
-nonsingular ``J`` is Newton's step ``J^{-1} v``.  :class:`SvdFactors` holds
-one thin SVD of ``J``, so that a sweep over damping values reuses the
-factorization; its smallest singular value, the valley direction's, stays
-accurate on ill-conditioned ``J``, and its damped scale squares nothing.
-Everything is float64.
+The package's one vector norm, ``_norm``, is ``math.hypot`` over the entries:
+within 1 ulp of the exact norm, it never underflows and is inf only beyond
+float64's range or at an inf entry, else nan at a nan; ``finite_norm`` reads
+finiteness from it.  Every step direction is the damped pseudo-inverse
+``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0`` case is the Gauss-Newton
+minimum-norm pseudo-inverse, which on a square nonsingular ``J`` is Newton's
+step ``J^{-1} v``.  :class:`SvdFactors` holds one thin SVD of ``J``, so that a
+sweep over damping values reuses the factorization; its smallest singular
+value, the valley direction's, stays accurate on ill-conditioned ``J``, and
+its damped scale squares nothing.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-__all__ = ["as_shape", "as_finite", "as_int", "as_positive", "SvdFactors"]
+__all__ = ["as_shape", "as_finite", "finite_norm", "as_int", "as_positive",
+           "SvdFactors"]
 
 # Reciprocal singular values below RANK_RCOND * sigma_max are zeroed when
 # lam == 0, giving the minimum-norm solution on rank-deficient problems.
@@ -31,9 +32,10 @@ RANK_RCOND = 1e-14
 # have no correct digit; SvdFactors then takes the graded factorization.
 ACCURATE_RCOND = 1e3 * float(np.finfo(float).eps)
 
-# ``damped_apply``'s bound on its intermediates: half of float64's maximum;
-# at or above _TINY, 1 / s stays below it.
-_APPLY_SAFE = float(np.finfo(float).max) / 2
+# float64's maximum, the package's one name for it, and ``damped_apply``'s
+# bound on its intermediates, half of it; at or above _TINY, 1 / s stays below.
+_FLOAT_MAX = float(np.finfo(float).max)
+_APPLY_SAFE = _FLOAT_MAX / 2
 _TINY = 1.0 / _APPLY_SAFE
 
 # Entered in place of an errstate where a screen rules out every floating-point
@@ -60,6 +62,22 @@ def as_finite(a, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _norm(v) -> float:
+    """Euclidean norm of a 1-D float array, ``math.hypot`` over its entries."""
+    return math.hypot(*v.tolist())
+
+
+def finite_norm(a, shape: tuple, what: str):
+    """``(as_shape(a, shape, what), its _norm)``, else ValueError unless finite.
+    Only a misshaped array, or a norm not below inf, goes to ``as_finite``,
+    which passes just a finite array beyond float64's range; its norm is inf."""
+    arr = np.asarray(a, dtype=float)
+    norm = _norm(arr) if arr.shape == shape else math.nan
+    if not norm < math.inf:
+        as_finite(arr, shape, what)
+    return arr, norm
+
+
 def as_int(value, what: str, low: int, high: float = math.inf):
     """``value`` if it is an integer in ``[low, high]``, else ValueError.
 
@@ -81,26 +99,23 @@ def as_positive(value, what: str, zero: bool = False):
     return value
 
 
-def _norm(v) -> float:
-    """Euclidean norm of a 1-D float array, ``math.hypot`` over its entries."""
-    return math.hypot(*v.tolist())
-
-
 class SvdFactors:
     """Thin SVD of a Jacobian, shared by every damping value applied to it.
 
-    Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing, and takes the
-    transposes ``Ut``, ``V`` and the reciprocals ``inv_s = 1 / s`` once.  The
-    damped scale ``s / (s^2 + lam)`` is ``1 / (s + lam * inv_s)``, which
-    squares nothing, so no singular value over- or underflows out of its
-    direction.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept
-    for its last sweep, and their largest entries, from a dict that the first
-    read after a sweep builds (none at order 1); a zero damping that cuts a
-    singular value, and so warns, is left out.  Once ``s_min <=
-    ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct digit,
-    and ``J`` is refactored by the graded-matrix recipe of Demmel et al.,
-    "Computing the singular value decomposition with high relative
-    accuracy" (1999), which keeps it.  A ``J`` whose Householder vectors
+    Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing and non-negative,
+    and takes ``Ut = U.T`` and ``inv_s = 1 / s`` once; every apply is the row
+    product ``(scale * Ut v) Vt``.  The damped scale ``s / (s^2 + lam)`` is
+    ``1 / (s + lam * inv_s)``, which squares nothing, so no singular value
+    over- or underflows out of its direction.  ``damped_apply`` reads the rows
+    ``damped_apply_batch`` kept for its last sweep, and their largest entries,
+    from a dict that the first read after a sweep builds (none at order 1); a
+    zero damping that cuts a singular value, and so warns, is left out.  Once
+    ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct
+    digit, and ``J`` is refactored by the graded-matrix recipe of Demmel et
+    al., "Computing the singular value decomposition with high relative
+    accuracy" (1999), which keeps it; a ``-0.0`` it returns is made ``+0``.
+    LAPACK scales a ``J`` above about 1.5e138 to that size, so an ``s_min``
+    under about 3e-462 ``max|J|`` reads 0.  A ``J`` whose Householder vectors
     could overflow is factored times a power of two, and ``s`` scaled back.
 
     Two screens keep the once-per-sweep work at the cost of its arithmetic.
@@ -113,8 +128,8 @@ class SvdFactors:
     invalid operation (see there).  The tests on ``s`` compare Python floats.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "V", "inv_s", "_v_shape", "_edges", "_lams",
-                 "_rows", "_kept")
+    __slots__ = ("U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_lams", "_rows",
+                 "_kept")
 
     def __init__(self, J):
         J = np.asarray(J, dtype=float)
@@ -138,12 +153,13 @@ class SvdFactors:
             order = np.argsort(-magnitudes.max(axis=1), kind="stable")
             Q, R = np.linalg.qr(J[order])
             U, s, Vt = np.linalg.svd(R, full_matrices=False)
+            s = np.abs(s)  # LAPACK may return -0.0; np.abs keeps every other bit
             U = Q.dot(U)[np.argsort(order)]
             s_list = s.tolist()
         if shift:  # exact, but a singular value beyond float64 turns inf, unwarned
             s_list = [value * 2.0**shift for value in s_list]
             s = np.array(s_list)
-        self.U, self.s, self.Vt, self.Ut, self.V = U, s, Vt, U.T, Vt.T
+        self.U, self.s, self.Vt, self.Ut = U, s, Vt, U.T
         self._v_shape = J.shape[:1]  # every applied v has shape (m,)
         if s_list[-1] >= _TINY:
             self.inv_s = 1.0 / s
@@ -192,7 +208,6 @@ class SvdFactors:
         beyond float64's range has inf entries, without an overflow warning.
         A ``v`` that is not finite or not of shape ``(m,)`` raises ValueError.
         """
-        v = np.asarray(v, dtype=float)
         if self._kept is None:  # the first read since the last sweep
             full_rank = self.s[-1] > RANK_RCOND * self.s[0]
             self._kept = {lam: kept for lam, kept in zip(
@@ -205,15 +220,13 @@ class SvdFactors:
                 scale = self._scale_rows(np.array([lam], dtype=float), [lam], lam,
                                          lam)[0]
             gain = max(scale.tolist())
-        # No partial sum or product exceeds (gain + 1) |v|, so under the bound
-        # nothing overflows (math.hypot also checks finiteness).  ndarray.dot,
-        # not @: half the matmul gufunc's dispatch cost on 2-3 elements, same bits.
-        if (v.shape == self._v_shape
-                and math.hypot(*v.tolist()) * (gain + 1.0) < _APPLY_SAFE):
-            return self.V.dot(scale * self.Ut.dot(v))
-        as_finite(v, self._v_shape, "v")  # passes only a finite v too large for the bound
+        v, v_norm = finite_norm(v, self._v_shape, "v")
+        # Under the bound nothing overflows: no partial sum or product exceeds
+        # (gain + 1) |v|.  ndarray.dot, not @: same bits, half the dispatch cost.
+        if v_norm * (gain + 1.0) < _APPLY_SAFE:
+            return (scale * self.Ut.dot(v)).dot(self.Vt)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.V.dot(scale * self.Ut.dot(v))
+            return (scale * self.Ut.dot(v)).dot(self.Vt)
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
@@ -237,10 +250,7 @@ class SvdFactors:
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1 or lams.size == 0:
             raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
-        v = np.asarray(v, dtype=float)
-        v_norm = math.hypot(*v.tolist()) if v.shape == self._v_shape else math.nan
-        if not v_norm < math.inf:
-            as_finite(v, self._v_shape, "v")  # passes a finite v whose norm overflows
+        v, v_norm = finite_norm(v, self._v_shape, "v")
         lam_list = lams.tolist()
         low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
         s_max, gain = self._edges

@@ -59,7 +59,8 @@ from .corrections import (
     correction_series,
     stencil_base,
 )
-from .linalg import SvdFactors, _norm, as_finite, as_int, as_positive, as_shape
+from .linalg import (SvdFactors, _norm, as_finite, as_int, as_positive, as_shape,
+                     finite_norm)
 from .problems import Problem
 
 __all__ = [
@@ -204,10 +205,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     """
     m, p = problem.output_dim, problem.input_dim
     x = as_shape(x, (p,), "x")
-    f0 = as_shape(f0, (m,), "f0")
-    norm0 = _norm(f0)
-    if not math.isfinite(norm0):  # a non-finite f0, or a finite one beyond float64
-        as_finite(f0, (m,), "f0")
+    f0, norm0 = finite_norm(f0, (m,), "f0")
     evals = 0
 
     try:
@@ -314,15 +312,15 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     # Copies: the result's x must not be the caller's array, and f must
     # outlive an evaluator that reuses its output array.
     x = as_finite(x0, (problem.input_dim,), "starting point").copy()
-    f = as_finite(problem.evaluator(x), (problem.output_dim,),
-                  "starting residual").copy()
+    f, norm = finite_norm(problem.evaluator(x), (problem.output_dim,),
+                          "starting residual")
+    f = f.copy()
     total_evals = 1
     schedule = LambdaSchedule(config.start_damping)
     trajectory: list[IterationRecord] = []
     rejects = 0
 
-    termination = ("converged" if _norm(f) <= config.convergence_tol
-                   else "max_iterations")
+    termination = "converged" if norm <= config.convergence_tol else "max_iterations"
     failure = None
 
     while termination != "converged" and len(trajectory) < config.max_iterations:

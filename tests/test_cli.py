@@ -130,13 +130,17 @@ def test_cli_table_rejects_bad_K(capsys):
     (["table", "--K", "10", "10", "--order", "2"], "must not repeat"),
     (["table", "--K", "10", "--order", "2", "2"], "must not repeat"),
     (["fit", "--K", "1e3", "1000", "1e3", "--order", "2"], "must not repeat"),
+    (["table", "--K", "1234567", "1234568", "--order", "2"], "must not repeat"),
+    (["fit", "--K", "1", "1234567", "1234568", "--order", "2"], "must not repeat"),
 ], ids=["run-tol-inf", "run-tol-nan", "run-tol-0", "table-tol-inf",
         "fit-max-iters-0", "run-K-inf", "table-K-inf", "table-K-repeated",
-        "table-order-repeated", "fit-K-repeated"])
+        "table-order-repeated", "fit-K-repeated", "table-K-printed-alike",
+        "fit-K-printed-alike"])
 def test_cli_bad_solver_options_exit_1(argv, message, capsys):
     # An infinite tolerance reported any start converged after 0 iterations;
     # an infinite K was blamed on the starting residual.  A repeated K or
-    # order was solved twice, and fitted as distinct points.
+    # order was solved twice, and fitted as distinct points; two Ks that
+    # print alike (1.23457e+06) labelled two rows the same.
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -406,7 +410,8 @@ def test_fit_uses_last_three_uncensored_below_cap():
 def test_run_table_validates_input(monkeypatch):
     # Every K and order is checked before the first solve: int() ran 2.5 as
     # order 2 and True as order 1, an infinite K failed after K = 1, and a
-    # repeated K or order was solved twice.  Each K is checked as given:
+    # repeated K or order was solved twice, and two Ks that print alike got
+    # one row label.  Each K is checked as given:
     # float() read True as K = 1 and "1e2" as K = 100.
     def no_solve(spec):
         raise AssertionError(f"solved {spec} before validating")
@@ -416,6 +421,7 @@ def test_run_table_validates_input(monkeypatch):
                              ([1.0, np.nan], [1]), ([1e4], []), ([1e4], [2.5]),
                              ([1e4], [True]), ([1e4], [2.0]), ([1e4], [1, 5]),
                              ([10.0, 10.0], [2]), ([1e3, 1000], [2]),
+                             ([1234567, 1234568], [2]),
                              ([1e4], [2, 2]), ([1e4], [2, np.int64(2)]),
                              ([True], [1]), (["1e2"], [1]), ([None], [1])]:
         with pytest.raises(ValueError):

@@ -445,19 +445,22 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
 def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
     # x takes half of float64's range, so c1 gets half of _STEP_LIMIT: a
     # longer c1 truncates at once, and one at half the limit runs every phase
-    # at finite points.
-    J, limit = np.eye(2), corrections._STEP_LIMIT / 2
-    x = np.array([np.finfo(float).max / 2, 0.0])
-    for c1, evaluated in (([np.nextafter(limit, np.inf), 0.0], 0),
-                          ([limit, 0.0], STENCIL_EVALUATIONS[order])):
-        points = []
-        base = stencil_base(x, x, J, lambda p: points.append(p) or p)
-        series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
-                                   order=order)
-        assert series.truncated == (evaluated == 0)
-        assert series.evaluation_count == len(points) == evaluated
-        assert all(np.isfinite(p).all() for p in points)
-        assert np.isfinite(x + series.step).all()
+    # at finite points.  At x = float64's maximum the shrunken limit is 0,
+    # but the limit never falls below _ANY_X_STEP_LIMIT, under which no
+    # offset reaches half an ulp of the maximum.
+    big, J = np.finfo(float).max, np.eye(2)
+    for x, limit in ((np.array([big / 2, 0.0]), corrections._STEP_LIMIT / 2),
+                     (np.array([big, 0.0]), corrections._ANY_X_STEP_LIMIT)):
+        for c1, evaluated in (([np.nextafter(limit, np.inf), 0.0], 0),
+                              ([limit, 0.0], STENCIL_EVALUATIONS[order])):
+            points = []
+            base = stencil_base(x, x, J, lambda p: points.append(p) or p)
+            series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
+                                       order=order)
+            assert series.truncated == (evaluated == 0)
+            assert series.evaluation_count == len(points) == evaluated
+            assert all(np.isfinite(p).all() for p in points)
+            assert np.isfinite(x + series.step).all()
 
 
 def test_step_limit_bounds_every_offset_and_step():
@@ -602,15 +605,20 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         assert ends.count(end) >= least, (end, ends.count(end))
 
 
-@pytest.mark.parametrize("c1", [[np.inf, 0.0], [np.nan, 0.0], [0.1, 0.0, 0.0],
-                                0.1, [[0.1, 0.0]]])
-def test_bad_first_step_rejected_before_any_evaluation(c1):
+@pytest.mark.parametrize("c1,message", [
+    ([np.inf, 0.0], r"^c1 must be finite$"),
+    ([np.nan, 0.0], r"^c1 must be finite$"),
+    ([0.1, 0.0, 0.0], r"^c1 has shape \(3,\), expected \(2,\)$"),
+    (0.1, r"^c1 has shape \(\), expected \(2,\)$"),
+    ([[0.1, 0.0]], r"^c1 has shape \(1, 2\), expected \(2,\)$"),
+], ids=["c10", "c11", "c12", "0.1", "c14"])  # as generated from c1 alone
+def test_bad_first_step_rejected_before_any_evaluation(c1, message):
     problem, counter = counting_problem(valley_problem(100.0))
     x = np.array([np.pi, np.e])
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
     counter["evals"] = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         correction_series(stencil_base(x, f0, J, problem.evaluator),
                           gauss_newton_inverse(J), np.array(c1), order=3)
     assert counter["evals"] == 0

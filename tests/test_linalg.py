@@ -310,9 +310,9 @@ def test_overflowing_applications_are_inf_without_a_warning(monkeypatch):
     v = np.array([1e300, -1e300])
     scale = np.reciprocal(factors.s + 1e4 * factors.inv_s)
     got = factors.damped_apply(1e4, v)
-    assert np.array_equal(got, factors.V @ (scale * (factors.Ut @ v)))
-    assert np.allclose(got, factors.V @ (squaring_scale(factors, 1e4) * (factors.Ut @ v)),
-                       rtol=1e-13, atol=0)
+    assert np.array_equal(got, factors.Vt.T @ (scale * (factors.Ut @ v)))
+    assert np.allclose(got, factors.Vt.T @ (squaring_scale(factors, 1e4)
+                                            * (factors.Ut @ v)), rtol=1e-13, atol=0)
 
 
 def test_overflowing_squares_keep_their_direction():
@@ -329,7 +329,7 @@ def test_overflowing_squares_keep_their_direction():
         scale = np.reciprocal(factors.s + lam * factors.inv_s)
         assert np.allclose(scale, [1.0 / (1e200 + lam / 1e200), 2.0 / (4.0 + lam)],
                            rtol=1e-13, atol=0)
-        expected = factors.V.dot(scale * factors.Ut.dot(v))
+        expected = factors.Vt.T.dot(scale * factors.Ut.dot(v))
         got = factors.damped_apply(lam, v)
         assert np.array_equal(got, expected)
         assert np.allclose(row, got, rtol=1e-13, atol=0)
@@ -517,3 +517,25 @@ def test_a_jacobian_holding_float64s_maximum_factors_finitely():
     assert factors.s[0] == pytest.approx(big, rel=4 * np.finfo(float).eps)
     rebuilt = (factors.U * factors.s).dot(factors.Vt)
     assert np.abs(rebuilt - J).max() <= 4 * np.finfo(float).eps * big
+
+
+@pytest.mark.parametrize("divisor", [1e10, 1e3, 5.0, 3.0])
+def test_a_singular_value_is_never_negative(divisor, monkeypatch):
+    # The graded path returned s = (a, -0.0) here, so inv_s[-1] and the
+    # sweep screen's largest gain were -inf, and a sweep passed the screen
+    # without an errstate.  The exact s_min, 1 / a, lies below what LAPACK
+    # keeps once it has scaled R's largest entry near 1.5e138, so J reads
+    # rank-deficient.
+    J = np.array([[np.finfo(float).max / divisor, 1.0], [1.0, 0.0]])
+    factors = SvdFactors(J)
+    assert not np.signbit(factors.s).any()
+    assert factors.inv_s[-1] == math.inf
+    entered = count_errstates(monkeypatch)
+    v = np.array([1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = factors.damped_apply_batch(LambdaSchedule(1.0).grid(), v)
+    assert len(entered) == 1
+    assert np.isfinite(rows).all()
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        assert np.isfinite(factors.damped_apply(0.0, v)).all()

@@ -1,0 +1,84 @@
+"""``tools/perf_pairs.py``'s arithmetic and pairing, without running perfbench."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "perf_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quartiles_are_inclusive(perf_pairs):
+    assert perf_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
+    assert perf_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert perf_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_of_a_lower_is_better_metric(perf_pairs):
+    # Parent 1..5 has quartiles 2 / 3 / 4, so an IQR of 2.  The change is
+    # 0.5 lower in four pairs and ties the fifth: four wins, a gap of 0.5.
+    pairs = [(1.0, 0.5), (2.0, 1.5), (3.0, 2.5), (4.0, 3.5), (5.0, 5.0)]
+    row = perf_pairs.summarise(pairs, "lower")
+    assert row["parent"] == (2.0, 3.0, 4.0)
+    assert row["change"] == (1.5, 2.5, 3.5)
+    assert (row["wins"], row["pairs"]) == (4, 5)
+    assert row["gap"] == 0.5
+    assert row["gap_exceeds_parent_iqr"] is False
+    # The same numbers where higher is better: the change wins nothing.
+    assert perf_pairs.summarise(pairs, "higher")["wins"] == 0
+
+
+def test_a_gap_beyond_the_parent_spread_is_flagged(perf_pairs):
+    pairs = [(0.74, 0.70), (0.75, 0.71), (0.76, 0.69), (0.74, 0.70)]
+    row = perf_pairs.summarise(pairs, "lower")
+    assert row["wins"] == 4
+    parent_iqr = row["parent"][2] - row["parent"][0]
+    assert row["gap"] == pytest.approx(0.045) and parent_iqr == pytest.approx(0.0125)
+    assert row["gap_exceeds_parent_iqr"] is True
+    # A gap exactly at the parent's IQR does not exceed it.
+    assert not perf_pairs.summarise([(1.0, 2.0), (3.0, 4.0)], "higher")[
+        "gap_exceeds_parent_iqr"]
+
+
+def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seconds, seed):
+        calls.append(checkout.name)
+        wall = {"parent": 0.8, "change": 0.7}[checkout.name]
+        return {"wall_s": wall, "f_evals": 100, "iterations": 10,
+                "solved_frac": 1.0, "setup_s": 0.02, "peak_rss_mb": 50.0}
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    argv = ["/x/parent", "/x/change", "--workload", "valley-deep", "--pairs", "3"]
+    assert perf_pairs.main(argv) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    assert "pair 2 (change first): wall_s parent 0.8000  change 0.7000" in out
+    wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
+    assert wall.split()[-2:] == ["3/3", "True"]
+    evals = next(line for line in out.splitlines() if line.startswith("f_evals "))
+    assert evals.split()[-2:] == ["0/3", "False"]
+
+
+@pytest.mark.parametrize("code,correct", [(1, False), (0, False), (2, None)])
+def test_a_failed_or_incorrect_run_stops_the_tool(perf_pairs, monkeypatch, code,
+                                                 correct):
+    last = "" if correct is None else json.dumps({"correct": correct, "metrics": {}})
+
+    def fake_subprocess(command, **kwargs):
+        return subprocess.CompletedProcess(command, code, "detail\n" + last, "")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_subprocess)
+    with pytest.raises(SystemExit, match="^error: "):
+        perf_pairs.run_once(Path("/x/parent"), "valley-deep", 1.0, 0)

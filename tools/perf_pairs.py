@@ -1,0 +1,118 @@
+"""Run perfbench in two checkouts as alternating pairs and compare them.
+
+Usage, from any directory::
+
+    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload valley-deep \\
+        [--pairs 6] [--seconds 20] [--seed 0]
+
+Each pair runs ``python3 perfbench/run.py --trace 0`` once in each
+checkout, the parent first in odd-numbered pairs and the change first in
+even-numbered ones, so a slow spell on a shared machine does not always fall
+on the same side.  A run that exits nonzero or reports ``correct: false``
+stops the tool with exit status 1.  It prints each pair's ``wall_s``, then
+for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
+quartiles, the pairs the change won (ties count for neither side), and
+whether the gap between the medians exceeds the parent's interquartile
+range.  A change claims a gain on a metric only when it wins at least nine
+tenths of the pairs and that gap exceeds the parent's spread.
+
+The tool edits nothing: perfbench runs as committed in each checkout.  It
+uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def quartiles(values):
+    """``(q1, median, q3)`` of ``values``, inclusive method; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarise(pairs, better: str) -> dict:
+    """Compare one metric over ``pairs`` of ``(parent, change)`` values.
+
+    ``better`` is ``"lower"`` or ``"higher"``.  Returns both sides'
+    quartiles, the change's wins, the number of pairs, the gap between the
+    medians and whether it exceeds the parent's interquartile range.
+    """
+    sign = {"lower": -1.0, "higher": 1.0}[better]
+    parent = quartiles([p for p, _ in pairs])
+    change = quartiles([c for _, c in pairs])
+    gap = abs(change[1] - parent[1])
+    return {
+        "parent": parent,
+        "change": change,
+        "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+        "pairs": len(pairs),
+        "gap": gap,
+        "gap_exceeds_parent_iqr": gap > parent[2] - parent[0],
+    }
+
+
+def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+    """One untraced perfbench run in ``checkout``; its metric values by name."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode == 0:  # the last line of a finished run is its result
+        result = json.loads(done.stdout.splitlines()[-1])
+        if result["correct"] is True:
+            return {name: metric["value"] for name, metric in result["metrics"].items()}
+    raise SystemExit(f"error: {' '.join(command)} in {checkout} exited "
+                     f"{done.returncode} or was not correct\n{done.stderr[-2000:]}")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    runs = []  # one {"parent": metrics, "change": metrics} per pair
+    for index in range(args.pairs):
+        order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
+        pair = {side: run_once(sides[side], args.workload, args.seconds, args.seed)
+                for side in order}
+        runs.append(pair)
+        print(f"pair {index + 1} ({order[0]} first): wall_s parent "
+              f"{pair['parent']['wall_s']:.4f}  change {pair['change']['wall_s']:.4f}",
+              flush=True)
+    print(f"{'metric':12s} {'parent q1 / median / q3':>32s} "
+          f"{'change q1 / median / q3':>32s} {'wins':>6s}  gap > parent IQR")
+    for metric in metrics:
+        name = metric["name"]
+        row = summarise([(run["parent"][name], run["change"][name]) for run in runs],
+                        metric["better"])
+        spans = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side])
+                 for side in ("parent", "change")]
+        print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
+              f"{row['wins']:>3d}/{row['pairs']:<2d}  {row['gap_exceeds_parent_iqr']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
