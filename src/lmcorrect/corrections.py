@@ -22,11 +22,12 @@ checked once, and the scratch that each series overwrites.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _FLOAT_MAX, _norm, as_int, as_shape, finite_norm
+from .linalg import _FLOAT_MAX, _norm, as_finite, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -73,14 +74,17 @@ _DEFECT_LIMIT = _FLOAT_MAX / max(
     sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases)
 
 
-def _within_defect_limit(values) -> bool:
-    """Whether every value lies in ``[-_DEFECT_LIMIT, _DEFECT_LIMIT]``.
+def _within_defect_limit(residuals, model) -> bool:
+    """Whether every defect ``r - m`` lies in ``[-_DEFECT_LIMIT, _DEFECT_LIMIT]``.
 
-    A comparison chain per value: on a stencil phase's 2-6 defects it costs
-    a third of ``np.abs(block).max()``, and nan fails it in any position.
+    The defects are taken over two lists in Python floats, the same IEEE
+    subtraction as numpy's, but one that overflows to inf, or meets inf - inf
+    as nan, without a warning; either fails.  A comparison chain per value:
+    on a stencil phase's 2-6 defects it is cheaper than a numpy reduction,
+    and nan fails it in any position.
     """
-    for d in values:
-        if not -_DEFECT_LIMIT <= d <= _DEFECT_LIMIT:
+    for r, m in zip(residuals, model):
+        if not -_DEFECT_LIMIT <= r - m <= _DEFECT_LIMIT:
             return False
     return True
 
@@ -90,9 +94,20 @@ def _within_defect_limit(values) -> bool:
 # so no stencil offset and no summed step is longer than (1 + 3
 # WILD_CORRECTION_FACTOR) |c1| (order 4's step): each, x plus each, and the
 # wild bound stay within float64's range.  Below _ANY_X_STEP_LIMIT every
-# offset is under half an ulp of that maximum: no x_limit lies below it.
+# offset is under half an ulp of that maximum.  The same rule keeps the
+# linear model f0 + J a in range, with f0 for x and |J|_F |c1| for |c1|,
+# which bounds every entry and partial sum of J a.  A stencil offset, all
+# that J multiplies, reaches (1 + WILD_CORRECTION_FACTOR) |c1|, under half a
+# step's reach, so that limit is doubled, with room for the product's
+# rounding.
 _STEP_LIMIT = _FLOAT_MAX / (1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
 _ANY_X_STEP_LIMIT = _STEP_LIMIT / 2.0**60
+
+
+def _headroom(a) -> float:
+    """``max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (1 - max|a_i| / _FLOAT_MAX))``."""
+    return max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (
+        1 - max(map(abs, a.tolist()), default=0.0) / _FLOAT_MAX))
 
 
 # New residual evaluations consumed per correction series, by order.
@@ -183,9 +198,10 @@ _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 
 
 class StencilBase(NamedTuple):
-    """What one step's series share, from :func:`stencil_base`.  ``x_limit``,
-    ``max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (1 - max|x_i| / _FLOAT_MAX))``,
-    bounds ``|c1|``.  Every series on the base overwrites ``directions`` and
+    """What one step's series share, from :func:`stencil_base`.  ``x_limit``
+    bounds ``|c1|`` so that no stencil point ``x + a`` and no linear model
+    ``f0 + J a`` overflows: ``_headroom(x)``, or ``2 _headroom(f0) / |J|_F``
+    if smaller.  Every series on the base overwrites ``directions`` and
     ``defects``, via ``phases``' per-order views, so a thread builds its own."""
 
     x: np.ndarray
@@ -201,17 +217,20 @@ class StencilBase(NamedTuple):
 
 
 def stencil_base(x, f0, J, evaluator) -> StencilBase:
-    """The base of a step's series; ValueError unless ``x`` is 1-D, and ``f0``
-    and ``J`` have shapes ``(m,)`` and ``(m, len(x))``.  ``f0`` is read after
-    evaluator calls, so it must not be an array the evaluator reuses."""
+    """The base of a step's series; ValueError unless ``x`` is 1-D, ``f0``
+    and ``J`` have shapes ``(m,)`` and ``(m, len(x))``, and ``J`` is finite.
+    ``f0`` is read after evaluator calls, so it must not be an array the
+    evaluator reuses."""
     x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
     if x.ndim != 1:
         raise ValueError(f"x has shape {x.shape}, expected (p,)")
     if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
         raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
                          f"expected (m,) and (m, {len(x)})")
-    x_limit = max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (
-        1 - max(map(abs, x.tolist()), default=0.0) / _FLOAT_MAX))
+    gain = _norm(J.ravel())  # |J|_F; not below inf if J is not finite
+    if not gain < math.inf:
+        as_finite(J, J.shape, "jacobian")
+    x_limit = min(_headroom(x), 2 * _headroom(f0) / gain) if gain else _headroom(x)
     return StencilBase(x, x[None], f0[None], J.T, len(f0), evaluator, x_limit,
                        np.empty((max(PHASES) - 1, len(x))),
                        np.empty((STENCIL_EVALUATIONS[max(PHASES)], len(f0))), {})
@@ -247,8 +266,8 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     if views is None:  # the base's first series of this order
         views = phases[order] = tuple(
             (keys, mult, weights, directions[:known], defects[first:end],
-             defects[:end]) for keys, mult, weights, known, first, end
-            in _COMPILED[order])
+             defects[first:end].ravel(), defects[:end])
+            for keys, mult, weights, known, first, end in _COMPILED[order])
     found = [c1]  # the series so far: cheaper to tuple than directions' rows
     wild_bound = WILD_CORRECTION_FACTOR * c1_norm
     evaluations = 0
@@ -256,7 +275,7 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     # operands of one shape and skips numpy's broadcasting iterator; each
     # element sees the same IEEE operations as with the vectors.  ndarray.dot,
     # not @: on 2-3 elements the matmul gufunc costs twice a .dot, same bits.
-    for row, (keys, mult, weights, known, block, so_far) in enumerate(views):
+    for row, (keys, mult, weights, known, block, flat, so_far) in enumerate(views):
         directions[row] = found[-1]  # the last phase's correction needs no row
         offsets = mult.dot(known)
         points = x_row + offsets
@@ -267,15 +286,15 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_shape(value, (m,), "residual")
-        model = offsets.dot(Jt)
+        model = offsets.dot(Jt)  # in range, by base.x_limit
         model += f0_row
-        block -= model
         # Only defects within _DEFECT_LIMIT (never nan or inf: nan fails
-        # every comparison) reach the weighted sum, so it stays finite for
-        # the inverse, which rejects non-finite input.  A nan correction
-        # norm fails the bound test.
-        if not _within_defect_limit(block.ravel().tolist()):
+        # every comparison) are formed in numpy and reach the weighted sum,
+        # so it stays finite for the inverse, which rejects non-finite
+        # input.  A nan correction norm fails the bound test.
+        if not _within_defect_limit(flat.tolist(), model.ravel().tolist()):
             return CorrectionSeries(tuple(found), evaluations, True)
+        block -= model
         c = inverse_apply(weights.dot(so_far))
         if not _norm(c) <= wild_bound:
             return CorrectionSeries(tuple(found), evaluations, True)

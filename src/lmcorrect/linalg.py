@@ -14,7 +14,6 @@ its damped scale squares nothing.  Everything is float64.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from numbers import Integral, Real
@@ -32,15 +31,12 @@ RANK_RCOND = 1e-14
 # have no correct digit; SvdFactors then takes the graded factorization.
 ACCURATE_RCOND = 1e3 * float(np.finfo(float).eps)
 
-# float64's maximum, the package's one name for it, and ``damped_apply``'s
-# bound on its intermediates, half of it; at or above _TINY, 1 / s stays below.
+# float64's maximum, the package's one name for it, and the bound of
+# SvdFactors' screens on their intermediates, half of it; at or above _TINY,
+# 1 / s stays below.
 _FLOAT_MAX = float(np.finfo(float).max)
 _APPLY_SAFE = _FLOAT_MAX / 2
 _TINY = 1.0 / _APPLY_SAFE
-
-# Entered in place of an errstate where a screen rules out every floating-point
-# exception: entering an errstate costs more than the 2-3 element arithmetic.
-_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def as_shape(a, shape: tuple, what: str) -> np.ndarray:
@@ -106,10 +102,12 @@ class SvdFactors:
     and takes ``Ut = U.T`` and ``inv_s = 1 / s`` once; every apply is the row
     product ``(scale * Ut v) Vt``.  The damped scale ``s / (s^2 + lam)`` is
     ``1 / (s + lam * inv_s)``, which squares nothing, so no singular value
-    over- or underflows out of its direction.  ``damped_apply`` reads the rows
-    ``damped_apply_batch`` kept for its last sweep, and their largest entries,
-    from a dict that the first read after a sweep builds (none at order 1); a
-    zero damping that cuts a singular value, and so warns, is left out.  Once
+    over- or underflows out of its direction.  ``_scale_rows`` computes every
+    scale row and ``_apply`` every product, each behind one screen on Python
+    floats.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept for
+    its last sweep from a dict that the first read after a sweep builds (none
+    at order 1); a zero damping that cuts a singular value, and so warns, is
+    left out, and a damping not kept gets its row from ``_scale_rows``.  Once
     ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct
     digit, and ``J`` is refactored by the graded-matrix recipe of Demmel et
     al., "Computing the singular value decomposition with high relative
@@ -118,18 +116,14 @@ class SvdFactors:
     under about 3e-462 ``max|J|`` reads 0.  A ``J`` whose Householder vectors
     could overflow is factored times a power of two, and ``s`` scaled back.
 
-    Two screens keep the once-per-sweep work at the cost of its arithmetic.
-    ``J`` is screened by its largest magnitude, one reduction that is
-    below inf exactly when every entry is finite: a maximum neither
-    overflows nor raises a floating-point exception, and a nan propagates
-    through it.  Only a ``J`` that fails the screen goes to ``as_finite``,
-    the one check that raises.  ``damped_apply_batch`` enters an errstate
-    only when a screen on Python floats cannot rule out a divide, overflow or
-    invalid operation (see there).  The tests on ``s`` compare Python floats.
+    ``J`` is screened by its largest magnitude, one reduction that is below
+    inf exactly when every entry is finite: a maximum neither overflows nor
+    raises a floating-point exception, and a nan propagates through it.  Only
+    a ``J`` that fails the screen goes to ``as_finite``, the one check that
+    raises.  The tests on ``s`` compare Python floats.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_lams", "_rows",
-                 "_kept")
+    __slots__ = ("U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_sweep", "_kept")
 
     def __init__(self, J):
         J = np.asarray(J, dtype=float)
@@ -167,30 +161,40 @@ class SvdFactors:
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
         # s_max and the largest reciprocal, 1 / s_min, as Python floats: the
-        # two sizes damped_apply_batch's screen reads.
+        # two sizes the screens of _scale_rows and _apply read.
         self._edges = (s_list[0], float(self.inv_s[-1]))
-        # The last sweep's dampings and scale rows, and once read, its dict
-        # from damping to row (None until then).
-        self._lams, self._rows, self._kept = [], None, {}
+        # The last sweep's (dampings, scale rows), and its dict from damping
+        # to row, None from the sweep until damped_apply first reads it.
+        self._sweep, self._kept = None, {}
 
-    def _scale_rows(self, lams: np.ndarray, lam_list: list, low, high) -> np.ndarray:
+    def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
         """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
 
-        ``low`` and ``high`` are ``min(lam_list)`` and ``max(lam_list)``, which
-        skip a nan; the sum catches it.  Callers ignore divide, over and
-        invalid in an errstate, unless ``damped_apply_batch``'s screen rules
-        all three out.  At zero damping the row is ``1 / s``, cut to 0 below
-        ``RANK_RCOND * s_max`` with a warning.
+        ValueError unless every damping is non-negative: ``min`` and ``max``
+        skip a nan, the sum catches it.  The rows are the plain formula when
+        a screen on Python floats passes: every damping positive, and
+        ``max(lams) / s_min`` and ``s_max`` below ``_APPLY_SAFE``.  Then no
+        ``lam / s`` nor ``s + lam / s`` overflows, as neither term reaches
+        half of float64's maximum, and each scale lies in ``(0, 1 / s_min]``,
+        so none divides by zero.  Otherwise they are computed in an errstate
+        that ignores divide, over and invalid.  At zero damping the row is
+        ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
         """
+        low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
         if not (low >= 0.0 and sum(lam_list) >= 0.0):  # a nan makes the sum nan
             raise ValueError(f"damping must be non-negative, got {lams.min()}")
-        lam_s = lams[:, None] * self.inv_s
-        scale = np.reciprocal(self.s + lam_s)
-        # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the scale
-        # is s / lam.  inv_s is non-decreasing and rounding is monotone, so
-        # the largest product is high * inv_s[-1], the same IEEE product.
-        if high * self._edges[1] == math.inf:
-            scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
+        s_max, gain = self._edges
+        if low > 0.0 and high * gain < _APPLY_SAFE and s_max < _APPLY_SAFE:
+            return np.reciprocal(self.s + lams[:, None] * self.inv_s)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam_s = lams[:, None] * self.inv_s
+            scale = np.reciprocal(self.s + lam_s)
+            # Where lam * inv_s overflows, s^2 is below 1e-308 lam, so the
+            # scale is s / lam.  inv_s is non-decreasing and rounding is
+            # monotone, so the largest product is high * gain, the same IEEE
+            # product.
+            if high * gain == math.inf:
+                scale = np.where(lam_s == math.inf, self.s / lams[:, None], scale)
         if low == 0.0:
             keep = self.s > RANK_RCOND * self.s[0]
             if not keep.all():
@@ -198,6 +202,22 @@ class SvdFactors:
                               "minimum-norm solution", RuntimeWarning, stacklevel=3)
             scale[lams == 0.0] = np.where(keep, self.inv_s, 0.0)
         return scale
+
+    def _apply(self, scale: np.ndarray, v) -> np.ndarray:
+        """``(scale * Ut v) Vt`` for a row or rows of ``_scale_rows``.
+
+        ValueError unless ``v`` is finite and of shape ``(m,)``.  Every scale
+        entry is at most ``1 / s_min``, so below the screen's bound no entry
+        or partial sum of either product exceeds ``(1 / s_min + 1) |v|``, and
+        nothing overflows; otherwise the products ignore over and invalid,
+        and a result beyond float64's range has inf entries, unwarned.
+        ndarray.dot, not @: same bits, half the dispatch cost.
+        """
+        v, v_norm = finite_norm(v, self._v_shape, "v")
+        if v_norm * (self._edges[1] + 1.0) < _APPLY_SAFE:
+            return (scale * self.Ut.dot(v)).dot(self.Vt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (scale * self.Ut.dot(v)).dot(self.Vt)
 
     def damped_apply(self, lam: float, v) -> np.ndarray:
         """Return ``(J^T J + lam I)^{-1} J^T v`` via ``1 / (s + lam / s)``.
@@ -209,24 +229,14 @@ class SvdFactors:
         A ``v`` that is not finite or not of shape ``(m,)`` raises ValueError.
         """
         if self._kept is None:  # the first read since the last sweep
-            full_rank = self.s[-1] > RANK_RCOND * self.s[0]
-            self._kept = {lam: kept for lam, kept in zip(
-                self._lams, zip(self._rows, self._rows.max(axis=1).tolist()))
-                if lam > 0.0 or full_rank}
+            self._kept = dict(zip(*self._sweep))
+            if not self.s[-1] > RANK_RCOND * self.s[0]:  # a cut zero row warns
+                self._kept.pop(0.0, None)
         try:
-            scale, gain = self._kept[lam]
+            scale = self._kept[lam]
         except (KeyError, TypeError):  # not kept, or unhashable (a 0-d array)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                scale = self._scale_rows(np.array([lam], dtype=float), [lam], lam,
-                                         lam)[0]
-            gain = max(scale.tolist())
-        v, v_norm = finite_norm(v, self._v_shape, "v")
-        # Under the bound nothing overflows: no partial sum or product exceeds
-        # (gain + 1) |v|.  ndarray.dot, not @: same bits, half the dispatch cost.
-        if v_norm * (gain + 1.0) < _APPLY_SAFE:
-            return (scale * self.Ut.dot(v)).dot(self.Vt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (scale * self.Ut.dot(v)).dot(self.Vt)
+            scale = self._scale_rows(np.array([lam], dtype=float), [lam])[0]
+        return self._apply(scale, v)
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
@@ -235,29 +245,11 @@ class SvdFactors:
         dampings included; a row that overflows is non-finite, unwarned.
         A ``lams`` that is empty or not 1-D, and a ``v`` that ``damped_apply``
         would reject, raise ValueError.
-
-        The rows are computed in an errstate that ignores divide, over and
-        invalid only when a screen on Python floats cannot rule these out.
-        It passes when every damping is positive, ``max(lams) / s_min`` and
-        ``s_max`` are below ``_APPLY_SAFE``, and so is ``|v| (1 / s_min +
-        1)``.  Then no ``lam / s`` nor ``s + lam / s`` overflows, as neither
-        term reaches half of float64's maximum; each scale ``1 / (s + lam /
-        s)`` lies in ``(0, 1 / s_min]``, so none divides by zero; and no entry
-        or partial sum of the two products exceeds ``(1 / s_min + 1) |v|``.
-        A nan damping can pass, since ``min`` and ``max`` skip it, but
-        ``_scale_rows`` rejects it before any arithmetic.
         """
         lams = np.asarray(lams, dtype=float)
         if lams.ndim != 1 or lams.size == 0:
             raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
-        v, v_norm = finite_norm(v, self._v_shape, "v")
         lam_list = lams.tolist()
-        low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
-        s_max, gain = self._edges
-        safe = (low > 0.0 and high * gain < _APPLY_SAFE and s_max < _APPLY_SAFE
-                and v_norm * (gain + 1.0) < _APPLY_SAFE)
-        with _NO_ERRSTATE if safe else np.errstate(divide="ignore", over="ignore",
-                                                   invalid="ignore"):
-            rows = self._scale_rows(lams, lam_list, low, high)
-            self._lams, self._rows, self._kept = lam_list, rows, None
-            return (rows * self.Ut.dot(v)).dot(self.Vt)
+        rows = self._scale_rows(lams, lam_list)
+        self._sweep, self._kept = (lam_list, rows), None
+        return self._apply(rows, v)

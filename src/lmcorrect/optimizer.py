@@ -37,7 +37,8 @@ per point or per candidate:
   one call per correction through a ``functools.partial`` of the bound
   method: perfbench times that method as its own layer.  Each call finds
   the scale row that ``damped_apply_batch`` kept for that damping with one
-  dict lookup, so one sweep computes its 21 rows once.
+  dict lookup, so one sweep computes its 21 rows once, and applies it by
+  the sweep's own product and screen.
 
 Every residual and step norm is ``math.hypot`` over the vector's entries,
 within 1 ulp: no tiny norm reads 0, and no representable one overflows.

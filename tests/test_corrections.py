@@ -463,6 +463,73 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
             assert np.isfinite(x + series.step).all()
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
+    # The linear model f0 + J a stays in range as x + a does: c1 gets twice
+    # f0's headroom over |J|_F, 4 here (J is 2 sqrt(2) times a rotation).
+    # A longer c1 truncates at once; one at the limit runs every phase with
+    # no warning (an error under the suite's filter).
+    big, J = np.finfo(float).max, np.array([[2.0, 2.0], [2.0, -2.0]])
+    for f0, limit in ((np.zeros(2), corrections._STEP_LIMIT / 2),
+                      (np.array([0.0, big / 2]), corrections._STEP_LIMIT / 4),
+                      (np.array([0.0, big]), corrections._ANY_X_STEP_LIMIT / 2)):
+        for c1, evaluated in (([0.0, np.nextafter(limit, np.inf)], 0),
+                              ([0.0, limit], STENCIL_EVALUATIONS[order])):
+            points = []
+            base = stencil_base(np.zeros(2), f0, J,
+                                lambda p: points.append(p) or f0 + J.dot(p))
+            assert base.x_limit == limit
+            series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
+                                       order=order)
+            assert series.truncated == (evaluated == 0)
+            assert series.evaluation_count == len(points) == evaluated
+
+
+def test_the_doubled_model_limit_bounds_every_stencil_offset():
+    # J multiplies only stencil offsets, whose reach is under half a step's,
+    # so 2 _STEP_LIMIT times it stays below float64's maximum, with room
+    # for rounding; and below 2 _ANY_X_STEP_LIMIT every |J a| stays under
+    # half an ulp of that maximum.
+    wild = Fraction(WILD_CORRECTION_FACTOR)
+    reach = max(abs(Fraction(m[0])) + wild * sum(abs(Fraction(k)) for k in m[1:])
+                for phases in PHASES.values() for points, _ in phases for m in points)
+    big = Fraction(np.finfo(float).max)
+    assert 2 * reach * Fraction(corrections._STEP_LIMIT) <= big * Fraction(7, 10)
+    half_ulp = Fraction(math.ulp(np.finfo(float).max)) / 2
+    assert 2 * reach * Fraction(corrections._ANY_X_STEP_LIMIT) < half_ulp / 64
+
+
+def test_a_jacobian_that_is_not_finite_is_rejected():
+    # A zero c1 on J = [[inf, 0], [0, 1]] formed 0 * inf in the model's
+    # product, which warned.  A finite J whose row norm overflows is taken,
+    # with a limit of 0: only a zero c1 runs its stencil, and its model is 0.
+    big = np.finfo(float).max
+    for J in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="^jacobian must be finite$"):
+            stencil_base(np.zeros(2), np.zeros(2), np.array(J), lambda p: p)
+    J = np.array([[big, big], [0.0, 1.0]])
+    base = stencil_base(np.zeros(2), np.zeros(2), J, lambda p: J.dot(p))
+    assert base.x_limit == 0.0
+    assert correction_series(base, lambda v: v, np.array([1e-300, 0.0]),
+                             order=2).truncated
+    series = correction_series(base, lambda v: v, np.zeros(2), order=2)
+    assert not series.truncated and series.evaluation_count == 1
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
+    # The model is -1e308 + 1 in the first component, and the stencil's
+    # residual 1.7e308 there: the defect overflowed in numpy's subtraction.
+    # It is now tested in Python floats first, where it is inf, unwarned,
+    # and truncates like any defect beyond _DEFECT_LIMIT.
+    f0, J = np.array([-1e308, 0.0]), np.eye(2)
+    base = stencil_base(np.zeros(2), f0, J, lambda p: np.array([1.7e308, 0.0]))
+    series = correction_series(base, gauss_newton_inverse(J), np.array([1.0, 0.0]),
+                               order=order)
+    assert series.truncated and len(series.corrections) == 1
+    assert series.evaluation_count == len(PHASES[order][0][0])
+
+
 def test_step_limit_bounds_every_offset_and_step():
     # Later corrections pass the wild bound, so each stencil row and each
     # summed step reaches at most this multiple of |c1|.

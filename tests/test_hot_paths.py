@@ -26,6 +26,7 @@ HOT_FUNCTIONS = [
     ("corrections.py", "stencil_base"),
     ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),
+    ("linalg.py", "SvdFactors._apply"),
     ("linalg.py", "SvdFactors.damped_apply"),
     ("linalg.py", "SvdFactors.damped_apply_batch"),
     ("optimizer.py", "step"),
@@ -59,9 +60,10 @@ def test_hot_path_products_use_dot(filename, qualname):
 
 
 def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
-    # The screens in SvdFactors, damped_apply_batch and step pass on every
-    # sweep of the K = 1e5 valley from (pi, e), so none enters an errstate;
-    # a zero damping fails the batch's screen, so Gauss-Newton's sweep does.
+    # The screens in SvdFactors, its scale rows and products, and step pass
+    # on every sweep of the K = 1e5 valley from (pi, e), so none enters an
+    # errstate; a zero damping fails the rows' screen, so Gauss-Newton's
+    # sweep does.
     # Its corrections then read the zero row that the sweep kept, as every
     # correction reads its damping's row, and enter none.
     problem = valley_problem(1e5)

@@ -156,9 +156,10 @@ def formula_rows(f, lams, v):
 def screen_sweeps(f, v):
     """``(bound, lams, v)`` on each side of damped_apply_batch's screen bounds.
 
-    The screen passes only when every damping is positive, ``max(lams) /
-    s_min`` is below ``_APPLY_SAFE``, and ``|v| (1 / s_min + 1)`` is too.
-    (Its bound on ``s_max`` needs a J of its own.)
+    The rows' screen passes only when every damping is positive and
+    ``max(lams) / s_min`` is below ``_APPLY_SAFE`` (its bound on ``s_max``
+    needs a J of its own); the products' only when ``|v| (1 / s_min + 1)``
+    is below it too.
     """
     gain = float(f.inv_s[-1])
     lams = 10.0 ** np.linspace(-8, 8, 20)
@@ -443,6 +444,35 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
                               SvdFactors(J).damped_apply(lam, v))
 
 
+def test_a_damping_outside_the_sweep_gets_its_row_through_the_row_screen(
+        monkeypatch):
+    # A damping the last sweep did not keep has its row computed by the
+    # sweep's own rule: no errstate when the screen passes, the same bits
+    # as a fresh factorization's either way.  Zero fails the screen, as do
+    # s_min = 0 and a damping whose lam / s_min reaches _APPLY_SAFE.
+    entered = count_errstates(monkeypatch)
+    J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
+    v = np.array([1.0, -2.0, 0.5])
+    factors = SvdFactors(J)
+    factors.damped_apply_batch([1e-3, 1.0], v)
+    for lam, errstates in ((0.3, 0), (np.float64(7.0), 0), (np.array(1.0), 0),
+                           (0.0, 1), (_APPLY_SAFE * float(factors.s[-1]), 1)):
+        del entered[:]
+        got = factors.damped_apply(lam, v)
+        assert len(entered) == errstates, lam
+        assert got.tobytes() == SvdFactors(J).damped_apply(lam, v).tobytes()
+    # Where s_min = 0 the products' screen fails too, since 1 / s_min is
+    # inf: a positive damping enters one errstate if kept, two if not.
+    deficient = SvdFactors(np.array([[2.0, 0.0], [0.5, 0.0], [1.0, 0.0]]))
+    assert deficient.s[-1] == 0.0
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        deficient.damped_apply_batch([0.0, 1.0], v)
+    for lam, errstates in ((1.0, 1), (0.3, 2)):
+        del entered[:]
+        assert np.isfinite(deficient.damped_apply(lam, v)).all()
+        assert len(entered) == errstates
+
+
 def test_as_shape_names_the_argument_and_both_shapes():
     assert as_shape([1, 2], (2,), "x").dtype == np.float64
     # Non-finite entries pass, and a float64 array of the shape is not copied.
@@ -525,7 +555,8 @@ def test_a_singular_value_is_never_negative(divisor, monkeypatch):
     # sweep screen's largest gain were -inf, and a sweep passed the screen
     # without an errstate.  The exact s_min, 1 / a, lies below what LAPACK
     # keeps once it has scaled R's largest entry near 1.5e138, so J reads
-    # rank-deficient.
+    # rank-deficient.  With s_min = 0 both screens fail, the scale rows'
+    # and the products': two errstates.
     J = np.array([[np.finfo(float).max / divisor, 1.0], [1.0, 0.0]])
     factors = SvdFactors(J)
     assert not np.signbit(factors.s).any()
@@ -535,7 +566,7 @@ def test_a_singular_value_is_never_negative(divisor, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = factors.damped_apply_batch(LambdaSchedule(1.0).grid(), v)
-    assert len(entered) == 1
+    assert len(entered) == 2
     assert np.isfinite(rows).all()
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         assert np.isfinite(factors.damped_apply(0.0, v)).all()

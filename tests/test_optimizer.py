@@ -808,6 +808,35 @@ def test_quadratic_endgame_is_short():
     assert 0 < len(tail) <= 6
 
 
+def _near_the_float64_maximum(kind):
+    if kind == "tanh":
+        M, b = 1.7e308, 1.5e308
+        return Problem(2, 2, lambda x: np.array([M * np.tanh(x[0]) - b, x[1]]),
+                       lambda x: np.array([[M / np.cosh(x[0]) ** 2, 0.0],
+                                           [0.0, 1.0]])), 1e290
+    return affine_problem(1e10 * np.eye(2), [1.5e308, 0.0]), 1e-9
+
+
+@pytest.mark.parametrize("kind,counts", [
+    ("tanh", [(8, 169), (6, 169), (6, 295), (6, 463)]),
+    ("affine", [(2, 43), (2, 64), (2, 127), (2, 211)]),
+])
+def test_a_linear_model_near_float64s_maximum_never_overflows(kind, counts):
+    # At order 4, J a reached past float64's maximum at the stencil point
+    # 1.5 c1: numpy warned in the model's product (and, on the affine
+    # problem, in the evaluator and the defect's subtraction), and on the
+    # tanh problem the run stalled after 9 iterations and 1492 evaluations
+    # at |f| = 2e292.  Such a c1 now truncates its series before any
+    # stencil evaluation, and every order converges with no warning (an
+    # error under the suite's filter).
+    problem, tol = _near_the_float64_maximum(kind)
+    for order, (iterations, evaluations) in enumerate(counts, start=1):
+        result = run(np.zeros(2), problem,
+                     OptimizerConfig(order=order, convergence_tol=tol))
+        assert result.termination == "converged"
+        assert (result.iterations, result.f_evaluations) == (iterations, evaluations)
+
+
 def test_nonfinite_jacobian_fails_the_step():
     # A non-finite Jacobian is a numerical outcome, not a contract violation:
     # step raises StepFailureError before any evaluator call.  A wrong shape

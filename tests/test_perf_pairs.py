@@ -1,8 +1,12 @@
-"""``tools/perf_pairs.py``'s arithmetic and pairing, without running perfbench."""
+"""``tools/perf_pairs.py``'s arithmetic, pairing and SIGTERM, without perfbench."""
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,44 @@ def test_a_failed_or_incorrect_run_stops_the_tool(perf_pairs, monkeypatch, code,
     monkeypatch.setattr(perf_pairs.subprocess, "run", fake_subprocess)
     with pytest.raises(SystemExit, match="^error: "):
         perf_pairs.run_once(Path("/x/parent"), "valley-deep", 1.0, 0)
+
+
+def test_the_default_is_ten_pairs(perf_pairs):
+    assert perf_pairs.parse_args(["/x/parent", "/x/change", "--workload", "w"]).pairs == 10
+
+
+def test_sigterm_kills_the_running_perfbench_child(tmp_path):
+    # A fake checkout whose perfbench/run.py writes its pid and sleeps: the
+    # tool starts that one child, and a SIGTERM to the tool must take the
+    # child with it rather than leave it running.
+    fake = tmp_path / "checkout"
+    (fake / "perfbench").mkdir(parents=True)
+    pid_file = tmp_path / "child.pid"
+    (fake / "perfbench" / "run.py").write_text(
+        "import os, time\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "time.sleep(60)\n")
+    tool = subprocess.Popen([sys.executable, str(TOOL), str(fake), str(fake),
+                             "--workload", "w", "--pairs", "1"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text():
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        child = None
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

@@ -3,7 +3,7 @@
 Usage, from any directory::
 
     python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload valley-deep \\
-        [--pairs 6] [--seconds 20] [--seed 0]
+        [--pairs 10] [--seconds 20] [--seed 0]
 
 Each pair runs ``python3 perfbench/run.py --trace 0`` once in each
 checkout, the parent first in odd-numbered pairs and the change first in
@@ -14,16 +14,19 @@ for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
 quartiles, the pairs the change won (ties count for neither side), and
 whether the gap between the medians exceeds the parent's interquartile
 range.  A change claims a gain on a metric only when it wins at least nine
-tenths of the pairs and that gap exceeds the parent's spread.
+tenths of the pairs and that gap exceeds the parent's spread, so ten pairs
+are the default and the least that can carry a claim.
 
 The tool edits nothing: perfbench runs as committed in each checkout.  It
-uses the standard library only.
+uses the standard library only.  SIGTERM ends it as Ctrl-C does: the
+running perfbench child is killed and waited for before the tool exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -79,7 +82,7 @@ def parse_args(argv):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -114,5 +117,12 @@ def main(argv=None) -> int:
     return 0
 
 
+def exit_on_sigterm(signum, frame):
+    """Raise SystemExit, on which ``subprocess.run`` kills its child; the
+    default action of SIGTERM would end the tool and leave the child running."""
+    raise SystemExit(128 + signum)
+
+
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     sys.exit(main())
