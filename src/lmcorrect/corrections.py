@@ -68,46 +68,28 @@ PHASES = {
     ),
 }
 
-# Defects up to this size keep every ``weights @ defects`` finite: float64's
-# maximum over the largest absolute weight-row sum in PHASES (about 4.2e306).
-_DEFECT_LIMIT = _FLOAT_MAX / max(
-    sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases)
+# Every stencil quantity stays within a small multiple of one bound, R:
+# float64's maximum over 4 W, with W the largest absolute weight-row sum in
+# PHASES (R is about 1.06e306).  A series runs its stencil only from x and f0
+# within R and |c1| <= R / (_REACH max(1, |J|_F)).  Every later correction
+# passes the wild bound, so no stencil offset a and no summed step reaches
+# past _REACH |c1| (order 4's step): each point x + a and model entry
+# f0 + J a lies within 2R.  A phase whose residuals all lie within 2R then
+# has defects within 4R, and each weighted sum of them stays within float64's
+# maximum.
+_BOUND = _FLOAT_MAX / (4 * max(
+    sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases))
+_REACH = 1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR
 
 
-def _within_defect_limit(residuals, model) -> bool:
-    """Whether every defect ``r - m`` lies in ``[-_DEFECT_LIMIT, _DEFECT_LIMIT]``.
-
-    The defects are taken over two lists in Python floats, the same IEEE
-    subtraction as numpy's, but one that overflows to inf, or meets inf - inf
-    as nan, without a warning; either fails.  A comparison chain per value:
-    on a stencil phase's 2-6 defects it is cheaper than a numpy reduction,
-    and nan fails it in any position.
-    """
-    for r, m in zip(residuals, model):
-        if not -_DEFECT_LIMIT <= r - m <= _DEFECT_LIMIT:
+def _within(values, bound) -> bool:
+    """Whether every value lies in ``[-bound, bound]``.  A comparison chain
+    per value: on a stencil phase's few residuals it is cheaper than a numpy
+    reduction, and nan fails it in any position."""
+    for v in values:
+        if not -bound <= v <= bound:
             return False
     return True
-
-
-# A series runs its stencil only from |c1| <= _STEP_LIMIT (1 - max|x_i| /
-# float64's maximum).  Every later correction passes the wild bound first,
-# so no stencil offset and no summed step is longer than (1 + 3
-# WILD_CORRECTION_FACTOR) |c1| (order 4's step): each, x plus each, and the
-# wild bound stay within float64's range.  Below _ANY_X_STEP_LIMIT every
-# offset is under half an ulp of that maximum.  The same rule keeps the
-# linear model f0 + J a in range, with f0 for x and |J|_F |c1| for |c1|,
-# which bounds every entry and partial sum of J a.  A stencil offset, all
-# that J multiplies, reaches (1 + WILD_CORRECTION_FACTOR) |c1|, under half a
-# step's reach, so that limit is doubled, with room for the product's
-# rounding.
-_STEP_LIMIT = _FLOAT_MAX / (1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR)
-_ANY_X_STEP_LIMIT = _STEP_LIMIT / 2.0**60
-
-
-def _headroom(a) -> float:
-    """``max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (1 - max|a_i| / _FLOAT_MAX))``."""
-    return max(_ANY_X_STEP_LIMIT, _STEP_LIMIT * (
-        1 - max(map(abs, a.tolist()), default=0.0) / _FLOAT_MAX))
 
 
 # New residual evaluations consumed per correction series, by order.
@@ -199,10 +181,13 @@ _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 
 class StencilBase(NamedTuple):
     """What one step's series share, from :func:`stencil_base`.  ``x_limit``
-    bounds ``|c1|`` so that no stencil point ``x + a`` and no linear model
-    ``f0 + J a`` overflows: ``_headroom(x)``, or ``2 _headroom(f0) / |J|_F``
-    if smaller.  Every series on the base overwrites ``directions`` and
-    ``defects``, via ``phases``' per-order views, so a thread builds its own."""
+    bounds ``|c1|`` so that every stencil point ``x + a`` and linear model
+    ``f0 + J a`` stays within ``2 _BOUND``: ``_BOUND / (_REACH max(1,
+    |J|_F))``, 0 once that product overflows (``|J|_F`` past about 6e304),
+    or -inf when an entry of ``x`` or ``f0`` lies beyond ``_BOUND``, so that
+    not even a zero ``c1``, whose model is ``f0``, runs its stencil.  Every
+    series on the base overwrites ``directions`` and ``defects``, via
+    ``phases``' per-order views, so a thread builds its own."""
 
     x: np.ndarray
     x_row: np.ndarray
@@ -230,7 +215,8 @@ def stencil_base(x, f0, J, evaluator) -> StencilBase:
     gain = _norm(J.ravel())  # |J|_F; not below inf if J is not finite
     if not gain < math.inf:
         as_finite(J, J.shape, "jacobian")
-    x_limit = min(_headroom(x), 2 * _headroom(f0) / gain) if gain else _headroom(x)
+    in_range = _within(x.tolist() + f0.tolist(), _BOUND)
+    x_limit = _BOUND / (_REACH * max(1.0, gain)) if in_range else -math.inf
     return StencilBase(x, x[None], f0[None], J.T, len(f0), evaluator, x_limit,
                        np.empty((max(PHASES) - 1, len(x))),
                        np.empty((STENCIL_EVALUATIONS[max(PHASES)], len(f0))), {})
@@ -246,14 +232,13 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     forms its offsets, their linear model ``f0 + J a`` and its weighted defect
     as one array product each; only ``base.evaluator`` is called point by
     point.  A ``c1`` longer than ``base.x_limit`` truncates the series before
-    any evaluation.  A stencil defect that is non-finite or too large for the
-    weighted sum (see ``_DEFECT_LIMIT``), or a correction whose norm exceeds
-    ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates the series
-    at the previous order, skips the remaining phases and sets the
-    ``truncated`` flag.  A failing evaluator call raises
-    StencilEvaluationError; a residual of the wrong shape, a bad order, or a
-    non-finite or misshaped ``c1`` raise ValueError before any evaluation.
-    No returned array shares memory with ``base``.
+    any evaluation.  A phase residual that is non-finite or beyond ``2
+    _BOUND``, or a correction whose norm exceeds ``WILD_CORRECTION_FACTOR *
+    |c1|`` (or is non-finite), truncates the series at the previous order,
+    skips the remaining phases and sets the ``truncated`` flag.  A failing
+    evaluator call raises StencilEvaluationError; a residual of the wrong
+    shape, a bad order, or a non-finite or misshaped ``c1`` raise ValueError
+    before any evaluation.  No returned array shares memory with ``base``.
     """
     _check_order(order)
     c1, c1_norm = finite_norm(c1, base.x.shape, "c1")
@@ -286,14 +271,13 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
             defects[evaluations - 1] = as_shape(value, (m,), "residual")
-        model = offsets.dot(Jt)  # in range, by base.x_limit
-        model += f0_row
-        # Only defects within _DEFECT_LIMIT (never nan or inf: nan fails
-        # every comparison) are formed in numpy and reach the weighted sum,
-        # so it stays finite for the inverse, which rejects non-finite
-        # input.  A nan correction norm fails the bound test.
-        if not _within_defect_limit(flat.tolist(), model.ravel().tolist()):
+        # Only residuals within 2 _BOUND (never nan or inf) become defects,
+        # so the weighted sum stays finite for the inverse, which rejects
+        # non-finite input.  A nan correction norm fails the wild bound.
+        if not _within(flat.tolist(), 2 * _BOUND):
             return CorrectionSeries(tuple(found), evaluations, True)
+        model = offsets.dot(Jt)  # within 2 _BOUND, by base.x_limit
+        model += f0_row
         block -= model
         c = inverse_apply(weights.dot(so_far))
         if not _norm(c) <= wild_bound:

@@ -11,12 +11,12 @@ on the largest damping tried.
 
 One product with the factorization gives every first-order direction c1,
 and one reduction, the largest ``|c1|`` entry, picks the live candidates.
-When it is at most ``_ANY_X_STEP_LIMIT``, every c1 is finite and each entry
-lies below half an ulp of float64's maximum, so no ``x + c1`` overflows and
-every candidate is live.  Otherwise, rarely, a row mask keeps those whose
-``x + c1`` is finite: a candidate whose ``x + c1`` overflows is skipped
-without an evaluator call, since at orders 2-4 its series would truncate
-before the stencil and leave ``x + c1`` as its endpoint.  One sum gives every
+When it and ``|x|`` are at most the stencil's range bound ``_BOUND``, about
+1e306, every c1 is finite, no ``x + c1`` overflows and every candidate is
+live.  Otherwise, rarely, a row mask keeps those whose ``x + c1`` is
+finite: a candidate whose ``x + c1`` overflows is skipped without an
+evaluator call, since at orders 2-4 its series would truncate before the
+stencil and leave ``x + c1`` as its endpoint.  One sum gives every
 order-1 endpoint, and one loop walks the live candidates in grid order, at
 order 1 along the endpoint rows: each runs its series, evaluates its endpoint
 and leads if its residual norm is strictly below the best so far, so ties go
@@ -54,7 +54,7 @@ from functools import partial
 import numpy as np
 
 from .corrections import (
-    _ANY_X_STEP_LIMIT,
+    _BOUND,
     StencilEvaluationError,
     _check_order,
     correction_series,
@@ -200,12 +200,13 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     on the largest damping tried) when no candidate improved the residual
     norm.  Raises StepFailureError when every candidate is unusable, the
     Jacobian raises or is not finite, or its SVD does not converge, and
-    ValueError when ``f0`` is not finite or ``x``, ``f0`` or the Jacobian
-    has the wrong shape.  ``f0`` is read after evaluator calls, so it must
-    not be an array the evaluator reuses; :func:`run` passes its own copy.
+    ValueError, before any Jacobian or evaluator call, when ``x`` or ``f0``
+    is not finite or has the wrong shape, and when the Jacobian has the
+    wrong shape.  ``f0`` is read after evaluator calls, so it must not be an
+    array the evaluator reuses; :func:`run` passes its own copy.
     """
     m, p = problem.output_dim, problem.input_dim
-    x = as_shape(x, (p,), "x")
+    x, x_norm = finite_norm(x, (p,), "x")
     f0, norm0 = finite_norm(f0, (m,), "f0")
     evals = 0
 
@@ -227,8 +228,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     c1s = -factors.damped_apply_batch(lambdas, f0)
     evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
     # The live candidates, from one reduction unless an x + c1 could overflow
-    # (see the module docstring).
-    if np.maximum.reduce(np.abs(c1s), axis=None) <= _ANY_X_STEP_LIMIT:  # nan fails
+    # (see the module docstring); a nan fails the test.
+    if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
         live = range(len(lams))
         endpoints = x + c1s if order == 1 else None
     else:

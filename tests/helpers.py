@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from lmcorrect.corrections import (
-    _DEFECT_LIMIT,
+    _BOUND,
     PHASES,
     WILD_CORRECTION_FACTOR,
     StencilEvaluationError,
@@ -164,8 +164,9 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
     f0``, adding the vectors ``x`` and ``f0`` to every row of the phase's
     block.  Inputs are taken as valid.  Returns ``(corrections,
     evaluations, stop)``, where ``stop`` is ``None`` for a full series, else
-    ``"defect"`` or ``"wild"`` for the guard that truncated it; a failing
-    evaluator call raises StencilEvaluationError.
+    ``"range"`` (a residual beyond ``2 _BOUND``) or ``"wild"`` for the guard
+    that truncated it; a failing evaluator call raises
+    StencilEvaluationError.
     """
     x, f0, J, c1 = (np.asarray(a, dtype=float) for a in (x, f0, J, c1))
     directions = np.empty((order, c1.shape[0]))
@@ -183,10 +184,11 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc,
                                              len(rows) + len(block) + 1) from exc
-        block = np.array(block) - (offsets.dot(J.T) + f0)
+        block = np.array(block)
         rows.extend(block)
-        if not (np.abs(block) <= _DEFECT_LIMIT).all():
-            return tuple(corrections), len(rows), "defect"
+        if not (np.abs(block) <= 2 * _BOUND).all():
+            return tuple(corrections), len(rows), "range"
+        rows[-len(block):] = block - (offsets.dot(J.T) + f0)
         c = inverse_apply(np.array(weights, dtype=float).dot(np.array(rows)))
         if not math.hypot(*c.tolist()) <= wild_bound:
             return tuple(corrections), len(rows), "wild"

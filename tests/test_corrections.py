@@ -18,7 +18,7 @@ from helpers import (
 )
 from lmcorrect import corrections
 from lmcorrect.corrections import (
-    _DEFECT_LIMIT,
+    _BOUND,
     PHASES,
     CorrectionSeries,
     STENCIL_EVALUATIONS,
@@ -321,13 +321,13 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
         assert np.array_equal(series.step, c1)
 
 
-def _series_of_residuals(residual, order,
-                         inverse_apply=lambda v: 1e-3 * as_finite(v, (2,), "v")):
+def _series_of_residuals(residual, order, m=2, inverse_apply=None):
     """A series whose defects are exactly the residuals: x, f0 and J are 0.
 
-    ``residual(n)`` gives the n-th evaluator call's value (from 1).  The
-    default inverse rejects non-finite input, as ``damped_apply`` does, so a
-    defect that slips past the guard raises instead of truncating.
+    ``residual(n)`` gives the n-th evaluator call's value (from 1), of
+    length ``m``.  The default inverse rejects non-finite input, as
+    ``damped_apply`` does, so a defect that slips past the guard raises
+    instead of truncating.
     """
     calls = []
 
@@ -335,73 +335,79 @@ def _series_of_residuals(residual, order,
         calls.append(p)
         return residual(len(calls))
 
-    base = stencil_base(np.zeros(2), np.zeros(2), np.zeros((2, 2)), evaluator)
+    if inverse_apply is None:
+        inverse_apply = lambda v: 1e-3 * as_finite(v, (m,), "v")[:2]
+    base = stencil_base(np.zeros(2), np.zeros(m), np.zeros((m, 2)), evaluator)
     series = correction_series(base, inverse_apply, np.array([1.0, 1.0]),
                                order=order)
     assert series.evaluation_count == len(calls)
+    assert all(np.isfinite(p).all() for p in calls)
     return series
+
+
+# Residuals of magnitude up to this truncate nothing, and one ulp beyond truncates.
+RESIDUAL_BOUND = 2 * _BOUND
+BEYOND = np.nextafter(RESIDUAL_BOUND, np.inf)
 
 
 @pytest.mark.parametrize("order,phase", [
     (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3),
 ])
 def test_defect_guard_truncates_in_every_phase(order, phase):
-    # One point of the phase returns a bad value in one component: the
-    # series stops after the phase, charged exactly the calls made, and
-    # keeps the corrections of the phases before it.
+    # One point of the phase returns a bad value in one entry, the first,
+    # one mid-block or the last: the series stops after the phase, charged
+    # exactly the calls made, and keeps the corrections of the phases before
+    # it.  At m = 1000 as at m = 2, nothing warns (an error under the
+    # suite's filter).
     sizes = [len(points) for points, _ in PHASES[order]]
     first, end = sum(sizes[:phase - 1]), sum(sizes[:phase])
+    for m in (2, 1000):
+        def good(n):
+            return 0.1 * n * np.cos(np.arange(m))
 
-    def good(n):
-        return np.array([0.1, -0.2]) * n
+        clean = _series_of_residuals(good, order, m)
+        assert not clean.truncated
+        assert clean.evaluation_count == STENCIL_EVALUATIONS[order]
+        for bad in (np.nan, np.inf, -np.inf, BEYOND, -BEYOND):
+            for entry in sorted({0, m // 2, m - 1}):
+                for target in range(first + 1, end + 1):
+                    def residual(n):
+                        value = good(n)
+                        if n == target:
+                            value[entry] = bad
+                        return value
 
-    clean = _series_of_residuals(good, order)
-    assert not clean.truncated
-    assert clean.evaluation_count == STENCIL_EVALUATIONS[order]
-    for bad in (np.nan, np.inf, -np.inf, 1e308, -1e308):
-        for component in (0, 1):
-            for target in range(first + 1, end + 1):
-                def residual(n):
-                    value = good(n)
-                    if n == target:
-                        value[component] = bad
-                    return value
-
-                series = _series_of_residuals(residual, order)
-                assert series.truncated
-                assert series.evaluation_count == end
-                assert len(series.corrections) == phase
-                for kept, expected in zip(series.corrections, clean.corrections):
-                    assert np.array_equal(kept, expected)
+                    series = _series_of_residuals(residual, order, m)
+                    assert series.truncated
+                    assert series.evaluation_count == end
+                    assert len(series.corrections) == phase
+                    for kept, expected in zip(series.corrections,
+                                              clean.corrections):
+                        assert np.array_equal(kept, expected)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_defects_at_the_limit_do_not_truncate(order):
-    # Defects of exactly +-_DEFECT_LIMIT keep every weighted sum finite, so
-    # they reach the inverse; one ulp beyond the limit truncates.
-    seen = []
+    # Residuals of exactly +-2 _BOUND in every entry, here the defects too,
+    # keep every weighted sum finite, so every phase reaches the inverse.
+    for m in (2, 1000):
+        seen = []
 
-    def inverse(v):
-        seen.append(v)
-        return 1e-308 * v
+        def inverse(v):
+            seen.append(v)
+            return 1e-308 * v[:2]
 
-    for value in ([_DEFECT_LIMIT, -_DEFECT_LIMIT], [-_DEFECT_LIMIT, _DEFECT_LIMIT]):
-        series = _series_of_residuals(lambda n: np.array(value), order, inverse)
-        assert not series.truncated
-        assert series.evaluation_count == STENCIL_EVALUATIONS[order]
-    assert len(seen) == 2 * (order - 1)
-    assert all(np.isfinite(v).all() for v in seen)
-    beyond = np.nextafter(_DEFECT_LIMIT, np.inf)
-    for component in (0, 1):
-        value = np.zeros(2)
-        value[component] = beyond
-        series = _series_of_residuals(lambda n: value, order)
-        assert series.truncated
-        assert series.evaluation_count == len(PHASES[order][0][0])
+        signs = np.where(np.arange(m) % 2, 1.0, -1.0)
+        for value in (RESIDUAL_BOUND * signs, -RESIDUAL_BOUND * signs):
+            series = _series_of_residuals(lambda n: value.copy(), order, m, inverse)
+            assert not series.truncated
+            assert series.evaluation_count == STENCIL_EVALUATIONS[order]
+        assert len(seen) == 2 * (order - 1)
+        assert all(np.isfinite(v).all() for v in seen)
 
 
 def test_inverse_overflow_truncates_series():
-    # The defect at x + c1, (0, 1e303), is within the defect limit, but the
+    # The defect at x + c1, (0, 1e303), is within the residual bound, but the
     # inverse at damping 1e-30 scales it by about 1 / s_min = 1e10: the
     # correction is inf and the series truncates, without an overflow
     # warning (an error under the suite's error filter).
@@ -420,19 +426,26 @@ def test_inverse_overflow_truncates_series():
     assert np.array_equal(series.step, c1)
 
 
+def _limit(J):
+    return _BOUND / (corrections._REACH * max(1.0, np.linalg.norm(J)))
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
     # At order 4 the point 1.5 c1 of c1 = (1.5e308, 0) overflowed: numpy
     # warned (an error under the suite's filter) and the series truncated
     # after 3 evaluations, one at an infinite point.  A c1 longer than
-    # _STEP_LIMIT now truncates at once; one at the limit runs every phase.
-    J, limit = np.eye(2), corrections._STEP_LIMIT
+    # _BOUND / (_REACH |J|_F) now truncates at once; one at the limit runs
+    # every phase.
+    J = np.eye(2)
+    limit = _limit(J)
     for c1, evaluated in (([1.5e308, 0.0], 0),
                           ([np.nextafter(limit, np.inf), 0.0], 0),
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
         base = stencil_base(np.zeros(2), np.zeros(2), J,
                             lambda p: points.append(p) or p)
+        assert base.x_limit == limit
         series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
                                    order=order)
         assert series.truncated == (evaluated == 0)
@@ -443,38 +456,46 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
-    # x takes half of float64's range, so c1 gets half of _STEP_LIMIT: a
-    # longer c1 truncates at once, and one at half the limit runs every phase
-    # at finite points.  At x = float64's maximum the shrunken limit is 0,
-    # but the limit never falls below _ANY_X_STEP_LIMIT, under which no
-    # offset reaches half an ulp of the maximum.
-    big, J = np.finfo(float).max, np.eye(2)
-    for x, limit in ((np.array([big / 2, 0.0]), corrections._STEP_LIMIT / 2),
-                     (np.array([big, 0.0]), corrections._ANY_X_STEP_LIMIT)):
-        for c1, evaluated in (([np.nextafter(limit, np.inf), 0.0], 0),
-                              ([limit, 0.0], STENCIL_EVALUATIONS[order])):
+    # x at +-_BOUND keeps the limit, and its stencil runs at finite points.
+    # One ulp beyond, or nan, and no c1 runs its stencil, not even 0, so no
+    # point near float64's maximum reaches the evaluator.
+    J = np.eye(2)
+    limit = _limit(J)
+    for x, evaluated in ((np.array([_BOUND, -_BOUND]), STENCIL_EVALUATIONS[order]),
+                         (np.array([np.nextafter(_BOUND, np.inf), 0.0]), 0),
+                         (np.array([0.0, -np.finfo(float).max]), 0),
+                         (np.array([np.nan, 0.0]), 0)):
+        for c1 in ([limit, 0.0], [0.0, -limit], [0.0, 0.0]):
             points = []
-            base = stencil_base(x, x, J, lambda p: points.append(p) or p)
+            base = stencil_base(x, np.zeros(2), J,
+                                lambda p: points.append(p) or p - x)
+            assert base.x_limit == (limit if evaluated else -math.inf)
             series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
                                        order=order)
             assert series.truncated == (evaluated == 0)
             assert series.evaluation_count == len(points) == evaluated
             assert all(np.isfinite(p).all() for p in points)
-            assert np.isfinite(x + series.step).all()
+            assert not evaluated or np.isfinite(x + series.step).all()
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
-    # The linear model f0 + J a stays in range as x + a does: c1 gets twice
-    # f0's headroom over |J|_F, 4 here (J is 2 sqrt(2) times a rotation).
-    # A longer c1 truncates at once; one at the limit runs every phase with
-    # no warning (an error under the suite's filter).
-    big, J = np.finfo(float).max, np.array([[2.0, 2.0], [2.0, -2.0]])
-    for f0, limit in ((np.zeros(2), corrections._STEP_LIMIT / 2),
-                      (np.array([0.0, big / 2]), corrections._STEP_LIMIT / 4),
-                      (np.array([0.0, big]), corrections._ANY_X_STEP_LIMIT / 2)):
-        for c1, evaluated in (([0.0, np.nextafter(limit, np.inf)], 0),
-                              ([0.0, limit], STENCIL_EVALUATIONS[order])):
+    # The linear model f0 + J a stays within 2 _BOUND as x + a does: c1 gets
+    # _BOUND over _REACH times |J|_F, 4 here (J is 2 sqrt(2) times a
+    # rotation), or times 1 for a J of norm below 1.  A longer c1 truncates
+    # at once; one at the limit runs every phase with no warning (an error
+    # under the suite's filter).  An f0 entry beyond _BOUND runs no stencil.
+    big, reach = np.finfo(float).max, corrections._REACH
+    rotation = np.array([[2.0, 2.0], [2.0, -2.0]])
+    for J, f0, limit in ((rotation, np.zeros(2), _BOUND / (reach * 4)),
+                         (rotation, np.array([0.0, -_BOUND]), _BOUND / (reach * 4)),
+                         (np.diag([0.25, 0.5]), np.array([_BOUND, 0.0]),
+                          _BOUND / reach),
+                         (np.eye(2), np.array([0.0, big / 2]), -math.inf)):
+        tries = ((([0.0, np.nextafter(limit, np.inf)], 0),
+                  ([0.0, limit], STENCIL_EVALUATIONS[order]))
+                 if limit > 0 else (([0.0, 1.0], 0), ([0.0, 0.0], 0)))
+        for c1, evaluated in tries:
             points = []
             base = stencil_base(np.zeros(2), f0, J,
                                 lambda p: points.append(p) or f0 + J.dot(p))
@@ -485,62 +506,60 @@ def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
             assert series.evaluation_count == len(points) == evaluated
 
 
-def test_the_doubled_model_limit_bounds_every_stencil_offset():
-    # J multiplies only stencil offsets, whose reach is under half a step's,
-    # so 2 _STEP_LIMIT times it stays below float64's maximum, with room
-    # for rounding; and below 2 _ANY_X_STEP_LIMIT every |J a| stays under
-    # half an ulp of that maximum.
-    wild = Fraction(WILD_CORRECTION_FACTOR)
-    reach = max(abs(Fraction(m[0])) + wild * sum(abs(Fraction(k)) for k in m[1:])
-                for phases in PHASES.values() for points, _ in phases for m in points)
-    big = Fraction(np.finfo(float).max)
-    assert 2 * reach * Fraction(corrections._STEP_LIMIT) <= big * Fraction(7, 10)
-    half_ulp = Fraction(math.ulp(np.finfo(float).max)) / 2
-    assert 2 * reach * Fraction(corrections._ANY_X_STEP_LIMIT) < half_ulp / 64
-
-
 def test_a_jacobian_that_is_not_finite_is_rejected():
     # A zero c1 on J = [[inf, 0], [0, 1]] formed 0 * inf in the model's
-    # product, which warned.  A finite J whose row norm overflows is taken,
-    # with a limit of 0: only a zero c1 runs its stencil, and its model is 0.
+    # product, which warned.  A finite J whose norm overflows is taken, with
+    # a limit of 0: only a zero c1 runs its stencil, and its model is 0.  So
+    # is one whose norm times _REACH overflows, past about 6e304.
     big = np.finfo(float).max
     for J in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [np.nan, 1.0]]):
         with pytest.raises(ValueError, match="^jacobian must be finite$"):
             stencil_base(np.zeros(2), np.zeros(2), np.array(J), lambda p: p)
-    J = np.array([[big, big], [0.0, 1.0]])
-    base = stencil_base(np.zeros(2), np.zeros(2), J, lambda p: J.dot(p))
-    assert base.x_limit == 0.0
-    assert correction_series(base, lambda v: v, np.array([1e-300, 0.0]),
-                             order=2).truncated
-    series = correction_series(base, lambda v: v, np.zeros(2), order=2)
-    assert not series.truncated and series.evaluation_count == 1
+    for J in (np.array([[big, big], [0.0, 1.0]]), np.diag([1e305, 1.0])):
+        base = stencil_base(np.zeros(2), np.zeros(2), J, lambda p: J.dot(p))
+        assert base.x_limit == 0.0
+        assert correction_series(base, lambda v: v, np.array([1e-300, 0.0]),
+                                 order=2).truncated
+        series = correction_series(base, lambda v: v, np.zeros(2), order=2)
+        assert not series.truncated and series.evaluation_count == 1
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
-    # The model is -1e308 + 1 in the first component, and the stencil's
+    # The model was -1e308 + 1 in the first component, and the stencil's
     # residual 1.7e308 there: the defect overflowed in numpy's subtraction.
-    # It is now tested in Python floats first, where it is inf, unwarned,
-    # and truncates like any defect beyond _DEFECT_LIMIT.
-    f0, J = np.array([-1e308, 0.0]), np.eye(2)
-    base = stencil_base(np.zeros(2), f0, J, lambda p: np.array([1.7e308, 0.0]))
-    series = correction_series(base, gauss_newton_inverse(J), np.array([1.0, 0.0]),
-                               order=order)
-    assert series.truncated and len(series.corrections) == 1
-    assert series.evaluation_count == len(PHASES[order][0][0])
+    # An f0 beyond _BOUND now runs no stencil, and at f0 = -_BOUND the
+    # residual, beyond 2 _BOUND, truncates after the first phase before any
+    # defect is formed.
+    J = np.eye(2)
+    for f0, evaluated in (([-1e308, 0.0], 0),
+                          ([-_BOUND, 0.0], len(PHASES[order][0][0]))):
+        base = stencil_base(np.zeros(2), np.array(f0), J,
+                            lambda p: np.array([1.7e308, 0.0]))
+        series = correction_series(base, gauss_newton_inverse(J),
+                                   np.array([1.0, 0.0]), order=order)
+        assert series.truncated and len(series.corrections) == 1
+        assert series.evaluation_count == evaluated
 
 
 def test_step_limit_bounds_every_offset_and_step():
-    # Later corrections pass the wild bound, so each stencil row and each
-    # summed step reaches at most this multiple of |c1|.
+    # Later corrections pass the wild bound, so each stencil offset and each
+    # summed step reaches at most _REACH times |c1|, at most _BOUND over
+    # max(1, |J|_F): every point, model entry and endpoint from x and f0
+    # within _BOUND lies within 2 _BOUND, each defect within 4 _BOUND, and
+    # 4 _BOUND times the largest absolute weight-row sum is at most float64's
+    # maximum, exactly.
     wild = Fraction(WILD_CORRECTION_FACTOR)
     reach = max(
         max(1 + (order - 1) * wild,
             *(abs(Fraction(m[0])) + wild * sum(abs(Fraction(k)) for k in m[1:])
               for points, _ in phases for m in points))
         for order, phases in PHASES.items())
-    limit = Fraction(corrections._STEP_LIMIT)
-    assert reach * limit <= Fraction(np.finfo(float).max)
+    assert reach == corrections._REACH == 3001
+    weight = max(sum(abs(Fraction(w)) for w in weights)
+                 for phases in PHASES.values() for _, weights in phases)
+    assert 4 * Fraction(_BOUND) * weight <= Fraction(np.finfo(float).max)
+    assert 1.06e306 < _BOUND < 1.07e306
 
 
 def test_stencil_error_carries_offset():
@@ -615,7 +634,7 @@ def _failing_at(n, evaluator):
 def _outcome(series_fn, *args, **kwargs):
     """A series run as comparable bytes and counts, and how it ended.
 
-    The end is "full", "defect", "wild" or "raised"; a CorrectionSeries says
+    The end is "full", "range", "wild" or "raised"; a CorrectionSeries says
     "truncated" for either guard.
     """
     try:
@@ -634,7 +653,7 @@ def test_stencil_arithmetic_matches_broadcast_reference():
     # Random Jacobians with condition numbers up to 1e12 and dampings from
     # 1e-14 to 1e2: every correction has the bytes of the broadcast
     # reference, with its evaluation count and truncation flag.  Residuals
-    # of about 1e306 truncate on the defect limit or on a wild correction,
+    # of about 1e306 truncate on the residual bound or on a wild correction,
     # and an evaluator that raises fails at the same point in both.
     rng = np.random.default_rng(2024)
     ends = []
@@ -648,7 +667,7 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         J = (U * s).dot(V.T)
         cubic = _random_cubic(rng, m, p)
         kind = trial % 4
-        if kind == 2:  # huge residuals, some beyond _DEFECT_LIMIT
+        if kind == 2:  # huge residuals, some beyond 2 _BOUND
             make = lambda: lambda q: 1e306 * np.exp(3.0 * np.tanh(cubic(q)))
         elif kind == 3:
             fail_at = int(rng.integers(1, STENCIL_EVALUATIONS[order] + 1))
@@ -668,7 +687,7 @@ def test_stencil_arithmetic_matches_broadcast_reference():
                              make(), c1, order)
         assert got == want
         ends.append(end)
-    for end, least in (("defect", 10), ("wild", 10), ("raised", 20), ("full", 40)):
+    for end, least in (("range", 10), ("wild", 10), ("raised", 20), ("full", 40)):
         assert ends.count(end) >= least, (end, ends.count(end))
 
 

@@ -32,26 +32,38 @@ def test_summary_of_a_lower_is_better_metric(perf_pairs):
     # Parent 1..5 has quartiles 2 / 3 / 4, so an IQR of 2.  The change is
     # 0.5 lower in four pairs and ties the fifth: four wins, a gap of 0.5.
     pairs = [(1.0, 0.5), (2.0, 1.5), (3.0, 2.5), (4.0, 3.5), (5.0, 5.0)]
-    row = perf_pairs.summarise(pairs, "lower")
+    row = perf_pairs.summarise(pairs, "lower", 0.2)
     assert row["parent"] == (2.0, 3.0, 4.0)
     assert row["change"] == (1.5, 2.5, 3.5)
     assert (row["wins"], row["pairs"]) == (4, 5)
     assert row["gap"] == 0.5
     assert row["gap_exceeds_parent_iqr"] is False
     # The same numbers where higher is better: the change wins nothing.
-    assert perf_pairs.summarise(pairs, "higher")["wins"] == 0
+    assert perf_pairs.summarise(pairs, "higher", 0.2)["wins"] == 0
 
 
 def test_a_gap_beyond_the_parent_spread_is_flagged(perf_pairs):
     pairs = [(0.74, 0.70), (0.75, 0.71), (0.76, 0.69), (0.74, 0.70)]
-    row = perf_pairs.summarise(pairs, "lower")
+    row = perf_pairs.summarise(pairs, "lower", 0.2)
     assert row["wins"] == 4
     parent_iqr = row["parent"][2] - row["parent"][0]
     assert row["gap"] == pytest.approx(0.045) and parent_iqr == pytest.approx(0.0125)
     assert row["gap_exceeds_parent_iqr"] is True
     # A gap exactly at the parent's IQR does not exceed it.
-    assert not perf_pairs.summarise([(1.0, 2.0), (3.0, 4.0)], "higher")[
+    assert not perf_pairs.summarise([(1.0, 2.0), (3.0, 4.0)], "higher", 0.2)[
         "gap_exceeds_parent_iqr"]
+
+
+def test_a_median_worse_beyond_its_bound_is_flagged(perf_pairs):
+    # The parent's median is 1.0.  With a bound of 0.2, a lower-is-better
+    # metric is worse beyond it above 1.2, and a higher-is-better one below
+    # 0.8; a median at the bound is not beyond it.
+    def worse(change, better):
+        pairs = [(1.0, change), (0.9, change), (1.1, change)]
+        return perf_pairs.summarise(pairs, better, 0.2)["worse_beyond_bound"]
+
+    assert [worse(c, "lower") for c in (0.5, 1.2, 1.21)] == [False, False, True]
+    assert [worse(c, "higher") for c in (1.5, 0.8, 0.79)] == [False, False, True]
 
 
 def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
@@ -70,9 +82,9 @@ def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "pair 2 (change first): wall_s parent 0.8000  change 0.7000" in out
     wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
-    assert wall.split()[-2:] == ["3/3", "True"]
+    assert wall.split()[-3:] == ["3/3", "True", "False"]
     evals = next(line for line in out.splitlines() if line.startswith("f_evals "))
-    assert evals.split()[-2:] == ["0/3", "False"]
+    assert evals.split()[-3:] == ["0/3", "False", "False"]
 
 
 @pytest.mark.parametrize("code,correct", [(1, False), (0, False), (2, None)])

@@ -11,11 +11,13 @@ even-numbered ones, so a slow spell on a shared machine does not always fall
 on the same side.  A run that exits nonzero or reports ``correct: false``
 stops the tool with exit status 1.  It prints each pair's ``wall_s``, then
 for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
-quartiles, the pairs the change won (ties count for neither side), and
+quartiles, the pairs the change won (ties count for neither side),
 whether the gap between the medians exceeds the parent's interquartile
-range.  A change claims a gain on a metric only when it wins at least nine
-tenths of the pairs and that gap exceeds the parent's spread, so ten pairs
-are the default and the least that can carry a claim.
+range, and whether the change's median is worse than the parent's by more
+than the metric's relative ``bound``, in its ``better`` direction.  A change
+claims a gain on a metric only when it wins at least nine tenths of the
+pairs and that gap exceeds the parent's spread, so ten pairs are the default
+and the least that can carry a claim.
 
 The tool edits nothing: perfbench runs as committed in each checkout.  It
 uses the standard library only.  SIGTERM ends it as Ctrl-C does: the
@@ -43,12 +45,14 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarise(pairs, better: str) -> dict:
+def summarise(pairs, better: str, bound: float) -> dict:
     """Compare one metric over ``pairs`` of ``(parent, change)`` values.
 
     ``better`` is ``"lower"`` or ``"higher"``.  Returns both sides'
     quartiles, the change's wins, the number of pairs, the gap between the
-    medians and whether it exceeds the parent's interquartile range.
+    medians, whether it exceeds the parent's interquartile range, and
+    whether the change's median is worse than the parent's by more than the
+    fraction ``bound`` of it.
     """
     sign = {"lower": -1.0, "higher": 1.0}[better]
     parent = quartiles([p for p, _ in pairs])
@@ -61,6 +65,7 @@ def summarise(pairs, better: str) -> dict:
         "pairs": len(pairs),
         "gap": gap,
         "gap_exceeds_parent_iqr": gap > parent[2] - parent[0],
+        "worse_beyond_bound": sign * (parent[1] - change[1]) > bound * abs(parent[1]),
     }
 
 
@@ -105,15 +110,17 @@ def main(argv=None) -> int:
               f"{pair['parent']['wall_s']:.4f}  change {pair['change']['wall_s']:.4f}",
               flush=True)
     print(f"{'metric':12s} {'parent q1 / median / q3':>32s} "
-          f"{'change q1 / median / q3':>32s} {'wins':>6s}  gap > parent IQR")
+          f"{'change q1 / median / q3':>32s} {'wins':>6s}  gap > parent IQR"
+          "  worse > bound")
     for metric in metrics:
         name = metric["name"]
         row = summarise([(run["parent"][name], run["change"][name]) for run in runs],
-                        metric["better"])
+                        metric["better"], metric["bound"])
         spans = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side])
                  for side in ("parent", "change")]
         print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
-              f"{row['wins']:>3d}/{row['pairs']:<2d}  {row['gap_exceeds_parent_iqr']}")
+              f"{row['wins']:>3d}/{row['pairs']:<2d}  "
+              f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']}")
     return 0
 
 
