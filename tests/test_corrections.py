@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -540,6 +541,40 @@ def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
                                    np.array([1.0, 0.0]), order=order)
         assert series.truncated and len(series.corrections) == 1
         assert series.evaluation_count == evaluated
+
+
+def test_the_doubled_model_limit_bounds_every_stencil_offset():
+    # From x and f0 at +-_BOUND and a c1 at the step limit, every point the
+    # stencil evaluates lies within 2 _BOUND, its offset a within _REACH |c1|,
+    # and its linear model f0 + J a within 2 _BOUND, with no warning (an
+    # error under the suite's filter).  The residual bends the model by up to
+    # a quarter, so later corrections are not zero.
+    J = np.array([[2.0, 2.0], [2.0, -2.0]])
+    for x, f0 in ((np.array([_BOUND, -_BOUND]), np.array([-_BOUND, _BOUND])),
+                  (np.array([-_BOUND, 0.0]), np.array([_BOUND, _BOUND]))):
+        limit = stencil_base(x, f0, J, None).x_limit
+        assert limit == _BOUND / (corrections._REACH * 4)
+        for order, c1 in itertools.product(
+                (2, 3, 4), (np.array([0.0, limit]), np.array([-0.6, 0.8]) * limit)):
+            c1_norm = math.hypot(*c1)  # np.linalg.norm squares, and overflows
+            points = []
+
+            def evaluator(p):
+                points.append(p.copy())
+                a = p - x
+                bend = 1 - 0.25 * math.tanh(math.hypot(*a) / c1_norm)
+                return f0 + J.dot(a) * bend
+
+            series = correction_series(stencil_base(x, f0, J, evaluator),
+                                       gauss_newton_inverse(J), c1, order=order)
+            assert len(series.corrections) > 1
+            assert any(np.any(c) for c in series.corrections[1:])
+            assert len(points) == series.evaluation_count > 0
+            for p in points:
+                a = p - x
+                assert np.abs(p).max() <= 2 * _BOUND
+                assert math.hypot(*a) <= corrections._REACH * c1_norm
+                assert np.abs(f0 + J.dot(a)).max() <= 2 * _BOUND
 
 
 def test_step_limit_bounds_every_offset_and_step():
