@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _FLOAT_MAX, _norm, as_finite, as_int, as_shape, finite_norm
+from .linalg import _BOUND, _norm, as_finite, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -68,17 +68,15 @@ PHASES = {
     ),
 }
 
-# Every stencil quantity stays within a small multiple of one bound, R:
-# float64's maximum over 4 W, with W the largest absolute weight-row sum in
-# PHASES (R is about 1.06e306).  A series runs its stencil only from x and f0
-# within R and |c1| <= R / (_REACH max(1, |J|_F)).  Every later correction
+# Every stencil quantity stays within a small multiple of linalg's range
+# bound _BOUND = R, about 7.0e305.  A series runs its stencil only from x and
+# f0 within R and |c1| <= R / (_REACH max(1, |J|_F)).  Every later correction
 # passes the wild bound, so no stencil offset a and no summed step reaches
 # past _REACH |c1| (order 4's step): each point x + a and model entry
 # f0 + J a lies within 2R.  A phase whose residuals all lie within 2R then
-# has defects within 4R, and each weighted sum of them stays within float64's
+# has defects within 4R, and each weighted sum of them, at most 4 R W with W
+# = 127/3 the largest absolute weight-row sum here, stays within float64's
 # maximum.
-_BOUND = _FLOAT_MAX / (4 * max(
-    sum(map(abs, weights)) for phases in PHASES.values() for _, weights in phases))
 _REACH = 1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR
 
 

@@ -31,12 +31,13 @@ RANK_RCOND = 1e-14
 # have no correct digit; SvdFactors then takes the graded factorization.
 ACCURATE_RCOND = 1e3 * float(np.finfo(float).eps)
 
-# float64's maximum, the package's one name for it, and the bound of
-# SvdFactors' screens on their intermediates, half of it; at or above _TINY,
-# 1 / s stays below.
+# float64's maximum, read only by the Householder test, and the package's one
+# range bound R = 2**1016, about 7.0e305: a power of two, so 1 / R is exact,
+# and 4 R W stays within _FLOAT_MAX for W = 127/3, the largest absolute
+# weight-row sum in corrections.PHASES.  SvdFactors' screens, the stencil's
+# limits and LambdaSchedule's damping range all read it.
 _FLOAT_MAX = float(np.finfo(float).max)
-_APPLY_SAFE = _FLOAT_MAX / 2
-_TINY = 1.0 / _APPLY_SAFE
+_BOUND = 2.0**1016
 
 
 def as_shape(a, shape: tuple, what: str) -> np.ndarray:
@@ -135,7 +136,7 @@ class SvdFactors:
         if not top < math.inf:
             as_finite(J, J.shape, "jacobian")
         shift = 1 + ((len(J) - 1).bit_length() + 1) // 2  # 2**shift >= 2 m**0.5
-        if top * 2.0**shift > 2 * _APPLY_SAFE:  # a Householder vector could overflow
+        if top * 2.0**shift > _FLOAT_MAX:  # a Householder vector could overflow
             J = J * 2.0**-shift
         else:
             shift = 0
@@ -155,9 +156,9 @@ class SvdFactors:
             s = np.array(s_list)
         self.U, self.s, self.Vt, self.Ut = U, s, Vt, U.T
         self._v_shape = J.shape[:1]  # every applied v has shape (m,)
-        if s_list[-1] >= _TINY:
+        if s_list[-1] >= 1.0 / _BOUND:  # then 1 / s <= R
             self.inv_s = 1.0 / s
-        else:  # s = 0 or below _TINY: 1 / s may be inf, unwarned
+        else:  # s = 0 or below 1 / R: 1 / s may be inf, unwarned
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
         # s_max and the largest reciprocal, 1 / s_min, as Python floats: the
@@ -173,18 +174,18 @@ class SvdFactors:
         ValueError unless every damping is non-negative: ``min`` and ``max``
         skip a nan, the sum catches it.  The rows are the plain formula when
         a screen on Python floats passes: every damping positive, and
-        ``max(lams) / s_min`` and ``s_max`` below ``_APPLY_SAFE``.  Then no
-        ``lam / s`` nor ``s + lam / s`` overflows, as neither term reaches
-        half of float64's maximum, and each scale lies in ``(0, 1 / s_min]``,
-        so none divides by zero.  Otherwise they are computed in an errstate
-        that ignores divide, over and invalid.  At zero damping the row is
+        ``max(lams) / s_min`` and ``s_max`` below the range bound ``_BOUND``.
+        Then no ``lam / s`` nor ``s + lam / s`` overflows, as neither term
+        reaches R, and each scale lies in ``(0, 1 / s_min]``, so none divides
+        by zero.  Otherwise they are computed in an errstate that ignores
+        divide, over and invalid.  At zero damping the row is
         ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
         """
         low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
         if not (low >= 0.0 and sum(lam_list) >= 0.0):  # a nan makes the sum nan
             raise ValueError(f"damping must be non-negative, got {lams.min()}")
         s_max, gain = self._edges
-        if low > 0.0 and high * gain < _APPLY_SAFE and s_max < _APPLY_SAFE:
+        if low > 0.0 and high * gain < _BOUND and s_max < _BOUND:
             return np.reciprocal(self.s + lams[:, None] * self.inv_s)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lam_s = lams[:, None] * self.inv_s
@@ -214,7 +215,7 @@ class SvdFactors:
         ndarray.dot, not @: same bits, half the dispatch cost.
         """
         v, v_norm = finite_norm(v, self._v_shape, "v")
-        if v_norm * (self._edges[1] + 1.0) < _APPLY_SAFE:
+        if v_norm * (self._edges[1] + 1.0) < _BOUND:
             return (scale * self.Ut.dot(v)).dot(self.Vt)
         with np.errstate(over="ignore", invalid="ignore"):
             return (scale * self.Ut.dot(v)).dot(self.Vt)

@@ -11,8 +11,8 @@ on the largest damping tried.
 
 One product with the factorization gives every first-order direction c1,
 and one reduction, the largest ``|c1|`` entry, picks the live candidates.
-When it and ``|x|`` are at most the stencil's range bound ``_BOUND``, about
-1e306, every c1 is finite, no ``x + c1`` overflows and every candidate is
+When it and ``|x|`` are at most the range bound ``linalg._BOUND``, about
+7.0e305, every c1 is finite, no ``x + c1`` overflows and every candidate is
 live.  Otherwise, rarely, a row mask keeps those whose ``x + c1`` is
 finite: a candidate whose ``x + c1`` overflows is skipped without an
 evaluator call, since at orders 2-4 its series would truncate before the
@@ -54,14 +54,13 @@ from functools import partial
 import numpy as np
 
 from .corrections import (
-    _BOUND,
     StencilEvaluationError,
     _check_order,
     correction_series,
     stencil_base,
 )
-from .linalg import (SvdFactors, _norm, as_finite, as_int, as_positive, as_shape,
-                     finite_norm)
+from .linalg import (_BOUND, SvdFactors, _norm, as_finite, as_int, as_positive,
+                     as_shape, finite_norm)
 from .problems import Problem
 
 __all__ = [
@@ -82,12 +81,10 @@ GRID_BASE = 10000.0
 # Consecutive non-improving iterations tolerated before a damped run aborts.
 MAX_CONSECUTIVE_REJECTS = 5
 
-# Damping this small is indistinguishable from zero in float64 but keeps a
-# positive grid positive: repeated down-shifts must not underflow to 0.
-LAMBDA_FLOOR = 1e-300
-
 _GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
 _GRID_FACTORS.flags.writeable = False
+# The range of a non-zero grid centre: its grid then lies in [1/R, R].
+_CENTRE_LOW, _CENTRE_HIGH = GRID_BASE / _BOUND, _BOUND / GRID_BASE
 
 
 class StepFailureError(RuntimeError):
@@ -109,11 +106,16 @@ class StepFailureError(RuntimeError):
 
 @dataclass
 class LambdaSchedule:
-    """Damping grid ``lam_n = lambda_old * 10000**((n/10)**3)``, n in [-10, 10].
+    """Damping grid ``lam_n = c * 10000**((n/10)**3)``, n in [-10, 10].
 
-    ``lambda_old`` carries between iterations: it becomes the winning damping
-    on acceptance and the grid's largest, ``lambda_old * 10^4``, when no
-    candidate improves.  At 0 the grid is ``[0]``, and stays so: Gauss-Newton.
+    The centre ``c`` is ``lambda_old`` clamped to ``[10^4 / R, R / 10^4]``,
+    R the range bound ``linalg._BOUND`` (about 7.0e305), so every damping of
+    a positive sweep lies in ``[1/R, R]`` up to one rounding: repeated
+    down-shifts never underflow to 0, nor up-shifts overflow to inf.
+    ``grid`` is the one place a damping is clamped.  ``lambda_old`` carries
+    between iterations: it becomes the winning damping on acceptance and the
+    grid's largest, ``c * 10^4``, when no candidate improves.  At 0 the grid
+    is ``[0]``, and stays so: Gauss-Newton.
     """
 
     lambda_old: float = 1.0
@@ -121,7 +123,7 @@ class LambdaSchedule:
     def grid(self) -> np.ndarray:
         if self.lambda_old == 0.0:
             return np.zeros(1)
-        return self.lambda_old * _GRID_FACTORS
+        return min(max(self.lambda_old, _CENTRE_LOW), _CENTRE_HIGH) * _GRID_FACTORS
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,10 @@ class OptimizerConfig:
     finite, or after ``max_iterations``, an integer >= 1.
 
     ``start_damping``, non-negative and finite, centres :func:`run`'s first
-    damping grid.  The default 1 is Levenberg-Marquardt's; 0 is Gauss-Newton,
-    whose undamped step on a square nonsingular J is Newton's step.
+    damping grid; a positive one outside ``[10^4 / R, R / 10^4]``, R about
+    7.0e305, is centred at the nearer end (see :class:`LambdaSchedule`).
+    The default 1 is Levenberg-Marquardt's; 0 is Gauss-Newton, whose
+    undamped step on a square nonsingular J is Newton's step.
     """
 
     order: int = 1
@@ -285,8 +289,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre on the top damping
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
-    lam = lams[idx]
-    schedule.lambda_old = max(lam, LAMBDA_FLOOR) if lam else 0.0
+    schedule.lambda_old = lam = lams[idx]
     return x, f0, IterationRecord(
         chosen_lambda=lam,
         residual_norm=best_norm,

@@ -7,13 +7,12 @@ from fractions import Fraction
 import numpy as np
 
 from lmcorrect.corrections import (
-    _BOUND,
     PHASES,
     WILD_CORRECTION_FACTOR,
     StencilEvaluationError,
 )
 from lmcorrect.faadibruno import correction_identity_terms
-from lmcorrect.linalg import SvdFactors, as_finite
+from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
 from lmcorrect.problems import Problem
 
 

@@ -19,7 +19,6 @@ from helpers import (
 )
 from lmcorrect import corrections
 from lmcorrect.corrections import (
-    _BOUND,
     PHASES,
     CorrectionSeries,
     STENCIL_EVALUATIONS,
@@ -28,7 +27,7 @@ from lmcorrect.corrections import (
     correction_series,
     stencil_base,
 )
-from lmcorrect.linalg import SvdFactors, as_finite
+from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
@@ -593,8 +592,9 @@ def test_step_limit_bounds_every_offset_and_step():
     assert reach == corrections._REACH == 3001
     weight = max(sum(abs(Fraction(w)) for w in weights)
                  for phases in PHASES.values() for _, weights in phases)
+    assert 42 < weight <= Fraction(127, 3)  # 127/3 with 4/3 and 4/9 as floats
     assert 4 * Fraction(_BOUND) * weight <= Fraction(np.finfo(float).max)
-    assert 1.06e306 < _BOUND < 1.07e306
+    assert _BOUND == 2.0**1016
 
 
 def test_stencil_error_carries_offset():

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import count_errstates
 from lmcorrect.linalg import (
-    _APPLY_SAFE,
+    _BOUND,
     SvdFactors,
     as_finite,
     as_int,
@@ -157,15 +157,15 @@ def screen_sweeps(f, v):
     """``(bound, lams, v)`` on each side of damped_apply_batch's screen bounds.
 
     The rows' screen passes only when every damping is positive and
-    ``max(lams) / s_min`` is below ``_APPLY_SAFE`` (its bound on ``s_max``
+    ``max(lams) / s_min`` is below ``_BOUND`` (its bound on ``s_max``
     needs a J of its own); the products' only when ``|v| (1 / s_min + 1)``
     is below it too.
     """
     gain = float(f.inv_s[-1])
     lams = 10.0 ** np.linspace(-8, 8, 20)
     sweeps = [("zero", np.r_[damping, lams], v) for damping in (0.0, 5e-324)]
-    top = _APPLY_SAFE / gain
-    v_top = _APPLY_SAFE / (gain + 1.0) / math.hypot(*v)
+    top = _BOUND / gain
+    v_top = _BOUND / (gain + 1.0) / math.hypot(*v)
     for ratio in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
         sweeps.append(("lam / s_min", np.r_[lams, top * ratio], v))
         sweeps.append(("|v| / s_min", lams, v * (v_top * ratio)))
@@ -298,7 +298,7 @@ def test_overflowing_applications_are_inf_without_a_warning(monkeypatch):
                         entered, sides)
     # s_max on each side of the screen's bound: s + lam / s stays finite.
     for ratio in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
-        wide = SvdFactors(np.diag([_APPLY_SAFE * ratio, 1e-10]))
+        wide = SvdFactors(np.diag([_BOUND * ratio, 1e-10]))
         check_screen_sweeps(wide, [("s_max", [1e-4, 1.0, 1e4], np.array([3.0, 4.0]))],
                             entered, sides)
     assert sides == dict.fromkeys(["zero", "lam / s_min", "|v| / s_min", "s_max"],
@@ -449,14 +449,14 @@ def test_a_damping_outside_the_sweep_gets_its_row_through_the_row_screen(
     # A damping the last sweep did not keep has its row computed by the
     # sweep's own rule: no errstate when the screen passes, the same bits
     # as a fresh factorization's either way.  Zero fails the screen, as do
-    # s_min = 0 and a damping whose lam / s_min reaches _APPLY_SAFE.
+    # s_min = 0 and a damping whose lam / s_min reaches _BOUND.
     entered = count_errstates(monkeypatch)
     J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
     v = np.array([1.0, -2.0, 0.5])
     factors = SvdFactors(J)
     factors.damped_apply_batch([1e-3, 1.0], v)
     for lam, errstates in ((0.3, 0), (np.float64(7.0), 0), (np.array(1.0), 0),
-                           (0.0, 1), (_APPLY_SAFE * float(factors.s[-1]), 1)):
+                           (0.0, 1), (_BOUND * float(factors.s[-1]), 1)):
         del entered[:]
         got = factors.damped_apply(lam, v)
         assert len(entered) == errstates, lam

@@ -1,0 +1,170 @@
+"""Zero-residual problems of the Moré-Garbow-Hillstrom test set.
+
+Moré, Garbow & Hillstrom, "Testing unconstrained optimization software"
+(ACM TOMS 7, 1981), define each problem analytically, with a standard
+start.  Each Jacobian here is analytic and checked against central
+differences; each run is pinned at orders 1-4 from the standard start.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from helpers import counting_problem, finite_difference_jacobian
+from lmcorrect.optimizer import OptimizerConfig, run
+from lmcorrect.problems import Problem
+
+
+def rosenbrock() -> Problem:
+    def evaluator(x):
+        x1, x2 = x.tolist()
+        return np.array([10.0 * (x2 - x1 * x1), 1.0 - x1])
+
+    def jacobian(x):
+        x1, _ = x.tolist()
+        return np.array([[-20.0 * x1, 10.0], [-1.0, 0.0]])
+
+    return Problem(2, 2, evaluator, jacobian, name="rosenbrock")
+
+
+def powell_singular() -> Problem:
+    # The Jacobian is singular at the solution, x = 0.
+    r5, r10 = math.sqrt(5.0), math.sqrt(10.0)
+
+    def evaluator(x):
+        x1, x2, x3, x4 = x.tolist()
+        return np.array([x1 + 10.0 * x2, r5 * (x3 - x4), (x2 - 2.0 * x3) ** 2,
+                         r10 * (x1 - x4) ** 2])
+
+    def jacobian(x):
+        x1, x2, x3, x4 = x.tolist()
+        a, b = 2.0 * (x2 - 2.0 * x3), 2.0 * r10 * (x1 - x4)
+        return np.array([[1.0, 10.0, 0.0, 0.0], [0.0, 0.0, r5, -r5],
+                         [0.0, a, -2.0 * a, 0.0], [b, 0.0, 0.0, -b]])
+
+    return Problem(4, 4, evaluator, jacobian, name="powell_singular")
+
+
+def helical_valley() -> Problem:
+    # theta is MGH's: atan(x2 / x1) / (2 pi), plus 0.5 for x1 < 0; on x1 = 0
+    # it takes the limit from x1 > 0, 0.25 sign(x2).
+    def theta(x1, x2):
+        if x1 == 0.0:
+            return math.copysign(0.25, x2)
+        return math.atan(x2 / x1) / (2.0 * math.pi) + (0.5 if x1 < 0.0 else 0.0)
+
+    def evaluator(x):
+        x1, x2, x3 = x.tolist()
+        return np.array([10.0 * (x3 - 10.0 * theta(x1, x2)),
+                         10.0 * (math.hypot(x1, x2) - 1.0), x3])
+
+    def jacobian(x):
+        x1, x2, _ = x.tolist()
+        r2, r = x1 * x1 + x2 * x2, math.hypot(x1, x2)
+        d = 100.0 / (2.0 * math.pi * r2)
+        return np.array([[d * x2, -d * x1, 10.0], [10.0 * x1 / r, 10.0 * x2 / r, 0.0],
+                         [0.0, 0.0, 1.0]])
+
+    return Problem(3, 3, evaluator, jacobian, name="helical_valley")
+
+
+def box_3d(m: int = 10) -> Problem:
+    t = 0.1 * np.arange(1, m + 1)
+    shift = np.exp(-t) - np.exp(-10.0 * t)
+
+    def evaluator(x):
+        x1, x2, x3 = x.tolist()
+        return np.exp(-t * x1) - np.exp(-t * x2) - x3 * shift
+
+    def jacobian(x):
+        x1, x2, _ = x.tolist()
+        return np.stack([-t * np.exp(-t * x1), t * np.exp(-t * x2), -shift], axis=1)
+
+    return Problem(3, m, evaluator, jacobian, name="box_3d")
+
+
+def beale() -> Problem:
+    y = (1.5, 2.25, 2.625)
+
+    def evaluator(x):
+        x1, x2 = x.tolist()
+        return np.array([y[i] - x1 * (1.0 - x2 ** (i + 1)) for i in range(3)])
+
+    def jacobian(x):
+        x1, x2 = x.tolist()
+        return np.array([[x2 ** (i + 1) - 1.0, (i + 1) * x1 * x2 ** i]
+                         for i in range(3)])
+
+    return Problem(2, 3, evaluator, jacobian, name="beale")
+
+
+def brown_badly_scaled() -> Problem:
+    def evaluator(x):
+        x1, x2 = x.tolist()
+        return np.array([x1 - 1e6, x2 - 2e-6, x1 * x2 - 2.0])
+
+    def jacobian(x):
+        x1, x2 = x.tolist()
+        return np.array([[1.0, 0.0], [0.0, 1.0], [x2, x1]])
+
+    return Problem(2, 3, evaluator, jacobian, name="brown_badly_scaled")
+
+
+def powell_badly_scaled() -> Problem:
+    def evaluator(x):
+        x1, x2 = x.tolist()
+        return np.array([1e4 * x1 * x2 - 1.0,
+                         math.exp(-x1) + math.exp(-x2) - 1.0001])
+
+    def jacobian(x):
+        x1, x2 = x.tolist()
+        return np.array([[1e4 * x2, 1e4 * x1], [-math.exp(-x1), -math.exp(-x2)]])
+
+    return Problem(2, 2, evaluator, jacobian, name="powell_badly_scaled")
+
+
+# Per problem: its standard start and, at orders 1-4, (iterations,
+# evaluations) of a converged run with the default configuration.
+CASES = {
+    "rosenbrock": (rosenbrock, (-1.2, 1.0),
+                   ((18, 379), (2, 85), (2, 211), (2, 379))),
+    "powell_singular": (powell_singular, (3.0, -1.0, 0.0, 1.0),
+                        ((17, 358), (12, 505), (11, 1156), (9, 1702))),
+    "helical_valley": (helical_valley, (-1.0, 0.0, 0.0),
+                       ((12, 253), (7, 295), (6, 631), (6, 1135))),
+    "box_3d": (box_3d, (0.0, 10.0, 20.0),
+               ((6, 127), (4, 169), (3, 316), (3, 568))),
+    "beale": (beale, (1.0, 1.0),
+              ((7, 148), (5, 211), (4, 421), (5, 946))),
+    "brown_badly_scaled": (brown_badly_scaled, (1.0, 1.0),
+                           ((14, 295), (14, 589), (14, 1437), (14, 2558))),
+    "powell_badly_scaled": (powell_badly_scaled, (0.0, 1.0),
+                            ((86, 1807), (21, 883), (13, 1366), (11, 2080))),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_jacobian_matches_central_differences(name):
+    make, start, _ = CASES[name]
+    problem = make()
+    rng = np.random.default_rng(sorted(CASES).index(name))
+    # A step of 1e-4 (1 + |x_j|): at 1e-6 the rounding of Brown's residuals,
+    # about 1e6, reaches 1e-5 of its Jacobian's scale.  Each entry must
+    # match to 1e-6 of itself, so a 0.1% error in any one of them fails.
+    for x in (np.array(start), np.array(start) + rng.uniform(-0.5, 0.5, len(start))):
+        J = problem.jacobian(x)
+        assert J.shape == (problem.output_dim, problem.input_dim)
+        fd = finite_difference_jacobian(problem, x, rel_step=1e-4)
+        assert (np.abs(J - fd) <= 1e-6 * np.abs(J) + 1e-9 * max(1.0, np.abs(J).max())).all()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", CASES)
+def test_standard_start_converges(name, order):
+    make, start, counts = CASES[name]
+    problem, counter = counting_problem(make())
+    result = run(np.array(start), problem, OptimizerConfig(order=order))
+    assert result.converged
+    assert result.f_evaluations == counter["evals"]
+    assert (result.iterations, result.f_evaluations) == counts[order - 1]

@@ -20,7 +20,7 @@ from helpers import (
 )
 from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
-from lmcorrect.linalg import SvdFactors
+from lmcorrect.linalg import _BOUND, SvdFactors
 from lmcorrect.corrections import (
     PHASES,
     STENCIL_EVALUATIONS,
@@ -54,7 +54,7 @@ def test_lambda_grid_shape():
     for n in range(1, 11):
         assert grid[10 + n] * grid[10 - n] == pytest.approx(9.0, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
-    # Exactly the per-entry formula, for any centre.
+    # Exactly the per-entry formula, for any centre inside the clamp.
     for lam in (3.0, 1e-300, 7.3e12):
         assert LambdaSchedule(lambda_old=lam).grid().tolist() == [
             lam * GRID_BASE ** ((n / 10.0) ** 3) for n in range(-10, 11)
@@ -131,7 +131,7 @@ def test_a_first_step_near_float64s_maximum_skips_the_stencil(order, x0, b,
     # float64's maximum, a c1 of about 3.3e303 left too little headroom:
     # x + 1.5 c1 overflowed the same way.  Such a step's series now
     # truncates before its stencil, so its endpoint is x + c1; so does every
-    # series from an x beyond the stencil's bound, about 1.06e306.
+    # series from an x beyond the stencil's bound, R = 2^1016, about 7.0e305.
     problem = affine_problem(np.eye(2), np.array([b, 0.0]))
     points = []
     watched = Problem(2, 2, lambda x: points.append(x) or problem.evaluator(x),
@@ -647,16 +647,25 @@ def test_rejection_escalates_damping_and_stalls():
 
 
 def test_lambda_floor_prevents_underflow():
-    # A long endgame can keep choosing the grid minimum; the carried value
-    # must bottom out above zero or the next sweep would be degenerate.
+    # A long endgame can keep choosing the grid minimum, 10^-4 times the
+    # centre.  The schedule carries each win as is, and grid() clamps the
+    # centre, so after repeated bottom wins every sweep still lies within
+    # [1/R, R]: it bottoms out at about 1.4e-306 and never underflows to 0.
     schedule = LambdaSchedule(lambda_old=1e-299)
-    assert np.all(schedule.grid() > 0)
     problem = valley_problem(1.0)
-    f0 = problem.evaluator(START)
-    _, _, record = step(START, problem, schedule, OptimizerConfig(order=1), f0=f0)
-    assert record.accepted
-    assert schedule.lambda_old >= 1e-300
-    assert np.all(schedule.grid() > 0)
+    x, f0 = START, problem.evaluator(START)
+    bottoms = []
+    for _ in range(6):
+        grid = schedule.grid()
+        assert grid.min() >= 1.0 / _BOUND and grid.max() <= _BOUND
+        x, f0, record = step(x, problem, schedule, OptimizerConfig(order=1), f0=f0)
+        assert record.accepted and record.chosen_lambda == grid[0]
+        assert schedule.lambda_old == grid[0]
+        bottoms.append(grid[0])
+    assert bottoms[0] == 1e-299 * GRID_BASE**-1.0
+    assert bottoms[2:] == bottoms[1:-1]  # the clamped bottom: a fixed point
+    assert 1.0 / _BOUND <= bottoms[-1] < 1.5e-306
+    assert schedule.grid().min() >= 1.0 / _BOUND
 
 
 def test_max_iterations_censors_run():
@@ -823,6 +832,40 @@ def test_run_centres_its_first_sweep_on_the_start_damping():
     result = run(START, valley_problem(1e4),
                  OptimizerConfig(max_iterations=1, start_damping=1e-3))
     assert 1e-3 * 1e-4 <= result.trajectory[0].chosen_lambda <= 1e-3 * 1e4
+
+
+SINGULAR = affine_problem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("problem,order,tiny,huge", [
+    pytest.param(valley_problem(100.0), 1, ("stalled", 9, 190), ("stalled", 5, 106),
+                 id="valley-1"),
+    pytest.param(valley_problem(100.0), 2, ("converged", 7, 295),
+                 ("stalled", 5, 211), id="valley-2"),
+    pytest.param(SINGULAR, 1, ("stalled", 6, 127), ("stalled", 5, 106),
+                 id="singular-1"),
+    pytest.param(SINGULAR, 2, ("stalled", 6, 253), ("stalled", 5, 211),
+                 id="singular-2"),
+])
+@pytest.mark.parametrize("start_damping", [5e-324, 1e-310, 1e300, 1.7e308])
+def test_every_damping_stays_within_the_range_bound(problem, order, tiny, huge,
+                                                    start_damping):
+    # The grid's centre is clamped, so every damping lies within [1/R, R],
+    # up to one rounding.  A huge start used to overflow the grid (an
+    # overflow warning, then chosen_lambda = inf), and a tiny one to
+    # underflow it to 0: a silent Gauss-Newton run, which on the singular
+    # problem warned of rank deficiency and stalled after 2 iterations.  A
+    # start of 5e-324 or 1e-310 now sweeps as the clamped bottom centre,
+    # 1e300 and 1.7e308 reach the clamped top within three sweeps, and the
+    # suite's filter turns any warning into an error.
+    counted, counter = counting_problem(problem)
+    result = run(START, counted, OptimizerConfig(order=order,
+                                                 start_damping=start_damping))
+    expected = tiny if start_damping < 1.0 else huge
+    assert (result.termination, result.iterations, result.f_evaluations) == expected
+    assert result.f_evaluations == counter["evals"]
+    low, high = np.nextafter(1.0 / _BOUND, 0.0), np.nextafter(_BOUND, math.inf)
+    assert all(low <= r.chosen_lambda <= high for r in result.trajectory)
 
 
 def test_reference_iteration_counts_shallow_valley():
