@@ -109,7 +109,8 @@ def _check_order(order) -> None:
 
 
 class StencilEvaluationError(RuntimeError):
-    """Residual evaluation failed at a stencil offset.
+    """Residual evaluation failed at a stencil offset: the evaluator raised,
+    or returned the wrong shape.
 
     Attributes
     ----------
@@ -233,10 +234,11 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     any evaluation.  A phase residual that is non-finite or beyond ``2
     _BOUND``, or a correction whose norm exceeds ``WILD_CORRECTION_FACTOR *
     |c1|`` (or is non-finite), truncates the series at the previous order,
-    skips the remaining phases and sets the ``truncated`` flag.  A failing
-    evaluator call raises StencilEvaluationError; a residual of the wrong
-    shape, a bad order, or a non-finite or misshaped ``c1`` raise ValueError
-    before any evaluation.  No returned array shares memory with ``base``.
+    skips the remaining phases and sets the ``truncated`` flag.  An evaluator
+    call that raises, or returns a residual of the wrong shape or one that
+    is not numeric, raises StencilEvaluationError, chained from that error;
+    a bad order, or a non-finite or misshaped ``c1`` raise ValueError before
+    any evaluation.  No returned array shares memory with ``base``.
     """
     _check_order(order)
     c1, c1_norm = finite_norm(c1, base.x.shape, "c1")
@@ -265,10 +267,9 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
         for key, point in zip(keys, points):
             evaluations += 1
             try:
-                value = evaluator(point)
+                defects[evaluations - 1] = as_shape(evaluator(point), (m,), "residual")
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
-            defects[evaluations - 1] = as_shape(value, (m,), "residual")
         # Only residuals within 2 _BOUND (never nan or inf) become defects,
         # so the weighted sum stays finite for the inverse, which rejects
         # non-finite input.  A nan correction norm fails the wild bound.

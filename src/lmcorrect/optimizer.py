@@ -90,12 +90,14 @@ _CENTRE_LOW, _CENTRE_HIGH = GRID_BASE / _BOUND, _BOUND / GRID_BASE
 class StepFailureError(RuntimeError):
     """The step could not produce a usable candidate.
 
-    Raised when every candidate endpoint is non-finite, chained from the
-    lowest grid index's failed evaluator call if there was one, and when the
-    Jacobian raises, has a non-finite entry or its SVD does not converge,
-    chained from that error.  ``evaluations`` counts the evaluator calls the
-    step made, failed ones included.  ``causes`` maps the grid index of every
-    candidate whose evaluator call raised to that error, in grid order.
+    A call to the evaluator or the Jacobian fails when it raises, or returns
+    an array of the wrong shape or an output that is not numeric.  Raised
+    when every candidate endpoint is non-finite or failed, chained from the
+    lowest grid index's failed call if there was one, whose message then
+    ends the error's; and when the Jacobian's call fails, J has a
+    non-finite entry or its SVD does not converge, chained from that error.  ``evaluations`` counts the evaluator calls the step
+    made, failed ones included.  ``causes`` maps the grid index of every
+    candidate whose evaluator call failed to that error, in grid order.
     """
 
     def __init__(self, message, evaluations: int = 0, causes=None):
@@ -202,12 +204,15 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     It sweeps ``schedule.grid()``, not the config's start damping.  Returns
     ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is centred
     on the largest damping tried) when no candidate improved the residual
-    norm.  Raises StepFailureError when every candidate is unusable, the
-    Jacobian raises or is not finite, or its SVD does not converge, and
+    norm.  A call to the evaluator or the Jacobian fails when it raises or
+    returns the wrong shape (see :class:`StepFailureError`): a failed
+    evaluator call drops its candidate.
+    Raises StepFailureError when every candidate is unusable, the Jacobian's
+    call fails, J is not finite, or its SVD does not converge, and
     ValueError, before any Jacobian or evaluator call, when ``x`` or ``f0``
-    is not finite or has the wrong shape, and when the Jacobian has the
-    wrong shape.  ``f0`` is read after evaluator calls, so it must not be an
-    array the evaluator reuses; :func:`run` passes its own copy.
+    is not finite or has the wrong shape.  ``f0`` is read after evaluator
+    calls, so it must not be an array the evaluator reuses; :func:`run`
+    passes its own copy.
     """
     m, p = problem.output_dim, problem.input_dim
     x, x_norm = finite_norm(x, (p,), "x")
@@ -218,12 +223,13 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         J = problem.jacobian(x)
     except Exception as exc:
         raise StepFailureError(f"jacobian failed: {exc!r}") from exc
-    J = as_shape(J, (m, p), "jacobian")
     try:
+        J = as_shape(J, (m, p), "jacobian")
         factors = SvdFactors(J)
-    except ValueError as exc:
-        # The shape is right, so only a non-finite entry or an SVD that did
-        # not converge (LinAlgError is a ValueError) gets here.
+    except (TypeError, ValueError, OverflowError) as exc:
+        # A J that is misshaped or not numeric (the three errors of a failed
+        # float64 conversion), has a non-finite entry, or whose SVD did not
+        # converge (LinAlgError is a ValueError).
         raise StepFailureError(str(exc)) from exc
     lambdas = schedule.grid()
     lams = lambdas.tolist()
@@ -260,19 +266,20 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             end = x + series.step
         evals += 1
         try:
-            value = evaluator(end)
+            f_end = as_shape(evaluator(end), (m,), "residual")
         except Exception as exc:
             causes[idx] = exc
             continue
-        f_end = as_shape(value, (m,), "residual")
         norm = _norm(f_end)
         # Strict: the first minimum, the smallest grid index, keeps the lead,
         # and a nan norm never takes it.  The copy outlives a reused buffer.
         if norm < best_norm:
             best_norm, best = norm, (idx, series, end, f_end.copy())
     if best is None:
-        raise StepFailureError(f"no finite candidate endpoint at x={x}", evals,
-                               causes) from next(iter(causes.values()), None)
+        cause = next(iter(causes.values()), None)
+        tail = "" if cause is None else f": {cause}"
+        raise StepFailureError(f"no finite candidate endpoint at x={x}{tail}",
+                               evals, causes) from cause
 
     accepted = best_norm < norm0
     if accepted:
@@ -309,10 +316,11 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     trajectory records every iteration, rejected ones included.  A stall
     ends the run unconverged: MAX_CONSECUTIVE_REJECTS successive
     rejections, or one at damping 0, which cannot escalate.  A
-    StepFailureError ends the run, which returns what it has so far.  A
-    start point or start residual that is not finite or has the wrong shape,
-    and a residual or Jacobian of the wrong shape, raise ValueError.  The
-    evaluator may return the same array on every call.
+    StepFailureError ends the run, which returns what it has so far; a later
+    residual or Jacobian of the wrong shape is a failed call (see
+    :func:`step`), not an error.  A start point or start residual that is
+    not finite or has the wrong shape raises ValueError.  The evaluator may
+    return the same array on every call.
     """
     # Copies: the result's x must not be the caller's array, and f must
     # outlive an evaluator that reuses its output array.

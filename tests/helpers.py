@@ -102,6 +102,23 @@ def jacobian_raising_from(problem: Problem, call: int, error: Exception):
                    jacobian, name=problem.name)
 
 
+def evaluator_failing_at(problem: Problem, call: int, fault):
+    """The problem whose ``call``-th evaluator call raises ``fault``, if it is
+    an exception, else returns it."""
+    calls = {"n": 0}
+
+    def evaluator(x):
+        calls["n"] += 1
+        if calls["n"] != call:
+            return problem.evaluator(x)
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    return Problem(problem.input_dim, problem.output_dim, evaluator,
+                   problem.jacobian, name=problem.name)
+
+
 def analytic_correction_series(poly, x, inverse_apply, c1, order):
     """Corrections from exact tensor contractions via the order-n identities.
 

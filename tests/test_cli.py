@@ -24,7 +24,7 @@ from lmcorrect.cli import (
     run_table,
     write_trace_csv,
 )
-from lmcorrect.problems import valley_problem
+from lmcorrect.problems import Problem, valley_problem
 
 
 def read_csv(text):
@@ -223,6 +223,62 @@ def test_raising_jacobian_exits_1_with_the_error_line(argv, monkeypatch,
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", "error: jacobian failed: ZeroDivisionError('division by zero')\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _misshaped_after_the_start(K):
+    """The K valley whose every residual after the start one has length 3."""
+    valley, calls = valley_problem(K), []
+
+    def evaluator(x):
+        calls.append(x)
+        return valley.evaluator(x) if len(calls) == 1 else np.ones(3)
+
+    return Problem(2, 2, evaluator, valley.jacobian, name=valley.name)
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["run", "--K", "100", "--order", "1"], ""),
+    (["run", "--K", "100", "--order", "2", "--out", "trace.csv"],
+     "residual evaluation failed at stencil offset (1, 0, 0): "),
+    (["table", "--K", "100", "--order", "1", "2"], ""),
+], ids=["run-1", "run-2-out", "table"])
+def test_misshaped_residuals_exit_1_naming_the_shape(argv, cause, monkeypatch,
+                                                     tmp_path, capsys):
+    # Every residual of the first step has length 3: each call fails, so the
+    # step fails, and its error line ends with the lowest grid index's
+    # cause, which names the shape (once a ValueError out of run()).
+    monkeypatch.setattr(cli, "valley_problem", _misshaped_after_the_start)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: no finite candidate endpoint at x=[3.14159265 2.71828183]: "
+        f"{cause}residual has shape (3,), expected (2,)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--K", "100", "--order", "1", "--out", "trace.csv"],
+    ["table", "--K", "100", "--order", "1", "2"],
+])
+def test_misshaped_jacobian_exits_1_with_the_error_line(argv, monkeypatch,
+                                                        tmp_path, capsys):
+    # The 5th Jacobian has shape (3, 2): run() returns a step_failure
+    # result, and the error line is the shape's own message.
+    def tall_fifth(K):
+        valley, calls = valley_problem(K), []
+
+        def jacobian(x):
+            calls.append(x)
+            return np.ones((3, 2)) if len(calls) == 5 else valley.jacobian(x)
+
+        return Problem(2, 2, valley.evaluator, jacobian, name=valley.name)
+
+    monkeypatch.setattr(cli, "valley_problem", tall_fifth)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: jacobian has shape (3, 2), expected (2, 2)\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -617,6 +617,34 @@ def test_stencil_error_carries_offset():
                    for buffer in (base.directions, base.defects))
 
 
+@pytest.mark.parametrize("order,call,key", [(2, 1, (1, 0, 0)), (3, 3, (0, 1, 0)),
+                                            (4, 7, (0, 0, 1))])
+@pytest.mark.parametrize("length", [1, 3])
+def test_a_misshaped_stencil_residual_fails_its_call(order, call, key, length):
+    # A residual of the wrong shape fails its evaluator call as one that
+    # raises does: StencilEvaluationError with the point's offset key and the
+    # calls so far, chained from the shape's ValueError.  Length 1 would
+    # broadcast into the defect row unseen.
+    problem = valley_problem(100.0)
+    calls = []
+
+    def evaluator(p):
+        calls.append(p)
+        return np.ones(length) if len(calls) == call else problem.evaluator(p)
+
+    x = np.array([math.pi, math.e])
+    base = stencil_base(x, problem.evaluator(x), problem.jacobian(x), evaluator)
+    with pytest.raises(StencilEvaluationError) as info:
+        correction_series(base, gauss_newton_inverse(problem.jacobian(x)),
+                          np.array([-0.01, 0.02]), order=order)
+    err = info.value
+    assert (err.offset_key, err.evaluations) == (key, call) and len(calls) == call
+    assert type(err.__cause__) is ValueError
+    shape = f"residual has shape ({length},), expected (2,)"
+    assert str(err.__cause__) == shape
+    assert str(err) == f"residual evaluation failed at stencil offset {key}: {shape}"
+
+
 def test_invalid_order_rejected():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     count_errstates,
     counting_problem,
+    evaluator_failing_at,
     jacobian_raising_from,
     nan_jacobian_below,
 )
@@ -408,12 +409,75 @@ def test_accepted_residual_survives_a_reused_output_buffer(order):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_wrong_shaped_residual_is_rejected(order):
-    # A length-1 residual would broadcast silently into a candidate's row.
-    problem = Problem(2, 2, lambda x: np.array([0.5]), lambda x: np.eye(2),
-                      name="short")
-    with pytest.raises(ValueError, match=r"shape \(1,\), expected \(2,\)"):
+    # A length-1 residual would broadcast silently into a candidate's row
+    # and compete.  Each call fails instead, as one that raises does: every
+    # candidate is dropped at its first call (order 1's endpoint, order 2's
+    # stencil point x + c1), and the step fails naming the shape.
+    problem, counter = counting_problem(Problem(
+        2, 2, lambda x: np.array([0.5]), lambda x: np.eye(2), name="short"))
+    shape = "residual has shape (1,), expected (2,)"
+    with pytest.raises(StepFailureError) as info:
         step(np.zeros(2), problem, LambdaSchedule(),
              OptimizerConfig(order=order), f0=np.array([1.0, 1.0]))
+    assert str(info.value).startswith("no finite candidate endpoint at x=[0. 0.]: ")
+    assert str(info.value).endswith(shape)
+    assert info.value.evaluations == counter["evals"] == 21
+    causes = info.value.causes
+    assert list(causes) == list(range(21))
+    assert info.value.__cause__ is causes[0]
+    for exc in causes.values():
+        if order == 2:
+            assert type(exc) is StencilEvaluationError and exc.evaluations == 1
+            exc = exc.__cause__
+        assert type(exc) is ValueError and str(exc) == shape
+
+
+@pytest.mark.parametrize("order,iterations,evaluations", [
+    (1, 47, 988), (2, 14, 588), (3, 10, 1050), (4, 8, 1506),
+])
+def test_a_misshaped_residual_mid_run_fails_only_its_call(order, iterations,
+                                                         evaluations):
+    # The 300th evaluator call returns a length-3 residual: an endpoint at
+    # order 1, a stencil point at orders 2-4.  It drops its candidate, as
+    # the same call raising does, and the run keeps going: both runs are
+    # alike record for record, and every call is counted.
+    results = []
+    for fault in (np.ones(3), FloatingPointError("injected")):
+        problem, counter = counting_problem(
+            evaluator_failing_at(valley_problem(100.0), 300, fault))
+        result = run(START, problem, OptimizerConfig(order=order))
+        assert result.termination == "converged"
+        assert (result.iterations, result.f_evaluations) == (iterations, evaluations)
+        assert result.f_evaluations == counter["evals"]
+        results.append(result)
+    assert results[0].trajectory == results[1].trajectory
+
+
+@pytest.mark.parametrize("order,evaluations", [(1, 85), (2, 169)])
+def test_a_misshaped_jacobian_mid_run_returns_the_trajectory(order, evaluations):
+    # The 5th Jacobian has shape (3, 2): that step fails before any
+    # evaluator call, chained from the shape's ValueError, and the run
+    # returns its 4 iterations, as when that call raises.
+    valley, calls = valley_problem(100.0), []
+
+    def jacobian(x):
+        calls.append(x)
+        return np.ones((3, 2)) if len(calls) == 5 else valley.jacobian(x)
+
+    problem, counter = counting_problem(
+        Problem(2, 2, valley.evaluator, jacobian, name="tall-5th"))
+    result = run(START, problem, OptimizerConfig(order=order))
+    assert result.termination == "step_failure"
+    assert result.iterations == len(result.trajectory) == 4
+    assert str(result.failure) == "jacobian has shape (3, 2), expected (2, 2)"
+    assert type(result.failure.__cause__) is ValueError
+    assert result.failure.evaluations == 0
+    assert result.f_evaluations == counter["evals"] == evaluations
+    assert result.residual_norm == result.trajectory[-1].residual_norm
+    raising = run(START, jacobian_raising_from(valley, 5, ZeroDivisionError()),
+                  OptimizerConfig(order=order))
+    assert raising.trajectory == result.trajectory
+    assert raising.f_evaluations == evaluations
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -712,9 +776,15 @@ def test_nonfinite_start_residual_rejected(start_damping):
 
 
 def test_wrong_shaped_start_residual_rejected():
-    problem = Problem(2, 2, lambda x: np.ones(3), lambda x: np.eye(2), name="long")
-    with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+    # Checked up front, so a ValueError before any Jacobian call, not a
+    # step failure as a later misshaped residual is.
+    calls = []
+    problem = Problem(2, 2, lambda x: np.ones(3),
+                      lambda x: calls.append(x) or np.eye(2), name="long")
+    with pytest.raises(ValueError, match=r"^starting residual has shape \(3,\), "
+                       r"expected \(2,\)$"):
         run(np.zeros(2), problem, OptimizerConfig())
+    assert calls == []
 
 
 def test_step_rejects_wrong_shaped_f0():
@@ -767,11 +837,38 @@ def test_step_rejects_a_nonfinite_x(order):
 
 
 def test_step_rejects_wrong_shaped_jacobian():
-    problem = Problem(2, 2, lambda x: np.ones(2), lambda x: np.ones((3, 2)),
-                      name="tall")
-    with pytest.raises(ValueError, match=r"shape \(3, 2\), expected \(2, 2\)"):
+    # A Jacobian call that returns the wrong shape fails the step, as one
+    # that raises does, before any evaluator call.
+    problem, counter = counting_problem(Problem(
+        2, 2, lambda x: np.ones(2), lambda x: np.ones((3, 2)), name="tall"))
+    with pytest.raises(StepFailureError,
+                       match=r"^jacobian has shape \(3, 2\), expected \(2, 2\)$") as info:
         step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
              f0=np.ones(2))
+    assert type(info.value.__cause__) is ValueError
+    assert info.value.evaluations == counter["evals"] == 0
+    assert info.value.causes == {}
+
+
+@pytest.mark.parametrize("output,error", [
+    (object(), TypeError), ("abc", ValueError), ([10**400, 0], OverflowError),
+], ids=["object", "string", "huge-int"])
+def test_an_output_that_is_not_numeric_fails_its_call(output, error):
+    # An output that float64 cannot hold fails its call as a wrong shape
+    # does: a Jacobian's fails the step with the conversion's own message,
+    # and an evaluator's drops its candidate.
+    problem = Problem(2, 2, lambda x: np.ones(2), lambda x: output, name="odd")
+    with pytest.raises(StepFailureError) as info:
+        step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
+             f0=np.ones(2))
+    assert type(info.value.__cause__) is error
+    assert str(info.value) == str(info.value.__cause__)
+    problem = Problem(2, 2, lambda x: output, lambda x: np.eye(2), name="odd")
+    with pytest.raises(StepFailureError) as info:
+        step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
+             f0=np.ones(2))
+    assert list(info.value.causes) == list(range(21))
+    assert type(info.value.__cause__) is error
 
 
 def test_step_failure_when_everything_is_nonfinite():
@@ -930,8 +1027,8 @@ def test_a_linear_model_near_float64s_maximum_never_overflows(kind, counts):
 
 def test_nonfinite_jacobian_fails_the_step():
     # A non-finite Jacobian is a numerical outcome, not a contract violation:
-    # step raises StepFailureError before any evaluator call.  A wrong shape
-    # stays a ValueError (test_step_rejects_wrong_shaped_jacobian).
+    # step raises StepFailureError before any evaluator call, as it does on
+    # a wrong shape (test_step_rejects_wrong_shaped_jacobian).
     problem = nan_jacobian_below(valley_problem(100.0), 10.0)
     with pytest.raises(StepFailureError,
                        match="jacobian must be finite") as info:
@@ -1044,22 +1141,25 @@ def test_svd_failure_ends_the_run(monkeypatch):
     assert np.array_equal(result.x, START)
 
 
-FAULTS = ("raise", "nan", "inf")
-# A Jacobian fault: one non-finite entry, or every entry scaled by 1e300,
-# so that the squares of its singular values overflow.
-JACOBIAN_FAULTS = ("nan", "inf", "-inf", "huge")
+FAULTS = ("raise", "nan", "inf", "shape")
+# A Jacobian fault: one non-finite entry, every entry scaled by 1e300, so
+# that the squares of its singular values overflow, or a (3, 2) shape.
+JACOBIAN_FAULTS = ("nan", "inf", "-inf", "huge", "shape")
+# The cause that a failed evaluator call leaves, by fault.
+FAULT_CAUSES = {"raise": FloatingPointError, "shape": ValueError}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_counts_equal_calls_under_injected_failures(order, data):
-    # Evaluator calls fail at random: they raise, or return nan or inf in
-    # one component.  From a random call on, every call may fail, and a
-    # random Jacobian may have a nan or +-inf entry, or singular values
-    # whose squares overflow.  The run always returns, and every charge
-    # equals the calls made: per series, per step and per run.  A failed
-    # step names, by grid index, every candidate whose evaluator call raised.
+    # Evaluator calls fail at random: they raise, return nan or inf in one
+    # component, or return a length-3 residual.  From a random call on,
+    # every call may fail, and a random Jacobian may have a nan or +-inf
+    # entry, singular values whose squares overflow, or shape (3, 2).  The
+    # run always returns, and every charge equals the calls made: per
+    # series, per step and per run.  A failed step names, by grid index,
+    # every candidate whose evaluator call raised or was misshaped.
     stencil = STENCIL_EVALUATIONS[order]
     last_call = 1 + 2 * 21 * (stencil + 1)
     faults = data.draw(st.dictionaries(st.integers(2, last_call),
@@ -1071,15 +1171,17 @@ def test_counts_equal_calls_under_injected_failures(order, data):
 
     valley = valley_problem(100.0)
     calls = {"evaluator": 0, "jacobian": 0}
-    raised = []  # per evaluator call: did it raise
+    failed = []  # per evaluator call: the cause it leaves, or None
 
     def evaluator(x):
         calls["evaluator"] += 1
         n = calls["evaluator"]
         fault = faults.get(n) or (cutoff_fault if cutoff and n >= cutoff else None)
-        raised.append(fault == "raise")
+        failed.append(FAULT_CAUSES.get(fault))
         if fault == "raise":
             raise FloatingPointError("injected")
+        if fault == "shape":
+            return np.ones(3)
         value = valley.evaluator(x)
         if fault is not None:
             value[n % 2] = np.nan if fault == "nan" else np.inf
@@ -1091,6 +1193,8 @@ def test_counts_equal_calls_under_injected_failures(order, data):
         if calls["jacobian"] == bad_jacobian:
             if jacobian_fault == "huge":
                 return J * 1e300
+            if jacobian_fault == "shape":
+                return np.ones((3, 2))
             J[1, 0] = float(jacobian_fault)
         return J
 
@@ -1139,8 +1243,8 @@ def test_counts_equal_calls_under_injected_failures(order, data):
                 if truncated is None:
                     expected[idx] = StencilEvaluationError
                     continue
-            if raised[before]:
-                expected[idx] = FloatingPointError
+            if failed[before]:
+                expected[idx] = failed[before]
             before += 1
         assert before == calls["evaluator"]
         return expected
