@@ -16,8 +16,9 @@ nonlinear defects ``f_nl(x + a) = f(x + a) - (f + J a)`` at every point so
 far, so that ``c_n = Jinv(w . f_nl)``.  Coincident points are listed once
 per order, so no point is evaluated twice.  The tests check every row
 exactly, in rationals, against the order-n identity it implements.  A step's
-series share one :class:`StencilBase`: the base point, residual and Jacobian,
-checked once, and the scratch that each series overwrites.
+series share one :class:`StencilBase`: the base point and residual, checked
+once, the Jacobian that its :class:`~lmcorrect.linalg.SvdFactors` checked,
+and the scratch that each series overwrites.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _BOUND, _norm, as_finite, as_int, as_shape, finite_norm
+from .linalg import _BOUND, _norm, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -70,13 +71,15 @@ PHASES = {
 
 # Every stencil quantity stays within a small multiple of linalg's range
 # bound _BOUND = R, about 7.0e305.  A series runs its stencil only from x and
-# f0 within R and |c1| <= R / (_REACH max(1, |J|_F)).  Every later correction
-# passes the wild bound, so no stencil offset a and no summed step reaches
-# past _REACH |c1| (order 4's step): each point x + a and model entry
-# f0 + J a lies within 2R.  A phase whose residuals all lie within 2R then
-# has defects within 4R, and each weighted sum of them, at most 4 R W with W
-# = 127/3 the largest absolute weight-row sum here, stays within float64's
-# maximum.
+# f0 within R and |c1| <= R / (_REACH max(1, s_max)), s_max = |J|_2 the
+# largest singular value, which bounds |J a| by s_max |a|.  Every later
+# correction passes the wild bound, so no stencil offset a and no summed
+# step reaches past _REACH |c1| (order 4's step): each point x + a lies
+# within 2R, and each model entry f0 + J a too, up to the SVD's rounding of
+# s_max, about 1e-14 relative.  A phase whose residuals all lie within 2R
+# then has defects within 4R, and each weighted sum of them, at most 4 R W
+# with W = 127/3 the largest absolute weight-row sum here, stays within
+# float64's maximum, with a margin of 1.5x that the rounding cannot use up.
 _REACH = 1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR
 
 
@@ -182,7 +185,7 @@ class StencilBase(NamedTuple):
     """What one step's series share, from :func:`stencil_base`.  ``x_limit``
     bounds ``|c1|`` so that every stencil point ``x + a`` and linear model
     ``f0 + J a`` stays within ``2 _BOUND``: ``_BOUND / (_REACH max(1,
-    |J|_F))``, 0 once that product overflows (``|J|_F`` past about 6e304),
+    s_max))``, 0 once that product overflows (``s_max`` past about 6e304),
     or -inf when an entry of ``x`` or ``f0`` lies beyond ``_BOUND``, so that
     not even a zero ``c1``, whose model is ``f0``, runs its stencil.  Every
     series on the base overwrites ``directions`` and ``defects``, via
@@ -200,25 +203,20 @@ class StencilBase(NamedTuple):
     phases: dict
 
 
-def stencil_base(x, f0, J, evaluator) -> StencilBase:
-    """The base of a step's series; ValueError unless ``x`` is 1-D, ``f0``
-    and ``J`` have shapes ``(m,)`` and ``(m, len(x))``, and ``J`` is finite.
-    ``f0`` is read after evaluator calls, so it must not be an array the
-    evaluator reuses."""
-    x, f0, J = (np.asarray(a, dtype=float) for a in (x, f0, J))
-    if x.ndim != 1:
-        raise ValueError(f"x has shape {x.shape}, expected (p,)")
-    if len(f0.shape) != 1 or J.shape != f0.shape + x.shape:
-        raise ValueError(f"f0 has shape {f0.shape} and J has shape {J.shape}, "
-                         f"expected (m,) and (m, {len(x)})")
-    gain = _norm(J.ravel())  # |J|_F; not below inf if J is not finite
-    if not gain < math.inf:
-        as_finite(J, J.shape, "jacobian")
+def stencil_base(x, f0, factors, evaluator) -> StencilBase:
+    """The base of a step's series on the Jacobian ``factors.J``, of shape
+    ``(m, p)``, which :class:`~lmcorrect.linalg.SvdFactors` checked and
+    bounds by ``s_max``; ValueError unless ``x`` and ``f0`` have shapes
+    ``(p,)`` and ``(m,)``.  ``f0`` is read after evaluator calls, so it must
+    not be an array the evaluator reuses."""
+    m, p = factors.J.shape
+    x, f0 = as_shape(x, (p,), "x"), as_shape(f0, (m,), "f0")
     in_range = _within(x.tolist() + f0.tolist(), _BOUND)
-    x_limit = _BOUND / (_REACH * max(1.0, gain)) if in_range else -math.inf
-    return StencilBase(x, x[None], f0[None], J.T, len(f0), evaluator, x_limit,
-                       np.empty((max(PHASES) - 1, len(x))),
-                       np.empty((STENCIL_EVALUATIONS[max(PHASES)], len(f0))), {})
+    x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0]))) if in_range
+               else -math.inf)
+    return StencilBase(x, x[None], f0[None], factors.J.T, m, evaluator, x_limit,
+                       np.empty((max(PHASES) - 1, p)),
+                       np.empty((STENCIL_EVALUATIONS[max(PHASES)], m)), {})
 
 
 def correction_series(base: StencilBase, inverse_apply, c1, *,
@@ -238,7 +236,9 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     call that raises, or returns a residual of the wrong shape or one that
     is not numeric, raises StencilEvaluationError, chained from that error;
     a bad order, or a non-finite or misshaped ``c1`` raise ValueError before
-    any evaluation.  No returned array shares memory with ``base``.
+    any evaluation, and an ``inverse_apply`` result whose shape is not
+    ``c1``'s raises ValueError when it is returned.  No returned array shares
+    memory with ``base``.
     """
     _check_order(order)
     c1, c1_norm = finite_norm(c1, base.x.shape, "c1")
@@ -279,6 +279,8 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
         model += f0_row
         block -= model
         c = inverse_apply(weights.dot(so_far))
+        if c.shape != c1.shape:  # one would broadcast into the step unseen
+            raise ValueError(f"correction has shape {c.shape}, expected {c1.shape}")
         if not _norm(c) <= wild_bound:
             return CorrectionSeries(tuple(found), evaluations, True)
         found.append(c)

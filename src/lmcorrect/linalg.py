@@ -99,6 +99,8 @@ def as_positive(value, what: str, zero: bool = False):
 class SvdFactors:
     """Thin SVD of a Jacobian, shared by every damping value applied to it.
 
+    The one owner of a step's Jacobian: it checks ``J``, keeps it as the
+    float64 array ``J`` it was given, and bounds it by ``s[0] = |J|_2``.
     Holds ``J = U @ diag(s) @ Vt`` with ``s`` non-increasing and non-negative,
     and takes ``Ut = U.T`` and ``inv_s = 1 / s`` once; every apply is the row
     product ``(scale * Ut v) Vt``.  The damped scale ``s / (s^2 + lam)`` is
@@ -124,7 +126,8 @@ class SvdFactors:
     raises.  The tests on ``s`` compare Python floats.
     """
 
-    __slots__ = ("U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_sweep", "_kept")
+    __slots__ = ("J", "U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_sweep",
+                 "_kept")
 
     def __init__(self, J):
         J = np.asarray(J, dtype=float)
@@ -135,6 +138,7 @@ class SvdFactors:
         top = float(np.maximum.reduce(magnitudes, axis=None))
         if not top < math.inf:
             as_finite(J, J.shape, "jacobian")
+        self.J = J
         shift = 1 + ((len(J) - 1).bit_length() + 1) // 2  # 2**shift >= 2 m**0.5
         if top * 2.0**shift > _FLOAT_MAX:  # a Householder vector could overflow
             J = J * 2.0**-shift

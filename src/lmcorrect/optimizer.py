@@ -27,8 +27,9 @@ per point or per candidate:
   one point to one residual and each call is one counted evaluation, failed
   calls included;
 * ``correction_series`` runs once per candidate, on the step's one
-  ``stencil_base``, which checks ``x``, ``f0`` and ``J`` once.  The phases
-  could run for all candidates at once (ROADMAP item 1), but perfbench's
+  ``stencil_base``, which checks ``x`` and ``f0`` once and takes ``J`` and
+  its bound from the step's ``SvdFactors``.  The phases could run for all
+  candidates at once (ROADMAP item 1), but perfbench's
   evaluation audit reads each candidate's charged count and truncation
   flag from the span of that candidate's own call, so the batched form
   waits for a benchmark that traces a sweep-level call;
@@ -117,10 +118,15 @@ class LambdaSchedule:
     ``grid`` is the one place a damping is clamped.  ``lambda_old`` carries
     between iterations: it becomes the winning damping on acceptance and the
     grid's largest, ``c * 10^4``, when no candidate improves.  At 0 the grid
-    is ``[0]``, and stays so: Gauss-Newton.
+    is ``[0]``, and stays so: Gauss-Newton.  A ``lambda_old`` that is not
+    non-negative and finite raises ValueError at construction, by the rule
+    of ``OptimizerConfig.start_damping``.
     """
 
     lambda_old: float = 1.0
+
+    def __post_init__(self):
+        as_positive(self.lambda_old, "lambda_old", zero=True)
 
     def grid(self) -> np.ndarray:
         if self.lambda_old == 0.0:
@@ -224,8 +230,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     except Exception as exc:
         raise StepFailureError(f"jacobian failed: {exc!r}") from exc
     try:
-        J = as_shape(J, (m, p), "jacobian")
-        factors = SvdFactors(J)
+        factors = SvdFactors(as_shape(J, (m, p), "jacobian"))
     except (TypeError, ValueError, OverflowError) as exc:
         # A J that is misshaped or not numeric (the three errors of a failed
         # float64 conversion), has a non-finite entry, or whose SVD did not
@@ -247,7 +252,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             endpoints = x + c1s
         live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
         endpoints = endpoints[live] if order == 1 else None
-    base = stencil_base(x, f0, J, evaluator) if order > 1 else None
+    base = stencil_base(x, f0, factors, evaluator) if order > 1 else None
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
     # Order 1 walks the live endpoint rows; orders 2-4 build each endpoint.

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,13 +32,14 @@ from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
-    """Base-point data and a Gauss-Newton step scaled into the trust region."""
+    """Base-point data, J's factors and a Gauss-Newton step scaled into the
+    trust region."""
     x = np.asarray(x, dtype=float)
     f0 = problem.evaluator(x)
-    J = problem.jacobian(x)
-    inv = gauss_newton_inverse(J)
+    factors = SvdFactors(problem.jacobian(x))
+    inv = functools.partial(factors.damped_apply, 0.0)
     c1 = -scale * inv(f0)
-    return x, f0, J, inv, c1
+    return x, f0, factors, inv, c1
 
 
 # -- affine maps: every correction vanishes ----------------------------------
@@ -46,8 +48,8 @@ def make_context(problem, x, scale=0.5):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_affine_corrections_vanish(order):
     poly = polynomial_problem(1, 3, seed=0)
-    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.4, -0.2, 0.9])
-    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+    x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.4, -0.2, 0.9])
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                                c1, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
@@ -78,7 +80,8 @@ def test_order2_hand_example():
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
     assert np.allclose(c1, [1.0, -1.0])
-    _, c2 = correction_series(stencil_base(x, f0, J, f), inv, c1, order=2).corrections
+    base = stencil_base(x, f0, SvdFactors(J), f)
+    _, c2 = correction_series(base, inv, c1, order=2).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-14)
     end = x + c1 + c2
     assert np.allclose(end, [0.0, 0.0], atol=1e-14)
@@ -93,7 +96,7 @@ def test_order3_hand_example_c3_vanishes():
     f0, J = f(x), Jf(x)
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
-    _, c2, c3 = correction_series(stencil_base(x, f0, J, f), inv,
+    _, c2, c3 = correction_series(stencil_base(x, f0, SvdFactors(J), f), inv,
                                   c1, order=3).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-12)
     assert np.linalg.norm(c3) <= 1e-12
@@ -105,8 +108,8 @@ def test_order3_hand_example_c3_vanishes():
 @pytest.mark.parametrize("seed", range(5))
 def test_order2_stencil_exact_on_quadratics(seed):
     poly = polynomial_problem(2, 2, seed=seed)
-    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
-    _, c2 = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+    x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
+    _, c2 = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                               c1, order=2).corrections
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(c2, analytic) <= 1e-12
@@ -125,17 +128,17 @@ def test_c2_stencil_exact_at_higher_orders(order, degree, seed, dim, direction):
     # which must still be exact on every polynomial up to the order; compare
     # at |c1| = 1e-2, where cancellation noise is visible.
     poly = polynomial_problem(degree, dim, seed=seed)
-    x, f0, J, inv, _ = make_context(poly.as_problem(), [0.3, -0.2, 0.1][:dim])
+    x, f0, factors, inv, _ = make_context(poly.as_problem(), [0.3, -0.2, 0.1][:dim])
     u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
     # That noise, about eps |f0| / |c1|^2 against f''[u, u], reaches c2
     # through the inverse, which amplifies it by up to 1 / s_min.  The
     # relative comparison means something only where |J^+ f''[u, u]|, twice
     # |c2_unit|, is at least |f0| / (3 s_min); about 2% of draws fall short.
     c2_unit = -0.5 * inv(derivative_contraction(poly, x, 2, u, u))
-    s_min = np.linalg.svd(J, compute_uv=False)[-1]
+    s_min = factors.s[-1]
     assume(np.linalg.norm(f0) <= 6.0 * s_min * np.linalg.norm(c2_unit))
     c1 = 1e-2 * u
-    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                                c1, order=order)
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(series.corrections[1], analytic) <= 1e-9
@@ -158,7 +161,7 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
     # draws its polynomial seeds from one residue mod 5, so the five seed
     # ids cover 0-999 without overlap.
     poly = polynomial_problem(2, dim, seed=seed + 5 * block)
-    x, f0, J, inv, _ = make_context(poly.as_problem(), [0.3, -0.4, 0.2][:dim])
+    x, f0, factors, inv, _ = make_context(poly.as_problem(), [0.3, -0.4, 0.2][:dim])
     u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
     c1 = 0.5 * u
     oracle = analytic_correction_series(poly, x, inv, c1, order)
@@ -169,7 +172,7 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
     # a level set by |f0| and the inverse, not by |c_n|, so a correction
     # below 1e-4 |c1| is compared mostly with noise; about 0.03% of draws.
     assume(max(sizes) <= WILD_CORRECTION_FACTOR / 2 and min(sizes) >= 1e-4)
-    series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                                c1, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
@@ -197,11 +200,11 @@ def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
     # rise toward their limit (the largest last step seen is 1.23 over 6000
     # draws) or dip first where higher terms cancel at the larger |c1|.
     poly = polynomial_problem(degree, dim, seed=seed)
-    x, f0, J, inv, _ = make_context(poly.as_problem(), [0.3, -0.2, 0.1][:dim])
+    x, f0, factors, inv, _ = make_context(poly.as_problem(), [0.3, -0.2, 0.1][:dim])
     u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
     ratios = []
     for h in 0.1 / 2.0 ** np.arange(5):
-        series = correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+        series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                                    h * u, order=order)
         # A near-singular J makes some correction wild, beyond
         # WILD_CORRECTION_FACTOR |c1|, and the series truncates by design;
@@ -219,9 +222,9 @@ def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_new_evaluation_counts(order):
     problem, counter = counting_problem(valley_problem(1.0))
-    x, f0, J, inv, c1 = make_context(problem, [np.pi, np.e], scale=0.3)
+    x, f0, factors, inv, c1 = make_context(problem, [np.pi, np.e], scale=0.3)
     counter["evals"] = 0
-    series = correction_series(stencil_base(x, f0, J, problem.evaluator), inv,
+    series = correction_series(stencil_base(x, f0, factors, problem.evaluator), inv,
                                c1, order=order)
     assert series.evaluation_count == STENCIL_EVALUATIONS[order]
     assert counter["evals"] == STENCIL_EVALUATIONS[order]
@@ -250,8 +253,8 @@ def pathway_defect(problem, x, order, eps):
     J = problem.jacobian(x)
     inv = gauss_newton_inverse(J)
     c1 = -eps * inv(f0)
-    series = correction_series(stencil_base(x, f0, J, problem.evaluator), inv,
-                               c1, order=order)
+    series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
+                               inv, c1, order=order)
     end = x + series.step
     return float(np.linalg.norm(problem.evaluator(end) - (1.0 - eps) * f0))
 
@@ -294,9 +297,9 @@ def test_norms_are_within_one_ulp_at_any_magnitude():
 
 def test_wild_correction_truncates_series():
     poly = polynomial_problem(2, 2, seed=4)
-    x, f0, J, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     blow_up = lambda v: 1e9 * v  # stands in for a damped inverse near-singular J
-    series = correction_series(stencil_base(x, f0, J, poly.evaluator), blow_up,
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), blow_up,
                                c1, order=3)
     assert series.truncated
     assert len(series.corrections) == 1
@@ -314,7 +317,7 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
 
         x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
         c1 = np.array([-0.4, -0.4])
-        series = correction_series(stencil_base(x, f0, J, evaluator),
+        series = correction_series(stencil_base(x, f0, SvdFactors(J), evaluator),
                                    gauss_newton_inverse(J), c1, order=order)
         assert series.truncated
         assert series.evaluation_count == evaluated
@@ -337,7 +340,8 @@ def _series_of_residuals(residual, order, m=2, inverse_apply=None):
 
     if inverse_apply is None:
         inverse_apply = lambda v: 1e-3 * as_finite(v, (m,), "v")[:2]
-    base = stencil_base(np.zeros(2), np.zeros(m), np.zeros((m, 2)), evaluator)
+    base = stencil_base(np.zeros(2), np.zeros(m), SvdFactors(np.zeros((m, 2))),
+                        evaluator)
     series = correction_series(base, inverse_apply, np.array([1.0, 1.0]),
                                order=order)
     assert series.evaluation_count == len(calls)
@@ -418,7 +422,7 @@ def test_inverse_overflow_truncates_series():
         return np.array([p[0], 1e-10 * p[1] + 1e303 * p[1] ** 2])
 
     x, c1 = np.zeros(2), np.array([-1.0, -1.0])
-    series = correction_series(stencil_base(x, evaluator(x), J, evaluator),
+    series = correction_series(stencil_base(x, evaluator(x), factors, evaluator),
                                lambda v: factors.damped_apply(1e-30, v), c1,
                                order=2)
     assert series.truncated
@@ -427,7 +431,26 @@ def test_inverse_overflow_truncates_series():
 
 
 def _limit(J):
-    return _BOUND / (corrections._REACH * max(1.0, np.linalg.norm(J)))
+    """The step limit over J's largest singular value, as its factors hold it."""
+    return _BOUND / (corrections._REACH * max(1.0, float(SvdFactors(J).s[0])))
+
+
+def test_the_step_limit_reads_the_largest_singular_value():
+    # s_max = |J|_2 bounds |J a| by s_max |a| and is at most |J|_F, so the
+    # limit over s_max is at least the one over |J|_F, by at most sqrt(rank).
+    # The base reads s_max from the factors and J itself from them too.
+    rng = np.random.default_rng(7)
+    for m, p, scale in ((2, 2, 0.1), (2, 2, 10.0), (3, 2, 1e3), (1000, 8, 1.0)):
+        J = scale * rng.normal(size=(m, p))
+        factors = SvdFactors(J)
+        base = stencil_base(np.zeros(p), np.zeros(m), factors, None)
+        s_max = np.linalg.norm(J, 2)
+        frobenius = _BOUND / (corrections._REACH * max(1.0, np.linalg.norm(J)))
+        assert base.x_limit == _limit(J) == pytest.approx(
+            _BOUND / (corrections._REACH * max(1.0, s_max)), rel=1e-14)
+        assert frobenius <= base.x_limit * (1 + 1e-14)
+        assert base.x_limit <= frobenius * math.sqrt(p) * (1 + 1e-14)
+        assert base.m == m and np.shares_memory(base.Jt, J)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -435,15 +458,16 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
     # At order 4 the point 1.5 c1 of c1 = (1.5e308, 0) overflowed: numpy
     # warned (an error under the suite's filter) and the series truncated
     # after 3 evaluations, one at an infinite point.  A c1 longer than
-    # _BOUND / (_REACH |J|_F) now truncates at once; one at the limit runs
-    # every phase.
+    # _BOUND / (_REACH max(1, s_max)) now truncates at once; one at the
+    # limit runs every phase.
     J = np.eye(2)
     limit = _limit(J)
+    assert limit == _BOUND / corrections._REACH  # s_max = 1
     for c1, evaluated in (([1.5e308, 0.0], 0),
                           ([np.nextafter(limit, np.inf), 0.0], 0),
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
-        base = stencil_base(np.zeros(2), np.zeros(2), J,
+        base = stencil_base(np.zeros(2), np.zeros(2), SvdFactors(J),
                             lambda p: points.append(p) or p)
         assert base.x_limit == limit
         series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
@@ -467,7 +491,7 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
                          (np.array([np.nan, 0.0]), 0)):
         for c1 in ([limit, 0.0], [0.0, -limit], [0.0, 0.0]):
             points = []
-            base = stencil_base(x, np.zeros(2), J,
+            base = stencil_base(x, np.zeros(2), SvdFactors(J),
                                 lambda p: points.append(p) or p - x)
             assert base.x_limit == (limit if evaluated else -math.inf)
             series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
@@ -481,14 +505,16 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
     # The linear model f0 + J a stays within 2 _BOUND as x + a does: c1 gets
-    # _BOUND over _REACH times |J|_F, 4 here (J is 2 sqrt(2) times a
+    # _BOUND over _REACH times s_max, 2 sqrt(2) here (J is 2 sqrt(2) times a
     # rotation), or times 1 for a J of norm below 1.  A longer c1 truncates
     # at once; one at the limit runs every phase with no warning (an error
     # under the suite's filter).  An f0 entry beyond _BOUND runs no stencil.
     big, reach = np.finfo(float).max, corrections._REACH
     rotation = np.array([[2.0, 2.0], [2.0, -2.0]])
-    for J, f0, limit in ((rotation, np.zeros(2), _BOUND / (reach * 4)),
-                         (rotation, np.array([0.0, -_BOUND]), _BOUND / (reach * 4)),
+    turned = _limit(rotation)
+    assert turned == pytest.approx(_BOUND / (reach * 2 * math.sqrt(2)), rel=1e-15)
+    for J, f0, limit in ((rotation, np.zeros(2), turned),
+                         (rotation, np.array([0.0, -_BOUND]), turned),
                          (np.diag([0.25, 0.5]), np.array([_BOUND, 0.0]),
                           _BOUND / reach),
                          (np.eye(2), np.array([0.0, big / 2]), -math.inf)):
@@ -497,7 +523,7 @@ def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
                  if limit > 0 else (([0.0, 1.0], 0), ([0.0, 0.0], 0)))
         for c1, evaluated in tries:
             points = []
-            base = stencil_base(np.zeros(2), f0, J,
+            base = stencil_base(np.zeros(2), f0, SvdFactors(J),
                                 lambda p: points.append(p) or f0 + J.dot(p))
             assert base.x_limit == limit
             series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
@@ -508,15 +534,18 @@ def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
 
 def test_a_jacobian_that_is_not_finite_is_rejected():
     # A zero c1 on J = [[inf, 0], [0, 1]] formed 0 * inf in the model's
-    # product, which warned.  A finite J whose norm overflows is taken, with
+    # product, which warned.  A base takes J from its factors, which reject
+    # it.  A finite J whose largest singular value overflows is taken, with
     # a limit of 0: only a zero c1 runs its stencil, and its model is 0.  So
-    # is one whose norm times _REACH overflows, past about 6e304.
+    # is one whose s_max times _REACH overflows, past about 6e304.
     big = np.finfo(float).max
     for J in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [np.nan, 1.0]]):
         with pytest.raises(ValueError, match="^jacobian must be finite$"):
-            stencil_base(np.zeros(2), np.zeros(2), np.array(J), lambda p: p)
+            SvdFactors(np.array(J))
     for J in (np.array([[big, big], [0.0, 1.0]]), np.diag([1e305, 1.0])):
-        base = stencil_base(np.zeros(2), np.zeros(2), J, lambda p: J.dot(p))
+        factors = SvdFactors(J)
+        assert float(factors.s[0]) * corrections._REACH == math.inf
+        base = stencil_base(np.zeros(2), np.zeros(2), factors, lambda p: J.dot(p))
         assert base.x_limit == 0.0
         assert correction_series(base, lambda v: v, np.array([1e-300, 0.0]),
                                  order=2).truncated
@@ -534,7 +563,7 @@ def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
     J = np.eye(2)
     for f0, evaluated in (([-1e308, 0.0], 0),
                           ([-_BOUND, 0.0], len(PHASES[order][0][0]))):
-        base = stencil_base(np.zeros(2), np.array(f0), J,
+        base = stencil_base(np.zeros(2), np.array(f0), SvdFactors(J),
                             lambda p: np.array([1.7e308, 0.0]))
         series = correction_series(base, gauss_newton_inverse(J),
                                    np.array([1.0, 0.0]), order=order)
@@ -551,10 +580,13 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
     J = np.array([[2.0, 2.0], [2.0, -2.0]])
     for x, f0 in ((np.array([_BOUND, -_BOUND]), np.array([-_BOUND, _BOUND])),
                   (np.array([-_BOUND, 0.0]), np.array([_BOUND, _BOUND]))):
-        limit = stencil_base(x, f0, J, None).x_limit
-        assert limit == _BOUND / (corrections._REACH * 4)
+        limit = stencil_base(x, f0, SvdFactors(J), None).x_limit
+        assert limit == _limit(J)  # _BOUND / (_REACH 2 sqrt(2))
+        # (-0.6, 0.8) times the limit itself rounds to a norm one ulp above it.
+        slant = np.array([-0.6, 0.8]) * np.nextafter(limit, 0)
+        assert math.hypot(*slant) <= limit
         for order, c1 in itertools.product(
-                (2, 3, 4), (np.array([0.0, limit]), np.array([-0.6, 0.8]) * limit)):
+                (2, 3, 4), (np.array([0.0, limit]), slant)):
             c1_norm = math.hypot(*c1)  # np.linalg.norm squares, and overflows
             points = []
 
@@ -564,8 +596,9 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
                 bend = 1 - 0.25 * math.tanh(math.hypot(*a) / c1_norm)
                 return f0 + J.dot(a) * bend
 
-            series = correction_series(stencil_base(x, f0, J, evaluator),
-                                       gauss_newton_inverse(J), c1, order=order)
+            base = stencil_base(x, f0, SvdFactors(J), evaluator)
+            series = correction_series(base, gauss_newton_inverse(J), c1,
+                                       order=order)
             assert len(series.corrections) > 1
             assert any(np.any(c) for c in series.corrections[1:])
             assert len(points) == series.evaluation_count > 0
@@ -579,7 +612,7 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
 def test_step_limit_bounds_every_offset_and_step():
     # Later corrections pass the wild bound, so each stencil offset and each
     # summed step reaches at most _REACH times |c1|, at most _BOUND over
-    # max(1, |J|_F): every point, model entry and endpoint from x and f0
+    # max(1, s_max): every point, model entry and endpoint from x and f0
     # within _BOUND lies within 2 _BOUND, each defect within 4 _BOUND, and
     # 4 _BOUND times the largest absolute weight-row sum is at most float64's
     # maximum, exactly.
@@ -605,7 +638,7 @@ def test_stencil_error_carries_offset():
     f0 = np.ones(2)
     J = np.eye(2)
     inv = gauss_newton_inverse(J)
-    base = stencil_base(x, f0, J, evaluator)
+    base = stencil_base(x, f0, SvdFactors(J), evaluator)
     with pytest.raises(StencilEvaluationError) as info:
         correction_series(base, inv, np.array([0.1, 0.1]), order=2)
     err = info.value
@@ -633,7 +666,8 @@ def test_a_misshaped_stencil_residual_fails_its_call(order, call, key, length):
         return np.ones(length) if len(calls) == call else problem.evaluator(p)
 
     x = np.array([math.pi, math.e])
-    base = stencil_base(x, problem.evaluator(x), problem.jacobian(x), evaluator)
+    base = stencil_base(x, problem.evaluator(x), SvdFactors(problem.jacobian(x)),
+                        evaluator)
     with pytest.raises(StencilEvaluationError) as info:
         correction_series(base, gauss_newton_inverse(problem.jacobian(x)),
                           np.array([-0.01, 0.02]), order=order)
@@ -647,15 +681,15 @@ def test_a_misshaped_stencil_residual_fails_its_call(order, call, key, length):
 
 def test_invalid_order_rejected():
     poly = polynomial_problem(2, 2, seed=4)
-    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     # 2.0 and True compare equal to supported orders; only ints are orders.
     # A plain int skips the type checks, which the others still take.
     for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError):
-            correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+            correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                               c1, order=order)
     for order in (np.int64(2), np.int64(3)):
-        assert len(correction_series(stencil_base(x, f0, J, poly.evaluator), inv,
+        assert len(correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
                                      c1, order=order).corrections) == order
 
 
@@ -744,7 +778,7 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         factors.damped_apply_batch([lam, 2.0 * lam], f0)
         apply = functools.partial(factors.damped_apply, lam)
         c1 = -10.0 ** rng.uniform(-3, 0) * apply(f0)
-        got, _ = _outcome(correction_series, stencil_base(x, f0, J, make()), apply,
+        got, _ = _outcome(correction_series, stencil_base(x, f0, factors, make()), apply,
                           c1, order=order)
         want, end = _outcome(broadcast_correction_series, x, f0, J, apply,
                              make(), c1, order)
@@ -768,27 +802,28 @@ def test_bad_first_step_rejected_before_any_evaluation(c1, message):
     J = problem.jacobian(x)
     counter["evals"] = 0
     with pytest.raises(ValueError, match=message):
-        correction_series(stencil_base(x, f0, J, problem.evaluator),
+        correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
                           gauss_newton_inverse(J), np.array(c1), order=3)
     assert counter["evals"] == 0
 
 
 @pytest.mark.parametrize("bad,shapes", [
-    (lambda f0, J: (f0[0], J), r"\(\) and J has shape \(2, 2\)"),
-    (lambda f0, J: (np.append(f0, 1.0), J), r"\(3,\) and J has shape \(2, 2\)"),
-    (lambda f0, J: (f0, np.vstack([J, J[:1]])), r"\(2,\) and J has shape \(3, 2\)"),
+    (lambda f0, J: (f0[0], J), r"\(\), expected \(2,\)"),
+    (lambda f0, J: (np.append(f0, 1.0), J), r"\(3,\), expected \(2,\)"),
+    (lambda f0, J: (f0, np.vstack([J, J[:1]])), r"\(2,\), expected \(3,\)"),
 ], ids=["scalar-f0", "long-f0", "tall-J"])
 def test_bad_f0_or_jacobian_rejected_before_any_evaluation(bad, shapes):
-    # The same guard as a bad c1: a misshaped f0 or J names both shapes
-    # before the evaluator is called, instead of blaming the evaluator.
+    # The same guard as a bad c1: an f0 whose shape is not (m,) for the
+    # factored J's (m, p) raises as_shape's message before the evaluator is
+    # called, instead of blaming the evaluator.
     problem, counter = counting_problem(valley_problem(100.0))
     x = np.array([np.pi, np.e])
     f0, J = bad(problem.evaluator(x), problem.jacobian(x))
     c1 = np.array([0.1, 0.0])
     counter["evals"] = 0
     for order in (1, 3):
-        with pytest.raises(ValueError, match="f0 has shape " + shapes):
-            correction_series(stencil_base(x, f0, J, problem.evaluator),
+        with pytest.raises(ValueError, match=f"^f0 has shape {shapes}$"):
+            correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
                               lambda v: v, c1, order=order)
     assert counter["evals"] == 0
 
@@ -812,14 +847,14 @@ def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
     c1s = -factors.damped_apply_batch(lams, f0)
     steps = [(lam, stretch * c1) for stretch in (1.0, 100.0)
              for lam, c1 in zip(lams.tolist(), c1s)]
-    shared = stencil_base(x, f0, J, problem.evaluator)
+    shared = stencil_base(x, f0, factors, problem.evaluator)
     scratch = (shared.directions, shared.defects)
     truncated = 0
     for order in (2, 4, 3, 2, 4, 3):
         for lam, c1 in steps:
             apply = functools.partial(factors.damped_apply, lam)
             got = correction_series(shared, apply, c1, order=order)
-            fresh = stencil_base(x, f0, J, problem.evaluator)
+            fresh = stencil_base(x, f0, factors, problem.evaluator)
             assert _series_bytes(got) == _series_bytes(
                 correction_series(fresh, apply, c1, order=order))
             assert not any(np.shares_memory(c, buffer)
@@ -831,14 +866,32 @@ def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
 
 def test_order_is_keyword_only():
     poly = polynomial_problem(2, 2, seed=4)
-    x, f0, J, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    base = stencil_base(x, f0, J, poly.evaluator)
+    x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    base = stencil_base(x, f0, factors, poly.evaluator)
     with pytest.raises(TypeError):
         correction_series(base, inv, c1, 2)
     assert len(correction_series(base, inv, c1, order=2).corrections) == 2
 
 
-@pytest.mark.parametrize("x", [np.float64(0.5), np.zeros((1, 2))], ids=["0-d", "2-d"])
-def test_a_base_point_that_is_not_a_vector_is_rejected(x):
-    with pytest.raises(ValueError, match=r"x has shape"):
-        stencil_base(x, np.zeros(2), np.eye(2), lambda p: p)
+@pytest.mark.parametrize("x,shape", [(np.float64(0.5), r"\(\)"),
+                                     (np.zeros((1, 2)), r"\(1, 2\)")],
+                         ids=["0-d", "2-d"])
+def test_a_base_point_that_is_not_a_vector_is_rejected(x, shape):
+    with pytest.raises(ValueError, match=rf"^x has shape {shape}, expected \(2,\)$"):
+        stencil_base(x, np.zeros(2), SvdFactors(np.eye(2)), lambda p: p)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_misshaped_correction_is_rejected(order):
+    # A (1,) correction broadcast into the step's two components, and at
+    # orders 3-4 into the next phase's direction row, unseen.  Each shape
+    # that is not c1's raises when the inverse returns it.
+    poly = polynomial_problem(2, 2, seed=4)
+    x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
+    base = stencil_base(x, f0, factors, poly.evaluator)
+    for bad in (np.array([1e-3]), np.zeros(3), np.zeros((1, 2))):
+        message = rf"^correction has shape {re.escape(str(bad.shape))}, expected \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            correction_series(base, lambda v: bad, c1, order=order)
+    assert len(correction_series(base, lambda v: np.zeros(2), c1,
+                                 order=order).corrections) == order

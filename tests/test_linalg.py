@@ -69,6 +69,20 @@ def test_svd_rejects_nonfinite():
             SvdFactors(np.array(J))
 
 
+def test_factors_keep_the_jacobian_they_were_given():
+    # J is kept as the float64 array given, before any power-of-two scaling:
+    # a float64 array is kept as is, anything else as its float64 copy, and a
+    # J near float64's maximum, factored times 2**-shift, keeps its entries.
+    J = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, 4.0]])
+    assert SvdFactors(J).J is J
+    listed = SvdFactors([[1, 2], [0, 1]]).J
+    assert listed.dtype == np.float64 and listed.tolist() == [[1.0, 2.0], [0.0, 1.0]]
+    big = np.finfo(float).max
+    huge = np.array([[big, 0.0], [0.0, 1.0]])
+    factors = SvdFactors(huge)
+    assert factors.J is huge and factors.s.tolist() == [big, 1.0]
+
+
 def test_damped_identity_cases():
     v = np.array([1.0, 1.0])
     assert np.allclose(SvdFactors(np.eye(2)).damped_apply(0.0, v), v)

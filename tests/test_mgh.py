@@ -4,8 +4,8 @@ Moré, Garbow & Hillstrom, "Testing unconstrained optimization software"
 (ACM TOMS 7, 1981), define each problem analytically, with a standard
 start.  Each Jacobian here is analytic and checked against central
 differences; each run is pinned at orders 1-4 from the standard start:
-the zero-residual problems converge, the two nonzero-residual ones stall
-at their local minimum, and Wood's convergence is an expected failure.
+the zero-residual problems converge, the nonzero-residual ones stall at
+their local minimum, and Wood's convergence is an expected failure.
 """
 
 import math
@@ -143,6 +143,70 @@ def extended_rosenbrock(p: int = 10) -> Problem:
     return Problem(p, p, evaluator, jacobian, name="extended_rosenbrock")
 
 
+def discrete_boundary_value(p: int = 10) -> Problem:
+    # A two-point boundary value problem, discretised on t_i = i h with
+    # h = 1 / (p + 1) and x_0 = x_{p+1} = 0: a tridiagonal Jacobian.
+    h = 1.0 / (p + 1)
+    t = h * np.arange(1, p + 1)
+
+    def evaluator(x):
+        pad = np.concatenate(([0.0], x, [0.0]))
+        return 2.0 * x - pad[:-2] - pad[2:] + 0.5 * h * h * (x + t + 1.0) ** 3
+
+    def jacobian(x):
+        J, i = np.diag(2.0 + 1.5 * h * h * (x + t + 1.0) ** 2), np.arange(p - 1)
+        J[i, i + 1] = J[i + 1, i] = -1.0
+        return J
+
+    return Problem(p, p, evaluator, jacobian, name="discrete_boundary_value")
+
+
+def discrete_boundary_value_start(p: int = 10):
+    t = 1.0 / (p + 1) * np.arange(1, p + 1)  # the problem's t_i
+    return tuple((t * (t - 1.0)).tolist())
+
+
+def broyden_tridiagonal(p: int = 10) -> Problem:
+    def evaluator(x):
+        pad = np.concatenate(([0.0], x, [0.0]))
+        return (3.0 - 2.0 * x) * x - pad[:-2] - 2.0 * pad[2:] + 1.0
+
+    def jacobian(x):
+        J, i = np.diag(3.0 - 4.0 * x), np.arange(p - 1)
+        J[i, i + 1], J[i + 1, i] = -2.0, -1.0
+        return J
+
+    return Problem(p, p, evaluator, jacobian, name="broyden_tridiagonal")
+
+
+def penalty_1(p: int = 4) -> Problem:
+    r = math.sqrt(1e-5)
+
+    def evaluator(x):
+        return np.append(r * (x - 1.0), x.dot(x) - 0.25)
+
+    def jacobian(x):
+        return np.vstack([r * np.eye(p), 2.0 * x])
+
+    return Problem(p, p + 1, evaluator, jacobian, name="penalty_1")
+
+
+def brown_dennis(m: int = 20) -> Problem:
+    t = np.arange(1, m + 1) / 5.0
+    et, st, ct = np.exp(t), np.sin(t), np.cos(t)
+
+    def evaluator(x):
+        x1, x2, x3, x4 = x.tolist()
+        return (x1 + t * x2 - et) ** 2 + (x3 + x4 * st - ct) ** 2
+
+    def jacobian(x):
+        x1, x2, x3, x4 = x.tolist()
+        a, b = 2.0 * (x1 + t * x2 - et), 2.0 * (x3 + x4 * st - ct)
+        return np.stack([a, a * t, b, b * st], axis=1)
+
+    return Problem(4, m, evaluator, jacobian, name="brown_dennis")
+
+
 def freudenstein_roth() -> Problem:
     def evaluator(x):
         x1, x2 = x.tolist()
@@ -208,6 +272,12 @@ CASES = {
     # p = m = 10; its blocks are decoupled, and the counts are Rosenbrock's.
     "extended_rosenbrock": (extended_rosenbrock, (-1.2, 1.0) * 5,
                             ((18, 379), (2, 85), (2, 211), (2, 379))),
+    # p = m = 10, both tridiagonal.
+    "discrete_boundary_value": (discrete_boundary_value,
+                                discrete_boundary_value_start(),
+                                ((2, 43), (2, 85), (2, 211), (2, 379))),
+    "broyden_tridiagonal": (broyden_tridiagonal, (-1.0,) * 10,
+                            ((5, 106), (3, 127), (3, 316), (2, 379))),
 }
 
 # Nonzero-residual problems: per problem, its standard start, |f| at its
@@ -220,6 +290,12 @@ STALLED = {
                           ((21, 442), (22, 925), (20, 2101), (20, 3761))),
     "jennrich_sampson": (jennrich_sampson, (0.3, 0.4), 11.15178,
                          ((12, 253), (11, 463), (11, 1154), (13, 2446))),
+    # p = 4, m = 5 and m = 20: both stall at the published minimum, and item
+    # 5's stop rule will make both end "stationary" there too.
+    "penalty_1": (penalty_1, (1.0, 2.0, 3.0, 4.0), 0.004743393,
+                  ((32, 673), (16, 673), (14, 1471), (13, 2458))),
+    "brown_dennis": (brown_dennis, (25.0, 5.0, -5.0, -1.0), 292.9543,
+                     ((32, 673), (34, 1429), (33, 3466), (35, 6610))),
 }
 
 WOOD_START = (-3.0, -1.0, -3.0, -1.0)

@@ -62,6 +62,25 @@ def test_lambda_grid_shape():
         ]
 
 
+@pytest.mark.parametrize("centre", [math.nan, -1.0, math.inf, True, "1", None],
+                         ids=["nan", "negative", "inf", "True", "str", "None"])
+def test_a_centre_that_is_not_a_damping_is_rejected_at_construction(centre):
+    # Each was taken: from (pi, e) on the K = 100 valley, nan called the
+    # Jacobian before the sweep raised "damping must be non-negative", -1.0
+    # and inf swept the clamp's end grids, centred at 1.4e-302 and 7.0e301,
+    # True swept as 1, and "1" raised TypeError.  The rule is
+    # start_damping's, before any call.
+    problem, counter = counting_problem(valley_problem(100.0))
+    jacobian = mock.Mock(wraps=problem.jacobian)
+    with pytest.raises(ValueError, match=re.escape(
+            f"lambda_old must be non-negative and finite, got {centre!r}")):
+        step(START, Problem(2, 2, problem.evaluator, jacobian), LambdaSchedule(centre),
+             OptimizerConfig(), f0=valley_problem(100.0).evaluator(START))
+    assert counter["evals"] == jacobian.call_count == 0
+    for centre in (0.0, 5e-324, np.float64(2.0), 3):
+        assert LambdaSchedule(centre).lambda_old == centre
+
+
 def test_zero_centred_schedule_stays_at_zero():
     # Every grid factor times 0 is 0: the grid is the one damping [0], and
     # neither an accepted nor a rejected sweep moves the centre off 0.
@@ -1009,8 +1028,8 @@ def test_a_linear_model_near_float64s_maximum_never_overflows(kind, counts):
     # at |f| = 2e292.  Such a c1 now truncates its series before any
     # stencil evaluation, and every order converges at finite points with
     # no warning (an error under the suite's filter).  On the tanh problem
-    # f0 starts beyond the stencil's bound and |J|_F stays above 6e304, where
-    # 3001 |J|_F overflows and the step limit is 0, so every series
+    # f0 starts beyond the stencil's bound and s_max stays above 6e304, where
+    # 3001 s_max overflows and the step limit is 0, so every series
     # truncates at c1 and orders 2-4 cost what order 1 does.
     problem, tol = _near_the_float64_maximum(kind)
     for order, (iterations, evaluations) in enumerate(counts, start=1):
