@@ -70,27 +70,19 @@ PHASES = {
 }
 
 # Every stencil quantity stays within a small multiple of linalg's range
-# bound _BOUND = R, about 7.0e305.  A series runs its stencil only from x and
-# f0 within R and |c1| <= R / (_REACH max(1, s_max)), s_max = |J|_2 the
-# largest singular value, which bounds |J a| by s_max |a|.  Every later
-# correction passes the wild bound, so no stencil offset a and no summed
-# step reaches past _REACH |c1| (order 4's step): each point x + a lies
-# within 2R, and each model entry f0 + J a too, up to the SVD's rounding of
-# s_max, about 1e-14 relative.  A phase whose residuals all lie within 2R
-# then has defects within 4R, and each weighted sum of them, at most 4 R W
-# with W = 127/3 the largest absolute weight-row sum here, stays within
-# float64's maximum, with a margin of 1.5x that the rounding cannot use up.
+# bound _BOUND = R, about 7.0e305, by one rule: each test compares a norm,
+# _norm, and an entry is at most its vector's norm.  A series runs its
+# stencil only from |x| and |f0| within R and |c1| <= R / (_REACH max(1,
+# s_max)), s_max = |J|_2 the largest singular value, which bounds |J a| by
+# s_max |a|.  Every later correction passes the wild bound, so no stencil
+# offset a and no summed step reaches past _REACH |c1| (order 4's step):
+# |a| <= R / max(1, s_max), so |x + a| <= 2R and |f0 + J a| <= 2R, up to the
+# SVD's rounding of s_max, about 1e-14 relative.  A phase whose residual
+# block has norm within 2R then has defects within 4R, and each weighted sum
+# of them, at most 4 R W with W = 127/3 the largest absolute weight-row sum
+# here, stays within float64's maximum, with a margin of 1.5x that the
+# rounding cannot use up.
 _REACH = 1 + (max(PHASES) - 1) * WILD_CORRECTION_FACTOR
-
-
-def _within(values, bound) -> bool:
-    """Whether every value lies in ``[-bound, bound]``.  A comparison chain
-    per value: on a stencil phase's few residuals it is cheaper than a numpy
-    reduction, and nan fails it in any position."""
-    for v in values:
-        if not -bound <= v <= bound:
-            return False
-    return True
 
 
 # New residual evaluations consumed per correction series, by order.
@@ -184,10 +176,10 @@ _COMPILED = {order: _compile_phases(phases) for order, phases in PHASES.items()}
 class StencilBase(NamedTuple):
     """What one step's series share, from :func:`stencil_base`.  ``x_limit``
     bounds ``|c1|`` so that every stencil point ``x + a`` and linear model
-    ``f0 + J a`` stays within ``2 _BOUND``: ``_BOUND / (_REACH max(1,
+    ``f0 + J a`` has norm within ``2 _BOUND``: ``_BOUND / (_REACH max(1,
     s_max))``, 0 once that product overflows (``s_max`` past about 6e304),
-    or -inf when an entry of ``x`` or ``f0`` lies beyond ``_BOUND``, so that
-    not even a zero ``c1``, whose model is ``f0``, runs its stencil.  Every
+    or -inf when ``|x|`` or ``|f0|`` lies beyond ``_BOUND``, so that not
+    even a zero ``c1``, whose model is ``f0``, runs its stencil.  Every
     series on the base overwrites ``directions`` and ``defects``, via
     ``phases``' per-order views, so a thread builds its own."""
 
@@ -206,14 +198,14 @@ class StencilBase(NamedTuple):
 def stencil_base(x, f0, factors, evaluator) -> StencilBase:
     """The base of a step's series on the Jacobian ``factors.J``, of shape
     ``(m, p)``, which :class:`~lmcorrect.linalg.SvdFactors` checked and
-    bounds by ``s_max``; ValueError unless ``x`` and ``f0`` have shapes
-    ``(p,)`` and ``(m,)``.  ``f0`` is read after evaluator calls, so it must
-    not be an array the evaluator reuses."""
+    bounds by ``s_max``; ``x`` and ``f0`` go through ``finite_norm``, so
+    ValueError unless they are finite with shapes ``(p,)`` and ``(m,)``.
+    ``f0`` is read after evaluator calls, so it must not be an array the
+    evaluator reuses."""
     m, p = factors.J.shape
-    x, f0 = as_shape(x, (p,), "x"), as_shape(f0, (m,), "f0")
-    in_range = _within(x.tolist() + f0.tolist(), _BOUND)
-    x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0]))) if in_range
-               else -math.inf)
+    (x, x_norm), (f0, f0_norm) = finite_norm(x, (p,), "x"), finite_norm(f0, (m,), "f0")
+    x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0])))
+               if max(x_norm, f0_norm) <= _BOUND else -math.inf)
     return StencilBase(x, x[None], f0[None], factors.J.T, m, evaluator, x_limit,
                        np.empty((max(PHASES) - 1, p)),
                        np.empty((STENCIL_EVALUATIONS[max(PHASES)], m)), {})
@@ -229,10 +221,11 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
     forms its offsets, their linear model ``f0 + J a`` and its weighted defect
     as one array product each; only ``base.evaluator`` is called point by
     point.  A ``c1`` longer than ``base.x_limit`` truncates the series before
-    any evaluation.  A phase residual that is non-finite or beyond ``2
-    _BOUND``, or a correction whose norm exceeds ``WILD_CORRECTION_FACTOR *
-    |c1|`` (or is non-finite), truncates the series at the previous order,
-    skips the remaining phases and sets the ``truncated`` flag.  An evaluator
+    any evaluation.  A phase whose residual block is non-finite or has a
+    norm beyond ``2 _BOUND``, or a correction whose norm exceeds
+    ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates the
+    series at the previous order, skips the remaining phases and sets the
+    ``truncated`` flag.  An evaluator
     call that raises, or returns a residual of the wrong shape or one that
     is not numeric, raises StencilEvaluationError, chained from that error;
     a bad order, or a non-finite or misshaped ``c1`` raise ValueError before
@@ -270,10 +263,11 @@ def correction_series(base: StencilBase, inverse_apply, c1, *,
                 defects[evaluations - 1] = as_shape(evaluator(point), (m,), "residual")
             except Exception as exc:
                 raise StencilEvaluationError(key, point, exc, evaluations) from exc
-        # Only residuals within 2 _BOUND (never nan or inf) become defects,
-        # so the weighted sum stays finite for the inverse, which rejects
-        # non-finite input.  A nan correction norm fails the wild bound.
-        if not _within(flat.tolist(), 2 * _BOUND):
+        # Only a residual block whose norm is within 2 _BOUND (never nan or
+        # inf) becomes defects, so the weighted sum stays finite for the
+        # inverse, which rejects non-finite input.  A nan correction norm
+        # fails the wild bound.
+        if not _norm(flat) <= 2 * _BOUND:
             return CorrectionSeries(tuple(found), evaluations, True)
         model = offsets.dot(Jt)  # within 2 _BOUND, by base.x_limit
         model += f0_row

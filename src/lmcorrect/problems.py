@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_int, as_positive, as_shape
+from .linalg import as_finite, as_int, as_positive, as_shape
 
 __all__ = [
     "Problem",
@@ -91,13 +91,15 @@ def valley_problem(K: float) -> Problem:
 def affine_problem(A, b, name: str = "affine") -> Problem:
     """Affine residual ``f(x) = A x - b`` (one exact Newton step to solve).
 
-    ValueError unless ``A`` is 2-D and ``b`` is 1-D with one entry per row.
+    ValueError unless ``A`` is 2-D and ``b`` is 1-D with one entry per row,
+    and unless both are finite.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != A.shape[:1]:
         raise ValueError(f"need a 2-D A and b of shape (A.shape[0],), got A of "
                          f"shape {A.shape} and b of shape {b.shape}")
+    A, b = as_finite(A, A.shape, "A"), as_finite(b, b.shape, "b")
     m, p = A.shape
     return Problem(p, m, lambda x: A @ x - b, lambda x: A.copy(), name=name)
 
@@ -186,10 +188,12 @@ def polynomial_problem(degree: int, dim: int, seed: int) -> PolynomialProblem:
 
     Coefficients are drawn uniformly from [-1, 1] with the given seed and the
     higher-order tensors are symmetrized; results are deterministic.
-    ``degree`` must be an integer in [1, 4] and ``dim`` one of at least 1.
+    ``degree`` must be an integer in [1, 4], ``dim`` one of at least 1 and
+    ``seed`` one of at least 0.
     """
     as_int(degree, "degree", 1, 4)
     as_int(dim, "dim", 1)
+    as_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def draw(*shape):

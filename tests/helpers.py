@@ -180,9 +180,9 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
     f0``, adding the vectors ``x`` and ``f0`` to every row of the phase's
     block.  Inputs are taken as valid.  Returns ``(corrections,
     evaluations, stop)``, where ``stop`` is ``None`` for a full series, else
-    ``"range"`` (a residual beyond ``2 _BOUND``) or ``"wild"`` for the guard
-    that truncated it; a failing evaluator call raises
-    StencilEvaluationError.
+    ``"range"`` (a phase's residual block of norm beyond ``2 _BOUND``) or
+    ``"wild"`` for the guard that truncated it; a failing evaluator call
+    raises StencilEvaluationError.
     """
     x, f0, J, c1 = (np.asarray(a, dtype=float) for a in (x, f0, J, c1))
     directions = np.empty((order, c1.shape[0]))
@@ -202,7 +202,7 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
                                              len(rows) + len(block) + 1) from exc
         block = np.array(block)
         rows.extend(block)
-        if not (np.abs(block) <= 2 * _BOUND).all():
+        if not math.hypot(*block.ravel().tolist()) <= 2 * _BOUND:
             return tuple(corrections), len(rows), "range"
         rows[-len(block):] = block - (offsets.dot(J.T) + f0)
         c = inverse_apply(np.array(weights, dtype=float).dot(np.array(rows)))

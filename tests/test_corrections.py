@@ -392,8 +392,12 @@ def test_defect_guard_truncates_in_every_phase(order, phase):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_defects_at_the_limit_do_not_truncate(order):
-    # Residuals of exactly +-2 _BOUND in every entry, here the defects too,
-    # keep every weighted sum finite, so every phase reaches the inverse.
+    # Every phase's residual block has norm exactly 2 _BOUND, here the
+    # defects' too: one entry of +-2 _BOUND, or four of +-_BOUND spread over
+    # the block.  Every weighted sum stays finite, so every phase reaches the
+    # inverse.  Four entries one ulp beyond _BOUND, each far within 2 _BOUND,
+    # give a norm one ulp beyond it, and the first phase truncates.
+    sizes = [len(points) for points, _ in PHASES[order]]
     for m in (2, 1000):
         seen = []
 
@@ -401,13 +405,32 @@ def test_defects_at_the_limit_do_not_truncate(order):
             seen.append(v)
             return 1e-308 * v[:2]
 
-        signs = np.where(np.arange(m) % 2, 1.0, -1.0)
-        for value in (RESIDUAL_BOUND * signs, -RESIDUAL_BOUND * signs):
-            series = _series_of_residuals(lambda n: value.copy(), order, m, inverse)
+        def residuals(count, top):
+            rows = []
+            for k in sizes:
+                flat = np.zeros(k * m)
+                flat[np.linspace(0, k * m - 1, count).astype(int)] = (
+                    top * (-1.0) ** np.arange(count))
+                rows.extend(flat.reshape(k, m))
+            return lambda n: rows[n - 1].copy()
+
+        layouts = [(1, RESIDUAL_BOUND), (1, -RESIDUAL_BOUND)]
+        if min(sizes) * m >= 4:
+            layouts += [(4, _BOUND), (4, -_BOUND)]
+        for count, top in layouts:
+            assert math.hypot(*[top] * count) == RESIDUAL_BOUND
+            series = _series_of_residuals(residuals(count, top), order, m, inverse)
             assert not series.truncated
             assert series.evaluation_count == STENCIL_EVALUATIONS[order]
-        assert len(seen) == 2 * (order - 1)
+        assert len(seen) == len(layouts) * (order - 1)
         assert all(np.isfinite(v).all() for v in seen)
+        if sizes[0] * m >= 4:
+            top = np.nextafter(_BOUND, np.inf)
+            assert math.hypot(*[top] * 4) == BEYOND
+            series = _series_of_residuals(residuals(4, top), order, m, inverse)
+            assert series.truncated and len(series.corrections) == 1
+            assert series.evaluation_count == sizes[0]
+            assert len(seen) == len(layouts) * (order - 1)
 
 
 def test_inverse_overflow_truncates_series():
@@ -480,15 +503,21 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
-    # x at +-_BOUND keeps the limit, and its stencil runs at finite points.
-    # One ulp beyond, or nan, and no c1 runs its stencil, not even 0, so no
-    # point near float64's maximum reaches the evaluator.
+    # An x of norm _BOUND keeps the limit, on an axis or slanted (its norm
+    # rounded to at most _BOUND), and its stencil runs at finite points.  A
+    # norm one ulp beyond, or sqrt(2) _BOUND from entries each within it,
+    # and no c1 runs its stencil, not even 0, so no point near float64's
+    # maximum reaches the evaluator.  A nan x is rejected.
     J = np.eye(2)
     limit = _limit(J)
-    for x, evaluated in ((np.array([_BOUND, -_BOUND]), STENCIL_EVALUATIONS[order]),
+    slant = np.array([0.6, -0.8]) * np.nextafter(_BOUND, 0)
+    assert math.hypot(*slant) <= _BOUND
+    for x, evaluated in ((np.array([_BOUND, 0.0]), STENCIL_EVALUATIONS[order]),
+                         (np.array([0.0, -_BOUND]), STENCIL_EVALUATIONS[order]),
+                         (slant, STENCIL_EVALUATIONS[order]),
                          (np.array([np.nextafter(_BOUND, np.inf), 0.0]), 0),
-                         (np.array([0.0, -np.finfo(float).max]), 0),
-                         (np.array([np.nan, 0.0]), 0)):
+                         (np.array([_BOUND, -_BOUND]), 0),
+                         (np.array([0.0, -np.finfo(float).max]), 0)):
         for c1 in ([limit, 0.0], [0.0, -limit], [0.0, 0.0]):
             points = []
             base = stencil_base(x, np.zeros(2), SvdFactors(J),
@@ -500,6 +529,8 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
             assert series.evaluation_count == len(points) == evaluated
             assert all(np.isfinite(p).all() for p in points)
             assert not evaluated or np.isfinite(x + series.step).all()
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        stencil_base(np.array([np.nan, 0.0]), np.zeros(2), SvdFactors(J), None)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -572,14 +603,17 @@ def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
 
 
 def test_the_doubled_model_limit_bounds_every_stencil_offset():
-    # From x and f0 at +-_BOUND and a c1 at the step limit, every point the
-    # stencil evaluates lies within 2 _BOUND, its offset a within _REACH |c1|,
-    # and its linear model f0 + J a within 2 _BOUND, with no warning (an
-    # error under the suite's filter).  The residual bends the model by up to
-    # a quarter, so later corrections are not zero.
+    # From x and f0 of norm _BOUND (slanted ones rounded to at most it) and
+    # a c1 at the step limit, every point the stencil evaluates has norm
+    # within 2 _BOUND, its offset a within _REACH |c1|, and its linear model
+    # f0 + J a within 2 _BOUND, with no warning (an error under the suite's
+    # filter).  The residual bends the model by up to a quarter, so later
+    # corrections are not zero.
     J = np.array([[2.0, 2.0], [2.0, -2.0]])
-    for x, f0 in ((np.array([_BOUND, -_BOUND]), np.array([-_BOUND, _BOUND])),
-                  (np.array([-_BOUND, 0.0]), np.array([_BOUND, _BOUND]))):
+    top = np.nextafter(_BOUND, 0)
+    for x, f0 in ((np.array([0.6, -0.8]) * top, np.array([-0.8, 0.6]) * top),
+                  (np.array([-_BOUND, 0.0]), np.array([0.0, _BOUND]))):
+        assert max(math.hypot(*x), math.hypot(*f0)) <= _BOUND
         limit = stencil_base(x, f0, SvdFactors(J), None).x_limit
         assert limit == _limit(J)  # _BOUND / (_REACH 2 sqrt(2))
         # (-0.6, 0.8) times the limit itself rounds to a norm one ulp above it.
@@ -604,9 +638,9 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
             assert len(points) == series.evaluation_count > 0
             for p in points:
                 a = p - x
-                assert np.abs(p).max() <= 2 * _BOUND
+                assert math.hypot(*p) <= 2 * _BOUND
                 assert math.hypot(*a) <= corrections._REACH * c1_norm
-                assert np.abs(f0 + J.dot(a)).max() <= 2 * _BOUND
+                assert math.hypot(*(f0 + J.dot(a))) <= 2 * _BOUND
 
 
 def test_step_limit_bounds_every_offset_and_step():

@@ -8,6 +8,7 @@ the zero-residual problems converge, the nonzero-residual ones stall at
 their local minimum, and Wood's convergence is an expected failure.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -252,6 +253,102 @@ def wood() -> Problem:
     return Problem(4, 6, evaluator, jacobian, name="wood")
 
 
+def biggs_exp6(m: int = 13) -> Problem:
+    t = 0.1 * np.arange(1, m + 1)
+    y = np.exp(-t) - 5.0 * np.exp(-10.0 * t) + 3.0 * np.exp(-4.0 * t)
+
+    def evaluator(x):
+        # A trial point far from the start overflows an exponential: its
+        # residual is then not finite, unwarned, and fails only its call.
+        x1, x2, x3, x4, x5, x6 = x.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (x3 * np.exp(-t * x1) - x4 * np.exp(-t * x2)
+                    + x6 * np.exp(-t * x5) - y)
+
+    def jacobian(x):
+        x1, x2, x3, x4, x5, x6 = x.tolist()
+        e1, e2, e5 = np.exp(-t * x1), np.exp(-t * x2), np.exp(-t * x5)
+        return np.stack([-t * x3 * e1, t * x4 * e2, e1, -e2, -t * x6 * e5, e5],
+                        axis=1)
+
+    return Problem(6, m, evaluator, jacobian, name="biggs_exp6")
+
+
+def watson(p: int) -> Problem:
+    # m = 31: 29 residuals at t_i = i / 29, then x1 and x2 - x1^2 - 1.
+    t = np.arange(1, 30) / 29.0
+    powers = t[:, None] ** np.arange(p)  # t_i^(j-1), j = 1..p
+
+    def evaluator(x):
+        inner = powers.dot(x)
+        slope = powers[:, :-1].dot(np.arange(1, p) * x[1:])
+        return np.concatenate((slope - inner * inner - 1.0,
+                               [x[0], x[1] - x[0] * x[0] - 1.0]))
+
+    def jacobian(x):
+        inner = powers.dot(x)
+        J = np.zeros((31, p))
+        J[:29, 1:] = np.arange(1, p) * powers[:, :-1]
+        J[:29] -= 2.0 * inner[:, None] * powers
+        J[29, 0], J[30, 0], J[30, 1] = 1.0, -2.0 * x[0], 1.0
+        return J
+
+    return Problem(p, 31, evaluator, jacobian, name=f"watson_{p}")
+
+
+def penalty_2(p: int = 4) -> Problem:
+    # m = 2p: x1 - 0.2, the p - 1 paired exponentials less y_i, the p - 1
+    # single ones less exp(-0.1), and the weighted sum of squares less 1.
+    r = math.sqrt(1e-5)
+    i = np.arange(2, p + 1)
+    y = np.exp(i / 10.0) + np.exp((i - 1) / 10.0)
+    weights = np.arange(p, 0, -1.0)
+
+    def evaluator(x):
+        e = np.exp(x / 10.0)
+        return np.concatenate(([x[0] - 0.2], r * (e[1:] + e[:-1] - y),
+                               r * (e[1:] - math.exp(-0.1)),
+                               [weights.dot(x * x) - 1.0]))
+
+    def jacobian(x):
+        de, k = r * np.exp(x / 10.0) / 10.0, np.arange(p - 1)
+        J = np.zeros((2 * p, p))
+        J[0, 0] = 1.0
+        J[1 + k, k + 1], J[1 + k, k] = de[1:], de[:-1]
+        J[p + k, k + 1] = de[1:]
+        J[-1] = 2.0 * weights * x
+        return J
+
+    return Problem(p, 2 * p, evaluator, jacobian, name="penalty_2")
+
+
+def chebyquad(p: int) -> Problem:
+    # m = p: the mean of the shifted Chebyshev polynomial T_i(2 x_j - 1) over
+    # the x_j, less its integral over [0, 1], -1 / (i^2 - 1) for even i.
+    integral = np.array([0.0 if i % 2 else -1.0 / (i * i - 1) for i in range(1, p + 1)])
+
+    def values(x):
+        """T_i(2 x_j - 1) and its x-derivative, rows i = 1..p."""
+        y = 2.0 * x - 1.0
+        T, dT = [np.ones(p), y], [np.zeros(p), np.full(p, 2.0)]
+        for _ in range(2, p + 1):
+            T.append(2.0 * y * T[-1] - T[-2])
+            dT.append(4.0 * T[-2] + 2.0 * y * dT[-1] - dT[-2])
+        return np.array(T[1:]), np.array(dT[1:])
+
+    def evaluator(x):
+        return values(x)[0].mean(axis=1) - integral
+
+    def jacobian(x):
+        return values(x)[1] / p
+
+    return Problem(p, p, evaluator, jacobian, name=f"chebyquad_{p}")
+
+
+def chebyquad_start(p: int):
+    return tuple((np.arange(1, p + 1) / (p + 1)).tolist())
+
+
 # Per problem: its standard start and, at orders 1-4, (iterations,
 # evaluations) of a converged run with the default configuration.
 CASES = {
@@ -278,6 +375,12 @@ CASES = {
                                 ((2, 43), (2, 85), (2, 211), (2, 379))),
     "broyden_tridiagonal": (broyden_tridiagonal, (-1.0,) * 10,
                             ((5, 106), (3, 127), (3, 316), (2, 379))),
+    # p = 6, m = 13.
+    "biggs_exp6": (biggs_exp6, (1.0, 2.0, 1.0, 1.0, 1.0, 1.0),
+                   ((61, 1282), (23, 967), (17, 1734), (17, 3083))),
+    # p = m = 7, where Chebyquad has a zero residual.
+    "chebyquad_7": (functools.partial(chebyquad, 7), chebyquad_start(7),
+                    ((6, 127), (4, 169), (3, 316), (3, 568))),
 }
 
 # Nonzero-residual problems: per problem, its standard start, |f| at its
@@ -296,6 +399,20 @@ STALLED = {
                   ((32, 673), (16, 673), (14, 1471), (13, 2458))),
     "brown_dennis": (brown_dennis, (25.0, 5.0, -5.0, -1.0), 292.9543,
                      ((32, 673), (34, 1429), (33, 3466), (35, 6610))),
+    # Penalty II (p = 4, m = 8), Watson (p = 6 and 9, m = 31) and Chebyquad
+    # (p = m = 8 and 10) stall at the published minimum.  There |J^T f| /
+    # (s_max |f|) is 1.7e-13 to 1.3e-8 (tools/mgh_table.py prints it), and
+    # Chebyquad 10's 1.3e-8 at order 1 is above scipy's default gtol, 1e-8.
+    "penalty_2": (penalty_2, (0.5,) * 4, 0.003062073,
+                  ((95, 1996), (25, 1051), (23, 2416), (21, 3970))),
+    "watson_6": (functools.partial(watson, 6), (0.0,) * 6, 0.04782959,
+                 ((20, 421), (23, 967), (14, 1471), (17, 3214))),
+    "watson_9": (functools.partial(watson, 9), (0.0,) * 9, 0.001183115,
+                 ((17, 358), (18, 757), (16, 1681), (17, 3214))),
+    "chebyquad_8": (functools.partial(chebyquad, 8), chebyquad_start(8), 0.05930324,
+                    ((33, 694), (34, 1429), (35, 3648), (34, 6295))),
+    "chebyquad_10": (functools.partial(chebyquad, 10), chebyquad_start(10), 0.0806471,
+                     ((22, 463), (21, 883), (22, 2291), (23, 4286))),
 }
 
 WOOD_START = (-3.0, -1.0, -3.0, -1.0)
@@ -311,12 +428,15 @@ def test_jacobian_matches_central_differences(name):
     problem = make()
     rng = np.random.default_rng(list(name.encode()))
     # A step of 1e-4 (1 + |x_j|): at 1e-6 the rounding of Brown's residuals,
-    # about 1e6, reaches 1e-5 of its Jacobian's scale.  Each entry must
+    # about 1e6, reaches 1e-5 of its Jacobian's scale.  Chebyquad's shifted
+    # Chebyshev polynomials of degree up to 10 have third derivatives up to
+    # about 5e5, so their central differences need 1e-6.  Each entry must
     # match to 1e-6 of itself, so a 0.1% error in any one of them fails.
+    step = 1e-6 if name.startswith("chebyquad") else 1e-4
     for x in (np.array(start), np.array(start) + rng.uniform(-0.5, 0.5, len(start))):
         J = problem.jacobian(x)
         assert J.shape == (problem.output_dim, problem.input_dim)
-        fd = finite_difference_jacobian(problem, x, rel_step=1e-4)
+        fd = finite_difference_jacobian(problem, x, rel_step=step)
         assert (np.abs(J - fd) <= 1e-6 * np.abs(J) + 1e-9 * max(1.0, np.abs(J).max())).all()
 
 

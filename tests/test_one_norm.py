@@ -4,8 +4,9 @@ the entries.
 A norm taken as the square root of a squared sum underflows to 0 for tiny
 vectors and overflows for huge ones; ``math.hypot`` does neither.  These
 source scans keep ``sqrt``, ``vecdot`` and ``linalg.norm`` out of the
-package, and ``math.hypot`` inside one function, so no second norm creeps
-back in unnoticed.  The value tests pin what the norm must keep at m = 1000
+package, ``math.hypot`` inside one function and ``.tolist()`` out of
+``corrections.py``, so no second norm or per-entry walk creeps back in
+unnoticed.  The value tests pin what the norm must keep at m = 1000
 residuals, whatever computes it.
 """
 
@@ -113,3 +114,17 @@ def test_finite_norm_is_inf_unwarned_beyond_float64():
 def test_finite_norm_checks_the_shape_first():
     with pytest.raises(ValueError, match=r"^v has shape \(3,\), expected \(2,\)$"):
         finite_norm([1.0, math.nan, 2.0], (2,), "v")
+
+
+def tolist_calls(tree):
+    """Lines of every ``.tolist()`` call in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tolist"]
+
+
+def test_the_stencil_walks_entries_only_through_the_norm():
+    # corrections.py turns no array into a list, so each per-entry pass of
+    # the stencil goes through _norm, the one body a large-m norm edits.
+    assert tolist_calls(ast.parse("a = v.tolist()\nb = f(x).tolist()[0]\n")) == [1, 2]
+    assert tolist_calls(ast.parse((PACKAGE / "corrections.py").read_text())) == []

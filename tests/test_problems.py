@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_polynomial_problem_takes_numpy_integers():
     plain = polynomial_problem(3, 2, 5)
     assert poly.name == plain.name and poly.input_dim == 2
     assert poly.D is None and poly.C.tobytes() == plain.C.tobytes()
+    seeded = polynomial_problem(3, 2, np.int64(5))
+    assert seeded.name == plain.name and seeded.C.tobytes() == plain.C.tobytes()
+
+
+@pytest.mark.parametrize("seed", [None, True, 2.5, "3", -1],
+                         ids=["none", "bool", "float", "string", "negative"])
+def test_polynomial_problem_rejects_a_seed_that_is_not_one(seed):
+    # None drew a map that was not deterministic, named seed=None, and True
+    # drew seed 1; 2.5 and "3" raised numpy's TypeError, and -1 a ValueError
+    # that did not name the seed.
+    message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        polynomial_problem(2, 2, seed)
 
 
 def test_valley_closures_reject_wrong_length_points():
@@ -130,6 +144,19 @@ def test_affine_problem_rejects_mismatched_shapes(A_shape, b_shape):
         affine_problem(np.ones(A_shape), np.ones(b_shape))
     assert f"A of shape {A_shape}" in str(info.value)
     assert f"b of shape {b_shape}" in str(info.value)
+
+
+@pytest.mark.parametrize("A,b,what", [
+    ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0], "A"),
+    ([[1.0, np.nan], [0.0, 1.0]], [1.0, 2.0], "A"),
+    ([[2.0, 1.0], [1.0, 3.0]], [np.nan, 2.0], "b"),
+    ([[2.0, 1.0], [1.0, 3.0]], [1.0, -np.inf], "b"),
+], ids=["inf-A", "nan-A", "nan-b", "inf-b"])
+def test_affine_problem_rejects_entries_that_are_not_finite(A, b, what):
+    # An inf in A built a problem whose evaluator at 0 warned "invalid value
+    # encountered in matmul" and returned nan; a nan in b was taken too.
+    with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+        affine_problem(A, b)
 
 
 def test_polynomial_problem_is_deterministic():
