@@ -18,7 +18,10 @@ per order, so no point is evaluated twice.  The tests check every row
 exactly, in rationals, against the order-n identity it implements.  A step's
 series share one :class:`StencilBase`: the base point and residual, checked
 once, the Jacobian that its :class:`~lmcorrect.linalg.SvdFactors` checked,
-and the scratch that each series overwrites.
+the block of first steps, one row per series, with phase 1's points and
+linear models for every row, and the scratch that each series overwrites.
+Phase 1 needs only c1, so it is built as blocks; phases 2+ read their own
+series' corrections and run per series.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _BOUND, _norm, as_int, as_shape, finite_norm
+from .linalg import _BOUND, _norm, as_finite, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -112,7 +115,7 @@ class StencilEvaluationError(RuntimeError):
     offset_key : tuple of float
         Multipliers of (c1, c2, c3) identifying the stencil point.
     point : ndarray
-        The input-space point at which evaluation failed.
+        A copy of the input-space point at which evaluation failed.
     evaluations : int
         Evaluator calls the series made, the failing one included.
     """
@@ -179,98 +182,135 @@ class StencilBase(NamedTuple):
     ``f0 + J a`` has norm within ``2 _BOUND``: ``_BOUND / (_REACH max(1,
     s_max))``, 0 once that product overflows (``s_max`` past about 6e304),
     or -inf when ``|x|`` or ``|f0|`` lies beyond ``_BOUND``, so that not
-    even a zero ``c1``, whose model is ``f0``, runs its stencil.  Every
-    series on the base overwrites ``directions`` and ``defects``, via
-    ``phases``' per-order views, so a thread builds its own."""
+    even a zero ``c1``, whose model is ``f0``, runs its stencil.  ``c1s``
+    is the caller's block of first steps, ``c1_norms`` their row norms, and
+    ``inside`` the block with the rows past ``x_limit`` zeroed.  ``phases``
+    holds, per order, the phase views and each row's phase-1 points and
+    linear models, built by the order's first series.  Every series on the base
+    overwrites ``directions`` and ``defects``, so a thread builds its own."""
 
-    x: np.ndarray
     x_row: np.ndarray
     f0_row: np.ndarray
     Jt: np.ndarray
     m: int
     evaluator: object
     x_limit: float
+    c1s: np.ndarray
+    c1_norms: list
+    inside: np.ndarray
     directions: np.ndarray
     defects: np.ndarray
     phases: dict
 
 
-def stencil_base(x, f0, factors, evaluator) -> StencilBase:
-    """The base of a step's series on the Jacobian ``factors.J``, of shape
-    ``(m, p)``, which :class:`~lmcorrect.linalg.SvdFactors` checked and
-    bounds by ``s_max``; ``x`` and ``f0`` go through ``finite_norm``, so
-    ValueError unless they are finite with shapes ``(p,)`` and ``(m,)``.
-    ``f0`` is read after evaluator calls, so it must not be an array the
-    evaluator reuses."""
+def stencil_base(x, f0, factors, evaluator, c1s) -> StencilBase:
+    """The base of the series of the first steps ``c1s``, shape ``(n, p)``,
+    on the Jacobian ``factors.J``, of shape ``(m, p)``, which
+    :class:`~lmcorrect.linalg.SvdFactors` checked and bounds by ``s_max``.
+    ValueError unless ``x`` and ``f0`` are finite with shapes ``(p,)`` and
+    ``(m,)``, and ``c1s`` is finite with p columns, one step being
+    ``c1[None]``; the base keeps ``c1s``, not a copy, so it must not change
+    while the base is in use.  ``f0`` is read after evaluator calls, so it
+    must not be an array the evaluator reuses, and the evaluator must not
+    change its argument: phase 1's points belong to the base, and a row may
+    run again on it."""
     m, p = factors.J.shape
     (x, x_norm), (f0, f0_norm) = finite_norm(x, (p,), "x"), finite_norm(f0, (m,), "f0")
+    return _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s)
+
+
+def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s) -> StencilBase:
+    """:func:`stencil_base` on an ``x`` and ``f0`` that passed its checks,
+    with their norms; it checks ``c1s``."""
+    m, p = factors.J.shape
+    c1s = np.asarray(c1s, dtype=float)
+    if c1s.ndim != 2 or c1s.shape[1] != p:
+        raise ValueError(f"c1 has shape {c1s.shape}, expected (n, {p})")
+    c1_norms = list(map(_norm, c1s))
+    if not sum(c1_norms) < math.inf:  # any row's nan or inf, not just row 0's
+        as_finite(c1s, c1s.shape, "c1")
     x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0])))
                if max(x_norm, f0_norm) <= _BOUND else -math.inf)
-    return StencilBase(x, x[None], f0[None], factors.J.T, m, evaluator, x_limit,
-                       np.empty((max(PHASES) - 1, p)),
+    # Rows past x_limit are zeroed, so that no phase-1 product overflows.
+    inside = np.where((np.array(c1_norms) <= x_limit)[:, None], c1s, 0.0)
+    return StencilBase(x[None], f0[None], factors.J.T, m, evaluator, x_limit, c1s,
+                       c1_norms, inside, np.empty((max(PHASES) - 1, p)),
                        np.empty((STENCIL_EVALUATIONS[max(PHASES)], m)), {})
 
 
-def correction_series(base: StencilBase, inverse_apply, c1, *,
+def correction_series(base: StencilBase, inverse_apply, row, *,
                       order: int) -> CorrectionSeries:
-    """Compute the correction series of the first-order step ``c1`` from ``base``.
+    """Compute the correction series of the first step ``c1 = base.c1s[row]``.
 
-    ``c1`` is finite, with the shape of ``base.x``; ``inverse_apply``, ``v ->
+    ``row`` is an integer row of the base's block; ``inverse_apply``, ``v ->
     Jinv v``, serves every inverse occurrence in the series (the applier that
-    produced ``c1``), and ``order``, a keyword, is in {1, 2, 3, 4}.  Each phase
-    forms its offsets, their linear model ``f0 + J a`` and its weighted defect
-    as one array product each; only ``base.evaluator`` is called point by
-    point.  A ``c1`` longer than ``base.x_limit`` truncates the series before
-    any evaluation.  A phase whose residual block is non-finite or has a
-    norm beyond ``2 _BOUND``, or a correction whose norm exceeds
-    ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates the
-    series at the previous order, skips the remaining phases and sets the
-    ``truncated`` flag.  An evaluator
+    produced ``c1``), and ``order``, a keyword, is in {1, 2, 3, 4}.  Phase 1
+    reads its points and linear models from the base's block; each later
+    phase forms its offsets, their linear model ``f0 + J a`` and its
+    weighted defect as one array product each; only ``base.evaluator`` is
+    called point by point.  A ``c1`` longer than ``base.x_limit`` truncates
+    the series before any evaluation.  A phase whose residual block is
+    non-finite or has a norm beyond ``2 _BOUND``, or a correction whose norm
+    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates
+    the series at the previous order, skips the remaining phases and sets
+    the ``truncated`` flag.  An evaluator
     call that raises, or returns a residual of the wrong shape or one that
     is not numeric, raises StencilEvaluationError, chained from that error;
-    a bad order, or a non-finite or misshaped ``c1`` raise ValueError before
-    any evaluation, and an ``inverse_apply`` result whose shape is not
-    ``c1``'s raises ValueError when it is returned.  No returned array shares
-    memory with ``base``.
+    a bad order or row raises ValueError before any evaluation, and an
+    ``inverse_apply`` result whose shape is not ``c1``'s raises ValueError
+    when it is returned.  The first returned array, ``c1``, is a row of the
+    caller's block; no other shares memory with ``base``.
     """
     _check_order(order)
-    c1, c1_norm = finite_norm(c1, base.x.shape, "c1")
+    if type(row) is not int or not 0 <= row < len(base.c1_norms):
+        as_int(row, "row", 0, len(base.c1_norms) - 1)
+    c1, c1_norm = base.c1s[row], base.c1_norms[row]
     if order == 1:
         return CorrectionSeries((c1,), 0)
     if not c1_norm <= base.x_limit:
         return CorrectionSeries((c1,), 0, True)
-    _, x_row, f0_row, Jt, m, evaluator, _, directions, defects, phases = base
-    views = phases.get(order)
-    if views is None:  # the base's first series of this order
-        views = phases[order] = tuple(
-            (keys, mult, weights, directions[:known], defects[first:end],
-             defects[first:end].ravel(), defects[:end])
-            for keys, mult, weights, known, first, end in _COMPILED[order])
+    x_row, f0_row, Jt, m, evaluator, _, _, _, inside, directions, defects, phases = base
+    if order not in phases:  # the base's first series of this order
+        views = tuple((keys, mult, weights, directions[:known], defects[first:end],
+                       defects[first:end].ravel(), defects[:end])
+                      for keys, mult, weights, known, first, end in _COMPILED[order])
+        # Phase 1's offsets a for every row: multiples of c1 alone, one
+        # product per entry, as mult.dot forms them.  One stacked np.matmul
+        # over (n, k, p) forms each row's (k, p) . (p, m) model with the
+        # bits of that row's own .dot, which a flat (n k, p) product does
+        # not keep, Jt being a transposed view.
+        offsets = inside[:, None] * views[0][1]  # (n, 1, p) * (k, 1)
+        phases[order] = views, list(zip(x_row + offsets, np.matmul(offsets, Jt) + f0_row))
+    views, rows = phases[order]
+    points, model = rows[row]
     found = [c1]  # the series so far: cheaper to tuple than directions' rows
     wild_bound = WILD_CORRECTION_FACTOR * c1_norm
     evaluations = 0
-    # x and f0 enter as rows, so a one-point phase (order 2's only one) adds
-    # operands of one shape and skips numpy's broadcasting iterator; each
-    # element sees the same IEEE operations as with the vectors.  ndarray.dot,
-    # not @: on 2-3 elements the matmul gufunc costs twice a .dot, same bits.
-    for row, (keys, mult, weights, known, block, flat, so_far) in enumerate(views):
-        directions[row] = found[-1]  # the last phase's correction needs no row
-        offsets = mult.dot(known)
-        points = x_row + offsets
+    # x and f0 enter as rows, so a one-point phase adds operands of one
+    # shape and skips numpy's broadcasting iterator; each element sees the
+    # same IEEE operations as with the vectors.  ndarray.dot, not @: on 2-3
+    # elements the matmul gufunc costs twice a .dot, same bits.
+    if order > 2:  # phase 1 reads no direction row, and order 2 has no other
+        directions[0] = c1
+    for k, (keys, mult, weights, known, block, flat, so_far) in enumerate(views):
+        if k:  # phase 1's points and model come from the base
+            directions[k] = found[-1]  # the last phase's correction needs no row
+            offsets = mult.dot(known)
+            points = x_row + offsets
+            model = offsets.dot(Jt)  # within 2 _BOUND, by base.x_limit
+            model += f0_row
         for key, point in zip(keys, points):
             evaluations += 1
             try:
                 defects[evaluations - 1] = as_shape(evaluator(point), (m,), "residual")
             except Exception as exc:
-                raise StencilEvaluationError(key, point, exc, evaluations) from exc
+                raise StencilEvaluationError(key, point.copy(), exc, evaluations) from exc
         # Only a residual block whose norm is within 2 _BOUND (never nan or
         # inf) becomes defects, so the weighted sum stays finite for the
         # inverse, which rejects non-finite input.  A nan correction norm
         # fails the wild bound.
         if not _norm(flat) <= 2 * _BOUND:
             return CorrectionSeries(tuple(found), evaluations, True)
-        model = offsets.dot(Jt)  # within 2 _BOUND, by base.x_limit
-        model += f0_row
         block -= model
         c = inverse_apply(weights.dot(so_far))
         if c.shape != c1.shape:  # one would broadcast into the step unseen

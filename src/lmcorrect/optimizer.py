@@ -27,9 +27,11 @@ per point or per candidate:
   one point to one residual and each call is one counted evaluation, failed
   calls included;
 * ``correction_series`` runs once per candidate, on the step's one
-  ``stencil_base``, which checks ``x`` and ``f0`` once and takes ``J`` and
-  its bound from the step's ``SvdFactors``.  The phases could run for all
-  candidates at once (ROADMAP item 1), but perfbench's
+  stencil base.  ``_stencil_base``, ``stencil_base`` past its ``x`` and
+  ``f0`` checks, takes them with the norms the step checked, ``J`` and its bound from the step's ``SvdFactors``, and the
+  live c1s as one block, one row per candidate in grid order; it forms
+  phase 1's points and linear models for every row at once.  Phases 2+
+  still run per candidate (ROADMAP items 1(b) and 13): perfbench's
   evaluation audit reads each candidate's charged count and truncation
   flag from the span of that candidate's own call, so the batched form
   waits for a benchmark that traces a sweep-level call;
@@ -57,8 +59,8 @@ import numpy as np
 from .corrections import (
     StencilEvaluationError,
     _check_order,
+    _stencil_base,
     correction_series,
-    stencil_base,
 )
 from .linalg import (_BOUND, SvdFactors, _norm, as_finite, as_int, as_positive,
                      as_shape, finite_norm)
@@ -252,7 +254,10 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             endpoints = x + c1s
         live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
         endpoints = endpoints[live] if order == 1 else None
-    base = stencil_base(x, f0, factors, evaluator) if order > 1 else None
+    if order > 1:  # one base whose rows are the live c1s, in grid order
+        block = c1s if type(live) is range else c1s[live]
+        base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, block)
+        rows = itertools.count()  # each live candidate's row of the base, in turn
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
     # Order 1 walks the live endpoint rows; orders 2-4 build each endpoint.
@@ -262,7 +267,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         if end is None:
             try:
                 series = correction_series(base, partial(apply, lams[idx]),
-                                           c1s[idx], order=order)
+                                           next(rows), order=order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc

@@ -249,8 +249,8 @@ def test_criterion_4_taylor_order_slopes():
         defects = []
         for eps in eps_grid:
             series = correction_series(
-                stencil_base(x, f0, SvdFactors(J), problem.evaluator), inv,
-                eps * newton_step, order=order,
+                stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                             (eps * newton_step)[None]), inv, 0, order=order,
             )
             end = x + series.step
             defects.append(
@@ -359,8 +359,8 @@ def test_criterion_8_evaluation_count_audit():
         inv = gauss_newton_inverse(J)
         c1 = -0.3 * inv(f0)
         counter["evals"] = 0
-        series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
-                                   inv, c1, order=order)
+        series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                                                c1[None]), inv, 0, order=order)
         expected = STENCIL_EVALUATIONS[order]
         ok = ok and series.evaluation_count == expected == counter["evals"]
         details.append(f"order{order}: {series.evaluation_count}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     analytic_correction_series,
     broadcast_correction_series,
+    count_errstates,
     counting_problem,
     derivative_contraction,
     gauss_newton_inverse,
@@ -29,6 +30,7 @@ from lmcorrect.corrections import (
     stencil_base,
 )
 from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
+from lmcorrect.optimizer import LambdaSchedule
 from lmcorrect.problems import polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
@@ -49,8 +51,8 @@ def make_context(problem, x, scale=0.5):
 def test_affine_corrections_vanish(order):
     poly = polynomial_problem(1, 3, seed=0)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.4, -0.2, 0.9])
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                               c1, order=order)
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                               inv, 0, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for c in series.corrections[1:]:
@@ -80,8 +82,8 @@ def test_order2_hand_example():
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
     assert np.allclose(c1, [1.0, -1.0])
-    base = stencil_base(x, f0, SvdFactors(J), f)
-    _, c2 = correction_series(base, inv, c1, order=2).corrections
+    base = stencil_base(x, f0, SvdFactors(J), f, c1[None])
+    _, c2 = correction_series(base, inv, 0, order=2).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-14)
     end = x + c1 + c2
     assert np.allclose(end, [0.0, 0.0], atol=1e-14)
@@ -96,8 +98,8 @@ def test_order3_hand_example_c3_vanishes():
     f0, J = f(x), Jf(x)
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
-    _, c2, c3 = correction_series(stencil_base(x, f0, SvdFactors(J), f), inv,
-                                  c1, order=3).corrections
+    _, c2, c3 = correction_series(stencil_base(x, f0, SvdFactors(J), f, c1[None]),
+                                  inv, 0, order=3).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-12)
     assert np.linalg.norm(c3) <= 1e-12
 
@@ -109,8 +111,8 @@ def test_order3_hand_example_c3_vanishes():
 def test_order2_stencil_exact_on_quadratics(seed):
     poly = polynomial_problem(2, 2, seed=seed)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
-    _, c2 = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                              c1, order=2).corrections
+    _, c2 = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                              inv, 0, order=2).corrections
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(c2, analytic) <= 1e-12
 
@@ -138,8 +140,8 @@ def test_c2_stencil_exact_at_higher_orders(order, degree, seed, dim, direction):
     s_min = factors.s[-1]
     assume(np.linalg.norm(f0) <= 6.0 * s_min * np.linalg.norm(c2_unit))
     c1 = 1e-2 * u
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                               c1, order=order)
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                               inv, 0, order=order)
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(series.corrections[1], analytic) <= 1e-9
 
@@ -172,8 +174,8 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
     # a level set by |f0| and the inverse, not by |c_n|, so a correction
     # below 1e-4 |c1| is compared mostly with noise; about 0.03% of draws.
     assume(max(sizes) <= WILD_CORRECTION_FACTOR / 2 and min(sizes) >= 1e-4)
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                               c1, order=order)
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                               inv, 0, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for got, want in zip(series.corrections, oracle):
@@ -204,8 +206,9 @@ def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
     u = np.array(direction[:dim]) / np.linalg.norm(direction[:dim])
     ratios = []
     for h in 0.1 / 2.0 ** np.arange(5):
-        series = correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                                   h * u, order=order)
+        series = correction_series(
+            stencil_base(x, f0, factors, poly.evaluator, (h * u)[None]), inv, 0,
+            order=order)
         # A near-singular J makes some correction wild, beyond
         # WILD_CORRECTION_FACTOR |c1|, and the series truncates by design;
         # about 1-2% of draws.
@@ -224,8 +227,8 @@ def test_new_evaluation_counts(order):
     problem, counter = counting_problem(valley_problem(1.0))
     x, f0, factors, inv, c1 = make_context(problem, [np.pi, np.e], scale=0.3)
     counter["evals"] = 0
-    series = correction_series(stencil_base(x, f0, factors, problem.evaluator), inv,
-                               c1, order=order)
+    series = correction_series(stencil_base(x, f0, factors, problem.evaluator,
+                                            c1[None]), inv, 0, order=order)
     assert series.evaluation_count == STENCIL_EVALUATIONS[order]
     assert counter["evals"] == STENCIL_EVALUATIONS[order]
 
@@ -253,8 +256,8 @@ def pathway_defect(problem, x, order, eps):
     J = problem.jacobian(x)
     inv = gauss_newton_inverse(J)
     c1 = -eps * inv(f0)
-    series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
-                               inv, c1, order=order)
+    series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                                            c1[None]), inv, 0, order=order)
     end = x + series.step
     return float(np.linalg.norm(problem.evaluator(end) - (1.0 - eps) * f0))
 
@@ -299,8 +302,8 @@ def test_wild_correction_truncates_series():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     blow_up = lambda v: 1e9 * v  # stands in for a damped inverse near-singular J
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator), blow_up,
-                               c1, order=3)
+    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                               blow_up, 0, order=3)
     assert series.truncated
     assert len(series.corrections) == 1
     assert np.array_equal(series.step, c1)
@@ -317,8 +320,9 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
 
         x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
         c1 = np.array([-0.4, -0.4])
-        series = correction_series(stencil_base(x, f0, SvdFactors(J), evaluator),
-                                   gauss_newton_inverse(J), c1, order=order)
+        series = correction_series(stencil_base(x, f0, SvdFactors(J), evaluator,
+                                                c1[None]),
+                                   gauss_newton_inverse(J), 0, order=order)
         assert series.truncated
         assert series.evaluation_count == evaluated
         assert np.array_equal(series.step, c1)
@@ -341,9 +345,8 @@ def _series_of_residuals(residual, order, m=2, inverse_apply=None):
     if inverse_apply is None:
         inverse_apply = lambda v: 1e-3 * as_finite(v, (m,), "v")[:2]
     base = stencil_base(np.zeros(2), np.zeros(m), SvdFactors(np.zeros((m, 2))),
-                        evaluator)
-    series = correction_series(base, inverse_apply, np.array([1.0, 1.0]),
-                               order=order)
+                        evaluator, np.array([[1.0, 1.0]]))
+    series = correction_series(base, inverse_apply, 0, order=order)
     assert series.evaluation_count == len(calls)
     assert all(np.isfinite(p).all() for p in calls)
     return series
@@ -445,8 +448,9 @@ def test_inverse_overflow_truncates_series():
         return np.array([p[0], 1e-10 * p[1] + 1e303 * p[1] ** 2])
 
     x, c1 = np.zeros(2), np.array([-1.0, -1.0])
-    series = correction_series(stencil_base(x, evaluator(x), factors, evaluator),
-                               lambda v: factors.damped_apply(1e-30, v), c1,
+    series = correction_series(stencil_base(x, evaluator(x), factors, evaluator,
+                                            c1[None]),
+                               lambda v: factors.damped_apply(1e-30, v), 0,
                                order=2)
     assert series.truncated
     assert series.evaluation_count == 1
@@ -466,7 +470,7 @@ def test_the_step_limit_reads_the_largest_singular_value():
     for m, p, scale in ((2, 2, 0.1), (2, 2, 10.0), (3, 2, 1e3), (1000, 8, 1.0)):
         J = scale * rng.normal(size=(m, p))
         factors = SvdFactors(J)
-        base = stencil_base(np.zeros(p), np.zeros(m), factors, None)
+        base = stencil_base(np.zeros(p), np.zeros(m), factors, None, np.zeros((1, p)))
         s_max = np.linalg.norm(J, 2)
         frobenius = _BOUND / (corrections._REACH * max(1.0, np.linalg.norm(J)))
         assert base.x_limit == _limit(J) == pytest.approx(
@@ -491,10 +495,9 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
         base = stencil_base(np.zeros(2), np.zeros(2), SvdFactors(J),
-                            lambda p: points.append(p) or p)
+                            lambda p: points.append(p) or p, np.array([c1]))
         assert base.x_limit == limit
-        series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
-                                   order=order)
+        series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
         assert series.truncated == (evaluated == 0)
         assert series.evaluation_count == len(points) == evaluated
         assert all(np.isfinite(p).all() for p in points)
@@ -521,16 +524,16 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
         for c1 in ([limit, 0.0], [0.0, -limit], [0.0, 0.0]):
             points = []
             base = stencil_base(x, np.zeros(2), SvdFactors(J),
-                                lambda p: points.append(p) or p - x)
+                                lambda p: points.append(p) or p - x, np.array([c1]))
             assert base.x_limit == (limit if evaluated else -math.inf)
-            series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
-                                       order=order)
+            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
             assert series.truncated == (evaluated == 0)
             assert series.evaluation_count == len(points) == evaluated
             assert all(np.isfinite(p).all() for p in points)
             assert not evaluated or np.isfinite(x + series.step).all()
     with pytest.raises(ValueError, match="^x must be finite$"):
-        stencil_base(np.array([np.nan, 0.0]), np.zeros(2), SvdFactors(J), None)
+        stencil_base(np.array([np.nan, 0.0]), np.zeros(2), SvdFactors(J), None,
+                     np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -555,10 +558,10 @@ def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
         for c1, evaluated in tries:
             points = []
             base = stencil_base(np.zeros(2), f0, SvdFactors(J),
-                                lambda p: points.append(p) or f0 + J.dot(p))
+                                lambda p: points.append(p) or f0 + J.dot(p),
+                                np.array([c1]))
             assert base.x_limit == limit
-            series = correction_series(base, gauss_newton_inverse(J), np.array(c1),
-                                       order=order)
+            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
             assert series.truncated == (evaluated == 0)
             assert series.evaluation_count == len(points) == evaluated
 
@@ -576,11 +579,11 @@ def test_a_jacobian_that_is_not_finite_is_rejected():
     for J in (np.array([[big, big], [0.0, 1.0]]), np.diag([1e305, 1.0])):
         factors = SvdFactors(J)
         assert float(factors.s[0]) * corrections._REACH == math.inf
-        base = stencil_base(np.zeros(2), np.zeros(2), factors, lambda p: J.dot(p))
+        base = stencil_base(np.zeros(2), np.zeros(2), factors, lambda p: J.dot(p),
+                            np.array([[1e-300, 0.0], [0.0, 0.0]]))
         assert base.x_limit == 0.0
-        assert correction_series(base, lambda v: v, np.array([1e-300, 0.0]),
-                                 order=2).truncated
-        series = correction_series(base, lambda v: v, np.zeros(2), order=2)
+        assert correction_series(base, lambda v: v, 0, order=2).truncated
+        series = correction_series(base, lambda v: v, 1, order=2)
         assert not series.truncated and series.evaluation_count == 1
 
 
@@ -595,9 +598,8 @@ def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
     for f0, evaluated in (([-1e308, 0.0], 0),
                           ([-_BOUND, 0.0], len(PHASES[order][0][0]))):
         base = stencil_base(np.zeros(2), np.array(f0), SvdFactors(J),
-                            lambda p: np.array([1.7e308, 0.0]))
-        series = correction_series(base, gauss_newton_inverse(J),
-                                   np.array([1.0, 0.0]), order=order)
+                            lambda p: np.array([1.7e308, 0.0]), np.array([[1.0, 0.0]]))
+        series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
         assert series.truncated and len(series.corrections) == 1
         assert series.evaluation_count == evaluated
 
@@ -614,7 +616,7 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
     for x, f0 in ((np.array([0.6, -0.8]) * top, np.array([-0.8, 0.6]) * top),
                   (np.array([-_BOUND, 0.0]), np.array([0.0, _BOUND]))):
         assert max(math.hypot(*x), math.hypot(*f0)) <= _BOUND
-        limit = stencil_base(x, f0, SvdFactors(J), None).x_limit
+        limit = stencil_base(x, f0, SvdFactors(J), None, np.zeros((1, 2))).x_limit
         assert limit == _limit(J)  # _BOUND / (_REACH 2 sqrt(2))
         # (-0.6, 0.8) times the limit itself rounds to a norm one ulp above it.
         slant = np.array([-0.6, 0.8]) * np.nextafter(limit, 0)
@@ -630,9 +632,8 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
                 bend = 1 - 0.25 * math.tanh(math.hypot(*a) / c1_norm)
                 return f0 + J.dot(a) * bend
 
-            base = stencil_base(x, f0, SvdFactors(J), evaluator)
-            series = correction_series(base, gauss_newton_inverse(J), c1,
-                                       order=order)
+            base = stencil_base(x, f0, SvdFactors(J), evaluator, c1[None])
+            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
             assert len(series.corrections) > 1
             assert any(np.any(c) for c in series.corrections[1:])
             assert len(points) == series.evaluation_count > 0
@@ -672,9 +673,9 @@ def test_stencil_error_carries_offset():
     f0 = np.ones(2)
     J = np.eye(2)
     inv = gauss_newton_inverse(J)
-    base = stencil_base(x, f0, SvdFactors(J), evaluator)
+    base = stencil_base(x, f0, SvdFactors(J), evaluator, np.array([[0.1, 0.1]]))
     with pytest.raises(StencilEvaluationError) as info:
-        correction_series(base, inv, np.array([0.1, 0.1]), order=2)
+        correction_series(base, inv, 0, order=2)
     err = info.value
     assert err.offset_key == (Fraction(1), Fraction(0), Fraction(0))
     assert np.allclose(err.point, [0.1, 0.1])
@@ -701,10 +702,10 @@ def test_a_misshaped_stencil_residual_fails_its_call(order, call, key, length):
 
     x = np.array([math.pi, math.e])
     base = stencil_base(x, problem.evaluator(x), SvdFactors(problem.jacobian(x)),
-                        evaluator)
+                        evaluator, np.array([[-0.01, 0.02]]))
     with pytest.raises(StencilEvaluationError) as info:
-        correction_series(base, gauss_newton_inverse(problem.jacobian(x)),
-                          np.array([-0.01, 0.02]), order=order)
+        correction_series(base, gauss_newton_inverse(problem.jacobian(x)), 0,
+                          order=order)
     err = info.value
     assert (err.offset_key, err.evaluations) == (key, call) and len(calls) == call
     assert type(err.__cause__) is ValueError
@@ -720,11 +721,12 @@ def test_invalid_order_rejected():
     # A plain int skips the type checks, which the others still take.
     for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError):
-            correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                              c1, order=order)
+            correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
+                              inv, 0, order=order)
     for order in (np.int64(2), np.int64(3)):
-        assert len(correction_series(stencil_base(x, f0, factors, poly.evaluator), inv,
-                                     c1, order=order).corrections) == order
+        assert len(correction_series(
+            stencil_base(x, f0, factors, poly.evaluator, c1[None]), inv, 0,
+            order=order).corrections) == order
 
 
 def test_series_fields_cannot_be_assigned():
@@ -812,8 +814,9 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         factors.damped_apply_batch([lam, 2.0 * lam], f0)
         apply = functools.partial(factors.damped_apply, lam)
         c1 = -10.0 ** rng.uniform(-3, 0) * apply(f0)
-        got, _ = _outcome(correction_series, stencil_base(x, f0, factors, make()), apply,
-                          c1, order=order)
+        got, _ = _outcome(correction_series,
+                          stencil_base(x, f0, factors, make(), c1[None]), apply, 0,
+                          order=order)
         want, end = _outcome(broadcast_correction_series, x, f0, J, apply,
                              make(), c1, order)
         assert got == want
@@ -822,23 +825,57 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         assert ends.count(end) >= least, (end, ends.count(end))
 
 
-@pytest.mark.parametrize("c1,message", [
-    ([np.inf, 0.0], r"^c1 must be finite$"),
-    ([np.nan, 0.0], r"^c1 must be finite$"),
-    ([0.1, 0.0, 0.0], r"^c1 has shape \(3,\), expected \(2,\)$"),
-    (0.1, r"^c1 has shape \(\), expected \(2,\)$"),
-    ([[0.1, 0.0]], r"^c1 has shape \(1, 2\), expected \(2,\)$"),
-], ids=["c10", "c11", "c12", "0.1", "c14"])  # as generated from c1 alone
-def test_bad_first_step_rejected_before_any_evaluation(c1, message):
+@pytest.mark.parametrize("c1s,message", [
+    ([[np.inf, 0.0]], r"^c1 must be finite$"),
+    ([[np.nan, 0.0]], r"^c1 must be finite$"),
+    ([[0.1, 0.0, 0.0]], r"^c1 has shape \(1, 3\), expected \(n, 2\)$"),
+    (0.1, r"^c1 has shape \(\), expected \(n, 2\)$"),
+    ([[[0.1, 0.0]]], r"^c1 has shape \(1, 1, 2\), expected \(n, 2\)$"),
+    ([[0.1, 0.0], [np.nan, 0.0]], r"^c1 must be finite$"),
+    ([[0.1, 0.0], [0.2, 0.0], [0.0, -np.inf]], r"^c1 must be finite$"),
+    ([0.1, 0.0], r"^c1 has shape \(2,\), expected \(n, 2\)$"),
+], ids=["c10", "c11", "c12", "0.1", "c14", "nan-in-row-1", "inf-in-row-2",
+        "one-d-c1"])
+def test_bad_first_step_rejected_before_any_evaluation(c1s, message):
+    # The base checks its whole block of first steps before any series
+    # runs: a non-finite entry in any row, not only the first, and a block
+    # that is not 2-D with p columns, a single step c1 among them (c1[None]
+    # is its one-row block).
     problem, counter = counting_problem(valley_problem(100.0))
     x = np.array([np.pi, np.e])
     f0 = problem.evaluator(x)
     J = problem.jacobian(x)
     counter["evals"] = 0
     with pytest.raises(ValueError, match=message):
-        correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
-                          gauss_newton_inverse(J), np.array(c1), order=3)
+        correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                                       np.array(c1s)),
+                          gauss_newton_inverse(J), 0, order=3)
     assert counter["evals"] == 0
+
+
+def test_a_failed_point_is_a_copy_and_its_row_runs_again_unchanged():
+    # Phase 1's points belong to the base.  The point a failure reports is
+    # a copy, so a caller that changes it leaves the base as it was, and
+    # the row's next series matches its series on a fresh base.
+    problem = valley_problem(1e6)
+    x = np.array([np.pi, np.e])
+    f0, J = problem.evaluator(x), problem.jacobian(x)
+    factors = SvdFactors(J)
+    c1 = -factors.damped_apply_batch([1.0], f0)
+    apply = functools.partial(factors.damped_apply, 1.0)
+    for order in (2, 3, 4):
+        base = stencil_base(x, f0, factors, _failing_at(1, problem.evaluator), c1)
+        with pytest.raises(StencilEvaluationError) as caught:
+            correction_series(base, apply, 0, order=order)
+        point = caught.value.point
+        np.testing.assert_array_equal(point, x + 0.5 * c1[0] if order > 2
+                                      else x + c1[0])
+        assert not any(np.shares_memory(point, array)
+                       for array in (*base.phases[order][1][0], base.inside))
+        point[:] = np.nan
+        fresh = stencil_base(x, f0, factors, problem.evaluator, c1)
+        assert _series_bytes(correction_series(base, apply, 0, order=order)) == (
+            _series_bytes(correction_series(fresh, apply, 0, order=order)))
 
 
 @pytest.mark.parametrize("bad,shapes", [
@@ -857,8 +894,8 @@ def test_bad_f0_or_jacobian_rejected_before_any_evaluation(bad, shapes):
     counter["evals"] = 0
     for order in (1, 3):
         with pytest.raises(ValueError, match=f"^f0 has shape {shapes}$"):
-            correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator),
-                              lambda v: v, c1, order=order)
+            correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                                           c1[None]), lambda v: v, 0, order=order)
     assert counter["evals"] == 0
 
 
@@ -881,16 +918,17 @@ def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
     c1s = -factors.damped_apply_batch(lams, f0)
     steps = [(lam, stretch * c1) for stretch in (1.0, 100.0)
              for lam, c1 in zip(lams.tolist(), c1s)]
-    shared = stencil_base(x, f0, factors, problem.evaluator)
+    shared = stencil_base(x, f0, factors, problem.evaluator,
+                          np.array([c1 for _, c1 in steps]))
     scratch = (shared.directions, shared.defects)
     truncated = 0
     for order in (2, 4, 3, 2, 4, 3):
-        for lam, c1 in steps:
+        for row, (lam, c1) in enumerate(steps):
             apply = functools.partial(factors.damped_apply, lam)
-            got = correction_series(shared, apply, c1, order=order)
-            fresh = stencil_base(x, f0, factors, problem.evaluator)
+            got = correction_series(shared, apply, row, order=order)
+            fresh = stencil_base(x, f0, factors, problem.evaluator, c1[None])
             assert _series_bytes(got) == _series_bytes(
-                correction_series(fresh, apply, c1, order=order))
+                correction_series(fresh, apply, 0, order=order))
             assert not any(np.shares_memory(c, buffer)
                            for c in got.corrections for buffer in scratch)
             truncated += got.truncated
@@ -898,13 +936,109 @@ def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
     assert 0 < truncated < 6 * len(steps)
 
 
+def _digest_polynomials(order):
+    """The polynomial problems and starts that the trajectory digest solves
+    at ``order`` (``tools/trajectory_digest.py``)."""
+    for degree in range(1, order + 1):
+        for i in range(20):
+            poly = polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
+            x0 = 0.25 * np.random.default_rng(1000 + i).normal(size=poly.input_dim)
+            yield poly.as_problem(), x0
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_sweep_base_gives_each_row_its_one_row_series(order):
+    # A step builds phase 1 for all 21 candidates of its sweep at once; each
+    # candidate's series must have the bytes, count and flag of its series
+    # on a one-row base of its own c1.  Sweeps centred at 1e-4, 1 and 1e4
+    # on the valley at K = 1e6 and 1e7 and on the digest's polynomial
+    # problems, as solved and stretched 1e4-fold, so that some series
+    # truncate at a wild correction.
+    cases = [(valley_problem(K), np.array([np.pi, np.e])) for K in (1e6, 1e7)]
+    cases += list(_digest_polynomials(order))
+    full = truncated = 0
+    for problem, x in cases:
+        f0, factors = problem.evaluator(x), SvdFactors(problem.jacobian(x))
+        for centre, stretch in itertools.product((1e-4, 1.0, 1e4), (1.0, 1e4)):
+            lams = LambdaSchedule(centre).grid()
+            c1s = -stretch * factors.damped_apply_batch(lams, f0)
+            sweep = stencil_base(x, f0, factors, problem.evaluator, c1s)
+            for row, lam in enumerate(lams.tolist()):
+                apply = functools.partial(factors.damped_apply, lam)
+                got = correction_series(sweep, apply, row, order=order)
+                alone = stencil_base(x, f0, factors, problem.evaluator, c1s[row][None])
+                assert _series_bytes(got) == _series_bytes(
+                    correction_series(alone, apply, 0, order=order))
+                full += not got.truncated
+                truncated += got.truncated
+    assert full > 1000 and truncated > 500
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_sweep_rows_past_the_step_limit_stay_out_of_the_block(order, monkeypatch):
+    # Every other row of the K = 1e6 valley's sweep is stretched to norm
+    # 1e302, beyond the step limit: those return their c1, truncated, with
+    # no evaluation, and the others match their one-row series.  No phase-1
+    # product overflows, so nothing warns (an error under the suite's
+    # filter), no errstate is entered and every point the evaluator sees is
+    # finite.
+    problem = valley_problem(1e6)
+    x = np.array([np.pi, np.e])
+    f0, factors = problem.evaluator(x), SvdFactors(problem.jacobian(x))
+    lams = LambdaSchedule(1.0).grid()
+    c1s = -factors.damped_apply_batch(lams, f0)
+    c1s[::2] *= 1e302 / np.linalg.norm(c1s[::2], axis=1)[:, None]
+    points = []
+
+    def evaluator(p):
+        points.append(p.copy())
+        return problem.evaluator(p)
+
+    entered = count_errstates(monkeypatch)
+    sweep = stencil_base(x, f0, factors, evaluator, c1s)
+    assert sweep.x_limit < 1e302
+    for row, lam in enumerate(lams.tolist()):
+        apply = functools.partial(factors.damped_apply, lam)
+        got = correction_series(sweep, apply, row, order=order)
+        if row % 2 == 0:
+            assert got.truncated and got.evaluation_count == 0
+            assert len(got.corrections) == 1
+            assert np.array_equal(got.corrections[0], c1s[row])
+        else:
+            alone = stencil_base(x, f0, factors, evaluator, c1s[row][None])
+            assert _series_bytes(got) == _series_bytes(
+                correction_series(alone, apply, 0, order=order))
+    assert len(points) == 2 * 10 * STENCIL_EVALUATIONS[order]
+    assert all(np.isfinite(p).all() for p in points)
+    assert entered == []
+
+
+@pytest.mark.parametrize("row", [-1, 2, 1.0, True, np.bool_(False), "0", None])
+def test_a_bad_row_is_rejected_before_any_evaluation(row):
+    # A row is an integer index into the base's block, counted from 0: a
+    # negative one would read from the end, and a float or bool is no row.
+    problem, counter = counting_problem(valley_problem(100.0))
+    x = np.array([np.pi, np.e])
+    f0, J = problem.evaluator(x), problem.jacobian(x)
+    base = stencil_base(x, f0, SvdFactors(J), problem.evaluator,
+                        np.array([[0.1, 0.0], [0.0, 0.1]]))
+    counter["evals"] = 0
+    for order in (1, 3):
+        with pytest.raises(ValueError, match=r"^row must be an integer in \[0, 1\]"):
+            correction_series(base, gauss_newton_inverse(J), row, order=order)
+    assert counter["evals"] == 0
+    series = correction_series(base, gauss_newton_inverse(J), np.int64(1), order=3)
+    assert series.evaluation_count == 4
+    assert np.array_equal(series.corrections[0], [0.0, 0.1])
+
+
 def test_order_is_keyword_only():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    base = stencil_base(x, f0, factors, poly.evaluator)
+    base = stencil_base(x, f0, factors, poly.evaluator, c1[None])
     with pytest.raises(TypeError):
-        correction_series(base, inv, c1, 2)
-    assert len(correction_series(base, inv, c1, order=2).corrections) == 2
+        correction_series(base, inv, 0, 2)
+    assert len(correction_series(base, inv, 0, order=2).corrections) == 2
 
 
 @pytest.mark.parametrize("x,shape", [(np.float64(0.5), r"\(\)"),
@@ -912,7 +1046,8 @@ def test_order_is_keyword_only():
                          ids=["0-d", "2-d"])
 def test_a_base_point_that_is_not_a_vector_is_rejected(x, shape):
     with pytest.raises(ValueError, match=rf"^x has shape {shape}, expected \(2,\)$"):
-        stencil_base(x, np.zeros(2), SvdFactors(np.eye(2)), lambda p: p)
+        stencil_base(x, np.zeros(2), SvdFactors(np.eye(2)), lambda p: p,
+                     np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -922,10 +1057,10 @@ def test_a_misshaped_correction_is_rejected(order):
     # that is not c1's raises when the inverse returns it.
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    base = stencil_base(x, f0, factors, poly.evaluator)
+    base = stencil_base(x, f0, factors, poly.evaluator, c1[None])
     for bad in (np.array([1e-3]), np.zeros(3), np.zeros((1, 2))):
         message = rf"^correction has shape {re.escape(str(bad.shape))}, expected \(2,\)$"
         with pytest.raises(ValueError, match=message):
-            correction_series(base, lambda v: bad, c1, order=order)
-    assert len(correction_series(base, lambda v: np.zeros(2), c1,
+            correction_series(base, lambda v: bad, 0, order=order)
+    assert len(correction_series(base, lambda v: np.zeros(2), 0,
                                  order=order).corrections) == order

@@ -4,7 +4,9 @@ On the 2-3 element operands of a stencil phase or a damped inverse, the
 ``@`` operator's matmul gufunc costs about twice a ``.dot`` call, with the
 same bits, and entering an ``np.errstate`` costs more than the arithmetic it
 guards.  The suite times nothing, so these tests keep the operator and the
-errstate from creeping back into those paths unnoticed.
+errstate from creeping back into those paths unnoticed.  The one
+``np.matmul`` call, phase 1's models for a whole sweep, is there because
+its stacked items keep each row's ``.dot`` bits, which a flat product does not.
 """
 
 import ast
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 
 from helpers import count_errstates
+from lmcorrect.corrections import PHASES
+from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig, step
 from lmcorrect.problems import valley_problem
 
@@ -76,3 +80,27 @@ def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
             _, _, record = step(x, problem, LambdaSchedule(centre),
                                 OptimizerConfig(order=order), f0=f0)
             assert record.accepted and len(entered) == errstates
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_the_stacked_model_product_keeps_each_rows_dot_bits(order):
+    # Phase 1's models for a sweep come from one np.matmul over (n, k, p)
+    # offsets and the transposed view J.T; each of its items must equal that
+    # row's own offsets.dot(J.T), bit for bit, as a candidate formed it
+    # alone.  Valley Jacobians at K = 1e2 to 1e8, at (pi, e) and at random
+    # points, over sweeps centred at 1e-6, 1 and 1e6.
+    rng = np.random.default_rng(31)
+    mult = np.array(PHASES[order][0][0], dtype=float)[:, :1]
+    points = [np.array([np.pi, np.e])] + list(rng.uniform(-3.0, 3.0, size=(20, 2)))
+    for K in (1e2, 1e4, 1e6, 1e7, 1e8):
+        problem = valley_problem(K)
+        for x in points:
+            J = problem.jacobian(x)
+            factors = SvdFactors(J)
+            for centre in (1e-6, 1.0, 1e6):
+                c1s = -factors.damped_apply_batch(LambdaSchedule(centre).grid(),
+                                                  problem.evaluator(x))
+                offsets = c1s[:, None] * mult
+                stacked = np.matmul(offsets, J.T)
+                for row, item in zip(offsets, stacked):
+                    assert row.dot(J.T).tobytes() == item.tobytes()

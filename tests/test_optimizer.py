@@ -229,25 +229,26 @@ def test_a_base_point_beyond_the_bound_takes_the_exact_mask(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypatch):
-    # Orders 2-4 check x, f0 and J once per step, in one base that every
-    # live candidate's series shares, in grid order; order 1 runs no series
-    # and builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
+    # Orders 2-4 check x, f0 and J once per step and hand their norms to
+    # _stencil_base, which builds one base whose rows are the live
+    # candidates' c1s, in grid order, and that every live candidate's
+    # series shares, row by row; order 1 runs no series and builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
     # small dampings' x + c1 overflow, so only some candidates are live.
     b = np.array([1.5e308, 0.0])
     problem = affine_problem(np.diag([0.5, 1.0]), b)
     x, f0 = b.copy(), problem.evaluator(b)
-    stencil_base, correction_series = optimizer.stencil_base, optimizer.correction_series
+    stencil_base, correction_series = optimizer._stencil_base, optimizer.correction_series
     bases, calls = [], []
 
-    def counting_base(*args):
-        bases.append(stencil_base(*args))
+    def counting_base(*args, **kwargs):
+        bases.append(stencil_base(*args, **kwargs))
         return bases[-1]
 
-    def counting_series(base, inverse_apply, c1, **kwargs):
-        calls.append((base, c1))
-        return correction_series(base, inverse_apply, c1, **kwargs)
+    def counting_series(base, inverse_apply, row, **kwargs):
+        calls.append((base, row))
+        return correction_series(base, inverse_apply, row, **kwargs)
 
-    monkeypatch.setattr(optimizer, "stencil_base", counting_base)
+    monkeypatch.setattr(optimizer, "_stencil_base", counting_base)
     monkeypatch.setattr(optimizer, "correction_series", counting_series)
     schedule = LambdaSchedule(1.0)
     c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(schedule.grid(), f0)
@@ -259,7 +260,8 @@ def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypat
         assert bases == [] and calls == []
     else:
         assert len(bases) == 1 and all(base is bases[0] for base, _ in calls)
-        assert np.array_equal([c1 for _, c1 in calls], c1s[live])
+        assert np.array_equal(bases[0].c1s, c1s[live])
+        assert [row for _, row in calls] == list(range(live.sum()))
 
 
 def test_gauss_newton_survives_a_singular_jacobian():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import signal
 import subprocess
@@ -37,6 +38,7 @@ def test_summary_of_a_lower_is_better_metric(perf_pairs):
     assert row["change"] == (1.5, 2.5, 3.5)
     assert (row["wins"], row["pairs"]) == (4, 5)
     assert row["gap"] == 0.5
+    assert row["relative"] == pytest.approx(-1 / 6)
     assert row["gap_exceeds_parent_iqr"] is False
     # The same numbers where higher is better: the change wins nothing.
     assert perf_pairs.summarise(pairs, "higher", 0.2)["wins"] == 0
@@ -52,6 +54,16 @@ def test_a_gap_beyond_the_parent_spread_is_flagged(perf_pairs):
     # A gap exactly at the parent's IQR does not exceed it.
     assert not perf_pairs.summarise([(1.0, 2.0), (3.0, 4.0)], "higher", 0.2)[
         "gap_exceeds_parent_iqr"]
+
+
+def test_the_relative_change_is_signed_against_the_parent_median(perf_pairs):
+    # change / parent - 1 on the medians, whichever direction is better: a
+    # higher-is-better metric that rose reads positive, and a parent median
+    # of 0 has no relative change.
+    pairs = [(2.0, 2.5), (4.0, 5.0), (6.0, 7.5)]
+    assert perf_pairs.summarise(pairs, "higher", 0.2)["relative"] == pytest.approx(0.25)
+    assert perf_pairs.summarise(pairs, "lower", 0.2)["relative"] == pytest.approx(0.25)
+    assert math.isnan(perf_pairs.summarise([(0.0, 1.0)], "lower", 0.2)["relative"])
 
 
 def test_a_median_worse_beyond_its_bound_is_flagged(perf_pairs):
@@ -82,9 +94,9 @@ def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "pair 2 (change first): wall_s parent 0.8000  change 0.7000" in out
     wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
-    assert wall.split()[-3:] == ["3/3", "True", "False"]
+    assert wall.split()[-4:] == ["-12.50%", "3/3", "True", "False"]
     evals = next(line for line in out.splitlines() if line.startswith("f_evals "))
-    assert evals.split()[-3:] == ["0/3", "False", "False"]
+    assert evals.split()[-4:] == ["+0.00%", "0/3", "False", "False"]
 
 
 @pytest.mark.parametrize("code,correct", [(1, False), (0, False), (2, None)])

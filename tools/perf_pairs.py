@@ -11,8 +11,8 @@ even-numbered ones, so a slow spell on a shared machine does not always fall
 on the same side.  A run that exits nonzero or reports ``correct: false``
 stops the tool with exit status 1.  It prints each pair's ``wall_s``, then
 for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
-quartiles, the pairs the change won (ties count for neither side),
-whether the gap between the medians exceeds the parent's interquartile
+quartiles, the signed relative change of the medians, ``change / parent -
+1``, the pairs the change won (ties count for neither side), whether the gap between the medians exceeds the parent's interquartile
 range, and whether the change's median is worse than the parent's by more
 than the metric's relative ``bound``, in its ``better`` direction.  A change
 claims a gain on a metric only when it wins at least nine tenths of the
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import statistics
 import subprocess
@@ -49,8 +50,9 @@ def summarise(pairs, better: str, bound: float) -> dict:
     """Compare one metric over ``pairs`` of ``(parent, change)`` values.
 
     ``better`` is ``"lower"`` or ``"higher"``.  Returns both sides'
-    quartiles, the change's wins, the number of pairs, the gap between the
-    medians, whether it exceeds the parent's interquartile range, and
+    quartiles, the signed relative change of the medians (nan on a parent
+    median of 0), the change's wins, the number of pairs, the gap between
+    the medians, whether it exceeds the parent's interquartile range, and
     whether the change's median is worse than the parent's by more than the
     fraction ``bound`` of it.
     """
@@ -61,6 +63,7 @@ def summarise(pairs, better: str, bound: float) -> dict:
     return {
         "parent": parent,
         "change": change,
+        "relative": change[1] / parent[1] - 1.0 if parent[1] else math.nan,
         "wins": sum(sign * (c - p) > 0 for p, c in pairs),
         "pairs": len(pairs),
         "gap": gap,
@@ -110,8 +113,8 @@ def main(argv=None) -> int:
               f"{pair['parent']['wall_s']:.4f}  change {pair['change']['wall_s']:.4f}",
               flush=True)
     print(f"{'metric':12s} {'parent q1 / median / q3':>32s} "
-          f"{'change q1 / median / q3':>32s} {'wins':>6s}  gap > parent IQR"
-          "  worse > bound")
+          f"{'change q1 / median / q3':>32s} {'change':>8s} {'wins':>6s}"
+          "  gap > parent IQR  worse > bound")
     for metric in metrics:
         name = metric["name"]
         row = summarise([(run["parent"][name], run["change"][name]) for run in runs],
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
         spans = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side])
                  for side in ("parent", "change")]
         print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
-              f"{row['wins']:>3d}/{row['pairs']:<2d}  "
+              f"{row['relative']:>+8.2%} {row['wins']:>3d}/{row['pairs']:<2d}  "
               f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']}")
     return 0
 
