@@ -18,10 +18,12 @@ per order, so no point is evaluated twice.  The tests check every row
 exactly, in rationals, against the order-n identity it implements.  A step's
 series share one :class:`StencilBase`: the base point and residual, checked
 once, the Jacobian that its :class:`~lmcorrect.linalg.SvdFactors` checked,
-the block of first steps, one row per series, with phase 1's points and
-linear models for every row, and the scratch that each series overwrites.
-Phase 1 needs only c1, so it is built as blocks; phases 2+ read their own
-series' corrections and run per series.
+and the block of first steps and their dampings, one row per series.  The
+base's first series of an order runs every row's stencil at once, phase by
+phase: each phase forms every row's points and linear models as blocks,
+calls the evaluator point by point for the rows still running, and applies
+the damped inverse once to all rows' weighted defects.  The base keeps each
+row's result, which the row's own series returns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _BOUND, _norm, as_finite, as_int, as_shape, finite_norm
+from .linalg import _BOUND, _dampings, _norm, as_finite, as_int, as_shape, finite_norm
 
 __all__ = [
     "StencilEvaluationError",
@@ -108,7 +110,7 @@ def _check_order(order) -> None:
 
 class StencilEvaluationError(RuntimeError):
     """Residual evaluation failed at a stencil offset: the evaluator raised,
-    or returned the wrong shape.
+    or returned the wrong shape.  The error is chained from that cause.
 
     Attributes
     ----------
@@ -120,13 +122,10 @@ class StencilEvaluationError(RuntimeError):
         Evaluator calls the series made, the failing one included.
     """
 
-    def __init__(self, offset_key, point, cause, evaluations):
-        self.offset_key = offset_key
-        self.point = point
-        self.evaluations = evaluations
-        super().__init__(
-            f"residual evaluation failed at stencil offset {offset_key}: {cause}"
-        )
+    def __init__(self, key, point, cause, evaluations):
+        self.offset_key, self.point, self.evaluations = key, point, evaluations
+        self.__cause__ = cause  # as "raise ... from cause" sets it
+        super().__init__(f"residual evaluation failed at stencil offset {key}: {cause}")
 
 
 class CorrectionSeries(NamedTuple):
@@ -163,13 +162,11 @@ def _compile_phases(phases):
     The k-th phase (from 1) combines only c1 .. ck, so its multiplier array
     keeps the first k columns.
     """
-    compiled, first = [], 0
+    compiled, end = [], 0
     for known, (points, weights) in enumerate(phases, start=1):
-        mult = np.array(points, dtype=float)
-        compiled.append((points, np.ascontiguousarray(mult[:, :known]),
-                         np.array(weights, dtype=float), known, first,
-                         first + len(points)))
-        first += len(points)
+        end += len(points)
+        compiled.append((points, np.array(points, dtype=float)[:, :known].copy(),
+                         np.array(weights, dtype=float), known, end - len(points), end))
     return tuple(compiled)
 
 
@@ -183,139 +180,155 @@ class StencilBase(NamedTuple):
     s_max))``, 0 once that product overflows (``s_max`` past about 6e304),
     or -inf when ``|x|`` or ``|f0|`` lies beyond ``_BOUND``, so that not
     even a zero ``c1``, whose model is ``f0``, runs its stencil.  ``c1s``
-    is the caller's block of first steps, ``c1_norms`` their row norms, and
-    ``inside`` the block with the rows past ``x_limit`` zeroed.  ``phases``
-    holds, per order, the phase views and each row's phase-1 points and
-    linear models, built by the order's first series.  Every series on the base
-    overwrites ``directions`` and ``defects``, so a thread builds its own."""
+    is the caller's block of first steps, ``c1_norms`` their row norms,
+    ``lams`` each row's damping and ``apply`` its factors' ``damped_apply``.
+    ``series`` holds, per order, every row's result, which the order's
+    first series computes."""
 
-    x_row: np.ndarray
-    f0_row: np.ndarray
+    x: np.ndarray
+    f0: np.ndarray
     Jt: np.ndarray
-    m: int
     evaluator: object
+    apply: object
+    lams: np.ndarray
     x_limit: float
     c1s: np.ndarray
     c1_norms: list
-    inside: np.ndarray
-    directions: np.ndarray
-    defects: np.ndarray
-    phases: dict
+    series: dict
 
 
-def stencil_base(x, f0, factors, evaluator, c1s) -> StencilBase:
+def stencil_base(x, f0, factors, evaluator, c1s, lams) -> StencilBase:
     """The base of the series of the first steps ``c1s``, shape ``(n, p)``,
-    on the Jacobian ``factors.J``, of shape ``(m, p)``, which
+    each the damped step at its damping in ``lams``, shape ``(n,)``, on the
+    Jacobian ``factors.J``, of shape ``(m, p)``, which
     :class:`~lmcorrect.linalg.SvdFactors` checked and bounds by ``s_max``.
     ValueError unless ``x`` and ``f0`` are finite with shapes ``(p,)`` and
-    ``(m,)``, and ``c1s`` is finite with p columns, one step being
-    ``c1[None]``; the base keeps ``c1s``, not a copy, so it must not change
-    while the base is in use.  ``f0`` is read after evaluator calls, so it
-    must not be an array the evaluator reuses, and the evaluator must not
-    change its argument: phase 1's points belong to the base, and a row may
-    run again on it."""
+    ``(m,)``, ``c1s`` is finite with p columns, one step being
+    ``c1[None]``, and ``lams`` holds one damping per row, each a
+    non-negative finite real; the base keeps ``c1s``, not a copy, so it
+    must not change while the base is in use.  ``f0`` is read after
+    evaluator calls, so it must not be an array the evaluator reuses."""
     m, p = factors.J.shape
     (x, x_norm), (f0, f0_norm) = finite_norm(x, (p,), "x"), finite_norm(f0, (m,), "f0")
-    return _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s)
+    return _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
+                         _dampings(lams)[0])
 
 
-def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s) -> StencilBase:
-    """:func:`stencil_base` on an ``x`` and ``f0`` that passed its checks,
-    with their norms; it checks ``c1s``."""
-    m, p = factors.J.shape
+def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
+                  lams) -> StencilBase:
+    """:func:`stencil_base` on an ``x``, ``f0`` and float64 ``lams`` that
+    passed its checks, with the norms of ``x`` and ``f0``; it checks ``c1s``
+    and that ``lams`` has one damping per row."""
+    p = factors.J.shape[1]
     c1s = np.asarray(c1s, dtype=float)
     if c1s.ndim != 2 or c1s.shape[1] != p:
         raise ValueError(f"c1 has shape {c1s.shape}, expected (n, {p})")
+    lams = as_shape(lams, c1s.shape[:1], "lams")
     c1_norms = list(map(_norm, c1s))
     if not sum(c1_norms) < math.inf:  # any row's nan or inf, not just row 0's
         as_finite(c1s, c1s.shape, "c1")
     x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0])))
                if max(x_norm, f0_norm) <= _BOUND else -math.inf)
-    # Rows past x_limit are zeroed, so that no phase-1 product overflows.
-    inside = np.where((np.array(c1_norms) <= x_limit)[:, None], c1s, 0.0)
-    return StencilBase(x[None], f0[None], factors.J.T, m, evaluator, x_limit, c1s,
-                       c1_norms, inside, np.empty((max(PHASES) - 1, p)),
-                       np.empty((STENCIL_EVALUATIONS[max(PHASES)], m)), {})
+    return StencilBase(x, f0, factors.J.T, evaluator, factors.damped_apply, lams,
+                       x_limit, c1s, c1_norms, {})
 
 
-def correction_series(base: StencilBase, inverse_apply, row, *,
-                      order: int) -> CorrectionSeries:
+def _series_block(base: StencilBase, order: int) -> list:
+    """Every row's series at ``order``: its CorrectionSeries, or the
+    StencilEvaluationError of its failed evaluator call.
+
+    The rows within ``x_limit`` run; the others are their ``c1``,
+    truncated, and stay zero in the block, so that no stencil product
+    overflows.  Each phase forms the offsets, points and linear models of
+    every row as stacked ``np.matmul`` products, whose items keep each
+    row's own ``.dot`` bits (a flat product does not, ``Jt`` being a
+    transposed view), and calls the evaluator point by point for the rows
+    still running, row by row.  One reduction, each row's largest
+    magnitude, passes the rows where it is within a test's bound over the
+    row's entry count, whose norm is then surely within the bound; ``_norm``
+    decides only the others, so every decision is the norm's.  A row that
+    stops has its defects zeroed, and no later correction of it is kept, so
+    none of its nan or inf reaches a later phase.  The weighted defects of
+    all rows go through ``apply`` at once, one damping per row.
+    """
+    x, f0, Jt, evaluator, apply, lams, x_limit, c1s, c1_norms, _ = base
+    (n, p), m, compiled = c1s.shape, len(f0), _COMPILED[order]
+    results = [None if norm <= x_limit else CorrectionSeries((c1,), 0, True)
+               for c1, norm in zip(c1s, c1_norms)]
+    running = [row for row in range(n) if results[row] is None]
+    # The rows past x_limit get no bound: theirs may lie beyond float64's range.
+    wild = WILD_CORRECTION_FACTOR * np.where(np.array(c1_norms) <= x_limit, c1_norms, 0)
+    directions = np.zeros((n, len(compiled) + 1, p))  # c1, c2, ... of every row
+    directions[running, 0] = c1s[running]
+    defects = np.zeros((n, STENCIL_EVALUATIONS[order], m))
+    found = [c1s]  # per correction so far, every row's
+    for k, (keys, mult, weights, known, first, end) in enumerate(compiled):
+        offsets = np.matmul(mult, directions[:, :known])  # (n, points, p)
+        points = x + offsets
+        models = np.matmul(offsets, Jt) + f0  # within 2 _BOUND, by x_limit
+        for row in running:
+            for j, key, point in zip(range(first, end), keys, points[row]):
+                try:
+                    defects[row, j] = as_shape(evaluator(point), (m,), "residual")
+                except Exception as exc:
+                    results[row] = StencilEvaluationError(key, point.copy(), exc, j + 1)
+                    defects[row] = 0.0
+                    break
+        # Only a residual block whose norm is within 2 _BOUND (never nan or
+        # inf) becomes defects, so the weighted sums stay finite for the
+        # inverse, which rejects non-finite input.
+        block = defects[:, first:end]
+        tops = np.maximum.reduce(np.abs(block), axis=(1, 2))
+        for row in np.flatnonzero(~(tops <= 2 * _BOUND / block[0].size)):
+            if results[row] is None and not _norm(block[row].ravel()) <= 2 * _BOUND:
+                results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
+                defects[row] = 0.0
+        block -= models
+        running = [row for row in running if results[row] is None]
+        if not running:
+            break
+        corrections = apply(lams, np.matmul(weights, defects[:, :end]))
+        # A nan correction norm fails the wild bound.
+        tops = np.maximum.reduce(np.abs(corrections), axis=1)
+        for row in np.flatnonzero(~(tops <= wild / p)):
+            if results[row] is None and not _norm(corrections[row]) <= wild[row]:
+                results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
+        running = [row for row in running if results[row] is None]
+        found.append(corrections)
+        directions[running, k + 1] = corrections[running]
+    for row in running:  # every phase ran
+        results[row] = CorrectionSeries(tuple(c[row] for c in found), end)
+    return results
+
+
+def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries:
     """Compute the correction series of the first step ``c1 = base.c1s[row]``.
 
-    ``row`` is an integer row of the base's block; ``inverse_apply``, ``v ->
-    Jinv v``, serves every inverse occurrence in the series (the applier that
-    produced ``c1``), and ``order``, a keyword, is in {1, 2, 3, 4}.  Phase 1
-    reads its points and linear models from the base's block; each later
-    phase forms its offsets, their linear model ``f0 + J a`` and its
-    weighted defect as one array product each; only ``base.evaluator`` is
-    called point by point.  A ``c1`` longer than ``base.x_limit`` truncates
-    the series before any evaluation.  A phase whose residual block is
-    non-finite or has a norm beyond ``2 _BOUND``, or a correction whose norm
-    exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is non-finite), truncates
-    the series at the previous order, skips the remaining phases and sets
-    the ``truncated`` flag.  An evaluator
-    call that raises, or returns a residual of the wrong shape or one that
-    is not numeric, raises StencilEvaluationError, chained from that error;
-    a bad order or row raises ValueError before any evaluation, and an
-    ``inverse_apply`` result whose shape is not ``c1``'s raises ValueError
-    when it is returned.  The first returned array, ``c1``, is a row of the
-    caller's block; no other shares memory with ``base``.
+    ``row`` is an integer row of the base's block, and ``order``, a
+    keyword, is in {1, 2, 3, 4}.  The base's first series of an order runs
+    every row's stencil, phase by phase, as blocks (see ``_series_block``);
+    each later one returns its row's stored result, or raises its stored
+    error.  Every inverse occurrence is the base's ``apply`` at the row's
+    damping, the inverse that produced ``c1``, and only ``base.evaluator``
+    is called point by point.  A ``c1`` longer than ``base.x_limit``
+    truncates the series before any evaluation.  A phase whose residual
+    block is non-finite or has a norm beyond ``2 _BOUND``, or a correction
+    whose norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is
+    non-finite), truncates the series at the previous order, skips the
+    remaining phases and sets the ``truncated`` flag.  An evaluator call
+    that raises, or returns a residual of the wrong shape or one that is
+    not numeric, raises StencilEvaluationError, chained from that error;
+    a bad order or row raises ValueError before any evaluation.  The first
+    returned array, ``c1``, is a row of the caller's block.
     """
     _check_order(order)
     if type(row) is not int or not 0 <= row < len(base.c1_norms):
         as_int(row, "row", 0, len(base.c1_norms) - 1)
-    c1, c1_norm = base.c1s[row], base.c1_norms[row]
     if order == 1:
-        return CorrectionSeries((c1,), 0)
-    if not c1_norm <= base.x_limit:
-        return CorrectionSeries((c1,), 0, True)
-    x_row, f0_row, Jt, m, evaluator, _, _, _, inside, directions, defects, phases = base
-    if order not in phases:  # the base's first series of this order
-        views = tuple((keys, mult, weights, directions[:known], defects[first:end],
-                       defects[first:end].ravel(), defects[:end])
-                      for keys, mult, weights, known, first, end in _COMPILED[order])
-        # Phase 1's offsets a for every row: multiples of c1 alone, one
-        # product per entry, as mult.dot forms them.  One stacked np.matmul
-        # over (n, k, p) forms each row's (k, p) . (p, m) model with the
-        # bits of that row's own .dot, which a flat (n k, p) product does
-        # not keep, Jt being a transposed view.
-        offsets = inside[:, None] * views[0][1]  # (n, 1, p) * (k, 1)
-        phases[order] = views, list(zip(x_row + offsets, np.matmul(offsets, Jt) + f0_row))
-    views, rows = phases[order]
-    points, model = rows[row]
-    found = [c1]  # the series so far: cheaper to tuple than directions' rows
-    wild_bound = WILD_CORRECTION_FACTOR * c1_norm
-    evaluations = 0
-    # x and f0 enter as rows, so a one-point phase adds operands of one
-    # shape and skips numpy's broadcasting iterator; each element sees the
-    # same IEEE operations as with the vectors.  ndarray.dot, not @: on 2-3
-    # elements the matmul gufunc costs twice a .dot, same bits.
-    if order > 2:  # phase 1 reads no direction row, and order 2 has no other
-        directions[0] = c1
-    for k, (keys, mult, weights, known, block, flat, so_far) in enumerate(views):
-        if k:  # phase 1's points and model come from the base
-            directions[k] = found[-1]  # the last phase's correction needs no row
-            offsets = mult.dot(known)
-            points = x_row + offsets
-            model = offsets.dot(Jt)  # within 2 _BOUND, by base.x_limit
-            model += f0_row
-        for key, point in zip(keys, points):
-            evaluations += 1
-            try:
-                defects[evaluations - 1] = as_shape(evaluator(point), (m,), "residual")
-            except Exception as exc:
-                raise StencilEvaluationError(key, point.copy(), exc, evaluations) from exc
-        # Only a residual block whose norm is within 2 _BOUND (never nan or
-        # inf) becomes defects, so the weighted sum stays finite for the
-        # inverse, which rejects non-finite input.  A nan correction norm
-        # fails the wild bound.
-        if not _norm(flat) <= 2 * _BOUND:
-            return CorrectionSeries(tuple(found), evaluations, True)
-        block -= model
-        c = inverse_apply(weights.dot(so_far))
-        if c.shape != c1.shape:  # one would broadcast into the step unseen
-            raise ValueError(f"correction has shape {c.shape}, expected {c1.shape}")
-        if not _norm(c) <= wild_bound:
-            return CorrectionSeries(tuple(found), evaluations, True)
-        found.append(c)
-    return CorrectionSeries(tuple(found), evaluations)
+        return CorrectionSeries((base.c1s[row],), 0)
+    if order not in base.series:  # the base's first series of this order
+        base.series[order] = _series_block(base, order)
+    result = base.series[order][row]
+    if type(result) is StencilEvaluationError:
+        raise result
+    return result

@@ -7,9 +7,12 @@ finiteness from it.  Every step direction is the damped pseudo-inverse
 ``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0`` case is the Gauss-Newton
 minimum-norm pseudo-inverse, which on a square nonsingular ``J`` is Newton's
 step ``J^{-1} v``.  :class:`SvdFactors` holds one thin SVD of ``J``, so that a
-sweep over damping values reuses the factorization; its smallest singular
-value, the valley direction's, stays accurate on ill-conditioned ``J``, and
-its damped scale squares nothing.  Everything is float64.
+sweep over damping values reuses the factorization, and a block of right-hand
+sides, one damping per row, reuses the sweep's scale rows: the factors keep
+only the last sweep's dampings and rows, with no table per damping.  Its
+smallest singular value, the valley direction's, stays accurate on
+ill-conditioned ``J``, and its damped scale squares nothing.  Every damping
+is a real in ``[0, inf)``, not a bool.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -96,6 +99,27 @@ def as_positive(value, what: str, zero: bool = False):
     return value
 
 
+def _dampings(lams):
+    """``lams`` as a float64 array, its list, and the list's least and
+    largest damping, else ValueError.
+
+    ``lams`` must be nonempty and 1-D, and every damping follows
+    ``as_positive``'s rule: a real in ``[0, inf)``, not a bool.  A float64
+    array is read by three reductions on its list: ``min``, ``max`` and the
+    sum, which a nan makes nan.  Any other ``lams`` has each item checked,
+    so that no bool passes as 1.
+    """
+    arr = np.asarray(lams, dtype=float)  # lams itself when a float64 array
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"expected a nonempty 1-D sweep, got {arr.shape}")
+    lam_list = arr.tolist()
+    low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
+    if lams is not arr or not (low >= 0.0 and high < math.inf and sum(lam_list) >= 0.0):
+        for lam in np.array(lams, dtype=object):
+            as_positive(lam, "damping", zero=True)
+    return arr, lam_list, low, high
+
+
 class SvdFactors:
     """Thin SVD of a Jacobian, shared by every damping value applied to it.
 
@@ -107,10 +131,10 @@ class SvdFactors:
     ``1 / (s + lam * inv_s)``, which squares nothing, so no singular value
     over- or underflows out of its direction.  ``_scale_rows`` computes every
     scale row and ``_apply`` every product, each behind one screen on Python
-    floats.  ``damped_apply`` reads the rows ``damped_apply_batch`` kept for
-    its last sweep from a dict that the first read after a sweep builds (none
-    at order 1); a zero damping that cuts a singular value, and so warns, is
-    left out, and a damping not kept gets its row from ``_scale_rows``.  Once
+    floats.  ``damped_apply_batch`` keeps its sweep's dampings and rows, and
+    ``damped_apply``, one damping per row of a block, reuses them when its
+    dampings are the sweep's, as a step's are; any others get their rows
+    from ``_scale_rows``.  Once
     ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct
     digit, and ``J`` is refactored by the graded-matrix recipe of Demmel et
     al., "Computing the singular value decomposition with high relative
@@ -126,8 +150,7 @@ class SvdFactors:
     raises.  The tests on ``s`` compare Python floats.
     """
 
-    __slots__ = ("J", "U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_sweep",
-                 "_kept")
+    __slots__ = ("J", "U", "s", "Vt", "Ut", "inv_s", "_v_shape", "_edges", "_swept")
 
     def __init__(self, J):
         J = np.asarray(J, dtype=float)
@@ -168,29 +191,27 @@ class SvdFactors:
         # s_max and the largest reciprocal, 1 / s_min, as Python floats: the
         # two sizes the screens of _scale_rows and _apply read.
         self._edges = (s_list[0], float(self.inv_s[-1]))
-        # The last sweep's (dampings, scale rows), and its dict from damping
-        # to row, None from the sweep until damped_apply first reads it.
-        self._sweep, self._kept = None, {}
+        # The last sweep's dampings, as a list, and their scale rows.
+        self._swept = (None, None)
 
-    def _scale_rows(self, lams: np.ndarray, lam_list: list) -> np.ndarray:
-        """Rows ``1 / (s + lam * inv_s)`` for ``lams``, whose list is ``lam_list``.
+    def _scale_rows(self, lams):
+        """``(lam_list, rows)``: the dampings ``lams`` as a list, and their
+        rows ``1 / (s + lam * inv_s)``.
 
-        ValueError unless every damping is non-negative: ``min`` and ``max``
-        skip a nan, the sum catches it.  The rows are the plain formula when
-        a screen on Python floats passes: every damping positive, and
-        ``max(lams) / s_min`` and ``s_max`` below the range bound ``_BOUND``.
-        Then no ``lam / s`` nor ``s + lam / s`` overflows, as neither term
-        reaches R, and each scale lies in ``(0, 1 / s_min]``, so none divides
-        by zero.  Otherwise they are computed in an errstate that ignores
-        divide, over and invalid.  At zero damping the row is
-        ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a warning.
+        ValueError unless ``_dampings`` takes ``lams``.  The rows are
+        the plain formula when a screen on Python floats passes: every
+        damping positive, and ``max(lams) / s_min`` and ``s_max`` below the
+        range bound ``_BOUND``.  Then no ``lam / s`` nor ``s + lam / s``
+        overflows, as neither term reaches R, and each scale lies in ``(0, 1
+        / s_min]``, so none divides by zero.  Otherwise they are computed in
+        an errstate that ignores divide, over and invalid.  At zero damping
+        the row is ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a
+        warning.
         """
-        low, high = min(lam_list), max(lam_list)  # on 21 values, faster than numpy
-        if not (low >= 0.0 and sum(lam_list) >= 0.0):  # a nan makes the sum nan
-            raise ValueError(f"damping must be non-negative, got {lams.min()}")
+        lams, lam_list, low, high = _dampings(lams)
         s_max, gain = self._edges
         if low > 0.0 and high * gain < _BOUND and s_max < _BOUND:
-            return np.reciprocal(self.s + lams[:, None] * self.inv_s)
+            return lam_list, np.reciprocal(self.s + lams[:, None] * self.inv_s)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lam_s = lams[:, None] * self.inv_s
             scale = np.reciprocal(self.s + lam_s)
@@ -206,10 +227,10 @@ class SvdFactors:
                 warnings.warn("rank-deficient Jacobian at zero damping; returning the "
                               "minimum-norm solution", RuntimeWarning, stacklevel=3)
             scale[lams == 0.0] = np.where(keep, self.inv_s, 0.0)
-        return scale
+        return lam_list, scale
 
     def _apply(self, scale: np.ndarray, v) -> np.ndarray:
-        """``(scale * Ut v) Vt`` for a row or rows of ``_scale_rows``.
+        """``(scale * Ut v) Vt`` for the rows of ``_scale_rows``.
 
         ValueError unless ``v`` is finite and of shape ``(m,)``.  Every scale
         entry is at most ``1 / s_min``, so below the screen's bound no entry
@@ -224,37 +245,46 @@ class SvdFactors:
         with np.errstate(over="ignore", invalid="ignore"):
             return (scale * self.Ut.dot(v)).dot(self.Vt)
 
-    def damped_apply(self, lam: float, v) -> np.ndarray:
-        """Return ``(J^T J + lam I)^{-1} J^T v`` via ``1 / (s + lam / s)``.
+    def damped_apply(self, lams, vs) -> np.ndarray:
+        """Rows ``(J^T J + lams[i] I)^{-1} J^T vs[i]``, via ``1 / (s + lam / s)``.
 
-        At ``lam == 0`` this is the Gauss-Newton pseudo-inverse; singular
+        One damping per row of the block ``vs``, of shape ``(n, m)``.  At
+        ``lam == 0`` this is the Gauss-Newton pseudo-inverse; singular
         values below ``RANK_RCOND * s_max`` are then dropped (minimum-norm
-        solution) and a RuntimeWarning flags the rank deficiency.  A result
-        beyond float64's range has inf entries, without an overflow warning.
-        A ``v`` that is not finite or not of shape ``(m,)`` raises ValueError.
+        solution) and a RuntimeWarning flags the rank deficiency.  Dampings
+        equal to the last sweep's, as a step's are, reuse its scale rows,
+        so they neither compute nor warn again.  Row ``i`` has the bits of
+        its own product ``(scale * Ut.dot(vs[i])).dot(Vt)``: both products
+        are stacked ``np.matmul`` calls, each of whose items is that row's
+        own product, which a flat product over the block is not.  The screen
+        is one reduction, the block's largest magnitude ``top``, which bounds
+        each row's norm by ``m top``; past it the products ignore over and
+        invalid, and a row beyond float64's range has inf entries, unwarned.
+        ValueError unless the dampings pass ``damped_apply_batch``'s rule
+        and ``vs`` is finite with one row per damping.
         """
-        if self._kept is None:  # the first read since the last sweep
-            self._kept = dict(zip(*self._sweep))
-            if not self.s[-1] > RANK_RCOND * self.s[0]:  # a cut zero row warns
-                self._kept.pop(0.0, None)
-        try:
-            scale = self._kept[lam]
-        except (KeyError, TypeError):  # not kept, or unhashable (a 0-d array)
-            scale = self._scale_rows(np.array([lam], dtype=float), [lam])[0]
-        return self._apply(scale, v)
+        old, rows = self._swept
+        if type(lams) is not np.ndarray or lams.dtype != float or lams.tolist() != old:
+            old, rows = self._scale_rows(lams)
+        vs = as_shape(vs, (len(old),) + self._v_shape, "v")
+        top = float(np.maximum.reduce(np.abs(vs), axis=None))
+        if not top < math.inf:
+            as_finite(vs, vs.shape, "v")
+        U, Vt = self.U, self.Vt
+        if top * vs.shape[1] * (self._edges[1] + 1.0) < _BOUND:
+            return np.matmul(np.matmul(vs[:, None], U) * rows[:, None], Vt)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.matmul(np.matmul(vs[:, None], U) * rows[:, None], Vt)[:, 0]
 
     def damped_apply_batch(self, lams, v) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
 
-        Row ``i`` matches ``damped_apply(lams[i], v)`` to rounding, zero
-        dampings included; a row that overflows is non-finite, unwarned.
-        A ``lams`` that is empty or not 1-D, and a ``v`` that ``damped_apply``
-        would reject, raise ValueError.
+        Row ``i`` matches ``damped_apply`` at ``lams[i]`` on ``v`` to
+        rounding, zero dampings included; a row that overflows is
+        non-finite, unwarned.  The sweep's rows are kept for
+        ``damped_apply`` until the next sweep.  A ``lams`` that is empty or
+        not 1-D, a damping that is negative, not finite or a bool, and a
+        ``v`` that is not finite or not of shape ``(m,)``, raise ValueError.
         """
-        lams = np.asarray(lams, dtype=float)
-        if lams.ndim != 1 or lams.size == 0:
-            raise ValueError(f"expected a nonempty 1-D sweep, got {lams.shape}")
-        lam_list = lams.tolist()
-        rows = self._scale_rows(lams, lam_list)
-        self._sweep, self._kept = (lam_list, rows), None
-        return self._apply(rows, v)
+        self._swept = self._scale_rows(lams)
+        return self._apply(self._swept[1], v)

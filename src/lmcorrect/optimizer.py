@@ -20,28 +20,26 @@ stencil and leave ``x + c1`` as its endpoint.  One sum gives every
 order-1 endpoint, and one loop walks the live candidates in grid order, at
 order 1 along the endpoint rows: each runs its series, evaluates its endpoint
 and leads if its residual norm is strictly below the best so far, so ties go
-to the smallest grid index and a nan norm never leads.  Three things stay
+to the smallest grid index and a nan norm never leads.  Two things stay
 per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
   calls included;
 * ``correction_series`` runs once per candidate, on the step's one
-  stencil base.  ``_stencil_base``, ``stencil_base`` past its ``x`` and
-  ``f0`` checks, takes them with the norms the step checked, ``J`` and its bound from the step's ``SvdFactors``, and the
-  live c1s as one block, one row per candidate in grid order; it forms
-  phase 1's points and linear models for every row at once.  Phases 2+
-  still run per candidate (ROADMAP items 1(b) and 13): perfbench's
-  evaluation audit reads each candidate's charged count and truncation
-  flag from the span of that candidate's own call, so the batched form
-  waits for a benchmark that traces a sweep-level call;
-* corrections apply their inverse through ``SvdFactors.damped_apply`` at the
-  candidate's damping value, the same inverse that produced its direction,
-  one call per correction through a ``functools.partial`` of the bound
-  method: perfbench times that method as its own layer.  Each call finds
-  the scale row that ``damped_apply_batch`` kept for that damping with one
-  dict lookup, so one sweep computes its 21 rows once, and applies it by
-  the sweep's own product and screen.
+  stencil base: perfbench reads each candidate's charged count and
+  truncation flag from the span of that candidate's own call.
+  ``_stencil_base``, ``stencil_base`` past its checks, takes ``x`` and
+  ``f0`` with the norms the step checked, ``J`` and its bound from the
+  step's ``SvdFactors``, and the live c1s and their dampings as blocks, one
+  row per candidate in grid order.  The first candidate's call runs every
+  phase for every row as blocks, calling the evaluator point by point,
+  phase by phase, and the others read their rows' results.
+
+Each phase applies its inverse once, through ``SvdFactors.damped_apply`` on
+the block of all rows, one damping per row: the inverse that produced each
+direction.  The dampings are the sweep's, so it reuses the scale rows that
+``damped_apply_batch`` computed for the sweep.
 
 Every residual and step norm is ``math.hypot`` over the vector's entries,
 within 1 ulp: no tiny norm reads 0, and no representable one overflows.
@@ -52,16 +50,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .corrections import (
-    StencilEvaluationError,
-    _check_order,
-    _stencil_base,
-    correction_series,
-)
+from .corrections import (StencilEvaluationError, _check_order, _stencil_base,
+                          correction_series)
 from .linalg import (_BOUND, SvdFactors, _norm, as_finite, as_int, as_positive,
                      as_shape, finite_norm)
 from .problems import Problem
@@ -243,7 +236,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
     # First-order directions for the whole sweep from one factorization.
     c1s = -factors.damped_apply_batch(lambdas, f0)
-    evaluator, order, apply = problem.evaluator, config.order, factors.damped_apply
+    evaluator, order = problem.evaluator, config.order
     # The live candidates, from one reduction unless an x + c1 could overflow
     # (see the module docstring); a nan fails the test.
     if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
@@ -254,9 +247,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             endpoints = x + c1s
         live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
         endpoints = endpoints[live] if order == 1 else None
-    if order > 1:  # one base whose rows are the live c1s, in grid order
-        block = c1s if type(live) is range else c1s[live]
-        base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, block)
+    if order > 1:  # one base whose rows are the live c1s and dampings, in grid order
+        block = (c1s, lambdas) if type(live) is range else (c1s[live], lambdas[live])
+        base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, *block)
         rows = itertools.count()  # each live candidate's row of the base, in turn
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
@@ -266,8 +259,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         series = None
         if end is None:
             try:
-                series = correction_series(base, partial(apply, lams[idx]),
-                                           next(rows), order=order)
+                series = correction_series(base, next(rows), order=order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc
@@ -297,12 +289,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         truncated = series is not None and series.truncated
         # A one-term series (order 1, or one truncated at c1) is its c1, whose
         # norm is then the step's norm too.
-        if series is None or len(series.corrections) == 1:
-            norms = (_norm(c1s[idx]),)
-            step_norm = norms[0]
-        else:
-            norms = tuple(series.norms())
-            step_norm = _norm(series.step)
+        alone = series is None or len(series.corrections) == 1
+        norms = (_norm(c1s[idx]),) if alone else tuple(series.norms())
+        step_norm = norms[0] if alone else _norm(series.step)
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre on the top damping
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False

@@ -42,13 +42,19 @@ def partition_shape_counts(n):
     return counts
 
 
+def damped(factors, lam):
+    """The inverse ``v -> (J^T J + lam I)^{-1} J^T v`` of ``factors``: its
+    ``damped_apply`` on the one-row block of ``v``."""
+    lams = np.array([lam], dtype=float)
+    return lambda v: factors.damped_apply(lams, np.asarray(v)[None])[0]
+
+
 def gauss_newton_inverse(J):
     """Zero-damping inverse ``v -> (J^T J)^{-1} J^T v`` from one SVD of ``J``.
 
     On a square nonsingular ``J`` this is Newton's step ``J^{-1} v``.
     """
-    factors = SvdFactors(J)
-    return lambda v: factors.damped_apply(0.0, v)
+    return damped(SvdFactors(J), 0.0)
 
 
 def counting_problem(problem: Problem):
@@ -211,6 +217,30 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
         directions[known] = c
         corrections.append(c)
     return tuple(corrections), len(rows), None
+
+
+def four_exponential_fit():
+    """A zero-residual fit of a sum of 4 exponentials: p = 8, m = 1000.
+
+    Parameters are the amplitudes a1..a4, then the rates k1..k4, of
+    ``sum_i a_i exp(-k_i t)`` on ``t = linspace(0, 10, 1000)``; the data come
+    from rates ``geomspace(0.1, 3, 4)`` and amplitudes ``linspace(1, 0.5, 4)``,
+    and the start scales the amplitudes by 0.7 and the rates by 1.6.
+    Returns the problem and the start.
+    """
+    t = np.linspace(0.0, 10.0, 1000)
+    amplitudes, rates = np.linspace(1.0, 0.5, 4), np.geomspace(0.1, 3.0, 4)
+    data = (amplitudes[:, None] * np.exp(-rates[:, None] * t)).sum(axis=0)
+
+    def evaluator(x):
+        return (x[:4, None] * np.exp(-x[4:, None] * t)).sum(axis=0) - data
+
+    def jacobian(x):
+        decays = np.exp(-x[4:, None] * t)
+        return np.hstack([decays.T, (-x[:4, None] * t * decays).T])
+
+    problem = Problem(8, 1000, evaluator, jacobian, name="four-exponentials")
+    return problem, np.concatenate([0.7 * amplitudes, 1.6 * rates])
 
 
 def finite_difference_jacobian(problem: Problem, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -250,7 +250,7 @@ def test_criterion_4_taylor_order_slopes():
         for eps in eps_grid:
             series = correction_series(
                 stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                             (eps * newton_step)[None]), inv, 0, order=order,
+                             (eps * newton_step)[None], [0.0]), 0, order=order,
             )
             end = x + series.step
             defects.append(
@@ -360,7 +360,7 @@ def test_criterion_8_evaluation_count_audit():
         c1 = -0.3 * inv(f0)
         counter["evals"] = 0
         series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                                                c1[None]), inv, 0, order=order)
+                                                c1[None], [0.0]), 0, order=order)
         expected = STENCIL_EVALUATIONS[order]
         ok = ok and series.evaluation_count == expected == counter["evals"]
         details.append(f"order{order}: {series.evaluation_count}")

@@ -14,6 +14,7 @@ from helpers import (
     broadcast_correction_series,
     count_errstates,
     counting_problem,
+    damped,
     derivative_contraction,
     gauss_newton_inverse,
     phase_row_mismatches,
@@ -39,9 +40,30 @@ def make_context(problem, x, scale=0.5):
     x = np.asarray(x, dtype=float)
     f0 = problem.evaluator(x)
     factors = SvdFactors(problem.jacobian(x))
-    inv = functools.partial(factors.damped_apply, 0.0)
+    inv = damped(factors, 0.0)
     c1 = -scale * inv(f0)
     return x, f0, factors, inv, c1
+
+
+# The one damping of a one-row Gauss-Newton base, whose inverse is inv.
+GN = [0.0]
+
+
+class _RowwiseFactors(SvdFactors):
+    """SvdFactors whose ``damped_apply`` maps each row through ``inverse``."""
+
+    __slots__ = ("inverse",)
+
+    def damped_apply(self, lams, vs):
+        return np.array([self.inverse(v) for v in vs])
+
+
+def factors_applying(J, inverse):
+    """The factors of ``J``, with ``inverse`` standing in for its damped
+    inverse on each row of a base's block."""
+    factors = _RowwiseFactors(J)
+    factors.inverse = inverse
+    return factors
 
 
 # -- affine maps: every correction vanishes ----------------------------------
@@ -51,8 +73,8 @@ def make_context(problem, x, scale=0.5):
 def test_affine_corrections_vanish(order):
     poly = polynomial_problem(1, 3, seed=0)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.4, -0.2, 0.9])
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                               inv, 0, order=order)
+    series = correction_series(
+        stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for c in series.corrections[1:]:
@@ -82,8 +104,8 @@ def test_order2_hand_example():
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
     assert np.allclose(c1, [1.0, -1.0])
-    base = stencil_base(x, f0, SvdFactors(J), f, c1[None])
-    _, c2 = correction_series(base, inv, 0, order=2).corrections
+    base = stencil_base(x, f0, SvdFactors(J), f, c1[None], GN)
+    _, c2 = correction_series(base, 0, order=2).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-14)
     end = x + c1 + c2
     assert np.allclose(end, [0.0, 0.0], atol=1e-14)
@@ -98,8 +120,8 @@ def test_order3_hand_example_c3_vanishes():
     f0, J = f(x), Jf(x)
     inv = gauss_newton_inverse(J)
     c1 = -inv(f0)
-    _, c2, c3 = correction_series(stencil_base(x, f0, SvdFactors(J), f, c1[None]),
-                                  inv, 0, order=3).corrections
+    _, c2, c3 = correction_series(stencil_base(x, f0, SvdFactors(J), f, c1[None], GN),
+                                  0, order=3).corrections
     assert np.allclose(c2, [-1.0, 0.0], atol=1e-12)
     assert np.linalg.norm(c3) <= 1e-12
 
@@ -111,8 +133,8 @@ def test_order3_hand_example_c3_vanishes():
 def test_order2_stencil_exact_on_quadratics(seed):
     poly = polynomial_problem(2, 2, seed=seed)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, -0.3])
-    _, c2 = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                              inv, 0, order=2).corrections
+    base = stencil_base(x, f0, factors, poly.evaluator, c1[None], GN)
+    _, c2 = correction_series(base, 0, order=2).corrections
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(c2, analytic) <= 1e-12
 
@@ -140,8 +162,8 @@ def test_c2_stencil_exact_at_higher_orders(order, degree, seed, dim, direction):
     s_min = factors.s[-1]
     assume(np.linalg.norm(f0) <= 6.0 * s_min * np.linalg.norm(c2_unit))
     c1 = 1e-2 * u
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                               inv, 0, order=order)
+    series = correction_series(
+        stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0, order=order)
     analytic = -0.5 * inv(derivative_contraction(poly, x, 2, c1, c1))
     assert relative_difference(series.corrections[1], analytic) <= 1e-9
 
@@ -174,8 +196,8 @@ def test_series_matches_identity_contractions_on_quadratics(order, seed, block,
     # a level set by |f0| and the inverse, not by |c_n|, so a correction
     # below 1e-4 |c1| is compared mostly with noise; about 0.03% of draws.
     assume(max(sizes) <= WILD_CORRECTION_FACTOR / 2 and min(sizes) >= 1e-4)
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                               inv, 0, order=order)
+    series = correction_series(
+        stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0, order=order)
     assert not series.truncated
     assert len(series.corrections) == order
     for got, want in zip(series.corrections, oracle):
@@ -207,7 +229,7 @@ def test_top_correction_error_is_of_the_next_order(order, degree, seed, dim,
     ratios = []
     for h in 0.1 / 2.0 ** np.arange(5):
         series = correction_series(
-            stencil_base(x, f0, factors, poly.evaluator, (h * u)[None]), inv, 0,
+            stencil_base(x, f0, factors, poly.evaluator, (h * u)[None], GN), 0,
             order=order)
         # A near-singular J makes some correction wild, beyond
         # WILD_CORRECTION_FACTOR |c1|, and the series truncates by design;
@@ -228,7 +250,7 @@ def test_new_evaluation_counts(order):
     x, f0, factors, inv, c1 = make_context(problem, [np.pi, np.e], scale=0.3)
     counter["evals"] = 0
     series = correction_series(stencil_base(x, f0, factors, problem.evaluator,
-                                            c1[None]), inv, 0, order=order)
+                                            c1[None], GN), 0, order=order)
     assert series.evaluation_count == STENCIL_EVALUATIONS[order]
     assert counter["evals"] == STENCIL_EVALUATIONS[order]
 
@@ -257,7 +279,7 @@ def pathway_defect(problem, x, order, eps):
     inv = gauss_newton_inverse(J)
     c1 = -eps * inv(f0)
     series = correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                                            c1[None]), inv, 0, order=order)
+                                            c1[None], GN), 0, order=order)
     end = x + series.step
     return float(np.linalg.norm(problem.evaluator(end) - (1.0 - eps) * f0))
 
@@ -301,9 +323,10 @@ def test_norms_are_within_one_ulp_at_any_magnitude():
 def test_wild_correction_truncates_series():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    blow_up = lambda v: 1e9 * v  # stands in for a damped inverse near-singular J
-    series = correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                               blow_up, 0, order=3)
+    # Stands in for a damped inverse near-singular J.
+    blow_up = factors_applying(factors.J, lambda v: 1e9 * v)
+    base = stencil_base(x, f0, blow_up, poly.evaluator, c1[None], GN)
+    series = correction_series(base, 0, order=3)
     assert series.truncated
     assert len(series.corrections) == 1
     assert np.array_equal(series.step, c1)
@@ -321,8 +344,7 @@ def test_nonfinite_defect_truncates_series(order, evaluated):
         x, f0, J = np.zeros(2), np.ones(2), np.eye(2)
         c1 = np.array([-0.4, -0.4])
         series = correction_series(stencil_base(x, f0, SvdFactors(J), evaluator,
-                                                c1[None]),
-                                   gauss_newton_inverse(J), 0, order=order)
+                                                c1[None], GN), 0, order=order)
         assert series.truncated
         assert series.evaluation_count == evaluated
         assert np.array_equal(series.step, c1)
@@ -344,9 +366,10 @@ def _series_of_residuals(residual, order, m=2, inverse_apply=None):
 
     if inverse_apply is None:
         inverse_apply = lambda v: 1e-3 * as_finite(v, (m,), "v")[:2]
-    base = stencil_base(np.zeros(2), np.zeros(m), SvdFactors(np.zeros((m, 2))),
-                        evaluator, np.array([[1.0, 1.0]]))
-    series = correction_series(base, inverse_apply, 0, order=order)
+    base = stencil_base(np.zeros(2), np.zeros(m),
+                        factors_applying(np.zeros((m, 2)), inverse_apply),
+                        evaluator, np.array([[1.0, 1.0]]), GN)
+    series = correction_series(base, 0, order=order)
     assert series.evaluation_count == len(calls)
     assert all(np.isfinite(p).all() for p in calls)
     return series
@@ -449,9 +472,7 @@ def test_inverse_overflow_truncates_series():
 
     x, c1 = np.zeros(2), np.array([-1.0, -1.0])
     series = correction_series(stencil_base(x, evaluator(x), factors, evaluator,
-                                            c1[None]),
-                               lambda v: factors.damped_apply(1e-30, v), 0,
-                               order=2)
+                                            c1[None], [1e-30]), 0, order=2)
     assert series.truncated
     assert series.evaluation_count == 1
     assert np.array_equal(series.step, c1)
@@ -470,14 +491,15 @@ def test_the_step_limit_reads_the_largest_singular_value():
     for m, p, scale in ((2, 2, 0.1), (2, 2, 10.0), (3, 2, 1e3), (1000, 8, 1.0)):
         J = scale * rng.normal(size=(m, p))
         factors = SvdFactors(J)
-        base = stencil_base(np.zeros(p), np.zeros(m), factors, None, np.zeros((1, p)))
+        base = stencil_base(np.zeros(p), np.zeros(m), factors, None, np.zeros((1, p)),
+                            GN)
         s_max = np.linalg.norm(J, 2)
         frobenius = _BOUND / (corrections._REACH * max(1.0, np.linalg.norm(J)))
         assert base.x_limit == _limit(J) == pytest.approx(
             _BOUND / (corrections._REACH * max(1.0, s_max)), rel=1e-14)
         assert frobenius <= base.x_limit * (1 + 1e-14)
         assert base.x_limit <= frobenius * math.sqrt(p) * (1 + 1e-14)
-        assert base.m == m and np.shares_memory(base.Jt, J)
+        assert len(base.f0) == m and np.shares_memory(base.Jt, J)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -495,9 +517,9 @@ def test_c1_beyond_the_step_limit_truncates_before_any_evaluation(order):
                           ([limit, 0.0], STENCIL_EVALUATIONS[order])):
         points = []
         base = stencil_base(np.zeros(2), np.zeros(2), SvdFactors(J),
-                            lambda p: points.append(p) or p, np.array([c1]))
+                            lambda p: points.append(p) or p, np.array([c1]), GN)
         assert base.x_limit == limit
-        series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
+        series = correction_series(base, 0, order=order)
         assert series.truncated == (evaluated == 0)
         assert series.evaluation_count == len(points) == evaluated
         assert all(np.isfinite(p).all() for p in points)
@@ -524,16 +546,16 @@ def test_a_base_point_near_float64s_maximum_shrinks_the_step_limit(order):
         for c1 in ([limit, 0.0], [0.0, -limit], [0.0, 0.0]):
             points = []
             base = stencil_base(x, np.zeros(2), SvdFactors(J),
-                                lambda p: points.append(p) or p - x, np.array([c1]))
+                                lambda p: points.append(p) or p - x, np.array([c1]), GN)
             assert base.x_limit == (limit if evaluated else -math.inf)
-            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
+            series = correction_series(base, 0, order=order)
             assert series.truncated == (evaluated == 0)
             assert series.evaluation_count == len(points) == evaluated
             assert all(np.isfinite(p).all() for p in points)
             assert not evaluated or np.isfinite(x + series.step).all()
     with pytest.raises(ValueError, match="^x must be finite$"):
         stencil_base(np.array([np.nan, 0.0]), np.zeros(2), SvdFactors(J), None,
-                     np.zeros((1, 2)))
+                     np.zeros((1, 2)), GN)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -559,9 +581,9 @@ def test_a_large_jacobian_or_residual_shrinks_the_step_limit(order):
             points = []
             base = stencil_base(np.zeros(2), f0, SvdFactors(J),
                                 lambda p: points.append(p) or f0 + J.dot(p),
-                                np.array([c1]))
+                                np.array([c1]), GN)
             assert base.x_limit == limit
-            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
+            series = correction_series(base, 0, order=order)
             assert series.truncated == (evaluated == 0)
             assert series.evaluation_count == len(points) == evaluated
 
@@ -580,10 +602,10 @@ def test_a_jacobian_that_is_not_finite_is_rejected():
         factors = SvdFactors(J)
         assert float(factors.s[0]) * corrections._REACH == math.inf
         base = stencil_base(np.zeros(2), np.zeros(2), factors, lambda p: J.dot(p),
-                            np.array([[1e-300, 0.0], [0.0, 0.0]]))
+                            np.array([[1e-300, 0.0], [0.0, 0.0]]), [1.0, 1.0])
         assert base.x_limit == 0.0
-        assert correction_series(base, lambda v: v, 0, order=2).truncated
-        series = correction_series(base, lambda v: v, 1, order=2)
+        assert correction_series(base, 0, order=2).truncated
+        series = correction_series(base, 1, order=2)
         assert not series.truncated and series.evaluation_count == 1
 
 
@@ -598,8 +620,9 @@ def test_a_defect_beyond_float64s_range_truncates_unwarned(order):
     for f0, evaluated in (([-1e308, 0.0], 0),
                           ([-_BOUND, 0.0], len(PHASES[order][0][0]))):
         base = stencil_base(np.zeros(2), np.array(f0), SvdFactors(J),
-                            lambda p: np.array([1.7e308, 0.0]), np.array([[1.0, 0.0]]))
-        series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
+                            lambda p: np.array([1.7e308, 0.0]), np.array([[1.0, 0.0]]),
+                            GN)
+        series = correction_series(base, 0, order=order)
         assert series.truncated and len(series.corrections) == 1
         assert series.evaluation_count == evaluated
 
@@ -616,7 +639,7 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
     for x, f0 in ((np.array([0.6, -0.8]) * top, np.array([-0.8, 0.6]) * top),
                   (np.array([-_BOUND, 0.0]), np.array([0.0, _BOUND]))):
         assert max(math.hypot(*x), math.hypot(*f0)) <= _BOUND
-        limit = stencil_base(x, f0, SvdFactors(J), None, np.zeros((1, 2))).x_limit
+        limit = stencil_base(x, f0, SvdFactors(J), None, np.zeros((1, 2)), GN).x_limit
         assert limit == _limit(J)  # _BOUND / (_REACH 2 sqrt(2))
         # (-0.6, 0.8) times the limit itself rounds to a norm one ulp above it.
         slant = np.array([-0.6, 0.8]) * np.nextafter(limit, 0)
@@ -632,8 +655,8 @@ def test_the_doubled_model_limit_bounds_every_stencil_offset():
                 bend = 1 - 0.25 * math.tanh(math.hypot(*a) / c1_norm)
                 return f0 + J.dot(a) * bend
 
-            base = stencil_base(x, f0, SvdFactors(J), evaluator, c1[None])
-            series = correction_series(base, gauss_newton_inverse(J), 0, order=order)
+            base = stencil_base(x, f0, SvdFactors(J), evaluator, c1[None], GN)
+            series = correction_series(base, 0, order=order)
             assert len(series.corrections) > 1
             assert any(np.any(c) for c in series.corrections[1:])
             assert len(points) == series.evaluation_count > 0
@@ -672,17 +695,16 @@ def test_stencil_error_carries_offset():
     x = np.zeros(2)
     f0 = np.ones(2)
     J = np.eye(2)
-    inv = gauss_newton_inverse(J)
-    base = stencil_base(x, f0, SvdFactors(J), evaluator, np.array([[0.1, 0.1]]))
+    base = stencil_base(x, f0, SvdFactors(J), evaluator, np.array([[0.1, 0.1]]), GN)
     with pytest.raises(StencilEvaluationError) as info:
-        correction_series(base, inv, 0, order=2)
+        correction_series(base, 0, order=2)
     err = info.value
     assert err.offset_key == (Fraction(1), Fraction(0), Fraction(0))
     assert np.allclose(err.point, [0.1, 0.1])
     assert err.evaluations == 1
-    # The point outlives the base's scratch, which the next series overwrites.
-    assert not any(np.shares_memory(err.point, buffer)
-                   for buffer in (base.directions, base.defects))
+    # The point is a copy, which no array of the base's shares.
+    assert not any(np.shares_memory(err.point, array)
+                   for array in (base.x, base.c1s))
 
 
 @pytest.mark.parametrize("order,call,key", [(2, 1, (1, 0, 0)), (3, 3, (0, 1, 0)),
@@ -702,10 +724,9 @@ def test_a_misshaped_stencil_residual_fails_its_call(order, call, key, length):
 
     x = np.array([math.pi, math.e])
     base = stencil_base(x, problem.evaluator(x), SvdFactors(problem.jacobian(x)),
-                        evaluator, np.array([[-0.01, 0.02]]))
+                        evaluator, np.array([[-0.01, 0.02]]), GN)
     with pytest.raises(StencilEvaluationError) as info:
-        correction_series(base, gauss_newton_inverse(problem.jacobian(x)), 0,
-                          order=order)
+        correction_series(base, 0, order=order)
     err = info.value
     assert (err.offset_key, err.evaluations) == (key, call) and len(calls) == call
     assert type(err.__cause__) is ValueError
@@ -721,11 +742,12 @@ def test_invalid_order_rejected():
     # A plain int skips the type checks, which the others still take.
     for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
         with pytest.raises(ValueError):
-            correction_series(stencil_base(x, f0, factors, poly.evaluator, c1[None]),
-                              inv, 0, order=order)
+            correction_series(
+                stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0,
+                order=order)
     for order in (np.int64(2), np.int64(3)):
         assert len(correction_series(
-            stencil_base(x, f0, factors, poly.evaluator, c1[None]), inv, 0,
+            stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0,
             order=order).corrections) == order
 
 
@@ -812,10 +834,10 @@ def test_stencil_arithmetic_matches_broadcast_reference():
         factors = SvdFactors(J)
         lam = 10.0 ** rng.uniform(-14, 2)
         factors.damped_apply_batch([lam, 2.0 * lam], f0)
-        apply = functools.partial(factors.damped_apply, lam)
+        apply = damped(factors, lam)
         c1 = -10.0 ** rng.uniform(-3, 0) * apply(f0)
         got, _ = _outcome(correction_series,
-                          stencil_base(x, f0, factors, make(), c1[None]), apply, 0,
+                          stencil_base(x, f0, factors, make(), c1[None], [lam]), 0,
                           order=order)
         want, end = _outcome(broadcast_correction_series, x, f0, J, apply,
                              make(), c1, order)
@@ -848,34 +870,41 @@ def test_bad_first_step_rejected_before_any_evaluation(c1s, message):
     counter["evals"] = 0
     with pytest.raises(ValueError, match=message):
         correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                                       np.array(c1s)),
-                          gauss_newton_inverse(J), 0, order=3)
+                                       np.array(c1s),
+                                       [0.0] * max(1, np.ndim(c1s) and len(c1s))),
+                          0, order=3)
     assert counter["evals"] == 0
 
 
 def test_a_failed_point_is_a_copy_and_its_row_runs_again_unchanged():
-    # Phase 1's points belong to the base.  The point a failure reports is
-    # a copy, so a caller that changes it leaves the base as it was, and
-    # the row's next series matches its series on a fresh base.
+    # The point a failure reports is a copy, so a caller that changes it
+    # leaves the base as it was.  The failed row's next series raises its
+    # stored error again, and the other row matches its series on a fresh
+    # base.
     problem = valley_problem(1e6)
     x = np.array([np.pi, np.e])
     f0, J = problem.evaluator(x), problem.jacobian(x)
     factors = SvdFactors(J)
-    c1 = -factors.damped_apply_batch([1.0], f0)
-    apply = functools.partial(factors.damped_apply, 1.0)
+    lams = np.array([1.0, 1e3])
+    c1s = -factors.damped_apply_batch(lams, f0)
     for order in (2, 3, 4):
-        base = stencil_base(x, f0, factors, _failing_at(1, problem.evaluator), c1)
+        base = stencil_base(x, f0, factors, _failing_at(1, problem.evaluator), c1s,
+                            lams)
         with pytest.raises(StencilEvaluationError) as caught:
-            correction_series(base, apply, 0, order=order)
-        point = caught.value.point
-        np.testing.assert_array_equal(point, x + 0.5 * c1[0] if order > 2
-                                      else x + c1[0])
+            correction_series(base, 0, order=order)
+        error = caught.value
+        point = error.point
+        np.testing.assert_array_equal(point, x + 0.5 * c1s[0] if order > 2
+                                      else x + c1s[0])
         assert not any(np.shares_memory(point, array)
-                       for array in (*base.phases[order][1][0], base.inside))
+                       for array in (base.x, base.c1s))
         point[:] = np.nan
-        fresh = stencil_base(x, f0, factors, problem.evaluator, c1)
-        assert _series_bytes(correction_series(base, apply, 0, order=order)) == (
-            _series_bytes(correction_series(fresh, apply, 0, order=order)))
+        with pytest.raises(StencilEvaluationError) as again:
+            correction_series(base, 0, order=order)
+        assert again.value is error and error.evaluations == 1
+        fresh = stencil_base(x, f0, factors, problem.evaluator, c1s[1:], lams[1:])
+        assert _series_bytes(correction_series(base, 1, order=order)) == (
+            _series_bytes(correction_series(fresh, 0, order=order)))
 
 
 @pytest.mark.parametrize("bad,shapes", [
@@ -895,9 +924,8 @@ def test_bad_f0_or_jacobian_rejected_before_any_evaluation(bad, shapes):
     for order in (1, 3):
         with pytest.raises(ValueError, match=f"^f0 has shape {shapes}$"):
             correction_series(stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                                           c1[None]), lambda v: v, 0, order=order)
+                                           c1[None], GN), 0, order=order)
     assert counter["evals"] == 0
-
 
 
 def _series_bytes(series):
@@ -906,10 +934,11 @@ def _series_bytes(series):
 
 
 def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
-    # A step runs every candidate's series on one base, whose scratch each
-    # series overwrites: no series may read what an earlier one left there,
-    # nor return a view of it.  On the K = 1e6 valley the steps stretched
-    # 100-fold truncate at orders 3 and 4; orders alternate on the one base.
+    # A step runs every candidate's series on one base, whose first series
+    # of an order runs every row: no row may read another's values, and no
+    # correction past c1 may be a view of the base's arrays.  On the K = 1e6
+    # valley the steps stretched 100-fold truncate at orders 3 and 4;
+    # orders alternate on the one base.
     problem = valley_problem(1e6)
     x = np.array([np.pi, np.e])
     f0, J = problem.evaluator(x), problem.jacobian(x)
@@ -919,20 +948,19 @@ def test_series_on_one_base_match_fresh_bases_and_share_no_memory():
     steps = [(lam, stretch * c1) for stretch in (1.0, 100.0)
              for lam, c1 in zip(lams.tolist(), c1s)]
     shared = stencil_base(x, f0, factors, problem.evaluator,
-                          np.array([c1 for _, c1 in steps]))
-    scratch = (shared.directions, shared.defects)
+                          np.array([c1 for _, c1 in steps]), np.tile(lams, 2))
+    arrays = (shared.x, shared.f0, shared.c1s)
     truncated = 0
     for order in (2, 4, 3, 2, 4, 3):
         for row, (lam, c1) in enumerate(steps):
-            apply = functools.partial(factors.damped_apply, lam)
-            got = correction_series(shared, apply, row, order=order)
-            fresh = stencil_base(x, f0, factors, problem.evaluator, c1[None])
+            got = correction_series(shared, row, order=order)
+            fresh = stencil_base(x, f0, factors, problem.evaluator, c1[None], [lam])
             assert _series_bytes(got) == _series_bytes(
-                correction_series(fresh, apply, 0, order=order))
-            assert not any(np.shares_memory(c, buffer)
-                           for c in got.corrections for buffer in scratch)
+                correction_series(fresh, 0, order=order))
+            assert not any(np.shares_memory(c, array)
+                           for c in got.corrections[1:] for array in arrays)
             truncated += got.truncated
-    assert sorted(shared.phases) == [2, 3, 4]
+    assert sorted(shared.series) == [2, 3, 4]
     assert 0 < truncated < 6 * len(steps)
 
 
@@ -948,12 +976,12 @@ def _digest_polynomials(order):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_a_sweep_base_gives_each_row_its_one_row_series(order):
-    # A step builds phase 1 for all 21 candidates of its sweep at once; each
-    # candidate's series must have the bytes, count and flag of its series
-    # on a one-row base of its own c1.  Sweeps centred at 1e-4, 1 and 1e4
-    # on the valley at K = 1e6 and 1e7 and on the digest's polynomial
-    # problems, as solved and stretched 1e4-fold, so that some series
-    # truncate at a wild correction.
+    # A step runs every phase for all 21 candidates of its sweep at once;
+    # each candidate's series must have the bytes, count and flag of its
+    # series on a one-row base of its own c1 and damping.  Sweeps centred
+    # at 1e-4, 1 and 1e4 on the valley at K = 1e6 and 1e7 and on the
+    # digest's polynomial problems, as solved and stretched 1e4-fold, so
+    # that some series truncate at a wild correction.
     cases = [(valley_problem(K), np.array([np.pi, np.e])) for K in (1e6, 1e7)]
     cases += list(_digest_polynomials(order))
     full = truncated = 0
@@ -962,13 +990,13 @@ def test_a_sweep_base_gives_each_row_its_one_row_series(order):
         for centre, stretch in itertools.product((1e-4, 1.0, 1e4), (1.0, 1e4)):
             lams = LambdaSchedule(centre).grid()
             c1s = -stretch * factors.damped_apply_batch(lams, f0)
-            sweep = stencil_base(x, f0, factors, problem.evaluator, c1s)
+            sweep = stencil_base(x, f0, factors, problem.evaluator, c1s, lams)
             for row, lam in enumerate(lams.tolist()):
-                apply = functools.partial(factors.damped_apply, lam)
-                got = correction_series(sweep, apply, row, order=order)
-                alone = stencil_base(x, f0, factors, problem.evaluator, c1s[row][None])
+                got = correction_series(sweep, row, order=order)
+                alone = stencil_base(x, f0, factors, problem.evaluator, c1s[row][None],
+                                     [lam])
                 assert _series_bytes(got) == _series_bytes(
-                    correction_series(alone, apply, 0, order=order))
+                    correction_series(alone, 0, order=order))
                 full += not got.truncated
                 truncated += got.truncated
     assert full > 1000 and truncated > 500
@@ -978,7 +1006,7 @@ def test_a_sweep_base_gives_each_row_its_one_row_series(order):
 def test_sweep_rows_past_the_step_limit_stay_out_of_the_block(order, monkeypatch):
     # Every other row of the K = 1e6 valley's sweep is stretched to norm
     # 1e302, beyond the step limit: those return their c1, truncated, with
-    # no evaluation, and the others match their one-row series.  No phase-1
+    # no evaluation, and the others match their one-row series.  No stencil
     # product overflows, so nothing warns (an error under the suite's
     # filter), no errstate is entered and every point the evaluator sees is
     # finite.
@@ -995,19 +1023,18 @@ def test_sweep_rows_past_the_step_limit_stay_out_of_the_block(order, monkeypatch
         return problem.evaluator(p)
 
     entered = count_errstates(monkeypatch)
-    sweep = stencil_base(x, f0, factors, evaluator, c1s)
+    sweep = stencil_base(x, f0, factors, evaluator, c1s, lams)
     assert sweep.x_limit < 1e302
     for row, lam in enumerate(lams.tolist()):
-        apply = functools.partial(factors.damped_apply, lam)
-        got = correction_series(sweep, apply, row, order=order)
+        got = correction_series(sweep, row, order=order)
         if row % 2 == 0:
             assert got.truncated and got.evaluation_count == 0
             assert len(got.corrections) == 1
             assert np.array_equal(got.corrections[0], c1s[row])
         else:
-            alone = stencil_base(x, f0, factors, evaluator, c1s[row][None])
+            alone = stencil_base(x, f0, factors, evaluator, c1s[row][None], [lam])
             assert _series_bytes(got) == _series_bytes(
-                correction_series(alone, apply, 0, order=order))
+                correction_series(alone, 0, order=order))
     assert len(points) == 2 * 10 * STENCIL_EVALUATIONS[order]
     assert all(np.isfinite(p).all() for p in points)
     assert entered == []
@@ -1021,13 +1048,13 @@ def test_a_bad_row_is_rejected_before_any_evaluation(row):
     x = np.array([np.pi, np.e])
     f0, J = problem.evaluator(x), problem.jacobian(x)
     base = stencil_base(x, f0, SvdFactors(J), problem.evaluator,
-                        np.array([[0.1, 0.0], [0.0, 0.1]]))
+                        np.array([[0.1, 0.0], [0.0, 0.1]]), [0.0, 0.0])
     counter["evals"] = 0
     for order in (1, 3):
         with pytest.raises(ValueError, match=r"^row must be an integer in \[0, 1\]"):
-            correction_series(base, gauss_newton_inverse(J), row, order=order)
+            correction_series(base, row, order=order)
     assert counter["evals"] == 0
-    series = correction_series(base, gauss_newton_inverse(J), np.int64(1), order=3)
+    series = correction_series(base, np.int64(1), order=3)
     assert series.evaluation_count == 4
     assert np.array_equal(series.corrections[0], [0.0, 0.1])
 
@@ -1035,10 +1062,10 @@ def test_a_bad_row_is_rejected_before_any_evaluation(row):
 def test_order_is_keyword_only():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    base = stencil_base(x, f0, factors, poly.evaluator, c1[None])
+    base = stencil_base(x, f0, factors, poly.evaluator, c1[None], GN)
     with pytest.raises(TypeError):
-        correction_series(base, inv, 0, 2)
-    assert len(correction_series(base, inv, 0, order=2).corrections) == 2
+        correction_series(base, 0, 2)
+    assert len(correction_series(base, 0, order=2).corrections) == 2
 
 
 @pytest.mark.parametrize("x,shape", [(np.float64(0.5), r"\(\)"),
@@ -1047,20 +1074,67 @@ def test_order_is_keyword_only():
 def test_a_base_point_that_is_not_a_vector_is_rejected(x, shape):
     with pytest.raises(ValueError, match=rf"^x has shape {shape}, expected \(2,\)$"):
         stencil_base(x, np.zeros(2), SvdFactors(np.eye(2)), lambda p: p,
-                     np.zeros((1, 2)))
+                     np.zeros((1, 2)), GN)
+
+
+class _RecordingFactors(SvdFactors):
+    """SvdFactors that keep every block their ``damped_apply`` is given."""
+
+    __slots__ = ("blocks",)
+
+    def damped_apply(self, lams, vs):
+        self.blocks.append(np.array(vs))
+        return super().damped_apply(lams, vs)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_a_misshaped_correction_is_rejected(order):
-    # A (1,) correction broadcast into the step's two components, and at
-    # orders 3-4 into the next phase's direction row, unseen.  Each shape
-    # that is not c1's raises when the inverse returns it.
-    poly = polynomial_problem(2, 2, seed=4)
-    x, f0, factors, _, c1 = make_context(poly.as_problem(), [0.5, 0.5])
-    base = stencil_base(x, f0, factors, poly.evaluator, c1[None])
-    for bad in (np.array([1e-3]), np.zeros(3), np.zeros((1, 2))):
-        message = rf"^correction has shape {re.escape(str(bad.shape))}, expected \(2,\)$"
-        with pytest.raises(ValueError, match=message):
-            correction_series(base, lambda v: bad, 0, order=order)
-    assert len(correction_series(base, lambda v: np.zeros(2), 0,
-                                 order=order).corrections) == order
+def test_every_fate_in_one_block_matches_its_one_row_base(order):
+    # One sweep base whose rows meet every fate: a row that passes, one
+    # past x_limit, one whose residual block is beyond 2 _BOUND, one whose
+    # correction is wild, one whose residual is nan and one whose evaluator
+    # raises, each at its phase-1 points.  Every row has the bytes, count
+    # and flag of its own one-row base, and a raised row its evaluations and
+    # point.  Nothing warns (an error under the suite's filter), and no nan
+    # or inf of a row that stopped reaches a later phase: every point is
+    # finite, and so is every block that the inverse is given.
+    x, J = np.zeros(2), np.array([[2.0, 0.5], [0.5, 1.0]])
+    points = []
+
+    def evaluator(p):
+        points.append(p.copy())
+        if p[0] > 40.0:
+            return np.array([1e307, 0.0])  # beyond 2 _BOUND
+        if p[1] > 40.0:
+            return np.array([0.0, 1e10])  # a defect that makes c2 wild
+        if p[0] < -40.0:
+            return np.array([np.nan, 0.0])
+        if p[1] < -40.0:
+            raise FloatingPointError("boom")
+        return J.dot(p) + 0.1 * p * p
+
+    fates = {"full": [0.1, -0.2], "limit": [1e303, 0.0], "range": [100.0, 0.0],
+             "wild": [0.0, 100.0], "nan": [-100.0, 0.0], "raised": [0.0, -100.0]}
+    c1s = np.array(list(fates.values()) * 2)  # every fate twice, in turn
+    lams = np.repeat([1e-3, 1.0], len(fates))
+
+    def factors():
+        made = _RecordingFactors(J)
+        made.blocks = []
+        return made
+
+    sweep_factors = factors()
+    sweep = stencil_base(x, evaluator(x), sweep_factors, evaluator, c1s, lams)
+    assert 1e3 < sweep.x_limit < 1e303
+    first = len(PHASES[order][0][0])
+    counts = {"full": STENCIL_EVALUATIONS[order], "limit": 0, "range": first,
+              "wild": first, "nan": first, "raised": 1}
+    for row, fate in enumerate(list(fates) * 2):
+        got, end = _outcome(correction_series, sweep, row, order=order)
+        alone = stencil_base(x, evaluator(x), factors(), evaluator, c1s[row][None],
+                             lams[row:row + 1])
+        assert (got, end) == _outcome(correction_series, alone, 0, order=order)
+        assert end == {"full": "full", "raised": "raised"}.get(fate, "truncated")
+        assert got[1] == counts[fate], fate
+    assert all(np.isfinite(p).all() for p in points)
+    assert len(sweep_factors.blocks) == order - 1
+    assert all(np.isfinite(block).all() for block in sweep_factors.blocks)

@@ -4,9 +4,11 @@ On the 2-3 element operands of a stencil phase or a damped inverse, the
 ``@`` operator's matmul gufunc costs about twice a ``.dot`` call, with the
 same bits, and entering an ``np.errstate`` costs more than the arithmetic it
 guards.  The suite times nothing, so these tests keep the operator and the
-errstate from creeping back into those paths unnoticed.  The one
-``np.matmul`` call, phase 1's models for a whole sweep, is there because
-its stacked items keep each row's ``.dot`` bits, which a flat product does not.
+errstate from creeping back into those paths unnoticed.  The block products
+of a sweep, each phase's offsets, linear models and weighted defects and
+both products of the block apply ``SvdFactors.damped_apply``, are stacked
+``np.matmul`` calls: each of their items keeps its row's own ``.dot``
+bits, which a flat product over the block does not.
 """
 
 import ast
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import count_errstates
-from lmcorrect.corrections import PHASES
+from lmcorrect.corrections import PHASES, STENCIL_EVALUATIONS
 from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig, step
 from lmcorrect.problems import valley_problem
@@ -28,6 +30,9 @@ HOT_FUNCTIONS = [
     ("corrections.py", "CorrectionSeries.step"),
     ("corrections.py", "correction_series"),
     ("corrections.py", "stencil_base"),
+    ("corrections.py", "_stencil_base"),
+    ("corrections.py", "_series_block"),
+    ("linalg.py", "_dampings"),
     ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),
     ("linalg.py", "SvdFactors._apply"),
@@ -67,9 +72,8 @@ def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
     # The screens in SvdFactors, its scale rows and products, and step pass
     # on every sweep of the K = 1e5 valley from (pi, e), so none enters an
     # errstate; a zero damping fails the rows' screen, so Gauss-Newton's
-    # sweep does.
-    # Its corrections then read the zero row that the sweep kept, as every
-    # correction reads its damping's row, and enter none.
+    # sweep does.  Each phase's block apply then reuses the sweep's rows,
+    # the zero row included, and enters none.
     problem = valley_problem(1e5)
     x = np.array([np.pi, np.e])
     f0 = problem.evaluator(x)
@@ -104,3 +108,91 @@ def test_the_stacked_model_product_keeps_each_rows_dot_bits(order):
                 stacked = np.matmul(offsets, J.T)
                 for row, item in zip(offsets, stacked):
                     assert row.dot(J.T).tobytes() == item.tobytes()
+
+
+def _stacked_cases():
+    """``(J, x, c1s)`` of sweeps: valley Jacobians at K = 1e2 to 1e8 at (pi,
+    e) and random points, random ``(m, p)`` Jacobians of MGH size (m up to
+    40) and of m = 1000, p = 8, each over sweeps centred at 1e-6, 1 and 1e6."""
+    rng = np.random.default_rng(32)
+    points = [np.array([np.pi, np.e])] + list(rng.uniform(-3.0, 3.0, size=(4, 2)))
+    for K in (1e2, 1e4, 1e6, 1e7, 1e8):
+        problem = valley_problem(K)
+        for x in points:
+            yield problem.jacobian(x), x, problem.evaluator(x)
+    for m, p in ((3, 2), (5, 4), (10, 10), (13, 6), (20, 4), (31, 9), (40, 7),
+                 (1000, 8)):
+        for _ in range(3):
+            J = rng.normal(size=(m, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+            yield J, rng.normal(size=p), rng.normal(size=m)
+
+
+def _sweeps():
+    for J, x, f0 in _stacked_cases():
+        factors = SvdFactors(J)
+        for centre in (1e-6, 1.0, 1e6):
+            lams = LambdaSchedule(centre).grid()
+            yield factors, x, lams, -factors.damped_apply_batch(lams, f0)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_the_later_phases_stacked_products_keep_each_rows_dot_bits(order):
+    # Phases 2+ form every row's offsets from its known directions, and
+    # their linear models, as stacked np.matmul calls over the block; each
+    # item must equal that row's own mult.dot(known) and offsets.dot(J.T),
+    # bit for bit.  The directions past c1 are corrections-sized rows.
+    rng = np.random.default_rng(order)
+    for factors, x, lams, c1s in _sweeps():
+        n, p = c1s.shape
+        directions = np.empty((n, order - 1, p))
+        directions[:, 0] = c1s
+        scales = rng.uniform(-0.3, 0.3, size=(n, order - 2, 1))
+        directions[:, 1:] = c1s[:, None] * scales
+        for known, (points, _) in enumerate(PHASES[order][1:], start=2):
+            mult = np.ascontiguousarray(np.array(points, dtype=float)[:, :known])
+            offsets = np.matmul(mult, directions[:, :known])
+            models = np.matmul(offsets, factors.J.T)
+            for row in range(n):
+                alone = mult.dot(directions[row, :known])
+                assert alone.tobytes() == offsets[row].tobytes()
+                assert alone.dot(factors.J.T).tobytes() == models[row].tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_the_weighted_defects_keep_each_rows_dot_bits(order):
+    # Each phase weights every row's defects so far in one stacked
+    # np.matmul; each item must equal that row's own weights.dot(defects).
+    rng = np.random.default_rng(10 + order)
+    for J, _, _ in _stacked_cases():
+        m = len(J)
+        defects = rng.normal(size=(21, STENCIL_EVALUATIONS[order], m)) * 10.0 ** (
+            rng.uniform(-8, 8, size=(21, 1, 1)))
+        end = 0
+        for points, weights in PHASES[order]:
+            end += len(points)
+            weights = np.array(weights, dtype=float)
+            block = np.matmul(weights, defects[:, :end])
+            for row in range(21):
+                alone = weights.dot(defects[row, :end])
+                assert alone.tobytes() == block[row].tobytes()
+
+
+def test_both_products_of_the_block_apply_keep_each_rows_dot_bits():
+    # damped_apply projects every row on U and maps every scaled row back
+    # through Vt in two stacked np.matmul calls; each item must equal that
+    # row's own Ut.dot(v) and w.dot(Vt), and the block apply's row the
+    # one-row product (scale * Ut.dot(v)).dot(Vt).
+    rng = np.random.default_rng(33)
+    for factors, _, lams, c1s in _sweeps():
+        vs = rng.normal(size=(len(lams), len(factors.J))) * 10.0 ** (
+            rng.uniform(-8, 8, size=(len(lams), 1)))
+        projected = np.matmul(vs[:, None], factors.U)
+        rows = factors._scale_rows(lams)[1]
+        mapped = np.matmul(projected * rows[:, None], factors.Vt)
+        applied = factors.damped_apply(lams, vs)
+        for row, v in enumerate(vs):
+            alone = factors.Ut.dot(v)
+            assert alone.tobytes() == projected[row, 0].tobytes()
+            scaled = rows[row] * alone
+            assert scaled.dot(factors.Vt).tobytes() == mapped[row, 0].tobytes()
+            assert scaled.dot(factors.Vt).tobytes() == applied[row].tobytes()

@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import warnings
@@ -6,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import count_errstates
+from helpers import count_errstates, damped
 from lmcorrect.linalg import (
     _BOUND,
     SvdFactors,
@@ -85,8 +84,8 @@ def test_factors_keep_the_jacobian_they_were_given():
 
 def test_damped_identity_cases():
     v = np.array([1.0, 1.0])
-    assert np.allclose(SvdFactors(np.eye(2)).damped_apply(0.0, v), v)
-    out = SvdFactors(np.eye(2)).damped_apply(1.0, np.array([2.0, 0.0]))
+    assert np.allclose(damped(SvdFactors(np.eye(2)), 0.0)(v), v)
+    out = damped(SvdFactors(np.eye(2)), 1.0)(np.array([2.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0])
 
 
@@ -96,14 +95,14 @@ def test_damped_matches_direct_solve():
     v = rng.normal(size=5)
     lam = 0.37
     expected = np.linalg.solve(J.T @ J + lam * np.eye(3), J.T @ v)
-    got = SvdFactors(J).damped_apply(lam, v)
+    got = damped(SvdFactors(J), lam)(v)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_damped_rejects_negative_damping():
     for lam in (-1.0, np.nan):
         with pytest.raises(ValueError):
-            SvdFactors(np.eye(2)).damped_apply(lam, np.ones(2))
+            damped(SvdFactors(np.eye(2)), lam)(np.ones(2))
 
 
 @pytest.mark.parametrize("v", [
@@ -116,12 +115,16 @@ def test_damped_rejects_negative_damping():
 ])
 def test_damped_rejects_nonfinite_or_misshaped_vector(v):
     # The message names v: a misshaped v used to fail inside numpy's product.
-    message = "^v must be finite$" if v.shape == (2,) else (
-        rf"^v has shape {re.escape(str(v.shape))}, expected \(2,\)$")
+    # The block apply takes v as its one row.
+    if v.shape == (2,):
+        block = batch = "^v must be finite$"
+    else:
+        block = rf"^v has shape {re.escape(str((1,) + v.shape))}, expected \(1, 2\)$"
+        batch = rf"^v has shape {re.escape(str(v.shape))}, expected \(2,\)$"
     factors = SvdFactors(np.eye(2))
-    with pytest.raises(ValueError, match=message):
-        factors.damped_apply(0.5, v)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=block):
+        factors.damped_apply(np.array([0.5]), v[None])
+    with pytest.raises(ValueError, match=batch):
         factors.damped_apply_batch([0.5, 1.0], v)
 
 
@@ -145,8 +148,8 @@ def test_damped_is_bitwise_the_svd_formula(shape):
         for lam in 10.0 ** rng.uniform(-8, 8, size=4):
             scale = np.reciprocal(f.s + lam * (1.0 / f.s))
             expected = f.Vt.T @ (scale * (f.U.T @ v))
-            assert np.array_equal(f.damped_apply(lam, v), expected)
-            assert np.array_equal(f.damped_apply(float(lam), v), expected)
+            assert np.array_equal(damped(f, lam)(v), expected)
+            assert np.array_equal(damped(f, float(lam))(v), expected)
             assert np.allclose(scale, squaring_scale(f, lam), rtol=1e-13, atol=0)
             assert np.allclose(expected,
                                f.Vt.T @ (squaring_scale(f, lam) * (f.U.T @ v)),
@@ -223,7 +226,7 @@ def test_damped_norm_decreases_with_damping():
         v = rng.normal(size=4)
         factors = SvdFactors(J)
         lams = [0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6]
-        norms = [np.linalg.norm(factors.damped_apply(lam, v)) for lam in lams]
+        norms = [np.linalg.norm(damped(factors, lam)(v)) for lam in lams]
         assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
@@ -232,7 +235,7 @@ def test_damped_large_damping_tends_to_gradient():
     J = rng.normal(size=(4, 3))
     v = rng.normal(size=4)
     lam = 1e12 * np.linalg.norm(J, 2) ** 2
-    scaled = lam * SvdFactors(J).damped_apply(lam, v)
+    scaled = lam * damped(SvdFactors(J), lam)(v)
     grad = J.T @ v
     cosine = scaled @ grad / (np.linalg.norm(scaled) * np.linalg.norm(grad))
     assert cosine > 1.0 - 1e-6
@@ -243,7 +246,7 @@ def test_damped_zero_equals_newton_on_square():
     for _ in range(10):
         J = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
         v = rng.normal(size=3)
-        gn = SvdFactors(J).damped_apply(0.0, v)
+        gn = damped(SvdFactors(J), 0.0)(v)
         nw = np.linalg.solve(J, v)
         assert np.linalg.norm(gn - nw) <= 1e-8 * np.linalg.norm(nw)
 
@@ -252,18 +255,18 @@ def test_damped_zero_rank_deficient_minimum_norm():
     J = np.array([[1.0, 0.0], [0.0, 0.0]])
     v = np.array([2.0, 5.0])
     with pytest.warns(RuntimeWarning):
-        out = SvdFactors(J).damped_apply(0.0, v)
+        out = damped(SvdFactors(J), 0.0)(v)
     assert np.allclose(out, np.linalg.pinv(J) @ v)
 
 
 def test_newton_cases():
     # Zero damping on a square nonsingular J is Newton's step J^{-1} v.
     assert np.allclose(
-        SvdFactors(np.eye(3)).damped_apply(0.0, np.array([1.0, 2.0, 3.0])),
+        damped(SvdFactors(np.eye(3)), 0.0)(np.array([1.0, 2.0, 3.0])),
         [1, 2, 3],
     )
     J = np.array([[1.0, 2.0], [0.0, 1.0]])
-    out = SvdFactors(J).damped_apply(0.0, np.array([1.0, 1.0]))
+    out = damped(SvdFactors(J), 0.0)(np.array([1.0, 1.0]))
     assert np.allclose(out, [-1.0, 1.0])
     assert np.allclose(J @ out, [1.0, 1.0], rtol=1e-10)
 
@@ -276,20 +279,20 @@ def test_batch_matches_scalar_applications():
     lams = np.concatenate([[0.0], 10.0 ** np.arange(-6, 7, dtype=float), [0.0]])
     batch = factors.damped_apply_batch(lams, v)
     for row, lam in zip(batch, lams):
-        assert np.allclose(row, factors.damped_apply(lam, v), rtol=1e-13, atol=0)
+        assert np.allclose(row, damped(factors, lam)(v), rtol=1e-13, atol=0)
     assert np.array_equal(factors.damped_apply_batch([0.0], v), batch[:1])
-    # Zero rows take damped_apply's rank cut, and its warning, which points
-    # at the caller of either apply.
+    # Zero rows take the block apply's rank cut, and its warning, which
+    # points at the caller of either apply.
     rank_one = SvdFactors(np.outer([1.0, 2.0, 0.0], [3.0, 1.0]))
     w = np.array([1.0, -1.0, 2.0])
     with pytest.warns(RuntimeWarning, match="rank-deficient") as batch_warning:
         rows = rank_one.damped_apply_batch([0.0, 1.0, 0.0], w)
     with pytest.warns(RuntimeWarning, match="rank-deficient") as apply_warning:
-        expected = rank_one.damped_apply(0.0, w)
+        expected = rank_one.damped_apply(np.zeros(1), w[None])[0]
     assert [r.filename for r in [*batch_warning, *apply_warning]] == [__file__] * 2
     for row in rows[::2]:
         assert np.allclose(row, expected, rtol=1e-13, atol=0)
-    assert np.allclose(rows[1], rank_one.damped_apply(1.0, w), rtol=1e-13, atol=0)
+    assert np.allclose(rows[1], damped(rank_one, 1.0)(w), rtol=1e-13, atol=0)
     # Bad dampings, or a v damped_apply would reject, raise ValueError.
     for bad_lams, bad_v in [([1.0, -1e-3], v), ([np.nan], v), ([1.0, np.nan], v),
                             (1.0, v), ([], v), ([[1.0, 2.0]], v),
@@ -319,12 +322,12 @@ def test_overflowing_applications_are_inf_without_a_warning(monkeypatch):
                                   {False, True})
     v = np.array([0.0, 1e303])
     for lam in (0.0, 1e-20):
-        assert np.isinf(factors.damped_apply(lam, v)[1])
+        assert np.isinf(damped(factors, lam)(v)[1])
         assert np.isinf(factors.damped_apply_batch([lam, 1.0], v)[0, 1])
     # Far below the overflow a huge vector keeps the damped formula's bits.
     v = np.array([1e300, -1e300])
     scale = np.reciprocal(factors.s + 1e4 * factors.inv_s)
-    got = factors.damped_apply(1e4, v)
+    got = damped(factors, 1e4)(v)
     assert np.array_equal(got, factors.Vt.T @ (scale * (factors.Ut @ v)))
     assert np.allclose(got, factors.Vt.T @ (squaring_scale(factors, 1e4)
                                             * (factors.Ut @ v)), rtol=1e-13, atol=0)
@@ -345,14 +348,14 @@ def test_overflowing_squares_keep_their_direction():
         assert np.allclose(scale, [1.0 / (1e200 + lam / 1e200), 2.0 / (4.0 + lam)],
                            rtol=1e-13, atol=0)
         expected = factors.Vt.T.dot(scale * factors.Ut.dot(v))
-        got = factors.damped_apply(lam, v)
+        got = damped(factors, lam)(v)
         assert np.array_equal(got, expected)
         assert np.allclose(row, got, rtol=1e-13, atol=0)
         assert abs(got[0]) == pytest.approx(3.0, rel=1e-12)
     # Zero damping needs no square: it is 1 / s, as before, and cuts s = 2
     # as below RANK_RCOND * 1e200.
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        assert abs(factors.damped_apply(0.0, v)[0]) == pytest.approx(3.0, rel=1e-12)
+        assert abs(damped(factors, 0.0)(v)[0]) == pytest.approx(3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1e10, 1e300])
@@ -363,7 +366,7 @@ def test_damping_past_lam_over_s_keeps_the_squaring_values(lam):
     factors = SvdFactors(np.diag([1.0, 1e-300]))
     v = np.ones(2)
     expected = [1.0 / (1.0 + lam), 1e-300 / lam]
-    assert np.array_equal(factors.damped_apply(lam, v), expected)
+    assert np.array_equal(damped(factors, lam)(v), expected)
     assert np.array_equal(factors.damped_apply_batch([1.0, lam], v)[1], expected)
     assert np.array_equal(squaring_scale(factors, lam), expected)
 
@@ -383,108 +386,135 @@ def test_graded_valley_jacobian_keeps_its_small_singular_value(K):
 
 
 def test_applier_closure_matches_function():
-    # The optimizer binds one factorization per Jacobian into a closure per
-    # damping value; reusing it must match a fresh factorization.
+    # One factorization serves every block applied to it: reusing it must
+    # match a fresh factorization, bit for bit.
     rng = np.random.default_rng(23)
     J = rng.normal(size=(4, 2))
     v = rng.normal(size=4)
     factors = SvdFactors(J)
-    apply = lambda w: factors.damped_apply(0.5, w)
-    factors.damped_apply(2.0, v)
-    assert np.array_equal(apply(v), SvdFactors(J).damped_apply(0.5, v))
-    # After a sweep, damped_apply reads the kept row of a grid damping (numpy
-    # or Python float) and computes any other, zero included: the bits are a
-    # fresh factorization's either way.
+    apply = damped(factors, 0.5)
+    damped(factors, 2.0)(v)
+    assert np.array_equal(apply(v), damped(SvdFactors(J), 0.5)(v))
+    # After a sweep, the block apply reuses the sweep's rows at its dampings
+    # (a numpy array of the grid) and computes any others, zero included:
+    # each row has the bits of a fresh factorization's one-row apply either
+    # way.
     for centre in (0.5, 2.0):  # the second sweep's rows replace the first's
         grid = LambdaSchedule(centre).grid()
         factors.damped_apply_batch(grid, rng.normal(size=4))
-        for lam in [*grid, *grid.tolist(), np.float64(grid[3]), np.array(grid[3]),
-                    0.0, 0.3]:
-            fresh = SvdFactors(J).damped_apply(lam, v)
-            assert factors.damped_apply(lam, v).tobytes() == fresh.tobytes()
-            # The optimizer's applier: a partial of the bound method.
-            applier = functools.partial(factors.damped_apply, lam)
-            assert applier(v).tobytes() == fresh.tobytes()
-    # lam * inv_s overflows at s = 1e-300: a kept s / lam row, the same bits.
+        vs = rng.normal(size=(len(grid), 4))
+        for lams in (grid, grid[3:4], np.array(grid.tolist()), [0.0, 0.3],
+                     np.float32(grid[:2])):
+            rows = factors.damped_apply(lams, vs[:len(lams)])
+            fresh = SvdFactors(J)
+            for lam, row, w in zip(np.asarray(lams, dtype=float).tolist(), rows, vs):
+                assert row.tobytes() == damped(fresh, lam)(w).tobytes()
+    # lam * inv_s overflows at s = 1e-300: a reused s / lam row, the same bits.
     tiny = SvdFactors(np.diag([1.0, 1e-300]))
-    tiny.damped_apply_batch([1.0, 1e10, 1e300], np.ones(2))
-    for lam in (1e10, 1e300):
-        assert np.array_equal(tiny.damped_apply(lam, np.ones(2)),
-                              SvdFactors(np.diag([1.0, 1e-300])).damped_apply(
-                                  lam, np.ones(2)))
+    sweep = np.array([1.0, 1e10, 1e300])
+    tiny.damped_apply_batch(sweep, np.ones(2))
+    rows = tiny.damped_apply(sweep, np.ones((3, 2)))
+    for lam, row in zip(sweep.tolist(), rows):
+        assert np.array_equal(row, damped(SvdFactors(np.diag([1.0, 1e-300])), lam)(
+            np.ones(2)))
 
 
 def test_each_sweep_row_is_computed_once(monkeypatch):
-    # damped_apply at a damping of the last sweep computes no scale row, and
-    # a second sweep replaces the kept rows.  Zero is kept too when no
-    # singular value is cut, bitwise the row it would recompute.  On a
-    # rank-deficient J it cuts one, so it is recomputed, and warns, per call.
+    # The block apply at the last sweep's dampings computes no scale row,
+    # and a second sweep replaces the kept rows.  Other dampings, a part of
+    # the sweep among them, are computed.  On a rank-deficient J the sweep
+    # cuts a singular value at zero damping and warns once; the block apply
+    # at its dampings reuses the cut row, and warns no more.
     computed = []
     scale_rows = SvdFactors._scale_rows
 
-    def counting(self, lams, lam_list, *bounds):
+    def counting(self, lams):
+        lam_list, rows = scale_rows(self, lams)
         computed.extend(lam_list)
-        return scale_rows(self, lams, lam_list, *bounds)
+        return lam_list, rows
 
     monkeypatch.setattr(SvdFactors, "_scale_rows", counting)
     J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
     v = np.array([1.0, -2.0, 0.5])
+    vs = np.array([v, -v, 2.0 * v])
     factors = SvdFactors(J)
-    first, second = [0.0, 1e-3, 1.0], [0.0, 1e3, 1e6]
+    first, second = np.array([0.0, 1e-3, 1.0]), np.array([0.0, 1e3, 1e6])
     factors.damped_apply_batch(first, v)
-    for lam in first:
-        factors.damped_apply(lam, v)
-    assert computed == first
+    factors.damped_apply(first, vs)
+    assert computed == first.tolist()
     factors.damped_apply_batch(second, v)
-    for lam in first[1:] + second:
-        factors.damped_apply(lam, v)
-    assert computed == first + second + first[1:]
-    assert np.array_equal(factors.damped_apply(0.0, v),
-                          SvdFactors(J).damped_apply(0.0, v))
+    factors.damped_apply(second, vs)
+    factors.damped_apply(first, vs)
+    assert computed == first.tolist() + second.tolist() + first.tolist()
+    del computed[:]
+    factors.damped_apply(second[:2], vs[:2])
+    assert computed == second[:2].tolist()
     del computed[:]
     deficient = SvdFactors(np.outer([2.0, 0.5, 1.0], [1.0, -1.0]))
+    sweep = np.array([0.0, 1.0])
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        deficient.damped_apply_batch([0.0, 1.0], v)
-    for _ in range(2):
-        with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            deficient.damped_apply(0.0, v)
-    deficient.damped_apply(1.0, v)
-    assert computed == [0.0, 1.0, 0.0, 0.0]
+        deficient.damped_apply_batch(sweep, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deficient.damped_apply(sweep, vs[:2])
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        deficient.damped_apply(sweep[:1], vs[:1])
+    assert computed == [0.0, 1.0, 0.0]
     # A rejected sweep keeps the last good one's dampings with their rows.
     with pytest.raises(ValueError):
         factors.damped_apply_batch([1e6, 1e3, -1.0], v)
-    for lam in (1e3, 1e6):
-        assert np.array_equal(factors.damped_apply(lam, v),
-                              SvdFactors(J).damped_apply(lam, v))
+    del computed[:]
+    assert np.array_equal(factors.damped_apply(second, vs),
+                          SvdFactors(J).damped_apply(second, vs))
+    assert computed == second.tolist()  # the fresh factors' rows only
 
 
 def test_a_damping_outside_the_sweep_gets_its_row_through_the_row_screen(
         monkeypatch):
-    # A damping the last sweep did not keep has its row computed by the
-    # sweep's own rule: no errstate when the screen passes, the same bits
-    # as a fresh factorization's either way.  Zero fails the screen, as do
-    # s_min = 0 and a damping whose lam / s_min reaches _BOUND.
+    # Dampings that are not the last sweep's have their rows computed by
+    # the sweep's own rule: no errstate when the screen passes, the same
+    # bits as a fresh factorization's either way.  Zero fails the screen,
+    # as do s_min = 0 and a damping whose lam / s_min reaches _BOUND.
     entered = count_errstates(monkeypatch)
     J = np.array([[2.0, 1.0], [0.5, 3.0], [1.0, -1.0]])
-    v = np.array([1.0, -2.0, 0.5])
+    v = np.array([[1.0, -2.0, 0.5]])
     factors = SvdFactors(J)
-    factors.damped_apply_batch([1e-3, 1.0], v)
+    factors.damped_apply_batch([1e-3, 1.0], v[0])
     for lam, errstates in ((0.3, 0), (np.float64(7.0), 0), (np.array(1.0), 0),
                            (0.0, 1), (_BOUND * float(factors.s[-1]), 1)):
         del entered[:]
-        got = factors.damped_apply(lam, v)
+        got = factors.damped_apply(np.array([lam]), v)
         assert len(entered) == errstates, lam
-        assert got.tobytes() == SvdFactors(J).damped_apply(lam, v).tobytes()
+        assert got.tobytes() == SvdFactors(J).damped_apply(np.array([lam]), v).tobytes()
     # Where s_min = 0 the products' screen fails too, since 1 / s_min is
-    # inf: a positive damping enters one errstate if kept, two if not.
+    # inf: positive dampings enter one errstate if the sweep's, two if not.
     deficient = SvdFactors(np.array([[2.0, 0.0], [0.5, 0.0], [1.0, 0.0]]))
     assert deficient.s[-1] == 0.0
+    sweep = np.array([0.0, 1.0])
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        deficient.damped_apply_batch([0.0, 1.0], v)
-    for lam, errstates in ((1.0, 1), (0.3, 2)):
+        deficient.damped_apply_batch(sweep, v[0])
+    for lams, errstates in ((sweep, 1), (np.array([0.3]), 2)):
         del entered[:]
-        assert np.isfinite(deficient.damped_apply(lam, v)).all()
+        rows = deficient.damped_apply(lams, np.repeat(v, len(lams), 0))
+        assert np.isfinite(rows).all()
         assert len(entered) == errstates
+
+
+@pytest.mark.parametrize("lam", [math.inf, True, np.bool_(True), -1.0, math.nan],
+                         ids=["inf", "True", "np.True_", "negative", "nan"])
+def test_an_infinite_or_bool_damping_is_rejected(lam):
+    # Every damping follows as_positive's rule, in a sweep or a block, as a
+    # float64 array, a list or a bool array: an infinite damping returned
+    # zeros, and True acted as damping 1.
+    factors = SvdFactors(np.eye(2))
+    v = np.ones(2)
+    message = "^damping must be non-negative and finite, got "
+    for lams in ([lam], [0.5, lam], np.array([lam]), (np.float32(0.5), lam)):
+        with pytest.raises(ValueError, match=message):
+            factors.damped_apply_batch(lams, v)
+        with pytest.raises(ValueError, match=message):
+            factors.damped_apply(lams, np.ones((len(lams), 2)))
+    assert np.array_equal(factors.damped_apply_batch([1.0], v), [[0.5, 0.5]])
 
 
 def test_as_shape_names_the_argument_and_both_shapes():
@@ -583,4 +613,4 @@ def test_a_singular_value_is_never_negative(divisor, monkeypatch):
     assert len(entered) == 2
     assert np.isfinite(rows).all()
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        assert np.isfinite(factors.damped_apply(0.0, v)).all()
+        assert np.isfinite(damped(factors, 0.0)(v)).all()

@@ -16,6 +16,7 @@ from helpers import (
     count_errstates,
     counting_problem,
     evaluator_failing_at,
+    four_exponential_fit,
     jacobian_raising_from,
     nan_jacobian_below,
 )
@@ -231,8 +232,9 @@ def test_a_base_point_beyond_the_bound_takes_the_exact_mask(order):
 def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypatch):
     # Orders 2-4 check x, f0 and J once per step and hand their norms to
     # _stencil_base, which builds one base whose rows are the live
-    # candidates' c1s, in grid order, and that every live candidate's
-    # series shares, row by row; order 1 runs no series and builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
+    # candidates' c1s and dampings, in grid order, and that every live
+    # candidate's series shares, row by row; order 1 runs no series and
+    # builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
     # small dampings' x + c1 overflow, so only some candidates are live.
     b = np.array([1.5e308, 0.0])
     problem = affine_problem(np.diag([0.5, 1.0]), b)
@@ -244,14 +246,15 @@ def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypat
         bases.append(stencil_base(*args, **kwargs))
         return bases[-1]
 
-    def counting_series(base, inverse_apply, row, **kwargs):
+    def counting_series(base, row, **kwargs):
         calls.append((base, row))
-        return correction_series(base, inverse_apply, row, **kwargs)
+        return correction_series(base, row, **kwargs)
 
     monkeypatch.setattr(optimizer, "_stencil_base", counting_base)
     monkeypatch.setattr(optimizer, "correction_series", counting_series)
     schedule = LambdaSchedule(1.0)
-    c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(schedule.grid(), f0)
+    grid = schedule.grid()
+    c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(grid, f0)
     with np.errstate(over="ignore"):
         live = np.isfinite(x + c1s).all(axis=1)
     assert 0 < live.sum() < len(c1s)
@@ -261,6 +264,7 @@ def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypat
     else:
         assert len(bases) == 1 and all(base is bases[0] for base, _ in calls)
         assert np.array_equal(bases[0].c1s, c1s[live])
+        assert np.array_equal(bases[0].lams, grid[live])
         assert [row for _, row in calls] == list(range(live.sum()))
 
 
@@ -458,14 +462,19 @@ def test_wrong_shaped_residual_is_rejected(order):
 ])
 def test_a_misshaped_residual_mid_run_fails_only_its_call(order, iterations,
                                                          evaluations):
-    # The 300th evaluator call returns a length-3 residual: an endpoint at
-    # order 1, a stencil point at orders 2-4.  It drops its candidate, as
-    # the same call raising does, and the run keeps going: both runs are
-    # alike record for record, and every call is counted.
+    # One evaluator call returns a length-3 residual: an endpoint at order
+    # 1, a stencil point at orders 2-4.  It drops its candidate, as the same
+    # call raising does, and the run keeps going: both runs are alike record
+    # for record, and every call is counted.  The call is the one at the
+    # point that the 300th call reached when each candidate made its calls
+    # together: a step now makes every stencil call, phase by phase, before
+    # its endpoint calls, and reaches that point at call 298, 289 or 228 at
+    # orders 2, 3 and 4.
+    call = {1: 300, 2: 298, 3: 289, 4: 228}[order]
     results = []
     for fault in (np.ones(3), FloatingPointError("injected")):
         problem, counter = counting_problem(
-            evaluator_failing_at(valley_problem(100.0), 300, fault))
+            evaluator_failing_at(valley_problem(100.0), call, fault))
         result = run(START, problem, OptimizerConfig(order=order))
         assert result.termination == "converged"
         assert (result.iterations, result.f_evaluations) == (iterations, evaluations)
@@ -665,8 +674,9 @@ def test_exact_ties_at_random_grid_indices_go_to_the_lowest(order, data):
     # not, since the norm may fuse a multiply-add).  Every other
     # endpoint's residual is longer or non-finite.  The lowest tied index
     # wins.  The map is affine at every stencil point, so no correction
-    # truncates: each candidate in grid order makes its S stencil calls and
-    # then its endpoint call, so call n is an endpoint when n % (S+1) == S.
+    # truncates: the step makes all 21 candidates' S stencil calls, phase
+    # by phase, and then their endpoint calls in grid order, so call n
+    # (from 0) is an endpoint when n >= 21 S.
     ties = data.draw(st.sets(st.integers(0, 20), min_size=2))
     a, b = data.draw(st.floats(0.01, 0.7)), data.draw(st.floats(0.0, 0.7))
     tied = st.sampled_from([(a, b), (-a, b), (a, -b), (-a, -b)])
@@ -674,17 +684,17 @@ def test_exact_ties_at_random_grid_indices_go_to_the_lowest(order, data):
     nonfinite = st.sampled_from([(math.nan, 0.0), (0.0, -math.inf)])
     rows = [data.draw(tied if idx in ties else longer | nonfinite)
             for idx in range(21)]
-    per_candidate = STENCIL_EVALUATIONS[order] + 1
+    stencil = 21 * STENCIL_EVALUATIONS[order]
     calls = itertools.count()
 
     def evaluator(p):
-        idx, call = divmod(next(calls), per_candidate)
-        if call < per_candidate - 1:
+        call = next(calls)
+        if call < stencil:
             return np.array([1.0, 1.0]) + p
-        return np.array(rows[idx])
+        return np.array(rows[call - stencil])
 
     assert _winning_index(evaluator, order) == min(ties)
-    assert next(calls) == 21 * per_candidate
+    assert next(calls) == stencil + 21
 
 
 @pytest.mark.parametrize("K,order,iterations,f_evaluations", [
@@ -1179,8 +1189,11 @@ def test_counts_equal_calls_under_injected_failures(order, data):
     # every call may fail, and a random Jacobian may have a nan or +-inf
     # entry, singular values whose squares overflow, or shape (3, 2).  The
     # run always returns, and every charge equals the calls made: per
-    # series, per step and per run.  A failed step names, by grid index,
-    # every candidate whose evaluator call raised or was misshaped.
+    # series, per step and per run.  A step makes every candidate's stencil
+    # calls in its first series call, so each call's candidate is found from
+    # the bytes of its point: the points that candidate's own corrections
+    # give.  A failed step names, by grid index, every candidate whose
+    # evaluator call raised or was misshaped.
     stencil = STENCIL_EVALUATIONS[order]
     last_call = 1 + 2 * 21 * (stencil + 1)
     faults = data.draw(st.dictionaries(st.integers(2, last_call),
@@ -1193,10 +1206,12 @@ def test_counts_equal_calls_under_injected_failures(order, data):
     valley = valley_problem(100.0)
     calls = {"evaluator": 0, "jacobian": 0}
     failed = []  # per evaluator call: the cause it leaves, or None
+    points = []  # per evaluator call: the bytes of its point
 
     def evaluator(x):
         calls["evaluator"] += 1
         n = calls["evaluator"]
+        points.append(x.tobytes())
         fault = faults.get(n) or (cutoff_fault if cutoff and n >= cutoff else None)
         failed.append(FAULT_CAUSES.get(fault))
         if fault == "raise":
@@ -1219,21 +1234,48 @@ def test_counts_equal_calls_under_injected_failures(order, data):
             J[1, 0] = float(jacobian_fault)
         return J
 
-    # (calls made, calls charged, truncated or None if it raised) per series,
-    # and (calls made, calls charged, its series) per step; the causes of
-    # each failed step against those expected from its calls.
+    # Per series (the bytes of the calls it made, the calls charged,
+    # truncated or None if it raised, the bytes of its candidate's charged
+    # points), and per step (calls made, calls charged, its series); the
+    # causes of each failed step against those expected from its calls.
     series_log, step_log, causes_log = [], [], []
     correction_series = optimizer.correction_series
+    blocks = {}  # per base: the base, kept alive, and its blocks of corrections
 
-    def logged_series(*args, **kwargs):
+    def row_points(base, row, count):
+        """The bytes of the row's first ``count`` stencil points, from its
+        corrections as each phase forms them."""
+        known_rows = [base.c1s[row]] + [block[row] for block in blocks[id(base)][1]]
+        found = []
+        for known, (keys, _) in enumerate(PHASES[order], start=1):
+            if len(found) >= count:
+                break
+            mult = np.ascontiguousarray(np.array(keys, dtype=float)[:, :known])
+            offsets = mult.dot(np.array(known_rows[:known]))
+            found += [(base.x + a).tobytes() for a in offsets]
+        return found[:count]
+
+    def logged_series(base, row, **kwargs):
         before = calls["evaluator"]
+        if id(base) not in blocks:  # the step's first series runs every row
+            blocks[id(base)] = base, []
+
+            def recording(lams, vs):
+                blocks[id(base)][1].append(base.apply(lams, vs))
+                return blocks[id(base)][1][-1]
+
+            run_base = base._replace(apply=recording)  # the same results dict
+        else:
+            run_base = base
         try:
-            series = correction_series(*args, **kwargs)
+            series = correction_series(run_base, row, **kwargs)
         except StencilEvaluationError as exc:
-            series_log.append((calls["evaluator"] - before, exc.evaluations, None))
+            charged = row_points(base, row, exc.evaluations)
+            assert charged[-1] == exc.point.tobytes()
+            series_log.append((points[before:], exc.evaluations, None, charged))
             raise
-        series_log.append((calls["evaluator"] - before, series.evaluation_count,
-                           series.truncated))
+        series_log.append((points[before:], series.evaluation_count, series.truncated,
+                           row_points(base, row, series.evaluation_count)))
         return series
 
     def logged_step(*args, **kwargs):
@@ -1251,19 +1293,18 @@ def test_counts_equal_calls_under_injected_failures(order, data):
 
     def expected_causes(before, series_of_step):
         # The valley's 21 first-order directions are finite, so every
-        # candidate, in grid order, runs its series and then, unless the
-        # series raised, evaluates its endpoint.
+        # candidate runs its series; their stencil calls come first, and
+        # then each candidate, in grid order, evaluates its endpoint unless
+        # its series raised.
         if before == calls["evaluator"]:
             return {}
         assert order == 1 or len(series_of_step) == 21
+        before += sum(len(made) for made, _, _, _ in series_of_step)
         expected = {}
         for idx in range(21):
-            if order > 1:
-                made, _, truncated = series_of_step[idx]
-                before += made
-                if truncated is None:
-                    expected[idx] = StencilEvaluationError
-                    continue
+            if order > 1 and series_of_step[idx][2] is None:
+                expected[idx] = StencilEvaluationError
+                continue
             if failed[before]:
                 expected[idx] = failed[before]
             before += 1
@@ -1286,9 +1327,14 @@ def test_counts_equal_calls_under_injected_failures(order, data):
         if order == 1:
             assert charged in (0, 21)
         else:
-            assert charged == sum(c + (t is not None) for _, c, t in series_of_step)
-        for series_made, series_charged, truncated in series_of_step:
-            assert series_charged == series_made
+            assert charged == sum(c + (t is not None) for _, c, t, _ in series_of_step)
+        # The stencil calls are the charged points of the step's candidates.
+        assert collections.Counter(
+            point for made, _, _, _ in series_of_step for point in made
+        ) == collections.Counter(
+            point for _, _, _, charged in series_of_step for point in charged)
+        for _, series_charged, truncated, charged_points in series_of_step:
+            assert series_charged == len(charged_points)
             if truncated is False:
                 assert series_charged == stencil
             elif truncated:
@@ -1302,36 +1348,13 @@ def test_counts_equal_calls_under_injected_failures(order, data):
             assert exc.__cause__ is next(iter(exc.causes.values()))
 
 
-def _four_exponential_fit():
-    """A zero-residual fit of a sum of 4 exponentials: p = 8, m = 1000.
-
-    Parameters are the amplitudes a1..a4, then the rates k1..k4, of
-    ``sum_i a_i exp(-k_i t)`` on ``t = linspace(0, 10, 1000)``; the data come
-    from rates ``geomspace(0.1, 3, 4)`` and amplitudes ``linspace(1, 0.5, 4)``,
-    and the start scales the amplitudes by 0.7 and the rates by 1.6.
-    """
-    t = np.linspace(0.0, 10.0, 1000)
-    amplitudes, rates = np.linspace(1.0, 0.5, 4), np.geomspace(0.1, 3.0, 4)
-    data = (amplitudes[:, None] * np.exp(-rates[:, None] * t)).sum(axis=0)
-
-    def evaluator(x):
-        return (x[:4, None] * np.exp(-x[4:, None] * t)).sum(axis=0) - data
-
-    def jacobian(x):
-        decays = np.exp(-x[4:, None] * t)
-        return np.hstack([decays.T, (-x[:4, None] * t * decays).T])
-
-    problem = Problem(8, 1000, evaluator, jacobian, name="four-exponentials")
-    return problem, np.concatenate([0.7 * amplitudes, 1.6 * rates])
-
-
 @pytest.mark.parametrize("order,iterations,evaluations", [
     (1, 82, 1723), (2, 20, 841), (3, 11, 1156), (4, 11, 2080),
 ])
 def test_a_four_exponential_fit_at_m_1000_keeps_its_counts(order, iterations,
                                                            evaluations):
     # A realistic size: every order converges, in the counts pinned here.
-    fit, x0 = _four_exponential_fit()
+    fit, x0 = four_exponential_fit()
     problem, counter = counting_problem(fit)
     result = run(x0, problem, OptimizerConfig(order=order))
     assert result.termination == "converged"

@@ -9,15 +9,25 @@ The runs are
 * the K = 1e6 valley at ``start_damping=0`` (Gauss-Newton), orders 1-4;
 * the 200 polynomial solves of acceptance criterion 6;
 * the default affine problem and the same problem scaled by 1e-170, at both
-  start dampings and orders 1-4, from the origin: 16 runs.
+  start dampings and orders 1-4, from the origin: 16 runs;
+* the 88 Moré-Garbow-Hillstrom runs of ``tests/test_mgh.py``, each problem
+  from its standard start at orders 1-4;
+* the four-exponential fit at m = 1000 of ``tests/helpers.py``, at orders
+  1-4.
+
+The MGH problems and the fit have m up to 1000, where a block product over
+a sweep may round differently from each row's own product; every other
+run has m <= 3.
 
 Usage, from the repository root::
 
-    python tools/trajectory_digest.py
+    python tools/trajectory_digest.py [SRC]
 
-It imports ``lmcorrect`` from the ``src`` directory beside this file, so
-run it once in each checkout and compare the two lines.  It takes about
-10 s on a 2-vCPU machine.
+It imports ``lmcorrect`` from ``SRC``, by default the ``src`` directory
+beside this file, and the MGH problems and the fit from the ``tests``
+directory beside this file, which needs pytest installed.  So one copy of
+the tool can digest two checkouts' ``src`` directories, whose lines must
+then match.  It takes about 7 s on a 2-vCPU machine.
 """
 
 import hashlib
@@ -28,14 +38,18 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
+from helpers import four_exponential_fit  # noqa: E402
 from lmcorrect.optimizer import OptimizerConfig, run  # noqa: E402
 from lmcorrect.problems import (  # noqa: E402
     affine_problem,
     polynomial_problem,
     valley_problem,
 )
+from test_mgh import PROBLEMS  # noqa: E402
 
 ORDERS = (1, 2, 3, 4)
 
@@ -76,9 +90,22 @@ def affine_runs():
                     order=order, convergence_tol=tol, start_damping=damping))
 
 
+def mgh_runs():
+    for make, start in PROBLEMS.values():
+        for order in ORDERS:
+            yield run(np.array(start), make(), OptimizerConfig(order=order))
+
+
+def fit_runs():
+    problem, start = four_exponential_fit()
+    for order in ORDERS:
+        yield run(start, problem, OptimizerConfig(order=order))
+
+
 def main() -> int:
     digest, count = hashlib.sha256(), 0
-    for runs in (valley_runs(), polynomial_runs(), affine_runs()):
+    for runs in (valley_runs(), polynomial_runs(), affine_runs(), mgh_runs(),
+                 fit_runs()):
         for result in runs:
             count += 1
             # repr gives each float's shortest round-trip form: equal text
