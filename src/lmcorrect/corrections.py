@@ -182,8 +182,11 @@ class StencilBase(NamedTuple):
     even a zero ``c1``, whose model is ``f0``, runs its stencil.  ``c1s``
     is the caller's block of first steps, ``c1_norms`` their row norms,
     ``lams`` each row's damping and ``apply`` its factors' ``damped_apply``.
-    ``series`` holds, per order, every row's result, which the order's
-    first series computes."""
+    :func:`stencil_base` checks that ``c1s`` is finite; ``_stencil_base``
+    leaves that to its caller, ``optimizer.step``, whose sweep may hold a
+    nan or inf row, or one whose ``x + c1`` overflows: every such row lies
+    past ``x_limit``.  ``series`` holds, per order, every row's result,
+    which the order's first series computes."""
 
     x: np.ndarray
     f0: np.ndarray
@@ -205,28 +208,36 @@ def stencil_base(x, f0, factors, evaluator, c1s, lams) -> StencilBase:
     ValueError unless ``x`` and ``f0`` are finite with shapes ``(p,)`` and
     ``(m,)``, ``c1s`` is finite with p columns, one step being
     ``c1[None]``, and ``lams`` holds one damping per row, each a
-    non-negative finite real; the base keeps ``c1s``, not a copy, so it
-    must not change while the base is in use.  ``f0`` is read after
-    evaluator calls, so it must not be an array the evaluator reuses."""
+    non-negative finite real.  ``_stencil_base`` checks the shapes of
+    ``c1s`` and ``lams``, and this function the rest, the finiteness of
+    ``c1s`` last, from the base's row norms; all before any evaluation.
+    The base keeps ``c1s``, not a copy, so it must not change while the
+    base is in use.  ``f0`` is read after evaluator calls, so it must not be
+    an array the evaluator reuses."""
     m, p = factors.J.shape
     (x, x_norm), (f0, f0_norm) = finite_norm(x, (p,), "x"), finite_norm(f0, (m,), "f0")
-    return _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
+    base = _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
                          _dampings(lams)[0])
+    if not sum(base.c1_norms) < math.inf:  # any row's nan or inf, not just row 0's
+        as_finite(base.c1s, base.c1s.shape, "c1")
+    return base
 
 
 def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
                   lams) -> StencilBase:
     """:func:`stencil_base` on an ``x``, ``f0`` and float64 ``lams`` that
-    passed its checks, with the norms of ``x`` and ``f0``; it checks ``c1s``
-    and that ``lams`` has one damping per row."""
+    passed its checks, with the norms of ``x`` and ``f0``; it checks the
+    shape of ``c1s`` and that ``lams`` has one damping per row, but not that
+    ``c1s`` is finite.  A row whose ``c1`` is nan or inf, or whose ``x +
+    c1`` overflows, lies past ``x_limit``, so its series is its ``c1``,
+    truncated, with no evaluator call: ``optimizer.step`` hands in its whole
+    sweep and asks only for its live rows."""
     p = factors.J.shape[1]
     c1s = np.asarray(c1s, dtype=float)
     if c1s.ndim != 2 or c1s.shape[1] != p:
         raise ValueError(f"c1 has shape {c1s.shape}, expected (n, {p})")
     lams = as_shape(lams, c1s.shape[:1], "lams")
     c1_norms = list(map(_norm, c1s))
-    if not sum(c1_norms) < math.inf:  # any row's nan or inf, not just row 0's
-        as_finite(c1s, c1s.shape, "c1")
     x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0])))
                if max(x_norm, f0_norm) <= _BOUND else -math.inf)
     return StencilBase(x, f0, factors.J.T, evaluator, factors.damped_apply, lams,
@@ -310,10 +321,10 @@ def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries
     each later one returns its row's stored result, or raises its stored
     error.  Every inverse occurrence is the base's ``apply`` at the row's
     damping, the inverse that produced ``c1``, and only ``base.evaluator``
-    is called point by point.  A ``c1`` longer than ``base.x_limit``
-    truncates the series before any evaluation.  A phase whose residual
-    block is non-finite or has a norm beyond ``2 _BOUND``, or a correction
-    whose norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is
+    is called point by point.  A ``c1`` longer than ``base.x_limit``, or
+    of nan norm, truncates the series before any evaluation.  A phase whose
+    residual block is non-finite or has a norm beyond ``2 _BOUND``, or a
+    correction whose norm exceeds ``WILD_CORRECTION_FACTOR * |c1|`` (or is
     non-finite), truncates the series at the previous order, skips the
     remaining phases and sets the ``truncated`` flag.  An evaluator call
     that raises, or returns a residual of the wrong shape or one that is

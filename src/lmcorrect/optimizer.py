@@ -17,11 +17,11 @@ live.  Otherwise, rarely, a row mask keeps those whose ``x + c1`` is
 finite: a candidate whose ``x + c1`` overflows is skipped without an
 evaluator call, since at orders 2-4 its series would truncate before the
 stencil and leave ``x + c1`` as its endpoint.  One sum gives every
-order-1 endpoint, and one loop walks the live candidates in grid order, at
-order 1 along the endpoint rows: each runs its series, evaluates its endpoint
-and leads if its residual norm is strictly below the best so far, so ties go
-to the smallest grid index and a nan norm never leads.  Two things stay
-per point or per candidate:
+``x + c1``, and one loop walks the live candidates in grid order, by grid
+index: each reads its endpoint row at order 1, or runs its series, then
+evaluates its endpoint and leads if its residual norm is strictly below the
+best so far, so ties go to the smallest grid index and a nan norm never
+leads.  Two things stay per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -31,15 +31,17 @@ per point or per candidate:
   truncation flag from the span of that candidate's own call.
   ``_stencil_base``, ``stencil_base`` past its checks, takes ``x`` and
   ``f0`` with the norms the step checked, ``J`` and its bound from the
-  step's ``SvdFactors``, and the live c1s and their dampings as blocks, one
-  row per candidate in grid order.  The first candidate's call runs every
-  phase for every row as blocks, calling the evaluator point by point,
-  phase by phase, and the others read their rows' results.
+  step's ``SvdFactors``, and the whole sweep's c1s and dampings as blocks,
+  so a candidate's row is its grid index.  A row that is not live lies past
+  the base's limit and truncates at c1 with no evaluator call, and the step
+  never asks for it.  The first live candidate's call runs every phase for
+  every row as blocks, calling the evaluator point by point, phase by
+  phase, and the others read their rows' results.
 
 Each phase applies its inverse once, through ``SvdFactors.damped_apply`` on
 the block of all rows, one damping per row: the inverse that produced each
-direction.  The dampings are the sweep's, so it reuses the scale rows that
-``damped_apply_batch`` computed for the sweep.
+direction.  The dampings are the sweep's, live or not, so every phase reuses
+the scale rows that ``damped_apply_batch`` computed for the sweep.
 
 Every residual and step norm is ``math.hypot`` over the vector's entries,
 within 1 ulp: no tiny norm reads 0, and no representable one overflows.
@@ -47,7 +49,6 @@ within 1 ulp: no tiny norm reads 0, and no representable one overflows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,9 +92,10 @@ class StepFailureError(RuntimeError):
     when every candidate endpoint is non-finite or failed, chained from the
     lowest grid index's failed call if there was one, whose message then
     ends the error's; and when the Jacobian's call fails, J has a
-    non-finite entry or its SVD does not converge, chained from that error.  ``evaluations`` counts the evaluator calls the step
-    made, failed ones included.  ``causes`` maps the grid index of every
-    candidate whose evaluator call failed to that error, in grid order.
+    non-finite entry or its SVD does not converge, chained from that error.
+    ``evaluations`` counts the evaluator calls the step made, failed ones
+    included.  ``causes`` maps the grid index of every candidate whose
+    evaluator call failed to that error, in grid order.
     """
 
     def __init__(self, message, evaluations: int = 0, causes=None):
@@ -240,26 +242,22 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     # The live candidates, from one reduction unless an x + c1 could overflow
     # (see the module docstring); a nan fails the test.
     if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
-        live = range(len(lams))
-        endpoints = x + c1s if order == 1 else None
+        live, ends = range(len(lams)), x + c1s if order == 1 else None
     else:
         with np.errstate(over="ignore"):
-            endpoints = x + c1s
-        live = np.flatnonzero(np.isfinite(endpoints).all(axis=1)).tolist()
-        endpoints = endpoints[live] if order == 1 else None
-    if order > 1:  # one base whose rows are the live c1s and dampings, in grid order
-        block = (c1s, lambdas) if type(live) is range else (c1s[live], lambdas[live])
-        base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, *block)
-        rows = itertools.count()  # each live candidate's row of the base, in turn
+            ends = x + c1s
+        live = np.flatnonzero(np.isfinite(ends).all(axis=1)).tolist()
+    if order > 1:  # one base whose rows are the sweep's, by grid index
+        base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, c1s, lambdas)
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
-    # Order 1 walks the live endpoint rows; orders 2-4 build each endpoint.
-    for idx, end in zip(live, itertools.repeat(None) if endpoints is None
-                        else endpoints):
-        series = None
-        if end is None:
+    # Order 1 reads the endpoint rows; orders 2-4 build each endpoint.
+    for idx in live:
+        if order == 1:
+            series, end = None, ends[idx]
+        else:
             try:
-                series = correction_series(base, next(rows), order=order)
+                series = correction_series(base, idx, order=order)
             except StencilEvaluationError as exc:
                 evals += exc.evaluations
                 causes[idx] = exc

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +31,9 @@ from lmcorrect.corrections import (
     correction_series,
     stencil_base,
 )
-from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
+from lmcorrect.linalg import _BOUND, SvdFactors, _norm, as_finite
 from lmcorrect.optimizer import LambdaSchedule
-from lmcorrect.problems import polynomial_problem, valley_problem
+from lmcorrect.problems import Problem, polynomial_problem, valley_problem
 
 def make_context(problem, x, scale=0.5):
     """Base-point data, J's factors and a Gauss-Newton step scaled into the
@@ -874,6 +875,59 @@ def test_bad_first_step_rejected_before_any_evaluation(c1s, message):
                                        [0.0] * max(1, np.ndim(c1s) and len(c1s))),
                           0, order=3)
     assert counter["evals"] == 0
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_a_private_base_truncates_a_nan_and_an_overflowing_row_at_c1(order):
+    # The private base leaves c1's finiteness to its callers: a row whose
+    # c1 is nan, or whose x + c1 overflows, lies past x_limit, so its series
+    # is its c1, truncated, with no evaluator call and no warning.  Every
+    # other row's series has the bits of a base on the finite rows alone,
+    # whose dampings are not the sweep's.  The public base rejects the nan.
+    def residual(point):
+        return np.array([point[1] ** 2 - 1.0, point[1] ** 3 + point[1] - 0.5])
+
+    def jacobian(point):
+        return np.array([[0.0, 2.0 * point[1]], [0.0, 3.0 * point[1] ** 2 + 1.0]])
+
+    seen = []
+
+    def evaluator(point):
+        seen.append(point.copy())
+        return residual(point)
+
+    x = np.array([2.0**1000, 1.5])  # within _BOUND, so the stencils run
+    f0 = residual(x)
+    factors = SvdFactors(jacobian(x))
+    lams = np.array([1e-3, 0.1, 1.0, 10.0, 1e3])
+    c1s = -factors.damped_apply_batch(lams, f0)
+    c1s[1] = np.nan
+    c1s[3] = np.finfo(float).max, 0.0
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(x + c1s[3]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = corrections._stencil_base(x, f0, _norm(x), _norm(f0), factors,
+                                         evaluator, c1s, lams)
+        got = [correction_series(base, row, order=order) for row in range(5)]
+    assert all(np.isfinite(point).all() for point in seen)
+    for row in (1, 3):
+        (c1,), evaluations, truncated = got[row]
+        assert np.array_equal(c1, c1s[row], equal_nan=True)
+        assert evaluations == 0 and truncated
+    finite = [0, 2, 4]
+    alone = stencil_base(x, f0, SvdFactors(jacobian(x)), residual, c1s[finite],
+                         lams[finite])
+    for row, want in zip(finite, (correction_series(alone, k, order=order)
+                                  for k in range(3))):
+        assert got[row].evaluation_count == want.evaluation_count
+        assert got[row].truncated == want.truncated
+        assert len(got[row].corrections) == len(want.corrections) > 1
+        for a, b in zip(got[row].corrections, want.corrections):
+            assert np.array_equal(a, b)
+    assert len(seen) == sum(series.evaluation_count for series in got)
+    with pytest.raises(ValueError, match=r"^c1 must be finite$"):
+        stencil_base(x, f0, factors, evaluator, c1s, lams)
 
 
 def test_a_failed_point_is_a_copy_and_its_row_runs_again_unchanged():

@@ -231,14 +231,22 @@ def test_a_base_point_beyond_the_bound_takes_the_exact_mask(order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypatch):
     # Orders 2-4 check x, f0 and J once per step and hand their norms to
-    # _stencil_base, which builds one base whose rows are the live
-    # candidates' c1s and dampings, in grid order, and that every live
-    # candidate's series shares, row by row; order 1 runs no series and
+    # _stencil_base, which builds one base on the step's whole sweep, its
+    # c1s and dampings, one row per grid index, and each live candidate's
+    # series reads its own grid index's row; order 1 runs no series and
     # builds none.  From x = (1.5e308, 0) on f = diag(0.5, 1) x - b the
-    # small dampings' x + c1 overflow, so only some candidates are live.
+    # small dampings' x + c1 overflow, so only some candidates are live,
+    # and the evaluator sees only the live candidates' endpoints x + c1.
     b = np.array([1.5e308, 0.0])
-    problem = affine_problem(np.diag([0.5, 1.0]), b)
-    x, f0 = b.copy(), problem.evaluator(b)
+    affine = affine_problem(np.diag([0.5, 1.0]), b)
+    points = []
+
+    def recording(point):
+        points.append(point.copy())
+        return affine.evaluator(point)
+
+    problem = Problem(2, 2, recording, affine.jacobian)
+    x, f0 = b.copy(), affine.evaluator(b)
     stencil_base, correction_series = optimizer._stencil_base, optimizer.correction_series
     bases, calls = [], []
 
@@ -256,16 +264,45 @@ def test_a_step_builds_one_stencil_base_for_its_live_candidates(order, monkeypat
     grid = schedule.grid()
     c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(grid, f0)
     with np.errstate(over="ignore"):
-        live = np.isfinite(x + c1s).all(axis=1)
+        ends = x + c1s
+    live = np.isfinite(ends).all(axis=1)
     assert 0 < live.sum() < len(c1s)
     step(x, problem, schedule, OptimizerConfig(order=order), f0=f0)
     if order == 1:
         assert bases == [] and calls == []
     else:
         assert len(bases) == 1 and all(base is bases[0] for base, _ in calls)
-        assert np.array_equal(bases[0].c1s, c1s[live])
-        assert np.array_equal(bases[0].lams, grid[live])
-        assert [row for _, row in calls] == list(range(live.sum()))
+        assert np.array_equal(bases[0].c1s, c1s)
+        assert np.array_equal(bases[0].lams, grid)
+        assert [row for _, row in calls] == np.flatnonzero(live).tolist()
+    assert np.array_equal(points, ends[live])
+
+
+@pytest.mark.parametrize("order,evaluations", [(1, 20), (2, 23), (3, 32), (4, 44)])
+def test_a_partly_live_sweep_computes_its_scale_rows_once(order, evaluations,
+                                                          monkeypatch):
+    # From x = 0 on f = diag(1e-10, 1) x - (2e300, 1), the smallest damping
+    # of a sweep centred at 1e-14 gives an x + c1 that overflows, so 20 of
+    # the 21 candidates are live.  The base's rows are the whole sweep, so
+    # every phase's block apply reuses the sweep's scale rows: one
+    # computation of all 21 per step, at every order.
+    computed = []
+    scale_rows = SvdFactors._scale_rows
+
+    def counting(self, lams):
+        lam_list, rows = scale_rows(self, lams)
+        computed.append(len(lam_list))
+        return lam_list, rows
+
+    monkeypatch.setattr(SvdFactors, "_scale_rows", counting)
+    problem = affine_problem(np.diag([1e-10, 1.0]), np.array([2e300, 1.0]))
+    x = np.zeros(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, record = step(x, problem, LambdaSchedule(1e-14),
+                            OptimizerConfig(order=order), f0=problem.evaluator(x))
+    assert computed == [21]
+    assert record.f_evaluations == evaluations and record.accepted
 
 
 def test_gauss_newton_survives_a_singular_jacobian():

@@ -12,12 +12,13 @@ on the same side.  A run that exits nonzero or reports ``correct: false``
 stops the tool with exit status 1.  It prints each pair's ``wall_s``, then
 for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
 quartiles, the signed relative change of the medians, ``change / parent -
-1``, the pairs the change won (ties count for neither side), whether the gap between the medians exceeds the parent's interquartile
-range, and whether the change's median is worse than the parent's by more
-than the metric's relative ``bound``, in its ``better`` direction.  A change
-claims a gain on a metric only when it wins at least nine tenths of the
-pairs and that gap exceeds the parent's spread, so ten pairs are the default
-and the least that can carry a claim.
+1``, the pairs the change won (ties count for neither side), whether the
+gap between the medians exceeds the parent's interquartile range, and
+whether the change's median is worse than the parent's by more than the
+metric's relative ``bound``, in its ``better`` direction.  A change claims a
+gain on a metric only when it wins at least nine tenths of the pairs and
+that gap exceeds the parent's spread, so ten pairs are the default and the
+least that can carry a claim.
 
 The tool edits nothing: perfbench runs as committed in each checkout.  It
 uses the standard library only.  SIGTERM ends it as Ctrl-C does: the
