@@ -23,12 +23,14 @@ base's first series of an order runs every row's stencil at once, phase by
 phase: each phase forms every row's points and linear models as blocks,
 calls the evaluator point by point for the rows still running, and applies
 the damped inverse once to all rows' weighted defects.  The base keeps each
-row's result, which the row's own series returns.
+row's result, which the row's own series returns, and every row's corrected
+endpoint, which ``optimizer.step`` evaluates.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -185,8 +187,10 @@ class StencilBase(NamedTuple):
     :func:`stencil_base` checks that ``c1s`` is finite; ``_stencil_base``
     leaves that to its caller, ``optimizer.step``, whose sweep may hold a
     nan or inf row, or one whose ``x + c1`` overflows: every such row lies
-    past ``x_limit``.  ``series`` holds, per order, every row's result,
-    which the order's first series computes."""
+    past ``x_limit``.  ``series`` holds, per order, every row's result and
+    the block of every row's endpoint, ``x`` plus the row's kept
+    corrections, with the bits of ``x + CorrectionSeries.step``; the
+    order's first series computes both."""
 
     x: np.ndarray
     f0: np.ndarray
@@ -244,59 +248,84 @@ def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
                        x_limit, c1s, c1_norms, {})
 
 
-def _series_block(base: StencilBase, order: int) -> list:
-    """Every row's series at ``order``: its CorrectionSeries, or the
-    StencilEvaluationError of its failed evaluator call.
+def _keep(directions, k, block, results) -> None:
+    """Write ``block`` as every row's direction ``k``, then -0.0 into the
+    rows that have stopped, when any has."""
+    directions[:, k] = block
+    if results.count(None) < len(results):
+        directions[[row for row, r in enumerate(results) if r is not None], k] = -0.0
+
+
+def _series_block(base: StencilBase, order: int) -> tuple:
+    """Every row's series at ``order``, its CorrectionSeries or the
+    StencilEvaluationError of its failed evaluator call, and the block of
+    every row's corrected endpoint.
 
     The rows within ``x_limit`` run; the others are their ``c1``,
-    truncated, and stay zero in the block, so that no stencil product
+    truncated, and their directions stay -0.0, so that no stencil product
     overflows.  Each phase forms the offsets, points and linear models of
     every row as stacked ``np.matmul`` products, whose items keep each
     row's own ``.dot`` bits (a flat product does not, ``Jt`` being a
     transposed view), and calls the evaluator point by point for the rows
-    still running, row by row.  One reduction, each row's largest
-    magnitude, passes the rows where it is within a test's bound over the
-    row's entry count, whose norm is then surely within the bound; ``_norm``
-    decides only the others, so every decision is the norm's.  A row that
-    stops has its defects zeroed, and no later correction of it is kept, so
-    none of its nan or inf reaches a later phase.  The weighted defects of
-    all rows go through ``apply`` at once, one damping per row.
+    still running, row by row, in one flat walk over the phase's points.
+    One reduction over the phase's residual block, its largest magnitude,
+    passes the whole phase when it is within the 2R bound over a row's
+    entry count; otherwise, and for the wild bound always, one reduction
+    per row passes the rows that it can, and ``_norm`` decides only the
+    others, so every decision is the norm's.  A row that stops has its
+    defects zeroed, and no later direction of it is kept, so none of its
+    nan or inf reaches a later phase.  The weighted defects of all rows go
+    through ``apply`` at once, one damping per row.
+
+    A row's endpoint is ``x`` plus its kept corrections, summed left to
+    right as ``CorrectionSeries.step`` sums them: each slot a row did not
+    keep holds -0.0, the exact additive identity, so the sum keeps the
+    bits of the row's own series, a -0.0 entry included (a reduction,
+    which starts from +0.0, would not).  A row past ``x_limit`` has no
+    endpoint here, its ``c1`` being -0.0 in the block, so
+    ``optimizer.step`` forms every one-term row's endpoint from its ``c1``.
     """
     x, f0, Jt, evaluator, apply, lams, x_limit, c1s, c1_norms, _ = base
     (n, p), m, compiled = c1s.shape, len(f0), _COMPILED[order]
     results = [None if norm <= x_limit else CorrectionSeries((c1,), 0, True)
                for c1, norm in zip(c1s, c1_norms)]
-    running = [row for row in range(n) if results[row] is None]
     # The rows past x_limit get no bound: theirs may lie beyond float64's range.
     wild = WILD_CORRECTION_FACTOR * np.where(np.array(c1_norms) <= x_limit, c1_norms, 0)
-    directions = np.zeros((n, len(compiled) + 1, p))  # c1, c2, ... of every row
-    directions[running, 0] = c1s[running]
+    directions = np.full((n, len(compiled) + 1, p), -0.0)  # c1, c2, ... of every row
+    _keep(directions, 0, c1s, results)
     defects = np.zeros((n, STENCIL_EVALUATIONS[order], m))
     found = [c1s]  # per correction so far, every row's
     for k, (keys, mult, weights, known, first, end) in enumerate(compiled):
         offsets = np.matmul(mult, directions[:, :known])  # (n, points, p)
         points = x + offsets
         models = np.matmul(offsets, Jt) + f0  # within 2 _BOUND, by x_limit
-        for row in running:
-            for j, key, point in zip(range(first, end), keys, points[row]):
-                try:
-                    defects[row, j] = as_shape(evaluator(point), (m,), "residual")
-                except Exception as exc:
-                    results[row] = StencilEvaluationError(key, point.copy(), exc, j + 1)
-                    defects[row] = 0.0
-                    break
+        block = defects[:, first:end]
+        # Row by row, point by point, as one flat walk.
+        for (row, i), point in zip(product(range(n), range(end - first)),
+                                   points.reshape(-1, p)):
+            if results[row] is not None:  # stopped, also at an earlier point here
+                continue
+            try:
+                f = np.asarray(evaluator(point), dtype=float)
+                if f.shape != (m,):
+                    as_shape(f, (m,), "residual")
+                block[row, i] = f
+            except Exception as exc:
+                results[row] = StencilEvaluationError(keys[i], point.copy(), exc,
+                                                      first + i + 1)
+                defects[row] = 0.0
         # Only a residual block whose norm is within 2 _BOUND (never nan or
         # inf) becomes defects, so the weighted sums stay finite for the
         # inverse, which rejects non-finite input.
-        block = defects[:, first:end]
-        tops = np.maximum.reduce(np.abs(block), axis=(1, 2))
-        for row in np.flatnonzero(~(tops <= 2 * _BOUND / block[0].size)):
-            if results[row] is None and not _norm(block[row].ravel()) <= 2 * _BOUND:
-                results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
-                defects[row] = 0.0
+        limit = 2 * _BOUND / block[0].size
+        if not np.maximum.reduce(np.abs(block), axis=None) <= limit:
+            tops = np.maximum.reduce(np.abs(block), axis=(1, 2))
+            for row in np.flatnonzero(~(tops <= limit)):
+                if results[row] is None and not _norm(block[row].ravel()) <= 2 * _BOUND:
+                    results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
+                    defects[row] = 0.0
         block -= models
-        running = [row for row in running if results[row] is None]
-        if not running:
+        if None not in results:
             break
         corrections = apply(lams, np.matmul(weights, defects[:, :end]))
         # A nan correction norm fails the wild bound.
@@ -304,12 +333,15 @@ def _series_block(base: StencilBase, order: int) -> list:
         for row in np.flatnonzero(~(tops <= wild / p)):
             if results[row] is None and not _norm(corrections[row]) <= wild[row]:
                 results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
-        running = [row for row in running if results[row] is None]
         found.append(corrections)
-        directions[running, k + 1] = corrections[running]
-    for row in running:  # every phase ran
-        results[row] = CorrectionSeries(tuple(c[row] for c in found), end)
-    return results
+        _keep(directions, k + 1, corrections, results)
+    for row, corrections in zip(range(n), zip(*found)):  # every phase ran
+        if results[row] is None:
+            results[row] = CorrectionSeries(corrections, end)
+    steps = directions[:, 0] + directions[:, 1]
+    for k in range(2, len(compiled) + 1):
+        steps += directions[:, k]
+    return results, x + steps
 
 
 def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries:
@@ -317,9 +349,10 @@ def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries
 
     ``row`` is an integer row of the base's block, and ``order``, a
     keyword, is in {1, 2, 3, 4}.  The base's first series of an order runs
-    every row's stencil, phase by phase, as blocks (see ``_series_block``);
-    each later one returns its row's stored result, or raises its stored
-    error.  Every inverse occurrence is the base's ``apply`` at the row's
+    every row's stencil, phase by phase, as blocks, and forms every row's
+    endpoint, which ``optimizer.step`` reads (see ``_series_block``); each
+    later one returns its row's stored result, or raises its stored error.
+    Every inverse occurrence is the base's ``apply`` at the row's
     damping, the inverse that produced ``c1``, and only ``base.evaluator``
     is called point by point.  A ``c1`` longer than ``base.x_limit``, or
     of nan norm, truncates the series before any evaluation.  A phase whose
@@ -339,7 +372,7 @@ def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries
         return CorrectionSeries((base.c1s[row],), 0)
     if order not in base.series:  # the base's first series of this order
         base.series[order] = _series_block(base, order)
-    result = base.series[order][row]
+    result = base.series[order][0][row]
     if type(result) is StencilEvaluationError:
         raise result
     return result

@@ -17,11 +17,14 @@ live.  Otherwise, rarely, a row mask keeps those whose ``x + c1`` is
 finite: a candidate whose ``x + c1`` overflows is skipped without an
 evaluator call, since at orders 2-4 its series would truncate before the
 stencil and leave ``x + c1`` as its endpoint.  One sum gives every
-``x + c1``, and one loop walks the live candidates in grid order, by grid
-index: each reads its endpoint row at order 1, or runs its series, then
-evaluates its endpoint and leads if its residual norm is strictly below the
-best so far, so ties go to the smallest grid index and a nan norm never
-leads.  Two things stay per point or per candidate:
+``x + c1``, at every order, and one loop walks the live candidates in grid
+order, by grid index: each runs its series at orders 2-4, then reads its
+endpoint, its row of ``x + c1`` at order 1 or when its series is its c1
+alone, else its row of the stencil base's endpoint block, which has the
+bits of ``x + series.step``.  It evaluates the endpoint and leads if its
+residual norm is strictly below the best so far, so ties go to the smallest
+grid index and a nan norm never leads.  Two things stay per point or per
+candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -36,7 +39,8 @@ leads.  Two things stay per point or per candidate:
   the base's limit and truncates at c1 with no evaluator call, and the step
   never asks for it.  The first live candidate's call runs every phase for
   every row as blocks, calling the evaluator point by point, phase by
-  phase, and the others read their rows' results.
+  phase, and forms every row's endpoint; the others read their rows'
+  results.  So a step's stencil calls all come before its endpoint calls.
 
 Each phase applies its inverse once, through ``SvdFactors.damped_apply`` on
 the block of all rows, one damping per row: the inverse that produced each
@@ -242,7 +246,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     # The live candidates, from one reduction unless an x + c1 could overflow
     # (see the module docstring); a nan fails the test.
     if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
-        live, ends = range(len(lams)), x + c1s if order == 1 else None
+        live, ends = range(len(lams)), x + c1s
     else:
         with np.errstate(over="ignore"):
             ends = x + c1s
@@ -251,7 +255,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, c1s, lambdas)
     causes = {}  # candidate index -> its failed evaluator call, in grid order
     best_norm, best = math.inf, None
-    # Order 1 reads the endpoint rows; orders 2-4 build each endpoint.
+    # A one-term candidate reads its row of x + c1s, any other its row of
+    # the base's endpoint block.
     for idx in live:
         if order == 1:
             series, end = None, ends[idx]
@@ -263,10 +268,13 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
                 causes[idx] = exc
                 continue
             evals += series.evaluation_count
-            end = x + series.step
+            end = (ends[idx] if len(series.corrections) == 1
+                   else base.series[order][1][idx])
         evals += 1
         try:
-            f_end = as_shape(evaluator(end), (m,), "residual")
+            f_end = np.asarray(evaluator(end), dtype=float)
+            if f_end.shape != (m,):
+                as_shape(f_end, (m,), "residual")
         except Exception as exc:
             causes[idx] = exc
             continue

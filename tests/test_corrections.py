@@ -1192,3 +1192,53 @@ def test_every_fate_in_one_block_matches_its_one_row_base(order):
     assert all(np.isfinite(p).all() for p in points)
     assert len(sweep_factors.blocks) == order - 1
     assert all(np.isfinite(block).all() for block in sweep_factors.blocks)
+
+
+@pytest.mark.parametrize("order,phase", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_a_row_beyond_2r_leaves_the_other_rows_as_they_are_without_it(order, phase,
+                                                                      monkeypatch):
+    # One row of the K = 1e6 valley's sweep meets a residual beyond 2 _BOUND
+    # at every point of one phase, so the phase's whole-block screen fails
+    # and the per-row test decides: that row truncates there, and every
+    # other row has the outcome, and the evaluator the calls, of the same
+    # sweep without that row.  No errstate is entered.
+    problem = valley_problem(1e6)
+    x = np.array([np.pi, np.e])
+    f0, factors = problem.evaluator(x), SvdFactors(problem.jacobian(x))
+    lams = LambdaSchedule(1.0).grid()
+    c1s = -factors.damped_apply_batch(lams, f0)
+    hot, seen, calls = 7, [], []
+
+    def recording(p):
+        seen.append(p.tobytes())
+        return problem.evaluator(p)
+
+    correction_series(stencil_base(x, f0, factors, recording, c1s[hot][None],
+                                   lams[hot:hot + 1]), 0, order=order)
+    end = sum(len(points) for points, _ in PHASES[order][:phase])
+    assert len(seen) >= end  # the row reaches the phase on its own
+    beyond = set(seen[end - len(PHASES[order][phase - 1][0]):end])
+
+    def evaluator(p):
+        calls.append(p.tobytes())
+        f = problem.evaluator(p)
+        return f + 1e307 if p.tobytes() in beyond else f
+
+    entered = count_errstates(monkeypatch)
+
+    def outcomes(rows):
+        del calls[:]
+        base = stencil_base(x, f0, factors, evaluator, c1s[rows], lams[rows])
+        return [_outcome(correction_series, base, i, order=order)
+                for i in range(len(rows))], list(calls)
+
+    others = [row for row in range(len(lams)) if row != hot]
+    (every, every_calls), (without, without_calls) = (
+        outcomes(list(range(len(lams)))), outcomes(others))
+    (corrections, evaluations, truncated), stop = every[hot]
+    assert (len(corrections), evaluations, truncated, stop) == (phase, end, True,
+                                                               "truncated")
+    assert [every[row] for row in others] == without
+    assert [call for call in every_calls if call not in seen[:end]] == without_calls
+    assert len(every_calls) == len(without_calls) + end
+    assert entered == []

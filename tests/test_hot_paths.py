@@ -22,7 +22,7 @@ from helpers import count_errstates
 from lmcorrect.corrections import PHASES, STENCIL_EVALUATIONS
 from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import LambdaSchedule, OptimizerConfig, step
-from lmcorrect.problems import valley_problem
+from lmcorrect.problems import Problem, valley_problem
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 
@@ -73,17 +73,36 @@ def test_an_order_one_valley_step_enters_no_errstate(monkeypatch):
     # on every sweep of the K = 1e5 valley from (pi, e), so none enters an
     # errstate; a zero damping fails the rows' screen, so Gauss-Newton's
     # sweep does.  Each phase's block apply then reuses the sweep's rows,
-    # the zero row included, and enters none.
-    problem = valley_problem(1e5)
+    # the zero row included, and enters none.  At orders 2-4 the sweep
+    # centred at 1 runs again with its eighth candidate's phase-1 residuals
+    # beyond 2 _BOUND: the phase's whole-block screen fails, and the
+    # per-row test that truncates that candidate enters no errstate either.
+    valley = valley_problem(1e5)
     x = np.array([np.pi, np.e])
-    f0 = problem.evaluator(x)
+    f0 = valley.evaluator(x)
+    calls, beyond = [], set()
+
+    def evaluator(p):
+        calls.append(p.tobytes())
+        f = valley.evaluator(p)
+        return f + 1e307 if p.tobytes() in beyond else f
+
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     entered = count_errstates(monkeypatch)
     for order in (1, 2, 3, 4):
-        for centre, errstates in ((1.0, 0), (0.0, 1)):
-            del entered[:]
+        for centre, errstates in ((0.0, 1), (1.0, 0)):
+            del entered[:], calls[:]
             _, _, record = step(x, problem, LambdaSchedule(centre),
                                 OptimizerConfig(order=order), f0=f0)
             assert record.accepted and len(entered) == errstates
+        if order > 1:  # the block made the phase-1 calls row by row
+            points, evaluations = len(PHASES[order][0][0]), STENCIL_EVALUATIONS[order]
+            beyond = set(calls[7 * points:8 * points])
+            _, _, record = step(x, problem, LambdaSchedule(1.0),
+                                OptimizerConfig(order=order), f0=f0)
+            beyond = set()
+            assert record.accepted and entered == []
+            assert record.f_evaluations == 21 * (evaluations + 1) - (evaluations - points)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

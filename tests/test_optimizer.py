@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -22,11 +23,13 @@ from helpers import (
 )
 from lmcorrect import optimizer
 from lmcorrect.cli import write_trace_csv
-from lmcorrect.linalg import _BOUND, SvdFactors
+from lmcorrect.linalg import _BOUND, SvdFactors, _norm
 from lmcorrect.corrections import (
     PHASES,
     STENCIL_EVALUATIONS,
     StencilEvaluationError,
+    correction_series,
+    stencil_base,
 )
 from lmcorrect.optimizer import (
     GRID_BASE,
@@ -303,6 +306,117 @@ def test_a_partly_live_sweep_computes_its_scale_rows_once(order, evaluations,
                             OptimizerConfig(order=order), f0=problem.evaluator(x))
     assert computed == [21]
     assert record.f_evaluations == evaluations and record.accepted
+
+
+def _faulty(problem: Problem) -> Problem:
+    """The problem whose evaluator, by the CRC-32 of a point's bytes, raises
+    at one point in 16, returns a residual beyond 2 _BOUND at another and
+    one 1e8 times too large, which makes a correction wild, at a third."""
+    def evaluator(point):
+        fate = zlib.crc32(point.tobytes()) % 16
+        if fate == 0:
+            raise FloatingPointError("injected")
+        f = problem.evaluator(point)
+        return f + 1e307 if fate == 1 else f * 1e8 if fate == 2 else f
+
+    return Problem(problem.input_dim, problem.output_dim, evaluator,
+                   problem.jacobian, name=problem.name)
+
+
+def _endpoint_cases():
+    """``(problem, x, centre, faulty)`` of steps: the valley at K = 1e6 and
+    1e7 from (pi, e) and two points of its order-2 run; the MGH problems (m
+    up to 40) at their standard starts; the m = 1000 four-exponential fit;
+    and f = diag(1e6, 1e-6) x + (0, 1e292), whose small dampings' c1 lie
+    past the step limit: each plainly and through :func:`_faulty`.  Then,
+    plainly, the affine map whose small dampings' x + c1 overflow, and,
+    through :func:`_faulty`, a decoupled map from x = (-0.0, 0.5), whose c1
+    has a -0.0 entry.  A faulty case keeps its plain residual at x, the
+    step's f0."""
+    from test_mgh import PROBLEMS
+
+    cases = []
+    for K in (1e6, 1e7):
+        valley = valley_problem(K)
+        cases.append((valley, START, 1.0))
+        for iterations in (5, 50):
+            result = run(START, valley, OptimizerConfig(order=2,
+                                                        max_iterations=iterations))
+            cases.append((valley, result.x, result.trajectory[-1].chosen_lambda))
+    cases += [(make(), np.array(start, dtype=float), 1.0)
+              for make, start in PROBLEMS.values()]
+    fit, start = four_exponential_fit()
+    cases += [(fit, start, centre) for centre in (1e-2, 1.0, 1e2)]
+    cases.append((affine_problem(np.diag([1e6, 1e-6]), np.array([0.0, 1e292])),
+                  np.array([-0.0, 0.0]), 1e-11))
+    cases = [case + (faulty,) for faulty in (False, True) for case in cases]
+    b = np.array([1.5e308, 0.0])
+    cases.append((affine_problem(np.diag([0.5, 1.0]), b), b.copy(), 1.0, False))
+    decoupled = Problem(2, 2, lambda x: np.array([x[0], x[1] + x[1] ** 2]),
+                        lambda x: np.diag([1.0, 1.0 + 2.0 * x[1]]))
+    cases.append((decoupled, np.array([-0.0, 0.5]), 1.0, True))
+    return cases
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_every_endpoint_is_x_plus_its_series_step(order):
+    # A step takes a candidate's endpoint from its base's block, or a
+    # one-term one from x + c1s; each must have the bits of x + series.step,
+    # the series being correction_series on a base of the step's own sweep,
+    # for every live candidate whose series did not raise, in grid order,
+    # after all the stencil calls.  The winner's step_norm is the norm of
+    # its series.step, and its x that endpoint.  The cases hold full
+    # series, ones truncated after c1 and mid-series, ones that raise, ones
+    # past the step limit, candidates that are not live, and -0.0 step
+    # entries at -0.0 entries of x.
+    seen = collections.Counter()
+    for plain, x, centre, faulty in _endpoint_cases():
+        problem, calls = _faulty(plain) if faulty else plain, []
+
+        def evaluator(point, problem=problem):
+            calls.append(point.copy())
+            return problem.evaluator(point)
+
+        f0, factors = plain.evaluator(x), SvdFactors(plain.jacobian(x))
+        lams = LambdaSchedule(centre).grid()
+        c1s = -factors.damped_apply_batch(lams, f0)
+        with np.errstate(over="ignore"):
+            live = np.flatnonzero(np.isfinite(x + c1s).all(axis=1)).tolist()
+        base = stencil_base(x, f0, factors, problem.evaluator, c1s, lams)
+        stencil_calls, expected = 0, {}
+        for row in live:
+            try:
+                series = correction_series(base, row, order=order)
+            except StencilEvaluationError as exc:
+                stencil_calls += exc.evaluations
+                seen["raised"] += 1
+                continue
+            stencil_calls += series.evaluation_count
+            expected[row] = series, x + series.step
+            kept = len(series.corrections)
+            seen["past the limit" if series.evaluation_count == 0 else
+                 "full" if kept == order else "after c1" if kept == 1
+                 else "mid-series"] += 1
+            seen["-0.0"] += int(np.sum(np.signbit(x) & np.signbit(series.step)
+                                       & (x == 0) & (series.step == 0)))
+        try:
+            x_new, _, record = step(x, Problem(problem.input_dim, problem.output_dim,
+                                               evaluator, problem.jacobian),
+                                    LambdaSchedule(centre), OptimizerConfig(order=order),
+                                    f0=f0)
+        except StepFailureError:
+            record = None
+        assert len(calls) == stencil_calls + len(expected)
+        assert [point.tobytes() for point in calls[stencil_calls:]] == [
+            end.tobytes() for _, end in expected.values()]
+        if record is not None and record.accepted:
+            series, end = expected[lams.tolist().index(record.chosen_lambda)]
+            assert record.step_norm == _norm(series.step)
+            assert x_new.tobytes() == end.tobytes()
+            seen["winners"] += 1
+    assert min(seen[fate] for fate in ("full", "after c1", "raised",
+                                       "past the limit", "-0.0", "winners")) > 0
+    assert (seen["mid-series"] > 0) == (order > 2)
 
 
 def test_gauss_newton_survives_a_singular_jacobian():

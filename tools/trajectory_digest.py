@@ -21,7 +21,13 @@ run has m <= 3.
 
 Usage, from the repository root::
 
-    python tools/trajectory_digest.py [SRC]
+    python tools/trajectory_digest.py [--runs] [SRC]
+
+With ``--runs`` it prints, instead of the digest, one line per run: its
+group (``valley``, ``polynomial``, ``affine``, ``mgh`` or ``fit``), its
+index within the group, the first 12 hex digits of the run's own SHA-256,
+its termination, iterations and evaluations.  Two checkouts' listings,
+diffed, name the runs that moved.
 
 It imports ``lmcorrect`` from ``SRC``, by default the ``src`` directory
 beside this file, and the MGH problems and the fit from the ``tests``
@@ -30,92 +36,112 @@ the tool can digest two checkouts' ``src`` directories, whose lines must
 then match.  It takes about 7 s on a 2-vCPU machine.
 """
 
+import argparse
 import hashlib
 import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else ROOT / "src"
-sys.path[:0] = [str(SRC), str(ROOT / "tests")]
-
-from helpers import four_exponential_fit  # noqa: E402
-from lmcorrect.optimizer import OptimizerConfig, run  # noqa: E402
-from lmcorrect.problems import (  # noqa: E402
-    affine_problem,
-    polynomial_problem,
-    valley_problem,
-)
-from test_mgh import PROBLEMS  # noqa: E402
-
 ORDERS = (1, 2, 3, 4)
 
 
-def valley_runs():
+def load(src: Path) -> SimpleNamespace:
+    """``lmcorrect``'s solver and problems from ``src``, and the MGH problems
+    and the fit from the ``tests`` directory beside this file."""
+    sys.path[:0] = [str(src.resolve()), str(ROOT / "tests")]
+    from helpers import four_exponential_fit
+    from lmcorrect.optimizer import OptimizerConfig, run
+    from lmcorrect.problems import affine_problem, polynomial_problem, valley_problem
+    from test_mgh import PROBLEMS
+    return SimpleNamespace(
+        four_exponential_fit=four_exponential_fit, OptimizerConfig=OptimizerConfig,
+        run=run, affine_problem=affine_problem, polynomial_problem=polynomial_problem,
+        valley_problem=valley_problem, PROBLEMS=PROBLEMS)
+
+
+def valley_runs(lib):
     start = np.array([math.pi, math.e])
     cells = [(K, order) for K in (1, 10, 100, 1000, 10000) for order in ORDERS]
     cells += [(1e5, 1), (1e6, 1)]
     cells += [(K, order) for order in (2, 3, 4) for K in (1e5, 1e6, 1e7, 1e8)]
     for K, order in cells:
-        yield run(start, valley_problem(K), OptimizerConfig(order=order))
+        yield lib.run(start, lib.valley_problem(K), lib.OptimizerConfig(order=order))
     for order in ORDERS:
-        yield run(start, valley_problem(1e6),
-                  OptimizerConfig(order=order, start_damping=0.0))
+        yield lib.run(start, lib.valley_problem(1e6),
+                      lib.OptimizerConfig(order=order, start_damping=0.0))
 
 
-def polynomial_runs():
+def polynomial_runs(lib):
     for order in ORDERS:
         for degree in range(1, order + 1):
             for i in range(20):
-                poly = polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
+                poly = lib.polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
                 problem = poly.as_problem()
                 x0 = 0.25 * np.random.default_rng(1000 + i).normal(
                     size=poly.input_dim)
                 start_norm = float(np.linalg.norm(problem.evaluator(x0)))
-                yield run(x0, problem, OptimizerConfig(
+                yield lib.run(x0, problem, lib.OptimizerConfig(
                     order=order, max_iterations=200,
                     convergence_tol=1e-10 * start_norm))
 
 
-def affine_runs():
+def affine_runs(lib):
     A, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
     for scale, tol in ((1.0, 1e-9), (1e-170, 1e-200)):
-        problem = affine_problem(scale * A, scale * b)
+        problem = lib.affine_problem(scale * A, scale * b)
         for damping in (1.0, 0.0):
             for order in ORDERS:
-                yield run(np.zeros(2), problem, OptimizerConfig(
+                yield lib.run(np.zeros(2), problem, lib.OptimizerConfig(
                     order=order, convergence_tol=tol, start_damping=damping))
 
 
-def mgh_runs():
-    for make, start in PROBLEMS.values():
+def mgh_runs(lib):
+    for make, start in lib.PROBLEMS.values():
         for order in ORDERS:
-            yield run(np.array(start), make(), OptimizerConfig(order=order))
+            yield lib.run(np.array(start), make(), lib.OptimizerConfig(order=order))
 
 
-def fit_runs():
-    problem, start = four_exponential_fit()
+def fit_runs(lib):
+    problem, start = lib.four_exponential_fit()
     for order in ORDERS:
-        yield run(start, problem, OptimizerConfig(order=order))
+        yield lib.run(start, problem, lib.OptimizerConfig(order=order))
 
 
-def main() -> int:
+GROUPS = {"valley": valley_runs, "polynomial": polynomial_runs,
+          "affine": affine_runs, "mgh": mgh_runs, "fit": fit_runs}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Print one SHA-256 over the trajectories of the checked runs.")
+    parser.add_argument("--runs", action="store_true",
+                        help="print one line per run instead of the digest")
+    parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src",
+                        help="the directory lmcorrect is imported from")
+    args = parser.parse_args(argv)
+    lib = load(args.src)
     digest, count = hashlib.sha256(), 0
-    for runs in (valley_runs(), polynomial_runs(), affine_runs(), mgh_runs(),
-                 fit_runs()):
-        for result in runs:
+    for group, runs in GROUPS.items():
+        for index, result in enumerate(runs(lib)):
             count += 1
             # repr gives each float's shortest round-trip form: equal text
             # means equal bits.
-            digest.update(repr((
+            text = repr((
                 [astuple(record) for record in result.trajectory],
                 result.x.tobytes(), result.termination, result.converged,
                 result.iterations, result.f_evaluations, result.residual_norm,
-            )).encode())
-    print(f"{digest.hexdigest()}  {count} runs")
+            )).encode()
+            digest.update(text)
+            if args.runs:
+                print(group, index, hashlib.sha256(text).hexdigest()[:12],
+                      result.termination, result.iterations, result.f_evaluations)
+    if not args.runs:
+        print(f"{digest.hexdigest()}  {count} runs")
     return 0
 
 
