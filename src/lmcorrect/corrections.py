@@ -130,6 +130,16 @@ class StencilEvaluationError(RuntimeError):
         super().__init__(f"residual evaluation failed at stencil offset {key}: {cause}")
 
 
+def _left_sum(terms) -> np.ndarray:
+    """A new array ``((terms[0] + terms[1]) + terms[2]) + ...``: a copy of
+    the first term, then ``+=`` each later one, which has the bits of ``a +
+    b``.  The one summation order of a series' step and of its endpoint."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 class CorrectionSeries(NamedTuple):
     """Corrections ``[c1, c2, ...]`` for one candidate step.
 
@@ -145,14 +155,8 @@ class CorrectionSeries(NamedTuple):
 
     @property
     def step(self) -> np.ndarray:
-        """A new array ``c1 + c2 + ...``, summed left to right."""
-        cs = self.corrections
-        if len(cs) == 1:
-            return cs[0].copy()
-        total = cs[0] + cs[1]
-        for c in cs[2:]:
-            total += c
-        return total
+        """A new array ``c1 + c2 + ...``, by ``_left_sum``."""
+        return _left_sum(self.corrections)
 
     def norms(self) -> list[float]:
         return [_norm(c) for c in self.corrections]
@@ -182,10 +186,8 @@ class StencilBase(NamedTuple):
     s_max))``, 0 once that product overflows (``s_max`` past about 6e304),
     or -inf when ``|x|`` or ``|f0|`` lies beyond ``_BOUND``, so that not
     even a zero ``c1``, whose model is ``f0``, runs its stencil.  ``c1s``
-    is the caller's block of first steps, ``c1_norms`` their row norms,
-    ``lams`` each row's damping and ``apply`` its factors' ``damped_apply``.
-    :func:`stencil_base` checks that ``c1s`` is finite; ``_stencil_base``
-    leaves that to its caller, ``optimizer.step``, whose sweep may hold a
+    is the block of first steps, ``lams`` each row's damping and ``apply``
+    its factors' ``damped_apply``.  ``optimizer.step``'s ``c1s`` may hold a
     nan or inf row, or one whose ``x + c1`` overflows: every such row lies
     past ``x_limit``.  ``series`` holds, per order, every row's result and
     the block of every row's endpoint, ``x`` plus the row's kept
@@ -200,7 +202,6 @@ class StencilBase(NamedTuple):
     lams: np.ndarray
     x_limit: float
     c1s: np.ndarray
-    c1_norms: list
     series: dict
 
 
@@ -210,42 +211,35 @@ def stencil_base(x, f0, factors, evaluator, c1s, lams) -> StencilBase:
     Jacobian ``factors.J``, of shape ``(m, p)``, which
     :class:`~lmcorrect.linalg.SvdFactors` checked and bounds by ``s_max``.
     ValueError unless ``x`` and ``f0`` are finite with shapes ``(p,)`` and
-    ``(m,)``, ``c1s`` is finite with p columns, one step being
-    ``c1[None]``, and ``lams`` holds one damping per row, each a
-    non-negative finite real.  ``_stencil_base`` checks the shapes of
-    ``c1s`` and ``lams``, and this function the rest, the finiteness of
-    ``c1s`` last, from the base's row norms; all before any evaluation.
-    The base keeps ``c1s``, not a copy, so it must not change while the
-    base is in use.  ``f0`` is read after evaluator calls, so it must not be
-    an array the evaluator reuses."""
+    ``(m,)``, every damping is a non-negative finite real, ``c1s`` has p
+    columns, one step being ``c1[None]``, ``lams`` holds one damping per
+    row, and ``c1s`` is finite, checked in that order, before any
+    evaluation.  This function makes every check; ``_stencil_base`` makes
+    none.  The base keeps ``c1s``, not a copy, so it must not change while
+    the base is in use.  ``f0`` is read after evaluator calls, so it must
+    not be an array the evaluator reuses."""
     m, p = factors.J.shape
     (x, x_norm), (f0, f0_norm) = finite_norm(x, (p,), "x"), finite_norm(f0, (m,), "f0")
-    base = _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
-                         _dampings(lams)[0])
-    if not sum(base.c1_norms) < math.inf:  # any row's nan or inf, not just row 0's
-        as_finite(base.c1s, base.c1s.shape, "c1")
-    return base
+    lams, c1s = _dampings(lams)[0], np.asarray(c1s, dtype=float)
+    if c1s.ndim != 2 or c1s.shape[1] != p:
+        raise ValueError(f"c1 has shape {c1s.shape}, expected (n, {p})")
+    lams = as_shape(lams, c1s.shape[:1], "lams")
+    return _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator,
+                         as_finite(c1s, c1s.shape, "c1"), lams)
 
 
 def _stencil_base(x, f0, x_norm, f0_norm, factors, evaluator, c1s,
                   lams) -> StencilBase:
-    """:func:`stencil_base` on an ``x``, ``f0`` and float64 ``lams`` that
-    passed its checks, with the norms of ``x`` and ``f0``; it checks the
-    shape of ``c1s`` and that ``lams`` has one damping per row, but not that
-    ``c1s`` is finite.  A row whose ``c1`` is nan or inf, or whose ``x +
-    c1`` overflows, lies past ``x_limit``, so its series is its ``c1``,
-    truncated, with no evaluator call: ``optimizer.step`` hands in its whole
-    sweep and asks only for its live rows."""
-    p = factors.J.shape[1]
-    c1s = np.asarray(c1s, dtype=float)
-    if c1s.ndim != 2 or c1s.shape[1] != p:
-        raise ValueError(f"c1 has shape {c1s.shape}, expected (n, {p})")
-    lams = as_shape(lams, c1s.shape[:1], "lams")
-    c1_norms = list(map(_norm, c1s))
+    """:func:`stencil_base` past its checks, on the norms of ``x`` and
+    ``f0``: it trusts its caller and only computes ``x_limit``.
+    ``optimizer.step`` hands in the sweep it built, whose ``c1s`` may hold a
+    row that is nan or inf, or whose ``x + c1`` overflows; such a row lies
+    past ``x_limit``, so its series is its ``c1``, truncated, with no
+    evaluator call, and ``step`` asks only for its live rows."""
     x_limit = (_BOUND / (_REACH * max(1.0, float(factors.s[0])))
                if max(x_norm, f0_norm) <= _BOUND else -math.inf)
     return StencilBase(x, f0, factors.J.T, evaluator, factors.damped_apply, lams,
-                       x_limit, c1s, c1_norms, {})
+                       x_limit, c1s, {})
 
 
 def _keep(directions, k, block, results) -> None:
@@ -261,32 +255,36 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     StencilEvaluationError of its failed evaluator call, and the block of
     every row's corrected endpoint.
 
-    The rows within ``x_limit`` run; the others are their ``c1``,
-    truncated, and their directions stay -0.0, so that no stencil product
-    overflows.  Each phase forms the offsets, points and linear models of
-    every row as stacked ``np.matmul`` products, whose items keep each
-    row's own ``.dot`` bits (a flat product does not, ``Jt`` being a
-    transposed view), and calls the evaluator point by point for the rows
-    still running, row by row, in one flat walk over the phase's points.
+    Each row's ``|c1|`` is its ``_norm``, taken here.  The rows within
+    ``x_limit`` run; the others are their ``c1``, truncated, and their
+    directions stay -0.0, so that no stencil product overflows.  Each phase
+    forms the offsets, points and linear models of every row as stacked
+    ``np.matmul`` products, whose items keep each row's own ``.dot`` bits
+    (a flat product does not, ``Jt`` being a transposed view), and calls
+    the evaluator point by point for the rows still running, row by row, in
+    one flat walk over the phase's points.
     One reduction over the phase's residual block, its largest magnitude,
     passes the whole phase when it is within the 2R bound over a row's
-    entry count; otherwise, and for the wild bound always, one reduction
-    per row passes the rows that it can, and ``_norm`` decides only the
-    others, so every decision is the norm's.  A row that stops has its
-    defects zeroed, and no later direction of it is kept, so none of its
-    nan or inf reaches a later phase.  The weighted defects of all rows go
-    through ``apply`` at once, one damping per row.
+    entry count; otherwise ``_norm`` decides each running row.  The wild
+    bound's test is one reduction per row, which passes the rows that it
+    can, and ``_norm`` decides only the others, so every decision is the
+    norm's.  A row that stops has its defects zeroed, and no later
+    direction of it is kept, so none of its nan or inf reaches a later
+    phase.  The weighted defects of all rows go through ``apply`` at once,
+    one damping per row.
 
-    A row's endpoint is ``x`` plus its kept corrections, summed left to
-    right as ``CorrectionSeries.step`` sums them: each slot a row did not
-    keep holds -0.0, the exact additive identity, so the sum keeps the
-    bits of the row's own series, a -0.0 entry included (a reduction,
-    which starts from +0.0, would not).  A row past ``x_limit`` has no
-    endpoint here, its ``c1`` being -0.0 in the block, so
-    ``optimizer.step`` forms every one-term row's endpoint from its ``c1``.
+    A row's endpoint is ``x`` plus its kept corrections, summed by
+    ``_left_sum`` over the block of directions, as ``CorrectionSeries.step``
+    sums them: each slot a row did not keep holds -0.0, the exact additive
+    identity, so the sum keeps the bits of the row's own series, a -0.0
+    entry included (a reduction, which starts from +0.0, would not).  A row
+    past ``x_limit`` has no endpoint here, its ``c1`` being -0.0 in the
+    block, so ``optimizer.step`` forms every one-term row's endpoint from
+    its ``c1``.
     """
-    x, f0, Jt, evaluator, apply, lams, x_limit, c1s, c1_norms, _ = base
+    x, f0, Jt, evaluator, apply, lams, x_limit, c1s, _ = base
     (n, p), m, compiled = c1s.shape, len(f0), _COMPILED[order]
+    c1_norms = list(map(_norm, c1s))
     results = [None if norm <= x_limit else CorrectionSeries((c1,), 0, True)
                for c1, norm in zip(c1s, c1_norms)]
     # The rows past x_limit get no bound: theirs may lie beyond float64's range.
@@ -319,8 +317,7 @@ def _series_block(base: StencilBase, order: int) -> tuple:
         # inverse, which rejects non-finite input.
         limit = 2 * _BOUND / block[0].size
         if not np.maximum.reduce(np.abs(block), axis=None) <= limit:
-            tops = np.maximum.reduce(np.abs(block), axis=(1, 2))
-            for row in np.flatnonzero(~(tops <= limit)):
+            for row in range(n):
                 if results[row] is None and not _norm(block[row].ravel()) <= 2 * _BOUND:
                     results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
                     defects[row] = 0.0
@@ -338,10 +335,7 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     for row, corrections in zip(range(n), zip(*found)):  # every phase ran
         if results[row] is None:
             results[row] = CorrectionSeries(corrections, end)
-    steps = directions[:, 0] + directions[:, 1]
-    for k in range(2, len(compiled) + 1):
-        steps += directions[:, k]
-    return results, x + steps
+    return results, x + _left_sum(directions.swapaxes(0, 1))
 
 
 def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries:
@@ -366,8 +360,8 @@ def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries
     returned array, ``c1``, is a row of the caller's block.
     """
     _check_order(order)
-    if type(row) is not int or not 0 <= row < len(base.c1_norms):
-        as_int(row, "row", 0, len(base.c1_norms) - 1)
+    if type(row) is not int or not 0 <= row < len(base.c1s):
+        as_int(row, "row", 0, len(base.c1s) - 1)
     if order == 1:
         return CorrectionSeries((base.c1s[row],), 0)
     if order not in base.series:  # the base's first series of this order

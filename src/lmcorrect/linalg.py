@@ -130,12 +130,13 @@ class SvdFactors:
     product ``(scale * Ut v) Vt``.  The damped scale ``s / (s^2 + lam)`` is
     ``1 / (s + lam * inv_s)``, which squares nothing, so no singular value
     over- or underflows out of its direction.  ``_scale_rows`` computes every
-    scale row and ``_apply`` every product, each behind one screen on Python
-    floats.  ``damped_apply_batch`` keeps its sweep's dampings and rows, and
-    ``damped_apply``, one damping per row of a block, reuses them when its
-    dampings are the sweep's, as a step's are; any others get their rows
-    from ``_scale_rows``.  Once
-    ``s_min <= ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct
+    scale row, and each of ``damped_apply_batch`` (one flat product) and
+    ``damped_apply`` (stacked products) forms its own, each behind one
+    screen on Python floats.  ``damped_apply_batch`` keeps its sweep's
+    dampings and rows, and ``damped_apply``, one damping per row of a
+    block, reuses them when its dampings are the sweep's, as a step's are;
+    any others get their rows from ``_scale_rows``.  Once ``s_min <=
+    ACCURATE_RCOND * s_max`` LAPACK's ``s_min`` may have no correct
     digit, and ``J`` is refactored by the graded-matrix recipe of Demmel et
     al., "Computing the singular value decomposition with high relative
     accuracy" (1999), which keeps it; a ``-0.0`` it returns is made ``+0``.
@@ -189,7 +190,7 @@ class SvdFactors:
             with np.errstate(divide="ignore", over="ignore"):
                 self.inv_s = 1.0 / s
         # s_max and the largest reciprocal, 1 / s_min, as Python floats: the
-        # two sizes the screens of _scale_rows and _apply read.
+        # two sizes the screens of _scale_rows and the applies read.
         self._edges = (s_list[0], float(self.inv_s[-1]))
         # The last sweep's dampings, as a list, and their scale rows.
         self._swept = (None, None)
@@ -229,22 +230,6 @@ class SvdFactors:
             scale[lams == 0.0] = np.where(keep, self.inv_s, 0.0)
         return lam_list, scale
 
-    def _apply(self, scale: np.ndarray, v) -> np.ndarray:
-        """``(scale * Ut v) Vt`` for the rows of ``_scale_rows``.
-
-        ValueError unless ``v`` is finite and of shape ``(m,)``.  Every scale
-        entry is at most ``1 / s_min``, so below the screen's bound no entry
-        or partial sum of either product exceeds ``(1 / s_min + 1) |v|``, and
-        nothing overflows; otherwise the products ignore over and invalid,
-        and a result beyond float64's range has inf entries, unwarned.
-        ndarray.dot, not @: same bits, half the dispatch cost.
-        """
-        v, v_norm = finite_norm(v, self._v_shape, "v")
-        if v_norm * (self._edges[1] + 1.0) < _BOUND:
-            return (scale * self.Ut.dot(v)).dot(self.Vt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (scale * self.Ut.dot(v)).dot(self.Vt)
-
     def damped_apply(self, lams, vs) -> np.ndarray:
         """Rows ``(J^T J + lams[i] I)^{-1} J^T vs[i]``, via ``1 / (s + lam / s)``.
 
@@ -280,11 +265,22 @@ class SvdFactors:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
 
         Row ``i`` matches ``damped_apply`` at ``lams[i]`` on ``v`` to
-        rounding, zero dampings included; a row that overflows is
-        non-finite, unwarned.  The sweep's rows are kept for
+        rounding, zero dampings included.  The sweep's rows are kept for
         ``damped_apply`` until the next sweep.  A ``lams`` that is empty or
         not 1-D, a damping that is negative, not finite or a bool, and a
         ``v`` that is not finite or not of shape ``(m,)``, raise ValueError.
+        The result is the flat product ``(scale * Ut v) Vt`` over the sweep's
+        scale rows, not ``damped_apply``'s stacked one, which rounds
+        differently at large m.  Every scale entry is at most ``1 / s_min``,
+        so below the screen's bound no entry or partial sum of either
+        product exceeds ``(1 / s_min + 1) |v|``, and nothing overflows;
+        otherwise the products ignore over and invalid, and a row beyond
+        float64's range has inf entries, unwarned.  ndarray.dot, not @: same
+        bits, half the dispatch cost.
         """
         self._swept = self._scale_rows(lams)
-        return self._apply(self._swept[1], v)
+        v, v_norm = finite_norm(v, self._v_shape, "v")
+        if v_norm * (self._edges[1] + 1.0) < _BOUND:
+            return (self._swept[1] * self.Ut.dot(v)).dot(self.Vt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self._swept[1] * self.Ut.dot(v)).dot(self.Vt)

@@ -238,7 +238,6 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         # converge (LinAlgError is a ValueError).
         raise StepFailureError(str(exc)) from exc
     lambdas = schedule.grid()
-    lams = lambdas.tolist()
 
     # First-order directions for the whole sweep from one factorization.
     c1s = -factors.damped_apply_batch(lambdas, f0)
@@ -246,7 +245,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     # The live candidates, from one reduction unless an x + c1 could overflow
     # (see the module docstring); a nan fails the test.
     if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
-        live, ends = range(len(lams)), x + c1s
+        live, ends = range(len(lambdas)), x + c1s
     else:
         with np.errstate(over="ignore"):
             ends = x + c1s
@@ -301,7 +300,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre on the top damping
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
-    schedule.lambda_old = lam = lams[idx]
+    schedule.lambda_old = lam = float(lambdas[idx])
     return x, f0, IterationRecord(
         chosen_lambda=lam,
         residual_norm=best_norm,

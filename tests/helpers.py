@@ -13,7 +13,8 @@ from lmcorrect.corrections import (
 )
 from lmcorrect.faadibruno import correction_identity_terms
 from lmcorrect.linalg import _BOUND, SvdFactors, as_finite
-from lmcorrect.problems import Problem
+from lmcorrect.optimizer import OptimizerConfig
+from lmcorrect.problems import Problem, polynomial_problem
 
 
 def set_partitions(items):
@@ -217,6 +218,22 @@ def broadcast_correction_series(x, f0, J, inverse_apply, evaluator, c1, order):
         directions[known] = c
         corrections.append(c)
     return tuple(corrections), len(rows), None
+
+
+def criterion_6_runs():
+    """Acceptance criterion 6's 200 seeded polynomial solves, in order, as
+    ``(problem, x0, config)``: orders 1-4, degrees 1 to the order, and 20
+    runs per cell on 2 or 3 unknowns from a seeded start of scale 0.25,
+    each to 1e-10 of its start residual norm in at most 200 iterations."""
+    for order in (1, 2, 3, 4):
+        for degree in range(1, order + 1):
+            for i in range(20):
+                poly = polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
+                problem = poly.as_problem()
+                x0 = 0.25 * np.random.default_rng(1000 + i).normal(size=poly.input_dim)
+                start_norm = float(np.linalg.norm(problem.evaluator(x0)))
+                yield problem, x0, OptimizerConfig(
+                    order=order, max_iterations=200, convergence_tol=1e-10 * start_norm)
 
 
 def four_exponential_fit():

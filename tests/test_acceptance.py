@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     counting_problem,
+    criterion_6_runs,
     gauss_newton_inverse,
     partition_shape_counts,
     phase_row_mismatches,
@@ -28,7 +29,7 @@ from lmcorrect.corrections import (
 from lmcorrect.faadibruno import derivative_terms
 from lmcorrect.linalg import SvdFactors
 from lmcorrect.optimizer import OptimizerConfig, run
-from lmcorrect.problems import polynomial_problem, valley_problem
+from lmcorrect.problems import valley_problem
 
 START = np.array([np.pi, np.e])
 
@@ -292,25 +293,13 @@ def test_criterion_6_polynomial_residuals_driven_to_zero():
     failures = []
     runs = 0
     totals = dict.fromkeys(PINNED_POLYNOMIAL_TOTALS, 0)
-    for order in (1, 2, 3, 4):
-        for degree in range(1, order + 1):
-            for i in range(20):
-                poly = polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
-                problem = poly.as_problem()
-                rng = np.random.default_rng(1000 + i)
-                x0 = 0.25 * rng.normal(size=poly.input_dim)
-                start_norm = float(np.linalg.norm(problem.evaluator(x0)))
-                config = OptimizerConfig(
-                    order=order, max_iterations=200,
-                    convergence_tol=1e-10 * start_norm,
-                )
-                result = run(x0, problem, config)
-                runs += 1
-                totals["iterations"] += result.iterations
-                totals["f_evaluations"] += result.f_evaluations
-                if not (result.converged
-                        and result.residual_norm <= 1e-10 * start_norm):
-                    failures.append((order, degree, i))
+    for problem, x0, config in criterion_6_runs():
+        result = run(x0, problem, config)
+        runs += 1
+        totals["iterations"] += result.iterations
+        totals["f_evaluations"] += result.f_evaluations
+        if not (result.converged and result.residual_norm <= config.convergence_tol):
+            failures.append((runs - 1, config.order))
     elapsed = time.perf_counter() - t0
     ok = not failures and totals == PINNED_POLYNOMIAL_TOTALS and elapsed < 5.0
     detail = (

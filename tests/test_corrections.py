@@ -761,6 +761,32 @@ def test_series_fields_cannot_be_assigned():
     assert series.step.tolist() == [2.0, 2.0] and not series.truncated
 
 
+def test_a_series_step_sums_left_to_right():
+    # Float addition is not associative: over (1e16, 1, -1e16, 1) the left
+    # to right sum is 1.0, while a pairwise sum, (c1 + c2) + (c3 + c4), and
+    # a right to left one, c1 + (c2 + (c3 + c4)), are 0.0.  The second
+    # column is the first negated.  A step endpoint's bits rest on this one
+    # order, which no comparison of two sums of the same order would see.
+    c1, c2, c3, c4 = np.array([[1e16, 1.0, -1e16, 1.0], [-1e16, -1.0, 1e16, -1.0]]).T
+    step = CorrectionSeries((c1, c2, c3, c4), 8).step
+    assert step.tobytes() == (((c1 + c2) + c3) + c4).tobytes()
+    assert step.tolist() == [1.0, -1.0]
+    assert ((c1 + c2) + (c3 + c4)).tolist() == (c1 + (c2 + (c3 + c4))).tolist() == [0, 0]
+    three = CorrectionSeries((c1, c2, c3), 4).step
+    assert three.tobytes() == ((c1 + c2) + c3).tobytes()
+    alone = CorrectionSeries((c1,), 0).step
+    assert alone.tobytes() == c1.tobytes() and alone is not c1
+
+
+def test_a_series_step_of_negative_zeros_is_negative_zero():
+    # -0.0 + -0.0 is -0.0, but a sum started from 0, as Python's is, gives +0.0.
+    for count in (1, 2, 3, 4):
+        terms = tuple(np.full(3, -0.0) for _ in range(count))
+        step = CorrectionSeries(terms, 0).step
+        assert np.signbit(step).all() and not step.any()
+        assert not np.signbit(sum(terms)).any()
+
+
 def _random_cubic(rng, m, p):
     """A cubic map R^p -> R^m and its Jacobian, from random tensors."""
     A = rng.normal(size=(m, p))

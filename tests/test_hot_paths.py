@@ -35,7 +35,6 @@ HOT_FUNCTIONS = [
     ("linalg.py", "_dampings"),
     ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),
-    ("linalg.py", "SvdFactors._apply"),
     ("linalg.py", "SvdFactors.damped_apply"),
     ("linalg.py", "SvdFactors.damped_apply_batch"),
     ("optimizer.py", "step"),

@@ -7,7 +7,8 @@ The runs are
 * the 34 valley cells whose counts ``tests/test_acceptance.py`` pins, from
   (pi, e) at the default settings;
 * the K = 1e6 valley at ``start_damping=0`` (Gauss-Newton), orders 1-4;
-* the 200 polynomial solves of acceptance criterion 6;
+* the 200 polynomial solves of acceptance criterion 6, as
+  ``tests/helpers.py`` lists them;
 * the default affine problem and the same problem scaled by 1e-170, at both
   start dampings and orders 1-4, from the origin: 16 runs;
 * the 88 Moré-Garbow-Hillstrom runs of ``tests/test_mgh.py``, each problem
@@ -30,10 +31,11 @@ its termination, iterations and evaluations.  Two checkouts' listings,
 diffed, name the runs that moved.
 
 It imports ``lmcorrect`` from ``SRC``, by default the ``src`` directory
-beside this file, and the MGH problems and the fit from the ``tests``
-directory beside this file, which needs pytest installed.  So one copy of
-the tool can digest two checkouts' ``src`` directories, whose lines must
-then match.  It takes about 7 s on a 2-vCPU machine.
+beside this file, and the polynomial solves, the MGH problems and the fit
+from the ``tests`` directory beside this file, which needs pytest
+installed.  So one copy of the tool can digest two checkouts' ``src``
+directories, whose lines must then match.  It takes about 7 s on a 2-vCPU
+machine.
 """
 
 import argparse
@@ -51,16 +53,17 @@ ORDERS = (1, 2, 3, 4)
 
 
 def load(src: Path) -> SimpleNamespace:
-    """``lmcorrect``'s solver and problems from ``src``, and the MGH problems
-    and the fit from the ``tests`` directory beside this file."""
+    """``lmcorrect``'s solver and problems from ``src``, and the polynomial
+    solves, the MGH problems and the fit from the ``tests`` directory beside
+    this file."""
     sys.path[:0] = [str(src.resolve()), str(ROOT / "tests")]
-    from helpers import four_exponential_fit
+    from helpers import criterion_6_runs, four_exponential_fit
     from lmcorrect.optimizer import OptimizerConfig, run
-    from lmcorrect.problems import affine_problem, polynomial_problem, valley_problem
+    from lmcorrect.problems import affine_problem, valley_problem
     from test_mgh import PROBLEMS
     return SimpleNamespace(
-        four_exponential_fit=four_exponential_fit, OptimizerConfig=OptimizerConfig,
-        run=run, affine_problem=affine_problem, polynomial_problem=polynomial_problem,
+        criterion_6_runs=criterion_6_runs, four_exponential_fit=four_exponential_fit,
+        OptimizerConfig=OptimizerConfig, run=run, affine_problem=affine_problem,
         valley_problem=valley_problem, PROBLEMS=PROBLEMS)
 
 
@@ -77,17 +80,8 @@ def valley_runs(lib):
 
 
 def polynomial_runs(lib):
-    for order in ORDERS:
-        for degree in range(1, order + 1):
-            for i in range(20):
-                poly = lib.polynomial_problem(degree, 2 + (i % 2), seed=i * 7 + degree)
-                problem = poly.as_problem()
-                x0 = 0.25 * np.random.default_rng(1000 + i).normal(
-                    size=poly.input_dim)
-                start_norm = float(np.linalg.norm(problem.evaluator(x0)))
-                yield lib.run(x0, problem, lib.OptimizerConfig(
-                    order=order, max_iterations=200,
-                    convergence_tol=1e-10 * start_norm))
+    for problem, x0, config in lib.criterion_6_runs():
+        yield lib.run(x0, problem, config)
 
 
 def affine_runs(lib):
