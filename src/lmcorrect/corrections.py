@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _BOUND, _dampings, _norm, as_finite, as_int, as_shape, finite_norm
+from .linalg import (_BOUND, _dampings, _norm, _norms, as_finite, as_int, as_shape,
+                     finite_norm)
 
 __all__ = [
     "StencilEvaluationError",
@@ -255,23 +256,30 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     StencilEvaluationError of its failed evaluator call, and the block of
     every row's corrected endpoint.
 
-    Each row's ``|c1|`` is its ``_norm``, taken here.  The rows within
-    ``x_limit`` run; the others are their ``c1``, truncated, and their
-    directions stay -0.0, so that no stencil product overflows.  Each phase
-    forms the offsets, points and linear models of every row as stacked
-    ``np.matmul`` products, whose items keep each row's own ``.dot`` bits
-    (a flat product does not, ``Jt`` being a transposed view), and calls
-    the evaluator point by point for the rows still running, row by row, in
-    one flat walk over the phase's points.
-    One reduction over the phase's residual block, its largest magnitude,
-    passes the whole phase when it is within the 2R bound over a row's
-    entry count; otherwise ``_norm`` decides each running row.  The wild
-    bound's test is one reduction per row, which passes the rows that it
-    can, and ``_norm`` decides only the others, so every decision is the
-    norm's.  A row that stops has its defects zeroed, and no later
-    direction of it is kept, so none of its nan or inf reaches a later
-    phase.  The weighted defects of all rows go through ``apply`` at once,
-    one damping per row.
+    Each row's ``|c1|`` is its ``_norm``, taken for the whole block by
+    ``_norms``.  One setup pass gives each row its wild bound,
+    ``WILD_CORRECTION_FACTOR |c1|``, or 0 past ``x_limit``, and one pass
+    over the rows past ``x_limit`` makes each of them its ``c1``, truncated;
+    their directions stay -0.0, so that no stencil product overflows.  The
+    rows within ``x_limit`` run.  Each phase forms the offsets, points and
+    linear models of every row as stacked ``np.matmul`` products, whose
+    items keep each row's own ``.dot`` bits (a flat product does not,
+    ``Jt`` being a transposed view), and calls the evaluator point by point
+    for the rows still running, row by row, in one flat walk over the
+    phase's points.  One reduction over the phase's residual block, its
+    largest magnitude, passes the whole phase when it is within the 2R
+    bound over a row's entry count; otherwise ``_norm`` decides each
+    running row.  The wild bound's screen, each row's bound over its entry
+    count, is one column formed once per block: a phase compares every
+    entry of its corrections with its row's screen, and one reduction over
+    the block passes the whole phase when every entry is within it.
+    Otherwise one reduction per row passes the rows that it can, and
+    ``_norm`` decides only the others, so every decision is the norm's; a
+    nan fails the screens and the norm.  A row that stops has its defects
+    zeroed, and no later direction of it is kept, so none of its nan or inf
+    reaches a later phase.  The weighted defects of all rows go through
+    ``apply`` at once, one damping per row.  The rows still running after
+    the last phase get their series in one pass.
 
     A row's endpoint is ``x`` plus its kept corrections, summed by
     ``_left_sum`` over the block of directions, as ``CorrectionSeries.step``
@@ -284,11 +292,12 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     """
     x, f0, Jt, evaluator, apply, lams, x_limit, c1s, _ = base
     (n, p), m, compiled = c1s.shape, len(f0), _COMPILED[order]
-    c1_norms = list(map(_norm, c1s))
-    results = [None if norm <= x_limit else CorrectionSeries((c1,), 0, True)
-               for c1, norm in zip(c1s, c1_norms)]
+    c1_norms, results = _norms(c1s), [None] * n
     # The rows past x_limit get no bound: theirs may lie beyond float64's range.
-    wild = WILD_CORRECTION_FACTOR * np.where(np.array(c1_norms) <= x_limit, c1_norms, 0)
+    wild = [WILD_CORRECTION_FACTOR * norm if norm <= x_limit else 0.0 for norm in c1_norms]
+    for row in [row for row, norm in enumerate(c1_norms) if not norm <= x_limit]:
+        results[row] = CorrectionSeries((c1s[row],), 0, True)
+    screen = (np.array(wild) / p)[:, None]  # each row's bound on an entry
     directions = np.full((n, len(compiled) + 1, p), -0.0)  # c1, c2, ... of every row
     _keep(directions, 0, c1s, results)
     defects = np.zeros((n, STENCIL_EVALUATIONS[order], m))
@@ -325,16 +334,17 @@ def _series_block(base: StencilBase, order: int) -> tuple:
         if None not in results:
             break
         corrections = apply(lams, np.matmul(weights, defects[:, :end]))
-        # A nan correction norm fails the wild bound.
-        tops = np.maximum.reduce(np.abs(corrections), axis=1)
-        for row in np.flatnonzero(~(tops <= wild / p)):
-            if results[row] is None and not _norm(corrections[row]) <= wild[row]:
-                results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
+        # A nan entry fails the screen, and a nan correction norm the wild bound.
+        within = np.abs(corrections) <= screen
+        if not np.logical_and.reduce(within, axis=None):
+            for row in np.flatnonzero(~np.logical_and.reduce(within, axis=1)):
+                if results[row] is None and not _norm(corrections[row]) <= wild[row]:
+                    results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
         found.append(corrections)
         _keep(directions, k + 1, corrections, results)
-    for row, corrections in zip(range(n), zip(*found)):  # every phase ran
-        if results[row] is None:
-            results[row] = CorrectionSeries(corrections, end)
+    # The rows still running ran every phase.
+    results = [CorrectionSeries(c, end) if r is None else r
+               for r, c in zip(results, zip(*found))]
     return results, x + _left_sum(directions.swapaxes(0, 1))
 
 
@@ -359,7 +369,8 @@ def correction_series(base: StencilBase, row, *, order: int) -> CorrectionSeries
     a bad order or row raises ValueError before any evaluation.  The first
     returned array, ``c1``, is a row of the caller's block.
     """
-    _check_order(order)
+    if type(order) is not int or order not in STENCIL_EVALUATIONS:
+        _check_order(order)
     if type(row) is not int or not 0 <= row < len(base.c1s):
         as_int(row, "row", 0, len(base.c1s) - 1)
     if order == 1:

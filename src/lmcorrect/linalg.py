@@ -3,7 +3,10 @@
 The package's one vector norm, ``_norm``, is ``math.hypot`` over the entries:
 within 1 ulp of the exact norm, it never underflows and is inf only beyond
 float64's range or at an inf entry, else nan at a nan; ``finite_norm`` reads
-finiteness from it.  Every step direction is the damped pseudo-inverse
+finiteness from it.  Its row-block sibling ``_norms`` gives each row of a 2-D
+block the bits of that row's ``_norm``, from one ``.tolist()`` of the block.
+
+Every step direction is the damped pseudo-inverse
 ``(J^T J + lam I)^{-1} J^T v``.  Its ``lam = 0`` case is the Gauss-Newton
 minimum-norm pseudo-inverse, which on a square nonsingular ``J`` is Newton's
 step ``J^{-1} v``.  :class:`SvdFactors` holds one thin SVD of ``J``, so that a
@@ -65,6 +68,11 @@ def as_finite(a, shape: tuple, what: str) -> np.ndarray:
 def _norm(v) -> float:
     """Euclidean norm of a 1-D float array, ``math.hypot`` over its entries."""
     return math.hypot(*v.tolist())
+
+
+def _norms(block) -> list:
+    """Each row's ``_norm`` of a 2-D float array, from one ``.tolist()``."""
+    return [math.hypot(*row) for row in block.tolist()]
 
 
 def finite_norm(a, shape: tuple, what: str):

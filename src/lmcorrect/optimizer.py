@@ -7,7 +7,10 @@ centre is 0, which is Gauss-Newton.  Every candidate gets the configured
 order of finite-difference corrections and one residual evaluation at its
 corrected endpoint; the endpoint with the smallest residual norm wins.  If
 nothing improves, the iteration does not move and the next grid is centred
-on the largest damping tried.
+on the largest damping tried, or on the floor ``2^-52 s_max^2``, ``s_max``
+being J's largest singular value, when that is larger: there damping starts
+to matter to J's largest direction, so a damping that walked far down
+climbs back in one rejection.
 
 One product with the factorization gives every first-order direction c1,
 and one reduction, the largest ``|c1|`` entry, picks the live candidates.
@@ -117,8 +120,12 @@ class LambdaSchedule:
     a positive sweep lies in ``[1/R, R]`` up to one rounding: repeated
     down-shifts never underflow to 0, nor up-shifts overflow to inf.
     ``grid`` is the one place a damping is clamped.  ``lambda_old`` carries
-    between iterations: it becomes the winning damping on acceptance and the
-    grid's largest, ``c * 10^4``, when no candidate improves.  At 0 the grid
+    between iterations: it becomes the winning damping on acceptance and,
+    when no candidate improves, ``max(c * 10^4, 2^-52 s_max^2)``: the
+    grid's largest, or the floor at which damping starts to matter to J's
+    largest singular value ``s_max``, whichever is larger.  :func:`step`
+    forms the floor in Python floats, so it never warns: an inf is clamped
+    here, and one that underflows to 0 leaves ``c * 10^4``.  At 0 the grid
     is ``[0]``, and stays so: Gauss-Newton.  A ``lambda_old`` that is not
     non-negative and finite raises ValueError at construction, by the rule
     of ``OptimizerConfig.start_damping``.
@@ -267,8 +274,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
                 causes[idx] = exc
                 continue
             evals += series.evaluation_count
-            end = (ends[idx] if len(series.corrections) == 1
-                   else base.series[order][1][idx])
+            end = (ends if len(series.corrections) == 1 else base.series[order][1])[idx]
         evals += 1
         try:
             f_end = np.asarray(evaluator(end), dtype=float)
@@ -298,9 +304,12 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         norms = (_norm(c1s[idx]),) if alone else tuple(series.norms())
         step_norm = norms[0] if alone else _norm(series.step)
         x = end.copy()
-    else:  # nothing beat the current point: stay put, recentre on the top damping
+    else:  # nothing beat the current point: stay put, recentre at the top damping or the floor
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
     schedule.lambda_old = lam = float(lambdas[idx])
+    if not accepted and lam:  # at least 2^-52 s_max^2; Python floats, so unwarned
+        s_max = float(factors.s[0])
+        schedule.lambda_old = max(lam, 2.0**-52 * s_max * s_max)
     return x, f0, IterationRecord(
         chosen_lambda=lam,
         residual_norm=best_norm,

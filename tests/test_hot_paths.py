@@ -32,6 +32,7 @@ HOT_FUNCTIONS = [
     ("corrections.py", "stencil_base"),
     ("corrections.py", "_stencil_base"),
     ("corrections.py", "_series_block"),
+    ("linalg.py", "_norms"),
     ("linalg.py", "_dampings"),
     ("linalg.py", "SvdFactors.__init__"),
     ("linalg.py", "SvdFactors._scale_rows"),

@@ -5,7 +5,7 @@ Moré, Garbow & Hillstrom, "Testing unconstrained optimization software"
 start.  Each Jacobian here is analytic and checked against central
 differences; each run is pinned at orders 1-4 from the standard start:
 the zero-residual problems converge, the nonzero-residual ones stall at
-their local minimum, and Wood's convergence is an expected failure.
+their local minimum, and Wood converges too.
 """
 
 import functools
@@ -463,15 +463,20 @@ def test_nonzero_residual_start_stalls_at_the_local_minimum(name, order):
     assert (result.iterations, result.f_evaluations) == counts[order - 1]
 
 
-@pytest.mark.xfail(strict=True, reason="the damping escalation stalls Wood at "
-                   "a point that is not stationary (CHANGES.md FOUND line)")
+# Wood's (iterations, evaluations) from its standard start, by order.
+WOOD_COUNTS = {1: (68, 1429), 2: (56, 2353), 3: (54, 5671), 4: (53, 10018)}
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_wood_converges_from_the_standard_start(order):
     # scipy's least_squares with method="lm" reaches |f| = 0 in 70
-    # evaluations.  Every order stalls instead, at |f| = 2.7847 / 2.6369 /
-    # 2.5088 / 2.4383 after 967 / 1975 / 4936 / 8884 evaluations, where
-    # |J^T f| / (s_max |f|) is 0.03-0.07: the winning damping walks down to
-    # 1e-148..1e-168, and the five rejected sweeps that end the run raise it
-    # only 10^20.
-    result = run(np.array(WOOD_START), wood(), OptimizerConfig(order=order))
+    # evaluations.  The winning damping walks down to 1e-148..1e-168, and
+    # a rejected sweep used to raise it only 10^4: five of them stalled every
+    # order at a point that is not stationary, |f| = 2.4-2.8.  A rejected
+    # sweep now recentres at least at 2^-52 s_max^2, where damping starts to
+    # matter to J's largest direction, and every order converges.
+    problem, counter = counting_problem(wood())
+    result = run(np.array(WOOD_START), problem, OptimizerConfig(order=order))
     assert result.converged
+    assert result.f_evaluations == counter["evals"]
+    assert (result.iterations, result.f_evaluations) == WOOD_COUNTS[order]

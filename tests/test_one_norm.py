@@ -1,11 +1,12 @@
 """Every vector norm in the package is ``linalg._norm``, ``math.hypot`` over
-the entries.
+the entries, or its row-block sibling ``linalg._norms``, which gives each
+row the same bits.
 
 A norm taken as the square root of a squared sum underflows to 0 for tiny
 vectors and overflows for huge ones; ``math.hypot`` does neither.  These
 source scans keep ``sqrt``, ``vecdot`` and ``linalg.norm`` out of the
-package, ``math.hypot`` inside one function and ``.tolist()`` out of
-``corrections.py``, so no second norm or per-entry walk creeps back in
+package, ``math.hypot`` inside those two functions and ``.tolist()`` out of
+``corrections.py``, so no other norm or per-entry walk creeps back in
 unnoticed.  The value tests pin what the norm must keep at m = 1000
 residuals, whatever computes it.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmcorrect.linalg import _norm, finite_norm
+from lmcorrect.linalg import _norm, _norms, finite_norm
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lmcorrect"
 
@@ -60,17 +61,25 @@ def test_the_scan_sees_each_spelling():
     assert FORBIDDEN <= names
 
 
+NORM_BODIES = ("_norm", "_norms")
+
+
 def test_math_hypot_is_in_one_function():
-    # Every norm goes through linalg._norm, so a faster norm for large m is
-    # one function body to change, and no caller picks a path.
+    # Every norm goes through linalg._norm or its row-block sibling
+    # linalg._norms, so a faster norm for large m is two function bodies to
+    # change, and no caller picks a path.
     uses = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
             for line, name in used_names(ast.parse(path.read_text()))
             if name == "hypot"]
     linalg = ast.parse((PACKAGE / "linalg.py").read_text())
-    norm = next(node for node in ast.walk(linalg)
-                if isinstance(node, ast.FunctionDef) and node.name == "_norm")
-    assert uses
-    assert all(name == "linalg.py" and norm.lineno <= line <= norm.end_lineno
+    bodies = {node.name: range(node.lineno, node.end_lineno + 1)
+              for node in linalg.body
+              if isinstance(node, ast.FunctionDef) and node.name in NORM_BODIES}
+    assert sorted(bodies) == sorted(NORM_BODIES)
+    inside = {body: [line for name, line in uses if name == "linalg.py" and line in lines]
+              for body, lines in bodies.items()}
+    assert all(inside.values()), inside
+    assert all(name == "linalg.py" and any(line in lines for lines in bodies.values())
                for name, line in uses), uses
 
 
@@ -128,3 +137,30 @@ def test_the_stencil_walks_entries_only_through_the_norm():
     # the stencil goes through _norm, the one body a large-m norm edits.
     assert tolist_calls(ast.parse("a = v.tolist()\nb = f(x).tolist()[0]\n")) == [1, 2]
     assert tolist_calls(ast.parse((PACKAGE / "corrections.py").read_text())) == []
+
+
+def _rows(m):
+    """Rows of every kind ``_norms`` must keep: zeros, -0.0, tiny, huge,
+    inf and nan entries, each row alone and mixed with the others."""
+    kinds = [0.0, -0.0, 1e-170, -1e300, math.inf, math.nan]
+    rows = [np.full(m, value) for value in kinds]
+    rows += [np.resize([1.0, -0.0, 1e-170], m), np.resize([1e300, -1e300, 3.0], m),
+             np.resize([1e-170, 1e300], m), np.resize([2.0, math.inf, math.nan], m),
+             np.resize([-math.inf, 1e-170], m), np.resize([math.nan, 0.0], m)]
+    rng = np.random.default_rng(m)
+    rows += [rng.standard_normal(m) * 10.0 ** rng.integers(-170, 300, m)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [2, 1000])
+def test_row_block_norms_have_the_bits_of_each_rows_norm(m):
+    block = _rows(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _norms(block)
+    assert type(norms) is list and len(norms) == len(block)
+    for norm, row in zip(norms, block):
+        expected = _norm(row)
+        assert type(norm) is float
+        assert (math.isnan(norm) and math.isnan(expected)
+                or norm.hex() == expected.hex()), (norm, expected)

@@ -892,6 +892,63 @@ def test_rejection_escalates_damping_and_stalls():
     assert (result.termination, result.failure) == ("stalled", None)
 
 
+def _rejected_step(s_max, centre, order):
+    """One step on a constant residual, so no candidate improves, with
+    J = diag(s_max, s_max / 2); its record and the schedule after it."""
+    f0 = np.array([1.0, 1.0])
+    J = np.diag([s_max, 0.5 * s_max])
+    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: J.copy(), name="flat")
+    schedule = LambdaSchedule(centre)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, record = step(np.zeros(2), flat, schedule, OptimizerConfig(order=order),
+                            f0=f0)
+    assert not record.accepted
+    return record, schedule
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("s_max,centre", [(1e10, 1.0), (1e10, 1e-150), (1e4, 1e-3),
+                                          (1.0, 1.0), (1e4, 1e5)])
+def test_a_rejected_sweep_recentres_at_the_floor_of_j(order, s_max, centre):
+    # After a rejected positive sweep the centre is the larger of the top
+    # damping tried and 2^-52 s_max^2, where damping starts to matter to J's
+    # largest direction; the record still names the top damping.
+    record, schedule = _rejected_step(s_max, centre, order)
+    top = float(LambdaSchedule(centre).grid()[-1])
+    floor = 2.0**-52 * float(SvdFactors(np.diag([s_max, 0.5 * s_max])).s[0]) ** 2
+    assert record.chosen_lambda == top
+    assert schedule.lambda_old == max(top, floor)
+    assert (schedule.lambda_old == floor) == (floor > top)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_a_floor_whose_square_overflows_clamps_the_next_grid_unwarned(order):
+    # 2^-52 s_max^2 is inf at s_max = 1e200, in Python floats, so nothing
+    # warns; the grid clamps the centre to its top, R / 10^4.
+    record, schedule = _rejected_step(1e200, 1.0, order)
+    assert record.chosen_lambda == GRID_BASE
+    assert schedule.lambda_old == math.inf
+    assert schedule.grid().tolist() == LambdaSchedule(1.7e308).grid().tolist()
+    assert schedule.grid()[10] == _BOUND / GRID_BASE
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_a_floor_that_underflows_leaves_the_top_damping(order):
+    # 2^-52 s_max^2 is 0 at s_max = 1e-170: the centre is the top damping.
+    record, schedule = _rejected_step(1e-170, 1e-100, order)
+    assert record.chosen_lambda == schedule.lambda_old == float(
+        LambdaSchedule(1e-100).grid()[-1])
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_a_rejected_gauss_newton_sweep_stays_at_zero(order):
+    # The floor is for a positive centre only: 0 stays Gauss-Newton.
+    record, schedule = _rejected_step(1e10, 0.0, order)
+    assert record.chosen_lambda == schedule.lambda_old == 0.0
+    assert schedule.grid().tolist() == [0.0]
+
+
 def test_lambda_floor_prevents_underflow():
     # A long endgame can keep choosing the grid minimum, 10^-4 times the
     # centre.  The schedule carries each win as is, and grid() clamps the
@@ -1117,13 +1174,13 @@ SINGULAR = affine_problem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0
 
 
 @pytest.mark.parametrize("problem,order,tiny,huge", [
-    pytest.param(valley_problem(100.0), 1, ("stalled", 9, 190), ("stalled", 5, 106),
+    pytest.param(valley_problem(100.0), 1, ("converged", 31, 652), ("stalled", 5, 106),
                  id="valley-1"),
     pytest.param(valley_problem(100.0), 2, ("converged", 7, 295),
                  ("stalled", 5, 211), id="valley-2"),
-    pytest.param(SINGULAR, 1, ("stalled", 6, 127), ("stalled", 5, 106),
+    pytest.param(SINGULAR, 1, ("stalled", 8, 169), ("stalled", 5, 106),
                  id="singular-1"),
-    pytest.param(SINGULAR, 2, ("stalled", 6, 253), ("stalled", 5, 211),
+    pytest.param(SINGULAR, 2, ("stalled", 8, 337), ("stalled", 5, 211),
                  id="singular-2"),
 ])
 @pytest.mark.parametrize("start_damping", [5e-324, 1e-310, 1e300, 1.7e308])
@@ -1135,6 +1192,7 @@ def test_every_damping_stays_within_the_range_bound(problem, order, tiny, huge,
     # underflow it to 0: a silent Gauss-Newton run, which on the singular
     # problem warned of rank deficiency and stalled after 2 iterations.  A
     # start of 5e-324 or 1e-310 now sweeps as the clamped bottom centre,
+    # and its first rejected sweep recentres at least at 2^-52 s_max^2;
     # 1e300 and 1.7e308 reach the clamped top within three sweeps, and the
     # suite's filter turns any warning into an error.
     counted, counter = counting_problem(problem)

@@ -56,6 +56,30 @@ def test_a_gap_beyond_the_parent_spread_is_flagged(perf_pairs):
         "gap_exceeds_parent_iqr"]
 
 
+def _ten_pairs(wins, gap):
+    """Ten lower-is-better pairs: the parent is 1.0 .. 1.9, whose quartiles
+    are 1.225 / 1.45 / 1.675 (an IQR of 0.45), and the change is the parent
+    minus ``gap`` in the first ``wins`` pairs, the parent plus 0.01 in the
+    others."""
+    parent = [1.0 + 0.1 * k for k in range(10)]
+    return [(p, p - gap if k < wins else p + 0.01) for k, p in enumerate(parent)]
+
+
+@pytest.mark.parametrize("wins,gap,holds", [
+    (9, 0.6, True), (10, 0.6, True), (8, 0.6, False), (10, 0.4, False), (10, 0.45, False)],
+    ids=["9-of-10-with-a-gap", "10-of-10-with-a-gap", "8-of-10", "10-of-10-inside-the-iqr",
+         "10-of-10-at-the-iqr"])
+def test_a_claim_holds_on_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr(
+        perf_pairs, wins, gap, holds):
+    row = perf_pairs.summarise(_ten_pairs(wins, gap), "lower", 0.2)
+    assert row["parent"] == pytest.approx((1.225, 1.45, 1.675))
+    assert (row["wins"], row["pairs"]) == (wins, 10)
+    assert row["claim_holds"] is holds
+    # Where higher is better, the same pairs win nothing and claim nothing.
+    assert perf_pairs.summarise(_ten_pairs(wins, gap), "higher", 0.2)[
+        "claim_holds"] is False
+
+
 def test_the_relative_change_is_signed_against_the_parent_median(perf_pairs):
     # change / parent - 1 on the medians, whichever direction is better: a
     # higher-is-better metric that rose reads positive, and a parent median
@@ -94,9 +118,9 @@ def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "pair 2 (change first): wall_s parent 0.8000  change 0.7000" in out
     wall = next(line for line in out.splitlines() if line.startswith("wall_s "))
-    assert wall.split()[-4:] == ["-12.50%", "3/3", "True", "False"]
+    assert wall.split()[-5:] == ["-12.50%", "3/3", "True", "False", "True"]
     evals = next(line for line in out.splitlines() if line.startswith("f_evals "))
-    assert evals.split()[-4:] == ["+0.00%", "0/3", "False", "False"]
+    assert evals.split()[-5:] == ["+0.00%", "0/3", "False", "False", "False"]
 
 
 @pytest.mark.parametrize("code,correct", [(1, False), (0, False), (2, None)])

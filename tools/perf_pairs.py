@@ -15,10 +15,11 @@ quartiles, the signed relative change of the medians, ``change / parent -
 1``, the pairs the change won (ties count for neither side), whether the
 gap between the medians exceeds the parent's interquartile range, and
 whether the change's median is worse than the parent's by more than the
-metric's relative ``bound``, in its ``better`` direction.  A change claims a
-gain on a metric only when it wins at least nine tenths of the pairs and
-that gap exceeds the parent's spread, so ten pairs are the default and the
-least that can carry a claim.
+metric's relative ``bound``, in its ``better`` direction, and whether a
+claimed gain on the metric would hold.  A change claims a gain on a metric
+only when it wins at least nine tenths of the pairs and its median is better
+than the parent's by more than the parent's interquartile range, so ten
+pairs are the default and the least that can carry a claim.
 
 The tool edits nothing: perfbench runs as committed in each checkout.  It
 uses the standard library only.  SIGTERM ends it as Ctrl-C does: the
@@ -53,23 +54,28 @@ def summarise(pairs, better: str, bound: float) -> dict:
     ``better`` is ``"lower"`` or ``"higher"``.  Returns both sides'
     quartiles, the signed relative change of the medians (nan on a parent
     median of 0), the change's wins, the number of pairs, the gap between
-    the medians, whether it exceeds the parent's interquartile range, and
+    the medians, whether it exceeds the parent's interquartile range,
     whether the change's median is worse than the parent's by more than the
-    fraction ``bound`` of it.
+    fraction ``bound`` of it, and ``claim_holds``: whether the change won at
+    least nine tenths of the pairs and its median is better than the
+    parent's by more than that range.
     """
     sign = {"lower": -1.0, "higher": 1.0}[better]
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
-    gap = abs(change[1] - parent[1])
+    gap, spread = abs(change[1] - parent[1]), parent[2] - parent[0]
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
     return {
         "parent": parent,
         "change": change,
         "relative": change[1] / parent[1] - 1.0 if parent[1] else math.nan,
-        "wins": sum(sign * (c - p) > 0 for p, c in pairs),
+        "wins": wins,
         "pairs": len(pairs),
         "gap": gap,
-        "gap_exceeds_parent_iqr": gap > parent[2] - parent[0],
+        "gap_exceeds_parent_iqr": gap > spread,
         "worse_beyond_bound": sign * (parent[1] - change[1]) > bound * abs(parent[1]),
+        "claim_holds": 10 * wins >= 9 * len(pairs)
+        and sign * (change[1] - parent[1]) > spread,
     }
 
 
@@ -115,7 +121,7 @@ def main(argv=None) -> int:
               flush=True)
     print(f"{'metric':12s} {'parent q1 / median / q3':>32s} "
           f"{'change q1 / median / q3':>32s} {'change':>8s} {'wins':>6s}"
-          "  gap > parent IQR  worse > bound")
+          "  gap > parent IQR  worse > bound  claim")
     for metric in metrics:
         name = metric["name"]
         row = summarise([(run["parent"][name], run["change"][name]) for run in runs],
@@ -124,7 +130,8 @@ def main(argv=None) -> int:
                  for side in ("parent", "change")]
         print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
               f"{row['relative']:>+8.2%} {row['wins']:>3d}/{row['pairs']:<2d}  "
-              f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']}")
+              f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']!s:13s}"
+              f"  {row['claim_holds']}")
     return 0
 
 
