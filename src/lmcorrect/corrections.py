@@ -22,7 +22,10 @@ and the block of first steps and their dampings, one row per series.  The
 base's first series of an order runs every row's stencil at once, phase by
 phase: each phase forms every row's points and linear models as blocks,
 calls the evaluator point by point for the rows still running, and applies
-the damped inverse once to all rows' weighted defects.  The base keeps each
+the damped inverse once to all rows' weighted defects.  A residual costs its
+call, one type test and one store: an ndarray of shape ``(m,)`` goes
+straight into the phase's float64 block, and any other is read as
+``np.asarray(r, dtype=float)`` reads it, to the same bits.  The base keeps each
 row's result, which the row's own series returns, and every row's corrected
 endpoint, which ``optimizer.step`` evaluates.
 """
@@ -30,7 +33,6 @@ endpoint, which ``optimizer.step`` evaluates.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -266,20 +268,28 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     items keep each row's own ``.dot`` bits (a flat product does not,
     ``Jt`` being a transposed view), and calls the evaluator point by point
     for the rows still running, row by row, in one flat walk over the
-    phase's points.  One reduction over the phase's residual block, its
-    largest magnitude, passes the whole phase when it is within the 2R
-    bound over a row's entry count; otherwise ``_norm`` decides each
-    running row.  The wild bound's screen, each row's bound over its entry
-    count, is one column formed once per block: a phase compares every
-    entry of its corrections with its row's screen, and one reduction over
-    the block passes the whole phase when every entry is within it.
-    Otherwise one reduction per row passes the rows that it can, and
-    ``_norm`` decides only the others, so every decision is the norm's; a
-    nan fails the screens and the norm.  A row that stops has its defects
-    zeroed, and no later direction of it is kept, so none of its nan or inf
-    reaches a later phase.  The weighted defects of all rows go through
-    ``apply`` at once, one damping per row.  The rows still running after
-    the last phase get their series in one pass.
+    phase's points.  A residual that is an ndarray of shape ``(m,)``, by one
+    type test, is stored by its flat index into the phase's contiguous
+    residual block, whose float64 store converts it as ``np.asarray(r,
+    dtype=float)`` would; any other goes through ``as_shape``, which
+    converts it so or names its wrong shape.  A failed call skips the rest
+    of its row's points by index, and a row that stopped before the phase
+    is skipped at its first point, so the walk tests no row's result.  One
+    reduction over the residual block, its largest magnitude, passes the
+    whole phase when it is within the 2R bound over a row's entry count;
+    otherwise ``_norm`` decides each running row.  The wild bound's screen,
+    each row's bound over its entry count, is one column formed once per
+    block: a phase compares every entry of its corrections with its row's
+    screen, and one reduction over the block passes the whole phase when
+    every entry is within it.  Otherwise one reduction per row passes the
+    rows that it can, and ``_norm`` decides only the others, so every
+    decision is the norm's; a nan fails the screens and the norm.  A row
+    that stops has its residuals and defects zeroed, and no later direction
+    of it is kept, so none of its nan or inf reaches a later phase.  The
+    residual block minus the linear models is the phase's defects, and the
+    weighted defects of all rows go through ``apply`` at once, one damping
+    per row.  The rows still running after the last phase get their series
+    in one pass.
 
     A row's endpoint is ``x`` plus its kept corrections, summed by
     ``_left_sum`` over the block of directions, as ``CorrectionSeries.step``
@@ -291,8 +301,8 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     its ``c1``.
     """
     x, f0, Jt, evaluator, apply, lams, x_limit, c1s, _ = base
-    (n, p), m, compiled = c1s.shape, len(f0), _COMPILED[order]
-    c1_norms, results = _norms(c1s), [None] * n
+    (n, p), (m,), compiled = c1s.shape, f0.shape, _COMPILED[order]
+    c1_norms, results, shape = _norms(c1s), [None] * n, (m,)
     # The rows past x_limit get no bound: theirs may lie beyond float64's range.
     wild = [WILD_CORRECTION_FACTOR * norm if norm <= x_limit else 0.0 for norm in c1_norms]
     for row in [row for row, norm in enumerate(c1_norms) if not norm <= x_limit]:
@@ -306,31 +316,40 @@ def _series_block(base: StencilBase, order: int) -> tuple:
         offsets = np.matmul(mult, directions[:, :known])  # (n, points, p)
         points = x + offsets
         models = np.matmul(offsets, Jt) + f0  # within 2 _BOUND, by x_limit
-        block = defects[:, first:end]
-        # Row by row, point by point, as one flat walk.
-        for (row, i), point in zip(product(range(n), range(end - first)),
-                                   points.reshape(-1, p)):
-            if results[row] is not None:  # stopped, also at an earlier point here
+        size = end - first
+        residuals = np.zeros((n, size, m))  # the phase's, contiguous
+        stores = residuals.reshape(-1, m)  # one row per flat point
+        # Row by row, point by point, as one flat walk.  A row that stopped
+        # before the phase is skipped at its first point, one that stops
+        # here after its failed one.
+        stops = iter([row * size for row, r in enumerate(results) if r is not None])
+        skip, stop = 0, next(stops, -1)
+        for j, point in enumerate(points.reshape(-1, p)):
+            if j < skip:
+                continue
+            if j == stop:
+                skip, stop = j + size, next(stops, -1)
                 continue
             try:
-                f = np.asarray(evaluator(point), dtype=float)
-                if f.shape != (m,):
-                    as_shape(f, (m,), "residual")
-                block[row, i] = f
+                f = evaluator(point)
+                if type(f) is not np.ndarray or f.shape != shape:
+                    f = as_shape(f, shape, "residual")
+                stores[j] = f
             except Exception as exc:
+                row, i = divmod(j, size)
                 results[row] = StencilEvaluationError(keys[i], point.copy(), exc,
                                                       first + i + 1)
-                defects[row] = 0.0
+                defects[row] = residuals[row] = 0.0
+                skip = j - i + size  # the next row's first point
         # Only a residual block whose norm is within 2 _BOUND (never nan or
         # inf) becomes defects, so the weighted sums stay finite for the
         # inverse, which rejects non-finite input.
-        limit = 2 * _BOUND / block[0].size
-        if not np.maximum.reduce(np.abs(block), axis=None) <= limit:
+        if not np.maximum.reduce(np.abs(stores), axis=None) <= 2 * _BOUND / (size * m):
             for row in range(n):
-                if results[row] is None and not _norm(block[row].ravel()) <= 2 * _BOUND:
+                if results[row] is None and not _norm(residuals[row].ravel()) <= 2 * _BOUND:
                     results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
-                    defects[row] = 0.0
-        block -= models
+                    defects[row] = residuals[row] = 0.0
+        np.subtract(residuals, models, out=defects[:, first:end])
         if None not in results:
             break
         corrections = apply(lams, np.matmul(weights, defects[:, :end]))

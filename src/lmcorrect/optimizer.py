@@ -21,13 +21,16 @@ finite: a candidate whose ``x + c1`` overflows is skipped without an
 evaluator call, since at orders 2-4 its series would truncate before the
 stencil and leave ``x + c1`` as its endpoint.  One sum gives every
 ``x + c1``, at every order, and one loop walks the live candidates in grid
-order, by grid index: each runs its series at orders 2-4, then reads its
-endpoint, its row of ``x + c1`` at order 1 or when its series is its c1
-alone, else its row of the stencil base's endpoint block, which has the
-bits of ``x + series.step``.  It evaluates the endpoint and leads if its
-residual norm is strictly below the best so far, so ties go to the smallest
-grid index and a nan norm never leads.  Two things stay per point or per
-candidate:
+order, with their rows of ``x + c1``: each runs its series at orders 2-4,
+then takes its endpoint, its row of ``x + c1`` at order 1 or when its
+series is its c1 alone, else its row of the stencil base's endpoint block,
+which has the bits of ``x + series.step``.  It evaluates the endpoint and
+leads if its residual norm is strictly below the best so far, so ties go to
+the smallest grid index and a nan norm never leads.  A residual that is a
+float64 ndarray of shape ``(m,)`` passes on one type test; any other goes
+through ``as_shape``, which reads it as ``np.asarray(r, dtype=float)`` does
+or names its wrong shape, since the winner's residual becomes the next
+``f0``.  Two things stay per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -257,16 +260,16 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         with np.errstate(over="ignore"):
             ends = x + c1s
         live = np.flatnonzero(np.isfinite(ends).all(axis=1)).tolist()
+        ends = ends[live]
     if order > 1:  # one base whose rows are the sweep's, by grid index
         base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, c1s, lambdas)
     causes = {}  # candidate index -> its failed evaluator call, in grid order
-    best_norm, best = math.inf, None
+    best_norm, best, shape = math.inf, None, (m,)
     # A one-term candidate reads its row of x + c1s, any other its row of
     # the base's endpoint block.
-    for idx in live:
-        if order == 1:
-            series, end = None, ends[idx]
-        else:
+    for idx, end in zip(live, ends):
+        series = None
+        if order > 1:
             try:
                 series = correction_series(base, idx, order=order)
             except StencilEvaluationError as exc:
@@ -274,12 +277,14 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
                 causes[idx] = exc
                 continue
             evals += series.evaluation_count
-            end = (ends if len(series.corrections) == 1 else base.series[order][1])[idx]
+            if len(series.corrections) > 1:
+                end = base.series[order][1][idx]
         evals += 1
         try:
-            f_end = np.asarray(evaluator(end), dtype=float)
-            if f_end.shape != (m,):
-                as_shape(f_end, (m,), "residual")
+            f_end = evaluator(end)
+            # Float64 too: the winner's residual becomes the next f0.
+            if type(f_end) is not np.ndarray or f_end.dtype != float or f_end.shape != shape:
+                f_end = as_shape(f_end, shape, "residual")
         except Exception as exc:
             causes[idx] = exc
             continue

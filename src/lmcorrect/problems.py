@@ -142,8 +142,9 @@ class PolynomialProblem:
     name: str = ""
 
     @functools.cached_property
-    def _horner_tensors(self) -> tuple[np.ndarray, ...]:
-        """D, C, B, A from the highest one present, each as ``(-1, input_dim)``.
+    def _horner_levels(self) -> tuple:
+        """The highest tensor present, then a ``(tensor, shape)`` pair per
+        lower one, each tensor as ``(-1, input_dim)``.
 
         A tensor missing below the highest one is zero, which Horner's rule
         adds exactly.
@@ -155,16 +156,16 @@ class PolynomialProblem:
                 tensors.append(T.reshape(-1, p))
             elif tensors:
                 tensors.append(np.zeros((tensors[-1].shape[0] // p, p)))
-        return tuple(tensors)
+        return tensors[0], tuple((K, K.shape) for K in tensors[1:])
 
     def evaluator(self, x) -> np.ndarray:
         # Horner's rule, f = (A + (B + (C + D x) x) x) x: one matrix-vector
         # product per coefficient tensor, contracting its last axis with x.
         x = np.asarray(x, dtype=float)
-        highest, *lower = self._horner_tensors
+        highest, lower = self._horner_levels
         T = highest.dot(x)
-        for K in lower:
-            T = (K + T.reshape(K.shape)).dot(x)
+        for K, shape in lower:
+            T = (K + T.reshape(shape)).dot(x)
         return T
 
     def jacobian(self, x) -> np.ndarray:

@@ -1268,3 +1268,55 @@ def test_a_row_beyond_2r_leaves_the_other_rows_as_they_are_without_it(order, pha
     assert [call for call in every_calls if call not in seen[:end]] == without_calls
     assert len(every_calls) == len(without_calls) + end
     assert entered == []
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_a_failed_call_skips_exactly_the_rest_of_its_row(order):
+    # Each phase walks its points row by row, point by point.  A call that
+    # fails at point k of a row's phase leaves that row's later points
+    # uncalled, in the phase and in every later one, so the next call is
+    # the next row's first point: the calls are the clean sweep's, in its
+    # order, less exactly those, and every other row keeps its series.
+    # Rows 0, 7 and 20 alone, and rows 7 and 8 together, fail at each point
+    # of each phase in turn; a row that failed in an earlier phase is
+    # skipped at its first point.
+    problem = valley_problem(1e4)
+    x = np.array([np.pi, np.e])
+    f0, factors = problem.evaluator(x), SvdFactors(problem.jacobian(x))
+    lams = LambdaSchedule(1.0).grid()
+    c1s = -factors.damped_apply_batch(lams, f0)
+    calls, failing = [], set()
+
+    def evaluator(p):
+        calls.append(p.tobytes())
+        if calls[-1] in failing:
+            raise FloatingPointError("boom")
+        return problem.evaluator(p)
+
+    def sweep():
+        del calls[:]
+        base = stencil_base(x, f0, factors, evaluator, c1s, lams)
+        return ([_outcome(correction_series, base, row, order=order) for row in range(21)],
+                list(calls))
+
+    clean, clean_calls = sweep()
+    # Each clean call's phase, row and point, in call order.
+    where = [(phase, row, k) for phase, (points, _) in enumerate(PHASES[order])
+             for row in range(21) for k in range(len(points))]
+    assert len(set(clean_calls)) == len(clean_calls) == len(where)
+    assert all(end == "full" for _, end in clean)
+    for rows in ([0], [7], [20], [7, 8]):
+        for phase, (points, _) in enumerate(PHASES[order]):
+            first = sum(len(earlier) for earlier, _ in PHASES[order][:phase])
+            for k, key in enumerate(points):
+                failing = {clean_calls[where.index((phase, row, k))] for row in rows}
+                outcomes, got = sweep()
+                assert got == [call for call, (p, row, i) in zip(clean_calls, where)
+                               if row not in rows or (p, i) <= (phase, k)]
+                for row in range(21):
+                    if row in rows:
+                        (offset, evaluations, point), end = outcomes[row]
+                        assert (offset, evaluations, end) == (key, first + k + 1, "raised")
+                        assert point in failing
+                    else:
+                        assert outcomes[row] == clean[row]

@@ -40,6 +40,7 @@ HOT_FUNCTIONS = [
     ("linalg.py", "SvdFactors.damped_apply_batch"),
     ("optimizer.py", "step"),
     ("problems.py", "valley_problem"),
+    ("problems.py", "PolynomialProblem.evaluator"),
 ]
 
 

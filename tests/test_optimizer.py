@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import re
+import sys
 import warnings
 import zlib
 from unittest import mock
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.exceptions import ComplexWarning
 
 from helpers import (
     count_errstates,
@@ -1569,3 +1571,92 @@ def test_a_four_exponential_fit_at_m_1000_keeps_its_counts(order, iterations,
     assert result.termination == "converged"
     assert (result.iterations, result.f_evaluations) == (iterations, evaluations)
     assert counter["evals"] == evaluations
+
+
+class _Residual(np.ndarray):
+    """An ndarray subclass: a residual of it is converted as any other."""
+
+
+# Per kind of residual: a call's residual of that kind, from its float64
+# one, and the same residual as float64.
+_RESIDUALS = {
+    "list": (np.ndarray.tolist, lambda f: f),
+    "int": (lambda f: f.astype(np.int64), lambda f: f.astype(np.int64).astype(float)),
+    "bool": (lambda f: f.astype(bool), lambda f: f.astype(bool).astype(float)),
+    "float32": (lambda f: f.astype(np.float32),
+                lambda f: f.astype(np.float32).astype(float)),
+    "object": (lambda f: f.astype(object), lambda f: f),
+    "subclass": (lambda f: f.view(_Residual), lambda f: f),
+}
+
+# Where a residual is converted: at every stencil point or every endpoint.
+_CALLERS = {"stencil point": "_series_block", "endpoint": "step"}
+
+
+def _converting(problem, convert, caller):
+    """``problem``, whose evaluator passes every residual it returns to the
+    function named ``caller`` through ``convert``, and the list of those
+    calls."""
+    converted = []
+
+    def evaluator(x):
+        f = problem.evaluator(x)
+        if sys._getframe(1).f_code.co_name != caller:
+            return f
+        converted.append(x.tobytes())
+        return convert(f)
+
+    return Problem(2, 2, evaluator, problem.jacobian, name=problem.name), converted
+
+
+def _step_bits(problem, order):
+    """One step from (pi, e): its new x and f0 as bytes, the f0's dtype and
+    the record."""
+    x, f, record = step(START, problem, LambdaSchedule(1.0), OptimizerConfig(order=order),
+                        f0=problem.evaluator(START))
+    return x.tobytes(), f.tobytes(), f.dtype, repr(record)
+
+
+@pytest.mark.parametrize("kind", list(_RESIDUALS))
+@pytest.mark.parametrize("order,where", [(1, "endpoint")] + [
+    (order, where) for order in (2, 3, 4) for where in _CALLERS])
+def test_a_residual_of_another_type_gives_the_bits_of_its_float64_form(order, where,
+                                                                       kind):
+    # A residual that is a list, an int, bool, float32 or object ndarray or
+    # an ndarray subclass, at every stencil point or at every endpoint,
+    # gives the bits of the same residual as float64: every record of a
+    # run, its x and counts, and a step's outcome, whose new f0 is float64.
+    outcomes = []
+    for convert in _RESIDUALS[kind]:
+        problem, converted = _converting(valley_problem(100.0), convert, _CALLERS[where])
+        result = run(START, problem, OptimizerConfig(order=order, max_iterations=6))
+        assert converted
+        outcomes.append((repr(result.trajectory), result.x.tobytes(),
+                         result.f_evaluations, result.termination,
+                         _step_bits(problem, order), converted))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][4][2] == np.float64
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_complex_residual_fails_its_call_as_its_float64_conversion_does(order):
+    # Under the suite's error filter np.asarray(r, dtype=float) raises
+    # ComplexWarning on a complex residual r, and a complex residual fails
+    # its call with that error: a StencilEvaluationError chained from it at
+    # a stencil point, an entry of causes at an endpoint.
+    with pytest.raises(ComplexWarning) as conversion:
+        np.asarray(valley_problem(100.0).evaluator(START).astype(complex), dtype=float)
+    for where, caller in list(_CALLERS.items())[order == 1:]:
+        problem, converted = _converting(valley_problem(100.0),
+                                         lambda f: f.astype(complex), caller)
+        with pytest.raises(StepFailureError) as info:
+            step(START, problem, LambdaSchedule(1.0), OptimizerConfig(order=order),
+                 f0=valley_problem(100.0).evaluator(START))
+        assert list(info.value.causes) == list(range(21)) and len(converted) == 21
+        for cause in info.value.causes.values():
+            if where == "stencil point":
+                assert type(cause) is StencilEvaluationError
+                assert cause.evaluations == 1
+                cause = cause.__cause__
+            assert type(cause) is ComplexWarning
+            assert str(cause) == str(conversion.value)

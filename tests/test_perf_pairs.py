@@ -123,6 +123,37 @@ def test_pairs_alternate_which_side_runs_first(perf_pairs, monkeypatch, capsys):
     assert evals.split()[-5:] == ["+0.00%", "0/3", "False", "False", "False"]
 
 
+def test_each_pair_runs_every_named_workload_and_each_gets_its_table(perf_pairs,
+                                                                    monkeypatch, capsys):
+    # Repeated --workload flags: each pair runs every workload in the order
+    # given, both sides in the pair's order, and the tool prints one table
+    # per workload from that workload's runs alone.
+    calls = []
+
+    def fake_run(checkout, workload, seconds, seed):
+        calls.append((checkout.name, workload))
+        wall = {("parent", "a"): 0.8, ("change", "a"): 0.7,
+                ("parent", "b"): 0.5, ("change", "b"): 0.6}[checkout.name, workload]
+        return {"wall_s": wall, "f_evals": 100, "iterations": 10,
+                "solved_frac": 1.0, "setup_s": 0.02, "peak_rss_mb": 50.0}
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    argv = ["/x/parent", "/x/change", "--workload", "a", "--workload", "b", "--pairs", "2"]
+    assert perf_pairs.parse_args(argv).workload == ["a", "b"]
+    assert perf_pairs.main(argv) == 0
+    assert calls == [("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b"),
+                     ("change", "a"), ("parent", "a"), ("change", "b"), ("parent", "b")]
+    out = capsys.readouterr().out
+    assert "pair 2 (change first): wall_s parent 0.5000  change 0.6000  b" in out
+    lines = out.splitlines()
+    tables = [lines.index(name) for name in ("a", "b")]
+    walls = [next(line for line in lines[start:] if line.startswith("wall_s "))
+             for start in tables]
+    assert walls[0].split()[-5:] == ["-12.50%", "2/2", "True", "False", "True"]
+    assert walls[1].split()[-5:] == ["+20.00%", "0/2", "True", "False", "False"]
+    assert tables[0] < lines.index(walls[0]) < tables[1] < lines.index(walls[1])
+
+
 @pytest.mark.parametrize("code,correct", [(1, False), (0, False), (2, None)])
 def test_a_failed_or_incorrect_run_stops_the_tool(perf_pairs, monkeypatch, code,
                                                  correct):

@@ -189,6 +189,38 @@ def test_polynomial_horner_evaluator_matches_einsum_reference(degree, dim):
             horner, einsum_polynomial_evaluator(poly, x), rtol=0, atol=atol)
 
 
+def _horner_loop(poly, x):
+    """The evaluator's Horner loop as it read when its levels were a tuple
+    of tensors: D, C, B, A from the highest one present, each as ``(-1,
+    input_dim)``, a missing lower one as zeros."""
+    p, tensors = poly.input_dim, []
+    for T in (poly.D, poly.C, poly.B, poly.A):
+        if T is not None:
+            tensors.append(T.reshape(-1, p))
+        elif tensors:
+            tensors.append(np.zeros((tensors[-1].shape[0] // p, p)))
+    highest, *lower = tensors
+    T = highest.dot(x)
+    for K in lower:
+        T = (K + T.reshape(K.shape)).dot(x)
+    return T
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_polynomial_evaluator_keeps_the_bits_of_its_horner_loop(degree, dim):
+    # The evaluator reads its levels as (tensor, shape) pairs; each residual
+    # must have the bytes of the loop over the tensors it replaced.
+    poly = polynomial_problem(degree, dim, seed=20 * degree + dim)
+    rng = np.random.default_rng(100 + 10 * degree + dim)
+    for x in rng.uniform(-2.0, 2.0, size=(200, dim)):
+        assert poly.evaluator(x).tobytes() == _horner_loop(poly, x).tobytes()
+        if degree == 4:  # a tensor missing below the highest one reads as zeros
+            for missing in ({"B": None}, {"C": None}, {"B": None, "C": None}):
+                sparse = dataclasses.replace(poly, **missing)
+                assert sparse.evaluator(x).tobytes() == _horner_loop(sparse, x).tobytes()
+
+
 def test_polynomial_horner_evaluator_treats_missing_tensors_as_zero():
     poly = polynomial_problem(4, 3, seed=8)
     rng = np.random.default_rng(8)

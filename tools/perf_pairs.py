@@ -2,15 +2,18 @@
 
 Usage, from any directory::
 
-    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload valley-deep \\
-        [--pairs 10] [--seconds 20] [--seed 0]
+    python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload poly-suite \\
+        [--workload valley-deep ...] [--pairs 10] [--seconds 20] [--seed 0]
 
 Each pair runs ``python3 perfbench/run.py --trace 0`` once in each
-checkout, the parent first in odd-numbered pairs and the change first in
-even-numbered ones, so a slow spell on a shared machine does not always fall
-on the same side.  A run that exits nonzero or reports ``correct: false``
-stops the tool with exit status 1.  It prints each pair's ``wall_s``, then
-for every end-to-end metric in ``BENCHMARK.json`` both sides' medians and
+checkout for every named workload, in the order given, the parent first in
+odd-numbered pairs and the change first in even-numbered ones, so a slow
+spell on a shared machine does not always fall on the same side.  So one
+command measures a claimed gain on one workload and the no-regression
+checks on the others.  A run that exits nonzero or reports ``correct:
+false`` stops the tool with exit status 1.  It prints each pair's
+``wall_s`` on each workload, then one table per workload: for every
+end-to-end metric in ``BENCHMARK.json`` both sides' medians and
 quartiles, the signed relative change of the medians, ``change / parent -
 1``, the pairs the change won (ties count for neither side), whether the
 gap between the medians exceeds the parent's interquartile range, and
@@ -96,7 +99,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="repeat to run several workloads in each pair")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -110,28 +114,30 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
-    runs = []  # one {"parent": metrics, "change": metrics} per pair
+    runs = {workload: [] for workload in args.workload}  # per pair, both sides' metrics
     for index in range(args.pairs):
         order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
-        pair = {side: run_once(sides[side], args.workload, args.seconds, args.seed)
-                for side in order}
-        runs.append(pair)
-        print(f"pair {index + 1} ({order[0]} first): wall_s parent "
-              f"{pair['parent']['wall_s']:.4f}  change {pair['change']['wall_s']:.4f}",
-              flush=True)
-    print(f"{'metric':12s} {'parent q1 / median / q3':>32s} "
-          f"{'change q1 / median / q3':>32s} {'change':>8s} {'wins':>6s}"
-          "  gap > parent IQR  worse > bound  claim")
-    for metric in metrics:
-        name = metric["name"]
-        row = summarise([(run["parent"][name], run["change"][name]) for run in runs],
-                        metric["better"], metric["bound"])
-        spans = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side])
-                 for side in ("parent", "change")]
-        print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
-              f"{row['relative']:>+8.2%} {row['wins']:>3d}/{row['pairs']:<2d}  "
-              f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']!s:13s}"
-              f"  {row['claim_holds']}")
+        for workload, pairs in runs.items():
+            pair = {side: run_once(sides[side], workload, args.seconds, args.seed)
+                    for side in order}
+            pairs.append(pair)
+            print(f"pair {index + 1} ({order[0]} first): wall_s parent "
+                  f"{pair['parent']['wall_s']:.4f}  change {pair['change']['wall_s']:.4f}"
+                  f"  {workload}", flush=True)
+    for workload, pairs in runs.items():
+        print(f"\n{workload}\n{'metric':12s} {'parent q1 / median / q3':>32s} "
+              f"{'change q1 / median / q3':>32s} {'change':>8s} {'wins':>6s}"
+              "  gap > parent IQR  worse > bound  claim")
+        for metric in metrics:
+            name = metric["name"]
+            row = summarise([(pair["parent"][name], pair["change"][name]) for pair in pairs],
+                            metric["better"], metric["bound"])
+            spans = ["{:.4g} / {:.4g} / {:.4g}".format(*row[side])
+                     for side in ("parent", "change")]
+            print(f"{name:12s} {spans[0]:>32s} {spans[1]:>32s} "
+                  f"{row['relative']:>+8.2%} {row['wins']:>3d}/{row['pairs']:<2d}  "
+                  f"{row['gap_exceeds_parent_iqr']!s:16s}  {row['worse_beyond_bound']!s:13s}"
+                  f"  {row['claim_holds']}")
     return 0
 
 
