@@ -108,8 +108,8 @@ def as_positive(value, what: str, zero: bool = False):
 
 
 def _dampings(lams):
-    """``lams`` as a float64 array, its list, and the list's least and
-    largest damping, else ValueError.
+    """``lams`` as a float64 array, and the list of its dampings with their
+    least and largest, else ValueError.
 
     ``lams`` must be nonempty and 1-D, and every damping follows
     ``as_positive``'s rule: a real in ``[0, inf)``, not a bool.  A float64
@@ -125,7 +125,7 @@ def _dampings(lams):
     if lams is not arr or not (low >= 0.0 and high < math.inf and sum(lam_list) >= 0.0):
         for lam in np.array(lams, dtype=object):
             as_positive(lam, "damping", zero=True)
-    return arr, lam_list, low, high
+    return arr, (lam_list, low, high)
 
 
 class SvdFactors:
@@ -140,7 +140,10 @@ class SvdFactors:
     over- or underflows out of its direction.  ``_scale_rows`` computes every
     scale row, and each of ``damped_apply_batch`` (one flat product) and
     ``damped_apply`` (stacked products) forms its own, each behind one
-    screen on Python floats.  ``damped_apply_batch`` keeps its sweep's
+    screen on Python floats.  ``damped_apply_batch`` checks its dampings
+    and ``v`` on the way into its one core, the rows and the product; only
+    ``optimizer.step``, which checked its grid and ``f0`` where it made
+    them, enters that core past the checks.  The core keeps its sweep's
     dampings and rows, and ``damped_apply``, one damping per row of a
     block, reuses them when its dampings are the sweep's, as a step's are;
     any others get their rows from ``_scale_rows``.  Once ``s_min <=
@@ -203,21 +206,22 @@ class SvdFactors:
         # The last sweep's dampings, as a list, and their scale rows.
         self._swept = (None, None)
 
-    def _scale_rows(self, lams):
+    def _scale_rows(self, lams, sweep=None):
         """``(lam_list, rows)``: the dampings ``lams`` as a list, and their
         rows ``1 / (s + lam * inv_s)``.
 
-        ValueError unless ``_dampings`` takes ``lams``.  The rows are
-        the plain formula when a screen on Python floats passes: every
-        damping positive, and ``max(lams) / s_min`` and ``s_max`` below the
-        range bound ``_BOUND``.  Then no ``lam / s`` nor ``s + lam / s``
-        overflows, as neither term reaches R, and each scale lies in ``(0, 1
-        / s_min]``, so none divides by zero.  Otherwise they are computed in
-        an errstate that ignores divide, over and invalid.  At zero damping
-        the row is ``1 / s``, cut to 0 below ``RANK_RCOND * s_max`` with a
-        warning.
+        ``sweep`` is ``(lam_list, low, high)`` of a float64 ``lams`` its
+        caller has checked; without it, ValueError unless ``_dampings``
+        takes ``lams``.  The rows are the plain formula when a screen on
+        Python floats passes: every damping positive, and ``max(lams) /
+        s_min`` and ``s_max`` below the range bound ``_BOUND``.  Then no
+        ``lam / s`` nor ``s + lam / s`` overflows, as neither term reaches
+        R, and each scale lies in ``(0, 1 / s_min]``, so none divides by
+        zero.  Otherwise they are computed in an errstate that ignores
+        divide, over and invalid.  At zero damping the row is ``1 / s``, cut
+        to 0 below ``RANK_RCOND * s_max`` with a warning.
         """
-        lams, lam_list, low, high = _dampings(lams)
+        lams, (lam_list, low, high) = (lams, sweep) if sweep else _dampings(lams)
         s_max, gain = self._edges
         if low > 0.0 and high * gain < _BOUND and s_max < _BOUND:
             return lam_list, np.reciprocal(self.s + lams[:, None] * self.inv_s)
@@ -269,7 +273,7 @@ class SvdFactors:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.matmul(np.matmul(vs[:, None], U) * rows[:, None], Vt)[:, 0]
 
-    def damped_apply_batch(self, lams, v) -> np.ndarray:
+    def damped_apply_batch(self, lams, v, _checked=None) -> np.ndarray:
         """Rows ``(J^T J + lam I)^{-1} J^T v`` for a whole damping sweep.
 
         Row ``i`` matches ``damped_apply`` at ``lams[i]`` on ``v`` to
@@ -285,9 +289,17 @@ class SvdFactors:
         otherwise the products ignore over and invalid, and a row beyond
         float64's range has inf entries, unwarned.  ndarray.dot, not @: same
         bits, half the dispatch cost.
+
+        The dampings are checked as their rows are formed, and ``v`` before
+        the product.  ``_checked``, private to ``optimizer.step``, is
+        ``(sweep, v_norm)`` for a ``lams`` and a ``v`` its caller has
+        checked: a float64 grid with ``sweep``, ``(lam_list, low, high)``,
+        its list and two ends, and an ``f0`` of shape ``(m,)`` whose
+        ``finite_norm`` is ``v_norm``.  It skips both checks, and the rows
+        and the product are the same.
         """
-        self._swept = self._scale_rows(lams)
-        v, v_norm = finite_norm(v, self._v_shape, "v")
+        self._swept = self._scale_rows(lams, _checked and _checked[0])
+        v, v_norm = (v, _checked[1]) if _checked else finite_norm(v, self._v_shape, "v")
         if v_norm * (self._edges[1] + 1.0) < _BOUND:
             return (self._swept[1] * self.Ut.dot(v)).dot(self.Vt)
         with np.errstate(over="ignore", invalid="ignore"):

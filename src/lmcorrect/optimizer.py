@@ -12,25 +12,31 @@ being J's largest singular value, when that is larger: there damping starts
 to matter to J's largest direction, so a damping that walked far down
 climbs back in one rejection.
 
+The step checks its grid, ``x`` and ``f0`` once, where it reads them, and
+hands the grid's list and two ends and ``f0``'s norm to
+``SvdFactors.damped_apply_batch``, whose core then skips its own checks.
 One product with the factorization gives every first-order direction c1,
-and one reduction, the largest ``|c1|`` entry, picks the live candidates.
-When it and ``|x|`` are at most the range bound ``linalg._BOUND``, about
-7.0e305, every c1 is finite, no ``x + c1`` overflows and every candidate is
-live.  Otherwise, rarely, a row mask keeps those whose ``x + c1`` is
-finite: a candidate whose ``x + c1`` overflows is skipped without an
-evaluator call, since at orders 2-4 its series would truncate before the
-stencil and leave ``x + c1`` as its endpoint.  One sum gives every
-``x + c1``, at every order, and one loop walks the live candidates in grid
-order, with their rows of ``x + c1``: each runs its series at orders 2-4,
-then takes its endpoint, its row of ``x + c1`` at order 1 or when its
-series is its c1 alone, else its row of the stencil base's endpoint block,
-which has the bits of ``x + series.step``.  It evaluates the endpoint and
-leads if its residual norm is strictly below the best so far, so ties go to
-the smallest grid index and a nan norm never leads.  A residual that is a
-float64 ndarray of shape ``(m,)`` passes on one type test; any other goes
-through ``as_shape``, which reads it as ``np.asarray(r, dtype=float)`` does
-or names its wrong shape, since the winner's residual becomes the next
-``f0``.  Two things stay per point or per candidate:
+and a test on Python floats picks the live candidates: the product's own
+bound ``|f0| (1 / s_min + 1) < R``, R the range bound ``linalg._BOUND``
+(about 7.0e305), caps every c1 entry by R; only when it fails does one
+reduction, the largest ``|c1|`` entry, test that cap.  When the cap holds
+and ``|x|`` is at most R, every c1 is finite, no ``x + c1`` overflows and
+every candidate is live.  Otherwise, rarely, a row mask keeps those whose
+``x + c1`` is finite: a candidate whose ``x + c1`` overflows is skipped
+without an evaluator call, since at orders 2-4 its series would truncate
+before the stencil and leave ``x + c1`` as its endpoint.  One sum gives
+every ``x + c1``, at every order, and one loop walks the live candidates
+in grid order, with their rows of ``x + c1``: each runs its series at
+orders 2-4, then takes its endpoint, its row of ``x + c1`` at order 1 or
+when its series is its c1 alone, else its row of the stencil base's
+endpoint block, which has the bits of ``x + series.step``.  It evaluates
+the endpoint and leads if its residual norm is strictly below the best so
+far, so ties go to the smallest grid index and a nan norm never leads.  A
+residual that is an ndarray of shape ``(m,)`` whose dtype is the native
+float64 dtype object passes on two identity tests and a shape test; any
+other goes through ``as_shape``, which reads it as ``np.asarray(r,
+dtype=float)`` does or names its wrong shape, since the winner's residual
+becomes the next ``f0``.  Two things stay per point or per candidate:
 
 * the evaluator is called once per point, because ``Problem.evaluator`` maps
   one point to one residual and each call is one counted evaluation, failed
@@ -90,6 +96,7 @@ MAX_CONSECUTIVE_REJECTS = 5
 
 _GRID_FACTORS = np.array([GRID_BASE ** ((n / 10.0) ** 3) for n in GRID_INDICES])
 _GRID_FACTORS.flags.writeable = False
+_FLOAT64 = np.dtype(float)  # native float64, one dtype object
 # The range of a non-zero grid centre: its grid then lies in [1/R, R].
 _CENTRE_LOW, _CENTRE_HIGH = GRID_BASE / _BOUND, _BOUND / GRID_BASE
 
@@ -131,7 +138,10 @@ class LambdaSchedule:
     here, and one that underflows to 0 leaves ``c * 10^4``.  At 0 the grid
     is ``[0]``, and stays so: Gauss-Newton.  A ``lambda_old`` that is not
     non-negative and finite raises ValueError at construction, by the rule
-    of ``OptimizerConfig.start_damping``.
+    of ``OptimizerConfig.start_damping``, and ``grid`` checks it again on
+    every call, so one set later cannot pass: it takes a Python float on
+    one type test and a comparison, and passes a float inf, clamped.  So a
+    grid is sorted, and is ``[0]`` or positive and finite.
     """
 
     lambda_old: float = 1.0
@@ -140,6 +150,9 @@ class LambdaSchedule:
         as_positive(self.lambda_old, "lambda_old", zero=True)
 
     def grid(self) -> np.ndarray:
+        # A float costs one type test; an inf passes, to be clamped.
+        if type(self.lambda_old) is not float or not self.lambda_old >= 0.0:
+            as_positive(self.lambda_old, "lambda_old", zero=True)
         if self.lambda_old == 0.0:
             return np.zeros(1)
         return min(max(self.lambda_old, _CENTRE_LOW), _CENTRE_HIGH) * _GRID_FACTORS
@@ -227,14 +240,15 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     Raises StepFailureError when every candidate is unusable, the Jacobian's
     call fails, J is not finite, or its SVD does not converge, and
     ValueError, before any Jacobian or evaluator call, when ``x`` or ``f0``
-    is not finite or has the wrong shape.  ``f0`` is read after evaluator
-    calls, so it must not be an array the evaluator reuses; :func:`run`
-    passes its own copy.
+    is not finite or has the wrong shape, or ``schedule.grid()`` rejects
+    its centre.  ``f0`` is read after evaluator calls, so it must not be an
+    array the evaluator reuses; :func:`run` passes its own copy.
     """
     m, p = problem.output_dim, problem.input_dim
     x, x_norm = finite_norm(x, (p,), "x")
     f0, norm0 = finite_norm(f0, (m,), "f0")
-    evals = 0
+    lambdas = schedule.grid()  # sorted: [0], or positive and finite
+    lam_list = lambdas.tolist()
 
     try:
         J = problem.jacobian(x)
@@ -247,15 +261,18 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         # float64 conversion), has a non-finite entry, or whose SVD did not
         # converge (LinAlgError is a ValueError).
         raise StepFailureError(str(exc)) from exc
-    lambdas = schedule.grid()
 
-    # First-order directions for the whole sweep from one factorization.
-    c1s = -factors.damped_apply_batch(lambdas, f0)
+    # First-order directions for the whole sweep from one factorization,
+    # handed the grid's list and ends and f0's norm, all checked above.
+    sweep = (lam_list, lam_list[0], lam_list[-1])
+    c1s = -factors.damped_apply_batch(lambdas, f0, (sweep, norm0))
     evaluator, order = problem.evaluator, config.order
-    # The live candidates, from one reduction unless an x + c1 could overflow
-    # (see the module docstring); a nan fails the test.
-    if x_norm <= _BOUND and np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND:
-        live, ends = range(len(lambdas)), x + c1s
+    # The live candidates, from the bound |f0| (1 / s_min + 1) < R, else one
+    # reduction, unless an x + c1 could overflow (see the module docstring);
+    # a nan fails the test.
+    if x_norm <= _BOUND and (norm0 * (factors._edges[1] + 1.0) < _BOUND
+                             or np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND):
+        live, ends = range(len(lam_list)), x + c1s
     else:
         with np.errstate(over="ignore"):
             ends = x + c1s
@@ -264,7 +281,8 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     if order > 1:  # one base whose rows are the sweep's, by grid index
         base = _stencil_base(x, f0, x_norm, norm0, factors, evaluator, c1s, lambdas)
     causes = {}  # candidate index -> its failed evaluator call, in grid order
-    best_norm, best, shape = math.inf, None, (m,)
+    # One endpoint call per live candidate, less one per failed stencil call.
+    evals, best_norm, best_f, shape = len(live), math.inf, None, (m,)
     # A one-term candidate reads its row of x + c1s, any other its row of
     # the base's endpoint block.
     for idx, end in zip(live, ends):
@@ -273,17 +291,17 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
             try:
                 series = correction_series(base, idx, order=order)
             except StencilEvaluationError as exc:
-                evals += exc.evaluations
+                evals += exc.evaluations - 1
                 causes[idx] = exc
                 continue
             evals += series.evaluation_count
             if len(series.corrections) > 1:
                 end = base.series[order][1][idx]
-        evals += 1
         try:
             f_end = evaluator(end)
             # Float64 too: the winner's residual becomes the next f0.
-            if type(f_end) is not np.ndarray or f_end.dtype != float or f_end.shape != shape:
+            if (type(f_end) is not np.ndarray or f_end.dtype is not _FLOAT64
+                    or f_end.shape != shape):
                 f_end = as_shape(f_end, shape, "residual")
         except Exception as exc:
             causes[idx] = exc
@@ -292,8 +310,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         # Strict: the first minimum, the smallest grid index, keeps the lead,
         # and a nan norm never takes it.  The copy outlives a reused buffer.
         if norm < best_norm:
-            best_norm, best = norm, (idx, series, end, f_end.copy())
-    if best is None:
+            best_norm, best_idx = norm, idx
+            best_series, best_end, best_f = series, end, f_end.copy()
+    if best_f is None:
         cause = next(iter(causes.values()), None)
         tail = "" if cause is None else f": {cause}"
         raise StepFailureError(f"no finite candidate endpoint at x={x}{tail}",
@@ -301,7 +320,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
     accepted = best_norm < norm0
     if accepted:
-        idx, series, end, f0 = best
+        idx, series, end, f0 = best_idx, best_series, best_end, best_f
         truncated = series is not None and series.truncated
         # A one-term series (order 1, or one truncated at c1) is its c1, whose
         # norm is then the step's norm too.
@@ -311,7 +330,7 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre at the top damping or the floor
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
-    schedule.lambda_old = lam = float(lambdas[idx])
+    schedule.lambda_old = lam = lam_list[idx]
     if not accepted and lam:  # at least 2^-52 s_max^2; Python floats, so unwarned
         s_max = float(factors.s[0])
         schedule.lambda_old = max(lam, 2.0**-52 * s_max * s_max)

@@ -428,8 +428,8 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
     computed = []
     scale_rows = SvdFactors._scale_rows
 
-    def counting(self, lams):
-        lam_list, rows = scale_rows(self, lams)
+    def counting(self, lams, *sweep):
+        lam_list, rows = scale_rows(self, lams, *sweep)
         computed.extend(lam_list)
         return lam_list, rows
 
@@ -467,6 +467,46 @@ def test_each_sweep_row_is_computed_once(monkeypatch):
     assert np.array_equal(factors.damped_apply(second, vs),
                           SvdFactors(J).damped_apply(second, vs))
     assert computed == second.tolist()  # the fresh factors' rows only
+
+
+def test_a_checked_sweep_runs_the_public_core(monkeypatch):
+    # A sweep handed its grid's list and ends and v's norm skips both checks
+    # and runs the public call's core: the same bits, the same kept rows and
+    # one computation of them.  At zero damping on a rank-deficient J it
+    # warns as the public call does, pointing at its caller.
+    computed, scale_rows = [], SvdFactors._scale_rows
+
+    def counting(self, lams, *sweep):
+        computed.append(sweep)
+        return scale_rows(self, lams, *sweep)
+
+    rng = np.random.default_rng(41)
+    cases = [(rng.normal(size=(m, p)) * 10.0 ** rng.uniform(-3, 3, size=p),
+              rng.normal(size=m), centre)
+             for m, p in ((2, 2), (5, 3), (1000, 8)) for centre in (1e-6, 1.0, 1e6)]
+    cases.append((np.outer([2.0, 0.5, 1.0], [1.0, -1.0]), np.array([1.0, -2.0, 0.5]), 0.0))
+    for counted in (True, False):
+        if counted:
+            monkeypatch.setattr(SvdFactors, "_scale_rows", counting)
+        else:  # the wrapper's frame would move the warning's stacklevel
+            monkeypatch.undo()
+        for J, v, centre in cases:
+            lams = LambdaSchedule(centre).grid()
+            lam_list = lams.tolist()
+            checked = ((lam_list, lam_list[0], lam_list[-1]), math.hypot(*v))
+            sides = []
+            for factors, extra in ((SvdFactors(J), ()), (SvdFactors(J), (checked,))):
+                del computed[:]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rows = factors.damped_apply_batch(lams, v, *extra)
+                if counted:
+                    assert computed == [(checked[0] if extra else None,)]
+                else:
+                    assert [w.filename for w in caught] == [__file__] * (centre == 0.0)
+                sides.append((rows.tobytes(), factors._swept[0],
+                               factors._swept[1].tobytes()))
+            assert sides[0] == sides[1]
 
 
 def test_a_damping_outside_the_sweep_gets_its_row_through_the_row_screen(

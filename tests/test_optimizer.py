@@ -1,5 +1,6 @@
 import collections
 import csv
+import inspect
 import io
 import itertools
 import math
@@ -85,6 +86,49 @@ def test_a_centre_that_is_not_a_damping_is_rejected_at_construction(centre):
     assert counter["evals"] == jacobian.call_count == 0
     for centre in (0.0, 5e-324, np.float64(2.0), 3):
         assert LambdaSchedule(centre).lambda_old == centre
+
+
+@pytest.mark.parametrize("centre", [
+    math.nan, -1.0, -5e-324, True, np.True_, np.float64(math.nan), np.float64(-1.0),
+    np.float64(math.inf), "1", None, 1j,
+], ids=["nan", "negative", "-5e-324", "True", "np.True_", "np.nan", "np.negative",
+        "np.inf", "str", "None", "complex"])
+def test_a_centre_set_after_construction_is_checked_by_the_grid(centre):
+    # Set after construction, a centre got past the rule: from (pi, e) on
+    # the K = 100 valley -1.0 swept at 1.42e-306 and was accepted, True
+    # swept as 1, and nan failed inside the sweep, after the Jacobian call.
+    # grid() raises the construction's error, and step reads the grid
+    # before any call.
+    problem, counter = counting_problem(valley_problem(100.0))
+    jacobian = mock.Mock(wraps=problem.jacobian)
+    schedule = LambdaSchedule(1.0)
+    schedule.lambda_old = centre
+    message = re.escape(f"lambda_old must be non-negative and finite, got {centre!r}")
+    with pytest.raises(ValueError, match=message):
+        schedule.grid()
+    with pytest.raises(ValueError, match=message):
+        step(START, Problem(2, 2, problem.evaluator, jacobian), schedule,
+             OptimizerConfig(), f0=valley_problem(100.0).evaluator(START))
+    assert counter["evals"] == jacobian.call_count == 0
+
+
+def test_a_centre_set_after_construction_keeps_the_constructed_grid():
+    # A float inf, which the rejection floor may set, is clamped to the top
+    # centre R / 10^4; every other damping sweeps the grid a schedule
+    # constructed at it sweeps, and a step from it takes no other path.
+    problem = valley_problem(100.0)
+    f0 = problem.evaluator(START)
+    for centre, constructed in ((math.inf, _BOUND / GRID_BASE), (0.0, 0.0), (-0.0, 0.0),
+                                (5e-324, 5e-324), (np.float64(2.0), 2.0), (3, 3.0),
+                                (1.7e308, 1.7e308)):
+        schedule = LambdaSchedule(1.0)
+        schedule.lambda_old = centre
+        expected = LambdaSchedule(constructed)
+        assert schedule.grid().tobytes() == expected.grid().tobytes()
+        outcomes = [step(START, problem, s, OptimizerConfig(), f0=f0)
+                    for s in (schedule, expected)]
+        assert repr(outcomes[0]) == repr(outcomes[1])
+        assert schedule.lambda_old == expected.lambda_old
 
 
 def test_zero_centred_schedule_stays_at_zero():
@@ -294,8 +338,8 @@ def test_a_partly_live_sweep_computes_its_scale_rows_once(order, evaluations,
     computed = []
     scale_rows = SvdFactors._scale_rows
 
-    def counting(self, lams):
-        lam_list, rows = scale_rows(self, lams)
+    def counting(self, lams, *sweep):
+        lam_list, rows = scale_rows(self, lams, *sweep)
         computed.append(len(lam_list))
         return lam_list, rows
 
@@ -308,6 +352,100 @@ def test_a_partly_live_sweep_computes_its_scale_rows_once(order, evaluations,
                             OptimizerConfig(order=order), f0=problem.evaluator(x))
     assert computed == [21]
     assert record.f_evaluations == evaluations and record.accepted
+
+
+def _order_one_model(problem, x, grid, f0):
+    """The order-1 step's endpoints and record by its rule: every ``x +
+    c1`` finite and evaluated, the first least norm leading."""
+    c1s = -SvdFactors(problem.jacobian(x)).damped_apply_batch(grid, f0)
+    ends = x + c1s
+    norms = [_norm(problem.evaluator(end)) for end in ends]
+    best = norms.index(min(norms))
+    assert norms[best] < _norm(f0)
+    return ends, optimizer.IterationRecord(
+        chosen_lambda=grid.tolist()[best], residual_norm=norms[best],
+        step_norm=_norm(c1s[best]), corrections_norms=(_norm(c1s[best]),),
+        f_evaluations=len(grid), accepted=True)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_sweep_past_the_products_bound_screens_its_candidates_by_reduction(order):
+    # On f = diag(1, 1e-300) x - (1e6, 1) from x = 0 the bound |f0| (1 /
+    # s_min + 1) is about 1e306, past R, yet every c1 entry is at most R:
+    # the largest-|c1| reduction keeps all 21 candidates live, in grid
+    # order, with the record bits of the order-1 rule.  On a J of rank one
+    # 1 / s_min is inf, so a Gauss-Newton sweep and a positive one both
+    # fail the bound and fall back to the reduction; the Gauss-Newton
+    # sweep's rank warning points at step.
+    for A, b, centre in ((np.diag([1.0, 1e-300]), np.array([1e6, 1.0]), 1.0),
+                         (np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]), 0.0),
+                         (np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]), 1.0)):
+        problem, x = affine_problem(A, b), np.zeros(2)
+        f0, grid, factors = problem.evaluator(x), LambdaSchedule(centre).grid(), SvdFactors(A)
+        assert _norm(f0) * (float(factors.inv_s[-1]) + 1.0) >= _BOUND
+        rows, calls = [], []
+
+        def counting_series(base, row, **kwargs):
+            rows.append(row)
+            return correction_series(base, row, **kwargs)
+
+        def evaluator(point):
+            calls.append(point.copy())
+            return problem.evaluator(point)
+
+        with mock.patch.object(optimizer, "correction_series", counting_series), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            new_x, _, record = step(x, Problem(2, 2, evaluator, problem.jacobian),
+                                    LambdaSchedule(centre), OptimizerConfig(order=order),
+                                    f0=f0)
+        assert [str(w.message) for w in caught] == (
+            ["rank-deficient Jacobian at zero damping; returning the minimum-norm "
+             "solution"] if centre == 0.0 else [])
+        lines, first = inspect.getsourcelines(step)
+        for w in caught:
+            assert w.filename == optimizer.__file__
+            assert first < w.lineno < first + len(lines)
+        assert rows == ([] if order == 1 else list(range(len(grid))))
+        if order == 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ends, expected = _order_one_model(problem, x, grid, f0)
+            assert np.array(calls).tobytes() == ends.tobytes()
+            assert repr(record) == repr(expected)
+            assert new_x.tobytes() == ends[grid.tolist().index(record.chosen_lambda)].tobytes()
+        assert record.accepted
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_the_steps_sweep_has_the_bits_of_the_public_batch(order, monkeypatch):
+    # step hands damped_apply_batch its checked grid and f0's norm, and the
+    # sweep it gets has the bits of the public call on the same grid and
+    # f0: on the valley at K = 1e2 and 1e5, on the 1e-170 affine problem
+    # (a zero-centred sweep too) and on the m = 1000 fit.
+    batch, sweeps = SvdFactors.damped_apply_batch, []
+
+    def recording(self, lams, v, *checked):
+        sweeps.append((self.J.copy(), lams.copy(), v.copy(), checked,
+                       batch(self, lams, v, *checked)))
+        return sweeps[-1][-1]
+
+    monkeypatch.setattr(SvdFactors, "damped_apply_batch", recording)
+    fit, fit_start = four_exponential_fit()
+    tiny = affine_problem(1e-170 * np.array([[2.0, 1.0], [1.0, 3.0]]),
+                          1e-170 * np.array([1.0, 2.0]))
+    cases = [(valley_problem(K), START, centre) for K in (1e2, 1e5)
+             for centre in (1e-6, 1.0, 1e6)]
+    cases += [(tiny, np.zeros(2), centre) for centre in (0.0, 1e-300, 1.0)]
+    cases += [(fit, fit_start, centre) for centre in (1e-2, 1.0, 1e2)]
+    for problem, x, centre in cases:
+        del sweeps[:]
+        step(x, problem, LambdaSchedule(centre), OptimizerConfig(order=order),
+             f0=problem.evaluator(x))
+        [(J, lams, v, checked, rows)] = sweeps
+        assert checked  # the checked grid and norm, not the public checks
+        assert lams.tobytes() == LambdaSchedule(centre).grid().tobytes()
+        assert rows.tobytes() == batch(SvdFactors(J), lams, v).tobytes()
 
 
 def _faulty(problem: Problem) -> Problem:
@@ -1586,6 +1724,7 @@ _RESIDUALS = {
     "float32": (lambda f: f.astype(np.float32),
                 lambda f: f.astype(np.float32).astype(float)),
     "object": (lambda f: f.astype(object), lambda f: f),
+    "big-endian": (lambda f: f.astype(">f8"), lambda f: f),
     "subclass": (lambda f: f.view(_Residual), lambda f: f),
 }
 
@@ -1622,10 +1761,11 @@ def _step_bits(problem, order):
     (order, where) for order in (2, 3, 4) for where in _CALLERS])
 def test_a_residual_of_another_type_gives_the_bits_of_its_float64_form(order, where,
                                                                        kind):
-    # A residual that is a list, an int, bool, float32 or object ndarray or
-    # an ndarray subclass, at every stencil point or at every endpoint,
-    # gives the bits of the same residual as float64: every record of a
-    # run, its x and counts, and a step's outcome, whose new f0 is float64.
+    # A residual that is a list, an int, bool, float32, big-endian float64
+    # or object ndarray or an ndarray subclass, at every stencil point or at
+    # every endpoint, gives the bits of the same residual as float64: every
+    # record of a run, its x and counts, and a step's outcome, whose new f0
+    # is float64.
     outcomes = []
     for convert in _RESIDUALS[kind]:
         problem, converted = _converting(valley_problem(100.0), convert, _CALLERS[where])
