@@ -274,18 +274,18 @@ def _series_block(base: StencilBase, order: int) -> tuple:
     dtype=float)`` would; any other goes through ``as_shape``, which
     converts it so or names its wrong shape.  A failed call skips the rest
     of its row's points by index, and a row that stopped before the phase
-    is skipped at its first point, so the walk tests no row's result.  One
-    reduction over the residual block, its largest magnitude, passes the
-    whole phase when it is within the 2R bound over a row's entry count;
-    otherwise ``_norm`` decides each running row.  The wild bound's screen,
-    each row's bound over its entry count, is one column formed once per
-    block: a phase compares every entry of its corrections with its row's
-    screen, and one reduction over the block passes the whole phase when
-    every entry is within it.  Otherwise one reduction per row passes the
-    rows that it can, and ``_norm`` decides only the others, so every
-    decision is the norm's; a nan fails the screens and the norm.  A row
-    that stops has its residuals and defects zeroed, and no later direction
-    of it is kept, so none of its nan or inf reaches a later phase.  The
+    is skipped at its first point, so the walk tests no row's result.  Both
+    bounds a phase tests have one rule: a fast test of the whole block,
+    and when it fails ``_norm`` decides each running row, so every decision
+    is the norm's, and a nan fails the test and the norm.  For the 2R bound
+    the test is one reduction over the residual block, its largest
+    magnitude, within 2R over a row's entry count.  For the wild bound it is
+    one reduction over the comparison of every entry of the phase's
+    corrections with its row's screen, the row's bound over its entry
+    count, one column formed once per block.  A row that stops on a failed
+    call or on the 2R bound has its residuals and defects zeroed, and no
+    later direction of a stopped row is kept, so none of its nan or inf
+    reaches a later phase.  The
     residual block minus the linear models is the phase's defects, and the
     weighted defects of all rows go through ``apply`` at once, one damping
     per row.  The rows still running after the last phase get their series
@@ -350,13 +350,15 @@ def _series_block(base: StencilBase, order: int) -> tuple:
                     results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
                     defects[row] = residuals[row] = 0.0
         np.subtract(residuals, models, out=defects[:, first:end])
+        # A guard, not a shortcut: a row past x_limit keeps the defects -f0,
+        # and near float64's edges (x_limit 0 or -inf, so every row is past
+        # it) their weighted sums or their inverse overflow.
         if None not in results:
             break
         corrections = apply(lams, np.matmul(weights, defects[:, :end]))
         # A nan entry fails the screen, and a nan correction norm the wild bound.
-        within = np.abs(corrections) <= screen
-        if not np.logical_and.reduce(within, axis=None):
-            for row in np.flatnonzero(~np.logical_and.reduce(within, axis=1)):
+        if not np.logical_and.reduce(np.abs(corrections) <= screen, axis=None):
+            for row in range(n):
                 if results[row] is None and not _norm(corrections[row]) <= wild[row]:
                     results[row] = CorrectionSeries(tuple(c[row] for c in found), end, True)
         found.append(corrections)

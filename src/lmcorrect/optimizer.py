@@ -16,22 +16,23 @@ The step checks its grid, ``x`` and ``f0`` once, where it reads them, and
 hands the grid's list and two ends and ``f0``'s norm to
 ``SvdFactors.damped_apply_batch``, whose core then skips its own checks.
 One product with the factorization gives every first-order direction c1,
-and a test on Python floats picks the live candidates: the product's own
-bound ``|f0| (1 / s_min + 1) < R``, R the range bound ``linalg._BOUND``
-(about 7.0e305), caps every c1 entry by R; only when it fails does one
-reduction, the largest ``|c1|`` entry, test that cap.  When the cap holds
-and ``|x|`` is at most R, every c1 is finite, no ``x + c1`` overflows and
-every candidate is live.  Otherwise, rarely, a row mask keeps those whose
-``x + c1`` is finite: a candidate whose ``x + c1`` overflows is skipped
-without an evaluator call, since at orders 2-4 its series would truncate
-before the stencil and leave ``x + c1`` as its endpoint.  One sum gives
-every ``x + c1``, at every order, and one loop walks the live candidates
-in grid order, with their rows of ``x + c1``: each runs its series at
-orders 2-4, then takes its endpoint, its row of ``x + c1`` at order 1 or
-when its series is its c1 alone, else its row of the stencil base's
-endpoint block, which has the bits of ``x + series.step``.  It evaluates
-the endpoint and leads if its residual norm is strictly below the best so
-far, so ties go to the smallest grid index and a nan norm never leads.  A
+and one rule picks the live candidates: a test on Python floats, then an
+exact mask when it fails.  The test is the product's own bound ``|f0| (1 /
+s_min + 1) < R``, R the range bound ``linalg._BOUND`` (about 7.0e305),
+which caps every c1 entry by R; with ``|x|`` at most R too, no ``x + c1``
+overflows and every candidate is live.  Otherwise, rarely, a row mask keeps
+those whose ``x + c1`` is finite: a candidate whose ``x + c1`` overflows is
+skipped without an evaluator call, since at orders 2-4 its series would
+truncate before the stencil and leave ``x + c1`` as its endpoint.  One sum
+gives every ``x + c1``, at every order, and one loop walks the live
+candidates in grid order, with their rows of ``x + c1``: each runs its
+series at orders 2-4, then takes its endpoint, its row of ``x + c1`` at
+order 1 or when its series is its c1 alone, else its row of the stencil
+base's endpoint block, which has the bits of ``x + series.step``.  It
+evaluates the endpoint and leads if its residual norm is strictly below
+the best so far, so ties go to the smallest grid index and a nan norm never
+leads.  A sweep that beats nothing is a rejection, unless no endpoint is
+finite and some call failed: only then does the step fail.  A
 residual that is an ndarray of shape ``(m,)`` whose dtype is the native
 float64 dtype object passes on two identity tests and a shape test; any
 other goes through ``as_shape``, which reads it as ``np.asarray(r,
@@ -106,13 +107,14 @@ class StepFailureError(RuntimeError):
 
     A call to the evaluator or the Jacobian fails when it raises, or returns
     an array of the wrong shape or an output that is not numeric.  Raised
-    when every candidate endpoint is non-finite or failed, chained from the
-    lowest grid index's failed call if there was one, whose message then
-    ends the error's; and when the Jacobian's call fails, J has a
-    non-finite entry or its SVD does not converge, chained from that error.
-    ``evaluations`` counts the evaluator calls the step made, failed ones
-    included.  ``causes`` maps the grid index of every candidate whose
-    evaluator call failed to that error, in grid order.
+    when no candidate endpoint is finite and some evaluator call failed,
+    chained from the lowest grid index's failed call, whose message ends
+    the error's; a sweep that is merely non-finite, with no failed call, is
+    a rejection instead.  Raised too when the Jacobian's call fails, J has
+    a non-finite entry or its SVD does not converge, chained from that
+    error.  ``evaluations`` counts the evaluator calls the step made,
+    failed ones included.  ``causes`` maps the grid index of every
+    candidate whose evaluator call failed to that error, in grid order.
     """
 
     def __init__(self, message, evaluations: int = 0, causes=None):
@@ -233,16 +235,17 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
 
     It sweeps ``schedule.grid()``, not the config's start damping.  Returns
     ``(x_new, f_new, record)``; ``x_new is x`` (and the schedule is centred
-    on the largest damping tried) when no candidate improved the residual
-    norm.  A call to the evaluator or the Jacobian fails when it raises or
-    returns the wrong shape (see :class:`StepFailureError`): a failed
-    evaluator call drops its candidate.
-    Raises StepFailureError when every candidate is unusable, the Jacobian's
-    call fails, J is not finite, or its SVD does not converge, and
-    ValueError, before any Jacobian or evaluator call, when ``x`` or ``f0``
-    is not finite or has the wrong shape, or ``schedule.grid()`` rejects
-    its centre.  ``f0`` is read after evaluator calls, so it must not be an
-    array the evaluator reuses; :func:`run` passes its own copy.
+    on the largest damping tried, or the floor) when no candidate improved
+    the residual norm, as when no endpoint is finite.  A call to the
+    evaluator or the Jacobian fails when it raises or returns the wrong
+    shape (see :class:`StepFailureError`): a failed evaluator call drops its
+    candidate.  Raises StepFailureError when no endpoint is finite and some
+    evaluator call failed, the Jacobian's call fails, J is not finite, or
+    its SVD does not converge, and ValueError, before any Jacobian or
+    evaluator call, when ``x`` or ``f0`` is not finite or has the wrong
+    shape, or ``schedule.grid()`` rejects its centre.  ``f0`` is read after
+    evaluator calls, so it must not be an array the evaluator reuses;
+    :func:`run` passes its own copy.
     """
     m, p = problem.output_dim, problem.input_dim
     x, x_norm = finite_norm(x, (p,), "x")
@@ -267,11 +270,9 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
     sweep = (lam_list, lam_list[0], lam_list[-1])
     c1s = -factors.damped_apply_batch(lambdas, f0, (sweep, norm0))
     evaluator, order = problem.evaluator, config.order
-    # The live candidates, from the bound |f0| (1 / s_min + 1) < R, else one
-    # reduction, unless an x + c1 could overflow (see the module docstring);
-    # a nan fails the test.
-    if x_norm <= _BOUND and (norm0 * (factors._edges[1] + 1.0) < _BOUND
-                             or np.maximum.reduce(np.abs(c1s), axis=None) <= _BOUND):
+    # Every candidate is live under the bound |f0| (1 / s_min + 1) < R, else
+    # the exact mask decides (see the module docstring); a nan fails the test.
+    if x_norm <= _BOUND and norm0 * (factors._edges[1] + 1.0) < _BOUND:
         live, ends = range(len(lam_list)), x + c1s
     else:
         with np.errstate(over="ignore"):
@@ -312,21 +313,18 @@ def step(x, problem: Problem, schedule: LambdaSchedule, config: OptimizerConfig,
         if norm < best_norm:
             best_norm, best_idx = norm, idx
             best_series, best_end, best_f = series, end, f_end.copy()
-    if best_f is None:
-        cause = next(iter(causes.values()), None)
-        tail = "" if cause is None else f": {cause}"
-        raise StepFailureError(f"no finite candidate endpoint at x={x}{tail}",
+    if best_f is None and causes:  # only a failed call fails the step
+        cause = next(iter(causes.values()))
+        raise StepFailureError(f"no finite candidate endpoint at x={x}: {cause}",
                                evals, causes) from cause
 
     accepted = best_norm < norm0
     if accepted:
         idx, series, end, f0 = best_idx, best_series, best_end, best_f
         truncated = series is not None and series.truncated
-        # A one-term series (order 1, or one truncated at c1) is its c1, whose
-        # norm is then the step's norm too.
-        alone = series is None or len(series.corrections) == 1
-        norms = (_norm(c1s[idx]),) if alone else tuple(series.norms())
-        step_norm = norms[0] if alone else _norm(series.step)
+        # Order 1's step is its c1; a series, one-term or not, gives its own.
+        norms = (_norm(c1s[idx]),) if series is None else tuple(series.norms())
+        step_norm = norms[0] if series is None else _norm(series.step)
         x = end.copy()
     else:  # nothing beat the current point: stay put, recentre at the top damping or the floor
         idx, best_norm, step_norm, norms, truncated = -1, norm0, 0.0, (), False
@@ -352,12 +350,13 @@ def run(x0, problem: Problem, config: OptimizerConfig) -> RunResult:
     The schedule starts at the config's ``start_damping``.  The
     trajectory records every iteration, rejected ones included.  A stall
     ends the run unconverged: MAX_CONSECUTIVE_REJECTS successive
-    rejections, or one at damping 0, which cannot escalate.  A
-    StepFailureError ends the run, which returns what it has so far; a later
-    residual or Jacobian of the wrong shape is a failed call (see
-    :func:`step`), not an error.  A start point or start residual that is
-    not finite or has the wrong shape raises ValueError.  The evaluator may
-    return the same array on every call.
+    rejections, or one at damping 0, which cannot escalate; a sweep whose
+    every endpoint is non-finite is a rejection too, unless some call in it
+    failed.  A StepFailureError ends the run, which returns what it has so
+    far; a later residual or Jacobian of the wrong shape is a failed call
+    (see :func:`step`), not an error.  A start point or start residual
+    that is not finite or has the wrong shape raises ValueError.  The
+    evaluator may return the same array on every call.
     """
     # Copies: the result's x must not be the caller's array, and f must
     # outlive an evaluator that reuses its output array.

@@ -88,7 +88,7 @@ def valley_problem(K: float) -> Problem:
     return Problem(2, 2, evaluator, jacobian, name=f"valley(K={K:g})")
 
 
-def affine_problem(A, b, name: str = "affine") -> Problem:
+def affine_problem(A, b) -> Problem:
     """Affine residual ``f(x) = A x - b`` (one exact Newton step to solve).
 
     ValueError unless ``A`` is 2-D and ``b`` is 1-D with one entry per row,
@@ -101,7 +101,7 @@ def affine_problem(A, b, name: str = "affine") -> Problem:
                          f"shape {A.shape} and b of shape {b.shape}")
     A, b = as_finite(A, A.shape, "A"), as_finite(b, b.shape, "b")
     m, p = A.shape
-    return Problem(p, m, lambda x: A @ x - b, lambda x: A.copy(), name=name)
+    return Problem(p, m, lambda x: A @ x - b, lambda x: A.copy(), name="affine")
 
 
 def default_affine_problem() -> Problem:

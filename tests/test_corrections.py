@@ -1223,11 +1223,13 @@ def test_every_fate_in_one_block_matches_its_one_row_base(order):
 @pytest.mark.parametrize("order,phase", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
 def test_a_row_beyond_2r_leaves_the_other_rows_as_they_are_without_it(order, phase,
                                                                       monkeypatch):
-    # One row of the K = 1e6 valley's sweep meets a residual beyond 2 _BOUND
-    # at every point of one phase, so the phase's whole-block screen fails
-    # and the per-row test decides: that row truncates there, and every
-    # other row has the outcome, and the evaluator the calls, of the same
-    # sweep without that row.  No errstate is entered.
+    # One row of the K = 1e6 valley's sweep meets, in one phase, either a
+    # residual beyond 2 _BOUND at every point, so that the phase's
+    # whole-block range screen fails, or a residual 1e100 off at its first
+    # point, so that the row's correction is wild and the whole-block wild
+    # screen fails.  Each time the per-row norm decides: that row truncates
+    # there, and every other row has the outcome, and the evaluator the
+    # calls, of the same sweep without that row.  No errstate is entered.
     problem = valley_problem(1e6)
     x = np.array([np.pi, np.e])
     f0, factors = problem.evaluator(x), SvdFactors(problem.jacobian(x))
@@ -1243,30 +1245,29 @@ def test_a_row_beyond_2r_leaves_the_other_rows_as_they_are_without_it(order, pha
                                    lams[hot:hot + 1]), 0, order=order)
     end = sum(len(points) for points, _ in PHASES[order][:phase])
     assert len(seen) >= end  # the row reaches the phase on its own
-    beyond = set(seen[end - len(PHASES[order][phase - 1][0]):end])
-
-    def evaluator(p):
-        calls.append(p.tobytes())
-        f = problem.evaluator(p)
-        return f + 1e307 if p.tobytes() in beyond else f
-
+    phase_points = seen[end - len(PHASES[order][phase - 1][0]):end]
     entered = count_errstates(monkeypatch)
-
-    def outcomes(rows):
-        del calls[:]
-        base = stencil_base(x, f0, factors, evaluator, c1s[rows], lams[rows])
-        return [_outcome(correction_series, base, i, order=order)
-                for i in range(len(rows))], list(calls)
-
     others = [row for row in range(len(lams)) if row != hot]
-    (every, every_calls), (without, without_calls) = (
-        outcomes(list(range(len(lams)))), outcomes(others))
-    (corrections, evaluations, truncated), stop = every[hot]
-    assert (len(corrections), evaluations, truncated, stop) == (phase, end, True,
-                                                               "truncated")
-    assert [every[row] for row in others] == without
-    assert [call for call in every_calls if call not in seen[:end]] == without_calls
-    assert len(every_calls) == len(without_calls) + end
+    for off, shift in ((set(phase_points), 1e307), ({phase_points[0]}, 1e100)):
+        def evaluator(p):
+            calls.append(p.tobytes())
+            f = problem.evaluator(p)
+            return f + shift if p.tobytes() in off else f
+
+        def outcomes(rows):
+            del calls[:]
+            base = stencil_base(x, f0, factors, evaluator, c1s[rows], lams[rows])
+            return [_outcome(correction_series, base, i, order=order)
+                    for i in range(len(rows))], list(calls)
+
+        (every, every_calls), (without, without_calls) = (
+            outcomes(list(range(len(lams)))), outcomes(others))
+        (corrections, evaluations, truncated), stop = every[hot]
+        assert (len(corrections), evaluations, truncated, stop) == (
+            phase, end, True, "truncated")
+        assert [every[row] for row in others] == without
+        assert [call for call in every_calls if call not in seen[:end]] == without_calls
+        assert len(every_calls) == len(without_calls) + end
     assert entered == []
 
 

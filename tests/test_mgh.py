@@ -5,7 +5,8 @@ Moré, Garbow & Hillstrom, "Testing unconstrained optimization software"
 start.  Each Jacobian here is analytic and checked against central
 differences; each run is pinned at orders 1-4 from the standard start:
 the zero-residual problems converge, the nonzero-residual ones stall at
-their local minimum, and Wood converges too.
+their local minimum, and Wood converges too.  Jennrich-Sampson is pinned
+from 10 x0 as well.
 """
 
 import functools
@@ -480,3 +481,31 @@ def test_wood_converges_from_the_standard_start(order):
     assert result.converged
     assert result.f_evaluations == counter["evals"]
     assert (result.iterations, result.f_evaluations) == WOOD_COUNTS[order]
+
+
+# Jennrich-Sampson from 10 x0, by order: (iterations, evaluations).
+JENNRICH_SAMPSON_10X = {1: (49, 1030), 2: (39, 1639), 3: (40, 4159), 4: (37, 6994)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_jennrich_sampson_from_ten_times_its_start_stalls(order):
+    # Moré, Garbow & Hillstrom also start each problem from 10 x0.  There
+    # exp(i x) overflows at some candidates; the evaluator silences the
+    # warning, which the suite's error filter would otherwise turn into a
+    # failed call, and returns -inf entries.  At orders 2 and 3 a sweep at
+    # a damping of about 1e-100 has every endpoint non-finite.  No call
+    # fails, so it is a rejection, not a step failure: the damping
+    # escalates, and every order stalls at the same |f| = 16.1115.
+    problem = jennrich_sampson()
+
+    def evaluator(x):
+        with np.errstate(over="ignore"):
+            return problem.evaluator(x)
+
+    silenced, counter = counting_problem(
+        Problem(2, 10, evaluator, problem.jacobian, name=problem.name))
+    result = run(10.0 * np.array([0.3, 0.4]), silenced, OptimizerConfig(order=order))
+    assert result.termination == "stalled" and result.failure is None
+    assert result.residual_norm == pytest.approx(16.111492486242643, rel=1e-9)
+    assert result.f_evaluations == counter["evals"]
+    assert (result.iterations, result.f_evaluations) == JENNRICH_SAMPSON_10X[order]

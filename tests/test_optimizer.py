@@ -241,17 +241,18 @@ def test_an_endpoint_beyond_float64s_maximum_is_not_evaluated(order, f_evaluatio
 @pytest.mark.parametrize("centre", [0.0, 1e-300])
 def test_the_live_set_is_the_same_through_either_mask(order, centre, monkeypatch):
     # f = x - b on J = I from x = 0: every c1 is b exactly (at damping 0, or
-    # below eps), and its largest entry lies one ulp above the bound under
-    # which step takes every candidate as live.  Raising the bound by one
-    # ulp moves the same step onto that fast path: the same record, point
-    # and residual, and one errstate fewer, the exact mask's.
-    limit = optimizer._BOUND
-    b = np.array([np.nextafter(limit, np.inf), -1.0])
+    # below eps).  The step takes every candidate as live when |f0| (1 /
+    # s_min + 1) is below the bound.  With the bound at that product the
+    # test fails and the exact mask decides; one ulp above it, the same
+    # step takes the fast path: the same record, point, residual and
+    # centre, and one errstate fewer, the exact mask's.
+    b = np.array([3.0, -4.0])
     problem = affine_problem(np.eye(2), b)
+    product = _norm(b) * (float(SvdFactors(np.eye(2)).inv_s[-1]) + 1.0)
     config = OptimizerConfig(order=order)
     entered = count_errstates(monkeypatch)
     outcomes = []
-    for step_limit in (limit, np.nextafter(limit, np.inf)):
+    for step_limit in (product, np.nextafter(product, np.inf)):
         monkeypatch.setattr(optimizer, "_BOUND", step_limit)
         schedule, before = LambdaSchedule(centre), len(entered)
         x, f, record = step(np.zeros(2), problem, schedule, config, f0=-b)
@@ -267,14 +268,29 @@ def test_the_live_set_is_the_same_through_either_mask(order, centre, monkeypatch
 def test_a_base_point_beyond_the_bound_takes_the_exact_mask(order):
     # Every c1 lies within the bound, about 1e296 to 1e300, but x sits at
     # float64's maximum, so every x + c1 overflows: the step takes the
-    # exact mask, calls no evaluator and fails, with no overflow warning.
+    # exact mask, calls no evaluator and, with no call failed, is rejected,
+    # with no overflow warning.  The run escalates: from a centre of 1e8
+    # some x + c1 round to x, which is evaluated and does not improve, and
+    # the fifth rejection stalls it.
     x = np.array([np.finfo(float).max, 0.0])
     problem, counter = counting_problem(Problem(
         2, 2, lambda x: np.array([-1e300, x[1]]), lambda x: np.eye(2)))
-    with pytest.raises(StepFailureError, match="no finite candidate") as info:
-        step(x, problem, LambdaSchedule(1.0), OptimizerConfig(order=order),
-             f0=np.array([-1e300, 0.0]))
-    assert info.value.evaluations == counter["evals"] == 0
+    schedule, f0 = LambdaSchedule(1.0), np.array([-1e300, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_new, f_new, record = step(x, problem, schedule,
+                                    OptimizerConfig(order=order), f0=f0)
+        assert counter["evals"] == 0
+        assert x_new is x and f_new is f0 and schedule.lambda_old == GRID_BASE
+        assert record == optimizer.IterationRecord(
+            chosen_lambda=GRID_BASE, residual_norm=1e300, step_norm=0.0,
+            corrections_norms=(), f_evaluations=0, accepted=False)
+        result = run(x, problem, OptimizerConfig(order=order))
+    assert result.termination == "stalled" and result.failure is None
+    assert [r.f_evaluations for r in result.trajectory] == [0, 0, 10, 20, 21]
+    assert not any(r.accepted for r in result.trajectory)
+    assert result.f_evaluations == counter["evals"] == 1 + 51
+    assert result.x.tobytes() == x.tobytes() and result.residual_norm == 1e300
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -369,14 +385,14 @@ def _order_one_model(problem, x, grid, f0):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_a_sweep_past_the_products_bound_screens_its_candidates_by_reduction(order):
+def test_a_sweep_past_the_products_bound_takes_the_exact_mask(order):
     # On f = diag(1, 1e-300) x - (1e6, 1) from x = 0 the bound |f0| (1 /
-    # s_min + 1) is about 1e306, past R, yet every c1 entry is at most R:
-    # the largest-|c1| reduction keeps all 21 candidates live, in grid
-    # order, with the record bits of the order-1 rule.  On a J of rank one
-    # 1 / s_min is inf, so a Gauss-Newton sweep and a positive one both
-    # fail the bound and fall back to the reduction; the Gauss-Newton
-    # sweep's rank warning points at step.
+    # s_min + 1) is about 1e306, past R, yet every x + c1 is finite: the
+    # exact mask keeps all 21 candidates live, in grid order, with the
+    # record bits of the order-1 rule.  On a J of rank one 1 / s_min is inf,
+    # so a Gauss-Newton sweep and a positive one both fail the bound and
+    # take the exact mask; the Gauss-Newton sweep's rank warning points at
+    # step.
     for A, b, centre in ((np.diag([1.0, 1e-300]), np.array([1e6, 1.0]), 1.0),
                          (np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]), 0.0),
                          (np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]), 1.0)):
@@ -816,31 +832,41 @@ def test_nonfinite_residuals_truncate_instead_of_raising(order):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_nonfinite_everywhere_fails_the_step_like_order_one(order):
+def test_nonfinite_everywhere_is_rejected_like_order_one(order):
     # Every candidate endpoint lies outside the ball.  An inf residual there
-    # fails the step.  The finite 1e308 has a finite norm although its
-    # square overflows, so the iteration is rejected, without a warning,
-    # and the damping escalates.  Stencil defects that large truncate.
+    # has an inf norm and the finite 1e308 a finite one, although its
+    # square overflows: neither beats f0 and no call failed, so both sweeps
+    # are rejected alike, without a warning, and the damping escalates.
+    # Stencil residuals that large truncate each series after its first
+    # phase, 1, 2 or 3 calls.  The runs stall alike inside the ball.
+    counts = {1: (24, 505), 2: (28, 1177), 3: (28, 2249), 4: (26, 3140)}[order]
     valley = valley_problem(100.0)
     f0 = valley.evaluator(START)
+    runs = []
     for value in (np.inf, 1e308):
         def evaluator(x):
             if np.linalg.norm(x - START) > 0.5:
                 return np.array([value, 0.0])
             return valley.evaluator(x)
 
-        problem = Problem(2, 2, evaluator, valley.jacobian, name="ball")
+        problem, counter = counting_problem(
+            Problem(2, 2, evaluator, valley.jacobian, name="ball"))
         schedule = LambdaSchedule()
         config = OptimizerConfig(order=order)
-        if not np.isfinite(value):
-            with pytest.raises(StepFailureError):
-                step(START, problem, schedule, config, f0=f0)
-            continue
         x_new, f_new, record = step(START, problem, schedule, config, f0=f0)
-        assert not record.accepted
         assert x_new is START and f_new is f0
         assert schedule.lambda_old == GRID_BASE
-        assert record.residual_norm == np.linalg.norm(f0)
+        assert record == optimizer.IterationRecord(
+            chosen_lambda=GRID_BASE, residual_norm=_norm(f0), step_norm=0.0,
+            corrections_norms=(), accepted=False,
+            f_evaluations=21 * order)
+        counter["evals"] = 0
+        result = run(START, problem, config)
+        assert result.termination == "stalled" and result.failure is None
+        assert (result.iterations, result.f_evaluations) == counts
+        assert result.f_evaluations == counter["evals"]
+        runs.append((result.trajectory, result.x.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_huge_finite_start_residual_keeps_a_finite_norm():
@@ -1250,14 +1276,27 @@ def test_an_output_that_is_not_numeric_fails_its_call(output, error):
     assert type(info.value.__cause__) is error
 
 
-def test_step_failure_when_everything_is_nonfinite():
-    problem = Problem(2, 2,
-                      lambda x: np.full(2, np.nan),
-                      lambda x: np.eye(2), name="nan")
-    schedule = LambdaSchedule()
-    with pytest.raises(StepFailureError):
-        step(np.zeros(2), problem, schedule, OptimizerConfig(order=1),
-             f0=np.array([1.0, 1.0]))
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_sweep_that_is_nan_everywhere_is_rejected(order):
+    # Every residual but the start's is nan.  No call fails, so each sweep
+    # is a rejection that escalates the damping by 10^4, and the fifth
+    # stalls the run.  Each series truncates after its first phase, so a
+    # sweep costs 21 x order calls.
+    problem, counter = counting_problem(Problem(
+        2, 2, lambda x: np.full(2, np.nan) if x.any() else np.ones(2),
+        lambda x: np.eye(2), name="nan"))
+    schedule, x = LambdaSchedule(), np.zeros(2)
+    x_new, _, record = step(x, problem, schedule, OptimizerConfig(order=order),
+                            f0=np.ones(2))
+    assert x_new is x and schedule.lambda_old == GRID_BASE
+    assert record == optimizer.IterationRecord(
+        chosen_lambda=GRID_BASE, residual_norm=math.sqrt(2.0), step_norm=0.0,
+        corrections_norms=(), f_evaluations=21 * order, accepted=False)
+    counter["evals"] = 0
+    result = run(x, problem, OptimizerConfig(order=order))
+    assert result.termination == "stalled" and result.failure is None
+    assert [r.chosen_lambda for r in result.trajectory] == [1e4, 1e8, 1e12, 1e16, 1e20]
+    assert result.f_evaluations == counter["evals"] == 1 + 5 * 21 * order
 
 
 def test_config_validation():
@@ -1483,10 +1522,10 @@ def test_result_x_is_not_the_callers_start_array(problem, start_damping,
     assert result.x.tolist() == [0.0, 0.0]
 
 
-def test_failed_step_is_counted_and_returned():
-    # Every residual is nan after the first iteration's 43 calls: the second
-    # sweep fails, and the run returns after one iteration, still charging
-    # the failed sweep's 21 x 2 calls.
+def test_a_run_whose_residuals_turn_nan_stalls():
+    # Every residual is nan after the first iteration's 43 calls.  No call
+    # fails, so each later sweep is a rejection that charges its 21 x 2
+    # calls, and the fifth stalls the run.
     valley = valley_problem(100.0)
     calls = {"n": 0}
 
@@ -1496,11 +1535,35 @@ def test_failed_step_is_counted_and_returned():
 
     problem = Problem(2, 2, evaluator, valley.jacobian, name="expiring")
     result = run(START, problem, OptimizerConfig(order=2))
+    assert result.termination == "stalled" and result.failure is None
+    assert [r.accepted for r in result.trajectory] == [True] + [False] * 5
+    assert [r.f_evaluations for r in result.trajectory] == [42] * 6
+    assert result.f_evaluations == calls["n"] == 1 + 6 * 42
+
+
+def test_failed_step_is_counted_and_returned():
+    # Every call raises after the first iteration's 43: the second sweep
+    # fails, and the run returns after one iteration, still charging the
+    # failed sweep's 21 x 1 calls, one stencil call per candidate.
+    valley = valley_problem(100.0)
+    calls = {"n": 0}
+
+    def evaluator(x):
+        calls["n"] += 1
+        if calls["n"] > 43:
+            raise FloatingPointError("expired")
+        return valley.evaluator(x)
+
+    problem = Problem(2, 2, evaluator, valley.jacobian, name="expiring")
+    result = run(START, problem, OptimizerConfig(order=2))
     assert result.termination == "step_failure"
     assert str(result.failure).startswith("no finite candidate endpoint")
-    assert result.failure.evaluations == 42
+    assert str(result.failure).endswith(": residual evaluation failed at stencil "
+                                        "offset (1, 0, 0): expired")
+    assert list(result.failure.causes) == list(range(21))
+    assert result.failure.evaluations == 21
     assert result.iterations == 1
-    assert result.f_evaluations == calls["n"] == 1 + 42 + 42
+    assert result.f_evaluations == calls["n"] == 1 + 42 + 21
 
 
 def test_svd_failure_ends_the_run(monkeypatch):

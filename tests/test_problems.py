@@ -131,6 +131,7 @@ def test_affine_problem_shapes():
     rect = affine_problem(A, np.zeros(2))
     assert (rect.input_dim, rect.output_dim) == (3, 2)
     assert np.allclose(rect.jacobian(np.zeros(3)), A)
+    assert problem.name == rect.name == "affine"
 
 
 @pytest.mark.parametrize("A_shape,b_shape", [
