@@ -105,12 +105,11 @@ STENCIL_EVALUATIONS = {1: 0} | {
 def _check_order(order) -> None:
     """Raise ValueError unless ``order`` is an integer key of STENCIL_EVALUATIONS.
 
-    A plain ``int`` key, the common case, passes on a type test and a lookup.
-    Anything else goes to ``as_int`` over the keys' range, which turns away
-    ``2.0`` and ``True``, although both are keys too.
+    The keys run from 1 to 4 without a gap, so ``as_int`` over their range
+    is the membership test; it turns away ``2.0`` and ``True``, although
+    both are keys too.
     """
-    if type(order) is not int or order not in STENCIL_EVALUATIONS:
-        as_int(order, "order", min(STENCIL_EVALUATIONS), max(STENCIL_EVALUATIONS))
+    as_int(order, "order", min(STENCIL_EVALUATIONS), max(STENCIL_EVALUATIONS))
 
 
 class StencilEvaluationError(RuntimeError):

@@ -66,8 +66,7 @@ def counting_problem(problem: Problem):
         counter["evals"] += 1
         return problem.evaluator(x)
 
-    wrapped = Problem(problem.input_dim, problem.output_dim, evaluator,
-                      problem.jacobian, name=problem.name)
+    wrapped = Problem(problem.input_dim, problem.output_dim, evaluator, problem.jacobian)
     return wrapped, counter
 
 
@@ -92,7 +91,7 @@ def nan_jacobian_below(problem: Problem, y_limit):
     def jacobian(x):
         return np.full((2, 2), np.nan) if x[1] < y_limit else problem.jacobian(x)
 
-    return Problem(2, 2, problem.evaluator, jacobian, name=problem.name)
+    return Problem(2, 2, problem.evaluator, jacobian)
 
 
 def jacobian_raising_from(problem: Problem, call: int, error: Exception):
@@ -105,8 +104,7 @@ def jacobian_raising_from(problem: Problem, call: int, error: Exception):
             raise error
         return problem.jacobian(x)
 
-    return Problem(problem.input_dim, problem.output_dim, problem.evaluator,
-                   jacobian, name=problem.name)
+    return Problem(problem.input_dim, problem.output_dim, problem.evaluator, jacobian)
 
 
 def evaluator_failing_at(problem: Problem, call: int, fault):
@@ -122,8 +120,7 @@ def evaluator_failing_at(problem: Problem, call: int, fault):
             raise fault
         return fault
 
-    return Problem(problem.input_dim, problem.output_dim, evaluator,
-                   problem.jacobian, name=problem.name)
+    return Problem(problem.input_dim, problem.output_dim, evaluator, problem.jacobian)
 
 
 def analytic_correction_series(poly, x, inverse_apply, c1, order):
@@ -153,28 +150,29 @@ def derivative_contraction(poly, x, order: int, *vectors) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     vs = [np.asarray(v, dtype=float) for v in vectors]
     out = np.zeros(poly.output_dim)
+    _, B, C, D = (*poly.tensors, None, None, None)[:4]
     if order == 1:
         return poly.jacobian(x) @ vs[0]
     if order == 2:
         u, v = vs
-        if poly.B is not None:
-            out += 2.0 * np.einsum("ijk,j,k->i", poly.B, u, v)
-        if poly.C is not None:
-            out += 6.0 * np.einsum("ijkl,j,k,l->i", poly.C, x, u, v)
-        if poly.D is not None:
-            out += 12.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, x, x, u, v)
+        if B is not None:
+            out += 2.0 * np.einsum("ijk,j,k->i", B, u, v)
+        if C is not None:
+            out += 6.0 * np.einsum("ijkl,j,k,l->i", C, x, u, v)
+        if D is not None:
+            out += 12.0 * np.einsum("ijklm,j,k,l,m->i", D, x, x, u, v)
         return out
     if order == 3:
         u, v, w = vs
-        if poly.C is not None:
-            out += 6.0 * np.einsum("ijkl,j,k,l->i", poly.C, u, v, w)
-        if poly.D is not None:
-            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, x, u, v, w)
+        if C is not None:
+            out += 6.0 * np.einsum("ijkl,j,k,l->i", C, u, v, w)
+        if D is not None:
+            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", D, x, u, v, w)
         return out
     if order == 4:
         u, v, w, z = vs
-        if poly.D is not None:
-            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", poly.D, u, v, w, z)
+        if D is not None:
+            out += 24.0 * np.einsum("ijklm,j,k,l,m->i", D, u, v, w, z)
         return out
     raise ValueError(f"derivative order must be in [1, 4], got {order}")
 
@@ -256,7 +254,7 @@ def four_exponential_fit():
         decays = np.exp(-x[4:, None] * t)
         return np.hstack([decays.T, (-x[:4, None] * t * decays).T])
 
-    problem = Problem(8, 1000, evaluator, jacobian, name="four-exponentials")
+    problem = Problem(8, 1000, evaluator, jacobian)
     return problem, np.concatenate([0.7 * amplitudes, 1.6 * rates])
 
 
@@ -329,13 +327,14 @@ def einsum_polynomial_evaluator(poly, x):
     same polynomial by Horner's rule and so rounds differently.
     """
     x = np.asarray(x, dtype=float)
-    f = poly.A @ x
-    if poly.B is not None:
-        f = f + np.einsum("ijk,j,k->i", poly.B, x, x)
-    if poly.C is not None:
-        f = f + np.einsum("ijkl,j,k,l->i", poly.C, x, x, x)
-    if poly.D is not None:
-        f = f + np.einsum("ijklm,j,k,l,m->i", poly.D, x, x, x, x)
+    A, B, C, D = (*poly.tensors, None, None, None)[:4]
+    f = A @ x
+    if B is not None:
+        f = f + np.einsum("ijk,j,k->i", B, x, x)
+    if C is not None:
+        f = f + np.einsum("ijkl,j,k,l->i", C, x, x, x)
+    if D is not None:
+        f = f + np.einsum("ijklm,j,k,l,m->i", D, x, x, x, x)
     return f
 
 

@@ -234,7 +234,7 @@ def _misshaped_after_the_start(K):
         calls.append(x)
         return valley.evaluator(x) if len(calls) == 1 else np.ones(3)
 
-    return Problem(2, 2, evaluator, valley.jacobian, name=valley.name)
+    return Problem(2, 2, evaluator, valley.jacobian)
 
 
 @pytest.mark.parametrize("argv,cause", [
@@ -272,7 +272,7 @@ def test_misshaped_jacobian_exits_1_with_the_error_line(argv, monkeypatch,
             calls.append(x)
             return np.ones((3, 2)) if len(calls) == 5 else valley.jacobian(x)
 
-        return Problem(2, 2, valley.evaluator, jacobian, name=valley.name)
+        return Problem(2, 2, valley.evaluator, jacobian)
 
     monkeypatch.setattr(cli, "valley_problem", tall_fifth)
     monkeypatch.chdir(tmp_path)

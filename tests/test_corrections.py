@@ -740,9 +740,12 @@ def test_invalid_order_rejected():
     poly = polynomial_problem(2, 2, seed=4)
     x, f0, factors, inv, c1 = make_context(poly.as_problem(), [0.5, 0.5])
     # 2.0 and True compare equal to supported orders; only ints are orders.
-    # A plain int skips the type checks, which the others still take.
+    # A plain int skips the type checks, which the others still take.  The
+    # keys run from 1 to 4 without a gap, so the range test is the key test.
+    assert list(STENCIL_EVALUATIONS) == [1, 2, 3, 4]
     for order in (5, 0, 2.0, True, np.bool_(True), "2", None):
-        with pytest.raises(ValueError):
+        message = f"^order must be an integer in \\[1, 4\\], got {re.escape(repr(order))}$"
+        with pytest.raises(ValueError, match=message):
             correction_series(
                 stencil_base(x, f0, factors, poly.evaluator, c1[None], GN), 0,
                 order=order)

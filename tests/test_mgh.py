@@ -29,7 +29,7 @@ def rosenbrock() -> Problem:
         x1, _ = x.tolist()
         return np.array([[-20.0 * x1, 10.0], [-1.0, 0.0]])
 
-    return Problem(2, 2, evaluator, jacobian, name="rosenbrock")
+    return Problem(2, 2, evaluator, jacobian)
 
 
 def powell_singular() -> Problem:
@@ -47,7 +47,7 @@ def powell_singular() -> Problem:
         return np.array([[1.0, 10.0, 0.0, 0.0], [0.0, 0.0, r5, -r5],
                          [0.0, a, -2.0 * a, 0.0], [b, 0.0, 0.0, -b]])
 
-    return Problem(4, 4, evaluator, jacobian, name="powell_singular")
+    return Problem(4, 4, evaluator, jacobian)
 
 
 def helical_valley() -> Problem:
@@ -70,7 +70,7 @@ def helical_valley() -> Problem:
         return np.array([[d * x2, -d * x1, 10.0], [10.0 * x1 / r, 10.0 * x2 / r, 0.0],
                          [0.0, 0.0, 1.0]])
 
-    return Problem(3, 3, evaluator, jacobian, name="helical_valley")
+    return Problem(3, 3, evaluator, jacobian)
 
 
 def box_3d(m: int = 10) -> Problem:
@@ -85,7 +85,7 @@ def box_3d(m: int = 10) -> Problem:
         x1, x2, _ = x.tolist()
         return np.stack([-t * np.exp(-t * x1), t * np.exp(-t * x2), -shift], axis=1)
 
-    return Problem(3, m, evaluator, jacobian, name="box_3d")
+    return Problem(3, m, evaluator, jacobian)
 
 
 def beale() -> Problem:
@@ -100,7 +100,7 @@ def beale() -> Problem:
         return np.array([[x2 ** (i + 1) - 1.0, (i + 1) * x1 * x2 ** i]
                          for i in range(3)])
 
-    return Problem(2, 3, evaluator, jacobian, name="beale")
+    return Problem(2, 3, evaluator, jacobian)
 
 
 def brown_badly_scaled() -> Problem:
@@ -112,7 +112,7 @@ def brown_badly_scaled() -> Problem:
         x1, x2 = x.tolist()
         return np.array([[1.0, 0.0], [0.0, 1.0], [x2, x1]])
 
-    return Problem(2, 3, evaluator, jacobian, name="brown_badly_scaled")
+    return Problem(2, 3, evaluator, jacobian)
 
 
 def powell_badly_scaled() -> Problem:
@@ -125,7 +125,7 @@ def powell_badly_scaled() -> Problem:
         x1, x2 = x.tolist()
         return np.array([[1e4 * x2, 1e4 * x1], [-math.exp(-x1), -math.exp(-x2)]])
 
-    return Problem(2, 2, evaluator, jacobian, name="powell_badly_scaled")
+    return Problem(2, 2, evaluator, jacobian)
 
 
 def extended_rosenbrock(p: int = 10) -> Problem:
@@ -142,7 +142,7 @@ def extended_rosenbrock(p: int = 10) -> Problem:
         J[i, i], J[i, i + 1], J[i + 1, i] = -20.0 * x[0::2], 10.0, -1.0
         return J
 
-    return Problem(p, p, evaluator, jacobian, name="extended_rosenbrock")
+    return Problem(p, p, evaluator, jacobian)
 
 
 def discrete_boundary_value(p: int = 10) -> Problem:
@@ -160,7 +160,7 @@ def discrete_boundary_value(p: int = 10) -> Problem:
         J[i, i + 1] = J[i + 1, i] = -1.0
         return J
 
-    return Problem(p, p, evaluator, jacobian, name="discrete_boundary_value")
+    return Problem(p, p, evaluator, jacobian)
 
 
 def discrete_boundary_value_start(p: int = 10):
@@ -178,7 +178,7 @@ def broyden_tridiagonal(p: int = 10) -> Problem:
         J[i, i + 1], J[i + 1, i] = -2.0, -1.0
         return J
 
-    return Problem(p, p, evaluator, jacobian, name="broyden_tridiagonal")
+    return Problem(p, p, evaluator, jacobian)
 
 
 def penalty_1(p: int = 4) -> Problem:
@@ -190,7 +190,7 @@ def penalty_1(p: int = 4) -> Problem:
     def jacobian(x):
         return np.vstack([r * np.eye(p), 2.0 * x])
 
-    return Problem(p, p + 1, evaluator, jacobian, name="penalty_1")
+    return Problem(p, p + 1, evaluator, jacobian)
 
 
 def brown_dennis(m: int = 20) -> Problem:
@@ -206,7 +206,7 @@ def brown_dennis(m: int = 20) -> Problem:
         a, b = 2.0 * (x1 + t * x2 - et), 2.0 * (x3 + x4 * st - ct)
         return np.stack([a, a * t, b, b * st], axis=1)
 
-    return Problem(4, m, evaluator, jacobian, name="brown_dennis")
+    return Problem(4, m, evaluator, jacobian)
 
 
 def freudenstein_roth() -> Problem:
@@ -220,7 +220,7 @@ def freudenstein_roth() -> Problem:
         return np.array([[1.0, (10.0 - 3.0 * x2) * x2 - 2.0],
                          [1.0, (3.0 * x2 + 2.0) * x2 - 14.0]])
 
-    return Problem(2, 2, evaluator, jacobian, name="freudenstein_roth")
+    return Problem(2, 2, evaluator, jacobian)
 
 
 def jennrich_sampson(m: int = 10) -> Problem:
@@ -234,7 +234,7 @@ def jennrich_sampson(m: int = 10) -> Problem:
         x1, x2 = x.tolist()
         return np.stack([-i * np.exp(i * x1), -i * np.exp(i * x2)], axis=1)
 
-    return Problem(2, m, evaluator, jacobian, name="jennrich_sampson")
+    return Problem(2, m, evaluator, jacobian)
 
 
 def wood() -> Problem:
@@ -251,7 +251,7 @@ def wood() -> Problem:
                          [0.0, 0.0, -2.0 * r90 * x3, r90], [0.0, 0.0, -1.0, 0.0],
                          [0.0, r10, 0.0, r10], [0.0, 1.0 / r10, 0.0, -1.0 / r10]])
 
-    return Problem(4, 6, evaluator, jacobian, name="wood")
+    return Problem(4, 6, evaluator, jacobian)
 
 
 def biggs_exp6(m: int = 13) -> Problem:
@@ -272,7 +272,7 @@ def biggs_exp6(m: int = 13) -> Problem:
         return np.stack([-t * x3 * e1, t * x4 * e2, e1, -e2, -t * x6 * e5, e5],
                         axis=1)
 
-    return Problem(6, m, evaluator, jacobian, name="biggs_exp6")
+    return Problem(6, m, evaluator, jacobian)
 
 
 def watson(p: int) -> Problem:
@@ -294,7 +294,7 @@ def watson(p: int) -> Problem:
         J[29, 0], J[30, 0], J[30, 1] = 1.0, -2.0 * x[0], 1.0
         return J
 
-    return Problem(p, 31, evaluator, jacobian, name=f"watson_{p}")
+    return Problem(p, 31, evaluator, jacobian)
 
 
 def penalty_2(p: int = 4) -> Problem:
@@ -320,7 +320,7 @@ def penalty_2(p: int = 4) -> Problem:
         J[-1] = 2.0 * weights * x
         return J
 
-    return Problem(p, 2 * p, evaluator, jacobian, name="penalty_2")
+    return Problem(p, 2 * p, evaluator, jacobian)
 
 
 def chebyquad(p: int) -> Problem:
@@ -343,7 +343,7 @@ def chebyquad(p: int) -> Problem:
     def jacobian(x):
         return values(x)[1] / p
 
-    return Problem(p, p, evaluator, jacobian, name=f"chebyquad_{p}")
+    return Problem(p, p, evaluator, jacobian)
 
 
 def chebyquad_start(p: int):
@@ -503,7 +503,7 @@ def test_jennrich_sampson_from_ten_times_its_start_stalls(order):
             return problem.evaluator(x)
 
     silenced, counter = counting_problem(
-        Problem(2, 10, evaluator, problem.jacobian, name=problem.name))
+        Problem(2, 10, evaluator, problem.jacobian))
     result = run(10.0 * np.array([0.3, 0.4]), silenced, OptimizerConfig(order=order))
     assert result.termination == "stalled" and result.failure is None
     assert result.residual_norm == pytest.approx(16.111492486242643, rel=1e-9)

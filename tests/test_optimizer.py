@@ -143,7 +143,7 @@ def test_zero_centred_schedule_stays_at_zero():
     assert schedule.lambda_old == 0.0
     # A constant residual: the undamped endpoint is no better.
     f0 = np.array([1.0, 1.0])
-    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2), name="flat")
+    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2))
     _, _, record = step(np.zeros(2), flat, schedule, OptimizerConfig(), f0=f0)
     assert not record.accepted and record.chosen_lambda == 0.0
     assert schedule.lambda_old == 0.0
@@ -204,8 +204,7 @@ def test_a_first_step_near_float64s_maximum_skips_the_stencil(order, x0, b,
     # series from an x beyond the stencil's bound, R = 2^1016, about 7.0e305.
     problem = affine_problem(np.eye(2), np.array([b, 0.0]))
     points = []
-    watched = Problem(2, 2, lambda x: points.append(x) or problem.evaluator(x),
-                      problem.jacobian)
+    watched = Problem(2, 2, lambda x: points.append(x) or problem.evaluator(x), problem.jacobian)
     result = run(np.array([x0, 0.0]), watched,
                  OptimizerConfig(order=order, convergence_tol=1.0))
     assert result.converged and result.iterations == iterations
@@ -475,8 +474,7 @@ def _faulty(problem: Problem) -> Problem:
         f = problem.evaluator(point)
         return f + 1e307 if fate == 1 else f * 1e8 if fate == 2 else f
 
-    return Problem(problem.input_dim, problem.output_dim, evaluator,
-                   problem.jacobian, name=problem.name)
+    return Problem(problem.input_dim, problem.output_dim, evaluator, problem.jacobian)
 
 
 def _endpoint_cases():
@@ -580,7 +578,7 @@ def test_gauss_newton_survives_a_singular_jacobian():
     # minimum-norm step still drives the residual to zero.
     problem = Problem(2, 2,
                       lambda x: np.full(2, x[0] ** 2 + x[1] - 1.0),
-                      lambda x: np.array([[2.0 * x[0], 1.0]] * 2), name="twin")
+                      lambda x: np.array([[2.0 * x[0], 1.0]] * 2))
     config = OptimizerConfig(order=2, start_damping=0.0)
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
         result = run(np.array([2.0, 0.0]), problem, config)
@@ -597,7 +595,7 @@ def test_run_counts_include_every_pass_and_records_match():
     # |f| = x^2 + 1 bottoms out at 1: this run rejects its second iteration
     # and its last five.  The trace numbers rows by trajectory position.
     problem = Problem(1, 1, lambda x: np.array([x[0] ** 2 + 1.0]),
-                      lambda x: np.array([[2.0 * x[0]]]), name="stuck")
+                      lambda x: np.array([[2.0 * x[0]]]))
     result = run(np.ones(1), problem, OptimizerConfig(order=1))
     assert [r.accepted for r in result.trajectory] == (
         [True, False] + [True] * 3 + [False] * 5)
@@ -653,7 +651,7 @@ def test_failed_evaluator_calls_are_counted(order, fails):
             raise FloatingPointError("outside the model's domain")
         return valley.evaluator(x)
 
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="partial")
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     _, _, record = step(START, problem, LambdaSchedule(),
                         OptimizerConfig(order=order), f0=valley.evaluator(START))
     assert record.f_evaluations == calls["n"]
@@ -663,7 +661,7 @@ def test_step_failure_is_chained_to_the_first_failed_call():
     def evaluator(x):
         raise FloatingPointError("outside the model's domain")
 
-    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="broken")
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2))
     for order in (1, 2, 3, 4):
         with pytest.raises(StepFailureError) as info:
             step(np.zeros(2), problem, LambdaSchedule(),
@@ -696,7 +694,7 @@ def test_step_failure_causes_are_in_sweep_order():
             raise FloatingPointError(f"candidate {idx}")
         return np.array([1.0, 1.0]) + p if seen[idx] == 1 else np.full(2, np.nan)
 
-    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="flat")
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2))
     with pytest.raises(StepFailureError) as info:
         step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(order=2),
              f0=np.array([1.0, 1.0]))
@@ -719,7 +717,7 @@ def test_accepted_residual_survives_a_reused_output_buffer(order):
         buffer[:] = valley.evaluator(x)
         return buffer
 
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="one-buffer")
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     x_new, f_new, record = step(START, problem, LambdaSchedule(),
                                 OptimizerConfig(order=order),
                                 f0=valley.evaluator(START))
@@ -746,7 +744,7 @@ def test_wrong_shaped_residual_is_rejected(order):
     # candidate is dropped at its first call (order 1's endpoint, order 2's
     # stencil point x + c1), and the step fails naming the shape.
     problem, counter = counting_problem(Problem(
-        2, 2, lambda x: np.array([0.5]), lambda x: np.eye(2), name="short"))
+        2, 2, lambda x: np.array([0.5]), lambda x: np.eye(2)))
     shape = "residual has shape (1,), expected (2,)"
     with pytest.raises(StepFailureError) as info:
         step(np.zeros(2), problem, LambdaSchedule(),
@@ -802,7 +800,7 @@ def test_a_misshaped_jacobian_mid_run_returns_the_trajectory(order, evaluations)
         return np.ones((3, 2)) if len(calls) == 5 else valley.jacobian(x)
 
     problem, counter = counting_problem(
-        Problem(2, 2, valley.evaluator, jacobian, name="tall-5th"))
+        Problem(2, 2, valley.evaluator, jacobian))
     result = run(START, problem, OptimizerConfig(order=order))
     assert result.termination == "step_failure"
     assert result.iterations == len(result.trajectory) == 4
@@ -826,7 +824,7 @@ def test_nonfinite_residuals_truncate_instead_of_raising(order):
     def evaluator(x):
         return np.array([np.inf, 0.0]) if x[1] < 0.0 else valley.evaluator(x)
 
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="half-plane")
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     result = run(START, problem, OptimizerConfig(order=order))
     assert result.converged
 
@@ -850,7 +848,7 @@ def test_nonfinite_everywhere_is_rejected_like_order_one(order):
             return valley.evaluator(x)
 
         problem, counter = counting_problem(
-            Problem(2, 2, evaluator, valley.jacobian, name="ball"))
+            Problem(2, 2, evaluator, valley.jacobian))
         schedule = LambdaSchedule()
         config = OptimizerConfig(order=order)
         x_new, f_new, record = step(START, problem, schedule, config, f0=f0)
@@ -874,8 +872,7 @@ def test_huge_finite_start_residual_keeps_a_finite_norm():
     # and endpoint norms stay finite, so the step is rejected (no endpoint
     # is smaller), not failed, and no warning is raised.
     f0 = np.array([1e200, 1e200])
-    problem = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2),
-                      name="plateau")
+    problem = Problem(2, 2, lambda x: f0.copy(), lambda x: np.eye(2))
     x0, schedule = np.zeros(2), LambdaSchedule()
     x_new, _, record = step(x0, problem, schedule, OptimizerConfig(), f0=f0)
     assert not record.accepted and x_new is x0
@@ -889,8 +886,7 @@ def test_huge_steps_keep_finite_norms(order):
     # square overflows.  Step and correction norms stay finite, with no
     # overflow warning, and the run still converges.
     shift = np.array([1e200, 1e200])
-    problem = Problem(2, 2, lambda x: x + shift, lambda x: np.eye(2),
-                      name="shifted")
+    problem = Problem(2, 2, lambda x: x + shift, lambda x: np.eye(2))
     result = run(np.zeros(2), problem, OptimizerConfig(order=order))
     assert result.converged
     first = result.trajectory[0]
@@ -955,7 +951,7 @@ def test_gauss_newton_stops_at_its_first_rejection(order, iterations,
 
 
 def _winning_index(evaluator, order):
-    problem = Problem(2, 2, evaluator, lambda x: np.eye(2), name="flat")
+    problem = Problem(2, 2, evaluator, lambda x: np.eye(2))
     schedule = LambdaSchedule()
     grid = schedule.grid()
     _, _, record = step(np.zeros(2), problem, schedule,
@@ -1046,7 +1042,7 @@ def test_rejection_escalates_damping_and_stalls():
     # |f|^2 = (x^2 + 1)^2 has a non-root stationary point at x = 0: no
     # candidate can improve, so the run must escalate and then abort.
     problem = Problem(1, 1, lambda x: np.array([x[0] ** 2 + 1.0]),
-                      lambda x: np.array([[2.0 * x[0]]]), name="stuck")
+                      lambda x: np.array([[2.0 * x[0]]]))
     result = run(np.zeros(1), problem, OptimizerConfig(order=1, max_iterations=50))
     assert not result.converged
     assert result.iterations == 5  # consecutive-rejection abort
@@ -1063,7 +1059,7 @@ def _rejected_step(s_max, centre, order):
     J = diag(s_max, s_max / 2); its record and the schedule after it."""
     f0 = np.array([1.0, 1.0])
     J = np.diag([s_max, 0.5 * s_max])
-    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: J.copy(), name="flat")
+    flat = Problem(2, 2, lambda x: f0.copy(), lambda x: J.copy())
     schedule = LambdaSchedule(centre)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1170,8 +1166,7 @@ def test_wrong_shaped_start_rejected(x0, shape):
     pytest.param(1.0, id="levenberg_marquardt"),
 ])
 def test_nonfinite_start_residual_rejected(start_damping):
-    problem = Problem(2, 2, lambda x: np.array([np.nan, 0.0]), lambda x: np.eye(2),
-                      name="nan")
+    problem = Problem(2, 2, lambda x: np.array([np.nan, 0.0]), lambda x: np.eye(2))
     config = OptimizerConfig(start_damping=start_damping)
     with pytest.raises(ValueError, match="starting residual must be finite"):
         run(np.zeros(2), problem, config)
@@ -1185,7 +1180,7 @@ def test_wrong_shaped_start_residual_rejected():
     # step failure as a later misshaped residual is.
     calls = []
     problem = Problem(2, 2, lambda x: np.ones(3),
-                      lambda x: calls.append(x) or np.eye(2), name="long")
+                      lambda x: calls.append(x) or np.eye(2))
     with pytest.raises(ValueError, match=r"^starting residual has shape \(3,\), "
                        r"expected \(2,\)$"):
         run(np.zeros(2), problem, OptimizerConfig())
@@ -1211,7 +1206,7 @@ def test_step_rejects_wrong_shaped_x(x):
     def jacobian(x):
         raise AssertionError("the Jacobian was called")
 
-    problem = Problem(2, 2, lambda x: np.ones(2), jacobian, name="no-jacobian")
+    problem = Problem(2, 2, lambda x: np.ones(2), jacobian)
     shape = re.escape(str(np.shape(x)))
     with pytest.raises(ValueError, match=rf"x has shape {shape}, "
                                          r"expected \(2,\)"):
@@ -1245,7 +1240,7 @@ def test_step_rejects_wrong_shaped_jacobian():
     # A Jacobian call that returns the wrong shape fails the step, as one
     # that raises does, before any evaluator call.
     problem, counter = counting_problem(Problem(
-        2, 2, lambda x: np.ones(2), lambda x: np.ones((3, 2)), name="tall"))
+        2, 2, lambda x: np.ones(2), lambda x: np.ones((3, 2))))
     with pytest.raises(StepFailureError,
                        match=r"^jacobian has shape \(3, 2\), expected \(2, 2\)$") as info:
         step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
@@ -1262,13 +1257,13 @@ def test_an_output_that_is_not_numeric_fails_its_call(output, error):
     # An output that float64 cannot hold fails its call as a wrong shape
     # does: a Jacobian's fails the step with the conversion's own message,
     # and an evaluator's drops its candidate.
-    problem = Problem(2, 2, lambda x: np.ones(2), lambda x: output, name="odd")
+    problem = Problem(2, 2, lambda x: np.ones(2), lambda x: output)
     with pytest.raises(StepFailureError) as info:
         step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
              f0=np.ones(2))
     assert type(info.value.__cause__) is error
     assert str(info.value) == str(info.value.__cause__)
-    problem = Problem(2, 2, lambda x: output, lambda x: np.eye(2), name="odd")
+    problem = Problem(2, 2, lambda x: output, lambda x: np.eye(2))
     with pytest.raises(StepFailureError) as info:
         step(np.zeros(2), problem, LambdaSchedule(), OptimizerConfig(),
              f0=np.ones(2))
@@ -1284,7 +1279,7 @@ def test_a_sweep_that_is_nan_everywhere_is_rejected(order):
     # sweep costs 21 x order calls.
     problem, counter = counting_problem(Problem(
         2, 2, lambda x: np.full(2, np.nan) if x.any() else np.ones(2),
-        lambda x: np.eye(2), name="nan"))
+        lambda x: np.eye(2)))
     schedule, x = LambdaSchedule(), np.zeros(2)
     x_new, _, record = step(x, problem, schedule, OptimizerConfig(order=order),
                             f0=np.ones(2))
@@ -1504,10 +1499,9 @@ def test_raising_jacobian_mid_run_returns_the_trajectory(order):
 
 @pytest.mark.parametrize("problem,start_damping,termination", [
     (valley_problem(1e6), 1.0, "converged"),
-    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.eye(2), name="flat"),
-     0.0, "stalled"),
-    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.full((2, 2), np.nan),
-             name="nan-jacobian"), 1.0, "step_failure"),
+    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.eye(2)), 0.0, "stalled"),
+    (Problem(2, 2, lambda x: np.ones(2), lambda x: np.full((2, 2), np.nan)),
+     1.0, "step_failure"),
 ], ids=["converged-at-start", "stalled", "step-failure"])
 def test_result_x_is_not_the_callers_start_array(problem, start_damping,
                                                  termination):
@@ -1533,7 +1527,7 @@ def test_a_run_whose_residuals_turn_nan_stalls():
         calls["n"] += 1
         return valley.evaluator(x) if calls["n"] <= 43 else np.full(2, np.nan)
 
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="expiring")
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     result = run(START, problem, OptimizerConfig(order=2))
     assert result.termination == "stalled" and result.failure is None
     assert [r.accepted for r in result.trajectory] == [True] + [False] * 5
@@ -1554,7 +1548,7 @@ def test_failed_step_is_counted_and_returned():
             raise FloatingPointError("expired")
         return valley.evaluator(x)
 
-    problem = Problem(2, 2, evaluator, valley.jacobian, name="expiring")
+    problem = Problem(2, 2, evaluator, valley.jacobian)
     result = run(START, problem, OptimizerConfig(order=2))
     assert result.termination == "step_failure"
     assert str(result.failure).startswith("no finite candidate endpoint")
@@ -1723,7 +1717,7 @@ def test_counts_equal_calls_under_injected_failures(order, data):
         assert before == calls["evaluator"]
         return expected
 
-    problem = Problem(2, 2, evaluator, jacobian, name="faulty")
+    problem = Problem(2, 2, evaluator, jacobian)
     with mock.patch.object(optimizer, "correction_series", logged_series), \
             mock.patch.object(optimizer, "step", logged_step):
         result = run(START, problem, OptimizerConfig(order=order, max_iterations=2))
@@ -1808,7 +1802,7 @@ def _converting(problem, convert, caller):
         converted.append(x.tobytes())
         return convert(f)
 
-    return Problem(2, 2, evaluator, problem.jacobian, name=problem.name), converted
+    return Problem(2, 2, evaluator, problem.jacobian), converted
 
 
 def _step_bits(problem, order):

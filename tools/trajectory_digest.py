@@ -34,8 +34,11 @@ It imports ``lmcorrect`` from ``SRC``, by default the ``src`` directory
 beside this file, and the polynomial solves, the MGH problems and the fit
 from the ``tests`` directory beside this file, which needs pytest
 installed.  So one copy of the tool can digest two checkouts' ``src``
-directories, whose lines must then match.  It takes about 7 s on a 2-vCPU
-machine.
+directories, whose lines must then match.  Both digests run this copy's
+``tests/helpers.py`` and ``tests/test_mgh.py``, also against the other
+checkout's ``src``: what the tool calls there may use only names that both
+``src`` trees have (an oracle that the tool never calls may use newer
+ones).  It takes about 7 s on a 2-vCPU machine.
 """
 
 import argparse
